@@ -760,10 +760,10 @@ let micro () =
   let heap_bench () =
     let h = Sim.Heap.create () in
     for i = 0 to 255 do
-      Sim.Heap.push h ~key:((i * 7919) land 1023) ~seq:i i
+      Sim.Heap.push h ~key:((i * 7919) land 1023) ~seq:i ignore
     done;
     while not (Sim.Heap.is_empty h) do
-      ignore (Sim.Heap.pop h)
+      Sim.Heap.pop h ()
     done
   in
   let sarray_bench () =
@@ -1302,47 +1302,87 @@ let section_walls : (string * float) list ref = ref []
 
 let perf () =
   progress "[perf] kernel hot-path throughput...\n%!";
-  hr "Kernel perf: event scheduling and broadcast hot paths";
+  hr "Kernel perf: event scheduling and message send hot paths";
   print_endline
     "Host-time throughput of the simulation kernel (not simulated time):\n\
-     the calendar event queue vs the reference binary heap, the bitmask\n\
-     destination-set send vs the legacy list send, and end-to-end events/s\n\
-     of a whole tiny simulation. Absolute numbers are machine-dependent;\n\
-     the ratios and the cross-PR trend are what the trajectory tracks.";
-  let time_s f =
+     the engine queue under uniform and broadcast-shaped churn, the\n\
+     bitmask multicast and the point-to-point send, and end-to-end\n\
+     events/s of a whole tiny simulation, each with its minor words\n\
+     allocated per unit of work. Absolute rates are machine-dependent;\n\
+     the allocation figures are deterministic for a given compiler.";
+  (* Host seconds and minor words of [f ()]. *)
+  let measure f =
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     f ();
-    Unix.gettimeofday () -. t0
+    let dt = Unix.gettimeofday () -. t0 in
+    (dt, Gc.minor_words () -. w0)
   in
-  (* 1. Empty-handler churn: schedule-then-drain batches, the pure
-     queue-discipline cost with no protocol work at all. *)
-  let churn queue =
+  (* 1. Uniform churn: schedule-then-drain batches of 4096 events with
+     one preallocated empty thunk, the pure queue-discipline cost. *)
+  let churn_eps, churn_mwpe =
     let batches = if !quick then 60 else 200 in
     let per_batch = 4096 in
-    let dt =
-      time_s (fun () ->
+    let e = Sim.Engine.create () in
+    let nop () = () in
+    let dt, words =
+      measure (fun () ->
           for _ = 1 to batches do
-            let e = Sim.Engine.create ~queue () in
             for i = 1 to per_batch do
-              Sim.Engine.schedule_in e
-                (Sim.Time.ps ((i * 7919) land 0xffff))
-                (fun () -> ())
+              Sim.Engine.schedule_in e (Sim.Time.ps ((i * 7919) land 0xffff)) nop
             done;
             Sim.Engine.run e
           done)
     in
-    float_of_int (batches * per_batch) /. dt
+    let n = float_of_int (batches * per_batch) in
+    (n /. dt, words /. n)
   in
-  let cal_eps = churn Sim.Engine.Calendar in
-  let heap_eps = churn Sim.Engine.Binheap in
-  Printf.printf "engine churn (4096-event batches, empty handlers):\n";
-  Printf.printf "  %-28s %12.3g events/s\n" "calendar queue" cal_eps;
-  Printf.printf "  %-28s %12.3g events/s\n" "binary heap" heap_eps;
-  Printf.printf "  %-28s %12.2fx\n" "calendar/heap" (cal_eps /. heap_eps);
-  (* 2. Broadcast storm: all-caches fan-out on a 4-CMP fabric,
-     multi-word bitset destsets vs the legacy sorted-list path. *)
-  let storm use_set =
-    let l = Interconnect.Layout.create ~ncmp:4 ~procs_per_cmp:4 ~banks_per_cmp:4 in
+  (* 2. Bursty churn, the broadcast shape: 8 independent chains, each
+     scheduling a cluster of 32 events 20 ns ahead inside a 500 ps
+     jitter window; the cluster's last event launches the chain's next
+     cluster, so ~256 events stay pending. *)
+  let cluster = 32 and window_ps = 500 in
+  let bursty_eps, bursty_mwpe =
+    let chains = 8 in
+    let total = if !quick then 1_000_000 else 4_000_000 in
+    let e = Sim.Engine.create () in
+    let rng = Sim.Rng.create 1 in
+    let left = Array.make chains 0 in
+    let thunks = Array.make chains ignore in
+    let launch c =
+      left.(c) <- cluster;
+      for _ = 1 to cluster do
+        Sim.Engine.schedule_in e
+          (Sim.Time.ns 20 + Sim.Rng.int rng (window_ps + 1))
+          thunks.(c)
+      done
+    in
+    for c = 0 to chains - 1 do
+      thunks.(c) <-
+        (fun () ->
+          left.(c) <- left.(c) - 1;
+          if left.(c) = 0 && Sim.Engine.events_processed e < total then launch c)
+    done;
+    for c = 0 to chains - 1 do
+      launch c
+    done;
+    let dt, words = measure (fun () -> Sim.Engine.run e) in
+    let n = float_of_int (Sim.Engine.events_processed e) in
+    (n /. dt, words /. n)
+  in
+  Printf.printf "engine churn (one queue, empty handlers):\n";
+  Printf.printf "  %-34s %12.3g events/s %8.2f minor words/event\n"
+    "uniform, 4096-event batches" churn_eps churn_mwpe;
+  Printf.printf "  %-34s %12.3g events/s %8.2f minor words/event\n"
+    (Printf.sprintf "bursty, %d events in %d ps" cluster window_ps)
+    bursty_eps bursty_mwpe;
+  (* 3. Sends on the default 4-CMP machine with a no-op handler:
+     all-caches broadcasts through [send_set], and random point-to-point
+     pairs through [send_one]. The engine drains every 256 sends. *)
+  let l = Interconnect.Layout.create ~ncmp:4 ~procs_per_cmp:4 ~banks_per_cmp:4 in
+  let nnodes = Interconnect.Layout.node_count l in
+  let all_caches = Interconnect.Layout.all_caches_set l in
+  let fabric_run send ~sends =
     let engine = Sim.Engine.create () in
     let traffic = Interconnect.Traffic.create () in
     let fabric =
@@ -1350,38 +1390,34 @@ let perf () =
         (Sim.Rng.create 1)
     in
     Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> ());
-    let dset = Interconnect.Layout.all_caches_set l in
-    let dlist = Interconnect.Destset.to_list dset in
-    let sends = if !quick then 20_000 else 60_000 in
-    let nnodes = Interconnect.Layout.node_count l in
-    let mw0 = ref 0. in
-    let dt =
-      time_s (fun () ->
-          mw0 := Gc.minor_words ();
+    let dt, words =
+      measure (fun () ->
           for i = 1 to sends do
-            let src = i * 13 mod nnodes in
-            (if use_set then
-               Interconnect.Fabric.send_set fabric ~src ~dsts:dset
-                 ~cls:Interconnect.Msg_class.Request ~bytes:8 ()
-             else
-               Interconnect.Fabric.send fabric ~src ~dsts:dlist
-                 ~cls:Interconnect.Msg_class.Request ~bytes:8 ());
+            send fabric i;
             if i land 255 = 0 then Sim.Engine.run engine
           done;
           Sim.Engine.run engine)
     in
-    let minor_words = Gc.minor_words () -. !mw0 in
-    (float_of_int sends /. dt, minor_words /. float_of_int sends)
+    (float_of_int sends /. dt, words /. float_of_int sends)
   in
-  let set_sps, set_mwps = storm true in
-  let list_sps, list_mwps = storm false in
-  Printf.printf "broadcast storm (all caches of a 4-CMP machine):\n";
-  Printf.printf "  %-28s %12.3g sends/s %10.1f minor words/send\n" "send_set (bitmask)"
-    set_sps set_mwps;
-  Printf.printf "  %-28s %12.3g sends/s %10.1f minor words/send\n" "send (sorted list)"
-    list_sps list_mwps;
-  Printf.printf "  %-28s %12.2fx\n" "set/list" (set_sps /. list_sps);
-  (* 3. Whole-simulation events/s: protocol + caches + fabric, the
+  let set_sps, set_mwps =
+    fabric_run ~sends:(if !quick then 20_000 else 60_000) (fun fabric i ->
+        Interconnect.Fabric.send_set fabric ~src:(i * 13 mod nnodes) ~dsts:all_caches ~cls:Interconnect.Msg_class.Request
+          ~bytes:8 ())
+  in
+  let one_sps, one_mwps =
+    fabric_run ~sends:(if !quick then 400_000 else 1_500_000) (fun fabric i ->
+        let src = i * 13 mod nnodes in
+        let dst = (src + 1 + (i * 7 mod (nnodes - 1))) mod nnodes in
+        Interconnect.Fabric.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request
+          ~bytes:8 ())
+  in
+  Printf.printf "message sends (4-CMP machine, no-op handler):\n";
+  Printf.printf "  %-34s %12.3g sends/s %9.1f minor words/send\n"
+    "send_set, all-caches broadcast" set_sps set_mwps;
+  Printf.printf "  %-34s %12.3g sends/s %9.1f minor words/send\n"
+    "send_one, random pairs" one_sps one_mwps;
+  (* 4. Whole-simulation events/s: protocol + caches + fabric, the
      number the wall-clock claims of this trajectory cash out in. *)
   let sim_eps, sim_mwpe =
     let config = Mcmp.Config.tiny in
@@ -1389,10 +1425,8 @@ let perf () =
     let programs = Workload.Locking.programs wl ~seed:1 ~nprocs:(Mcmp.Config.nprocs config) in
     let reps = if !quick then 30 else 100 in
     let events = ref 0 in
-    let mw0 = ref 0. in
-    let dt =
-      time_s (fun () ->
-          mw0 := Gc.minor_words ();
+    let dt, words =
+      measure (fun () ->
           for _ = 1 to reps do
             let r =
               Mcmp.Runner.run ~config (Token.Protocol.builder Token.Policy.dst1) ~programs
@@ -1401,11 +1435,10 @@ let perf () =
             events := !events + r.Mcmp.Runner.events
           done)
     in
-    (* Minor words per event: the allocation pressure of the whole
-       event hot path (engine pop, fabric delivery, protocol handler).
-       The pooling work drives this down; the gate in CI watches it. *)
-    let minor_words = Gc.minor_words () -. !mw0 in
-    (float_of_int !events /. dt, minor_words /. float_of_int !events)
+    (* Minor words per event, set-up included: the allocation pressure
+       of the whole event path (engine pop, fabric delivery, protocol
+       handler). Deterministic for a given compiler, so CI gates it. *)
+    (float_of_int !events /. dt, words /. float_of_int !events)
   in
   Printf.printf "tiny TokenCMP-dst1 simulation:  %12.3g events/s  %.1f minor words/event\n"
     sim_eps sim_mwpe;
@@ -1417,19 +1450,27 @@ let perf () =
     [
       ( "engine_churn",
         J.Obj
+          [ ("events_per_s", J.Float churn_eps); ("minor_words_per_event", J.Float churn_mwpe) ]
+      );
+      ( "bursty_churn",
+        J.Obj
           [
-            ("calendar_events_per_s", J.Float cal_eps);
-            ("binheap_events_per_s", J.Float heap_eps);
-            ("speedup", J.Float (cal_eps /. heap_eps));
+            ("cluster", J.Int cluster);
+            ("window_ps", J.Int window_ps);
+            ("events_per_s", J.Float bursty_eps);
+            ("minor_words_per_event", J.Float bursty_mwpe);
           ] );
       ( "broadcast_storm",
         J.Obj
           [
             ("send_set_per_s", J.Float set_sps);
-            ("send_list_per_s", J.Float list_sps);
-            ("speedup", J.Float (set_sps /. list_sps));
             ("send_set_minor_words_per_send", J.Float set_mwps);
-            ("send_list_minor_words_per_send", J.Float list_mwps);
+          ] );
+      ( "point_to_point",
+        J.Obj
+          [
+            ("send_one_per_s", J.Float one_sps);
+            ("send_one_minor_words_per_send", J.Float one_mwps);
           ] );
       ("tiny_sim_events_per_s", J.Float sim_eps);
       ("tiny_sim_minor_words_per_event", J.Float sim_mwpe);

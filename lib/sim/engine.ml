@@ -1,41 +1,26 @@
 type event = ..
 type ext = ..
 
-type queue = Binheap | Calendar
-
-(* One concrete arm per queue implementation (rather than a record of
-   closures) so the run loop and schedule_at dispatch with a single
-   match and then run monomorphic, inlinable queue code. *)
-type q = H of (unit -> unit) Heap.t | C of (unit -> unit) Calqueue.t
-
 type t = {
   mutable now : Time.t;
   mutable seq : int;
   mutable processed : int;
   mutable stopped : bool;
-  queue : q;
+  queue : Heap.t;
   mutable sink : (Time.t -> event -> unit) option;
   mutable exts : ext list;
 }
 
 type timer = { mutable cancelled : bool }
 
-let default = ref Calendar
-let set_default_queue k = default := k
-let default_queue () = !default
-
-let create ?queue () =
-  let kind = match queue with Some k -> k | None -> !default in
-  let queue =
-    match kind with Binheap -> H (Heap.create ()) | Calendar -> C (Calqueue.create ())
-  in
-  { now = Time.zero; seq = 0; processed = 0; stopped = false; queue;
+let create () =
+  { now = Time.zero; seq = 0; processed = 0; stopped = false; queue = Heap.create ();
     sink = None; exts = [] }
 
 let now t = t.now
 let events_processed t = t.processed
 
-let tracing t = t.sink <> None
+let tracing t = match t.sink with Some _ -> true | None -> false
 let set_sink t f = t.sink <- Some f
 let clear_sink t = t.sink <- None
 
@@ -58,9 +43,7 @@ let find_ext t f = find_opt f t.exts
 let schedule_at t time f =
   assert (time >= t.now);
   t.seq <- t.seq + 1;
-  match t.queue with
-  | H h -> Heap.push h ~key:time ~seq:t.seq f
-  | C c -> Calqueue.push c ~key:time ~seq:t.seq f
+  Heap.push t.queue ~key:time ~seq:t.seq f
 
 let schedule_in t delay f =
   assert (delay >= 0);
@@ -75,40 +58,18 @@ let cancel timer = timer.cancelled <- true
 
 let stop t = t.stopped <- true
 
-(* The two loop bodies are intentionally near-duplicates: each stays
-   monomorphic in its queue type and consumes the entry record the
-   queue allocated at push time ([pop_entry]), so a popped event costs
-   no tuple re-boxing. [until = None] becomes a [max_int] bound — keys
-   are simulated times and never reach it. *)
+(* [until = None] becomes a [max_int] bound — keys are simulated times
+   and never reach it. The popped entry's key is read through
+   [min_key] before the pop, so an event costs no allocation here. *)
 let run ?until ?(max_events = max_int) t =
   t.stopped <- false;
   let bound = match until with None -> max_int | Some b -> b in
-  match t.queue with
-  | H h ->
-      (* [min_key] instead of [peek_key]: the bound check then boxes no
-         option on any of the millions of loop iterations. *)
-      let continue () =
-        (not t.stopped) && (not (Heap.is_empty h)) && Heap.min_key h <= bound
-      in
-      while continue () do
-        let e = Heap.pop_entry h in
-        t.now <- e.Heap.key;
-        t.processed <- t.processed + 1;
-        if t.processed > max_events then
-          failwith (Printf.sprintf "Engine.run: exceeded %d events" max_events);
-        e.Heap.value ()
-      done
-  | C c ->
-      let continue () =
-        (not t.stopped)
-        && (not (Calqueue.is_empty c))
-        && Calqueue.min_key c <= bound
-      in
-      while continue () do
-        let e = Calqueue.pop_entry c in
-        t.now <- e.Calqueue.key;
-        t.processed <- t.processed + 1;
-        if t.processed > max_events then
-          failwith (Printf.sprintf "Engine.run: exceeded %d events" max_events);
-        e.Calqueue.value ()
-      done
+  let q = t.queue in
+  while (not t.stopped) && (not (Heap.is_empty q)) && Heap.min_key q <= bound do
+    t.now <- Heap.min_key q;
+    let f = Heap.pop q in
+    t.processed <- t.processed + 1;
+    if t.processed > max_events then
+      failwith (Printf.sprintf "Engine.run: exceeded %d events" max_events);
+    f ()
+  done

@@ -18,23 +18,7 @@ type ext = ..
 
 type t
 
-(** Event-queue implementation. [Calendar] ({!Calqueue}) is the default
-    and the fast path; [Binheap] ({!Heap}) is the reference the
-    differential tests compare against. Both realise the same
-    [(time, seq)] total order, so runs are bit-identical either way. *)
-type queue = Binheap | Calendar
-
-(** [create ()] uses the process-wide default queue (see
-    {!set_default_queue}); pass [?queue] to pin one explicitly. *)
-val create : ?queue:queue -> unit -> t
-
-(** Queue used by [create] when [?queue] is omitted. Initially
-    [Calendar]. The setter exists so differential tests can rerun a
-    whole simulation stack — which creates engines internally — on the
-    reference heap without threading a parameter through every layer. *)
-val set_default_queue : queue -> unit
-
-val default_queue : unit -> queue
+val create : unit -> t
 
 (** Current simulated time. *)
 val now : t -> Time.t

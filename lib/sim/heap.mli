@@ -1,40 +1,29 @@
-(** Array-based binary min-heap keyed by [(key, seq)] pairs.
+(** The engine's event queue: a 4-ary min-heap of [unit -> unit] thunks
+    keyed by [(key, seq)] pairs.
 
-    [seq] breaks ties so that elements with equal keys pop in insertion
-    order, which keeps event processing deterministic.
+    [seq] breaks ties so that entries with equal keys pop in ascending
+    [seq] (for the engine: scheduling) order, which keeps event
+    processing deterministic. Keys, seqs and thunks live in parallel
+    arrays: push and pop allocate nothing once the arrays have grown
+    to the peak population, and a popped thunk is no longer reachable
+    from the heap. *)
 
-    This is the reference priority queue: {!Calqueue} must agree with it
-    on the exact pop order (the engine's differential tests pin this),
-    and it serves as the overflow far-list inside the calendar queue. *)
+type t
 
-type 'a t
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-(** Heap entries are exposed read-only so {!pop_entry} can hand back the
-    record allocated at push time without re-boxing it into a tuple. *)
-type 'a entry = private { key : int; seq : int; value : 'a }
+(** [push h ~key ~seq f] inserts [f] with priority [(key, seq)]. *)
+val push : t -> key:int -> seq:int -> (unit -> unit) -> unit
 
-val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+(** The minimum key, or [max_int] when the heap is empty (keys are
+    simulated times, far below [max_int]). Read it before {!pop} to
+    learn the popped entry's key. *)
+val min_key : t -> int
 
-(** [push h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
-val push : 'a t -> key:int -> seq:int -> 'a -> unit
-
-(** [pop h] removes and returns the minimum element.
+(** [pop h] removes the minimum entry and returns its thunk.
     @raise Invalid_argument if the heap is empty. *)
-val pop : 'a t -> int * int * 'a
+val pop : t -> (unit -> unit)
 
-(** [pop_entry h] removes and returns the minimum element as the entry
-    record it was stored under — no fresh allocation on the pop side.
-    @raise Invalid_argument if the heap is empty. *)
-val pop_entry : 'a t -> 'a entry
-
-(** [peek_key h] returns the minimum key without removing it. *)
-val peek_key : 'a t -> int option
-
-(** Non-allocating {!peek_key}: the minimum key, or [max_int] when the
-    heap is empty (keys are simulated times, far below [max_int]). The
-    engine's run loop polls this every event. *)
-val min_key : 'a t -> int
-
-val clear : 'a t -> unit
+val clear : t -> unit

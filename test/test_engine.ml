@@ -83,12 +83,12 @@ let test_find_ext () =
   Alcotest.(check (option int)) "most recent first" (Some 2)
     (Sim.Engine.find_ext e (function A n -> Some n | _ -> None))
 
-(* The calendar queue must drive the engine exactly like the reference
-   binary heap: a self-scheduling cascade (each event reschedules with
-   pseudo-random delays, including zero-delay ties) must execute in the
-   identical order on both. *)
-let run_cascade kind =
-  let e = Sim.Engine.create ~queue:kind () in
+(* A self-scheduling cascade (each event reschedules with
+   pseudo-random delays, including zero-delay ties) must run every
+   event once, in (time, scheduling order): ids are handed out at
+   scheduling time, so among events at one instant they must ascend. *)
+let test_cascade_order () =
+  let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 42 in
   let log = ref [] in
   let next_id = ref 0 in
@@ -98,7 +98,7 @@ let run_cascade kind =
     Sim.Engine.schedule_in e
       (Sim.Time.ps (Sim.Rng.int rng 5000))
       (fun () ->
-        log := (id, Sim.Engine.now e) :: !log;
+        log := (Sim.Engine.now e, id) :: !log;
         if depth < 12 then
           for _ = 1 to 1 + Sim.Rng.int rng 2 do
             spawn (depth + 1)
@@ -108,18 +108,17 @@ let run_cascade kind =
     spawn 0
   done;
   Sim.Engine.run e;
-  (List.rev !log, Sim.Engine.events_processed e, Sim.Engine.now e)
-
-let test_queue_differential () =
-  let cal_log, cal_n, cal_t = run_cascade Sim.Engine.Calendar in
-  let heap_log, heap_n, heap_t = run_cascade Sim.Engine.Binheap in
-  Alcotest.(check int) "event counts" heap_n cal_n;
-  Alcotest.(check int) "final clocks" heap_t cal_t;
-  Alcotest.(check bool) "identical event order" true (cal_log = heap_log)
-
-let test_default_queue () =
-  Alcotest.(check bool) "calendar by default" true
-    (Sim.Engine.default_queue () = Sim.Engine.Calendar)
+  let log = List.rev !log in
+  Alcotest.(check int) "every event ran once" !next_id (Sim.Engine.events_processed e);
+  Alcotest.(check (list int)) "each id once" (List.init !next_id Fun.id)
+    (List.sort compare (List.map snd log));
+  let rec ordered = function
+    | (t1, i1) :: ((t2, i2) :: _ as rest) -> (t1 < t2 || (t1 = t2 && i1 < i2)) && ordered rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "(time, scheduling order)" true (ordered log);
+  Alcotest.(check int) "clock at last event" (fst (List.nth log (List.length log - 1)))
+    (Sim.Engine.now e)
 
 let test_time_units () =
   Alcotest.(check int) "us" (Sim.Time.ns 1000) (Sim.Time.us 1);
@@ -137,7 +136,6 @@ let tests =
     Alcotest.test_case "timer cancellation" `Quick test_timer_cancel;
     Alcotest.test_case "max_events guard" `Quick test_max_events;
     Alcotest.test_case "find_ext recognizer lookup" `Quick test_find_ext;
-    Alcotest.test_case "calendar vs heap queue differential" `Quick test_queue_differential;
-    Alcotest.test_case "default queue is calendar" `Quick test_default_queue;
+    Alcotest.test_case "cascade runs in (time, scheduling) order" `Quick test_cascade_order;
     Alcotest.test_case "time unit conversions" `Quick test_time_units;
   ]

@@ -124,24 +124,6 @@ let check_one (p : Tokencmp.Protocols.t) () =
     ck "intra_bytes" exp.g_intra_bytes actual.g_intra_bytes;
     ck "inter_bytes" exp.g_inter_bytes actual.g_inter_bytes
 
-(* Differential golden: every protocol, rerun with the engine forced
-   onto the reference binary heap, must reproduce the calendar-queue
-   results bit-for-bit — runtime, event count, traffic, everything.
-   This is the whole-system version of the queue-equivalence property:
-   the two queues realise the same (time, seq) order, so the simulated
-   machine cannot tell them apart. *)
-let check_queue_differential (p : Tokencmp.Protocols.t) () =
-  let on_heap =
-    Sim.Engine.set_default_queue Sim.Engine.Binheap;
-    Fun.protect
-      ~finally:(fun () -> Sim.Engine.set_default_queue Sim.Engine.Calendar)
-      (fun () -> run_protocol p)
-  in
-  let on_cal = run_protocol p in
-  Alcotest.(check bool)
-    (p.Tokencmp.Protocols.name ^ " identical on both queues")
-    true (on_heap = on_cal)
-
 let regen () =
   print_endline "let expected : golden list = [";
   List.iter (fun p -> print_literal (run_protocol p)) protocols;
@@ -157,10 +139,3 @@ let tests =
           ("golden: " ^ p.Tokencmp.Protocols.name)
           `Quick (check_one p))
       protocols
-    @ List.map
-        (fun p ->
-          Alcotest.test_case
-            ("binheap differential: " ^ p.Tokencmp.Protocols.name)
-            `Quick
-            (check_queue_differential p))
-        protocols

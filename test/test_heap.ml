@@ -1,194 +1,100 @@
-let test_empty () =
-  let h = Sim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Sim.Heap.peek_key h);
-  Alcotest.check_raises "pop" (Invalid_argument "Sim.Heap.pop: heap is empty") (fun () ->
-      ignore (Sim.Heap.pop h))
+(* Model test of the engine's event queue against a sorted-list
+   reference, checking the full (key, seq) order. Every pushed thunk
+   closes over a fresh cell tracked by a weak pointer, so the test can
+   also see that popped and cleared thunks stop being reachable from
+   the heap while resident ones stay alive. *)
 
-let test_ordering () =
-  let h = Sim.Heap.create () in
-  List.iteri (fun i k -> Sim.Heap.push h ~key:k ~seq:i k) [ 5; 3; 9; 1; 7; 3; 0 ];
-  let rec drain acc = if Sim.Heap.is_empty h then List.rev acc
-    else let k, _, _ = Sim.Heap.pop h in drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 3; 3; 5; 7; 9 ] (drain [])
+type op =
+  | Push of int * int  (* key, high part of a unique seq *)
+  | Burst of int * int list  (* base key, offsets: a broadcast-shaped cluster *)
+  | Pop
+  | Min
+  | Clear
 
-let test_fifo_ties () =
-  let h = Sim.Heap.create () in
-  List.iteri (fun i v -> Sim.Heap.push h ~key:42 ~seq:i v) [ "a"; "b"; "c"; "d" ];
-  let rec drain acc = if Sim.Heap.is_empty h then List.rev acc
-    else let _, _, v = Sim.Heap.pop h in drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c"; "d" ] (drain [])
-
-let test_interleaved () =
-  let h = Sim.Heap.create () in
-  Sim.Heap.push h ~key:10 ~seq:0 10;
-  Sim.Heap.push h ~key:5 ~seq:1 5;
-  let k1, _, _ = Sim.Heap.pop h in
-  Sim.Heap.push h ~key:1 ~seq:2 1;
-  let k2, _, _ = Sim.Heap.pop h in
-  let k3, _, _ = Sim.Heap.pop h in
-  Alcotest.(check (list int)) "interleaved" [ 5; 1; 10 ] [ k1; k2; k3 ]
-
-let test_clear () =
-  let h = Sim.Heap.create () in
-  for i = 0 to 99 do Sim.Heap.push h ~key:i ~seq:i i done;
-  Alcotest.(check int) "length" 100 (Sim.Heap.length h);
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Sim.Heap.is_empty h)
-
-let prop_heap_sort =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list small_nat)
-    (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h ~key:k ~seq:i k) keys;
-      let rec drain acc = if Sim.Heap.is_empty h then List.rev acc
-        else let k, _, _ = Sim.Heap.pop h in drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
-
-let prop_heap_stable =
-  QCheck.Test.make ~name:"equal keys pop in insertion order" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 3))
-    (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h ~key:k ~seq:i (k, i)) keys;
-      let rec drain acc = if Sim.Heap.is_empty h then List.rev acc
-        else let _, _, v = Sim.Heap.pop h in drain (v :: acc)
-      in
-      let popped = drain [] in
-      (* within each key class, seq must increase *)
-      List.for_all
-        (fun key ->
-          let seqs = List.filter_map (fun (k, i) -> if k = key then Some i else None) popped in
-          seqs = List.sort compare seqs)
-        [ 0; 1; 2; 3 ])
-
-(* Space-leak regression: popped (and cleared) entries must become
-   unreachable — the heap used to keep them live in the array's dead
-   slots, retaining event closures across long campaigns. Weak
-   pointers observe collectability directly. *)
-let assert_collected name w =
-  Gc.full_major ();
-  for i = 0 to Weak.length w - 1 do
-    Alcotest.(check bool) (Printf.sprintf "%s slot %d collected" name i) true
-      (Weak.get w i = None)
-  done
-
-let test_pop_releases () =
-  let h = Sim.Heap.create () in
-  let n = 16 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Sim.Heap.push h ~key:(n - i) ~seq:i v
-  done;
-  for _ = 1 to n do
-    ignore (Sim.Heap.pop h)
-  done;
-  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h);
-  assert_collected "pop" w
-
-let test_clear_releases () =
-  let h = Sim.Heap.create () in
-  let n = 16 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Sim.Heap.push h ~key:i ~seq:i v
-  done;
-  Sim.Heap.clear h;
-  assert_collected "clear" w
-
-let test_partial_pop_releases () =
-  (* Only the popped half may be collected; the resident half must
-     survive a major GC and still drain correctly. *)
-  let h = Sim.Heap.create () in
-  let n = 8 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Sim.Heap.push h ~key:i ~seq:i v
-  done;
-  for _ = 1 to n / 2 do
-    ignore (Sim.Heap.pop h)
-  done;
-  Gc.full_major ();
-  for i = 0 to (n / 2) - 1 do
-    Alcotest.(check bool) (Printf.sprintf "popped %d collected" i) true (Weak.get w i = None)
-  done;
-  for i = n / 2 to n - 1 do
-    Alcotest.(check bool) (Printf.sprintf "resident %d alive" i) true (Weak.get w i <> None)
-  done;
-  let rec drain acc =
-    if Sim.Heap.is_empty h then List.rev acc
-    else
-      let _, _, v = Sim.Heap.pop h in
-      drain (!v :: acc)
-  in
-  Alcotest.(check (list int)) "remaining order" [ 4; 5; 6; 7 ] (drain [])
-
-(* Random push/pop/clear interleavings against a sorted-list model,
-   checking the full (key, seq) tie-break order. *)
-type heap_op = Push of int | Pop | Clear
-
-let gen_heap_ops =
+(* Narrow key ranges make duplicate keys common; seqs are unique but
+   not in insertion order, so ties exercise the seq comparison itself.
+   A burst of up to 96 entries grows the heap past its initial
+   capacity. *)
+let gen_ops =
   let open QCheck.Gen in
-  list_size (int_range 0 200)
+  let push = map2 (fun k s -> Push (k, s)) (int_range 0 7) (int_range 0 1000) in
+  let burst =
+    map2 (fun base offs -> Burst (base, offs)) (int_range 0 1000)
+      (list_size (int_range 16 96) (int_range 0 500))
+  in
+  list_size (int_range 0 120)
     (frequency
-       [ (6, map (fun k -> Push k) (int_range 0 7)); (3, return Pop); (1, return Clear) ])
+       [ (12, push); (2, burst); (10, return Pop); (3, return Min); (1, return Clear) ])
 
-let prop_heap_model =
-  QCheck.Test.make ~name:"push/pop/clear interleavings match sorted model" ~count:200
-    (QCheck.make gen_heap_ops)
+let print_op = function
+  | Push (k, s) -> Printf.sprintf "Push(%d,%d)" k s
+  | Burst (b, offs) -> Printf.sprintf "Burst(%d,%d)" b (List.length offs)
+  | Pop -> "Pop"
+  | Min -> "Min"
+  | Clear -> "Clear"
+
+let prop_model =
+  QCheck.Test.make ~name:"push/pop/min_key/clear match sorted model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_op) gen_ops)
     (fun ops ->
       let h = Sim.Heap.create () in
-      let model = ref [] (* sorted by (key, seq) *) in
-      let seq = ref 0 in
+      let next_id = ref 0 in
+      let cells = Weak.create 20_000 in
+      let gone = ref [] (* ids popped or cleared *) in
+      let fired = ref (-1) in
+      (* model: (key, seq, id) sorted by (key, seq) *)
+      let model = ref [] in
       let ok = ref true in
+      let push key seq_hi =
+        let id = !next_id in
+        incr next_id;
+        let seq = (seq_hi * 100_000) + id in
+        let cell = ref id in
+        Weak.set cells id (Some cell);
+        Sim.Heap.push h ~key ~seq (fun () -> fired := !cell);
+        model := List.merge compare [ (key, seq, id) ] !model
+      in
+      let pop () =
+        match !model with
+        | [] ->
+          ok :=
+            !ok
+            && (try
+                  let (_ : unit -> unit) = Sim.Heap.pop h in
+                  false
+                with Invalid_argument _ -> true)
+        | (k, _, id) :: rest ->
+          ok := !ok && Sim.Heap.min_key h = k;
+          (Sim.Heap.pop h) ();
+          ok := !ok && !fired = id;
+          gone := id :: !gone;
+          model := rest
+      in
       List.iter
-        (fun op ->
-          match op with
-          | Push k ->
-            Sim.Heap.push h ~key:k ~seq:!seq (k, !seq);
-            model :=
-              List.sort
-                (fun (k1, s1) (k2, s2) -> compare (k1, s1) (k2, s2))
-                ((k, !seq) :: !model);
-            incr seq
-          | Pop -> (
-            match !model with
-            | [] ->
-              ok := !ok && Sim.Heap.is_empty h;
-              if not (Sim.Heap.is_empty h) then ignore (Sim.Heap.pop h)
-            | m :: rest ->
-              let k, s, v = Sim.Heap.pop h in
-              ok := !ok && (k, s) = m && v = m;
-              model := rest)
+        (function
+          | Push (k, s) -> push k s
+          | Burst (base, offs) -> List.iter (fun o -> push (base + o) (o land 7)) offs
+          | Pop -> pop ()
+          | Min ->
+            ok :=
+              !ok
+              && Sim.Heap.min_key h
+                 = (match !model with [] -> max_int | (k, _, _) :: _ -> k)
           | Clear ->
             Sim.Heap.clear h;
+            List.iter (fun (_, _, id) -> gone := id :: !gone) !model;
             model := [])
         ops;
-      !ok
-      && Sim.Heap.length h = List.length !model
-      && Sim.Heap.peek_key h = (match !model with [] -> None | (k, _) :: _ -> Some k))
+      ok := !ok && Sim.Heap.length h = List.length !model;
+      ok := !ok && Sim.Heap.is_empty h = (!model = []);
+      (* Popped and cleared thunks are unreachable; resident ones are
+         not (they still fire, in order, below). *)
+      Gc.full_major ();
+      List.iter (fun id -> ok := !ok && Weak.get cells id = None) !gone;
+      List.iter (fun (_, _, id) -> ok := !ok && Weak.get cells id <> None) !model;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Sim.Heap.is_empty h)
 
-let tests =
-  [
-    Alcotest.test_case "empty heap" `Quick test_empty;
-    Alcotest.test_case "pop ordering" `Quick test_ordering;
-    Alcotest.test_case "FIFO on equal keys" `Quick test_fifo_ties;
-    Alcotest.test_case "interleaved push/pop" `Quick test_interleaved;
-    Alcotest.test_case "length and clear" `Quick test_clear;
-    Alcotest.test_case "pop releases entries (no space leak)" `Quick test_pop_releases;
-    Alcotest.test_case "clear releases entries (no space leak)" `Quick test_clear_releases;
-    Alcotest.test_case "partial pop releases only popped" `Quick test_partial_pop_releases;
-    QCheck_alcotest.to_alcotest prop_heap_sort;
-    QCheck_alcotest.to_alcotest prop_heap_stable;
-    QCheck_alcotest.to_alcotest prop_heap_model;
-  ]
+let tests = [ QCheck_alcotest.to_alcotest prop_model ]

@@ -2,7 +2,6 @@ let () =
   Alcotest.run "tokencmp"
     [
       ("heap", Test_heap.tests);
-      ("calqueue", Test_calqueue.tests);
       ("rng", Test_rng.tests);
       ("engine", Test_engine.tests);
       ("stat", Test_stat.tests);

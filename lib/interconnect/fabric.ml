@@ -678,103 +678,76 @@ let max_rto t =
   | None -> invalid_arg "Fabric.max_rto: adaptive timeouts not enabled"
   | Some a -> Array.fold_left (fun acc e -> max acc (Rtt.rto e)) 0 a.a_est
 
-(* Reference list-based multicast: kept as the oracle the destset
-   equivalence tests compare [send_set] against. *)
-let send_list t ~src ~dsts ~cls ~bytes msg =
+(* Per-copy charging shared by [send_set] and [send_one]. A copy to a
+   node on the sender's own site takes one hop: across the on-chip
+   crossbar, from the memory controller back on chip, or from a cache
+   out to its local controller over the off-chip pins. A broadcast is
+   charged per copy, reflecting the per-cache lookup bandwidth the
+   paper highlights for broadcast protocols. *)
+let local_copy t ~src ~cls ~bytes now d msg =
   let p = t.params in
-  let lay = t.layout in
-  let now = Sim.Engine.now t.engine in
-  let src_site = Layout.cmp_of lay src in
-  let src_onchip = Layout.is_cache lay src in
-  let dsts =
-    List.sort_uniq
-      (fun (a : int) b -> Stdlib.compare a b)
-      (List.filter (fun d -> d <> src) dsts)
-  in
-  let local, remote = List.partition (fun d -> Layout.cmp_of lay d = src_site) dsts in
-  (* Local deliveries: one on-chip (or off-chip memory) hop each; a
-     broadcast is charged per copy, reflecting the per-cache lookup
-     bandwidth the paper highlights for broadcast protocols. *)
-  List.iter
-    (fun d ->
-      let d_onchip = Layout.is_cache lay d in
-      if src_onchip && d_onchip then begin
-        Traffic.add_intra t.traffic cls bytes;
-        let dep = claim_port t src (serialization p.intra_bytes_per_ns bytes) in
-        deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
-          (dep + p.intra_latency + jitter t) d msg
-      end
-      else if d_onchip then
-        (* memory controller fanning back on-chip *)
-        begin
-          Traffic.add_intra t.traffic cls bytes;
-          deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
-            (now + p.mem_link_latency + jitter t) d msg
-        end
-      else begin
-        (* cache -> local memory controller: off-chip pin traffic. *)
-        Traffic.add_inter t.traffic cls bytes;
-        let dep, queue =
-          if src_onchip then
-            let dep = claim_port t src (serialization p.inter_bytes_per_ns bytes) in
-            (dep, t.last_port_wait)
-          else (now, Sim.Time.zero)
-        in
-        deliver_at t ~src ~cls ~bytes ~queue (dep + p.mem_link_latency + jitter t) d msg
-      end)
-    local;
-  (* Remote deliveries: exit hop once, then one global-link crossing per
-     destination site, then fan-out on the destination chip. *)
-  if remote <> [] then begin
-    let exit_ready =
-      if src_onchip then begin
-        Traffic.add_intra t.traffic cls bytes;
-        claim_port t src (serialization p.intra_bytes_per_ns bytes) + p.intra_latency
-      end
-      else now + p.mem_link_latency
-    in
-    let exit_wait = if src_onchip then t.last_port_wait else Sim.Time.zero in
-    let by_site = Hashtbl.create 8 in
-    List.iter
-      (fun d ->
-        let site = Layout.cmp_of lay d in
-        Hashtbl.replace by_site site (d :: (try Hashtbl.find by_site site with Not_found -> [])))
-      remote;
-    Hashtbl.iter
-      (fun site site_dsts ->
-        Traffic.add_inter t.traffic cls bytes;
-        let ser = serialization p.inter_bytes_per_ns bytes in
-        let arrive =
-          claim_link t ~src_site ~dst_site:site ~cls ~bytes exit_ready ser
-          + p.inter_latency
-        in
-        let queue = exit_wait + t.last_link_wait in
-        List.iter
-          (fun d ->
-            let entry =
-              if Layout.is_cache lay d then begin
-                Traffic.add_intra t.traffic cls bytes;
-                p.intra_latency
-              end
-              else p.mem_link_latency
-            in
-            deliver_at t ~src ~cls ~bytes ~queue (arrive + entry + jitter t) d msg)
-          site_dsts)
-      by_site
+  let src_onchip = t.is_cache_arr.(src) in
+  if t.is_cache_arr.(d) then begin
+    Traffic.add_intra t.traffic cls bytes;
+    if src_onchip then begin
+      let dep = claim_port t src (serialization p.intra_bytes_per_ns bytes) in
+      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
+        (dep + p.intra_latency + jitter t) d msg
+    end
+    else
+      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
+        (now + p.mem_link_latency + jitter t) d msg
+  end
+  else begin
+    Traffic.add_inter t.traffic cls bytes;
+    if src_onchip then begin
+      let dep = claim_port t src (serialization p.inter_bytes_per_ns bytes) in
+      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
+        (dep + p.mem_link_latency + jitter t) d msg
+    end
+    else
+      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
+        (now + p.mem_link_latency + jitter t) d msg
   end
 
-let send = send_list
-
-(* Bitset multicast: same per-copy charging, port/link claims and rng
-   draws as [send_list], in the same order, but dedup / self-exclusion /
-   local-remote splitting are bit operations over the destset's words
-   against the precomputed per-site word masks — no list, pair or
-   hashtable allocation at any node count. *)
-let send_set t ~src ~dsts ~cls ~bytes msg =
+(* The exit hop toward other sites, charged once per send: returns when
+   the message reaches the global links ([t.last_port_wait] then holds
+   its port wait when the sender is on chip). *)
+let exit_hop t ~src ~cls ~bytes now =
   let p = t.params in
+  if t.is_cache_arr.(src) then begin
+    Traffic.add_intra t.traffic cls bytes;
+    claim_port t src (serialization p.intra_bytes_per_ns bytes) + p.intra_latency
+  end
+  else now + p.mem_link_latency
+
+(* One global-link crossing, charged once per destination site:
+   returns the arrival time at [dst_site]. *)
+let cross_link t ~src_site ~dst_site ~cls ~bytes ready =
+  Traffic.add_inter t.traffic cls bytes;
+  let ser = serialization t.params.inter_bytes_per_ns bytes in
+  claim_link t ~src_site ~dst_site ~cls ~bytes ready ser + t.params.inter_latency
+
+(* Fan-out on the destination site: the last hop of one remote copy. *)
+let remote_copy t ~src ~cls ~bytes ~queue arrive d msg =
+  let entry =
+    if t.is_cache_arr.(d) then begin
+      Traffic.add_intra t.traffic cls bytes;
+      t.params.intra_latency
+    end
+    else t.params.mem_link_latency
+  in
+  deliver_at t ~src ~cls ~bytes ~queue (arrive + entry + jitter t) d msg
+
+(* Bitset multicast: dedup, self-exclusion and the local/remote split
+   are bit operations over the destset's words against the precomputed
+   per-site word masks — no list, pair or hashtable allocation at any
+   node count. Copies, and so jitter draws, go in a fixed order: local
+   destinations ascending, then remote sites ascending, each site's
+   destinations descending. *)
+let send_set t ~src ~dsts ~cls ~bytes msg =
   let now = Sim.Engine.now t.engine in
   let src_site = t.cmp_arr.(src) in
-  let src_onchip = t.is_cache_arr.(src) in
   let wb = Destset.word_bits in
   let mwords = Destset.unsafe_words dsts in
   (* The destset may span fewer words than the layout (trailing zeros
@@ -782,8 +755,6 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
   let top = min (Array.length mwords) t.nwords - 1 in
   let sbase = src_site * t.nwords in
   let src_w = src / wb and src_b = 1 lsl (src mod wb) in
-  (* Local copies in ascending id order — the order the legacy path's
-     sorted list imposes, which the jitter rng draws see. *)
   for w = 0 to top do
     let lm0 = Array.unsafe_get mwords w land Array.unsafe_get t.site_words (sbase + w) in
     let lm = ref (if w = src_w then lm0 land lnot src_b else lm0) in
@@ -791,29 +762,7 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
     while !lm <> 0 do
       let b = Destset.lsb !lm in
       lm := !lm lxor b;
-      let d = base + Destset.bit_index b in
-      let d_onchip = t.is_cache_arr.(d) in
-      if src_onchip && d_onchip then begin
-        Traffic.add_intra t.traffic cls bytes;
-        let dep = claim_port t src (serialization p.intra_bytes_per_ns bytes) in
-        deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
-          (dep + p.intra_latency + jitter t) d msg
-      end
-      else if d_onchip then begin
-        Traffic.add_intra t.traffic cls bytes;
-        deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
-          (now + p.mem_link_latency + jitter t) d msg
-      end
-      else begin
-        Traffic.add_inter t.traffic cls bytes;
-        let dep, queue =
-          if src_onchip then
-            let dep = claim_port t src (serialization p.inter_bytes_per_ns bytes) in
-            (dep, t.last_port_wait)
-          else (now, Sim.Time.zero)
-        in
-        deliver_at t ~src ~cls ~bytes ~queue (dep + p.mem_link_latency + jitter t) d msg
-      end
+      local_copy t ~src ~cls ~bytes now (base + Destset.bit_index b) msg
     done
   done;
   (* Any remote destination at all? One word-skip pass. *)
@@ -825,17 +774,8 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
     then has_remote := true
   done;
   if !has_remote then begin
-    let exit_ready =
-      if src_onchip then begin
-        Traffic.add_intra t.traffic cls bytes;
-        claim_port t src (serialization p.intra_bytes_per_ns bytes) + p.intra_latency
-      end
-      else now + p.mem_link_latency
-    in
-    let exit_wait = if src_onchip then t.last_port_wait else Sim.Time.zero in
-    (* Destination sites in ascending index order. The legacy path
-       iterates a Hashtbl here — order unspecified — so this also
-       retires that latent determinism hazard for ncmp >= 3. *)
+    let ready = exit_hop t ~src ~cls ~bytes now in
+    let exit_wait = if t.is_cache_arr.(src) then t.last_port_wait else Sim.Time.zero in
     for site = 0 to t.layout.Layout.ncmp - 1 do
       if site <> src_site then begin
         let tbase = site * t.nwords in
@@ -845,16 +785,8 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
           then nonempty := true
         done;
         if !nonempty then begin
-          Traffic.add_inter t.traffic cls bytes;
-          let ser = serialization p.inter_bytes_per_ns bytes in
-          let arrive =
-            claim_link t ~src_site ~dst_site:site ~cls ~bytes exit_ready ser
-            + p.inter_latency
-          in
+          let arrive = cross_link t ~src_site ~dst_site:site ~cls ~bytes ready in
           let queue = exit_wait + t.last_link_wait in
-          (* Within a site, descending: the legacy path conses each
-             site's destinations over an ascending scan, so it delivers
-             (and draws jitter) highest-id first. *)
           for w = top downto 0 do
             let rm =
               ref
@@ -865,15 +797,7 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
             while !rm <> 0 do
               let b = Destset.msb !rm in
               rm := !rm lxor b;
-              let d = base + Destset.bit_index b in
-              let entry =
-                if t.is_cache_arr.(d) then begin
-                  Traffic.add_intra t.traffic cls bytes;
-                  p.intra_latency
-                end
-                else p.mem_link_latency
-              in
-              deliver_at t ~src ~cls ~bytes ~queue (arrive + entry + jitter t) d msg
+              remote_copy t ~src ~cls ~bytes ~queue arrive (base + Destset.bit_index b) msg
             done
           done
         end
@@ -881,4 +805,17 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
     done
   end
 
-let send_one t ~src ~dst ~cls ~bytes msg = send t ~src ~dsts:[ dst ] ~cls ~bytes msg
+(* The scalar path: exactly the charges [send_set] makes for a
+   one-node destination set, without the word scans. *)
+let send_one t ~src ~dst ~cls ~bytes msg =
+  if dst = src then
+    invalid_arg (Printf.sprintf "Fabric.send_one: node %d sending to itself" src);
+  let now = Sim.Engine.now t.engine in
+  let src_site = t.cmp_arr.(src) and dst_site = t.cmp_arr.(dst) in
+  if dst_site = src_site then local_copy t ~src ~cls ~bytes now dst msg
+  else begin
+    let ready = exit_hop t ~src ~cls ~bytes now in
+    let exit_wait = if t.is_cache_arr.(src) then t.last_port_wait else Sim.Time.zero in
+    let arrive = cross_link t ~src_site ~dst_site ~cls ~bytes ready in
+    remote_copy t ~src ~cls ~bytes ~queue:(exit_wait + t.last_link_wait) arrive dst msg
+  end

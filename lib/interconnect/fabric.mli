@@ -10,7 +10,7 @@
       [inter_bytes_per_ns] (16 GB/s) per ordered site pair;
     - chip to its off-chip memory controller: [mem_link_latency] (20 ns).
 
-    [send] is multicast-aware: a message leaving a chip crosses the
+    [send_set] is multicast-aware: a message leaving a chip crosses the
     global link {e once per destination site} and then fans out on the
     destination chip, which is what the paper's traffic accounting
     (Fig. 7) assumes. Intra-CMP byte counters are charged per on-chip
@@ -55,7 +55,7 @@ type 'msg t
 val create :
   Sim.Engine.t -> Layout.t -> params -> Traffic.t -> Sim.Rng.t -> 'msg t
 
-(** Must be called before any [send]; [dst] is the destination node. *)
+(** Must be called before the first send; [dst] is the destination node. *)
 val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
 
 (** Attach a fault injector. Injected faults (and, when the engine has
@@ -221,27 +221,21 @@ val register : ?prefix:string -> Obs.Registry.t -> 'msg t -> unit
 val layout : 'msg t -> Layout.t
 val engine : 'msg t -> Sim.Engine.t
 
-(** [send t ~src ~dsts ~cls ~bytes msg] delivers a copy of [msg] to
-    every distinct node in [dsts] (excluding [src] if present). *)
-val send :
-  'msg t -> src:int -> dsts:int list -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
-
-(** [send_set] is [send] taking a precomputed {!Destset.t}: the whole
-    destination walk is bit operations over the destset's words against
-    per-site word masks precomputed at {!create} — no per-send
-    allocation, at any node count. Timing, traffic charges and rng
-    draws are identical to [send] on the same destinations, except that
-    destination {e sites} are visited in ascending index order where
-    [send] inherits an unspecified [Hashtbl] order (configs with 3+
-    CMPs only; the equivalence tests in test_destset pin the rest). *)
+(** [send_set t ~src ~dsts ~cls ~bytes msg] delivers a copy of [msg]
+    to every node in [dsts] except [src]. The destination walk is bit
+    operations over the destset's words against per-site word masks
+    precomputed at {!create} — no per-send allocation, at any node
+    count. Copies (and their jitter draws) go in a fixed order: local
+    destinations ascending, then remote sites ascending, each site's
+    destinations descending. *)
 val send_set :
   'msg t -> src:int -> dsts:Destset.t -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 
-(** The list-based reference path used by [send]; exposed for the
-    differential tests. *)
-val send_list :
-  'msg t -> src:int -> dsts:int list -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
-
+(** [send_one t ~src ~dst ~cls ~bytes msg] is [send_set] on the
+    one-node set [{dst}]: the same timing, traffic charges and rng
+    draws, without the word scans.
+    @raise Invalid_argument if [dst = src]: a message a node sends to
+    itself would otherwise vanish (for token messages, as lost tokens). *)
 val send_one :
   'msg t -> src:int -> dst:int -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 

@@ -1138,7 +1138,8 @@ let handle_recreate_req t node ~addr ~src:_ ~epoch:_ =
         List.filter (fun id -> not (Hashtbl.mem rc.rc_acks id)) (L.all_caches t.layout)
       in
       if pending <> [] then begin
-        F.send t.fabric ~src:node.id ~dsts:pending ~cls:MC.Persistent ~bytes:t.cfg.ctrl_bytes
+        F.send_set t.fabric ~src:node.id ~dsts:(DS.of_list pending) ~cls:MC.Persistent
+          ~bytes:t.cfg.ctrl_bytes
           (Msg.Epoch_bump { addr; epoch = rc_epoch });
         (* Rebroadcast until everyone acked: this is what rides through
            caches that are crashed mid-recreation. *)

@@ -180,45 +180,98 @@ let test_send_set_local_remote_split () =
   (* 2 local copies + exit hop + 8 remote entry hops *)
   Alcotest.(check int) "intra hops" (8 * 11) (Interconnect.Traffic.intra_total traffic)
 
-(* Run the same send list through the legacy list path on one fabric
-   and [send_set] on an identically-seeded twin; collect (msg, dst,
-   arrival time) triples from both. *)
-let run_twin ?(jitter = 0) layout sends =
-  let collect send_fn =
-    let engine, traffic, fabric = make_fabric ~jitter layout in
-    let log = ref [] in
-    Interconnect.Fabric.set_handler fabric (fun ~dst msg ->
-        log := (msg, dst, Sim.Engine.now engine) :: !log);
-    List.iteri (fun i dsts -> send_fn fabric i dsts) sends;
-    Sim.Engine.run engine;
-    ( List.sort compare !log,
-      Interconnect.Fabric.delivered fabric,
-      Interconnect.Traffic.intra_total traffic,
-      Interconnect.Traffic.inter_total traffic )
-  in
-  let by_list =
-    collect (fun fabric i (src, dsts) ->
-        Interconnect.Fabric.send fabric ~src ~dsts ~cls:Interconnect.Msg_class.Request
-          ~bytes:8 i)
-  in
-  let by_set =
-    collect (fun fabric i (src, dsts) ->
-        Interconnect.Fabric.send_set fabric ~src ~dsts:(DS.of_list dsts)
-          ~cls:Interconnect.Msg_class.Request ~bytes:8 i)
-  in
-  (by_list, by_set)
+(* ---- Fabric send paths against the reference model ---- *)
+
+(* What one run of timed sends shows: every copy as a sorted
+   (msg, dst, arrival) triple, the traffic and busy-time charges, and
+   the jitter stream's next value (equal only if both sides drew the
+   same number of values). *)
+type observed = {
+  copies : (int * int * Sim.Time.t) list;
+  intra : int;
+  inter : int;
+  port_busy : Sim.Time.t;
+  link_busy : Sim.Time.t;
+  next_draw : int;
+}
+
+let next_draw rng = Sim.Rng.int rng 1_000_000_000
+
+(* Issue each [(time, src, dsts)] send at [time] through [send] on a
+   fresh fabric, with a metrics registry attached to read the port and
+   link busy totals back. *)
+let run_fabric ?(jitter = 0) layout send sends =
+  let engine = Sim.Engine.create () in
+  let registry = Obs.Registry.create () in
+  Obs.Registry.attach registry engine;
+  let traffic = Interconnect.Traffic.create () in
+  let rng = Sim.Rng.create 1 in
+  let params = { Interconnect.Fabric.default_params with jitter } in
+  let fabric = Interconnect.Fabric.create engine layout params traffic rng in
+  let log = ref [] in
+  Interconnect.Fabric.set_handler fabric (fun ~dst msg ->
+      log := (msg, dst, Sim.Engine.now engine) :: !log);
+  List.iteri
+    (fun i (time, src, dsts) ->
+      Sim.Engine.schedule_at engine time (fun () -> send fabric ~src ~dsts i))
+    sends;
+  Sim.Engine.run engine;
+  let gauge name = List.assoc name (Obs.Registry.gauges registry) in
+  {
+    copies = List.sort compare !log;
+    intra = Interconnect.Traffic.intra_total traffic;
+    inter = Interconnect.Traffic.inter_total traffic;
+    port_busy = Sim.Time.ps (int_of_float (gauge "fabric.port_busy_ns" *. 1000.));
+    link_busy = Sim.Time.ps (int_of_float (gauge "fabric.link_busy_ns" *. 1000.));
+    next_draw = next_draw rng;
+  }
+
+let via_set fabric ~src ~dsts msg =
+  Interconnect.Fabric.send_set fabric ~src ~dsts:(DS.of_list dsts)
+    ~cls:Interconnect.Msg_class.Request ~bytes:8 msg
+
+let via_one fabric ~src ~dsts msg =
+  match dsts with
+  | [ dst ] ->
+    Interconnect.Fabric.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request
+      ~bytes:8 msg
+  | _ -> invalid_arg "via_one: one destination"
+
+let run_ref ?(jitter = 0) layout sends =
+  let rng = Sim.Rng.create 1 in
+  let params = { Interconnect.Fabric.default_params with jitter } in
+  let m = Fabric_ref.create layout params rng in
+  (* the engine runs same-time sends in issue order; List.stable_sort keeps it *)
+  List.iter
+    (fun (i, (now, src, dsts)) -> Fabric_ref.send m ~now ~src ~dsts ~bytes:8 i)
+    (List.stable_sort
+       (fun (_, (a, _, _)) (_, (b, _, _)) -> compare a b)
+       (List.mapi (fun i x -> (i, x)) sends));
+  {
+    copies = List.sort compare m.Fabric_ref.copies;
+    intra = m.Fabric_ref.intra;
+    inter = m.Fabric_ref.inter;
+    port_busy = m.Fabric_ref.port_total;
+    link_busy = m.Fabric_ref.link_total;
+    next_draw = next_draw rng;
+  }
+
+let jitter = Sim.Time.ps 500
+
+(* 8 ps apart, so later sends meet ports and links still busy. *)
+let at_zero sends = List.mapi (fun i (src, dsts) -> (8 * i, src, dsts)) sends
 
 let test_multiword_layout () =
-  (* On a 104-node layout destsets span two words; timing and traffic
-     must still match the legacy list path exactly. *)
+  (* On a 104-node layout destsets span two words. *)
   let l = layout_big () in
   Alcotest.(check bool) "layout exceeds one word" true
     (Interconnect.Layout.node_count l > DS.word_bits);
   let sends =
-    [ (0, [ 1; 2; 70; 103; 70 ]); (99, [ 0; 5; 99; 101 ]); (64, List.init 20 (fun i -> i * 5)) ]
+    at_zero
+      [ (0, [ 1; 2; 70; 103; 70 ]); (99, [ 0; 5; 99; 101 ]); (64, List.init 20 (fun i -> i * 5)) ]
   in
-  let by_list, by_set = run_twin l sends in
-  Alcotest.(check bool) "two-word layout matches legacy send" true (by_list = by_set)
+  Alcotest.(check bool) "two-word layout matches the reference" true
+    (run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
 
 let test_huge_layout () =
   (* 592 nodes (16 CMPs x 16 cores): destsets run 10 words deep, and a
@@ -227,51 +280,61 @@ let test_huge_layout () =
   let n = Interconnect.Layout.node_count l in
   Alcotest.(check int) "node count" 592 n;
   let sends =
-    [ (0, List.init n Fun.id); (591, List.init 60 (fun i -> i * 9)); (300, [ 1; 64; 127; 128; 500 ]) ]
+    at_zero
+      [ (0, List.init n Fun.id); (591, List.init 60 (fun i -> i * 9)); (300, [ 1; 64; 127; 128; 500 ]) ]
   in
-  let by_list, by_set = run_twin l sends in
-  Alcotest.(check bool) "592-node broadcast matches legacy send" true (by_list = by_set)
+  Alcotest.(check bool) "592-node broadcast matches the reference" true
+    (run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
 
-let prop_send_set_equiv =
-  (* jitter = 0: per-copy times depend only on the destination set, not
-     on iteration order, so list and set paths must agree exactly on
-     every (msg, dst, time) triple and every byte counter. *)
-  QCheck.Test.make
-    ~name:"send_set = send on random destination sets (jitter 0)" ~count:100
-    QCheck.(
-      list_of_size (Gen.int_range 1 15)
-        (pair (int_range 0 51) (list_of_size (Gen.int_range 0 10) (int_range 0 51))))
-    (fun sends ->
-      let by_list, by_set = run_twin (layout4 ()) sends in
-      by_list = by_set)
+let gen_sends ~nodes ~max_dsts =
+  QCheck.(
+    list_of_size (Gen.int_range 1 15)
+      (triple (int_range 0 3000) (int_range 0 (nodes - 1))
+         (list_of_size (Gen.int_range 0 max_dsts) (int_range 0 (nodes - 1)))))
 
-let prop_send_set_equiv_jitter =
-  (* With jitter on, rng draw order matters; on a 2-CMP layout (at most
-     one remote site per send) the set path's iteration order matches
-     the legacy path draw for draw, so even jittered times are
-     identical. *)
-  QCheck.Test.make
-    ~name:"send_set = send draw-for-draw on 2 CMPs (jitter on)" ~count:100
-    QCheck.(
-      list_of_size (Gen.int_range 1 15)
-        (pair (int_range 0 13) (list_of_size (Gen.int_range 0 8) (int_range 0 13))))
+let prop_send_set_ref =
+  QCheck.Test.make ~name:"send_set = reference on random sends (4 CMPs, jitter on)" ~count:100
+    (gen_sends ~nodes:52 ~max_dsts:12)
     (fun sends ->
-      let layout2 = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:2 ~banks_per_cmp:2 in
-      let by_list, by_set = run_twin ~jitter:(Sim.Time.ps 500) layout2 sends in
-      by_list = by_set)
+      let l = layout4 () in
+      run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
 
-let prop_send_set_equiv_jitter_multiword =
-  (* Same draw-for-draw pin on a 2-CMP layout whose 74 nodes straddle a
-     word seam: multi-word iteration must not reorder the rng draws. *)
-  QCheck.Test.make
-    ~name:"send_set = send draw-for-draw across the word seam" ~count:100
-    QCheck.(
-      list_of_size (Gen.int_range 1 10)
-        (pair (int_range 0 73) (list_of_size (Gen.int_range 0 12) (int_range 0 73))))
+let prop_send_set_ref_multiword =
+  (* A 2-CMP layout whose 74 nodes straddle a word seam: multi-word
+     iteration must not reorder the rng draws. *)
+  QCheck.Test.make ~name:"send_set = reference across the word seam (jitter on)" ~count:100
+    (gen_sends ~nodes:74 ~max_dsts:12)
     (fun sends ->
-      let layout2 = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:16 ~banks_per_cmp:4 in
-      let by_list, by_set = run_twin ~jitter:(Sim.Time.ps 500) layout2 sends in
-      by_list = by_set)
+      let l = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:16 ~banks_per_cmp:4 in
+      run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
+
+(* The 52-, 104-, 272- and 592-node machines. *)
+let one_node_layouts =
+  [|
+    layout4 ();
+    layout_big ();
+    Interconnect.Layout.create ~ncmp:16 ~procs_per_cmp:6 ~banks_per_cmp:4;
+    layout_huge ();
+  |]
+
+let prop_send_one_is_send_set =
+  QCheck.Test.make ~name:"send_one = send_set on one-node sets (52-592 nodes, jitter on)"
+    ~count:100
+    QCheck.(
+      pair (int_range 0 3)
+        (list_of_size (Gen.int_range 1 40)
+           (triple (int_range 0 3000) (int_range 0 591) (int_range 0 590))))
+    (fun (li, raw) ->
+      let l = one_node_layouts.(li) in
+      let n = Interconnect.Layout.node_count l in
+      let sends =
+        List.map
+          (fun (time, s, d) ->
+            let src = s mod n in
+            (time, src, [ (src + 1 + (d mod (n - 1))) mod n ]))
+          raw
+      in
+      run_fabric ~jitter l via_one sends = run_fabric ~jitter l via_set sends)
 
 let tests =
   [
@@ -287,9 +350,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_model_bitfield;
     Alcotest.test_case "send_set excludes source" `Quick test_send_set_excludes_src;
     Alcotest.test_case "send_set local/remote split" `Quick test_send_set_local_remote_split;
-    Alcotest.test_case "two-word layout matches send" `Quick test_multiword_layout;
-    Alcotest.test_case "592-node layout matches send" `Quick test_huge_layout;
-    QCheck_alcotest.to_alcotest prop_send_set_equiv;
-    QCheck_alcotest.to_alcotest prop_send_set_equiv_jitter;
-    QCheck_alcotest.to_alcotest prop_send_set_equiv_jitter_multiword;
+    Alcotest.test_case "two-word layout matches the reference" `Quick test_multiword_layout;
+    Alcotest.test_case "592-node layout matches the reference" `Quick test_huge_layout;
+    QCheck_alcotest.to_alcotest prop_send_set_ref;
+    QCheck_alcotest.to_alcotest prop_send_set_ref_multiword;
+    QCheck_alcotest.to_alcotest prop_send_one_is_send_set;
   ]

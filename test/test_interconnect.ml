@@ -91,8 +91,8 @@ let test_fabric_multicast_single_crossing () =
   Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> incr deliveries);
   let src = Interconnect.Layout.l2 l ~cmp:0 ~bank:0 in
   (* broadcast to all 8 L1s of chip 1: one link crossing, 8 local fan-outs *)
-  let dsts = Interconnect.Layout.l1s_of_cmp l 1 in
-  Interconnect.Fabric.send fabric ~src ~dsts ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
+  let dsts = Interconnect.Layout.l1s_of_cmp_set l 1 in
+  Interconnect.Fabric.send_set fabric ~src ~dsts ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
   Sim.Engine.run engine;
   Alcotest.(check int) "deliveries" 8 !deliveries;
   Alcotest.(check int) "inter crossed once" 8 (Interconnect.Traffic.inter_total traffic);
@@ -104,10 +104,27 @@ let test_fabric_excludes_src () =
   let deliveries = ref 0 in
   Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> incr deliveries);
   let src = Interconnect.Layout.l1d l ~cmp:0 ~proc:0 in
-  Interconnect.Fabric.send fabric ~src ~dsts:[ src; src + 1 ]
+  Interconnect.Fabric.send_set fabric ~src
+    ~dsts:(Interconnect.Destset.of_list [ src; src + 1 ])
     ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
   Sim.Engine.run engine;
   Alcotest.(check int) "self excluded" 1 !deliveries
+
+(* A point-to-point message to its own sender is a protocol bug (for
+   token messages it would silently lose tokens), so send_one refuses
+   it instead of delivering nothing. *)
+let test_send_one_to_self () =
+  let engine, l, traffic, fabric = make_fabric () in
+  Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> ());
+  let src = Interconnect.Layout.l2 l ~cmp:1 ~bank:2 in
+  Alcotest.check_raises "self-send"
+    (Invalid_argument (Printf.sprintf "Fabric.send_one: node %d sending to itself" src))
+    (fun () ->
+      Interconnect.Fabric.send_one fabric ~src ~dst:src ~cls:Interconnect.Msg_class.Request
+        ~bytes:8 ());
+  Sim.Engine.run engine;
+  Alcotest.(check int) "nothing sent" 0 (Interconnect.Fabric.delivered fabric);
+  Alcotest.(check int) "nothing charged" 0 (Interconnect.Traffic.intra_total traffic)
 
 let test_fabric_mem_link () =
   let engine, l, traffic, fabric = make_fabric () in
@@ -152,6 +169,7 @@ let tests =
     Alcotest.test_case "multicast crosses each link once" `Quick
       test_fabric_multicast_single_crossing;
     Alcotest.test_case "fabric excludes source" `Quick test_fabric_excludes_src;
+    Alcotest.test_case "send_one to itself raises" `Quick test_send_one_to_self;
     Alcotest.test_case "memory pin link" `Quick test_fabric_mem_link;
     Alcotest.test_case "port bandwidth serialization" `Quick
       test_fabric_bandwidth_serialization;
@@ -177,8 +195,8 @@ let prop_exactly_once_delivery =
       let expected = Hashtbl.create 64 in
       List.iteri
         (fun i (src, dsts) ->
-          Interconnect.Fabric.send fabric ~src ~dsts ~cls:Interconnect.Msg_class.Request
-            ~bytes:8 i;
+          Interconnect.Fabric.send_set fabric ~src ~dsts:(Interconnect.Destset.of_list dsts)
+            ~cls:Interconnect.Msg_class.Request ~bytes:8 i;
           List.iter
             (fun d ->
               if d <> src then

@@ -97,8 +97,8 @@ let test_fabric_delivered_counter () =
       (Sim.Rng.create 2)
   in
   Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> ());
-  Interconnect.Fabric.send fabric ~src:0 ~dsts:[ 1; 2; 3 ] ~cls:Interconnect.Msg_class.Request
-    ~bytes:8 ();
+  Interconnect.Fabric.send_set fabric ~src:0 ~dsts:(Interconnect.Destset.of_list [ 1; 2; 3 ])
+    ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
   Sim.Engine.run engine;
   Alcotest.(check int) "three deliveries" 3 (Interconnect.Fabric.delivered fabric);
   Alcotest.(check bool) "accessors" true

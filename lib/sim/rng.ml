@@ -1,30 +1,43 @@
-type t = { mutable state : int64 }
+(* SplitMix64. The 64-bit state lives unboxed in an 8-byte buffer, read
+   and written with the unaligned 64-bit bytes primitives, and [next] is
+   inlined into each caller, so a draw works on untagged int64 values in
+   registers and allocates nothing. *)
+type t = bytes
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int (seed * 2 + 1)) }
+let of_state z =
+  let t = Bytes.create 8 in
+  set64 t 0 z;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int ((seed * 2) + 1)))
 
-let bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+let[@inline] next t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
+  mix z
+
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t n =
   assert (n > 0);
   (* Rejection sampling avoids modulo bias. *)
   let bound = 0x3FFF_FFFF_FFFF_FFFF in
   let limit = bound - (bound mod n) in
-  let rec draw () =
-    let v = bits62 t in
-    if v >= limit then draw () else v mod n
-  in
-  draw ()
+  let v = ref (bits62 t) in
+  while !v >= limit do
+    v := bits62 t
+  done;
+  !v mod n
 
 let int_in t lo hi =
   assert (hi >= lo);
@@ -36,7 +49,7 @@ let float t x =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let split t = { state = next t }
+let split t = of_state (next t)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

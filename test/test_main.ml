@@ -26,4 +26,5 @@ let () =
       ("golden", Test_golden.tests);
       ("profiler", Test_profiler.tests);
       ("misc", Test_misc.tests);
+      ("alloc", Test_alloc.tests);
     ]

@@ -60,6 +60,50 @@ let test_rough_uniformity () =
       Alcotest.(check bool) "bucket near 1000" true (count > 800 && count < 1200))
     buckets
 
+(* SplitMix64 with its state in a boxed Int64 field: the stream every
+   committed result was produced with. The generator must reproduce it
+   draw for draw. *)
+module Boxed = struct
+  type t = { mutable state : int64 }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix (Int64.of_int ((seed * 2) + 1)) }
+
+  let next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix t.state
+
+  let rec int t n =
+    let bound = 0x3FFF_FFFF_FFFF_FFFF in
+    let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+    if v >= bound - (bound mod n) then int t n else v mod n
+
+  let float t x = x *. (Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0)
+  let bool t = Int64.logand (next t) 1L = 1L
+  let split t = { state = next t }
+end
+
+let prop_stream_matches_boxed =
+  QCheck.Test.make ~name:"stream identical to boxed SplitMix64" ~count:200
+    QCheck.(pair int (list (pair (int_range 0 3) (int_range 1 max_int))))
+    (fun (seed, draws) ->
+      let a = ref (Sim.Rng.create seed) and b = ref (Boxed.create seed) in
+      List.for_all
+        (fun (kind, n) ->
+          match kind with
+          | 0 -> Sim.Rng.int !a n = Boxed.int !b n
+          | 1 -> Sim.Rng.bool !a = Boxed.bool !b
+          | 2 -> Sim.Rng.float !a 1.0 = Boxed.float !b 1.0
+          | _ ->
+            a := Sim.Rng.split !a;
+            b := Boxed.split !b;
+            true)
+        draws)
+
 let tests =
   [
     Alcotest.test_case "deterministic from seed" `Quick test_determinism;
@@ -70,4 +114,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_int_range;
     QCheck_alcotest.to_alcotest prop_int_in_range;
     QCheck_alcotest.to_alcotest prop_float_range;
+    QCheck_alcotest.to_alcotest prop_stream_matches_boxed;
   ]

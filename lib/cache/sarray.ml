@@ -1,19 +1,22 @@
-type 'a line = { mutable addr : Addr.t; mutable state : 'a option; mutable used : int }
-
+(* Structure of arrays: way [i] of set [s] lives at index [s * nways + i]
+   of three flat arrays. A lookup scans unboxed block addresses without
+   following a pointer per way, and set-up is three [Array.make]s. A
+   free way holds address -1 and state [None]. *)
 type 'a t = {
   nsets : int;
   nways : int;
-  lines : 'a line array; (* nsets * nways, row-major *)
+  addrs : Addr.t array;
+  used : int array;  (* LRU stamp: [tick] at the last insert or touch *)
+  states : 'a option array;
   mutable tick : int;
   mutable population : int;
 }
 
 let create ~sets ~ways =
   assert (sets > 0 && ways > 0);
-  let lines =
-    Array.init (sets * ways) (fun _ -> { addr = -1; state = None; used = 0 })
-  in
-  { nsets = sets; nways = ways; lines; tick = 0; population = 0 }
+  let n = sets * ways in
+  { nsets = sets; nways = ways; addrs = Array.make n (-1); used = Array.make n 0;
+    states = Array.make n None; tick = 0; population = 0 }
 
 let population t = t.population
 let sets t = t.nsets
@@ -21,63 +24,69 @@ let ways t = t.nways
 
 let base t a = Addr.set_index ~sets:t.nsets a * t.nways
 
-let find_line t a =
+(* Index of [a]'s way, or -1 when [a] is not resident. *)
+let find_way t a =
   let b = base t a in
-  let rec scan i =
-    if i >= t.nways then None
-    else
-      let line = t.lines.(b + i) in
-      if line.state <> None && line.addr = a then Some line else scan (i + 1)
-  in
-  scan 0
+  let last = b + t.nways in
+  let i = ref b in
+  while
+    !i < last && not (Array.unsafe_get t.addrs !i = a && Array.unsafe_get t.states !i != None)
+  do
+    incr i
+  done;
+  if !i < last then !i else -1
 
-let find t a = match find_line t a with None -> None | Some l -> l.state
-let mem t a = find_line t a <> None
+let find t a =
+  let i = find_way t a in
+  if i < 0 then None else Array.unsafe_get t.states i
+
+let mem t a = find_way t a >= 0
 
 let touch t a =
-  match find_line t a with
-  | None -> ()
-  | Some line ->
+  let i = find_way t a in
+  if i >= 0 then begin
     t.tick <- t.tick + 1;
-    line.used <- t.tick
+    t.used.(i) <- t.tick
+  end
 
-let lru_line t a =
+(* The first free way of [a]'s set, else its least recently used way
+   (the lowest index among equal stamps). *)
+let lru_way t a =
   let b = base t a in
-  let best = ref t.lines.(b) in
-  for i = 1 to t.nways - 1 do
-    let line = t.lines.(b + i) in
-    if line.state = None then begin
-      if !best.state <> None then best := line
+  let best = ref b in
+  for i = b + 1 to b + t.nways - 1 do
+    if t.states.(i) == None then begin
+      if t.states.(!best) != None then best := i
     end
-    else if !best.state <> None && line.used < !best.used then best := line
+    else if t.states.(!best) != None && t.used.(i) < t.used.(!best) then best := i
   done;
   !best
 
 let victim_for t a =
   if mem t a then None
   else
-    let line = lru_line t a in
-    match line.state with None -> None | Some st -> Some (line.addr, st)
+    let i = lru_way t a in
+    match t.states.(i) with None -> None | Some st -> Some (t.addrs.(i), st)
 
 let insert t a st =
   if mem t a then invalid_arg "Sarray.insert: block already resident";
-  let line = lru_line t a in
-  if line.state <> None then invalid_arg "Sarray.insert: set full";
-  line.addr <- a;
-  line.state <- Some st;
+  let i = lru_way t a in
+  if t.states.(i) != None then invalid_arg "Sarray.insert: set full";
+  t.addrs.(i) <- a;
+  t.states.(i) <- Some st;
   t.tick <- t.tick + 1;
-  line.used <- t.tick;
+  t.used.(i) <- t.tick;
   t.population <- t.population + 1
 
 let remove t a =
-  match find_line t a with
-  | None -> ()
-  | Some line ->
-    line.state <- None;
-    line.addr <- -1;
+  let i = find_way t a in
+  if i >= 0 then begin
+    t.states.(i) <- None;
+    t.addrs.(i) <- -1;
     t.population <- t.population - 1
+  end
 
 let iter f t =
-  Array.iter
-    (fun line -> match line.state with None -> () | Some st -> f line.addr st)
-    t.lines
+  for i = 0 to Array.length t.states - 1 do
+    match t.states.(i) with None -> () | Some st -> f t.addrs.(i) st
+  done

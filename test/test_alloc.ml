@@ -74,10 +74,23 @@ let test_fabric_send_one () =
   check_zero "10k send_one + delivery" (fun () -> sends 10_000);
   Alcotest.(check int) "delivered" 11_000 (Interconnect.Fabric.delivered fabric)
 
+let test_sarray_find () =
+  let s = Cache.Sarray.create ~sets:64 ~ways:4 in
+  for a = 0 to 191 do
+    Cache.Sarray.insert s a a
+  done;
+  let hits = ref 0 in
+  check_zero "10k Sarray.find, hits and misses" (fun () ->
+      for i = 1 to 10_000 do
+        match Cache.Sarray.find s (i land 255) with Some _ -> incr hits | None -> ()
+      done);
+  Alcotest.(check int) "hits" 7_504 !hits
+
 let tests =
   [
     Alcotest.test_case "measurement baseline" `Quick test_measure_baseline;
     Alcotest.test_case "engine steady-state pop + push" `Quick test_engine_steady;
     Alcotest.test_case "Rng.int and Rng.bool" `Quick test_rng;
     Alcotest.test_case "warmed Fabric.send_one + delivery" `Quick test_fabric_send_one;
+    Alcotest.test_case "Cache.Sarray.find" `Quick test_sarray_find;
   ]

@@ -711,15 +711,19 @@ let local_copy t ~src ~cls ~bytes now d msg =
   end
 
 (* The exit hop toward other sites, charged once per send: returns when
-   the message reaches the global links ([t.last_port_wait] then holds
-   its port wait when the sender is on chip). *)
+   the message reaches the global links, leaving its port wait in
+   [t.last_port_wait] (zero for a memory controller, which has no
+   port). *)
 let exit_hop t ~src ~cls ~bytes now =
   let p = t.params in
   if t.is_cache_arr.(src) then begin
     Traffic.add_intra t.traffic cls bytes;
     claim_port t src (serialization p.intra_bytes_per_ns bytes) + p.intra_latency
   end
-  else now + p.mem_link_latency
+  else begin
+    t.last_port_wait <- Sim.Time.zero;
+    now + p.mem_link_latency
+  end
 
 (* One global-link crossing, charged once per destination site:
    returns the arrival time at [dst_site]. *)
@@ -775,7 +779,7 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
   done;
   if !has_remote then begin
     let ready = exit_hop t ~src ~cls ~bytes now in
-    let exit_wait = if t.is_cache_arr.(src) then t.last_port_wait else Sim.Time.zero in
+    let exit_wait = t.last_port_wait in
     for site = 0 to t.layout.Layout.ncmp - 1 do
       if site <> src_site then begin
         let tbase = site * t.nwords in
@@ -815,7 +819,7 @@ let send_one t ~src ~dst ~cls ~bytes msg =
   if dst_site = src_site then local_copy t ~src ~cls ~bytes now dst msg
   else begin
     let ready = exit_hop t ~src ~cls ~bytes now in
-    let exit_wait = if t.is_cache_arr.(src) then t.last_port_wait else Sim.Time.zero in
     let arrive = cross_link t ~src_site ~dst_site ~cls ~bytes ready in
-    remote_copy t ~src ~cls ~bytes ~queue:(exit_wait + t.last_link_wait) arrive dst msg
+    let queue = t.last_port_wait + t.last_link_wait in
+    remote_copy t ~src ~cls ~bytes ~queue arrive dst msg
   end

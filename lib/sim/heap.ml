@@ -12,9 +12,9 @@ type t = {
   mutable size : int;
 }
 
-(* Filler for dead slots (indices >= size). [pop] and [clear] write it
-   over every vacated value slot, so the heap never keeps a popped
-   thunk — and the simulation state it closes over — reachable. *)
+(* Filler for dead slots (indices >= size). [pop] writes it over the
+   vacated value slot, so the heap never keeps a popped thunk — and the
+   simulation state it closes over — reachable. *)
 let dead () = ()
 
 let initial_capacity = 64
@@ -111,7 +111,3 @@ let pop h =
      just emptied. *)
   Array.unsafe_set vals n dead;
   top
-
-let clear h =
-  Array.fill h.vals 0 h.size dead;
-  h.size <- 0

@@ -25,5 +25,3 @@ val min_key : t -> int
 (** [pop h] removes the minimum entry and returns its thunk.
     @raise Invalid_argument if the heap is empty. *)
 val pop : t -> (unit -> unit)
-
-val clear : t -> unit

@@ -1,7 +1,7 @@
 (* Model test of the engine's event queue against a sorted-list
    reference, checking the full (key, seq) order. Every pushed thunk
    closes over a fresh cell tracked by a weak pointer, so the test can
-   also see that popped and cleared thunks stop being reachable from
+   also see that popped thunks stop being reachable from
    the heap while resident ones stay alive. *)
 
 type op =
@@ -9,7 +9,6 @@ type op =
   | Burst of int * int list  (* base key, offsets: a broadcast-shaped cluster *)
   | Pop
   | Min
-  | Clear
 
 (* Narrow key ranges make duplicate keys common; seqs are unique but
    not in insertion order, so ties exercise the seq comparison itself.
@@ -24,23 +23,22 @@ let gen_ops =
   in
   list_size (int_range 0 120)
     (frequency
-       [ (12, push); (2, burst); (10, return Pop); (3, return Min); (1, return Clear) ])
+       [ (12, push); (2, burst); (10, return Pop); (3, return Min) ])
 
 let print_op = function
   | Push (k, s) -> Printf.sprintf "Push(%d,%d)" k s
   | Burst (b, offs) -> Printf.sprintf "Burst(%d,%d)" b (List.length offs)
   | Pop -> "Pop"
   | Min -> "Min"
-  | Clear -> "Clear"
 
 let prop_model =
-  QCheck.Test.make ~name:"push/pop/min_key/clear match sorted model" ~count:300
+  QCheck.Test.make ~name:"push/pop/min_key match sorted model" ~count:300
     (QCheck.make ~print:(QCheck.Print.list print_op) gen_ops)
     (fun ops ->
       let h = Sim.Heap.create () in
       let next_id = ref 0 in
       let cells = Weak.create 20_000 in
-      let gone = ref [] (* ids popped or cleared *) in
+      let gone = ref [] (* ids popped *) in
       let fired = ref (-1) in
       (* model: (key, seq, id) sorted by (key, seq) *)
       let model = ref [] in
@@ -79,16 +77,12 @@ let prop_model =
             ok :=
               !ok
               && Sim.Heap.min_key h
-                 = (match !model with [] -> max_int | (k, _, _) :: _ -> k)
-          | Clear ->
-            Sim.Heap.clear h;
-            List.iter (fun (_, _, id) -> gone := id :: !gone) !model;
-            model := [])
+                 = (match !model with [] -> max_int | (k, _, _) :: _ -> k))
         ops;
       ok := !ok && Sim.Heap.length h = List.length !model;
       ok := !ok && Sim.Heap.is_empty h = (!model = []);
-      (* Popped and cleared thunks are unreachable; resident ones are
-         not (they still fire, in order, below). *)
+      (* Popped thunks are unreachable; resident ones are not (they
+         still fire, in order, below). *)
       Gc.full_major ();
       List.iter (fun id -> ok := !ok && Weak.get cells id = None) !gone;
       List.iter (fun (_, _, id) -> ok := !ok && Weak.get cells id <> None) !model;

@@ -1,6 +1,7 @@
 (* Allocation pins for the per-event path: once pools and arrays have
    grown to the working population, these operations allocate no minor
-   words at all. Each case warms up first, then measures a long run. *)
+   words at all. Cases that grow a pool or an array warm up first; each
+   then measures a long run. *)
 
 let minor_words f =
   let before = Gc.minor_words () in

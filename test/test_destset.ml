@@ -132,11 +132,11 @@ let prop_model_bitfield =
 
 (* ---- Fabric send_set behavior ---- *)
 
-let make_fabric ?(jitter = 0) ?(seed = 1) layout =
+let make_fabric layout =
   let engine = Sim.Engine.create () in
   let traffic = Interconnect.Traffic.create () in
-  let params = { Interconnect.Fabric.default_params with jitter } in
-  let fabric = Interconnect.Fabric.create engine layout params traffic (Sim.Rng.create seed) in
+  let params = { Interconnect.Fabric.default_params with jitter = 0 } in
+  let fabric = Interconnect.Fabric.create engine layout params traffic (Sim.Rng.create 1) in
   (engine, traffic, fabric)
 
 let layout4 () = Interconnect.Layout.create ~ncmp:4 ~procs_per_cmp:4 ~banks_per_cmp:4
@@ -197,16 +197,22 @@ type observed = {
 
 let next_draw rng = Sim.Rng.int rng 1_000_000_000
 
+(* Every comparison runs with the default 500 ps jitter, so the order
+   of the jitter draws is part of what is compared. *)
+let params = Interconnect.Fabric.default_params
+
+(* The registry reports busy time in float ns. *)
+let ps_of_ns x = Sim.Time.ps (Float.to_int (Float.round (x *. 1000.)))
+
 (* Issue each [(time, src, dsts)] send at [time] through [send] on a
    fresh fabric, with a metrics registry attached to read the port and
    link busy totals back. *)
-let run_fabric ?(jitter = 0) layout send sends =
+let run_fabric layout send sends =
   let engine = Sim.Engine.create () in
   let registry = Obs.Registry.create () in
   Obs.Registry.attach registry engine;
   let traffic = Interconnect.Traffic.create () in
   let rng = Sim.Rng.create 1 in
-  let params = { Interconnect.Fabric.default_params with jitter } in
   let fabric = Interconnect.Fabric.create engine layout params traffic rng in
   let log = ref [] in
   Interconnect.Fabric.set_handler fabric (fun ~dst msg ->
@@ -221,8 +227,8 @@ let run_fabric ?(jitter = 0) layout send sends =
     copies = List.sort compare !log;
     intra = Interconnect.Traffic.intra_total traffic;
     inter = Interconnect.Traffic.inter_total traffic;
-    port_busy = Sim.Time.ps (int_of_float (gauge "fabric.port_busy_ns" *. 1000.));
-    link_busy = Sim.Time.ps (int_of_float (gauge "fabric.link_busy_ns" *. 1000.));
+    port_busy = ps_of_ns (gauge "fabric.port_busy_ns");
+    link_busy = ps_of_ns (gauge "fabric.link_busy_ns");
     next_draw = next_draw rng;
   }
 
@@ -237,9 +243,8 @@ let via_one fabric ~src ~dsts msg =
       ~bytes:8 msg
   | _ -> invalid_arg "via_one: one destination"
 
-let run_ref ?(jitter = 0) layout sends =
+let run_ref layout sends =
   let rng = Sim.Rng.create 1 in
-  let params = { Interconnect.Fabric.default_params with jitter } in
   let m = Fabric_ref.create layout params rng in
   (* the engine runs same-time sends in issue order; List.stable_sort keeps it *)
   List.iter
@@ -256,10 +261,8 @@ let run_ref ?(jitter = 0) layout sends =
     next_draw = next_draw rng;
   }
 
-let jitter = Sim.Time.ps 500
-
 (* 8 ps apart, so later sends meet ports and links still busy. *)
-let at_zero sends = List.mapi (fun i (src, dsts) -> (8 * i, src, dsts)) sends
+let staggered sends = List.mapi (fun i (src, dsts) -> (8 * i, src, dsts)) sends
 
 let test_multiword_layout () =
   (* On a 104-node layout destsets span two words. *)
@@ -267,11 +270,11 @@ let test_multiword_layout () =
   Alcotest.(check bool) "layout exceeds one word" true
     (Interconnect.Layout.node_count l > DS.word_bits);
   let sends =
-    at_zero
+    staggered
       [ (0, [ 1; 2; 70; 103; 70 ]); (99, [ 0; 5; 99; 101 ]); (64, List.init 20 (fun i -> i * 5)) ]
   in
   Alcotest.(check bool) "two-word layout matches the reference" true
-    (run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
+    (run_fabric l via_set sends = run_ref l sends)
 
 let test_huge_layout () =
   (* 592 nodes (16 CMPs x 16 cores): destsets run 10 words deep, and a
@@ -280,11 +283,11 @@ let test_huge_layout () =
   let n = Interconnect.Layout.node_count l in
   Alcotest.(check int) "node count" 592 n;
   let sends =
-    at_zero
+    staggered
       [ (0, List.init n Fun.id); (591, List.init 60 (fun i -> i * 9)); (300, [ 1; 64; 127; 128; 500 ]) ]
   in
   Alcotest.(check bool) "592-node broadcast matches the reference" true
-    (run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
+    (run_fabric l via_set sends = run_ref l sends)
 
 let gen_sends ~nodes ~max_dsts =
   QCheck.(
@@ -297,7 +300,7 @@ let prop_send_set_ref =
     (gen_sends ~nodes:52 ~max_dsts:12)
     (fun sends ->
       let l = layout4 () in
-      run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
+      run_fabric l via_set sends = run_ref l sends)
 
 let prop_send_set_ref_multiword =
   (* A 2-CMP layout whose 74 nodes straddle a word seam: multi-word
@@ -306,7 +309,7 @@ let prop_send_set_ref_multiword =
     (gen_sends ~nodes:74 ~max_dsts:12)
     (fun sends ->
       let l = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:16 ~banks_per_cmp:4 in
-      run_fabric ~jitter l via_set sends = run_ref ~jitter l sends)
+      run_fabric l via_set sends = run_ref l sends)
 
 (* The 52-, 104-, 272- and 592-node machines. *)
 let one_node_layouts =
@@ -334,7 +337,7 @@ let prop_send_one_is_send_set =
             (time, src, [ (src + 1 + (d mod (n - 1))) mod n ]))
           raw
       in
-      run_fabric ~jitter l via_one sends = run_fabric ~jitter l via_set sends)
+      run_fabric l via_one sends = run_fabric l via_set sends)
 
 let tests =
   [

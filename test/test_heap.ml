@@ -1,8 +1,8 @@
 (* Model test of the engine's event queue against a sorted-list
    reference, checking the full (key, seq) order. Every pushed thunk
    closes over a fresh cell tracked by a weak pointer, so the test can
-   also see that popped thunks stop being reachable from
-   the heap while resident ones stay alive. *)
+   also see that popped thunks stop being reachable from the heap while
+   resident ones stay alive. *)
 
 type op =
   | Push of int * int  (* key, high part of a unique seq *)
@@ -22,8 +22,7 @@ let gen_ops =
       (list_size (int_range 16 96) (int_range 0 500))
   in
   list_size (int_range 0 120)
-    (frequency
-       [ (12, push); (2, burst); (10, return Pop); (3, return Min) ])
+    (frequency [ (12, push); (2, burst); (10, return Pop); (3, return Min) ])
 
 let print_op = function
   | Push (k, s) -> Printf.sprintf "Push(%d,%d)" k s

@@ -234,8 +234,9 @@ val send_set :
 (** [send_one t ~src ~dst ~cls ~bytes msg] is [send_set] on the
     one-node set [{dst}]: the same timing, traffic charges and rng
     draws, without the word scans.
-    @raise Invalid_argument if [dst = src]: a message a node sends to
-    itself would otherwise vanish (for token messages, as lost tokens). *)
+    @raise Invalid_argument if [dst = src]: no protocol messages
+    itself, so such a send is a bug, and dropping it quietly would (for
+    token messages) lose tokens. *)
 val send_one :
   'msg t -> src:int -> dst:int -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 

@@ -111,8 +111,8 @@ let test_fabric_excludes_src () =
   Alcotest.(check int) "self excluded" 1 !deliveries
 
 (* A point-to-point message to its own sender is a protocol bug (for
-   token messages it would silently lose tokens), so send_one refuses
-   it instead of delivering nothing. *)
+   token messages, dropping it would lose tokens), so send_one raises
+   and charges nothing. *)
 let test_send_one_to_self () =
   let engine, l, traffic, fabric = make_fabric () in
   Interconnect.Fabric.set_handler fabric (fun ~dst:_ () -> ());

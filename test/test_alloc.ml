@@ -87,6 +87,23 @@ let test_sarray_find () =
       done);
   Alcotest.(check int) "hits" 7_504 !hits
 
+(* The L1 hit path: a residency check, then an LRU stamp on a hit. *)
+let test_sarray_touch () =
+  let s = Cache.Sarray.create ~sets:64 ~ways:4 in
+  for a = 0 to 191 do
+    Cache.Sarray.insert s a a
+  done;
+  let hits = ref 0 in
+  check_zero "10k Sarray.mem + touch" (fun () ->
+      for i = 1 to 10_000 do
+        let a = i land 255 in
+        if Cache.Sarray.mem s a then begin
+          incr hits;
+          Cache.Sarray.touch s a
+        end
+      done);
+  Alcotest.(check int) "hits" 7_504 !hits
+
 let tests =
   [
     Alcotest.test_case "measurement baseline" `Quick test_measure_baseline;
@@ -94,4 +111,5 @@ let tests =
     Alcotest.test_case "Rng.int and Rng.bool" `Quick test_rng;
     Alcotest.test_case "warmed Fabric.send_one + delivery" `Quick test_fabric_send_one;
     Alcotest.test_case "Cache.Sarray.find" `Quick test_sarray_find;
+    Alcotest.test_case "Cache.Sarray.mem + touch" `Quick test_sarray_touch;
   ]

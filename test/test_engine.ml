@@ -38,6 +38,25 @@ let test_until () =
   Sim.Engine.run e;
   Alcotest.(check int) "rest run later" 4 !fired
 
+(* The bound is inclusive: events at exactly [until] run, and so do
+   zero-delay events they schedule; the next instant waits for the next
+   call, and the order across the two calls is one run's order. *)
+let test_until_inclusive () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let at t tag = Sim.Engine.schedule_at e (Sim.Time.ns t) (fun () -> log := tag :: !log) in
+  at 5 "a";
+  Sim.Engine.schedule_at e (Sim.Time.ns 5) (fun () ->
+      log := "b" :: !log;
+      Sim.Engine.schedule_in e Sim.Time.zero (fun () -> log := "b0" :: !log));
+  at 6 "c";
+  at 5 "d";
+  Sim.Engine.run ~until:(Sim.Time.ns 5) e;
+  Alcotest.(check (list string)) "events at the bound" [ "a"; "b"; "d"; "b0" ] (List.rev !log);
+  Alcotest.(check int) "clock at the bound" (Sim.Time.ns 5) (Sim.Engine.now e);
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "then the rest" [ "a"; "b"; "d"; "b0"; "c" ] (List.rev !log)
+
 let test_stop () =
   let e = Sim.Engine.create () in
   let fired = ref 0 in
@@ -132,6 +151,7 @@ let tests =
     Alcotest.test_case "same-time events are FIFO" `Quick test_same_time_fifo;
     Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
     Alcotest.test_case "run ~until leaves the queue intact" `Quick test_until;
+    Alcotest.test_case "run ~until includes events at the bound" `Quick test_until_inclusive;
     Alcotest.test_case "stop" `Quick test_stop;
     Alcotest.test_case "timer cancellation" `Quick test_timer_cancel;
     Alcotest.test_case "max_events guard" `Quick test_max_events;

@@ -35,15 +35,15 @@ let protocols =
       Tokencmp.Protocols.token Token.Policy.dst1_mcast;
     ]
 
-let run_protocol (p : Tokencmp.Protocols.t) =
-  let config = Mcmp.Config.tiny in
+let config = Mcmp.Config.tiny
+
+let programs () =
   let wl =
     { (Workload.Locking.default ~nlocks) with Workload.Locking.acquires }
   in
-  let programs =
-    Workload.Locking.programs wl ~seed:workload_seed ~nprocs:(Mcmp.Config.nprocs config)
-  in
-  let r = Mcmp.Runner.run ~config p.Tokencmp.Protocols.builder ~programs ~seed:workload_seed in
+  Workload.Locking.programs wl ~seed:workload_seed ~nprocs:(Mcmp.Config.nprocs config)
+
+let golden_of (p : Tokencmp.Protocols.t) (r : Mcmp.Runner.result) =
   let c = r.Mcmp.Runner.counters in
   {
     g_protocol = p.Tokencmp.Protocols.name;
@@ -58,6 +58,11 @@ let run_protocol (p : Tokencmp.Protocols.t) =
     g_intra_bytes = Interconnect.Traffic.intra_total r.Mcmp.Runner.traffic;
     g_inter_bytes = Interconnect.Traffic.inter_total r.Mcmp.Runner.traffic;
   }
+
+let run_protocol (p : Tokencmp.Protocols.t) =
+  golden_of p
+    (Mcmp.Runner.run ~config p.Tokencmp.Protocols.builder ~programs:(programs ())
+       ~seed:workload_seed)
 
 let print_literal g =
   Printf.printf
@@ -124,6 +129,78 @@ let check_one (p : Tokencmp.Protocols.t) () =
     ck "intra_bytes" exp.g_intra_bytes actual.g_intra_bytes;
     ck "inter_bytes" exp.g_inter_bytes actual.g_inter_bytes
 
+(* Mirrors Mcmp.Runner.run (same RNG derivation, construction order
+   and stop rule) but drives the engine through [Sim.Engine.run ~until]
+   in irregular slices of simulated time, 1 ps to 2 ns wide, the way the
+   benchmark's timing loop does. *)
+let run_sliced (p : Tokencmp.Protocols.t) =
+  let engine = Sim.Engine.create () in
+  let traffic = Interconnect.Traffic.create () in
+  let rng = Sim.Rng.create (workload_seed + 7_919) in
+  let counters = Mcmp.Counters.create () in
+  let protocol = p.Tokencmp.Protocols.builder engine config traffic rng counters in
+  let values = Mcmp.Values.create () in
+  let programs = programs () in
+  let nprocs = Mcmp.Config.nprocs config in
+  let remaining = ref nprocs and finish = ref Sim.Time.zero in
+  let on_done ~proc:_ =
+    decr remaining;
+    if !remaining = 0 then begin
+      finish := Sim.Engine.now engine;
+      Sim.Engine.stop engine
+    end
+  in
+  let cores =
+    List.init nprocs (fun proc ->
+        Mcmp.Core.create engine values protocol counters ~proc ~program:(programs ~proc) ~on_done)
+  in
+  List.iter Mcmp.Core.start cores;
+  (* The widths come from a generator of their own, so slicing draws
+     nothing from the simulation's streams. *)
+  let widths = Sim.Rng.create 99 in
+  let bound = ref Sim.Time.zero and horizon = Sim.Time.us 1_000 in
+  while !remaining > 0 && !bound < horizon do
+    bound := !bound + Sim.Time.ps (1 + Sim.Rng.int widths 2_000);
+    Sim.Engine.run ~until:!bound ~max_events:config.Mcmp.Config.max_events engine
+  done;
+  let marks = List.map Mcmp.Core.mark_time cores in
+  let start =
+    if List.for_all Option.is_some marks then
+      List.fold_left (fun acc m -> max acc (Option.get m)) 0 marks
+    else 0
+  in
+  {
+    Mcmp.Runner.seed = workload_seed;
+    runtime = max 0 (!finish - start);
+    total_runtime = !finish;
+    completed = !remaining = 0;
+    traffic;
+    counters;
+    events = Sim.Engine.events_processed engine;
+    ops = List.fold_left (fun acc c -> acc + Mcmp.Core.ops_committed c) 0 cores;
+    sampler = None;
+  }
+
+(* Sliced differential: every protocol, run in slices, must reproduce
+   the one-shot results bit-for-bit — runtime, event count, traffic,
+   everything. A slice bound is inclusive and leaves the queue intact,
+   so the events run in exactly the order of one uninterrupted run;
+   nothing in the machine may depend on where a [run] call ends. *)
+let check_sliced (p : Tokencmp.Protocols.t) () =
+  let one_shot =
+    Mcmp.Runner.run ~config p.Tokencmp.Protocols.builder ~programs:(programs ())
+      ~seed:workload_seed
+  in
+  let sliced = run_sliced p in
+  let name = p.Tokencmp.Protocols.name in
+  Alcotest.(check bool) (name ^ " completed") true sliced.Mcmp.Runner.completed;
+  Alcotest.(check int) (name ^ " finish time") one_shot.Mcmp.Runner.total_runtime
+    sliced.Mcmp.Runner.total_runtime;
+  Alcotest.(check bool)
+    (name ^ " identical in slices")
+    true
+    (golden_of p one_shot = golden_of p sliced)
+
 let regen () =
   print_endline "let expected : golden list = [";
   List.iter (fun p -> print_literal (run_protocol p)) protocols;
@@ -139,3 +216,9 @@ let tests =
           ("golden: " ^ p.Tokencmp.Protocols.name)
           `Quick (check_one p))
       protocols
+    @ List.map
+        (fun p ->
+          Alcotest.test_case
+            ("sliced differential: " ^ p.Tokencmp.Protocols.name)
+            `Quick (check_sliced p))
+        protocols

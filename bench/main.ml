@@ -7,8 +7,12 @@
      sec5   model-checking study
      tab1   the TokenCMP variant table
      ablate design-choice ablations (not in the paper's figures)
+     scale  8-CMP multicast and the 16..576-cache server-scale curve
      micro  Bechamel micro-benchmarks of the simulator substrate
+     profile    coherence profiler on token vs directory, overhead
      faultrate  recovery-mode cost vs token-drop probability
+     chaos      partition duration vs runtime
+     forensics  ddmin shrink cost on the planted counterexamples
      perf   kernel hot-path throughput + per-section wall-clock roll-up
 
    Run with no arguments for everything, or name the sections:
@@ -17,13 +21,14 @@
    simulations out over N domains (0 = all cores; default
    $TOKENCMP_JOBS or serial).
 
-   Besides the human-readable tables on stdout, each section writes a
-   machine-readable BENCH_<section>.json (schema in README) so the
-   perf trajectory is tracked across PRs. *)
+   Every result table is a Tokencmp.Table: it is printed to stdout as
+   markdown and serialized into BENCH_<section>.json (schema in README)
+   from the same rows, so the perf trajectory is tracked across PRs. *)
 
 module E = Tokencmp.Experiments
 module P = Tokencmp.Protocols
-module J = Tokencmp.Json
+module T = Tokencmp.Table
+module J = Tcjson
 
 let quick = ref false
 let jobs = ref 1
@@ -41,6 +46,12 @@ let progress fmt = Printf.eprintf fmt
 
 let hr title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 let mean (r : E.run) = r.E.runtime_ns.Sim.Stat.Summary.mean
+let print_table t = Printf.printf "%s%!" (T.to_markdown t)
+
+(* Prints a table and returns its JSON: both renderings of one value. *)
+let emit t =
+  print_table t;
+  T.to_json t
 
 let runs_json runs = J.List (List.map E.run_to_json runs)
 
@@ -60,20 +71,20 @@ let print_locking_table ~title ~note sweep protocols =
   (* normalized to DirectoryCMP at the highest lock count *)
   let _, low_contention = List.hd (List.rev sweep) in
   let baseline = E.find low_contention "DirectoryCMP" in
-  Printf.printf "%8s" "locks";
-  List.iter (fun p -> Printf.printf "  %18s" p.P.name) protocols;
-  print_newline ();
-  List.iter
-    (fun (nlocks, runs) ->
-      Printf.printf "%8d" nlocks;
-      List.iter
-        (fun p ->
-          let r = E.find runs p.P.name in
-          Printf.printf "  %10.2f (%4.0fus)" (E.normalize ~baseline r) (mean r /. 1000.))
-        protocols;
-      print_newline ())
-    sweep;
-  print_endline "(normalized runtime; smaller is better; baseline = DirectoryCMP at max locks)"
+  print_table
+    (T.make "Normalized runtime (baseline: DirectoryCMP at max locks; smaller is better)"
+       (List.map
+          (fun (nlocks, runs) ->
+            ("locks", J.Int nlocks)
+            :: List.concat_map
+                 (fun p ->
+                   let r = E.find runs p.P.name in
+                   [
+                     (p.P.name, J.Float (E.normalize ~baseline r));
+                     (p.P.name ^ " us", J.Float (mean r /. 1000.));
+                   ])
+                 protocols)
+          sweep))
 
 let fig2 () =
   progress "[fig2] locking sweep, persistent requests only...\n%!";
@@ -109,39 +120,27 @@ let fig3 () =
 (* ------------------------------------------------------------------ *)
 (* Table 4: barrier micro-benchmark                                    *)
 
-(* Shared renderer for model-checking result tables (sec5 and the
-   tab4 scale-up comparison). *)
-let print_mc_rows rows =
-  Printf.printf "%-22s %11s %12s %9s %9s %7s %6s %s\n" "Model" "states" "transitions"
-    "diameter" "goals" "doomed" "LoC" "verdict";
-  List.iter
-    (fun (name, s, loc) ->
-      Printf.printf "%-22s %11d %12d %9d %9d %7s %6d %s\n" name s.Mc.Explore.states
-        s.Mc.Explore.transitions s.Mc.Explore.diameter s.Mc.Explore.goals
-        (if s.Mc.Explore.truncated then "-" else string_of_int s.Mc.Explore.doomed)
-        loc
-        (match s.Mc.Explore.violation with
-        | None ->
-          if s.Mc.Explore.truncated then "exceeds state budget (intractable)" else "verified"
-        | Some (r, _) -> "VIOLATION: " ^ r))
-    rows
-
-let mc_row_json ~store (name, s, loc) =
-  J.Obj
-    [
-      ("model", J.String name);
-      ("states", J.Int s.Mc.Explore.states);
-      ("transitions", J.Int s.Mc.Explore.transitions);
-      ("diameter", J.Int s.Mc.Explore.diameter);
-      ("goals", J.Int s.Mc.Explore.goals);
-      ("doomed", J.Int s.Mc.Explore.doomed);
-      ("truncated", J.Bool s.Mc.Explore.truncated);
-      ( "violation",
-        match s.Mc.Explore.violation with None -> J.Null | Some (r, _) -> J.String r );
-      ("model_loc", J.Int loc);
-      ("store", J.String (match store with Mc.Explore.Exact -> "exact" | Compact -> "compact"));
-      ("collision_bound", J.Float s.Mc.Explore.collision_bound);
-    ]
+(* Model-checking result rows, shared by sec5 and the tab4 scale-up
+   comparison. *)
+let mc_table title ~store rows =
+  T.make title
+    (List.map
+       (fun (name, s, loc) ->
+         [
+           ("model", J.String name);
+           ("states", J.Int s.Mc.Explore.states);
+           ("transitions", J.Int s.Mc.Explore.transitions);
+           ("diameter", J.Int s.Mc.Explore.diameter);
+           ("goals", J.Int s.Mc.Explore.goals);
+           ("doomed", J.Int s.Mc.Explore.doomed);
+           ("truncated", J.Bool s.Mc.Explore.truncated);
+           ( "violation",
+             match s.Mc.Explore.violation with None -> J.Null | Some (r, _) -> J.String r );
+           ("model_loc", J.Int loc);
+           ("store", J.String (match store with Mc.Explore.Exact -> "exact" | Compact -> "compact"));
+           ("collision_bound", J.Float s.Mc.Explore.collision_bound);
+         ])
+       rows)
 
 let tab4 () =
   progress "[tab4] barrier micro-benchmark...\n%!";
@@ -167,29 +166,34 @@ let tab4 () =
   in
   let base_fixed = E.find fixed "DirectoryCMP" in
   let base_vary = E.find vary "DirectoryCMP" in
-  Printf.printf "%-22s %14s %14s %22s\n" "Protocol" "3000ns fixed" "3000ns+U(1000)"
-    "(paper: fixed, vary)";
-  List.iter
-    (fun p ->
-      let name = p.P.name in
-      let pf, pv = paper name in
-      Printf.printf "%-22s %14.2f %14.2f %15.2f, %4.2f\n" name
-        (E.normalize ~baseline:base_fixed (E.find fixed name))
-        (E.normalize ~baseline:base_vary (E.find vary name))
-        pf pv)
-    E.tab4_protocols;
+  print_table
+    (T.make "Work 3000 ns fixed, and 3000 ns + U(1000)"
+       (List.map
+          (fun p ->
+            let name = p.P.name in
+            let pf, pv = paper name in
+            [
+              ("protocol", J.String name);
+              ("fixed", J.Float (E.normalize ~baseline:base_fixed (E.find fixed name)));
+              ("vary", J.Float (E.normalize ~baseline:base_vary (E.find vary name)));
+              ("paper fixed", J.Float pf);
+              ("paper vary", J.Float pv);
+            ])
+          E.tab4_protocols));
   (* The paper's other Table 4 axis: model checkability. Re-check the
      token substrate and the flat directory at the paper's 2-cache
      configuration AND one size above it — the compacted visited set is
      what lets the 3-cache graphs close without truncation. *)
   progress "[tab4] model-checking comparison, paper config + one size up...\n%!";
-  hr "Table 4 (cont.): model checkability, paper config (2c) and one size above (3c)";
   let store = Mc.Explore.Compact in
   let max_states = if !quick then 300_000 else 200_000_000 in
   let mc_rows =
     List.map (fun (n, _, s, l) -> (n, s, l)) (E.table4 ~max_states ~store ~jobs:!jobs ())
   in
-  print_mc_rows mc_rows;
+  let model_checking =
+    emit
+      (mc_table "Model checkability, paper config (2c) and one size above (3c)" ~store mc_rows)
+  in
   (if !quick then
      print_endline
        "(quick mode caps the state budget; run the full bench for the closed 3c graphs)"
@@ -203,7 +207,7 @@ let tab4 () =
     [
       ("fixed_work", runs_json fixed);
       ("variable_work", runs_json vary);
-      ("model_checking", J.List (List.map (mc_row_json ~store) mc_rows));
+      ("model_checking", model_checking);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -224,19 +228,10 @@ let runs_for profile =
     fig6_cache := (name, runs) :: !fig6_cache;
     runs
 
-let commercial_json () =
-  J.List
-    (List.map
-       (fun p ->
-         J.Obj
-           [
-             ("workload", J.String p.Workload.Commercial.name);
-             ("runs", runs_json (runs_for p));
-           ])
-       Workload.Commercial.all)
-
 let fig6 () =
-  let table = List.map (fun p -> (p, runs_for p)) Workload.Commercial.all in
+  let table =
+    List.map (fun p -> (p.Workload.Commercial.name, runs_for p)) Workload.Commercial.all
+  in
   hr "Figure 6: commercial workload runtime (normalized to DirectoryCMP)";
   let paper_dst1 = function
     | "OLTP" -> 1. /. 1.50
@@ -244,89 +239,76 @@ let fig6 () =
     | "SpecJBB" -> 1. /. 1.10
     | _ -> nan
   in
-  Printf.printf "%-22s" "Protocol";
-  List.iter (fun (p, _) -> Printf.printf " %10s" p.Workload.Commercial.name) table;
-  print_newline ();
-  List.iter
-    (fun proto ->
-      Printf.printf "%-22s" proto.P.name;
-      List.iter
-        (fun (_, runs) ->
-          let baseline = E.find runs "DirectoryCMP" in
-          Printf.printf " %10.2f" (E.normalize ~baseline (E.find runs proto.P.name)))
-        table;
-      print_newline ())
-    E.fig6_protocols;
-  Printf.printf "%-22s" "(paper TokenCMP-dst1)";
-  List.iter
-    (fun (profile, _) -> Printf.printf " %10.2f" (paper_dst1 profile.Workload.Commercial.name))
-    table;
-  print_newline ();
-  List.iter
-    (fun (profile, runs) ->
-      let dst1 = E.find runs "TokenCMP-dst1" in
-      Printf.printf "%s: TokenCMP-dst1 persistent requests = %.3f%% of misses (paper: <0.3%%)\n"
-        profile.Workload.Commercial.name
-        (100. *. dst1.E.persistent_fraction))
-    table;
-  commercial_json ()
+  let row label value =
+    ("protocol", J.String label)
+    :: List.map (fun (workload, runs) -> (workload, J.Float (value workload runs))) table
+  in
+  print_table
+    (T.make "Normalized runtime"
+       (List.map
+          (fun proto ->
+            row proto.P.name (fun _ runs ->
+                E.normalize ~baseline:(E.find runs "DirectoryCMP") (E.find runs proto.P.name)))
+          E.fig6_protocols
+       @ [ row "(paper TokenCMP-dst1)" (fun workload _ -> paper_dst1 workload) ]));
+  print_table
+    (T.make "TokenCMP-dst1 persistent requests, % of misses (paper: < 0.3%)"
+       (List.map
+          (fun (workload, runs) ->
+            [
+              ("workload", J.String workload);
+              ( "persistent %",
+                J.Float (100. *. (E.find runs "TokenCMP-dst1").E.persistent_fraction) );
+            ])
+          table));
+  J.List
+    (List.map
+       (fun (workload, runs) ->
+         J.Obj [ ("workload", J.String workload); ("runs", runs_json runs) ])
+       table)
 
-let print_traffic ~title ~select runs_by_workload =
-  hr title;
-  List.iter
-    (fun (workload, runs) ->
-      let baseline = E.find runs "DirectoryCMP" in
-      let total r = List.fold_left (fun a (_, b) -> a +. b) 0. (select r) in
-      Printf.printf "\n%s (fractions of DirectoryCMP total = %.3g bytes/run)\n" workload
-        (total baseline);
-      Printf.printf "  %-22s" "message class";
-      List.iter
-        (fun p ->
-          let n = p.P.name in
-          let n = if String.length n > 11 then String.sub n (String.length n - 11) 11 else n in
-          Printf.printf " %11s" n)
-        E.fig6_protocols;
-      print_newline ();
-      List.iter
-        (fun cls ->
-          Printf.printf "  %-22s" (Interconnect.Msg_class.to_string cls);
-          List.iter
-            (fun p ->
-              let r = E.find runs p.P.name in
-              Printf.printf " %11.3f" (List.assoc cls (select r) /. total baseline))
-            E.fig6_protocols;
-          print_newline ())
-        Interconnect.Msg_class.all;
-      Printf.printf "  %-22s" "TOTAL";
-      List.iter
-        (fun p ->
-          let r = E.find runs p.P.name in
-          Printf.printf " %11.3f" (total r /. total baseline))
-        E.fig6_protocols;
-      print_newline ())
-    runs_by_workload
+(* One row per (workload, message class) plus a TOTAL row; each
+   protocol's bytes are a fraction of DirectoryCMP's total for the
+   workload, whose absolute size is the [directory_bytes] column. *)
+let traffic_table ~title ~select =
+  let total r = List.fold_left (fun a (_, b) -> a +. b) 0. (select r) in
+  T.make title
+    (List.concat_map
+       (fun profile ->
+         let workload = profile.Workload.Commercial.name in
+         let runs = runs_for profile in
+         let base = total (E.find runs "DirectoryCMP") in
+         let row label bytes =
+           ("workload", J.String workload)
+           :: ("class", J.String label)
+           :: ("directory_bytes", J.Float base)
+           :: List.map
+                (fun p -> (p.P.name, J.Float (bytes (E.find runs p.P.name) /. base)))
+                E.fig6_protocols
+         in
+         List.map
+           (fun cls ->
+             row (Interconnect.Msg_class.to_string cls) (fun r -> List.assoc cls (select r)))
+           Interconnect.Msg_class.all
+         @ [ row "TOTAL" total ])
+       Workload.Commercial.all)
 
 let fig7 () =
-  let table =
-    List.map (fun p -> (p.Workload.Commercial.name, runs_for p)) Workload.Commercial.all
+  hr "Figure 7: traffic by message type (normalized to DirectoryCMP)";
+  print_endline
+    "Paper shape: inter-CMP, TokenCMP totals slightly BELOW DirectoryCMP (the\n\
+     directory spends extra control messages per transaction); intra-CMP,\n\
+     similar totals, token spending more on (broadcast) requests and the\n\
+     directory more on response data (L1 data routes through the L2).";
+  let inter =
+    emit
+      (traffic_table ~title:"Figure 7a: inter-CMP traffic" ~select:(fun r -> r.E.inter_bytes))
   in
-  print_traffic
-    ~title:
-      "Figure 7a: inter-CMP traffic by message type (normalized to DirectoryCMP)\n\
-       Paper shape: TokenCMP totals slightly BELOW DirectoryCMP (the directory\n\
-       spends extra control messages per transaction)."
-    ~select:(fun r -> r.E.inter_bytes)
-    table;
-  print_traffic
-    ~title:
-      "Figure 7b: intra-CMP traffic by message type (normalized to DirectoryCMP)\n\
-       Paper shape: similar totals; token spends more on (broadcast) requests,\n\
-       the directory more on response data (L1 data routes through the L2)."
-    ~select:(fun r -> r.E.intra_bytes)
-    table;
-  (* Same runs as fig6 (shared cache); the traffic breakdowns live in
-     each run's inter/intra_bytes fields. *)
-  commercial_json ()
+  let intra =
+    emit
+      (traffic_table ~title:"Figure 7b: intra-CMP traffic" ~select:(fun r -> r.E.intra_bytes))
+  in
+  J.Obj [ ("inter_cmp", inter); ("intra_cmp", intra) ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 5: model checking                                           *)
@@ -346,9 +328,9 @@ let sec5 () =
      of exact-state memory; small-config equivalence with the exact
      store is pinned by the differential tests *)
   let store = Mc.Explore.Compact in
-  let rows = E.model_checking ~max_states ~store ~jobs:!jobs () in
-  print_mc_rows rows;
-  J.List (List.map (mc_row_json ~store) rows)
+  emit
+    (mc_table "Model-checking results" ~store
+       (E.model_checking ~max_states ~store ~jobs:!jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: variants                                                   *)
@@ -367,26 +349,37 @@ let tab1 () =
 let ablate () =
   progress "[ablate] design-choice ablations...\n%!";
   hr "Ablations (DESIGN.md section 4; not figures of the paper)";
+  print_endline
+    "Locking with 16 locks unless noted; runtimes are mean ns per run.\n\
+     - flat_broadcast: TokenB-style flat broadcast sends everything inter-CMP.\n\
+     - response_delay_window: 4 locks.\n\
+     - timeout_estimation: averaging all responses (TokenB-style) admits fast\n\
+    \  on-chip hits and fires premature retries.\n\
+     - arbiter_colocation (4 contended locks): the paper finds colocation even\n\
+    \  worse; distributed activation is immune to where locks map.\n\
+     - bandwidth_sensitivity (OLTP, dst1/directory runtime ratio): broadcasts\n\
+    \  consume more link bandwidth, so token's advantage narrows as the global\n\
+    \  links tighten.\n\
+     - l2_capacity_pressure (OLTP, 1MB L2): emulates the steady-state L2 churn\n\
+    \  behind Fig. 7a's writeback traffic.";
   let nlocks = 16 in
   let run protocols =
     E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~protocols ~nlocks ()
   in
+  let row ablation measure value =
+    [ ("ablation", J.String ablation); ("measure", J.String measure); ("value", J.Float value) ]
+  in
   (* 1. hierarchical vs flat broadcast *)
   let r = run [ P.token Token.Policy.dst1; P.token Token.Policy.dst1_flat ] in
   let d = E.find r "TokenCMP-dst1" and f = E.find r "TokenCMP-dst1-flat" in
-  Printf.printf "hierarchical vs flat (TokenB-style) broadcast, locking with %d locks:\n" nlocks;
-  Printf.printf "  runtime: dst1 %.0fns vs flat %.0fns\n" (mean d) (mean f);
   let inter r = List.fold_left (fun a (_, b) -> a +. b) 0. r.E.inter_bytes in
-  Printf.printf "  inter-CMP bytes: dst1 %.0f vs flat %.0f (flat broadcasts everything)\n"
-    (inter d) (inter f);
-  let j_flat =
-    J.Obj
-      [
-        ("dst1_runtime_ns", J.Float (mean d));
-        ("flat_runtime_ns", J.Float (mean f));
-        ("dst1_inter_bytes", J.Float (inter d));
-        ("flat_inter_bytes", J.Float (inter f));
-      ]
+  let flat =
+    [
+      row "flat_broadcast" "dst1_runtime_ns" (mean d);
+      row "flat_broadcast" "flat_runtime_ns" (mean f);
+      row "flat_broadcast" "dst1_inter_bytes" (inter d);
+      row "flat_broadcast" "flat_inter_bytes" (inter f);
+    ]
   in
   (* 2. migratory sharing *)
   let mig_off = { Mcmp.Config.default with Mcmp.Config.migratory = false } in
@@ -395,22 +388,14 @@ let ablate () =
     E.locking ~jobs:!jobs ~config:mig_off ~seeds:(seeds ()) ~acquires:(acquires ())
       ~protocols:[ P.token Token.Policy.dst1; P.directory ] ~nlocks ()
   in
-  Printf.printf "migratory-sharing optimization, locking with %d locks:\n" nlocks;
-  List.iter
-    (fun name ->
-      Printf.printf "  %s: on %.0fns, off %.0fns\n" name
-        (mean (E.find r_on name))
-        (mean (E.find r_off name)))
-    [ "TokenCMP-dst1"; "DirectoryCMP" ];
-  let j_mig =
-    J.Obj
-      (List.concat_map
-         (fun name ->
-           [
-             (name ^ "_on_ns", J.Float (mean (E.find r_on name)));
-             (name ^ "_off_ns", J.Float (mean (E.find r_off name)));
-           ])
-         [ "TokenCMP-dst1"; "DirectoryCMP" ])
+  let migratory =
+    List.concat_map
+      (fun name ->
+        [
+          row "migratory" (name ^ "_on_ns") (mean (E.find r_on name));
+          row "migratory" (name ^ "_off_ns") (mean (E.find r_off name));
+        ])
+      [ "TokenCMP-dst1"; "DirectoryCMP" ]
   in
   (* 3. response-delay window *)
   let no_delay = { Mcmp.Config.default with Mcmp.Config.response_delay = Sim.Time.zero } in
@@ -422,32 +407,22 @@ let ablate () =
     E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ())
       ~protocols:[ P.token Token.Policy.dst1 ] ~nlocks:4 ()
   in
-  Printf.printf "response-delay window, locking with 4 locks: with %.0fns, without %.0fns\n"
-    (mean (E.find r_d "TokenCMP-dst1"))
-    (mean (E.find r_nd "TokenCMP-dst1"));
-  let j_delay =
-    J.Obj
-      [
-        ("with_window_ns", J.Float (mean (E.find r_d "TokenCMP-dst1")));
-        ("without_window_ns", J.Float (mean (E.find r_nd "TokenCMP-dst1")));
-      ]
+  let delay =
+    [
+      row "response_delay_window" "with_window_ns" (mean (E.find r_d "TokenCMP-dst1"));
+      row "response_delay_window" "without_window_ns" (mean (E.find r_nd "TokenCMP-dst1"));
+    ]
   in
   (* 4. timeout estimation: memory responses vs all responses *)
   let all_resp =
     { Token.Policy.dst1 with Token.Policy.name = "dst1-timeout-all"; timeout_all_responses = true }
   in
   let r_t = run [ P.token Token.Policy.dst1; P.token all_resp ] in
-  Printf.printf
-    "timeout from memory responses %.0fns vs from all responses %.0fns (TokenB-style\n\
-     averaging admits fast on-chip hits and fires premature retries)\n"
-    (mean (E.find r_t "TokenCMP-dst1"))
-    (mean (E.find r_t "dst1-timeout-all"));
-  let j_timeout =
-    J.Obj
-      [
-        ("memory_responses_ns", J.Float (mean (E.find r_t "TokenCMP-dst1")));
-        ("all_responses_ns", J.Float (mean (E.find r_t "dst1-timeout-all")));
-      ]
+  let timeout =
+    [
+      row "timeout_estimation" "memory_responses_ns" (mean (E.find r_t "TokenCMP-dst1"));
+      row "timeout_estimation" "all_responses_ns" (mean (E.find r_t "dst1-timeout-all"));
+    ]
   in
   (* 5. Arbiter colocation (Section 7: "TokenCMP-arb0 performs even
      worse when highly-contended locks map to the same arbiter"). *)
@@ -459,18 +434,11 @@ let ablate () =
     E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~lock_stride:4
       ~protocols:[ P.token Token.Policy.arb0 ] ~nlocks:4 ()
   in
-  Printf.printf
-    "arbiter colocation (4 contended locks): homes spread %.0fns vs all at one\n\
-     arbiter %.0fns (paper: colocation is even worse; distributed activation is\n\
-     immune to where locks map)\n"
-    (mean (E.find spread "TokenCMP-arb0"))
-    (mean (E.find colocated "TokenCMP-arb0"));
-  let j_coloc =
-    J.Obj
-      [
-        ("spread_ns", J.Float (mean (E.find spread "TokenCMP-arb0")));
-        ("colocated_ns", J.Float (mean (E.find colocated "TokenCMP-arb0")));
-      ]
+  let coloc =
+    [
+      row "arbiter_colocation" "spread_ns" (mean (E.find spread "TokenCMP-arb0"));
+      row "arbiter_colocation" "colocated_ns" (mean (E.find colocated "TokenCMP-arb0"));
+    ]
   in
   (* 6. Inter-CMP bandwidth sensitivity: the paper notes its traffic
      plots matter "for other assumptions"; squeeze the global links and
@@ -485,16 +453,10 @@ let ablate () =
     in
     E.normalize ~baseline:(E.find runs "DirectoryCMP") (E.find runs "TokenCMP-dst1")
   in
-  let bw16 = squeeze 16. and bw8 = squeeze 8. and bw4 = squeeze 4. in
-  Printf.printf
-    "inter-CMP bandwidth sensitivity (OLTP, dst1/directory runtime ratio):\n\
-    \  16 GB/s %.2f   8 GB/s %.2f   4 GB/s %.2f\n\
-     (token's broadcasts consume more link bandwidth, so its advantage narrows\n\
-     as the global links tighten)\n"
-    bw16 bw8 bw4;
-  let j_bw =
-    J.Obj
-      [ ("16GBps", J.Float bw16); ("8GBps", J.Float bw8); ("4GBps", J.Float bw4) ]
+  let bandwidth =
+    List.map
+      (fun (label, bw) -> row "bandwidth_sensitivity" label (squeeze bw))
+      [ ("16GBps", 16.); ("8GBps", 8.); ("4GBps", 4.) ]
   in
   (* 7. L2 capacity pressure: the paper's billion-instruction commercial
      runs keep the 8MB L2 churning, producing the writeback traffic of
@@ -507,34 +469,19 @@ let ablate () =
       ~protocols:[ P.directory; P.token Token.Policy.dst1 ] ()
   in
   let dir = E.find r_small "DirectoryCMP" and tok = E.find r_small "TokenCMP-dst1" in
-  let total r = List.fold_left (fun a (_, b) -> a +. b) 0. r.E.inter_bytes in
-  Printf.printf
-    "L2 capacity pressure (OLTP, 1MB L2): inter-CMP traffic DirectoryCMP %.3g B\n\
-     vs TokenCMP-dst1 %.3g B (%.2fx); writeback-data share %.3f vs %.3f;\n\
-     runtime ratio dst1/dir = %.2f\n"
-    (total dir) (total tok)
-    (total tok /. total dir)
-    (List.assoc Interconnect.Msg_class.Writeback_data dir.E.inter_bytes /. total dir)
-    (List.assoc Interconnect.Msg_class.Writeback_data tok.E.inter_bytes /. total tok)
-    (E.normalize ~baseline:dir tok);
-  let j_l2 =
-    J.Obj
-      [
-        ("directory_inter_bytes", J.Float (total dir));
-        ("dst1_inter_bytes", J.Float (total tok));
-        ("runtime_ratio", J.Float (E.normalize ~baseline:dir tok));
-      ]
-  in
-  J.Obj
+  let wb_share r = List.assoc Interconnect.Msg_class.Writeback_data r.E.inter_bytes /. inter r in
+  let l2 =
     [
-      ("flat_broadcast", j_flat);
-      ("migratory", j_mig);
-      ("response_delay_window", j_delay);
-      ("timeout_estimation", j_timeout);
-      ("arbiter_colocation", j_coloc);
-      ("bandwidth_sensitivity", j_bw);
-      ("l2_capacity_pressure", j_l2);
+      row "l2_capacity_pressure" "directory_inter_bytes" (inter dir);
+      row "l2_capacity_pressure" "dst1_inter_bytes" (inter tok);
+      row "l2_capacity_pressure" "directory_writeback_share" (wb_share dir);
+      row "l2_capacity_pressure" "dst1_writeback_share" (wb_share tok);
+      row "l2_capacity_pressure" "runtime_ratio" (E.normalize ~baseline:dir tok);
     ]
+  in
+  emit
+    (T.make "Ablation results"
+       (flat @ migratory @ delay @ timeout @ coloc @ bandwidth @ l2))
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: 8 CMPs and destination-set-prediction multicast            *)
@@ -545,7 +492,9 @@ let scale () =
   print_endline
     "The paper predicts TokenCMP's inter-CMP traffic grows with the CMP count\n\
      unless destination-set prediction multicast is employed. This runs the\n\
-     OLTP stand-in on an 8-CMP (32-processor) machine.";
+     OLTP stand-in on an 8-CMP (32-processor) machine. Multicast escalates to\n\
+     the predicted holder chip + home instead of all 8 chips; mispredictions\n\
+     cost one retry and the substrate keeps them safe.";
   let config8 =
     { Mcmp.Config.default with Mcmp.Config.ncmp = 8; tokens = 128 }
   in
@@ -558,62 +507,58 @@ let scale () =
   in
   let baseline = E.find runs "DirectoryCMP" in
   let inter r = List.fold_left (fun a (_, b) -> a +. b) 0. r.E.inter_bytes in
-  Printf.printf "%-22s %12s %16s %14s\n" "Protocol" "runtime" "inter-CMP bytes" "persistent%";
-  List.iter
-    (fun p ->
-      let r = E.find runs p.P.name in
-      Printf.printf "%-22s %12.2f %16.3g %13.2f%%\n" p.P.name (E.normalize ~baseline r)
-        (inter r)
-        (100. *. r.E.persistent_fraction))
-    protocols;
-  Printf.printf
-    "(multicast escalates to the predicted holder chip + home instead of all %d chips;\n\
-     mispredictions cost one retry and the substrate keeps them safe)\n"
-    8;
+  let oltp_8cmp =
+    emit
+      (T.make "OLTP on 8 CMPs"
+         (List.map
+            (fun p ->
+              let r = E.find runs p.P.name in
+              [
+                ("protocol", J.String p.P.name);
+                ("runtime_ns", J.Float (mean r));
+                ("ci95_ns", J.Float r.E.runtime_ns.Sim.Stat.Summary.ci95);
+                ("normalized", J.Float (E.normalize ~baseline r));
+                ("inter_bytes", J.Float (inter r));
+                ("persistent_pct", J.Float (100. *. r.E.persistent_fraction));
+              ])
+            protocols))
+  in
   (* Stable point-to-point sharing is where destination-set prediction
      pays off on both latency and traffic. *)
   progress "[scale] producer-consumer with multicast...\n%!";
   let pc = { Workload.Producer_consumer.default with Workload.Producer_consumer.rounds = 40 } in
   let nprocs = Mcmp.Config.nprocs Mcmp.Config.default in
-  let pc_protocols =
-    [ P.directory; P.token Token.Policy.dst1; P.token Token.Policy.dst1_mcast ]
+  let pc_row proto =
+    let results =
+      Par.Pool.map ~jobs:!jobs
+        ~label:(fun _ seed -> Printf.sprintf "prodcons %s seed=%d" proto.P.name seed)
+        (fun seed ->
+          Mcmp.Runner.run ~config:Mcmp.Config.default proto.P.builder
+            ~programs:(fun ~proc -> Workload.Producer_consumer.programs pc ~seed ~nprocs ~proc)
+            ~seed)
+        (scale_seeds ())
+    in
+    let n = float_of_int (List.length results) in
+    let favg f = List.fold_left (fun a r -> a +. f r) 0. results /. n in
+    [
+      ("protocol", J.String proto.P.name);
+      ("runtime_us", J.Float (favg (fun r -> Sim.Time.to_ns r.Mcmp.Runner.runtime) /. 1000.));
+      ( "inter_bytes",
+        J.Float
+          (favg (fun r -> float_of_int (Interconnect.Traffic.inter_total r.Mcmp.Runner.traffic)))
+      );
+      ( "persistent_pct",
+        J.Float (favg (fun r -> 100. *. Mcmp.Counters.persistent_fraction r.Mcmp.Runner.counters))
+      );
+    ]
   in
-  Printf.printf "\nproducer-consumer pairs (%d rounds, cross-chip):\n"
-    pc.Workload.Producer_consumer.rounds;
-  Printf.printf "%-22s %12s %16s %14s\n" "Protocol" "runtime(us)" "inter-CMP bytes"
-    "persistent%";
-  let pc_rows =
-    List.map
-      (fun proto ->
-        let results =
-          Par.Pool.map ~jobs:!jobs
-            ~label:(fun _ seed -> Printf.sprintf "prodcons %s seed=%d" proto.P.name seed)
-            (fun seed ->
-              Mcmp.Runner.run ~config:Mcmp.Config.default proto.P.builder
-                ~programs:(fun ~proc ->
-                  Workload.Producer_consumer.programs pc ~seed ~nprocs ~proc)
-                ~seed)
-            (scale_seeds ())
-        in
-        let n = float_of_int (List.length results) in
-        let favg f = List.fold_left (fun a r -> a +. f r) 0. results /. n in
-        let runtime_us = favg (fun r -> Sim.Time.to_ns r.Mcmp.Runner.runtime) /. 1000. in
-        let inter_bytes =
-          favg (fun r -> float_of_int (Interconnect.Traffic.inter_total r.Mcmp.Runner.traffic))
-        in
-        let persistent =
-          favg (fun r -> 100. *. Mcmp.Counters.persistent_fraction r.Mcmp.Runner.counters)
-        in
-        Printf.printf "%-22s %12.1f %16.3g %13.2f%%\n" proto.P.name runtime_us inter_bytes
-          persistent;
-        J.Obj
-          [
-            ("protocol", J.String proto.P.name);
-            ("runtime_us", J.Float runtime_us);
-            ("inter_bytes", J.Float inter_bytes);
-            ("persistent_pct", J.Float persistent);
-          ])
-      pc_protocols
+  let producer_consumer =
+    emit
+      (T.make
+         (Printf.sprintf "Producer-consumer pairs (%d rounds, cross-chip)"
+            pc.Workload.Producer_consumer.rounds)
+         (List.map pc_row
+            [ P.directory; P.token Token.Policy.dst1; P.token Token.Policy.dst1_mcast ]))
   in
   (* Server-scale curve: 16 caches per CMP (6 procs x 2 L1 + 4 L2
      banks), CMP count swept so the machine lands exactly on 16, 64,
@@ -661,6 +606,7 @@ let scale () =
     in
     (r, Unix.gettimeofday () -. t0)
   in
+  (* One row per protocol at one machine size. *)
   let curve_point ~pt_seeds ~profile ~ncmp ~procs_per_cmp =
     let cfg =
       { Mcmp.Config.default with
@@ -672,60 +618,47 @@ let scale () =
     let profile = weak_scale ~nprocs:(Mcmp.Config.nprocs cfg) profile in
     let lay = Mcmp.Config.layout cfg in
     let caches = Interconnect.Layout.ncaches lay in
-    let nodes = Interconnect.Layout.node_count lay in
-    let rows =
-      List.map
-        (fun proto ->
-          let results =
-            Par.Pool.map ~jobs:!jobs
-              ~label:(fun _ seed ->
-                Printf.sprintf "curve %s %d-cache seed=%d" proto.P.name caches seed)
-              (fun seed -> curve_run profile cfg proto seed)
-              pt_seeds
-          in
-          let n = float_of_int (List.length results) in
-          let events = List.fold_left (fun a (r, _) -> a + r.Mcmp.Runner.events) 0 results in
-          let wall = List.fold_left (fun a (_, w) -> a +. w) 0. results in
-          let runtime_ns =
-            List.fold_left
-              (fun a (r, _) -> a +. Sim.Time.to_ns r.Mcmp.Runner.runtime)
-              0. results
-            /. n
-          in
-          let completed = List.for_all (fun (r, _) -> r.Mcmp.Runner.completed) results in
-          let eps = float_of_int events /. wall in
-          Printf.printf "  %4d caches (%3d nodes)  %-22s %12.3g events/s %10.1f us %s\n"
-            caches nodes proto.P.name eps (runtime_ns /. 1000.)
-            (if completed then "" else "INCOMPLETE");
-          ( proto.P.name,
-            J.Obj
-              [
-                ("runtime_ns_mean", J.Float runtime_ns);
-                ("events", J.Int events);
-                ("events_per_host_s", J.Float eps);
-                ("host_wall_s", J.Float wall);
-                ("completed", J.Bool completed);
-              ] ))
-        curve_protocols
-    in
-    J.Obj
-      [
-        ("ncmp", J.Int ncmp);
-        ("procs_per_cmp", J.Int procs_per_cmp);
-        ("caches", J.Int caches);
-        ("nodes", J.Int nodes);
-        ("protocols", J.Obj rows);
-      ]
-  in
-  Printf.printf "\nserver-scale curve (OLTP stand-in, %d ops/proc, n=%d seeds):\n"
-    curve_profile.Workload.Commercial.ops
-    (List.length (scale_seeds ()));
-  let curve_rows =
     List.map
-      (fun ncmp ->
-        curve_point ~pt_seeds:(scale_seeds ()) ~profile:curve_profile ~ncmp
-          ~procs_per_cmp:6)
-      [ 1; 4; 8; 16 ]
+      (fun proto ->
+        let results =
+          Par.Pool.map ~jobs:!jobs
+            ~label:(fun _ seed ->
+              Printf.sprintf "curve %s %d-cache seed=%d" proto.P.name caches seed)
+            (fun seed -> curve_run profile cfg proto seed)
+            pt_seeds
+        in
+        let n = float_of_int (List.length results) in
+        let events = List.fold_left (fun a (r, _) -> a + r.Mcmp.Runner.events) 0 results in
+        let wall = List.fold_left (fun a (_, w) -> a +. w) 0. results in
+        let runtime_ns =
+          List.fold_left (fun a (r, _) -> a +. Sim.Time.to_ns r.Mcmp.Runner.runtime) 0. results
+          /. n
+        in
+        [
+          ("caches", J.Int caches);
+          ("nodes", J.Int (Interconnect.Layout.node_count lay));
+          ("ncmp", J.Int ncmp);
+          ("procs_per_cmp", J.Int procs_per_cmp);
+          ("protocol", J.String proto.P.name);
+          ("runtime_ns_mean", J.Float runtime_ns);
+          ("events", J.Int events);
+          ("events_per_host_s", J.Float (float_of_int events /. wall));
+          ("host_wall_s", J.Float wall);
+          ("completed", J.Bool (List.for_all (fun (r, _) -> r.Mcmp.Runner.completed) results));
+        ])
+      curve_protocols
+  in
+  let server_scale_curve =
+    emit
+      (T.make
+         (Printf.sprintf "Server-scale curve (OLTP stand-in, %d ops/proc, n=%d seeds)"
+            curve_profile.Workload.Commercial.ops
+            (List.length (scale_seeds ())))
+         (List.concat_map
+            (fun ncmp ->
+              curve_point ~pt_seeds:(scale_seeds ()) ~profile:curve_profile ~ncmp
+                ~procs_per_cmp:6)
+            [ 1; 4; 8; 16 ]))
   in
   (* Headline completion check: 16 CMPs x 16 cores per CMP — 256
      processors, 576 caches, 592 coherence nodes — must finish on both
@@ -733,20 +666,21 @@ let scale () =
      word. One seed, few ops: this row is about completing at scale,
      not statistics. *)
   progress "[scale] 16 CMP x 16 core completion check...\n%!";
-  Printf.printf "\n16 CMP x 16 core machine (576 caches):\n";
   let headline_profile =
     { Workload.Commercial.oltp with
       Workload.Commercial.warmup_ops = 150;
       Workload.Commercial.ops = (if !quick then 60 else 150) }
   in
   let headline =
-    curve_point ~pt_seeds:[ 1 ] ~profile:headline_profile ~ncmp:16 ~procs_per_cmp:16
+    emit
+      (T.make "16 CMP x 16 core machine (completion check, one seed)"
+         (curve_point ~pt_seeds:[ 1 ] ~profile:headline_profile ~ncmp:16 ~procs_per_cmp:16))
   in
   J.Obj
     [
-      ("oltp_8cmp", runs_json runs);
-      ("producer_consumer", J.List pc_rows);
-      ("server_scale_curve", J.List curve_rows);
+      ("oltp_8cmp", oltp_8cmp);
+      ("producer_consumer", producer_consumer);
+      ("server_scale_curve", server_scale_curve);
       ("headline_16cmp_x_16core", headline);
     ]
 
@@ -814,119 +748,21 @@ let micro () =
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
-  let rows =
-    List.concat_map
-      (fun test ->
-        List.filter_map
-          (fun elt ->
-            let raw = Benchmark.run cfg [ instance ] elt in
-            let result = Analyze.one ols instance raw in
-            match Analyze.OLS.estimates result with
-            | Some [ ns ] ->
-              Printf.printf "  %-28s %12.0f ns/iter\n" (Test.Elt.name elt) ns;
-              Some (Test.Elt.name elt, J.Float ns)
-            | Some _ | None ->
-              Printf.printf "  %-28s (no estimate)\n" (Test.Elt.name elt);
-              Some (Test.Elt.name elt, J.Null))
-          (Test.elements test))
-      tests
-  in
-  J.Obj rows
-
-(* ------------------------------------------------------------------ *)
-(* Tracing: spans, Perfetto export, reconciliation                     *)
-
-(* Runs the locking micro-benchmark with tracing on, exports a Perfetto
-   trace (gitignored; the BENCH json keeps only deterministic
-   summaries) and cross-checks the observability pipeline against the
-   simulation's own accounting:
-     - the emitted JSON round-trips through our parser,
-     - the trace passes structural + span-nesting validation,
-     - per-phase span sums reconcile with the miss_latency Welford
-       accumulator.
-   Any failure exits non-zero so CI catches a broken exporter. *)
-let trace () =
-  progress "[trace] tracing-enabled locking run + Perfetto export...\n%!";
-  hr "Tracing: transaction spans, Perfetto export, reconciliation";
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.eprintf "[trace] FAILED: %s\n%!" s;
-        exit 1)
-      fmt
-  in
-  let buffer = Obs.Buffer.create ~capacity:1_000_000 () in
-  let registry = Obs.Registry.create () in
-  let config = Mcmp.Config.tiny in
-  let nprocs = Mcmp.Config.nprocs config in
-  let wl =
-    { (Workload.Locking.default ~nlocks:8) with Workload.Locking.acquires = acquires () }
-  in
-  let proto = P.token Token.Policy.dst1 in
-  let result =
-    Mcmp.Runner.run ~config ~registry ~buffer proto.P.builder
-      ~programs:(Workload.Locking.programs wl ~seed:1 ~nprocs)
-      ~seed:1
-  in
-  let spans = Obs.Span.assemble buffer in
-  let summary = Obs.Span.summarize spans in
-  let hists = Obs.Span.phase_histograms spans in
-  Obs.Span.register_phase_histograms registry hists;
-  (* Reconcile span totals against the protocol's own Welford
-     accumulator. With no ring wrap every retired miss has a span, so
-     both the count and the latency mass must agree. *)
-  let w = result.Mcmp.Runner.counters.Mcmp.Counters.miss_latency in
-  let wn = Sim.Stat.Welford.count w in
-  let wtotal = float_of_int wn *. Sim.Stat.Welford.mean w in
-  let dropped = Obs.Buffer.dropped buffer in
-  if dropped = 0 then begin
-    if summary.Obs.Span.spans <> wn then
-      fail "span count %d <> misses measured %d" summary.Obs.Span.spans wn;
-    let rel = abs_float (summary.Obs.Span.total_ns -. wtotal) /. Float.max 1. wtotal in
-    if rel > 1e-6 then
-      fail "span total %.3f ns vs welford total %.3f ns (rel err %g)"
-        summary.Obs.Span.total_ns wtotal rel
-  end
-  else
-    progress "[trace] ring dropped %d events; skipping exact reconciliation\n%!" dropped;
-  let json =
-    Obs.Perfetto.export
-      ~node_name:(fun id -> Printf.sprintf "node%d" id)
-      buffer
-  in
-  (match Obs.Perfetto.validate json with
-  | Ok () -> ()
-  | Error e -> fail "trace validation: %s" e);
-  (match J.parse (J.to_string json) with
-  | Ok round when J.equal round json -> ()
-  | Ok _ -> fail "trace JSON did not round-trip through the parser"
-  | Error e -> fail "trace JSON re-parse: %s" e);
-  let file = "bench_locking.trace.json" in
-  J.write_file file json;
-  Printf.printf
-    "run: %d misses, %d events recorded (%d dropped)\n\
-     spans: %d complete, %d incomplete\n\
-     phases: request %.0f ns + fill %.0f ns = %.0f ns (welford total %.0f ns)\n\
-     wrote %s (Perfetto/chrome://tracing loadable; validated + reparsed)\n"
-    wn
-    (Obs.Buffer.recorded buffer)
-    dropped summary.Obs.Span.spans summary.Obs.Span.incomplete
-    summary.Obs.Span.request_total_ns summary.Obs.Span.fill_total_ns
-    summary.Obs.Span.total_ns wtotal file;
-  J.Obj
-    [
-      ("protocol", J.String proto.P.name);
-      ("misses", J.Int wn);
-      ("events_recorded", J.Int (Obs.Buffer.recorded buffer));
-      ("events_dropped", J.Int dropped);
-      ("spans", J.Int summary.Obs.Span.spans);
-      ("spans_incomplete", J.Int summary.Obs.Span.incomplete);
-      ("request_total_ns", J.Float summary.Obs.Span.request_total_ns);
-      ("fill_total_ns", J.Float summary.Obs.Span.fill_total_ns);
-      ("span_total_ns", J.Float summary.Obs.Span.total_ns);
-      ("welford_total_ns", J.Float wtotal);
-      ("metrics", Obs.Registry.snapshot registry);
-    ]
+  emit
+    (T.make "Substrate micro-benchmarks (OLS estimate per iteration)"
+       (List.concat_map
+          (fun test ->
+            List.map
+              (fun elt ->
+                let raw = Benchmark.run cfg [ instance ] elt in
+                let ns =
+                  match Analyze.OLS.estimates (Analyze.one ols instance raw) with
+                  | Some [ ns ] -> J.Float ns
+                  | Some _ | None -> J.Null
+                in
+                [ ("benchmark", J.String (Test.Elt.name elt)); ("ns_per_iter", ns) ])
+              (Test.elements test))
+          tests))
 
 (* ------------------------------------------------------------------ *)
 (* Coherence profiler                                                  *)
@@ -935,6 +771,8 @@ let trace () =
    and cross-checks the profiler's guarantees:
      - per-class miss counts sum to the miss total and class histogram
        mass equals the overall histogram mass (single-funnel exactness),
+     - every retired miss has a span and the span latency mass equals
+       the Welford miss-latency mass,
      - hop attribution sums to the span-summary total,
      - the Perfetto export (spans + counter tracks) validates and
        round-trips,
@@ -973,9 +811,12 @@ let profile () =
             proto.P.name rc.Tokencmp.Profiler.class_count_total
             rc.Tokencmp.Profiler.misses;
         if not rc.Tokencmp.Profiler.spans_exact then
-          fail "%s: span accounting not exact (%d spans + %d dropped vs %d misses)"
+          fail
+            "%s: span accounting not exact (%d spans + %d dropped vs %d misses; span mass \
+             %.3f ns vs Welford %.3f ns)"
             proto.P.name rc.Tokencmp.Profiler.spans rc.Tokencmp.Profiler.dropped_spans
-            rc.Tokencmp.Profiler.misses;
+            rc.Tokencmp.Profiler.misses rc.Tokencmp.Profiler.span_mass_ns
+            rc.Tokencmp.Profiler.welford_mass_ns;
         let att = r.Tokencmp.Profiler.attribution in
         let span_total = r.Tokencmp.Profiler.span_summary.Obs.Span.total_ns in
         let rel =
@@ -1033,27 +874,19 @@ let profile () =
         Mcmp.Runner.run ~config ~registry ~buffer ~sample_period:(Sim.Time.ns 1_000)
           proto.P.builder ~programs:(programs ()) ~seed:1)
   in
-  let overhead = instrumented_s /. Float.max 1e-9 plain_s in
-  List.iter
-    (fun ((proto : P.t), (r : Tokencmp.Profiler.t)) ->
-      Printf.printf "%s: %d misses --" proto.P.name r.Tokencmp.Profiler.l1_misses;
-      List.iter
-        (fun (row : Tokencmp.Profiler.class_row) ->
-          if row.Tokencmp.Profiler.count > 0 then
-            Printf.printf " %s %d (%.0f%%)"
-              (Obs.Event.cause_to_string row.Tokencmp.Profiler.cause)
-              row.Tokencmp.Profiler.count
-              (100. *. row.Tokencmp.Profiler.share))
-        r.Tokencmp.Profiler.classes;
-      Printf.printf "\n";
-      let a = r.Tokencmp.Profiler.attribution in
-      Printf.printf
-        "  attribution: mem %.0f + queue %.0f + flight %.0f + protocol %.0f = %.0f ns\n"
-        a.Obs.Span.att_mem_ns a.Obs.Span.att_queue_ns a.Obs.Span.att_flight_ns
-        a.Obs.Span.att_proto_ns a.Obs.Span.att_total_ns)
-    reports;
-  Printf.printf "instrumentation overhead: %.2fx wall clock (plain %.4fs, full %.4fs)\n"
-    overhead plain_s instrumented_s;
+  List.iter (fun (_, r) -> print_string (Tokencmp.Profiler.to_markdown r)) reports;
+  let overhead =
+    emit
+      (T.make "Instrumentation overhead (TokenCMP-dst1, best of 3)"
+         [
+           [
+             ("plain_s", J.Float plain_s);
+             ("instrumented_s", J.Float instrumented_s);
+             ("ratio", J.Float (instrumented_s /. Float.max 1e-9 plain_s));
+             ("noninvasive", J.Bool true);
+           ];
+         ])
+  in
   (* Committed trajectory data: the full reports minus the bulky
      registry snapshot and sample series (deterministic without them). *)
   let trimmed (r : Tokencmp.Profiler.t) =
@@ -1067,14 +900,7 @@ let profile () =
     [
       ( "protocols",
         J.Obj (List.map (fun ((p : P.t), r) -> (p.P.name, trimmed r)) reports) );
-      ( "overhead",
-        J.Obj
-          [
-            ("plain_s", J.Float plain_s);
-            ("instrumented_s", J.Float instrumented_s);
-            ("ratio", J.Float overhead);
-          ] );
-      ("noninvasive", J.Bool true);
+      ("overhead", overhead);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1092,62 +918,8 @@ let faultrate () =
   let probs =
     if !quick then [ 0.0; 0.01; 0.05 ] else [ 0.0; 0.002; 0.005; 0.01; 0.02; 0.05 ]
   in
-  let sweep_seeds = if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
-  let nseeds = float_of_int (List.length sweep_seeds) in
-  let measure prob =
-    let outcomes =
-      List.map
-        (fun seed ->
-          let spec = Fault.Spec.with_drops ~tokens:true ~prob Fault.Spec.none in
-          Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec
-            ~seed)
-        sweep_seeds
-    in
-    let clean =
-      List.for_all (fun o -> Fault.Torture.verdict o = Fault.Torture.Clean) outcomes
-    in
-    let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
-    let runtime =
-      List.fold_left (fun a o -> a +. Sim.Time.to_ns o.Fault.Torture.runtime) 0. outcomes
-      /. nseeds
-    in
-    let rec_sum f =
-      sum (fun o ->
-          match o.Fault.Torture.recovered with Some rs -> f rs | None -> 0)
-    in
-    ( prob,
-      runtime,
-      sum (fun o -> o.Fault.Torture.retransmits),
-      rec_sum (fun rs -> rs.Token.Protocol.rs_recreations),
-      rec_sum (fun rs -> rs.Token.Protocol.rs_epoch_bumps),
-      clean )
-  in
-  let rows = List.map measure probs in
-  let base =
-    match rows with (_, rt, _, _, _, _) :: _ -> rt | [] -> 1.
-  in
-  Printf.printf "%-10s %12s %9s %12s %12s %12s %s\n" "drop_prob" "runtime_ns" "slowdown"
-    "retransmits" "recreations" "epoch_bumps" "verdict";
-  List.iter
-    (fun (prob, rt, rx, rc, eb, clean) ->
-      Printf.printf "%-10.3f %12.0f %9.2f %12d %12d %12d %s\n" prob rt (rt /. base) rx rc
-        eb
-        (if clean then "clean" else "NOT CLEAN"))
-    rows;
-  J.List
-    (List.map
-       (fun (prob, rt, rx, rc, eb, clean) ->
-         J.Obj
-           [
-             ("drop_prob", J.Float prob);
-             ("runtime_ns", J.Float rt);
-             ("slowdown", J.Float (rt /. base));
-             ("retransmits", J.Int rx);
-             ("recreations", J.Int rc);
-             ("epoch_bumps", J.Int eb);
-             ("clean", J.Bool clean);
-           ])
-       rows)
+  let seeds = if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
+  emit (fst (E.faultrate ~probs ~seeds))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos sweep: partition duration vs runtime                          *)
@@ -1200,28 +972,24 @@ let chaos () =
   let protocols =
     [ ("token-dst1+recovery", false); (Directory.Protocol.name ~dram_directory:true, true) ]
   in
-  Printf.printf "%-24s %12s %12s %9s %12s %s\n" "protocol" "partition_us" "runtime_ns"
-    "slowdown" "retransmits" "verdict";
-  J.List
-    (List.concat_map
-       (fun (name, directory) ->
-         let rows = List.map (measure ~directory) durations_us in
-         let base = match rows with (_, rt, _, _) :: _ -> rt | [] -> 1. in
-         List.map
-           (fun (dur, rt, rx, clean) ->
-             Printf.printf "%-24s %12d %12.0f %9.2f %12d %s\n" name dur rt (rt /. base) rx
-               (if clean then "clean" else "NOT CLEAN");
-             J.Obj
-               [
-                 ("protocol", J.String name);
-                 ("partition_us", J.Int dur);
-                 ("runtime_ns", J.Float rt);
-                 ("slowdown", J.Float (rt /. base));
-                 ("retransmits", J.Int rx);
-                 ("clean", J.Bool clean);
-               ])
-           rows)
-       protocols)
+  emit
+    (T.make "Partition duration vs runtime"
+       (List.concat_map
+          (fun (name, directory) ->
+            let points = List.map (measure ~directory) durations_us in
+            let base = match points with (_, rt, _, _) :: _ -> rt | [] -> 1. in
+            List.map
+              (fun (dur, rt, rx, clean) ->
+                [
+                  ("protocol", J.String name);
+                  ("partition_us", J.Int dur);
+                  ("runtime_ns", J.Float rt);
+                  ("slowdown", J.Float (rt /. base));
+                  ("retransmits", J.Int rx);
+                  ("clean", J.Bool clean);
+                ])
+              points)
+          protocols))
 
 (* ------------------------------------------------------------------ *)
 (* Forensics: counterexample shrink cost                               *)
@@ -1257,40 +1025,33 @@ let forensics () =
         1 );
     ]
   in
-  Printf.printf "%-22s %9s %8s %11s %9s %7s %8s\n" "case" "schedule" "minimal"
-    "candidates" "failing" "rounds" "wall_s";
-  J.List
-    (List.map
-       (fun (name, params, target, spec, seed) ->
-         let o = Fault.Torture.run_with params target ~spec ~seed in
-         let b = Forensics.Bundle.make ~params o in
-         match Forensics.Shrink.run ~jobs:!jobs b with
-         | Error e ->
-           Printf.printf "%-22s shrink failed: %s\n" name e;
-           J.Obj [ ("case", J.String name); ("error", J.String e) ]
-         | Ok r ->
-           let st = r.Forensics.Shrink.r_stats in
-           let original = r.Forensics.Shrink.r_original_events in
-           let minimal = List.length r.Forensics.Shrink.r_schedule in
-           Printf.printf "%-22s %9d %8d %11d %9d %7d %8.2f\n" name original minimal
-             st.Forensics.Shrink.s_candidates st.Forensics.Shrink.s_failing
-             st.Forensics.Shrink.s_rounds st.Forensics.Shrink.s_wall_s;
-           J.Obj
-             [
-               ("case", J.String name);
-               ("verdict",
-                J.String
-                  (Format.asprintf "%a" Fault.Torture.pp_verdict
-                     (Fault.Torture.verdict r.Forensics.Shrink.r_outcome)));
-               ("original_events", J.Int original);
-               ("minimal_events", J.Int minimal);
-               ("candidate_runs", J.Int st.Forensics.Shrink.s_candidates);
-               ("failing_candidates", J.Int st.Forensics.Shrink.s_failing);
-               ("ddmin_rounds", J.Int st.Forensics.Shrink.s_rounds);
-               ("shape_trials", J.Int st.Forensics.Shrink.s_shape_trials);
-               ("wall_clock_s", J.Float st.Forensics.Shrink.s_wall_s);
-             ])
-       cases)
+  emit
+    (T.make "Shrink cost"
+       (List.map
+          (fun (name, params, target, spec, seed) ->
+            let o = Fault.Torture.run_with params target ~spec ~seed in
+            let b = Forensics.Bundle.make ~params o in
+            match Forensics.Shrink.run ~jobs:!jobs b with
+            | Error e ->
+              Printf.eprintf "[forensics] FAILED: %s: shrink failed: %s\n%!" name e;
+              exit 1
+            | Ok r ->
+              let st = r.Forensics.Shrink.r_stats in
+              [
+                ("case", J.String name);
+                ( "verdict",
+                  J.String
+                    (Format.asprintf "%a" Fault.Torture.pp_verdict
+                       (Fault.Torture.verdict r.Forensics.Shrink.r_outcome)) );
+                ("original_events", J.Int r.Forensics.Shrink.r_original_events);
+                ("minimal_events", J.Int (List.length r.Forensics.Shrink.r_schedule));
+                ("candidate_runs", J.Int st.Forensics.Shrink.s_candidates);
+                ("failing_candidates", J.Int st.Forensics.Shrink.s_failing);
+                ("ddmin_rounds", J.Int st.Forensics.Shrink.s_rounds);
+                ("shape_trials", J.Int st.Forensics.Shrink.s_shape_trials);
+                ("wall_clock_s", J.Float st.Forensics.Shrink.s_wall_s);
+              ])
+          cases))
 
 (* ------------------------------------------------------------------ *)
 (* Perf: simulation-kernel hot-path throughput                         *)
@@ -1304,12 +1065,15 @@ let perf () =
   progress "[perf] kernel hot-path throughput...\n%!";
   hr "Kernel perf: event scheduling and message send hot paths";
   print_endline
-    "Host-time throughput of the simulation kernel (not simulated time):\n\
-     the engine queue under uniform and broadcast-shaped churn, the\n\
-     bitmask multicast and the point-to-point send, and end-to-end\n\
-     events/s of a whole tiny simulation, each with its minor words\n\
-     allocated per unit of work. Absolute rates are machine-dependent;\n\
-     the allocation figures are deterministic for a given compiler.";
+    "Host-time throughput of the simulation kernel (not simulated time),\n\
+     each with its minor words allocated per unit of work:\n\
+     - engine_churn: one queue, empty handlers, uniform 4096-event batches;\n\
+     - bursty_churn: the broadcast shape, 32 events inside a 500 ps window;\n\
+     - send_set / send_one: all-caches broadcasts and random point-to-point\n\
+    \  pairs on the 4-CMP machine with a no-op handler;\n\
+     - tiny_sim: a whole tiny TokenCMP-dst1 simulation.\n\
+     Absolute rates are machine-dependent; the allocation figures are\n\
+     deterministic for a given compiler.";
   (* Host seconds and minor words of [f ()]. *)
   let measure f =
     let w0 = Gc.minor_words () in
@@ -1370,12 +1134,6 @@ let perf () =
     let n = float_of_int (Sim.Engine.events_processed e) in
     (n /. dt, words /. n)
   in
-  Printf.printf "engine churn (one queue, empty handlers):\n";
-  Printf.printf "  %-34s %12.3g events/s %8.2f minor words/event\n"
-    "uniform, 4096-event batches" churn_eps churn_mwpe;
-  Printf.printf "  %-34s %12.3g events/s %8.2f minor words/event\n"
-    (Printf.sprintf "bursty, %d events in %d ps" cluster window_ps)
-    bursty_eps bursty_mwpe;
   (* 3. Sends on the default 4-CMP machine with a no-op handler:
      all-caches broadcasts through [send_set], and random point-to-point
      pairs through [send_one]. The engine drains every 256 sends. *)
@@ -1412,11 +1170,6 @@ let perf () =
         Interconnect.Fabric.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request
           ~bytes:8 ())
   in
-  Printf.printf "message sends (4-CMP machine, no-op handler):\n";
-  Printf.printf "  %-34s %12.3g sends/s %9.1f minor words/send\n"
-    "send_set, all-caches broadcast" set_sps set_mwps;
-  Printf.printf "  %-34s %12.3g sends/s %9.1f minor words/send\n"
-    "send_one, random pairs" one_sps one_mwps;
   (* 4. Whole-simulation events/s: protocol + caches + fabric, the
      number the wall-clock claims of this trajectory cash out in. *)
   let sim_eps, sim_mwpe =
@@ -1440,43 +1193,33 @@ let perf () =
        handler). Deterministic for a given compiler, so CI gates it. *)
     (float_of_int !events /. dt, words /. float_of_int !events)
   in
-  Printf.printf "tiny TokenCMP-dst1 simulation:  %12.3g events/s  %.1f minor words/event\n"
-    sim_eps sim_mwpe;
-  if !section_walls <> [] then begin
-    Printf.printf "wall clock of sections run in this invocation:\n";
-    List.iter (fun (n, w) -> Printf.printf "  %-10s %8.1f s\n" n w) !section_walls
-  end;
-  J.Obj
+  let kernel name unit (per_s, minor_words) =
     [
-      ( "engine_churn",
-        J.Obj
-          [ ("events_per_s", J.Float churn_eps); ("minor_words_per_event", J.Float churn_mwpe) ]
-      );
-      ( "bursty_churn",
-        J.Obj
-          [
-            ("cluster", J.Int cluster);
-            ("window_ps", J.Int window_ps);
-            ("events_per_s", J.Float bursty_eps);
-            ("minor_words_per_event", J.Float bursty_mwpe);
-          ] );
-      ( "broadcast_storm",
-        J.Obj
-          [
-            ("send_set_per_s", J.Float set_sps);
-            ("send_set_minor_words_per_send", J.Float set_mwps);
-          ] );
-      ( "point_to_point",
-        J.Obj
-          [
-            ("send_one_per_s", J.Float one_sps);
-            ("send_one_minor_words_per_send", J.Float one_mwps);
-          ] );
-      ("tiny_sim_events_per_s", J.Float sim_eps);
-      ("tiny_sim_minor_words_per_event", J.Float sim_mwpe);
-      ( "section_wall_clock_s",
-        J.Obj (List.map (fun (n, w) -> (n, J.Float w)) !section_walls) );
+      ("kernel", J.String name);
+      ("unit", J.String unit);
+      ("units_per_s", J.Float per_s);
+      ("minor_words_per_unit", J.Float minor_words);
     ]
+  in
+  let kernels =
+    emit
+      (T.make "Kernel hot paths"
+         [
+           kernel "engine_churn" "event" (churn_eps, churn_mwpe);
+           kernel "bursty_churn" "event" (bursty_eps, bursty_mwpe);
+           kernel "send_set" "send" (set_sps, set_mwps);
+           kernel "send_one" "send" (one_sps, one_mwps);
+           kernel "tiny_sim" "event" (sim_eps, sim_mwpe);
+         ])
+  in
+  let walls =
+    emit
+      (T.make "Wall clock of sections run in this invocation"
+         (List.map
+            (fun (n, w) -> [ ("section", J.String n); ("wall_s", J.Float w) ])
+            !section_walls))
+  in
+  J.Obj [ ("kernels", kernels); ("section_wall_clock_s", walls) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1492,7 +1235,6 @@ let sections =
     ("ablate", ablate);
     ("scale", scale);
     ("micro", micro);
-    ("trace", trace);
     ("profile", profile);
     ("faultrate", faultrate);
     ("chaos", chaos);
@@ -1509,7 +1251,7 @@ let write_json name ~wall_clock data =
   J.write_file file
     (J.Obj
        [
-         ("schema_version", J.Int 2);
+         ("schema_version", J.Int 3);
          ("section", J.String name);
          ("quick", J.Bool !quick);
          ("jobs", J.Int !jobs);

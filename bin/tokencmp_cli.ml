@@ -7,7 +7,7 @@
      torture         randomized fault-injection campaigns (--recover for the recovery stack)
      chaos           link-outage campaigns: flapping links, region partitions, brownouts
      faultrate       recovery-mode cost vs token-drop probability
-     trace           traced simulation: span breakdown + Perfetto export
+     profile         instrumented run: miss classes, hop attribution, Perfetto export
      check           model-check the substrate and the flat directory
      replay          re-run a *.repro.json bundle, verify bit-identical reproduction
      shrink          ddmin a failing bundle to a 1-minimal fault schedule *)
@@ -167,12 +167,19 @@ let run_cmd =
       let results =
         Par.Pool.map ~jobs ~label:(fun _ seed -> Printf.sprintf "seed %d" seed) one seeds
       in
-      List.iter
-        (fun r ->
-          Format.printf "seed %-6d runtime %a  events %d  ops %d%s@." r.Mcmp.Runner.seed
-            Sim.Time.pp r.Mcmp.Runner.runtime r.Mcmp.Runner.events r.Mcmp.Runner.ops
-            (if r.Mcmp.Runner.completed then "" else "  INCOMPLETE"))
-        results;
+      print_string
+        (Tokencmp.Table.to_markdown
+           (Tokencmp.Table.make "Per-seed runs"
+              (List.map
+                 (fun r ->
+                   [
+                     ("seed", Tcjson.Int r.Mcmp.Runner.seed);
+                     ("runtime_ns", Tcjson.Float (Sim.Time.to_ns r.Mcmp.Runner.runtime));
+                     ("events", Tcjson.Int r.Mcmp.Runner.events);
+                     ("ops", Tcjson.Int r.Mcmp.Runner.ops);
+                     ("completed", Tcjson.Bool r.Mcmp.Runner.completed);
+                   ])
+                 results)));
       let summary =
         Sim.Stat.Summary.of_list
           (List.map (fun r -> Sim.Time.to_ns r.Mcmp.Runner.runtime) results)
@@ -207,27 +214,94 @@ let sweep_cmd =
       Tokencmp.Experiments.locking_sweep ~jobs:(resolve_jobs jobs) ~config ~seeds ~locks
         ~protocols ()
     in
-    Printf.printf "%8s" "locks";
-    List.iter (fun p -> Printf.printf " %22s" p.Tokencmp.Protocols.name) protocols;
-    print_newline ();
-    List.iter
-      (fun (nlocks, runs) ->
-        Printf.printf "%8d" nlocks;
-        List.iter
-          (fun p ->
-            let r = Tokencmp.Experiments.find runs p.Tokencmp.Protocols.name in
-            Printf.printf " %14.0f +/-%5.0f"
-              r.Tokencmp.Experiments.runtime_ns.Sim.Stat.Summary.mean
-              r.Tokencmp.Experiments.runtime_ns.Sim.Stat.Summary.ci95)
-          protocols;
-        print_newline ())
-      sweep
+    print_string
+      (Tokencmp.Table.to_markdown
+         (Tokencmp.Table.make "Runtime (ns, mean and 95% CI over seeds)"
+            (List.map
+               (fun (nlocks, runs) ->
+                 ("locks", Tcjson.Int nlocks)
+                 :: List.concat_map
+                      (fun p ->
+                        let name = p.Tokencmp.Protocols.name in
+                        let r = Tokencmp.Experiments.find runs name in
+                        let s = r.Tokencmp.Experiments.runtime_ns in
+                        [
+                          (name, Tcjson.Float s.Sim.Stat.Summary.mean);
+                          (name ^ " ci95", Tcjson.Float s.Sim.Stat.Summary.ci95);
+                        ])
+                      protocols)
+               sweep)))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Locking contention sweep (Figures 2 and 3).")
     Term.(const run $ protocols_arg $ locks_arg $ seeds_arg $ jobs_arg $ tiny_arg)
 
-(* ---- torture ---- *)
+(* ---- torture and chaos ---- *)
+
+(* The campaign-outcome handler both campaigns share. [campaign] runs
+   the campaign with the given per-run callback. Every detected or
+   failed run leaves a [<prefix>-run<i>.repro.json] bundle; a failed run
+   also prints its reports, writes its evidence trace and dumps the
+   protocol state. Exit codes: 0 = clean/survived, 1 = invariant
+   violation, 2 = watchdog/liveness timeout (safety beats liveness). *)
+let run_campaign ~prefix ~bundle_params ~repro_line ~verbose campaign =
+  let survived = ref 0 and detected = ref 0 and failures = ref 0 in
+  let invariant_broken = ref false and liveness_broken = ref false in
+  let on_outcome i o =
+    let v = Fault.Torture.verdict o in
+    (match v with
+    | Fault.Torture.Clean -> ()
+    | Fault.Torture.Survived_partition -> incr survived
+    | Fault.Torture.Detected -> incr detected
+    | Fault.Torture.Failed _ ->
+      incr failures;
+      if
+        List.exists
+          (fun r ->
+            match r.Fault.Report.kind with Fault.Report.Invariant _ -> true | _ -> false)
+          o.Fault.Torture.reports
+      then invariant_broken := true
+      else liveness_broken := true);
+    (* Non-clean verdict: serialize the complete run recipe so the
+       failure replays and shrinks offline. *)
+    (match v with
+    | Fault.Torture.Detected | Fault.Torture.Failed _ ->
+      let file = Printf.sprintf "%s-run%d.repro.json" prefix i in
+      Forensics.Bundle.write_file file (Forensics.Bundle.make ~params:bundle_params o);
+      Format.printf "run %3d: repro bundle %s (tokencmp replay %s; tokencmp shrink %s)@."
+        i file file file
+    | _ -> ());
+    match v with
+    | Fault.Torture.Failed _ ->
+      Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o;
+      List.iter (fun r -> Format.printf "  %a@." Fault.Report.pp r) o.Fault.Torture.reports;
+      (match o.Fault.Torture.trace with
+      | Tcjson.Null -> ()
+      | trace ->
+        let file = Printf.sprintf "%s-run%d.trace.json" prefix i in
+        Tcjson.write_file file trace;
+        Format.printf "--- evidence trace written to %s (load in Perfetto) ---@." file);
+      if o.Fault.Torture.dump <> "" then
+        Format.printf "--- protocol state ---@.%s" o.Fault.Torture.dump;
+      Format.printf "reproduce: %s@." repro_line
+    | _ -> if verbose then Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o
+  in
+  let outcomes = campaign ~on_outcome in
+  Printf.printf "%d runs: %d survived partition, %d clean, %d detected, %d failed\n"
+    (List.length outcomes)
+    !survived
+    (List.length outcomes - !survived - !detected - !failures)
+    !detected !failures;
+  Printf.printf "reproduce: %s\n" repro_line;
+  if !invariant_broken then begin
+    print_endline "exit: invariant violation (1)";
+    exit 1
+  end
+  else if !liveness_broken then begin
+    print_endline "exit: watchdog/liveness timeout (2)";
+    exit 2
+  end
+  else print_endline "exit: clean (0)"
 
 let torture_cmd =
   let runs_arg =
@@ -268,10 +342,6 @@ let torture_cmd =
     let targets =
       if recover then Fault.Torture.token_targets else Fault.Torture.default_targets
     in
-    let failures = ref 0 in
-    let detected = ref 0 in
-    let invariant_broken = ref false in
-    let liveness_broken = ref false in
     (* The exact recipe campaign hands to every run: what a repro
        bundle must record for replay to be bit-identical. *)
     let bundle_params =
@@ -288,68 +358,9 @@ let torture_cmd =
       (if recover then ", recover" else "")
       (if drop_tokens then ", drop-tokens" else if drop_mode then ", drop-mode" else "")
       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
-    let on_outcome i o =
-      let v = Fault.Torture.verdict o in
-      (match v with
-      | Fault.Torture.Clean | Fault.Torture.Survived_partition -> ()
-      | Fault.Torture.Detected -> incr detected
-      | Fault.Torture.Failed _ ->
-        incr failures;
-        (* Classify for the exit code: safety beats liveness. *)
-        if
-          List.exists
-            (fun r ->
-              match r.Fault.Report.kind with Fault.Report.Invariant _ -> true | _ -> false)
-            o.Fault.Torture.reports
-        then invariant_broken := true
-        else liveness_broken := true);
-      (* Non-clean verdict: serialize the complete run recipe so the
-         failure replays and shrinks offline. *)
-      (match v with
-      | Fault.Torture.Detected | Fault.Torture.Failed _ ->
-        let file = Printf.sprintf "torture-run%d.repro.json" i in
-        Forensics.Bundle.write_file file (Forensics.Bundle.make ~params:bundle_params o);
-        Format.printf "run %3d: repro bundle %s (tokencmp replay %s; tokencmp shrink %s)@."
-          i file file file
-      | _ -> ());
-      match v with
-      | Fault.Torture.Failed _ ->
-        Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o;
-        List.iter (fun r -> Format.printf "  %a@." Fault.Report.pp r) o.Fault.Torture.reports;
-        (match o.Fault.Torture.trace with
-        | Tcjson.Null -> ()
-        | trace ->
-          let file = Printf.sprintf "torture-run%d.trace.json" i in
-          Tcjson.write_file file trace;
-          Format.printf "--- evidence trace written to %s (load in Perfetto) ---@." file);
-        if o.Fault.Torture.dump <> "" then
-          Format.printf "--- protocol state ---@.%s" o.Fault.Torture.dump;
-        Format.printf "reproduce: %s@." repro_line
-      | Fault.Torture.Detected when verbose ->
-        Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o
-      | _ ->
-        if verbose then Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o
-    in
-    let outcomes =
-      Fault.Torture.campaign ~config ~runs ~jobs ~drop_mode ~drop_tokens ~recover ~targets
-        ~seed ~on_outcome ()
-    in
-    Printf.printf "%d runs: %d clean, %d detected, %d failed\n"
-      (List.length outcomes)
-      (List.length outcomes - !detected - !failures)
-      !detected !failures;
-    Printf.printf "reproduce: %s\n" repro_line;
-    (* Exit codes: 0 = clean/survived, 1 = invariant violation,
-       2 = watchdog/liveness timeout. *)
-    if !invariant_broken then begin
-      print_endline "exit: invariant violation (1)";
-      exit 1
-    end
-    else if !liveness_broken then begin
-      print_endline "exit: watchdog/liveness timeout (2)";
-      exit 2
-    end
-    else print_endline "exit: clean (0)"
+    run_campaign ~prefix:"torture" ~bundle_params ~repro_line ~verbose (fun ~on_outcome ->
+        Fault.Torture.campaign ~config ~runs ~jobs ~drop_mode ~drop_tokens ~recover ~targets
+          ~seed ~on_outcome ())
   in
   Cmd.v
     (Cmd.info "torture"
@@ -412,8 +423,6 @@ let chaos_cmd =
       else ([ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ],
             true, true)
     in
-    let survived = ref 0 and detected = ref 0 and failures = ref 0 in
-    let invariant_broken = ref false and liveness_broken = ref false in
     let bundle_params =
       { Fault.Torture.default_params with
         p_config = config;
@@ -432,56 +441,9 @@ let chaos_cmd =
       (List.length targets) seed Fault.Chaos.pp chaos
       (if recover then ", recover+adaptive" else ", brownout")
       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
-    let on_outcome i o =
-      let v = Fault.Torture.verdict o in
-      (match v with
-      | Fault.Torture.Clean -> ()
-      | Fault.Torture.Survived_partition -> incr survived
-      | Fault.Torture.Detected -> incr detected
-      | Fault.Torture.Failed _ ->
-        incr failures;
-        if
-          List.exists
-            (fun r ->
-              match r.Fault.Report.kind with Fault.Report.Invariant _ -> true | _ -> false)
-            o.Fault.Torture.reports
-        then invariant_broken := true
-        else liveness_broken := true);
-      (match v with
-      | Fault.Torture.Detected | Fault.Torture.Failed _ ->
-        let file = Printf.sprintf "chaos-run%d.repro.json" i in
-        Forensics.Bundle.write_file file (Forensics.Bundle.make ~params:bundle_params o);
-        Format.printf "run %3d: repro bundle %s (tokencmp replay %s; tokencmp shrink %s)@."
-          i file file file
-      | _ -> ());
-      match v with
-      | Fault.Torture.Failed _ ->
-        Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o;
-        List.iter (fun r -> Format.printf "  %a@." Fault.Report.pp r) o.Fault.Torture.reports;
-        Format.printf "reproduce: %s@." repro_line
-      | _ -> if verbose then Format.printf "run %3d: @[<v>%a@]@." i Fault.Torture.pp_outcome o
-    in
-    let outcomes =
-      Fault.Torture.campaign ~config ~runs ~jobs ~recover ~adaptive ~chaos ~targets ~seed
-        ~on_outcome ()
-    in
-    Printf.printf "%d runs: %d survived partition, %d clean, %d detected, %d failed\n"
-      (List.length outcomes)
-      !survived
-      (List.length outcomes - !survived - !detected - !failures)
-      !detected !failures;
-    Printf.printf "reproduce: %s\n" repro_line;
-    (* Exit codes match torture: 0 = survived/clean, 1 = invariant
-       violation, 2 = watchdog/liveness timeout (livelock). *)
-    if !invariant_broken then begin
-      print_endline "exit: invariant violation (1)";
-      exit 1
-    end
-    else if !liveness_broken then begin
-      print_endline "exit: watchdog/liveness timeout (2)";
-      exit 2
-    end
-    else print_endline "exit: clean (0)"
+    run_campaign ~prefix:"chaos" ~bundle_params ~repro_line ~verbose (fun ~on_outcome ->
+        Fault.Torture.campaign ~config ~runs ~jobs ~recover ~adaptive ~chaos ~targets ~seed
+          ~on_outcome ())
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -518,89 +480,23 @@ let faultrate_cmd =
   let run probs seeds quick out =
     let probs = if quick then [ 0.0; 0.01; 0.05 ] else probs in
     let seeds = if quick then [ 1; 2 ] else seeds in
-    let nseeds = float_of_int (List.length seeds) in
     Printf.printf "faultrate: recovery-mode sweep, %d seeds per point\n%!"
       (List.length seeds);
-    Printf.printf "%-10s %12s %9s %12s %12s %s\n" "drop_prob" "runtime_ns" "slowdown"
-      "retransmits" "recreations" "verdict";
-    let base = ref None in
-    let failed = ref false in
-    let rows =
-      List.map
-        (fun prob ->
-          let outcomes =
-            List.map
-              (fun seed ->
-                let spec = Fault.Spec.with_drops ~tokens:true ~prob Fault.Spec.none in
-                Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1)
-                  ~spec ~seed)
-              seeds
-          in
-          let clean =
-            List.for_all (fun o -> Fault.Torture.verdict o = Fault.Torture.Clean) outcomes
-          in
-          if not clean then begin
-            failed := true;
-            List.iter
-              (fun o ->
-                if Fault.Torture.verdict o <> Fault.Torture.Clean then begin
-                  let file =
-                    Printf.sprintf "faultrate-p%g-seed%d.repro.json" prob
-                      o.Fault.Torture.seed
-                  in
-                  Forensics.Bundle.write_file file
-                    (Forensics.Bundle.make
-                       ~params:{ Fault.Torture.default_params with p_recover = true }
-                       o);
-                  Printf.printf "repro bundle %s (tokencmp replay %s)\n" file file
-                end)
-              outcomes
-          end;
-          let runtime =
-            List.fold_left
-              (fun a o -> a +. Sim.Time.to_ns o.Fault.Torture.runtime)
-              0. outcomes
-            /. nseeds
-          in
-          let retransmits =
-            List.fold_left (fun a o -> a + o.Fault.Torture.retransmits) 0 outcomes
-          in
-          let recreations =
-            List.fold_left
-              (fun a o ->
-                a
-                + match o.Fault.Torture.recovered with
-                  | Some rs -> rs.Token.Protocol.rs_recreations
-                  | None -> 0)
-              0 outcomes
-          in
-          if !base = None then base := Some runtime;
-          let b = match !base with Some b -> b | None -> runtime in
-          Printf.printf "%-10.3f %12.0f %9.2f %12d %12d %s\n" prob runtime (runtime /. b)
-            retransmits recreations
-            (if clean then "clean" else "NOT CLEAN");
-          (prob, runtime, runtime /. b, retransmits, recreations, clean))
-        probs
-    in
+    let table, unclean = Tokencmp.Experiments.faultrate ~probs ~seeds in
+    print_string (Tokencmp.Table.to_markdown table);
+    List.iter
+      (fun (prob, o) ->
+        let file = Printf.sprintf "faultrate-p%g-seed%d.repro.json" prob o.Fault.Torture.seed in
+        Forensics.Bundle.write_file file
+          (Forensics.Bundle.make ~params:{ Fault.Torture.default_params with p_recover = true } o);
+        Printf.printf "repro bundle %s (tokencmp replay %s)\n" file file)
+      unclean;
     (match out with
     | None -> ()
     | Some file ->
-      Tcjson.write_file file
-        (Tcjson.List
-           (List.map
-              (fun (prob, rt, slow, rx, rc, clean) ->
-                Tcjson.Obj
-                  [
-                    ("drop_prob", Tcjson.Float prob);
-                    ("runtime_ns", Tcjson.Float rt);
-                    ("slowdown", Tcjson.Float slow);
-                    ("retransmits", Tcjson.Int rx);
-                    ("recreations", Tcjson.Int rc);
-                    ("clean", Tcjson.Bool clean);
-                  ])
-              rows));
+      Tcjson.write_file file (Tokencmp.Table.to_json table);
       Printf.printf "wrote %s\n" file);
-    if !failed then exit 1
+    if unclean <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "faultrate"
@@ -608,82 +504,6 @@ let faultrate_cmd =
          "Recovery-mode fault-rate sweep: runtime, retransmissions and token recreations \
           vs token-carrying drop probability. Every point must survive cleanly.")
     Term.(const run $ probs_arg $ seeds_arg $ quick_arg $ out_arg)
-
-(* ---- trace ---- *)
-
-let trace_cmd =
-  let workload_arg =
-    Arg.(
-      value & opt string "locking:8"
-      & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-          ~doc:"Workload: locking:N, barrier, prodcons, oltp, apache, specjbb.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "tokencmp.trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Perfetto/chrome://tracing JSON output path.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:"Event ring capacity; oldest events are dropped beyond it.")
-  in
-  let run protocol workload seed tiny out capacity =
-    let config = config_of_tiny tiny in
-    match workload_programs ~config ~seed workload with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok programs ->
-      let buffer = Obs.Buffer.create ~capacity () in
-      let registry = Obs.Registry.create () in
-      let r =
-        Mcmp.Runner.run ~config ~registry ~buffer protocol.Tokencmp.Protocols.builder
-          ~programs ~seed
-      in
-      let spans = Obs.Span.assemble buffer in
-      let summary = Obs.Span.summarize spans in
-      Obs.Span.register_phase_histograms registry (Obs.Span.phase_histograms spans);
-      Format.printf "protocol: %s, workload: %s, seed %d@."
-        protocol.Tokencmp.Protocols.name workload seed;
-      Format.printf "runtime: %a, events recorded: %d (%d dropped)@." Sim.Time.pp
-        r.Mcmp.Runner.runtime (Obs.Buffer.recorded buffer) (Obs.Buffer.dropped buffer);
-      Format.printf "spans: %d complete, %d incomplete@." summary.Obs.Span.spans
-        summary.Obs.Span.incomplete;
-      if summary.Obs.Span.spans > 0 then begin
-        let n = float_of_int summary.Obs.Span.spans in
-        Format.printf
-          "phase means: request %.1f ns, fill %.1f ns, total %.1f ns per miss@."
-          (summary.Obs.Span.request_total_ns /. n)
-          (summary.Obs.Span.fill_total_ns /. n)
-          (summary.Obs.Span.total_ns /. n);
-        let w = r.Mcmp.Runner.counters.Mcmp.Counters.miss_latency in
-        Format.printf "welford: %d misses, mean %.1f ns (span totals %s)@."
-          (Sim.Stat.Welford.count w) (Sim.Stat.Welford.mean w)
-          (if Obs.Buffer.dropped buffer = 0 then "reconcile exactly"
-           else "approximate: ring dropped events")
-      end;
-      Format.printf "metrics:@.%s@." (Tcjson.to_string (Obs.Registry.snapshot registry));
-      let json = Obs.Perfetto.export buffer in
-      (match Obs.Perfetto.validate json with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "trace validation failed: %s\n" e;
-        exit 1);
-      Tcjson.write_file out json;
-      Format.printf "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)@." out;
-      if not r.Mcmp.Runner.completed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one traced simulation: record structured events, print the transaction-span \
-          phase breakdown and metrics snapshot, and export a Perfetto-loadable trace.")
-    Term.(
-      const run $ protocol_arg $ workload_arg $ seed_arg $ tiny_arg $ out_arg
-      $ capacity_arg)
 
 (* ---- profile ---- *)
 
@@ -763,6 +583,18 @@ let profile_cmd =
       | Some file ->
         Tcjson.write_file file report.Tokencmp.Profiler.perfetto;
         Printf.printf "wrote %s (open in https://ui.perfetto.dev)\n" file);
+      (* A ring that dropped events cannot reconcile; one that did not
+         must. *)
+      let rc = report.Tokencmp.Profiler.reconciliation in
+      if rc.Tokencmp.Profiler.buffer_dropped = 0 && not rc.Tokencmp.Profiler.spans_exact
+      then begin
+        Printf.eprintf
+          "profile: span accounting does not reconcile (%d spans for %d misses, span mass \
+           %.3f ns vs Welford %.3f ns)\n"
+          rc.Tokencmp.Profiler.spans rc.Tokencmp.Profiler.misses
+          rc.Tokencmp.Profiler.span_mass_ns rc.Tokencmp.Profiler.welford_mass_ns;
+        exit 1
+      end;
       if not report.Tokencmp.Profiler.completed then exit 1
   in
   Cmd.v
@@ -970,5 +802,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "tokencmp" ~doc)
-          [ list_cmd; run_cmd; sweep_cmd; torture_cmd; chaos_cmd; faultrate_cmd; trace_cmd;
-            profile_cmd; check_cmd; replay_cmd; shrink_cmd ]))
+          [ list_cmd; run_cmd; sweep_cmd; torture_cmd; chaos_cmd; faultrate_cmd; profile_cmd;
+            check_cmd; replay_cmd; shrink_cmd ]))

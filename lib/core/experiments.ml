@@ -7,7 +7,6 @@ type run = {
   inter_bytes : (Interconnect.Msg_class.t * float) list;
   intra_bytes : (Interconnect.Msg_class.t * float) list;
   completed : bool;
-  metrics : Json.t;
 }
 
 let default_seeds = [ 1; 2; 3 ]
@@ -23,23 +22,6 @@ let mean_breakdown per_seed =
       in
       (cls, float_of_int total /. n))
     Interconnect.Msg_class.all
-
-(* Merge every seed's counters and traffic into fresh accumulators and
-   snapshot them through a registry: the same rendering path the live
-   (per-engine) registries use, so BENCH metrics and torture evidence
-   share one schema. *)
-let merged_metrics results =
-  let counters = Mcmp.Counters.create () in
-  let traffic = Interconnect.Traffic.create () in
-  List.iter
-    (fun r ->
-      Mcmp.Counters.merge ~into:counters r.Mcmp.Runner.counters;
-      Interconnect.Traffic.merge ~into:traffic r.Mcmp.Runner.traffic)
-    results;
-  let registry = Obs.Registry.create () in
-  Mcmp.Counters.register registry counters;
-  Interconnect.Traffic.register registry traffic;
-  Obs.Registry.snapshot registry
 
 let summarize protocol results =
   let runtimes = List.map (fun r -> Sim.Time.to_ns r.Mcmp.Runner.runtime) results in
@@ -66,7 +48,6 @@ let summarize protocol results =
       mean_breakdown
         (List.map (fun r -> Interconnect.Traffic.intra_breakdown r.Mcmp.Runner.traffic) results);
     completed = List.for_all (fun r -> r.Mcmp.Runner.completed) results;
-    metrics = merged_metrics results;
   }
 
 (* [chunks n xs] splits [xs] into consecutive groups of [n],
@@ -220,6 +201,48 @@ let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1)
     check "Flat Directory (3c)" 3 (Mc.Dir_model.flat dp3) dir_loc;
   ]
 
+let faultrate ~probs ~seeds =
+  let points =
+    List.map
+      (fun prob ->
+        let spec = Fault.Spec.with_drops ~tokens:true ~prob Fault.Spec.none in
+        ( prob,
+          List.map
+            (fun seed ->
+              Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec
+                ~seed)
+            seeds ))
+      probs
+  in
+  let clean o = Fault.Torture.verdict o = Fault.Torture.Clean in
+  let mean_runtime outcomes =
+    List.fold_left (fun a o -> a +. Sim.Time.to_ns o.Fault.Torture.runtime) 0. outcomes
+    /. float_of_int (List.length outcomes)
+  in
+  let base = match points with (_, outcomes) :: _ -> mean_runtime outcomes | [] -> 1. in
+  let sum f outcomes = List.fold_left (fun a o -> a + f o) 0 outcomes in
+  let recovered f o = match o.Fault.Torture.recovered with Some rs -> f rs | None -> 0 in
+  let row (prob, outcomes) =
+    let runtime = mean_runtime outcomes in
+    [
+      ("drop_prob", Tcjson.Float prob);
+      ("runtime_ns", Tcjson.Float runtime);
+      ("slowdown", Tcjson.Float (runtime /. base));
+      ("retransmits", Tcjson.Int (sum (fun o -> o.Fault.Torture.retransmits) outcomes));
+      ( "recreations",
+        Tcjson.Int (sum (recovered (fun rs -> rs.Token.Protocol.rs_recreations)) outcomes) );
+      ( "epoch_bumps",
+        Tcjson.Int (sum (recovered (fun rs -> rs.Token.Protocol.rs_epoch_bumps)) outcomes) );
+      ("clean", Tcjson.Bool (List.for_all clean outcomes));
+    ]
+  in
+  ( Table.make "Fault-rate sweep: recovery-mode cost vs token-drop probability"
+      (List.map row points),
+    List.concat_map
+      (fun (prob, outcomes) ->
+        List.filter_map (fun o -> if clean o then None else Some (prob, o)) outcomes)
+      points )
+
 let fig2_protocols =
   [
     Protocols.token Token.Policy.arb0;
@@ -259,29 +282,28 @@ let find runs name =
 let normalize ~baseline run = run.runtime_ns.Sim.Stat.Summary.mean /. baseline.runtime_ns.Sim.Stat.Summary.mean
 
 let breakdown_to_json breakdown =
-  Json.Obj
+  Tcjson.Obj
     (List.map
-       (fun (cls, bytes) -> (Interconnect.Msg_class.to_string cls, Json.Float bytes))
+       (fun (cls, bytes) -> (Interconnect.Msg_class.to_string cls, Tcjson.Float bytes))
        breakdown)
 
 let run_to_json r =
   let s = r.runtime_ns in
-  Json.Obj
+  Tcjson.Obj
     [
-      ("protocol", Json.String r.protocol);
+      ("protocol", Tcjson.String r.protocol);
       ( "runtime_ns",
-        Json.Obj
+        Tcjson.Obj
           [
-            ("mean", Json.Float s.Sim.Stat.Summary.mean);
-            ("ci95", Json.Float s.Sim.Stat.Summary.ci95);
-            ("stddev", Json.Float s.Sim.Stat.Summary.stddev);
-            ("n", Json.Int s.Sim.Stat.Summary.n);
+            ("mean", Tcjson.Float s.Sim.Stat.Summary.mean);
+            ("ci95", Tcjson.Float s.Sim.Stat.Summary.ci95);
+            ("stddev", Tcjson.Float s.Sim.Stat.Summary.stddev);
+            ("n", Tcjson.Int s.Sim.Stat.Summary.n);
           ] );
-      ("persistent_fraction", Json.Float r.persistent_fraction);
-      ("retries_per_miss", Json.Float r.retries_per_miss);
-      ("miss_latency_ns", Json.Float r.miss_latency_ns);
+      ("persistent_fraction", Tcjson.Float r.persistent_fraction);
+      ("retries_per_miss", Tcjson.Float r.retries_per_miss);
+      ("miss_latency_ns", Tcjson.Float r.miss_latency_ns);
       ("inter_bytes", breakdown_to_json r.inter_bytes);
       ("intra_bytes", breakdown_to_json r.intra_bytes);
-      ("completed", Json.Bool r.completed);
-      ("metrics", r.metrics);
+      ("completed", Tcjson.Bool r.completed);
     ]

@@ -21,8 +21,6 @@ type run = {
   inter_bytes : (Interconnect.Msg_class.t * float) list;  (** mean per seed *)
   intra_bytes : (Interconnect.Msg_class.t * float) list;
   completed : bool;  (** every seed ran to completion *)
-  metrics : Json.t;
-      (** registry snapshot of counters/traffic merged across seeds *)
 }
 
 val default_seeds : int list
@@ -104,6 +102,17 @@ val table4 :
   unit ->
   (string * int * Mc.Explore.stats * int) list
 
+(** The recovery-mode fault-rate sweep: the locking torture run on
+    TokenCMP-dst1 with the recovery stack armed (reliable transport and
+    token recreation), dropping token-carrying messages with each
+    probability in [probs], once per seed. Returns one row per
+    probability ([drop_prob], mean [runtime_ns], [slowdown] against the
+    first point, and [retransmits], [recreations] and [epoch_bumps]
+    summed over seeds, and whether every run was [clean]), plus each
+    outcome whose verdict was not clean, paired with its probability. *)
+val faultrate :
+  probs:float list -> seeds:int list -> Table.t * (float * Fault.Torture.outcome) list
+
 (* Protocol sets used by each figure, in the paper's order. *)
 val fig2_protocols : Protocols.t list
 val fig3_protocols : Protocols.t list
@@ -117,4 +126,4 @@ val find : run list -> string -> run
 
 (** Serialization for the committed [BENCH_<section>.json] trajectory
     files (schema documented in README "Machine-readable bench output"). *)
-val run_to_json : run -> Json.t
+val run_to_json : run -> Tcjson.t

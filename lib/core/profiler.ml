@@ -1,5 +1,3 @@
-module J = Json
-
 type class_row = {
   cause : Obs.Event.cause;
   count : int;
@@ -25,6 +23,7 @@ type reconciliation = {
   class_mass_ns : float;
   histogram_mass_ns : float;
   welford_mass_ns : float;
+  span_mass_ns : float;
   spans : int;
   incomplete : int;
   dropped_spans : int;
@@ -48,10 +47,10 @@ type t = {
   tail : (float * Obs.Span.attribution) option;
   span_summary : Obs.Span.summary;
   nsamples : int;
-  sample_series : Json.t;
+  sample_series : Tcjson.t;
   reconciliation : reconciliation;
-  metrics : Json.t;
-  perfetto : Json.t;
+  metrics : Tcjson.t;
+  perfetto : Tcjson.t;
 }
 
 let class_rows counters =
@@ -124,6 +123,11 @@ let block_rows ~top_k spans =
   ( top (fun a b -> compare b.block_misses a.block_misses),
     top (fun a b -> compare b.block_total_ns a.block_total_ns) )
 
+let spans_reconcile r =
+  r.buffer_dropped = 0
+  && r.spans + r.dropped_spans = r.misses
+  && Float.abs (r.span_mass_ns -. r.welford_mass_ns) <= 1e-6 *. Float.max 1. r.welford_mass_ns
+
 let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
     ?(sample_period = Sim.Time.ns 1_000) ?(top_k = 8)
     ~(protocol : Protocols.t) ~programs ~seed () =
@@ -155,16 +159,18 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
       class_mass_ns;
       histogram_mass_ns;
       welford_mass_ns = float_of_int misses *. Sim.Stat.Welford.mean w;
+      span_mass_ns = span_summary.Obs.Span.total_ns;
       spans = span_summary.Obs.Span.spans;
       incomplete = span_summary.Obs.Span.incomplete;
       dropped_spans;
       buffer_dropped = Obs.Buffer.dropped buffer;
       classes_exact =
         class_count_total = misses && class_mass_ns = histogram_mass_ns;
-      spans_exact =
-        span_summary.Obs.Span.spans + dropped_spans = misses
-        && Obs.Buffer.dropped buffer = 0;
+      spans_exact = false;
     }
+  in
+  let reconciliation =
+    { reconciliation with spans_exact = spans_reconcile reconciliation }
   in
   let samples =
     match r.Mcmp.Runner.sampler with Some s -> Obs.Sampler.samples s | None -> []
@@ -190,103 +196,111 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
     sample_series =
       (match r.Mcmp.Runner.sampler with
       | Some s -> Obs.Sampler.to_json s
-      | None -> J.List []);
+      | None -> Tcjson.List []);
     reconciliation;
     metrics = Obs.Registry.snapshot registry;
     perfetto;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
+(* Rendering: the four tables are built once and feed both renderers. *)
 
-let attribution_json (a : Obs.Span.attribution) =
-  J.Obj
-    [
-      ("spans", J.Int a.Obs.Span.att_spans);
-      ("mem_ns", J.Float a.Obs.Span.att_mem_ns);
-      ("queue_ns", J.Float a.Obs.Span.att_queue_ns);
-      ("flight_ns", J.Float a.Obs.Span.att_flight_ns);
-      ("proto_ns", J.Float a.Obs.Span.att_proto_ns);
-      ("total_ns", J.Float a.Obs.Span.att_total_ns);
-    ]
+let class_table t =
+  Table.make "Miss classification"
+    (List.map
+       (fun row ->
+         [
+           ("class", Tcjson.String (Obs.Event.cause_to_string row.cause));
+           ("count", Tcjson.Int row.count);
+           ("share", Tcjson.Float row.share);
+           ("mean_ns", Tcjson.Float row.mean_ns);
+           ("p50_ns", Tcjson.Int row.p50_ns);
+           ("p99_ns", Tcjson.Int row.p99_ns);
+           ("p99_clamped", Tcjson.Bool row.p99_clamped);
+           ("total_ns", Tcjson.Float row.class_total_ns);
+         ])
+       t.classes)
 
-let block_json b =
-  J.Obj
+let attribution_table t =
+  let row window threshold (a : Obs.Span.attribution) =
     [
-      ("addr", J.Int b.block_addr);
-      ("misses", J.Int b.block_misses);
-      ("total_ns", J.Float b.block_total_ns);
-      ("retries", J.Int b.block_retries);
-      ("persistent", J.Int b.block_persistent);
+      ("window", Tcjson.String window);
+      ("threshold_ns", threshold);
+      ("spans", Tcjson.Int a.Obs.Span.att_spans);
+      ("mem_ns", Tcjson.Float a.Obs.Span.att_mem_ns);
+      ("queue_ns", Tcjson.Float a.Obs.Span.att_queue_ns);
+      ("flight_ns", Tcjson.Float a.Obs.Span.att_flight_ns);
+      ("proto_ns", Tcjson.Float a.Obs.Span.att_proto_ns);
+      ("total_ns", Tcjson.Float a.Obs.Span.att_total_ns);
     ]
+  in
+  Table.make "Critical-path attribution"
+    (row "all misses" Tcjson.Null t.attribution
+    :: (match t.tail with
+       | Some (threshold, a) -> [ row "p99 tail" (Tcjson.Float threshold) a ]
+       | None -> []))
+
+let block_table title rows =
+  Table.make title
+    (List.map
+       (fun b ->
+         [
+           ("addr", Tcjson.Int b.block_addr);
+           ("misses", Tcjson.Int b.block_misses);
+           ("total_ns", Tcjson.Float b.block_total_ns);
+           ("retries", Tcjson.Int b.block_retries);
+           ("persistent", Tcjson.Int b.block_persistent);
+         ])
+       rows)
+
+let hot_table t = block_table "Hot blocks (by miss count)" t.hot_blocks
+let contended_table t = block_table "Contended blocks (by total latency)" t.contended_blocks
 
 let to_json t =
-  J.Obj
+  Tcjson.Obj
     [
-      ("protocol", J.String t.protocol);
-      ("seed", J.Int t.seed);
-      ("runtime_ns", J.Float t.runtime_ns);
-      ("completed", J.Bool t.completed);
-      ("ops", J.Int t.ops);
-      ("events", J.Int t.events);
-      ("l1_misses", J.Int t.l1_misses);
-      ( "classes",
-        J.Obj
-          (List.map
-             (fun row ->
-               ( Obs.Event.cause_to_string row.cause,
-                 J.Obj
-                   [
-                     ("count", J.Int row.count);
-                     ("share", J.Float row.share);
-                     ("mean_ns", J.Float row.mean_ns);
-                     ("p50_ns", J.Int row.p50_ns);
-                     ("p99_ns", J.Int row.p99_ns);
-                     ("p99_clamped", J.Bool row.p99_clamped);
-                     ("total_ns", J.Float row.class_total_ns);
-                   ] ))
-             t.classes) );
-      ("hot_blocks", J.List (List.map block_json t.hot_blocks));
-      ("contended_blocks", J.List (List.map block_json t.contended_blocks));
-      ("attribution", attribution_json t.attribution);
-      ( "p99_tail",
-        match t.tail with
-        | None -> J.Null
-        | Some (threshold, a) ->
-          J.Obj [ ("threshold_ns", J.Float threshold); ("attribution", attribution_json a) ]
-      );
+      ("protocol", Tcjson.String t.protocol);
+      ("seed", Tcjson.Int t.seed);
+      ("runtime_ns", Tcjson.Float t.runtime_ns);
+      ("completed", Tcjson.Bool t.completed);
+      ("ops", Tcjson.Int t.ops);
+      ("events", Tcjson.Int t.events);
+      ("l1_misses", Tcjson.Int t.l1_misses);
+      ("classes", Table.to_json (class_table t));
+      ("hot_blocks", Table.to_json (hot_table t));
+      ("contended_blocks", Table.to_json (contended_table t));
+      ("attribution", Table.to_json (attribution_table t));
       ( "spans",
-        J.Obj
+        Tcjson.Obj
           [
-            ("completed", J.Int t.span_summary.Obs.Span.spans);
-            ("incomplete", J.Int t.span_summary.Obs.Span.incomplete);
-            ("dropped", J.Int t.span_summary.Obs.Span.dropped_spans);
-            ("request_total_ns", J.Float t.span_summary.Obs.Span.request_total_ns);
-            ("fill_total_ns", J.Float t.span_summary.Obs.Span.fill_total_ns);
-            ("total_ns", J.Float t.span_summary.Obs.Span.total_ns);
+            ("completed", Tcjson.Int t.span_summary.Obs.Span.spans);
+            ("incomplete", Tcjson.Int t.span_summary.Obs.Span.incomplete);
+            ("dropped", Tcjson.Int t.span_summary.Obs.Span.dropped_spans);
+            ("request_total_ns", Tcjson.Float t.span_summary.Obs.Span.request_total_ns);
+            ("fill_total_ns", Tcjson.Float t.span_summary.Obs.Span.fill_total_ns);
+            ("total_ns", Tcjson.Float t.span_summary.Obs.Span.total_ns);
           ] );
-      ("samples", J.Int t.nsamples);
+      ("samples", Tcjson.Int t.nsamples);
       ("sample_series", t.sample_series);
       ( "reconciliation",
         let r = t.reconciliation in
-        J.Obj
+        Tcjson.Obj
           [
-            ("misses", J.Int r.misses);
-            ("class_count_total", J.Int r.class_count_total);
-            ("class_mass_ns", J.Float r.class_mass_ns);
-            ("histogram_mass_ns", J.Float r.histogram_mass_ns);
-            ("welford_mass_ns", J.Float r.welford_mass_ns);
-            ("spans", J.Int r.spans);
-            ("incomplete", J.Int r.incomplete);
-            ("dropped_spans", J.Int r.dropped_spans);
-            ("buffer_dropped", J.Int r.buffer_dropped);
-            ("classes_exact", J.Bool r.classes_exact);
-            ("spans_exact", J.Bool r.spans_exact);
+            ("misses", Tcjson.Int r.misses);
+            ("class_count_total", Tcjson.Int r.class_count_total);
+            ("class_mass_ns", Tcjson.Float r.class_mass_ns);
+            ("histogram_mass_ns", Tcjson.Float r.histogram_mass_ns);
+            ("welford_mass_ns", Tcjson.Float r.welford_mass_ns);
+            ("span_mass_ns", Tcjson.Float r.span_mass_ns);
+            ("spans", Tcjson.Int r.spans);
+            ("incomplete", Tcjson.Int r.incomplete);
+            ("dropped_spans", Tcjson.Int r.dropped_spans);
+            ("buffer_dropped", Tcjson.Int r.buffer_dropped);
+            ("classes_exact", Tcjson.Bool r.classes_exact);
+            ("spans_exact", Tcjson.Bool r.spans_exact);
           ] );
       ("metrics", t.metrics);
     ]
-
-let pct x = 100. *. x
 
 let to_markdown t =
   let b = Buffer.create 4096 in
@@ -296,51 +310,18 @@ let to_markdown t =
     (if t.completed then "completed" else "DID NOT COMPLETE");
   p "- ops: %d, engine events: %d, L1 misses: %d\n" t.ops t.events t.l1_misses;
   p "- time-series samples: %d\n\n" t.nsamples;
-  p "## Miss classification\n\n";
-  p "| class | count | share | mean ns | p50 ns | p99 ns |\n";
-  p "|---|---:|---:|---:|---:|---:|\n";
   List.iter
-    (fun row ->
-      p "| %s | %d | %.1f%% | %.1f | %d | %d%s |\n"
-        (Obs.Event.cause_to_string row.cause)
-        row.count (pct row.share) row.mean_ns row.p50_ns row.p99_ns
-        (if row.p99_clamped then "+" else ""))
-    t.classes;
-  p "\n(a trailing `+` marks a clamped percentile: the histogram tail\n";
-  p "overflowed, so the value is a lower bound)\n\n";
-  p "## Critical-path attribution\n\n";
-  p "| window | spans | mem ns | queue ns | flight ns | protocol ns | total ns |\n";
-  p "|---|---:|---:|---:|---:|---:|---:|\n";
-  let att label (a : Obs.Span.attribution) =
-    p "| %s | %d | %.1f | %.1f | %.1f | %.1f | %.1f |\n" label a.Obs.Span.att_spans
-      a.Obs.Span.att_mem_ns a.Obs.Span.att_queue_ns a.Obs.Span.att_flight_ns
-      a.Obs.Span.att_proto_ns a.Obs.Span.att_total_ns
-  in
-  att "all misses" t.attribution;
-  (match t.tail with
-  | Some (threshold, a) -> att (Printf.sprintf "p99 tail (>= %.1f ns)" threshold) a
-  | None -> ());
-  p "\n";
-  let block_table title rows =
-    p "## %s\n\n" title;
-    p "| block | misses | total ns | retries | persistent |\n";
-    p "|---|---:|---:|---:|---:|\n";
-    List.iter
-      (fun r ->
-        p "| 0x%x | %d | %.1f | %d | %d |\n" r.block_addr r.block_misses r.block_total_ns
-          r.block_retries r.block_persistent)
-      rows;
-    p "\n"
-  in
-  block_table "Hot blocks (by miss count)" t.hot_blocks;
-  block_table "Contended blocks (by total latency)" t.contended_blocks;
+    (fun table -> Buffer.add_string b (Table.to_markdown table))
+    [ class_table t; attribution_table t; hot_table t; contended_table t ];
+  p "(a clamped p99 means the histogram tail overflowed: the value is a lower bound)\n\n";
   let r = t.reconciliation in
   p "## Reconciliation\n\n";
   p "- misses (Welford): %d; class counts sum: %d; spans: %d completed,\n" r.misses
     r.class_count_total r.spans;
   p "  %d incomplete, %d dropped (ring wrap)\n" r.incomplete r.dropped_spans;
-  p "- class histogram mass: %.0f ns vs overall histogram %.0f ns (Welford %.1f ns)\n"
-    r.class_mass_ns r.histogram_mass_ns r.welford_mass_ns;
+  p "- class histogram mass: %.0f ns vs overall histogram %.0f ns\n" r.class_mass_ns
+    r.histogram_mass_ns;
+  p "- span mass: %.1f ns vs Welford %.1f ns\n" r.span_mass_ns r.welford_mass_ns;
   p "- class decomposition exact: %b; span accounting exact: %b\n" r.classes_exact
     r.spans_exact;
   if r.buffer_dropped > 0 then

@@ -34,12 +34,13 @@ type reconciliation = {
   class_mass_ns : float;  (** sum of per-class histogram totals *)
   histogram_mass_ns : float;  (** overall miss histogram total *)
   welford_mass_ns : float;  (** count x mean, float-accurate *)
+  span_mass_ns : float;  (** summed latency of the completed spans *)
   spans : int;
   incomplete : int;
   dropped_spans : int;  (** retires whose issue was lost (ring wrap) *)
   buffer_dropped : int;  (** raw events lost to ring wrap *)
   classes_exact : bool;  (** class counts and mass reconcile exactly *)
-  spans_exact : bool;  (** spans + dropped = misses, nothing lost *)
+  spans_exact : bool;  (** {!spans_reconcile} held *)
 }
 
 type t = {
@@ -58,10 +59,10 @@ type t = {
       (** p99 threshold (ns) and the attribution of spans at or above it *)
   span_summary : Obs.Span.summary;
   nsamples : int;  (** time-series samples recorded *)
-  sample_series : Json.t;  (** {!Obs.Sampler.to_json} *)
+  sample_series : Tcjson.t;  (** {!Obs.Sampler.to_json} *)
   reconciliation : reconciliation;
-  metrics : Json.t;  (** registry snapshot at end of run *)
-  perfetto : Json.t;  (** trace with span slices and counter tracks *)
+  metrics : Tcjson.t;  (** registry snapshot at end of run *)
+  perfetto : Tcjson.t;  (** trace with span slices and counter tracks *)
 }
 
 (** Run [protocol] once under full instrumentation and build the
@@ -80,8 +81,15 @@ val profile :
   unit ->
   t
 
+(** The span-accounting guarantee behind [spans_exact]: the ring
+    dropped nothing, every retired miss has a span
+    ([spans + dropped_spans = misses]), and the span latency mass
+    equals the Welford mass within 1e-6 relative. *)
+val spans_reconcile : reconciliation -> bool
+
 (** Deterministic JSON of everything except [perfetto] (written
-    separately — it dwarfs the report). *)
-val to_json : t -> Json.t
+    separately — it dwarfs the report). The class, attribution and
+    block tables are the rows {!to_markdown} prints. *)
+val to_json : t -> Tcjson.t
 
 val to_markdown : t -> string

@@ -178,11 +178,11 @@ let test_token_drop_detected () =
            o.Fault.Torture.reports);
       Alcotest.(check int) "seed preserved for reproduction" seed o.Fault.Torture.seed;
       Alcotest.(check bool) "trace captured" true
-        (o.Fault.Torture.trace <> Tokencmp.Json.Null);
+        (o.Fault.Torture.trace <> Tcjson.Null);
       Alcotest.(check bool) "trace validates" true
         (Obs.Perfetto.validate o.Fault.Torture.trace = Ok ());
       Alcotest.(check bool) "metrics snapshot present" true
-        (Tokencmp.Json.member "counters.l1_misses" o.Fault.Torture.metrics <> None)
+        (Tcjson.member "counters.l1_misses" o.Fault.Torture.metrics <> None)
     end
   done;
   Alcotest.(check bool) "at least one unrecoverable drop injected" true (!hits > 0)

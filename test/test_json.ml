@@ -1,4 +1,4 @@
-module J = Tokencmp.Json
+module J = Tcjson
 
 let test_escaping () =
   Alcotest.(check string) "quote and backslash" "\"a\\\"b\\\\c\"\n"

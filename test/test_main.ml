@@ -6,6 +6,7 @@ let () =
       ("engine", Test_engine.tests);
       ("stat", Test_stat.tests);
       ("json", Test_json.tests);
+      ("table", Test_table.tests);
       ("obs", Test_obs.tests);
       ("cache", Test_cache.tests);
       ("interconnect", Test_interconnect.tests);

@@ -1,4 +1,4 @@
-module J = Tokencmp.Json
+module J = Tcjson
 
 let lookup node addr hit =
   Obs.Event.Lookup { node; level = Obs.Event.L1; addr; hit }

@@ -74,6 +74,43 @@ let test_sweep_deterministic () =
   Alcotest.(check bool)
     "serial and 4-domain locking sweeps structurally equal" true (serial = parallel)
 
+(* The sweep's summaries keep only means, so also compare every raw
+   per-seed result (runtime, counters, traffic; no sampler is attached)
+   of the same tiny sweep across worker counts. *)
+let tiny_sweep_raw ~jobs =
+  let config = Mcmp.Config.tiny in
+  let tasks =
+    List.concat_map
+      (fun nlocks ->
+        List.concat_map
+          (fun p -> List.map (fun seed -> (nlocks, p, seed)) [ 1; 2 ])
+          [ P.directory; P.token Token.Policy.dst1 ])
+      [ 2; 4 ]
+  in
+  Pool.map ~jobs
+    (fun (nlocks, p, seed) ->
+      let wl = { (Workload.Locking.default ~nlocks) with Workload.Locking.acquires = 8 } in
+      Mcmp.Runner.run ~config p.P.builder
+        ~programs:(Workload.Locking.programs wl ~seed ~nprocs:(Mcmp.Config.nprocs config))
+        ~seed)
+    tasks
+
+let test_sweep_raw_deterministic () =
+  let serial = tiny_sweep_raw ~jobs:1 in
+  let parallel = tiny_sweep_raw ~jobs:4 in
+  Alcotest.(check int) "same number of runs" (List.length serial) (List.length parallel);
+  List.iter2
+    (fun (a : Mcmp.Runner.result) (b : Mcmp.Runner.result) ->
+      let label what = Printf.sprintf "seed %d: %s" a.Mcmp.Runner.seed what in
+      Alcotest.(check int) (label "seed") a.Mcmp.Runner.seed b.Mcmp.Runner.seed;
+      Alcotest.(check int) (label "runtime") a.Mcmp.Runner.runtime b.Mcmp.Runner.runtime;
+      Alcotest.(check int) (label "events") a.Mcmp.Runner.events b.Mcmp.Runner.events;
+      Alcotest.(check bool) (label "counters") true
+        (compare a.Mcmp.Runner.counters b.Mcmp.Runner.counters = 0);
+      Alcotest.(check bool) (label "traffic") true
+        (compare a.Mcmp.Runner.traffic b.Mcmp.Runner.traffic = 0))
+    serial parallel
+
 let tiny_campaign ~jobs =
   Fault.Torture.campaign ~config:Mcmp.Config.tiny ~runs:6 ~jobs
     ~targets:
@@ -104,6 +141,8 @@ let tests =
     Alcotest.test_case "lowest failing index wins" `Quick test_first_failure_wins;
     QCheck_alcotest.to_alcotest prop_map_equals_serial;
     Alcotest.test_case "locking sweep: serial == 4 domains" `Quick test_sweep_deterministic;
+    Alcotest.test_case "raw per-seed sweep results: serial == 4 domains" `Quick
+      test_sweep_raw_deterministic;
     Alcotest.test_case "torture campaign: serial == 4 domains" `Quick
       test_torture_deterministic;
   ]

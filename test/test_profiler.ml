@@ -3,7 +3,7 @@
    Perfetto export (spans + counter tracks) validates, and rendering is
    deterministic. *)
 
-module J = Tokencmp.Json
+module J = Tcjson
 module Pr = Tokencmp.Profiler
 
 let run_profile proto =
@@ -19,6 +19,12 @@ let check_report name (r : Pr.t) =
   let rc = r.Pr.reconciliation in
   Alcotest.(check bool) (name ^ ": class decomposition exact") true rc.Pr.classes_exact;
   Alcotest.(check bool) (name ^ ": span accounting exact") true rc.Pr.spans_exact;
+  (* Span mass must equal the Welford miss-latency mass: a report whose
+     spans carry more latency than the misses retired does not
+     reconcile. *)
+  Alcotest.(check bool) (name ^ ": span mass reconciles") true (Pr.spans_reconcile rc);
+  Alcotest.(check bool) (name ^ ": span mass disagreement detected") false
+    (Pr.spans_reconcile { rc with Pr.span_mass_ns = rc.Pr.span_mass_ns *. (1. +. 1e-3) });
   Alcotest.(check int)
     (name ^ ": class counts sum to misses")
     rc.Pr.misses

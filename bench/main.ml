@@ -871,8 +871,11 @@ let profile () =
     time_run (fun () ->
         let buffer = Obs.Buffer.create ~capacity:65_536 () in
         let registry = Obs.Registry.create () in
-        Mcmp.Runner.run ~config ~registry ~buffer ~sample_period:(Sim.Time.ns 1_000)
-          proto.P.builder ~programs:(programs ()) ~seed:1)
+        let on_start engine ~running:_ =
+          ignore (Obs.Sampler.create engine registry ~period:(Sim.Time.ns 1_000))
+        in
+        Mcmp.Runner.run ~config ~registry ~buffer ~on_start proto.P.builder
+          ~programs:(programs ()) ~seed:1)
   in
   List.iter (fun (_, r) -> print_string (Tokencmp.Profiler.to_markdown r)) reports;
   let overhead =
@@ -946,11 +949,17 @@ let chaos () =
       List.map
         (fun seed ->
           if directory then
-            Fault.Torture.run ?chaos
+            Fault.Torture.run
+              { Fault.Torture.default_params with p_chaos = chaos }
               (Fault.Torture.Directory { dram_directory = true })
               ~spec:Fault.Spec.none ~seed
           else
-            Fault.Torture.run ~recover:true ~adaptive:true ?chaos
+            Fault.Torture.run
+              { Fault.Torture.default_params with
+                p_recover = true;
+                p_adaptive = true;
+                p_chaos = chaos
+              }
               (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.none ~seed)
         sweep_seeds
     in
@@ -1029,8 +1038,7 @@ let forensics () =
     (T.make "Shrink cost"
        (List.map
           (fun (name, params, target, spec, seed) ->
-            let o = Fault.Torture.run_with params target ~spec ~seed in
-            let b = Forensics.Bundle.make ~params o in
+            let b = Forensics.Bundle.make (Fault.Torture.run params target ~spec ~seed) in
             match Forensics.Shrink.run ~jobs:!jobs b with
             | Error e ->
               Printf.eprintf "[forensics] FAILED: %s: shrink failed: %s\n%!" name e;

@@ -244,7 +244,7 @@ let sweep_cmd =
    also prints its reports, writes its evidence trace and dumps the
    protocol state. Exit codes: 0 = clean/survived, 1 = invariant
    violation, 2 = watchdog/liveness timeout (safety beats liveness). *)
-let run_campaign ~prefix ~bundle_params ~repro_line ~verbose campaign =
+let run_campaign ~prefix ~repro_line ~verbose campaign =
   let survived = ref 0 and detected = ref 0 and failures = ref 0 in
   let invariant_broken = ref false and liveness_broken = ref false in
   let on_outcome i o =
@@ -267,7 +267,7 @@ let run_campaign ~prefix ~bundle_params ~repro_line ~verbose campaign =
     (match v with
     | Fault.Torture.Detected | Fault.Torture.Failed _ ->
       let file = Printf.sprintf "%s-run%d.repro.json" prefix i in
-      Forensics.Bundle.write_file file (Forensics.Bundle.make ~params:bundle_params o);
+      Forensics.Bundle.write_file file (Forensics.Bundle.make o);
       Format.printf "run %3d: repro bundle %s (tokencmp replay %s; tokencmp shrink %s)@."
         i file file file
     | _ -> ());
@@ -342,9 +342,7 @@ let torture_cmd =
     let targets =
       if recover then Fault.Torture.token_targets else Fault.Torture.default_targets
     in
-    (* The exact recipe campaign hands to every run: what a repro
-       bundle must record for replay to be bit-identical. *)
-    let bundle_params =
+    let params =
       { Fault.Torture.default_params with p_config = config; p_recover = recover }
     in
     let repro_line =
@@ -358,9 +356,9 @@ let torture_cmd =
       (if recover then ", recover" else "")
       (if drop_tokens then ", drop-tokens" else if drop_mode then ", drop-mode" else "")
       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
-    run_campaign ~prefix:"torture" ~bundle_params ~repro_line ~verbose (fun ~on_outcome ->
-        Fault.Torture.campaign ~config ~runs ~jobs ~drop_mode ~drop_tokens ~recover ~targets
-          ~seed ~on_outcome ())
+    run_campaign ~prefix:"torture" ~repro_line ~verbose (fun ~on_outcome ->
+        Fault.Torture.campaign ~params ~runs ~jobs ~drop_mode ~drop_tokens ~targets ~seed
+          ~on_outcome ())
   in
   Cmd.v
     (Cmd.info "torture"
@@ -423,7 +421,7 @@ let chaos_cmd =
       else ([ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ],
             true, true)
     in
-    let bundle_params =
+    let params =
       { Fault.Torture.default_params with
         p_config = config;
         p_recover = recover;
@@ -441,9 +439,8 @@ let chaos_cmd =
       (List.length targets) seed Fault.Chaos.pp chaos
       (if recover then ", recover+adaptive" else ", brownout")
       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
-    run_campaign ~prefix:"chaos" ~bundle_params ~repro_line ~verbose (fun ~on_outcome ->
-        Fault.Torture.campaign ~config ~runs ~jobs ~recover ~adaptive ~chaos ~targets ~seed
-          ~on_outcome ())
+    run_campaign ~prefix:"chaos" ~repro_line ~verbose (fun ~on_outcome ->
+        Fault.Torture.campaign ~params ~runs ~jobs ~targets ~seed ~on_outcome ())
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -487,8 +484,7 @@ let faultrate_cmd =
     List.iter
       (fun (prob, o) ->
         let file = Printf.sprintf "faultrate-p%g-seed%d.repro.json" prob o.Fault.Torture.seed in
-        Forensics.Bundle.write_file file
-          (Forensics.Bundle.make ~params:{ Fault.Torture.default_params with p_recover = true } o);
+        Forensics.Bundle.write_file file (Forensics.Bundle.make o);
         Printf.printf "repro bundle %s (tokencmp replay %s)\n" file file)
       unclean;
     (match out with
@@ -560,7 +556,7 @@ let profile_cmd =
       exit 2
     | Ok programs ->
       let report =
-        Tokencmp.Profiler.profile ~config ~capacity ~sample_period:(Sim.Time.ns period)
+        Tokencmp.Profiler.profile ~config ~capacity ~period:(Sim.Time.ns period)
           ~top_k ~protocol ~programs ~seed ()
       in
       print_string (Tokencmp.Profiler.to_markdown report);

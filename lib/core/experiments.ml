@@ -209,8 +209,9 @@ let faultrate ~probs ~seeds =
         ( prob,
           List.map
             (fun seed ->
-              Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec
-                ~seed)
+              Fault.Torture.run
+                { Fault.Torture.default_params with p_recover = true }
+                (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed)
             seeds ))
       probs
   in

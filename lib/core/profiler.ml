@@ -129,12 +129,18 @@ let spans_reconcile r =
   && Float.abs (r.span_mass_ns -. r.welford_mass_ns) <= 1e-6 *. Float.max 1. r.welford_mass_ns
 
 let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
-    ?(sample_period = Sim.Time.ns 1_000) ?(top_k = 8)
+    ?(period = Sim.Time.ns 1_000) ?(top_k = 8)
     ~(protocol : Protocols.t) ~programs ~seed () =
   let buffer = Obs.Buffer.create ~capacity () in
   let registry = Obs.Registry.create () in
+  (* The sampler arms once the machine is built, so its timeline sees
+     every gauge the protocol registered. *)
+  let sampler = ref None in
+  let on_start engine ~running:_ =
+    sampler := Some (Obs.Sampler.create engine registry ~period)
+  in
   let r =
-    Mcmp.Runner.run ~config ~registry ~buffer ~sample_period protocol.Protocols.builder
+    Mcmp.Runner.run ~config ~registry ~buffer ~on_start protocol.Protocols.builder
       ~programs ~seed
   in
   let c = r.Mcmp.Runner.counters in
@@ -172,8 +178,10 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
   let reconciliation =
     { reconciliation with spans_exact = spans_reconcile reconciliation }
   in
-  let samples =
-    match r.Mcmp.Runner.sampler with Some s -> Obs.Sampler.samples s | None -> []
+  let samples, sample_series =
+    match !sampler with
+    | Some s -> (Obs.Sampler.samples s, Obs.Sampler.to_json s)
+    | None -> ([], Tcjson.List [])
   in
   let perfetto =
     Obs.Perfetto.export ~process_name:protocol.Protocols.name ~samples buffer
@@ -193,10 +201,7 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
     tail;
     span_summary;
     nsamples = List.length samples;
-    sample_series =
-      (match r.Mcmp.Runner.sampler with
-      | Some s -> Obs.Sampler.to_json s
-      | None -> Tcjson.List []);
+    sample_series;
     reconciliation;
     metrics = Obs.Registry.snapshot registry;
     perfetto;

@@ -67,13 +67,13 @@ type t = {
 
 (** Run [protocol] once under full instrumentation and build the
     report. [capacity] sizes the trace ring (default one million
-    events — enough that tiny-config runs never wrap), [sample_period]
-    the counter-track cadence (default 1 us of simulated time), [top_k]
+    events — enough that tiny-config runs never wrap), [period] the
+    counter-track cadence (default 1 us of simulated time), [top_k]
     the hot/contended block table depth (default 8). *)
 val profile :
   ?config:Mcmp.Config.t ->
   ?capacity:int ->
-  ?sample_period:Sim.Time.t ->
+  ?period:Sim.Time.t ->
   ?top_k:int ->
   protocol:Protocols.t ->
   programs:(proc:int -> Workload.Program.t) ->

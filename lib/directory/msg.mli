@@ -65,3 +65,12 @@ type t =
   | C_wb_grant of { addr : Cache.Addr.t }
   | C_wb_cancel of { addr : Cache.Addr.t }
   | C_wb_data of { addr : Cache.Addr.t; cmp : int; dirty : bool; still_shared : bool; cancelled : bool }
+
+val pp : Format.formatter -> t -> unit
+
+(** The block a message is about. *)
+val addr : t -> Cache.Addr.t
+
+(** Block and message, e.g. ["0x1a40 C_data(excl=true,...)"] — the
+    trace label {!Interconnect.Fabric.set_msg_label} takes. *)
+val label : t -> string

@@ -1197,50 +1197,6 @@ let make_node layout cfg id =
 
 let name ~dram_directory = if dram_directory then "DirectoryCMP" else "DirectoryCMP-zero"
 
-let make_t engine cfg layout fabric counters nodes ~migratory ~dram_directory =
-  let filler = Msg.L1_inv { addr = 0 } in
-  {
-    engine;
-    cfg;
-    layout;
-    fabric;
-    counters;
-    nodes;
-    migratory;
-    dram_directory;
-    pool_gets = Array.make 256 filler;
-    pool_gets_top = 0;
-    pool_getm = Array.make 256 filler;
-    pool_getm_top = 0;
-    pool_data = Array.make 256 filler;
-    pool_data_top = 0;
-    pool_unblock = Array.make 256 filler;
-    pool_unblock_top = 0;
-  }
-
-let builder ?migratory ~dram_directory () : Mcmp.Protocol.builder =
- fun engine cfg traffic rng counters ->
-  let layout = Mcmp.Config.layout cfg in
-  let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
-  let nodes = Array.init (L.node_count layout) (fun id -> make_node layout cfg id) in
-  let t =
-    make_t engine cfg layout fabric counters nodes
-      ~migratory:(match migratory with Some m -> m | None -> cfg.Mcmp.Config.migratory)
-      ~dram_directory
-  in
-  F.set_handler fabric (fun ~dst msg ->
-      handle t ~dst msg;
-      release_msg t msg);
-  (match Obs.Registry.of_engine engine with
-  | Some reg ->
-    Obs.Registry.register_int reg "directory.outstanding_misses" (fun () ->
-        Array.fold_left (fun acc n -> if n.mshr = None then acc else acc + 1) 0 t.nodes)
-  | None -> ());
-  {
-    Mcmp.Protocol.name = name ~dram_directory;
-    access = (fun ~proc ~kind addr ~commit -> access t ~proc ~kind addr ~commit);
-  }
-
 (* Diagnostic dump of all in-flight protocol state (tests/debugging). *)
 let dump t fmt () =
   let lay = t.layout in
@@ -1290,73 +1246,6 @@ let dump t fmt () =
               d.csharers (Queue.length d.cdefer))
         node.cdir)
     t.nodes
-
-let pp_msg fmt (m : Msg.t) =
-  let p = Format.fprintf in
-  match m with
-  | Msg.L1_gets { l1; _ } -> p fmt "L1_gets(from %d)" l1
-  | Msg.L1_getm { l1; _ } -> p fmt "L1_getm(from %d)" l1
-  | Msg.L1_data { excl; dirty; unblock; _ } ->
-    p fmt "L1_data(excl=%b,dirty=%b,ub=%b)" excl dirty unblock
-  | Msg.L1_fwd_gets _ -> p fmt "L1_fwd_gets"
-  | Msg.L1_fwd_getm _ -> p fmt "L1_fwd_getm"
-  | Msg.L1_inv _ -> p fmt "L1_inv"
-  | Msg.L1_inv_ack _ -> p fmt "L1_inv_ack"
-  | Msg.L1_owner_data { dirty; migrated; _ } -> p fmt "L1_owner_data(dirty=%b,mig=%b)" dirty migrated
-  | Msg.L1_unblock _ -> p fmt "L1_unblock"
-  | Msg.L1_wb_req _ -> p fmt "L1_wb_req"
-  | Msg.L1_wb_grant _ -> p fmt "L1_wb_grant"
-  | Msg.L1_wb_cancel _ -> p fmt "L1_wb_cancel"
-  | Msg.L1_wb_data { dirty; valid; _ } -> p fmt "L1_wb_data(dirty=%b,valid=%b)" dirty valid
-  | Msg.C_gets { l2; _ } -> p fmt "C_gets(from l2 %d)" l2
-  | Msg.C_getm { l2; _ } -> p fmt "C_getm(from l2 %d)" l2
-  | Msg.C_data { excl; dirty; from_home; acks; _ } ->
-    p fmt "C_data(excl=%b,dirty=%b,home=%b,acks=%d)" excl dirty from_home acks
-  | Msg.C_fwd_gets { requester_l2; _ } -> p fmt "C_fwd_gets(req l2 %d)" requester_l2
-  | Msg.C_fwd_getm { requester_l2; acks; _ } -> p fmt "C_fwd_getm(req l2 %d,acks=%d)" requester_l2 acks
-  | Msg.C_inv { requester_l2; _ } -> p fmt "C_inv(req l2 %d)" requester_l2
-  | Msg.C_inv_ack _ -> p fmt "C_inv_ack"
-  | Msg.C_acks_expected { acks; _ } -> p fmt "C_acks_expected(%d)" acks
-  | Msg.C_unblock { cmp; excl; shared; _ } -> p fmt "C_unblock(cmp %d,excl=%b,sh=%b)" cmp excl shared
-  | Msg.C_wb_req { cmp; _ } -> p fmt "C_wb_req(cmp %d)" cmp
-  | Msg.C_wb_grant _ -> p fmt "C_wb_grant"
-  | Msg.C_wb_cancel _ -> p fmt "C_wb_cancel"
-  | Msg.C_wb_data { cancelled; _ } -> p fmt "C_wb_data(cancelled=%b)" cancelled
-
-let msg_addr : Msg.t -> Cache.Addr.t = function
-  | Msg.L1_gets { addr; _ } | Msg.L1_getm { addr; _ } | Msg.L1_data { addr; _ }
-  | Msg.L1_fwd_gets { addr } | Msg.L1_fwd_getm { addr } | Msg.L1_inv { addr }
-  | Msg.L1_inv_ack { addr; _ } | Msg.L1_owner_data { addr; _ } | Msg.L1_unblock { addr; _ }
-  | Msg.L1_wb_req { addr; _ } | Msg.L1_wb_grant { addr; _ } | Msg.L1_wb_cancel { addr; _ }
-  | Msg.L1_wb_data { addr; _ } | Msg.C_gets { addr; _ } | Msg.C_getm { addr; _ }
-  | Msg.C_data { addr; _ } | Msg.C_fwd_gets { addr; _ } | Msg.C_fwd_getm { addr; _ }
-  | Msg.C_inv { addr; _ } | Msg.C_inv_ack { addr } | Msg.C_acks_expected { addr; _ }
-  | Msg.C_unblock { addr; _ } | Msg.C_wb_req { addr; _ } | Msg.C_wb_grant { addr }
-  | Msg.C_wb_cancel { addr } | Msg.C_wb_data { addr; _ } ->
-    addr
-
-let builder_debug ?migratory ?trace ~dram_directory () engine cfg traffic rng counters =
-  let layout = Mcmp.Config.layout cfg in
-  let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
-  let nodes = Array.init (L.node_count layout) (fun id -> make_node layout cfg id) in
-  let t =
-    make_t engine cfg layout fabric counters nodes
-      ~migratory:(match migratory with Some m -> m | None -> cfg.Mcmp.Config.migratory)
-      ~dram_directory
-  in
-  F.set_handler fabric (fun ~dst msg ->
-      (match trace with
-      | Some a when msg_addr msg = a ->
-        Format.eprintf "%a %a <- %a@." Sim.Time.pp (E.now engine) (L.pp_node layout) dst pp_msg
-          msg
-      | Some _ | None -> ());
-      handle t ~dst msg;
-      release_msg t msg);
-  ( {
-      Mcmp.Protocol.name = name ~dram_directory;
-      access = (fun ~proc ~kind addr ~commit -> access t ~proc ~kind addr ~commit);
-    },
-    dump t )
 
 (* ------------------------------------------------------------------ *)
 (* Runtime invariant checking (the fault-injection monitor's probe)    *)
@@ -1446,19 +1335,38 @@ type instrumented = {
   i_fabric : Msg.t F.t;
 }
 
-let create_instrumented ?migratory ~dram_directory () engine cfg traffic rng counters =
+let create_instrumented ~dram_directory () engine cfg traffic rng counters =
   let layout = Mcmp.Config.layout cfg in
   let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
-  let nodes = Array.init (L.node_count layout) (fun id -> make_node layout cfg id) in
+  let filler = Msg.L1_inv { addr = 0 } in
   let t =
-    make_t engine cfg layout fabric counters nodes
-      ~migratory:(match migratory with Some m -> m | None -> cfg.Mcmp.Config.migratory)
-      ~dram_directory
+    {
+      engine;
+      cfg;
+      layout;
+      fabric;
+      counters;
+      nodes = Array.init (L.node_count layout) (fun id -> make_node layout cfg id);
+      migratory = cfg.Mcmp.Config.migratory;
+      dram_directory;
+      pool_gets = Array.make 256 filler;
+      pool_gets_top = 0;
+      pool_getm = Array.make 256 filler;
+      pool_getm_top = 0;
+      pool_data = Array.make 256 filler;
+      pool_data_top = 0;
+      pool_unblock = Array.make 256 filler;
+      pool_unblock_top = 0;
+    }
   in
   F.set_handler fabric (fun ~dst msg ->
       handle t ~dst msg;
       release_msg t msg);
-  F.set_msg_label fabric (fun msg -> Format.asprintf "%a %a" Cache.Addr.pp (msg_addr msg) pp_msg msg);
+  (match Obs.Registry.of_engine engine with
+  | Some reg ->
+    Obs.Registry.register_int reg "directory.outstanding_misses" (fun () ->
+        Array.fold_left (fun acc n -> if n.mshr = None then acc else acc + 1) 0 t.nodes)
+  | None -> ());
   {
     i_handle =
       {
@@ -1473,3 +1381,7 @@ let create_instrumented ?migratory ~dram_directory () engine cfg traffic rng cou
     i_dump = dump t;
     i_fabric = fabric;
   }
+
+let builder ~dram_directory () : Mcmp.Protocol.builder =
+ fun engine cfg traffic rng counters ->
+  (create_instrumented ~dram_directory () engine cfg traffic rng counters).i_handle

@@ -12,24 +12,7 @@
     DRAM latency (the realistic configuration) or are free (the paper's
     unrealizable "DirectoryCMP-zero" bound). *)
 
-val builder : ?migratory:bool -> dram_directory:bool -> unit -> Mcmp.Protocol.builder
-
 val name : dram_directory:bool -> string
-
-(** Like {!builder}, but also returns a diagnostic dump of all in-flight
-    protocol state (pending MSHRs, busy directory entries, writeback
-    buffers, deferral queues). *)
-val builder_debug :
-  ?migratory:bool ->
-  ?trace:Cache.Addr.t ->
-  dram_directory:bool ->
-  unit ->
-  Sim.Engine.t ->
-  Mcmp.Config.t ->
-  Interconnect.Traffic.t ->
-  Sim.Rng.t ->
-  Mcmp.Counters.t ->
-  Mcmp.Protocol.handle * (Format.formatter -> unit -> unit)
 
 (** Instrumentation bundle for the fault-injection torture harness: the
     protocol handle, an invariant probe (at most one L1 in M/E per
@@ -38,7 +21,13 @@ val builder_debug :
     checks only, since local invalidations are fire-and-forget), the
     state dump, and the fabric for installing a fault plan. The
     directory protocol has no timeouts, so [o_retries]/[o_persistent]
-    in the probe's outstanding list are always 0/false. *)
+    in the probe's outstanding list are always 0/false.
+
+    This is the protocol's one constructor; {!builder} is it with
+    everything but the handle dropped. The migratory-sharing
+    optimization follows [Mcmp.Config.migratory]. Fabric message labels
+    are left empty: a caller that wants them in traces installs
+    {!Msg.label} with {!Interconnect.Fabric.set_msg_label}. *)
 type instrumented = {
   i_handle : Mcmp.Protocol.handle;
   i_probe : Mcmp.Probe.t;
@@ -47,7 +36,6 @@ type instrumented = {
 }
 
 val create_instrumented :
-  ?migratory:bool ->
   dram_directory:bool ->
   unit ->
   Sim.Engine.t ->
@@ -56,3 +44,7 @@ val create_instrumented :
   Sim.Rng.t ->
   Mcmp.Counters.t ->
   instrumented
+
+(** [builder ~dram_directory ()] is {!create_instrumented} keeping only
+    the handle — plug into {!Mcmp.Runner.run}. *)
+val builder : dram_directory:bool -> unit -> Mcmp.Protocol.builder

@@ -7,10 +7,48 @@ let target_name = function
   | Token p -> "token:" ^ p.Token.Policy.name
   | Directory { dram_directory } -> Directory.Protocol.name ~dram_directory
 
+(* The complete run recipe minus (target, spec, seed): everything a
+   repro bundle must capture for a replay to be bit-identical. *)
+type run_params = {
+  p_config : Mcmp.Config.t;
+  p_nlocks : int;
+  p_acquires : int;
+  p_trace_capacity : int;
+  p_monitor_interval : Sim.Time.t;
+  p_watchdog_interval : Sim.Time.t;
+  p_no_progress_windows : int;
+  p_starvation_bound : Sim.Time.t;
+  p_max_events : int;
+  p_recover : bool;
+  p_adaptive : bool;
+  p_chaos : Chaos.spec option;
+  p_watchdog_margin : float option;
+  p_script : Plan.event list option;
+}
+
+let default_params =
+  {
+    p_config = Mcmp.Config.tiny;
+    p_nlocks = 4;
+    p_acquires = 30;
+    p_trace_capacity = 512;
+    p_monitor_interval = Sim.Time.ns 500;
+    p_watchdog_interval = Sim.Time.ns 20_000;
+    p_no_progress_windows = 5;
+    p_starvation_bound = Sim.Time.ns 200_000;
+    p_max_events = 20_000_000;
+    p_recover = false;
+    p_adaptive = false;
+    p_chaos = None;
+    p_watchdog_margin = None;
+    p_script = None;
+  }
+
 type outcome = {
   seed : int;
   spec : Spec.t;
   target : target;
+  params : run_params;
   completed : bool;
   reports : Report.t list;
   stats : Plan.stats;
@@ -30,14 +68,18 @@ type outcome = {
   plan_offers : int;
 }
 
-(* Per-target control surface beyond the protocol handle. *)
-type ctl = {
-  c_crash : int -> unit;
-  c_restart : int -> unit;
-  c_recovery : unit -> Token.Protocol.recovery_stats option;
-  c_retransmits : unit -> int;
-  c_chaos : Chaos.stats option;
-  c_downtime : unit -> Sim.Time.t;
+(* What the rest of a run needs from the machine its builder made. *)
+type machine = {
+  m_engine : E.t;
+  m_counters : Mcmp.Counters.t;
+  m_probe : Mcmp.Probe.t;
+  m_dump : Format.formatter -> unit -> unit;
+  m_crash : int -> unit;
+  m_restart : int -> unit;
+  m_recovery : unit -> Token.Protocol.recovery_stats option;
+  m_retransmits : unit -> int;
+  m_chaos : Chaos.stats option;
+  m_downtime : unit -> Sim.Time.t;
 }
 
 (* Adaptive-timeout configuration for [run ~adaptive]: the fabric RTT
@@ -77,44 +119,7 @@ let effective_margin ~base ~recover ~adaptive ?chaos ~watchdog_interval
     Float.max base (1.25 *. Sim.Time.to_ns longest_stall /. tightest)
   end
 
-(* The complete run recipe minus (target, spec, seed): everything a
-   repro bundle must capture for a replay to be bit-identical. *)
-type run_params = {
-  p_config : Mcmp.Config.t;
-  p_nlocks : int;
-  p_acquires : int;
-  p_trace_capacity : int;
-  p_monitor_interval : Sim.Time.t;
-  p_watchdog_interval : Sim.Time.t;
-  p_no_progress_windows : int;
-  p_starvation_bound : Sim.Time.t;
-  p_max_events : int;
-  p_recover : bool;
-  p_adaptive : bool;
-  p_chaos : Chaos.spec option;
-  p_watchdog_margin : float option;
-  p_script : Plan.event list option;
-}
-
-let default_params =
-  {
-    p_config = Mcmp.Config.tiny;
-    p_nlocks = 4;
-    p_acquires = 30;
-    p_trace_capacity = 512;
-    p_monitor_interval = Sim.Time.ns 500;
-    p_watchdog_interval = Sim.Time.ns 20_000;
-    p_no_progress_windows = 5;
-    p_starvation_bound = Sim.Time.ns 200_000;
-    p_max_events = 20_000_000;
-    p_recover = false;
-    p_adaptive = false;
-    p_chaos = None;
-    p_watchdog_margin = None;
-    p_script = None;
-  }
-
-let run_with p target ~spec ~seed =
+let run p target ~spec ~seed =
   let recover = p.p_recover and adaptive = p.p_adaptive and chaos = p.p_chaos in
   (match target with
   | Directory _ when recover ->
@@ -127,154 +132,119 @@ let run_with p target ~spec ~seed =
     invalid_arg
       "Torture.run: hard chaos (down links) on a token target requires recovery mode"
   | _ -> ());
-  let config = p.p_config in
-  let engine = E.create () in
-  let buf = Obs.Buffer.create ~capacity:p.p_trace_capacity () in
-  Obs.Buffer.attach buf engine;
-  let registry = Obs.Registry.create () in
-  Obs.Registry.attach registry engine;
-  let traffic = Interconnect.Traffic.create () in
-  let rng = Sim.Rng.create (seed + 7_919) in
-  let counters = Mcmp.Counters.create () in
-  Mcmp.Counters.register registry counters;
-  Interconnect.Traffic.register registry traffic;
+  let config = { p.p_config with Mcmp.Config.max_events = p.p_max_events } in
   let layout = Mcmp.Config.layout config in
+  let buf = Obs.Buffer.create ~capacity:p.p_trace_capacity () in
+  let registry = Obs.Registry.create () in
   let plan =
     Plan.create ~recovery:recover ?script:p.p_script ~seed
       ~nodes:(Interconnect.Layout.node_count layout)
       spec
   in
   let reports = ref [] in
-  let report r =
+  let report engine r =
     reports := r :: !reports;
     (* First genuine failure established: stop so the trace tail stays
        focused on it (expected reports let the run play out). *)
     match Report.severity r with `Fatal -> E.stop engine | `Expected -> ()
   in
-  let handle, probe, dump_state, ctl =
-    match target with
-    | Token policy ->
-      let recovery = if recover then Some Token.Recovery.default else None in
-      let i =
-        Token.Protocol.create_instrumented ?recovery policy engine config traffic rng
-          counters
-      in
-      let fab = i.Token.Protocol.i_fabric in
-      F.set_fault_injector fab (Plan.token_injector plan);
-      if recover then begin
-        (* Reliable transport draws its retransmit jitter from its own
-           split stream; the plan's schedule is untouched. *)
-        F.enable_reliability fab (Sim.Rng.split rng);
-        F.set_give_up_handler fab (fun ~src ~dst ~cls _msg ->
-            report
-              {
-                Report.at = E.now engine;
-                kind =
-                  Report.Retransmit_exhausted
-                    {
-                      src;
-                      dst;
-                      cls;
-                      attempts = F.default_reliability.F.max_retrans;
-                      blame =
-                        Option.map Report.blame_of_event
-                          (Plan.last_drop_on plan ~src ~dst);
-                    };
-              });
-        if adaptive then begin
-          F.enable_adaptive_timeouts ~params:adaptive_rtt_params fab;
-          i.Token.Protocol.i_set_recreation_source
-            (Some
-               (fun () -> Sim.Time.mul_f (F.max_rto fab) adaptive_recreation_scale))
-        end
-      end;
-      let chaos_stats =
-        match chaos with
-        | Some c when Chaos.active c -> Some (Chaos.install ~seed ~spec:c engine fab)
-        | _ -> None
-      in
-      ( i.Token.Protocol.i_handle,
-        i.Token.Protocol.i_probe,
-        i.Token.Protocol.i_dump,
-        {
-          c_crash = i.Token.Protocol.i_crash;
-          c_restart = i.Token.Protocol.i_restart;
-          c_recovery = (fun () -> if recover then Some (i.Token.Protocol.i_recovery ()) else None);
-          c_retransmits = (fun () -> F.retransmits fab);
-          c_chaos = chaos_stats;
-          c_downtime = (fun () -> F.link_downtime fab);
-        } )
-    | Directory { dram_directory } ->
-      let i =
-        Directory.Protocol.create_instrumented ~dram_directory () engine config traffic rng
-          counters
-      in
-      let fab = i.Directory.Protocol.i_fabric in
-      F.set_fault_injector fab (Plan.directory_injector plan);
-      (* Directory messages cannot be lost, so its chaos is the
-         loss-free brownout rendition — the same discipline as
-         Spec.delay_only for per-copy faults. *)
-      let chaos_stats =
-        match chaos with
-        | Some c when Chaos.active c ->
-          Some (Chaos.install ~seed ~spec:(Chaos.brownout_of c) engine fab)
-        | _ -> None
-      in
-      ( i.Directory.Protocol.i_handle,
-        i.Directory.Protocol.i_probe,
-        i.Directory.Protocol.i_dump,
-        {
-          c_crash = (fun _ -> ());
-          c_restart = (fun _ -> ());
-          c_recovery = (fun () -> None);
-          c_retransmits = (fun () -> 0);
-          c_chaos = chaos_stats;
-          c_downtime = (fun () -> F.link_downtime fab);
-        } )
+  (* The protocol, its fault plan, reliable transport and chaos are
+     built inside the runner's builder; everything else reads them
+     from here. *)
+  let machine = ref None in
+  let builder engine config traffic rng counters =
+    let handle, m =
+      match target with
+      | Token policy ->
+        let recovery = if recover then Some Token.Recovery.default else None in
+        let i =
+          Token.Protocol.create_instrumented ?recovery policy engine config traffic rng
+            counters
+        in
+        let fab = i.Token.Protocol.i_fabric in
+        F.set_msg_label fab Token.Msg.label;
+        F.set_fault_injector fab (Plan.token_injector plan);
+        if recover then begin
+          (* Reliable transport draws its retransmit jitter from its own
+             split stream; the plan's schedule is untouched. *)
+          F.enable_reliability fab (Sim.Rng.split rng);
+          F.set_give_up_handler fab (fun ~src ~dst ~cls _msg ->
+              report engine
+                {
+                  Report.at = E.now engine;
+                  kind =
+                    Report.Retransmit_exhausted
+                      {
+                        src;
+                        dst;
+                        cls;
+                        attempts = F.default_reliability.F.max_retrans;
+                        blame =
+                          Option.map Report.blame_of_event
+                            (Plan.last_drop_on plan ~src ~dst);
+                      };
+                });
+          if adaptive then begin
+            F.enable_adaptive_timeouts ~params:adaptive_rtt_params fab;
+            i.Token.Protocol.i_set_recreation_source
+              (Some
+                 (fun () -> Sim.Time.mul_f (F.max_rto fab) adaptive_recreation_scale))
+          end
+        end;
+        let chaos_stats =
+          match chaos with
+          | Some c when Chaos.active c -> Some (Chaos.install ~seed ~spec:c engine fab)
+          | _ -> None
+        in
+        ( i.Token.Protocol.i_handle,
+          {
+            m_engine = engine;
+            m_counters = counters;
+            m_probe = i.Token.Protocol.i_probe;
+            m_dump = i.Token.Protocol.i_dump;
+            m_crash = i.Token.Protocol.i_crash;
+            m_restart = i.Token.Protocol.i_restart;
+            m_recovery =
+              (fun () -> if recover then Some (i.Token.Protocol.i_recovery ()) else None);
+            m_retransmits = (fun () -> F.retransmits fab);
+            m_chaos = chaos_stats;
+            m_downtime = (fun () -> F.link_downtime fab);
+          } )
+      | Directory { dram_directory } ->
+        let i =
+          Directory.Protocol.create_instrumented ~dram_directory () engine config traffic
+            rng counters
+        in
+        let fab = i.Directory.Protocol.i_fabric in
+        F.set_msg_label fab Directory.Msg.label;
+        F.set_fault_injector fab (Plan.directory_injector plan);
+        (* Directory messages cannot be lost, so its chaos is the
+           loss-free brownout rendition — the same discipline as
+           Spec.delay_only for per-copy faults. *)
+        let chaos_stats =
+          match chaos with
+          | Some c when Chaos.active c ->
+            Some (Chaos.install ~seed ~spec:(Chaos.brownout_of c) engine fab)
+          | _ -> None
+        in
+        ( i.Directory.Protocol.i_handle,
+          {
+            m_engine = engine;
+            m_counters = counters;
+            m_probe = i.Directory.Protocol.i_probe;
+            m_dump = i.Directory.Protocol.i_dump;
+            m_crash = (fun _ -> ());
+            m_restart = (fun _ -> ());
+            m_recovery = (fun () -> None);
+            m_retransmits = (fun () -> 0);
+            m_chaos = chaos_stats;
+            m_downtime = (fun () -> F.link_downtime fab);
+          } )
+    in
+    machine := Some m;
+    handle
   in
-  let values = Mcmp.Values.create () in
-  let nprocs = Mcmp.Config.nprocs config in
-  let remaining = ref nprocs in
-  let finish_time = ref Sim.Time.zero in
-  let on_done ~proc:_ =
-    remaining := !remaining - 1;
-    if !remaining = 0 then begin
-      finish_time := E.now engine;
-      E.stop engine
-    end
-  in
-  let lcfg =
-    { (Workload.Locking.default ~nlocks:p.p_nlocks) with
-      acquires = p.p_acquires;
-      warmup_acquires = 5
-    }
-  in
-  let programs = Workload.Locking.programs lcfg ~seed ~nprocs in
-  let cores =
-    List.init nprocs (fun proc ->
-        Mcmp.Core.create engine values handle counters ~proc ~program:(programs ~proc)
-          ~on_done)
-  in
-  let running () = !remaining > 0 in
-  (* Crash/restart campaign: scheduled from a dedicated rng stream (not
-     the plan's, not the protocol's) so neither the message-level fault
-     sequence nor protocol randomness shifts when crashes are added. *)
-  if recover && spec.Spec.crashes > 0 then begin
-    let crng = Sim.Rng.create ((seed * 69_069) + 12_345) in
-    let caches = Interconnect.Layout.all_caches layout in
-    let ncaches = List.length caches in
-    for k = 0 to spec.Spec.crashes - 1 do
-      let victim = List.nth caches (Sim.Rng.int crng ncaches) in
-      (* Early enough to land inside the locking run (a few to a few
-         tens of us); later crashes hit the recovery-extended tail and
-         are skipped if the run already finished. *)
-      let at = Sim.Time.ns (2_000 + (k * 12_000) + Sim.Rng.int crng 8_000) in
-      E.schedule_at engine at (fun () -> if running () then ctl.c_crash victim);
-      E.schedule_at engine
-        (at + spec.Spec.crash_down)
-        (fun () -> ctl.c_restart victim)
-    done
-  end;
+  let the_machine () = match !machine with Some m -> m | None -> assert false in
   let base_margin =
     match p.p_watchdog_margin with Some m -> m | None -> if recover then 2.5 else 1.0
   in
@@ -284,19 +254,50 @@ let run_with p target ~spec ~seed =
       ~no_progress_windows:p.p_no_progress_windows
       ~starvation_bound:p.p_starvation_bound ()
   in
-  let mon =
-    Monitor.attach engine ~probe ~plan ~interval:p.p_monitor_interval ~running ~report
+  let running = ref (fun () -> true) and monitor = ref None in
+  let on_start engine ~running:is_running =
+    let m = the_machine () in
+    running := is_running;
+    (* Crash/restart campaign: scheduled from a dedicated rng stream
+       (not the plan's, not the protocol's) so neither the
+       message-level fault sequence nor protocol randomness shifts when
+       crashes are added. *)
+    if recover && spec.Spec.crashes > 0 then begin
+      let crng = Sim.Rng.create ((seed * 69_069) + 12_345) in
+      let caches = Interconnect.Layout.all_caches layout in
+      let ncaches = List.length caches in
+      for k = 0 to spec.Spec.crashes - 1 do
+        let victim = List.nth caches (Sim.Rng.int crng ncaches) in
+        (* Early enough to land inside the locking run (a few to a few
+           tens of us); later crashes hit the recovery-extended tail
+           and are skipped if the run already finished. *)
+        let at = Sim.Time.ns (2_000 + (k * 12_000) + Sim.Rng.int crng 8_000) in
+        E.schedule_at engine at (fun () -> if is_running () then m.m_crash victim);
+        E.schedule_at engine (at + spec.Spec.crash_down) (fun () -> m.m_restart victim)
+      done
+    end;
+    monitor :=
+      Some
+        (Monitor.attach engine ~probe:m.m_probe ~plan ~interval:p.p_monitor_interval
+           ~running:is_running ~report:(report engine));
+    ignore
+      (Watchdog.attach ~margin engine ~probe:m.m_probe ~counters:m.m_counters
+         ~interval:p.p_watchdog_interval ~no_progress_windows:p.p_no_progress_windows
+         ~starvation_bound:p.p_starvation_bound ~running:is_running ~report:(report engine)
+         ~on_stall:(fun () -> E.stop engine))
   in
-  let _wd =
-    Watchdog.attach ~margin engine ~probe ~counters ~interval:p.p_watchdog_interval
-      ~no_progress_windows:p.p_no_progress_windows
-      ~starvation_bound:p.p_starvation_bound ~running ~report
-      ~on_stall:(fun () -> E.stop engine)
+  let lcfg =
+    { (Workload.Locking.default ~nlocks:p.p_nlocks) with
+      acquires = p.p_acquires;
+      warmup_acquires = 5
+    }
   in
-  List.iter Mcmp.Core.start cores;
-  (try E.run ~max_events:p.p_max_events engine with
-  | Mcmp.Violation.Invariant_violation v ->
-    report
+  let programs = Workload.Locking.programs lcfg ~seed ~nprocs:(Mcmp.Config.nprocs config) in
+  (match Mcmp.Runner.run ~config ~registry ~buffer:buf ~on_start builder ~programs ~seed with
+  | (_ : Mcmp.Runner.result) -> ()
+  | exception Mcmp.Violation.Invariant_violation v ->
+    let engine = (the_machine ()).m_engine in
+    report engine
       {
         Report.at = E.now engine;
         kind =
@@ -305,11 +306,15 @@ let run_with p target ~spec ~seed =
               violation = v;
               blame = Option.map Report.blame_of_event (Plan.last_destructive plan);
             };
-      }
-  | Failure _ -> () (* max_events safety valve: surfaces as an incomplete run *));
-  Monitor.check mon;
+      });
+  let m = the_machine () in
+  Option.iter Monitor.check !monitor;
+  (* A violation leaves no runner result, so every total is read off
+     the engine and counters the builder received, however the run
+     ended. The engine's clock stays where the run stopped: the last
+     processor's finish, or the instant it was cut. *)
+  let completed = not (!running ()) in
   let reports = List.rev !reports in
-  let completed = !remaining = 0 in
   let keep_evidence = reports <> [] || not completed in
   let span_list, dropped_spans = Obs.Span.assemble_full buf in
   let spans = Obs.Span.summarize ~dropped_spans span_list in
@@ -317,6 +322,7 @@ let run_with p target ~spec ~seed =
     seed;
     spec;
     target;
+    params = p;
     completed;
     reports;
     stats = Plan.stats plan;
@@ -327,16 +333,16 @@ let run_with p target ~spec ~seed =
            buf
        else Tcjson.Null);
     metrics = Obs.Registry.snapshot registry;
-    dump = (if keep_evidence then Format.asprintf "%a" dump_state () else "");
-    ops = List.fold_left (fun acc c -> acc + Mcmp.Core.ops_committed c) 0 cores;
-    runtime = (if completed then !finish_time else E.now engine);
-    events = E.events_processed engine;
-    misses = Sim.Stat.Welford.count counters.Mcmp.Counters.miss_latency;
+    dump = (if keep_evidence then Format.asprintf "%a" m.m_dump () else "");
+    ops = Mcmp.Counters.data_ops m.m_counters + m.m_counters.Mcmp.Counters.ifetches;
+    runtime = E.now m.m_engine;
+    events = E.events_processed m.m_engine;
+    misses = Sim.Stat.Welford.count m.m_counters.Mcmp.Counters.miss_latency;
     spans;
-    recovered = ctl.c_recovery ();
-    retransmits = ctl.c_retransmits ();
-    chaos = ctl.c_chaos;
-    link_downtime = ctl.c_downtime ();
+    recovered = m.m_recovery ();
+    retransmits = m.m_retransmits ();
+    chaos = m.m_chaos;
+    link_downtime = m.m_downtime ();
     (* The materialized fault schedule rides along only when the run is
        worth dissecting — same gate as the trace/dump evidence, and it
        covers every non-clean verdict (each implies a report or an
@@ -344,30 +350,6 @@ let run_with p target ~spec ~seed =
     plan_events = (if keep_evidence then Plan.events plan else []);
     plan_offers = Plan.offers plan;
   }
-
-let run ?(config = Mcmp.Config.tiny) ?(nlocks = 4) ?(acquires = 30)
-    ?(trace_capacity = 512) ?(monitor_interval = Sim.Time.ns 500)
-    ?(watchdog_interval = Sim.Time.ns 20_000) ?(no_progress_windows = 5)
-    ?(starvation_bound = Sim.Time.ns 200_000) ?(max_events = 20_000_000)
-    ?(recover = false) ?(adaptive = false) ?chaos ?watchdog_margin target ~spec ~seed =
-  run_with
-    {
-      p_config = config;
-      p_nlocks = nlocks;
-      p_acquires = acquires;
-      p_trace_capacity = trace_capacity;
-      p_monitor_interval = monitor_interval;
-      p_watchdog_interval = watchdog_interval;
-      p_no_progress_windows = no_progress_windows;
-      p_starvation_bound = starvation_bound;
-      p_max_events = max_events;
-      p_recover = recover;
-      p_adaptive = adaptive;
-      p_chaos = chaos;
-      p_watchdog_margin = watchdog_margin;
-      p_script = None;
-    }
-    target ~spec ~seed
 
 type verdict = Clean | Survived_partition | Detected | Failed of string
 
@@ -436,9 +418,10 @@ let spec_for rng ~drop_mode ~drop_tokens ~recover target =
     else if drop_mode then Spec.with_drops ~tokens:drop_tokens ~prob:0.01 spec
     else spec
 
-let campaign ?config ?(runs = 100) ?(jobs = 1) ?(drop_mode = false) ?(drop_tokens = false)
-    ?(recover = false) ?(adaptive = false) ?chaos ~targets ~seed ?on_outcome () =
+let campaign ~params ?(runs = 100) ?(jobs = 1) ?(drop_mode = false) ?(drop_tokens = false)
+    ~targets ~seed ?on_outcome () =
   if targets = [] then invalid_arg "Torture.campaign: no targets";
+  let recover = params.p_recover in
   if recover && List.exists (function Directory _ -> true | Token _ -> false) targets then
     invalid_arg "Torture.campaign: recovery campaigns take token targets only";
   let rng = Sim.Rng.create ((seed * 31) + 17) in
@@ -453,10 +436,11 @@ let campaign ?config ?(runs = 100) ?(jobs = 1) ?(drop_mode = false) ?(drop_token
         let spec = spec_for rng ~drop_mode ~drop_tokens ~recover target in
         (i, target, spec))
   in
+  let run_task (i, target, spec) = run params target ~spec ~seed:(seed + i) in
   if jobs <= 1 then
     List.map
-      (fun (i, target, spec) ->
-        let o = run ?config ~recover ~adaptive ?chaos target ~spec ~seed:(seed + i) in
+      (fun ((i, _, _) as task) ->
+        let o = run_task task in
         (match on_outcome with Some f -> f i o | None -> ());
         o)
       tasks
@@ -465,9 +449,7 @@ let campaign ?config ?(runs = 100) ?(jobs = 1) ?(drop_mode = false) ?(drop_token
       Par.Pool.map ~jobs
         ~label:(fun _ (i, target, _) ->
           Printf.sprintf "torture run %d: %s seed=%d" i (target_name target) (seed + i))
-        (fun (i, target, spec) ->
-          run ?config ~recover ~adaptive ?chaos target ~spec ~seed:(seed + i))
-        tasks
+        run_task tasks
     in
     (match on_outcome with Some f -> List.iteri f outcomes | None -> ());
     outcomes

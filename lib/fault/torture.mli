@@ -5,8 +5,8 @@
     liveness {!Watchdog} and a bounded event trace, then drives the
     locking micro-benchmark through the fault storm. A {!campaign}
     repeats that across targets with freshly randomized specs; every
-    outcome carries its seed and spec, so any failure reproduces from
-    two integers. *)
+    outcome carries its recipe ({!run_params}), seed and spec, so any
+    failure reproduces from the outcome alone. *)
 
 type target = Token of Token.Policy.t | Directory of { dram_directory : bool }
 
@@ -19,7 +19,7 @@ val default_targets : target list
     run against (the directory protocol has no recovery layer). *)
 val token_targets : target list
 
-(** Adaptive-timeout configuration used by [run ~adaptive:true]: the
+(** Adaptive-timeout configuration used by [p_adaptive] runs: the
     fabric RTT-estimator parameters, and the scale mapping the largest
     per-link RTO to the token recreation timeout. Their product —
     {!adaptive_recreation_ceiling} — bounds the adaptive recreation
@@ -30,7 +30,7 @@ val adaptive_recreation_scale : float
 val adaptive_recreation_ceiling : Sim.Time.t
 
 (** The watchdog margin a run actually attaches: [base] (the
-    [watchdog_margin] argument or its default) widened, if needed, so
+    [p_watchdog_margin] recipe field or its default) widened, if needed, so
     the scaled no-progress and starvation bounds out-wait the longest
     legitimate stall — the chaos plan's {!Chaos.max_outage} plus
     {!Token.Recovery.worst_case_latency}, the latter computed against
@@ -48,10 +48,79 @@ val effective_margin :
   unit ->
   float
 
+(** The complete run recipe minus (target, spec, seed): what {!run}
+    executes, what every outcome carries, and what a repro bundle
+    serializes so a replay re-runs the same simulation.
+
+    [p_config] is the machine; its [max_events] is replaced by
+    [p_max_events], the run's event cap. [p_nlocks] and [p_acquires]
+    shape the locking workload. [p_trace_capacity] sizes the event
+    ring the evidence trace comes from. [p_monitor_interval] is the
+    invariant {!Monitor}'s cadence; [p_watchdog_interval],
+    [p_no_progress_windows] and [p_starvation_bound] configure the
+    liveness {!Watchdog}.
+
+    [p_recover] (token targets only; [Invalid_argument] on directory
+    targets) arms the full recovery stack: the protocol's token
+    recreation ({!Token.Recovery.default} timescales), reliable
+    transport on the fabric, crash/restart cycles per the spec's
+    [crashes] field (scheduled from a dedicated rng stream so the
+    message-level fault schedule is unchanged), and a widened watchdog.
+    The fault plan then records token-carrying drops as {e recoverable}
+    — the pass criterion flips from "detect the loss" to "survive it:
+    zero violations, every request retires, slowdown bounded".
+
+    [p_adaptive] (requires [p_recover]) replaces the fixed
+    retransmission timeout with the fabric's per-link RTT estimator
+    ({!Interconnect.Fabric.enable_adaptive_timeouts}) and installs an
+    adaptive token-recreation source: the largest per-link RTO scaled
+    by a fixed factor, so recreation waits track observed network
+    conditions instead of a static constant.
+
+    [p_chaos] installs a link-outage campaign ({!Chaos.install}) on the
+    fabric. Hard chaos (down links) on a token target requires
+    [p_recover]; directory targets automatically take the loss-free
+    {!Chaos.brownout_of} rendition, the same discipline as
+    {!Spec.delay_only}.
+
+    [p_watchdog_margin] overrides the {e base} {!Watchdog.attach}
+    margin (default 2.5 in recovery mode, 1.0 otherwise). The margin
+    actually attached is then widened, if needed, to out-wait the
+    longest legitimate stall: the chaos plan's {!Chaos.max_outage}
+    plus {!Token.Recovery.worst_case_latency} — computed against the
+    adaptive recreation source's {e ceiling} when [p_adaptive] is set,
+    not the static constant it replaced.
+
+    [p_script] puts the fault plan in scripted mode
+    ({!Plan.create}[ ?script]): the recipe's RNG-drawn schedule is
+    replaced by an explicit event list — the forensics shrinker's
+    candidate evaluation path. *)
+type run_params = {
+  p_config : Mcmp.Config.t;
+  p_nlocks : int;
+  p_acquires : int;
+  p_trace_capacity : int;
+  p_monitor_interval : Sim.Time.t;
+  p_watchdog_interval : Sim.Time.t;
+  p_no_progress_windows : int;
+  p_starvation_bound : Sim.Time.t;
+  p_max_events : int;
+  p_recover : bool;
+  p_adaptive : bool;
+  p_chaos : Chaos.spec option;
+  p_watchdog_margin : float option;
+  p_script : Plan.event list option;
+}
+
+(** Tiny config, 4 locks, 30 acquires (5 of them warm-up), a 512-event
+    trace ring, a 20M-event cap, no recovery, chaos or script. *)
+val default_params : run_params
+
 type outcome = {
   seed : int;
   spec : Spec.t;
   target : target;
+  params : run_params;  (** the recipe the run executed *)
   completed : bool;  (** every processor finished its program *)
   reports : Report.t list;  (** chronological *)
   stats : Plan.stats;
@@ -88,86 +157,13 @@ type outcome = {
       (** total plan decision points the run consulted *)
 }
 
-(** [recover] (token targets only; [Invalid_argument] on directory
-    targets) arms the full recovery stack: the protocol's token
-    recreation ({!Token.Recovery.default} timescales), reliable
-    transport on the fabric, crash/restart cycles per the spec's
-    [crashes] field (scheduled from a dedicated rng stream so the
-    message-level fault schedule is unchanged), and a widened watchdog.
-    The fault plan then records token-carrying drops as {e recoverable}
-    — the pass criterion flips from "detect the loss" to "survive it:
-    zero violations, every request retires, slowdown bounded".
-
-    [adaptive] (requires [recover]) replaces the fixed retransmission
-    timeout with the fabric's per-link RTT estimator
-    ({!Interconnect.Fabric.enable_adaptive_timeouts}) and installs an
-    adaptive token-recreation source: the largest per-link RTO scaled
-    by a fixed factor, so recreation waits track observed network
-    conditions instead of a static constant.
-
-    [chaos] installs a link-outage campaign ({!Chaos.install}) on the
-    fabric. Hard chaos (down links) on a token target requires
-    [recover]; directory targets automatically take the loss-free
-    {!Chaos.brownout_of} rendition, the same discipline as
-    {!Spec.delay_only}.
-
-    [watchdog_margin] overrides the {e base} {!Watchdog.attach} margin
-    (default 2.5 in recovery mode, 1.0 otherwise). The margin actually
-    attached is then widened, if needed, to out-wait the longest
-    legitimate stall: the chaos plan's {!Chaos.max_outage} plus
-    {!Token.Recovery.worst_case_latency} — computed against the
-    adaptive recreation source's {e ceiling} when [adaptive] is set,
-    not the static constant it replaced. *)
-val run :
-  ?config:Mcmp.Config.t ->
-  ?nlocks:int ->
-  ?acquires:int ->
-  ?trace_capacity:int ->
-  ?monitor_interval:Sim.Time.t ->
-  ?watchdog_interval:Sim.Time.t ->
-  ?no_progress_windows:int ->
-  ?starvation_bound:Sim.Time.t ->
-  ?max_events:int ->
-  ?recover:bool ->
-  ?adaptive:bool ->
-  ?chaos:Chaos.spec ->
-  ?watchdog_margin:float ->
-  target ->
-  spec:Spec.t ->
-  seed:int ->
-  outcome
-
-(** The complete run recipe minus (target, spec, seed), reified so
-    repro bundles can serialize it and replays can re-run it without
-    threading thirteen optional arguments around. [run] is
-    [run_with] over [default_params] with the optionals folded in.
-
-    [p_script] puts the fault plan in scripted mode
-    ({!Plan.create}[ ?script]): the recipe's RNG-drawn schedule is
-    replaced by an explicit event list — the forensics shrinker's
-    candidate evaluation path. *)
-type run_params = {
-  p_config : Mcmp.Config.t;
-  p_nlocks : int;
-  p_acquires : int;
-  p_trace_capacity : int;
-  p_monitor_interval : Sim.Time.t;
-  p_watchdog_interval : Sim.Time.t;
-  p_no_progress_windows : int;
-  p_starvation_bound : Sim.Time.t;
-  p_max_events : int;
-  p_recover : bool;
-  p_adaptive : bool;
-  p_chaos : Chaos.spec option;
-  p_watchdog_margin : float option;
-  p_script : Plan.event list option;
-}
-
-(** [run]'s defaults as a record: tiny config, 4 locks, 30 acquires,
-    no recovery/chaos/script. *)
-val default_params : run_params
-
-val run_with : run_params -> target -> spec:Spec.t -> seed:int -> outcome
+(** [run params target ~spec ~seed] builds the machine and drives the
+    locking workload through {!Mcmp.Runner.run}: the protocol, fault
+    plan, reliable transport and chaos are built in its builder, and
+    the crash schedule, invariant monitor and watchdog are armed in its
+    [on_start]. An {!Mcmp.Violation.Invariant_violation} raised by a
+    handler becomes a report; any other exception propagates. *)
+val run : run_params -> target -> spec:Spec.t -> seed:int -> outcome
 
 (** Judgement of one outcome against what its fault plan made
     survivable:
@@ -189,12 +185,13 @@ val verdict : outcome -> verdict
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** [campaign ~targets ~seed ()] cycles [runs] randomized-spec runs
-    over [targets] (directory targets are automatically restricted to
-    the delay/reorder/stall faults they can survive). [drop_mode]
-    additionally drops transient requests on token targets;
-    [drop_tokens] escalates to unrecoverable token-carrying drops.
-    [on_outcome] fires after each run (progress printing).
+(** [campaign ~params ~targets ~seed ()] cycles [runs] randomized-spec
+    runs of [params] over [targets] (directory targets are
+    automatically restricted to the delay/reorder/stall faults they can
+    survive). [drop_mode] additionally drops transient requests on
+    token targets; [drop_tokens] escalates to unrecoverable
+    token-carrying drops. [on_outcome] fires after each run (progress
+    printing).
 
     [jobs] fans the runs out over a {!Par.Pool}. Specs are derived
     serially from the campaign rng before anything executes and each
@@ -203,23 +200,18 @@ val pp_outcome : Format.formatter -> outcome -> unit
     [jobs > 1], [on_outcome] fires after the campaign, still in run
     order.
 
-    [recover] runs every task in recovery mode ([Invalid_argument] if
-    [targets] includes a directory protocol): specs gain token-carrying
-    drops plus two crash/restart cycles, and a clean verdict means the
-    storm was {e survived} rather than detected.
-
-    [adaptive] and [chaos] are passed through to every {!run} — a
-    campaign with a partitioning chaos plan expects
-    [Survived_partition] verdicts, not [Clean]. *)
+    With [params.p_recover] ([Invalid_argument] if [targets] includes a
+    directory protocol), specs gain token-carrying drops plus two
+    crash/restart cycles, and a clean verdict means the storm was
+    {e survived} rather than detected. A campaign whose [p_chaos]
+    partitions the network expects [Survived_partition] verdicts, not
+    [Clean]. *)
 val campaign :
-  ?config:Mcmp.Config.t ->
+  params:run_params ->
   ?runs:int ->
   ?jobs:int ->
   ?drop_mode:bool ->
   ?drop_tokens:bool ->
-  ?recover:bool ->
-  ?adaptive:bool ->
-  ?chaos:Chaos.spec ->
   targets:target list ->
   seed:int ->
   ?on_outcome:(int -> outcome -> unit) ->

@@ -43,12 +43,12 @@ let digest_of_outcome (o : T.outcome) =
 
 let digest_matches d o = d = digest_of_outcome o
 
-let make ~params (o : T.outcome) =
+let make (o : T.outcome) =
   {
     target = o.T.target;
     seed = o.T.seed;
     spec = o.T.spec;
-    params;
+    params = o.T.params;
     recorded = digest_of_outcome o;
   }
 

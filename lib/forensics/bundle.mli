@@ -43,9 +43,8 @@ val digest_of_outcome : Fault.Torture.outcome -> digest
     events / runtime / misses, same report-kind sequence)? *)
 val digest_matches : digest -> Fault.Torture.outcome -> bool
 
-(** Capture a bundle from a finished run. [params] must be the exact
-    recipe the run used ({!Fault.Torture.run_with}'s argument). *)
-val make : params:Fault.Torture.run_params -> Fault.Torture.outcome -> t
+(** Capture a bundle from a finished run and the recipe it carries. *)
+val make : Fault.Torture.outcome -> t
 
 val to_json : t -> Tcjson.t
 

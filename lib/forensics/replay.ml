@@ -1,7 +1,7 @@
 module T = Fault.Torture
 
 let run (b : Bundle.t) =
-  T.run_with b.Bundle.params b.Bundle.target ~spec:b.Bundle.spec ~seed:b.Bundle.seed
+  T.run b.Bundle.params b.Bundle.target ~spec:b.Bundle.spec ~seed:b.Bundle.seed
 
 type check_result =
   | Reproduced of T.outcome

@@ -35,7 +35,7 @@ let params_for st ~config sched =
   { st.bundle.Bundle.params with T.p_config = config; p_script = Some sched }
 
 let run_candidate st ~config sched =
-  T.run_with (params_for st ~config sched) st.bundle.Bundle.target
+  T.run (params_for st ~config sched) st.bundle.Bundle.target
     ~spec:st.bundle.Bundle.spec ~seed:st.bundle.Bundle.seed
 
 let key ~config sched =
@@ -233,15 +233,14 @@ let run ?(jobs = 1) ?(shrink_shape = true) ?(log = fun _ -> ()) (b : Bundle.t) =
       in
       (* The minimal run, re-executed once to capture its outcome and
          re-digest the (possibly changed) recorded verdict fields. *)
-      let params = params_for st ~config sched in
-      let o = T.run_with params b.Bundle.target ~spec:b.Bundle.spec ~seed:b.Bundle.seed in
+      let o = run_candidate st ~config sched in
       st.candidates <- st.candidates + 1;
       if T.verdict o <> want then
         Error "internal error: minimal schedule no longer reproduces the failure"
       else
         Ok
           {
-            r_bundle = Bundle.make ~params o;
+            r_bundle = Bundle.make o;
             r_outcome = o;
             r_schedule = sched;
             r_original_events = List.length sched0;

@@ -1,16 +1,18 @@
+type stop = Finished | Unfinished | Event_cap
+
 type result = {
   seed : int;
   runtime : Sim.Time.t;
   total_runtime : Sim.Time.t;
   completed : bool;
+  stop : stop;
   traffic : Interconnect.Traffic.t;
   counters : Counters.t;
   events : int;
   ops : int;
-  sampler : Obs.Sampler.t option;
 }
 
-let run ?(config = Config.default) ?registry ?buffer ?sample_period builder ~programs ~seed =
+let run ?(config = Config.default) ?registry ?buffer ?on_start builder ~programs ~seed =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runner.run: " ^ msg));
@@ -28,14 +30,6 @@ let run ?(config = Config.default) ?registry ?buffer ?sample_period builder ~pro
       Interconnect.Traffic.register r traffic)
     registry;
   let protocol = builder engine config traffic rng counters in
-  (* The sampler arms after the builder so its timeline sees every
-     self-registered gauge; it needs a registry to read. *)
-  let sampler =
-    match (sample_period, registry) with
-    | Some period, Some r -> Some (Obs.Sampler.create engine r ~period)
-    | Some _, None -> invalid_arg "Runner.run: sample_period requires a registry"
-    | None, _ -> None
-  in
   let values = Values.create () in
   let nprocs = Config.nprocs config in
   let remaining = ref nprocs in
@@ -51,10 +45,20 @@ let run ?(config = Config.default) ?registry ?buffer ?sample_period builder ~pro
     List.init nprocs (fun proc ->
         Core.create engine values protocol counters ~proc ~program:(programs ~proc) ~on_done)
   in
+  Option.iter (fun f -> f engine ~running:(fun () -> !remaining > 0)) on_start;
   List.iter Core.start cores;
-  Sim.Engine.run ~max_events:config.Config.max_events engine;
+  let max_events = config.Config.max_events in
+  (* The engine's event cap is the one [Failure] that becomes a value;
+     any other exception out of a handler is a bug and propagates. *)
+  let capped =
+    match Sim.Engine.run ~max_events engine with
+    | () -> false
+    | exception (Failure _ as e) ->
+      if Sim.Engine.events_processed engine > max_events then true else raise e
+  in
   let ops = List.fold_left (fun acc c -> acc + Core.ops_committed c) 0 cores in
-  let finish = if !remaining = 0 then !finish_time else Sim.Engine.now engine in
+  let completed = !remaining = 0 in
+  let finish = if completed then !finish_time else Sim.Engine.now engine in
   (* Measured runtime starts once every processor passed its warmup
      mark (if all programs emit one). *)
   let marks = List.map Core.mark_time cores in
@@ -67,12 +71,12 @@ let run ?(config = Config.default) ?registry ?buffer ?sample_period builder ~pro
     seed;
     runtime = max 0 (finish - measured_start);
     total_runtime = finish;
-    completed = !remaining = 0;
+    completed;
+    stop = (if completed then Finished else if capped then Event_cap else Unfinished);
     traffic;
     counters;
     events = Sim.Engine.events_processed engine;
     ops;
-    sampler;
   }
 
 let run_seeds ?(config = Config.default) builder ~programs ~seeds =

@@ -141,156 +141,3 @@ type Sim.Engine.event +=
           lost with [drop_prob]. *)
   | Link_healed of { src_site : int; dst_site : int }
       (** Outage model: the link returned to full service. *)
-
-let describe at ev =
-  let ns = Sim.Time.to_ns at in
-  let p fmt = Printf.sprintf fmt in
-  match ev with
-  | Req_issue e ->
-    Some (p "%.1fns issue tid=%d node=%d proc=%d addr=%#x %s" ns e.tid e.node e.proc e.addr
-            (rw_to_string e.rw))
-  | Req_response e -> Some (p "%.1fns response tid=%d node=%d src=%d" ns e.tid e.node e.src)
-  | Req_retire e ->
-    Some
-      (p "%.1fns retire tid=%d node=%d addr=%#x %s fill=%s cause=%s retries=%d%s" ns e.tid
-         e.node e.addr (rw_to_string e.rw) (fill_to_string e.fill)
-         (cause_to_string e.cause) e.retries
-         (if e.persistent then " persistent" else ""))
-  | Req_reissue e ->
-    Some (p "%.1fns reissue tid=%d node=%d addr=%#x retry=%d" ns e.tid e.node e.addr e.retry)
-  | Net_hop e ->
-    Some
-      (p "%.1fns net-hop %d->%d [%s] queue=%.1fns flight=%.1fns arrive=%.1fns" ns e.src
-         e.dst e.cls e.queue_ns e.flight_ns (Sim.Time.to_ns e.arrive))
-  | Mem_hop e -> Some (p "%.1fns mem-hop requester=%d %.1fns" ns e.requester e.ns)
-  | Lookup e ->
-    Some
-      (p "%.1fns %s %s node=%d addr=%#x" ns (level_to_string e.level)
-         (if e.hit then "hit" else "miss") e.node e.addr)
-  | Msg_send e ->
-    Some
-      (p "%.1fns send %d->%d [%s] %dB%s" ns e.src e.dst e.cls e.bytes
-         (if e.label = "" then "" else " " ^ e.label))
-  | Msg_deliver e ->
-    Some
-      (p "%.1fns deliver %d->%d [%s]%s" ns e.src e.dst e.cls
-         (if e.label = "" then "" else " " ^ e.label))
-  | Link_xfer e ->
-    Some
-      (p "%.1fns link %d->%d [%s] %dB busy %.1f..%.1fns" ns e.src_site e.dst_site e.cls
-         e.bytes (Sim.Time.to_ns e.start) (Sim.Time.to_ns e.finish))
-  | Fault_action e -> Some (p "%.1fns fault %s %d->%d [%s]" ns e.action e.src e.dst e.cls)
-  | Fsm e ->
-    Some (p "%.1fns fsm %s node=%d addr=%#x %s->%s" ns e.fsm e.node e.addr e.from_state
-            e.to_state)
-  | Persistent e ->
-    Some (p "%.1fns persistent %s node=%d proc=%d addr=%#x" ns e.action e.node e.proc e.addr)
-  | Dir_indirection e ->
-    Some (p "%.1fns dir-indirection node=%d addr=%#x %s" ns e.node e.addr
-            (if e.write then "W" else "R"))
-  | Retransmit e ->
-    Some (p "%.1fns retransmit %d->%d [%s] attempt=%d" ns e.src e.dst e.cls e.attempt)
-  | Retransmit_exhausted e ->
-    Some
-      (p "%.1fns retransmit-exhausted %d->%d [%s] after %d attempts" ns e.src e.dst e.cls
-         e.attempts)
-  | Dup_absorbed e -> Some (p "%.1fns dup-absorbed %d->%d [%s]" ns e.src e.dst e.cls)
-  | Epoch_bump e -> Some (p "%.1fns epoch-bump node=%d addr=%#x epoch=%d" ns e.node e.addr e.epoch)
-  | Token_recreated e ->
-    Some (p "%.1fns token-recreated addr=%#x epoch=%d tokens=%d" ns e.addr e.epoch e.tokens)
-  | Stale_discard e ->
-    Some (p "%.1fns stale-discard node=%d addr=%#x epoch=%d" ns e.node e.addr e.epoch)
-  | Node_crash e -> Some (p "%.1fns node-crash node=%d" ns e.node)
-  | Node_restart e -> Some (p "%.1fns node-restart node=%d" ns e.node)
-  | Link_down e -> Some (p "%.1fns link-down %d->%d" ns e.src_site e.dst_site)
-  | Link_degraded e ->
-    Some
-      (p "%.1fns link-degraded %d->%d latency x%.1f drop=%.2f" ns e.src_site e.dst_site
-         e.latency_mult e.drop_prob)
-  | Link_healed e -> Some (p "%.1fns link-healed %d->%d" ns e.src_site e.dst_site)
-  | _ -> None
-
-let to_json at ev =
-  let base kind fields =
-    Some (Tcjson.Obj (("at_ns", Tcjson.Float (Sim.Time.to_ns at))
-                      :: ("kind", Tcjson.String kind) :: fields))
-  in
-  let i n = Tcjson.Int n and s v = Tcjson.String v in
-  match ev with
-  | Req_issue e ->
-    base "req_issue"
-      [ ("tid", i e.tid); ("node", i e.node); ("proc", i e.proc); ("addr", i e.addr);
-        ("rw", s (rw_to_string e.rw)) ]
-  | Req_response e ->
-    base "req_response" [ ("tid", i e.tid); ("node", i e.node); ("src", i e.src) ]
-  | Req_retire e ->
-    base "req_retire"
-      [ ("tid", i e.tid); ("node", i e.node); ("proc", i e.proc); ("addr", i e.addr);
-        ("rw", s (rw_to_string e.rw)); ("fill", s (fill_to_string e.fill));
-        ("cause", s (cause_to_string e.cause)); ("retries", i e.retries);
-        ("persistent", Tcjson.Bool e.persistent) ]
-  | Req_reissue e ->
-    base "req_reissue"
-      [ ("tid", i e.tid); ("node", i e.node); ("addr", i e.addr); ("retry", i e.retry) ]
-  | Net_hop e ->
-    base "net_hop"
-      [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls);
-        ("queue_ns", Tcjson.Float e.queue_ns); ("flight_ns", Tcjson.Float e.flight_ns);
-        ("arrive_ns", Tcjson.Float (Sim.Time.to_ns e.arrive)) ]
-  | Mem_hop e -> base "mem_hop" [ ("requester", i e.requester); ("ns", Tcjson.Float e.ns) ]
-  | Lookup e ->
-    base "lookup"
-      [ ("node", i e.node); ("level", s (level_to_string e.level)); ("addr", i e.addr);
-        ("hit", Tcjson.Bool e.hit) ]
-  | Msg_send e ->
-    base "msg_send"
-      [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls); ("bytes", i e.bytes);
-        ("label", s e.label) ]
-  | Msg_deliver e ->
-    base "msg_deliver"
-      [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls); ("label", s e.label) ]
-  | Link_xfer e ->
-    base "link_xfer"
-      [ ("src_site", i e.src_site); ("dst_site", i e.dst_site); ("cls", s e.cls);
-        ("bytes", i e.bytes); ("start_ns", Tcjson.Float (Sim.Time.to_ns e.start));
-        ("finish_ns", Tcjson.Float (Sim.Time.to_ns e.finish)) ]
-  | Fault_action e ->
-    base "fault"
-      [ ("action", s e.action); ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls) ]
-  | Fsm e ->
-    base "fsm"
-      [ ("fsm", s e.fsm); ("node", i e.node); ("addr", i e.addr);
-        ("from", s e.from_state); ("to", s e.to_state) ]
-  | Persistent e ->
-    base "persistent"
-      [ ("action", s e.action); ("node", i e.node); ("proc", i e.proc); ("addr", i e.addr) ]
-  | Dir_indirection e ->
-    base "dir_indirection"
-      [ ("node", i e.node); ("addr", i e.addr); ("write", Tcjson.Bool e.write) ]
-  | Retransmit e ->
-    base "retransmit"
-      [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls); ("attempt", i e.attempt) ]
-  | Retransmit_exhausted e ->
-    base "retransmit_exhausted"
-      [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls); ("attempts", i e.attempts) ]
-  | Dup_absorbed e ->
-    base "dup_absorbed" [ ("src", i e.src); ("dst", i e.dst); ("cls", s e.cls) ]
-  | Epoch_bump e ->
-    base "epoch_bump" [ ("node", i e.node); ("addr", i e.addr); ("epoch", i e.epoch) ]
-  | Token_recreated e ->
-    base "token_recreated"
-      [ ("addr", i e.addr); ("epoch", i e.epoch); ("tokens", i e.tokens) ]
-  | Stale_discard e ->
-    base "stale_discard" [ ("node", i e.node); ("addr", i e.addr); ("epoch", i e.epoch) ]
-  | Node_crash e -> base "node_crash" [ ("node", i e.node) ]
-  | Node_restart e -> base "node_restart" [ ("node", i e.node) ]
-  | Link_down e ->
-    base "link_down" [ ("src_site", i e.src_site); ("dst_site", i e.dst_site) ]
-  | Link_degraded e ->
-    base "link_degraded"
-      [ ("src_site", i e.src_site); ("dst_site", i e.dst_site);
-        ("latency_mult", Tcjson.Float e.latency_mult);
-        ("drop_prob", Tcjson.Float e.drop_prob) ]
-  | Link_healed e ->
-    base "link_healed" [ ("src_site", i e.src_site); ("dst_site", i e.dst_site) ]
-  | _ -> None

@@ -99,11 +99,3 @@ type Sim.Engine.event +=
       drop_prob : float;
     }
   | Link_healed of { src_site : int; dst_site : int }
-
-(** One-line human rendering; [None] for constructors this library does
-    not know about. *)
-val describe : Sim.Time.t -> Sim.Engine.event -> string option
-
-(** Structured rendering for evidence dumps; [None] for foreign
-    constructors. *)
-val to_json : Sim.Time.t -> Sim.Engine.event -> Tcjson.t option

@@ -48,6 +48,14 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
       Hashtbl.add links (src, dst) tid;
       tid
   in
+  let node_instant ?args ~name node ts =
+    see_node node;
+    push (instant ?args ~name ~tid:node ~ts ())
+  in
+  let link_instant ?args ~name src dst ts =
+    push (instant ?args ~name ~tid:(link_tid src dst) ~ts ())
+  in
+  let addr a = J.String (Printf.sprintf "%#x" a) in
   (* Spans first: one "miss" slice per transaction on the requesting
      node's track, with "request"/"fill" phase slices nested inside. *)
   let spans = Span.assemble buf in
@@ -60,7 +68,7 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
         let ts = us_of_time s.Span.issued in
         let dur = us_of_time retired -. ts in
         let args =
-          [ ("tid", J.Int s.Span.tid); ("addr", J.String (Printf.sprintf "%#x" s.Span.addr));
+          [ ("tid", J.Int s.Span.tid); ("addr", addr s.Span.addr);
             ("rw", J.String (Event.rw_to_string s.Span.rw));
             ("fill", J.String (match s.Span.fill with
                | Some f -> Event.fill_to_string f
@@ -92,61 +100,67 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
              ~args:[ ("cls", J.String x.cls); ("bytes", J.Int x.bytes) ]
              ~name:x.cls ~tid ~ts ~dur ())
       | Event.Msg_send m when include_instants ->
-        see_node m.src;
-        push
-          (instant
-             ~args:[ ("dst", J.Int m.dst); ("cls", J.String m.cls);
-                     ("bytes", J.Int m.bytes);
-                     ("label", J.String m.label) ]
-             ~name:(Printf.sprintf "send [%s]" m.cls) ~tid:m.src ~ts ())
+        node_instant
+          ~args:[ ("dst", J.Int m.dst); ("cls", J.String m.cls); ("bytes", J.Int m.bytes);
+                  ("label", J.String m.label) ]
+          ~name:(Printf.sprintf "send [%s]" m.cls) m.src ts
       | Event.Msg_deliver m when include_instants ->
-        see_node m.dst;
-        push
-          (instant
-             ~args:[ ("src", J.Int m.src); ("cls", J.String m.cls);
-                     ("label", J.String m.label) ]
-             ~name:(Printf.sprintf "deliver [%s]" m.cls) ~tid:m.dst ~ts ())
+        node_instant
+          ~args:[ ("src", J.Int m.src); ("cls", J.String m.cls); ("label", J.String m.label) ]
+          ~name:(Printf.sprintf "deliver [%s]" m.cls) m.dst ts
       | Event.Fault_action f ->
-        see_node f.dst;
-        push
-          (instant
-             ~args:[ ("src", J.Int f.src); ("cls", J.String f.cls) ]
-             ~name:(Printf.sprintf "fault:%s" f.action) ~tid:f.dst ~ts ())
+        node_instant ~args:[ ("src", J.Int f.src); ("cls", J.String f.cls) ]
+          ~name:(Printf.sprintf "fault:%s" f.action) f.dst ts
       | Event.Req_reissue r when include_instants ->
-        see_node r.node;
-        push
-          (instant
-             ~args:[ ("tid", J.Int r.tid); ("retry", J.Int r.retry) ]
-             ~name:"reissue" ~tid:r.node ~ts ())
+        node_instant ~args:[ ("tid", J.Int r.tid); ("retry", J.Int r.retry) ] ~name:"reissue"
+          r.node ts
       | Event.Dir_indirection d ->
-        see_node d.node;
-        push
-          (instant
-             ~args:[ ("addr", J.String (Printf.sprintf "%#x" d.addr));
-                     ("write", J.Bool d.write) ]
-             ~name:"3-hop indirection" ~tid:d.node ~ts ())
+        node_instant ~args:[ ("addr", addr d.addr); ("write", J.Bool d.write) ]
+          ~name:"3-hop indirection" d.node ts
       | Event.Persistent p ->
-        see_node p.node;
-        push
-          (instant
-             ~args:[ ("proc", J.Int p.proc);
-                     ("addr", J.String (Printf.sprintf "%#x" p.addr)) ]
-             ~name:(Printf.sprintf "persistent:%s" p.action) ~tid:p.node ~ts ())
+        node_instant ~args:[ ("proc", J.Int p.proc); ("addr", addr p.addr) ]
+          ~name:(Printf.sprintf "persistent:%s" p.action) p.node ts
       | Event.Fsm f when include_instants ->
-        see_node f.node;
-        push
-          (instant
-             ~args:[ ("addr", J.String (Printf.sprintf "%#x" f.addr)) ]
-             ~name:(Printf.sprintf "%s %s>%s" f.fsm f.from_state f.to_state)
-             ~tid:f.node ~ts ())
+        node_instant ~args:[ ("addr", addr f.addr) ]
+          ~name:(Printf.sprintf "%s %s>%s" f.fsm f.from_state f.to_state) f.node ts
       | Event.Lookup l when include_instants ->
-        see_node l.node;
+        node_instant ~args:[ ("addr", addr l.addr) ]
+          ~name:
+            (Printf.sprintf "%s %s" (Event.level_to_string l.level)
+               (if l.hit then "hit" else "miss"))
+          l.node ts
+      (* Recovery and outage events: rare, and the evidence a failed
+         recovery or chaos run is judged by, so never filtered. *)
+      | Event.Retransmit r ->
+        node_instant
+          ~args:[ ("dst", J.Int r.dst); ("cls", J.String r.cls); ("attempt", J.Int r.attempt) ]
+          ~name:(Printf.sprintf "retransmit [%s]" r.cls) r.src ts
+      | Event.Retransmit_exhausted r ->
+        node_instant
+          ~args:[ ("dst", J.Int r.dst); ("cls", J.String r.cls); ("attempts", J.Int r.attempts) ]
+          ~name:(Printf.sprintf "retransmit-exhausted [%s]" r.cls) r.src ts
+      | Event.Dup_absorbed d ->
+        node_instant ~args:[ ("src", J.Int d.src); ("cls", J.String d.cls) ]
+          ~name:(Printf.sprintf "dup-absorbed [%s]" d.cls) d.dst ts
+      | Event.Epoch_bump b ->
+        node_instant ~args:[ ("addr", addr b.addr); ("epoch", J.Int b.epoch) ]
+          ~name:"epoch-bump" b.node ts
+      | Event.Token_recreated r ->
         push
           (instant
-             ~args:[ ("addr", J.String (Printf.sprintf "%#x" l.addr)) ]
-             ~name:(Printf.sprintf "%s %s" (Event.level_to_string l.level)
-                      (if l.hit then "hit" else "miss"))
-             ~tid:l.node ~ts ())
+             ~args:[ ("addr", addr r.addr); ("epoch", J.Int r.epoch); ("tokens", J.Int r.tokens) ]
+             ~name:"token-recreated" ~tid:0 ~ts ())
+      | Event.Stale_discard d ->
+        node_instant ~args:[ ("addr", addr d.addr); ("epoch", J.Int d.epoch) ]
+          ~name:"stale-discard" d.node ts
+      | Event.Node_crash c -> node_instant ~name:"node-crash" c.node ts
+      | Event.Node_restart r -> node_instant ~name:"node-restart" r.node ts
+      | Event.Link_down l -> link_instant ~name:"link-down" l.src_site l.dst_site ts
+      | Event.Link_degraded l ->
+        link_instant
+          ~args:[ ("latency_mult", J.Float l.latency_mult); ("drop_prob", J.Float l.drop_prob) ]
+          ~name:"link-degraded" l.src_site l.dst_site ts
+      | Event.Link_healed l -> link_instant ~name:"link-healed" l.src_site l.dst_site ts
       | _ -> ());
   List.iter
     (fun (at, text) ->

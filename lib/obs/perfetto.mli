@@ -3,6 +3,10 @@
     one process for the machine, one track per node (core/cache) plus
     one per fabric link; miss transactions render as "miss" slices with
     nested "request"/"fill" phase slices, everything else as instants.
+    Recovery and outage events (retransmissions, duplicate absorption,
+    epoch bumps, stale discards, crashes and restarts) are instants on
+    their node's track, link outages on the link's track, and token
+    recreation on track 0.
 
     Timestamps are microseconds of simulated time (1 us on screen =
     1 us simulated; sub-ns structure survives as fractional ts). *)

@@ -1529,15 +1529,6 @@ let create ?recovery policy engine cfg traffic rng counters =
   | _ -> ());
   t
 
-let handle_of t =
-  {
-    Mcmp.Protocol.name = t.policy.Policy.name;
-    access = (fun ~proc ~kind addr ~commit -> access t ~proc ~kind addr ~commit);
-  }
-
-let builder policy : Mcmp.Protocol.builder =
- fun engine cfg traffic rng counters -> handle_of (create policy engine cfg traffic rng counters)
-
 let debug_of t =
   let node_line node addr =
     if is_mem_node node then Hashtbl.find_opt node.mem_lines addr else cache_line node addr
@@ -1619,14 +1610,6 @@ let dump t fmt () =
       Format.fprintf fmt "recreating: %a -> e%d (%d acks)@." Cache.Addr.pp addr rc.rc_epoch
         (Hashtbl.length rc.rc_acks))
     t.recreating
-
-let create_debug policy engine cfg traffic rng counters =
-  let t = create policy engine cfg traffic rng counters in
-  (handle_of t, debug_of t)
-
-let create_debug_dump policy engine cfg traffic rng counters =
-  let t = create policy engine cfg traffic rng counters in
-  (handle_of t, debug_of t, dump t)
 
 type recovery_stats = {
   rs_recreations : int;
@@ -1804,9 +1787,12 @@ type instrumented = {
 
 let create_instrumented ?recovery policy engine cfg traffic rng counters =
   let t = create ?recovery policy engine cfg traffic rng counters in
-  F.set_msg_label t.fabric Msg.label;
   {
-    i_handle = handle_of t;
+    i_handle =
+      {
+        Mcmp.Protocol.name = t.policy.Policy.name;
+        access = (fun ~proc ~kind addr ~commit -> access t ~proc ~kind addr ~commit);
+      };
     i_debug = debug_of t;
     i_probe = probe_of t;
     i_dump = dump t;
@@ -1823,3 +1809,7 @@ let create_instrumented ?recovery policy engine cfg traffic rng counters =
         });
     i_set_recreation_source = (fun f -> t.rec_timeout_src <- f);
   }
+
+let builder policy : Mcmp.Protocol.builder =
+ fun engine cfg traffic rng counters ->
+  (create_instrumented policy engine cfg traffic rng counters).i_handle

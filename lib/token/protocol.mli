@@ -8,9 +8,6 @@
     requests are broadcast, escalated off-chip, retried, predicted and
     filtered (Sections 3-4 of the paper). *)
 
-(** [builder policy] — plug into {!Mcmp.Runner.run}. *)
-val builder : Policy.t -> Mcmp.Protocol.builder
-
 (** Introspection hooks for tests (token-conservation and related
     invariants). *)
 type debug = {
@@ -22,27 +19,6 @@ type debug = {
   node_owner : int -> Cache.Addr.t -> bool;
   persistent_entries : unit -> int;  (** live table entries, all nodes *)
 }
-
-val create_debug :
-  Policy.t ->
-  Sim.Engine.t ->
-  Mcmp.Config.t ->
-  Interconnect.Traffic.t ->
-  Sim.Rng.t ->
-  Mcmp.Counters.t ->
-  Mcmp.Protocol.handle * debug
-
-(** Like {!create_debug}, plus a diagnostic dump of all in-flight
-    protocol state (pending MSHRs, persistent-request tables, tokens in
-    flight). *)
-val create_debug_dump :
-  Policy.t ->
-  Sim.Engine.t ->
-  Mcmp.Config.t ->
-  Interconnect.Traffic.t ->
-  Sim.Rng.t ->
-  Mcmp.Counters.t ->
-  Mcmp.Protocol.handle * debug * (Format.formatter -> unit -> unit)
 
 (** Recovery-layer activity counters (all zero when the protocol was
     built without [?recovery]). *)
@@ -58,8 +34,11 @@ type recovery_stats = {
     (token conservation per block, exactly-one owner,
     valid-data-implies-token, owner-implies-data, persistent-request-
     table consistency), the state dump, and the interconnect fabric (so
-    a fault plan can be installed on it). Message labelling is
-    pre-wired for tracing.
+    a fault plan can be installed on it). This is the protocol's one
+    constructor; {!builder} is it with everything but the handle
+    dropped. Fabric message labels are left empty: a caller that wants
+    them in traces installs {!Msg.label} with
+    {!Interconnect.Fabric.set_msg_label}.
 
     [i_crash]/[i_restart] power-cycle a cache node (see the recovery
     fault model): a crash loses all volatile state — resident lines,
@@ -106,3 +85,7 @@ val create_instrumented :
   Sim.Rng.t ->
   Mcmp.Counters.t ->
   instrumented
+
+(** [builder policy] is {!create_instrumented} without recovery,
+    keeping only the handle — plug into {!Mcmp.Runner.run}. *)
+val builder : Policy.t -> Mcmp.Protocol.builder

@@ -231,6 +231,9 @@ let test_chaos_spec () =
   let b = Fault.Chaos.brownout_of (Fault.Chaos.burst_loss ()) in
   Alcotest.(check bool) "brownout flag" true b.Fault.Chaos.brownout
 
+let recovering = { Fault.Torture.default_params with Fault.Torture.p_recover = true }
+let adaptive = { recovering with Fault.Torture.p_adaptive = true }
+
 (* A chaos plan whose first transition lies beyond the end of the run
    must leave the simulation bit-identical: installing it draws from a
    dedicated stream and the armed outage model (all links up) is
@@ -238,11 +241,12 @@ let test_chaos_spec () =
 let test_chaos_gating_deterministic () =
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.02 Fault.Spec.default in
   let base =
-    Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:11
+    Fault.Torture.run recovering (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:11
   in
   let dormant = Fault.Chaos.flaky ~start:(Sim.Time.us 100_000) () in
   let armed =
-    Fault.Torture.run ~recover:true ~chaos:dormant
+    Fault.Torture.run
+      { recovering with Fault.Torture.p_chaos = Some dormant }
       (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:11
   in
   Alcotest.(check int) "runtime identical" base.Fault.Torture.runtime
@@ -266,7 +270,8 @@ let test_partition_survival () =
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.01 Fault.Spec.default in
   for seed = 1 to 3 do
     let o =
-      Fault.Torture.run ~recover:true ~adaptive:true ~chaos
+      Fault.Torture.run
+        { adaptive with Fault.Torture.p_chaos = Some chaos }
         (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
     in
     (match Fault.Torture.verdict o with
@@ -297,19 +302,23 @@ let test_chaos_validation () =
   Alcotest.(check bool) "hard chaos without recovery rejected" true
     (invalid (fun () ->
          Fault.Torture.run
-           ~chaos:(Fault.Chaos.split ~duration:(us 10) ())
+           { Fault.Torture.default_params with
+             Fault.Torture.p_chaos = Some (Fault.Chaos.split ~duration:(us 10) ())
+           }
            (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.default ~seed:1));
   Alcotest.(check bool) "adaptive without recovery rejected" true
     (invalid (fun () ->
-         Fault.Torture.run ~adaptive:true (Fault.Torture.Token Token.Policy.dst1)
-           ~spec:Fault.Spec.default ~seed:1))
+         Fault.Torture.run
+           { Fault.Torture.default_params with Fault.Torture.p_adaptive = true }
+           (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.default ~seed:1))
 
 (* Directory targets take the loss-free brownout rendition of the plan
    and must still retire everything (delay-only discipline). *)
 let test_directory_brownout () =
   let chaos = Fault.Chaos.split ~at:(us 5) ~duration:(us 20) () in
   let o =
-    Fault.Torture.run ~chaos
+    Fault.Torture.run
+      { Fault.Torture.default_params with Fault.Torture.p_chaos = Some chaos }
       (Fault.Torture.Directory { dram_directory = true })
       ~spec:(Fault.Spec.delay_only Fault.Spec.default) ~seed:3
   in
@@ -357,8 +366,7 @@ let test_margin_covers_adaptive_ceiling () =
      without the watchdog misfiring on a legitimate recovery wait. *)
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.03 Fault.Spec.default in
   let o =
-    Fault.Torture.run ~recover:true ~adaptive:true
-      (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:17
+    Fault.Torture.run adaptive (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:17
   in
   match Fault.Torture.verdict o with
   | Fault.Torture.Clean -> ()
@@ -369,8 +377,9 @@ let test_margin_covers_adaptive_ceiling () =
 let test_chaos_campaign () =
   let chaos = Fault.Chaos.split ~at:(us 5) ~duration:(us 25) () in
   let outcomes =
-    Fault.Torture.campaign ~config:Mcmp.Config.tiny ~runs:4 ~recover:true ~adaptive:true
-      ~chaos
+    Fault.Torture.campaign
+      ~params:{ adaptive with Fault.Torture.p_chaos = Some chaos }
+      ~runs:4
       ~targets:[ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ]
       ~seed:2026 ()
   in

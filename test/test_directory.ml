@@ -5,10 +5,12 @@ let tiny = Mcmp.Config.tiny
 let lock_cfg ~nlocks ~acquires =
   { (Workload.Locking.default ~nlocks) with Workload.Locking.acquires; warmup_acquires = 5 }
 
-let run_locking ?(config = tiny) ?(dram = true) ?migratory ~nlocks ~acquires ~seed () =
+let mig_off = { tiny with Mcmp.Config.migratory = false }
+
+let run_locking ?(config = tiny) ?(dram = true) ~nlocks ~acquires ~seed () =
   let cfg = lock_cfg ~nlocks ~acquires in
   let programs = Workload.Locking.programs cfg ~seed ~nprocs:(Mcmp.Config.nprocs config) in
-  let builder = Directory.Protocol.builder ?migratory ~dram_directory:dram () in
+  let builder = Directory.Protocol.builder ~dram_directory:dram () in
   (Mcmp.Runner.run ~config builder ~programs ~seed, cfg)
 
 let test_completes () =
@@ -30,14 +32,14 @@ let test_indirections_counted () =
     (r.Mcmp.Runner.counters.Mcmp.Counters.dir_indirections > 0)
 
 let test_migratory_off_completes () =
-  let r, _ = run_locking ~migratory:false ~nlocks:4 ~acquires:15 ~seed:4 () in
+  let r, _ = run_locking ~config:mig_off ~nlocks:4 ~acquires:15 ~seed:4 () in
   Alcotest.(check bool) "completes" true r.Mcmp.Runner.completed
 
 let test_migratory_reduces_misses () =
   (* With migratory sharing, the read->t&s pair costs one miss instead
      of two, so the migratory run misses less. *)
-  let r_mig, _ = run_locking ~migratory:true ~nlocks:32 ~acquires:25 ~seed:5 () in
-  let r_no, _ = run_locking ~migratory:false ~nlocks:32 ~acquires:25 ~seed:5 () in
+  let r_mig, _ = run_locking ~nlocks:32 ~acquires:25 ~seed:5 () in
+  let r_no, _ = run_locking ~config:mig_off ~nlocks:32 ~acquires:25 ~seed:5 () in
   Alcotest.(check bool) "fewer misses with migratory" true
     (r_mig.Mcmp.Runner.counters.Mcmp.Counters.l1_misses
     <= r_no.Mcmp.Runner.counters.Mcmp.Counters.l1_misses)

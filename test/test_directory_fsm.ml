@@ -11,15 +11,17 @@ type rig = {
   dump : Format.formatter -> unit -> unit;
 }
 
-let make_rig ?(migratory = true) () =
+let make_rig ?(config = tiny) () =
   let engine = Sim.Engine.create () in
   let counters = Mcmp.Counters.create () in
-  let handle, dump =
-    Directory.Protocol.builder_debug ~migratory ~dram_directory:true () engine tiny
+  let i =
+    Directory.Protocol.create_instrumented ~dram_directory:true () engine config
       (Interconnect.Traffic.create ())
       (Sim.Rng.create 99) counters
   in
-  { engine; counters; handle; dump }
+  { engine; counters; handle = i.Directory.Protocol.i_handle; dump = i.Directory.Protocol.i_dump }
+
+let mig_off = { tiny with Mcmp.Config.migratory = false }
 
 (* Run one access to completion; returns simulated latency in ns. *)
 let access rig ~proc ~kind addr =
@@ -72,7 +74,7 @@ let test_remote_dirty_read_indirects () =
 let test_migratory_read_takes_ownership () =
   (* with migratory sharing, the reader of modified data gets M and can
      write without another miss *)
-  let rig = make_rig ~migratory:true () in
+  let rig = make_rig () in
   let _ = access rig ~proc:0 ~kind:Mcmp.Protocol.Write block in
   let _ = access rig ~proc:2 ~kind:Mcmp.Protocol.Read block in
   let misses = rig.counters.Mcmp.Counters.l1_misses in
@@ -80,7 +82,7 @@ let test_migratory_read_takes_ownership () =
   Alcotest.(check int) "migratory write hits" misses rig.counters.Mcmp.Counters.l1_misses
 
 let test_nonmigratory_read_shares () =
-  let rig = make_rig ~migratory:false () in
+  let rig = make_rig ~config:mig_off () in
   let _ = access rig ~proc:0 ~kind:Mcmp.Protocol.Write block in
   let _ = access rig ~proc:2 ~kind:Mcmp.Protocol.Read block in
   let misses = rig.counters.Mcmp.Counters.l1_misses in
@@ -90,7 +92,7 @@ let test_nonmigratory_read_shares () =
     rig.counters.Mcmp.Counters.l1_misses
 
 let test_write_invalidates_sharers () =
-  let rig = make_rig ~migratory:false () in
+  let rig = make_rig ~config:mig_off () in
   let _ = access rig ~proc:0 ~kind:Mcmp.Protocol.Read block in
   let _ = access rig ~proc:1 ~kind:Mcmp.Protocol.Read block in
   let _ = access rig ~proc:2 ~kind:Mcmp.Protocol.Read block in
@@ -103,7 +105,7 @@ let test_write_invalidates_sharers () =
 
 let test_sibling_read_through_l2 () =
   (* chip-internal sharing never leaves the chip *)
-  let rig = make_rig ~migratory:false () in
+  let rig = make_rig ~config:mig_off () in
   let _ = access rig ~proc:0 ~kind:Mcmp.Protocol.Write block in
   let indirections = rig.counters.Mcmp.Counters.dir_indirections in
   let _ = access rig ~proc:1 ~kind:Mcmp.Protocol.Read block in

@@ -136,6 +136,9 @@ let test_report_severity () =
 
 (* ---- Torture runs ---- *)
 
+let plain = Fault.Torture.default_params
+let recovering = { Fault.Torture.default_params with Fault.Torture.p_recover = true }
+
 let check_clean o =
   match Fault.Torture.verdict o with
   | Fault.Torture.Clean -> ()
@@ -150,8 +153,8 @@ let check_clean o =
    and hang-free. *)
 let test_campaign_clean () =
   let outcomes =
-    Fault.Torture.campaign ~config:Mcmp.Config.tiny ~runs:100
-      ~targets:Fault.Torture.default_targets ~seed:2026 ()
+    Fault.Torture.campaign ~params:plain ~runs:100 ~targets:Fault.Torture.default_targets
+      ~seed:2026 ()
   in
   Alcotest.(check int) "ran all 100" 100 (List.length outcomes);
   List.iter check_clean outcomes
@@ -162,7 +165,7 @@ let test_token_drop_detected () =
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.05 Fault.Spec.default in
   let hits = ref 0 in
   for seed = 1 to 6 do
-    let o = Fault.Torture.run (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed in
+    let o = Fault.Torture.run plain (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed in
     if o.Fault.Torture.stats.Fault.Plan.drops_unrecoverable > 0 then begin
       incr hits;
       (match Fault.Torture.verdict o with
@@ -195,7 +198,7 @@ let test_token_mint_caught () =
   in
   let hits = ref 0 in
   for seed = 1 to 6 do
-    let o = Fault.Torture.run (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed in
+    let o = Fault.Torture.run plain (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed in
     if o.Fault.Torture.stats.Fault.Plan.token_dups > 0 then begin
       incr hits;
       (match Fault.Torture.verdict o with
@@ -226,8 +229,8 @@ let delay_spikes =
 let test_mcast_fallback_under_spikes () =
   for seed = 1 to 3 do
     check_clean
-      (Fault.Torture.run (Fault.Torture.Token Token.Policy.dst1_mcast) ~spec:delay_spikes
-         ~seed)
+      (Fault.Torture.run plain (Fault.Torture.Token Token.Policy.dst1_mcast)
+         ~spec:delay_spikes ~seed)
   done
 
 (* timeout_all_responses arms the retry timer from the all-responses
@@ -240,7 +243,8 @@ let test_timeout_all_responses_under_spikes () =
       timeout_all_responses = true }
   in
   for seed = 1 to 3 do
-    check_clean (Fault.Torture.run (Fault.Torture.Token policy) ~spec:delay_spikes ~seed)
+    check_clean
+      (Fault.Torture.run plain (Fault.Torture.Token policy) ~spec:delay_spikes ~seed)
   done
 
 (* ---- Recovery mode ---- *)
@@ -308,7 +312,7 @@ let test_recovery_survives_token_drops () =
   let survived = ref 0 and retrans = ref 0 in
   for seed = 1 to 6 do
     let o =
-      Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
+      Fault.Torture.run recovering (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
     in
     if o.Fault.Torture.stats.Fault.Plan.drops_recoverable > 0 then begin
       incr survived;
@@ -341,7 +345,7 @@ let test_recovery_crash_restart_retires () =
   let crashes = ref 0 and recreations = ref 0 in
   for seed = 1 to 5 do
     let o =
-      Fault.Torture.run ~recover:true (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
+      Fault.Torture.run recovering (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
     in
     (match Fault.Torture.verdict o with
     | Fault.Torture.Clean -> ()
@@ -369,7 +373,8 @@ let test_span_reconciliation_under_faults () =
   in
   for seed = 1 to 4 do
     let o =
-      Fault.Torture.run ~recover:true ~trace_capacity:2_000_000
+      Fault.Torture.run
+        { recovering with Fault.Torture.p_trace_capacity = 2_000_000 }
         (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
     in
     (match Fault.Torture.verdict o with
@@ -392,7 +397,8 @@ let test_span_reconciliation_under_faults () =
      counted drops short of the miss total) rather than pretend the
      window was complete. *)
   let o =
-    Fault.Torture.run ~recover:true ~trace_capacity:64
+    Fault.Torture.run
+      { recovering with Fault.Torture.p_trace_capacity = 64 }
       (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:1
   in
   let s = o.Fault.Torture.spans in
@@ -405,9 +411,11 @@ let test_span_reconciliation_under_faults () =
 let test_retransmit_exhaustion_structured () =
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:1.0 Fault.Spec.none in
   let o =
-    Fault.Torture.run ~recover:true
-      ~no_progress_windows:1_000
-      ~starvation_bound:(ns 50_000_000)
+    Fault.Torture.run
+      { recovering with
+        Fault.Torture.p_no_progress_windows = 1_000;
+        p_starvation_bound = ns 50_000_000
+      }
       (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:5
   in
   Alcotest.(check bool) "did not complete" false o.Fault.Torture.completed;
@@ -426,19 +434,73 @@ let test_retransmit_exhaustion_structured () =
    drop+crash storm. *)
 let test_recovery_campaign () =
   let outcomes =
-    Fault.Torture.campaign ~config:Mcmp.Config.tiny ~runs:16 ~recover:true
-      ~targets:Fault.Torture.token_targets ~seed:4711 ()
+    Fault.Torture.campaign ~params:recovering ~runs:16 ~targets:Fault.Torture.token_targets
+      ~seed:4711 ()
   in
   Alcotest.(check int) "ran all 16" 16 (List.length outcomes);
   List.iter check_clean outcomes;
   Alcotest.(check bool) "directory targets rejected" true
     (match
-       Fault.Torture.campaign ~runs:1 ~recover:true
+       Fault.Torture.campaign ~params:recovering ~runs:1
          ~targets:[ Fault.Torture.Directory { dram_directory = true } ]
          ~seed:1 ()
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* A fault-free torture run is the runner's run plus monitor and
+   watchdog ticks: same machine, workload and seed, so the same ops,
+   finish time and retired misses. Only the event count differs. *)
+let test_torture_runs_the_runner_machine () =
+  let nprocs = Mcmp.Config.nprocs Mcmp.Config.tiny in
+  let lcfg =
+    { (Workload.Locking.default ~nlocks:4) with
+      Workload.Locking.acquires = 30;
+      warmup_acquires = 5 }
+  in
+  List.iter
+    (fun (target, builder) ->
+      List.iter
+        (fun seed ->
+          let o = Fault.Torture.run plain target ~spec:Fault.Spec.none ~seed in
+          let r =
+            Mcmp.Runner.run ~config:Mcmp.Config.tiny builder
+              ~programs:(Workload.Locking.programs lcfg ~seed ~nprocs)
+              ~seed
+          in
+          let label what =
+            Printf.sprintf "%s seed %d %s" (Fault.Torture.target_name target) seed what
+          in
+          Alcotest.(check int) (label "ops") r.Mcmp.Runner.ops o.Fault.Torture.ops;
+          Alcotest.(check int) (label "finish time") r.Mcmp.Runner.total_runtime
+            o.Fault.Torture.runtime;
+          Alcotest.(check int) (label "retired misses")
+            (Sim.Stat.Welford.count r.Mcmp.Runner.counters.Mcmp.Counters.miss_latency)
+            o.Fault.Torture.misses;
+          Alcotest.(check bool) (label "monitor and watchdog ticks") true
+            (o.Fault.Torture.events > r.Mcmp.Runner.events))
+        [ 1; 5; 9 ])
+    [
+      (Fault.Torture.Token Token.Policy.dst1, Token.Protocol.builder Token.Policy.dst1);
+      (Fault.Torture.Token Token.Policy.arb0, Token.Protocol.builder Token.Policy.arb0);
+      ( Fault.Torture.Directory { dram_directory = true },
+        Directory.Protocol.builder ~dram_directory:true () );
+    ]
+
+(* Both protocols register their outstanding-miss gauge from their one
+   constructor, so torture metrics carry it for either. *)
+let test_outstanding_misses_gauge () =
+  List.iter
+    (fun (target, gauge) ->
+      let o = Fault.Torture.run plain target ~spec:Fault.Spec.none ~seed:1 in
+      Alcotest.(check bool)
+        (Fault.Torture.target_name target ^ " metrics carry " ^ gauge)
+        true
+        (Tcjson.member gauge o.Fault.Torture.metrics <> None))
+    [
+      (Fault.Torture.Token Token.Policy.dst1, "token.outstanding_misses");
+      (Fault.Torture.Directory { dram_directory = true }, "directory.outstanding_misses");
+    ]
 
 let tests =
   [
@@ -470,4 +532,8 @@ let tests =
       test_retransmit_exhaustion_structured;
     Alcotest.test_case "recovery campaign, all token targets" `Slow
       test_recovery_campaign;
+    Alcotest.test_case "torture runs the runner's machine" `Quick
+      test_torture_runs_the_runner_machine;
+    Alcotest.test_case "outstanding-miss gauge on both protocols" `Quick
+      test_outstanding_misses_gauge;
   ]

@@ -37,10 +37,10 @@ let livelock_params =
 let livelock_target = T.Token Token.Policy.dst1
 let livelock_seed = 1
 
-let run_drop seed = T.run_with drop_params drop_target ~spec:drop_spec ~seed
+let run_drop seed = T.run drop_params drop_target ~spec:drop_spec ~seed
 
 let run_livelock () =
-  T.run_with livelock_params livelock_target ~spec:Fault.Spec.default ~seed:livelock_seed
+  T.run livelock_params livelock_target ~spec:Fault.Spec.default ~seed:livelock_seed
 
 (* ---- bundle round-trip ---- *)
 
@@ -50,7 +50,7 @@ let test_bundle_roundtrip () =
   Alcotest.(check bool)
     "schedule is rich (>=100 events)" true
     (List.length o.T.plan_events >= 100);
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   let j = B.to_json b in
   match B.of_json j with
   | Error e -> Alcotest.failf "of_json failed: %s" e
@@ -74,7 +74,7 @@ let test_bundle_file_roundtrip () =
       "planted livelock verdict" true
       (msg = "livelock: did not converge after partition heal")
   | v -> Alcotest.failf "planted livelock got %a" T.pp_verdict v);
-  let b = B.make ~params:livelock_params o in
+  let b = B.make o in
   let path = Filename.temp_file "tokencmp-test" ".repro.json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -89,7 +89,7 @@ let test_bundle_file_roundtrip () =
 
 let test_bundle_rejects_unknown_schema () =
   let o = run_drop drop_seed in
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   let j = B.to_json b in
   let bump = function
     | Tcjson.Obj fields ->
@@ -119,7 +119,7 @@ let test_bundle_rejects_unknown_schema () =
 let test_replay_clean_bit_identical () =
   let o = run_drop clean_seed in
   Alcotest.(check bool) "fixture is clean" true (T.verdict o = T.Clean);
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   match Forensics.Replay.check b with
   | Forensics.Replay.Reproduced o2 ->
     Alcotest.(check bool) "verdict" true (T.verdict o2 = T.Clean);
@@ -140,20 +140,19 @@ let test_replay_failing_bit_identical () =
     [
       (* liveness: unrecoverable token drop starves the system into the
          watchdog's deadlock report *)
-      ("token drop + deadlock", B.make ~params:drop_params (run_drop drop_seed));
+      ("token drop + deadlock", B.make (run_drop drop_seed));
       (* invariant: a minted duplicate breaks token conservation *)
       ( "invariant violation",
         (let spec =
            { Fault.Spec.default with Fault.Spec.dup_prob = 0.3; duplicate_tokens = true }
          in
-         B.make ~params:T.default_params
-           (T.run_with T.default_params drop_target ~spec ~seed:1)) );
-      ("partition livelock", B.make ~params:livelock_params (run_livelock ()));
+         B.make (T.run T.default_params drop_target ~spec ~seed:1)) );
+      ("partition livelock", B.make (run_livelock ()));
     ]
 
 let test_replay_detects_divergence () =
   let o = run_drop drop_seed in
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   let forged = { b with B.seed = b.B.seed + 1 } in
   match Forensics.Replay.check forged with
   | Forensics.Replay.Diverged _ -> ()
@@ -166,7 +165,7 @@ let test_replay_detects_divergence () =
 let test_scripted_full_schedule_identity () =
   let o = run_drop drop_seed in
   let scripted =
-    T.run_with
+    T.run
       { drop_params with T.p_script = Some o.T.plan_events }
       drop_target ~spec:drop_spec ~seed:drop_seed
   in
@@ -189,7 +188,7 @@ let test_blame_attached () =
   in
   let hits = ref 0 in
   for seed = 1 to 6 do
-    let o = T.run_with T.default_params drop_target ~spec ~seed in
+    let o = T.run T.default_params drop_target ~spec ~seed in
     let blamed =
       List.filter_map
         (fun r ->
@@ -224,7 +223,7 @@ let shrink ?(jobs = 1) b =
 
 let test_shrink_drop_case () =
   let o = run_drop drop_seed in
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   let r = shrink b in
   let n = List.length r.Forensics.Shrink.r_schedule in
   Alcotest.(check bool)
@@ -247,7 +246,7 @@ let test_shrink_drop_case () =
     (fun i _ ->
       let without = List.filteri (fun j _ -> j <> i) sched in
       let o' =
-        T.run_with { params with T.p_script = Some without } target ~spec ~seed
+        T.run { params with T.p_script = Some without } target ~spec ~seed
       in
       Alcotest.(check bool)
         (Printf.sprintf "dropping surviving event %d loses the failure" i)
@@ -268,7 +267,7 @@ let test_shrink_drop_case () =
 
 let test_shrink_livelock_case () =
   let o = run_livelock () in
-  let b = B.make ~params:livelock_params o in
+  let b = B.make o in
   Alcotest.(check bool)
     "livelock schedule is rich (>=100 events)" true
     (List.length o.T.plan_events >= 100);
@@ -288,7 +287,7 @@ let test_shrink_livelock_case () =
 
 let test_shrink_deterministic_across_jobs () =
   let o = run_drop drop_seed in
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   let r1 = shrink ~jobs:1 b in
   let r4 = shrink ~jobs:4 b in
   Alcotest.(check string) "minimal bundles are byte-identical"
@@ -300,7 +299,7 @@ let test_shrink_deterministic_across_jobs () =
 
 let test_shrink_rejects_passing_bundle () =
   let o = run_drop clean_seed in
-  let b = B.make ~params:drop_params o in
+  let b = B.make o in
   match Forensics.Shrink.run b with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "shrink accepted a passing bundle"

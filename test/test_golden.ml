@@ -178,7 +178,7 @@ let run_sliced (p : Tokencmp.Protocols.t) =
     counters;
     events = Sim.Engine.events_processed engine;
     ops = List.fold_left (fun acc c -> acc + Mcmp.Core.ops_committed c) 0 cores;
-    sampler = None;
+    stop = (if !remaining = 0 then Mcmp.Runner.Finished else Mcmp.Runner.Unfinished);
   }
 
 (* Sliced differential: every protocol, run in slices, must reproduce

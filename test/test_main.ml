@@ -19,6 +19,7 @@ let () =
       ("directory-fsm", Test_directory_fsm.tests);
       ("model-checking", Test_mc.tests);
       ("random-programs", Test_random.tests);
+      ("runner", Test_runner.tests);
       ("integration", Test_integration.tests);
       ("fault", Test_fault.tests);
       ("chaos", Test_chaos.tests);

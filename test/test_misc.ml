@@ -107,8 +107,8 @@ let test_fabric_delivered_counter () =
 let test_token_dump () =
   let engine = Sim.Engine.create () in
   let counters = Mcmp.Counters.create () in
-  let handle, _debug, dump =
-    Token.Protocol.create_debug_dump Token.Policy.dst0 engine Mcmp.Config.tiny
+  let { Token.Protocol.i_handle = handle; i_dump = dump; _ } =
+    Token.Protocol.create_instrumented Token.Policy.dst0 engine Mcmp.Config.tiny
       (Interconnect.Traffic.create ())
       (Sim.Rng.create 3) counters
   in

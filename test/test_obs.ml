@@ -226,6 +226,59 @@ let test_counter_tracks () =
   | Ok () -> Alcotest.fail "non-numeric counter value must be rejected"
   | Error _ -> ()
 
+(* Recovery and outage events each render as one instant: on their
+   node's track, on their link's track, or on track 0 for a token
+   recreation. *)
+let test_recovery_instants () =
+  let open Obs.Event in
+  let events =
+    [
+      (Retransmit { src = 1; dst = 2; cls = "request"; attempt = 1 }, `Node 1);
+      (Retransmit_exhausted { src = 1; dst = 2; cls = "request"; attempts = 8 }, `Node 1);
+      (Dup_absorbed { src = 1; dst = 2; cls = "request" }, `Node 2);
+      (Epoch_bump { node = 3; addr = 0x40; epoch = 1 }, `Node 3);
+      (Token_recreated { addr = 0x40; epoch = 1; tokens = 16 }, `Node 0);
+      (Stale_discard { node = 4; addr = 0x40; epoch = 0 }, `Node 4);
+      (Node_crash { node = 5 }, `Node 5);
+      (Node_restart { node = 5 }, `Node 5);
+      (Link_down { src_site = 0; dst_site = 1 }, `Link);
+      ( Link_degraded { src_site = 0; dst_site = 1; latency_mult = 4.; drop_prob = 0.1 },
+        `Link );
+      (Link_healed { src_site = 0; dst_site = 1 }, `Link);
+    ]
+  in
+  let b = Obs.Buffer.create ~capacity:16 () in
+  List.iteri (fun i (ev, _) -> Obs.Buffer.add b ~at:(Sim.Time.ns (i + 1)) ev) events;
+  let json = Obs.Perfetto.export b in
+  (match Obs.Perfetto.validate json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "recovery instants must validate: %s" e);
+  let instants =
+    match J.member "traceEvents" json with
+    | Some (J.List evs) -> List.filter (fun ev -> J.member "ph" ev = Some (J.String "i")) evs
+    | _ -> []
+  in
+  Alcotest.(check int) "one instant per event" (List.length events) (List.length instants);
+  let tid ev = match J.member "tid" ev with Some (J.Int t) -> t | _ -> -1 in
+  let link_tids =
+    List.concat
+      (List.map2
+         (fun (_, track) ev ->
+           match track with
+           | `Node n ->
+             Alcotest.(check int) "on its node's track" n (tid ev);
+             []
+           | `Link -> [ tid ev ])
+         events instants)
+  in
+  match link_tids with
+  | t :: rest ->
+    Alcotest.(check bool) "link events share the link's track" true
+      (List.for_all (( = ) t) rest);
+    Alcotest.(check bool) "the link's track is no node's" true
+      (not (List.exists (fun (_, track) -> track = `Node t) events))
+  | [] -> Alcotest.fail "no link instants"
+
 let traced_run ?buffer ?registry () =
   let config = Mcmp.Config.tiny in
   let nprocs = Mcmp.Config.nprocs config in
@@ -343,6 +396,7 @@ let tests =
     Alcotest.test_case "span hop attribution and dropped retires" `Quick test_span_hops;
     Alcotest.test_case "periodic sampler" `Quick test_sampler;
     Alcotest.test_case "perfetto counter tracks" `Quick test_counter_tracks;
+    Alcotest.test_case "perfetto recovery and outage instants" `Quick test_recovery_instants;
     Alcotest.test_case "tracing does not perturb the run" `Quick test_tracing_noninvasive;
     Alcotest.test_case "spans reconcile with welford; export validates" `Quick
       test_reconciliation_and_export;

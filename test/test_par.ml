@@ -112,7 +112,7 @@ let test_sweep_raw_deterministic () =
     serial parallel
 
 let tiny_campaign ~jobs =
-  Fault.Torture.campaign ~config:Mcmp.Config.tiny ~runs:6 ~jobs
+  Fault.Torture.campaign ~params:Fault.Torture.default_params ~runs:6 ~jobs
     ~targets:
       [ Fault.Torture.Token Token.Policy.dst1;
         Fault.Torture.Directory { dram_directory = true } ]

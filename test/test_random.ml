@@ -63,9 +63,9 @@ let prop_token_random =
       let traffic = Interconnect.Traffic.create () in
       let counters = Mcmp.Counters.create () in
       let values = Mcmp.Values.create () in
-      let handle, debug =
-        Token.Protocol.create_debug Token.Policy.dst1 engine tiny traffic (Sim.Rng.create 17)
-          counters
+      let { Token.Protocol.i_handle = handle; i_debug = debug; _ } =
+        Token.Protocol.create_instrumented Token.Policy.dst1 engine tiny traffic
+          (Sim.Rng.create 17) counters
       in
       let nprocs = Mcmp.Config.nprocs tiny in
       let remaining = ref nprocs in

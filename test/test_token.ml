@@ -44,8 +44,8 @@ let test_token_conservation () =
   let engine = Sim.Engine.create () in
   let traffic = Interconnect.Traffic.create () in
   let counters = Mcmp.Counters.create () in
-  let handle, debug =
-    Token.Protocol.create_debug Token.Policy.dst1 engine config traffic
+  let { Token.Protocol.i_handle = handle; i_debug = debug; _ } =
+    Token.Protocol.create_instrumented Token.Policy.dst1 engine config traffic
       (Sim.Rng.create 7) counters
   in
   let values = Mcmp.Values.create () in
@@ -86,8 +86,8 @@ let test_single_owner () =
   let engine = Sim.Engine.create () in
   let traffic = Interconnect.Traffic.create () in
   let counters = Mcmp.Counters.create () in
-  let handle, debug =
-    Token.Protocol.create_debug Token.Policy.dst4 engine config traffic
+  let { Token.Protocol.i_handle = handle; i_debug = debug; _ } =
+    Token.Protocol.create_instrumented Token.Policy.dst4 engine config traffic
       (Sim.Rng.create 9) counters
   in
   let values = Mcmp.Values.create () in

@@ -14,12 +14,12 @@ type rig = {
 let make_rig ?(config = tiny) () =
   let engine = Sim.Engine.create () in
   let counters = Mcmp.Counters.create () in
-  let i =
+  let { Directory.Protocol.i_handle = handle; i_dump = dump; _ } =
     Directory.Protocol.create_instrumented ~dram_directory:true () engine config
       (Interconnect.Traffic.create ())
       (Sim.Rng.create 99) counters
   in
-  { engine; counters; handle = i.Directory.Protocol.i_handle; dump = i.Directory.Protocol.i_dump }
+  { engine; counters; handle; dump }
 
 let mig_off = { tiny with Mcmp.Config.migratory = false }
 

@@ -14,18 +14,12 @@ type rig = {
 let make_rig ?(policy = Token.Policy.dst1) ?(config = tiny) () =
   let engine = Sim.Engine.create () in
   let counters = Mcmp.Counters.create () in
-  let i =
+  let { Token.Protocol.i_handle = handle; i_debug = debug; _ } =
     Token.Protocol.create_instrumented policy engine config
       (Interconnect.Traffic.create ())
       (Sim.Rng.create 123) counters
   in
-  {
-    engine;
-    counters;
-    handle = i.Token.Protocol.i_handle;
-    debug = i.Token.Protocol.i_debug;
-    layout = Mcmp.Config.layout config;
-  }
+  { engine; counters; handle; debug; layout = Mcmp.Config.layout config }
 
 let access rig ~proc ~kind addr =
   let done_ = ref false in

@@ -533,9 +533,11 @@ let scale () =
       Par.Pool.map ~jobs:!jobs
         ~label:(fun _ seed -> Printf.sprintf "prodcons %s seed=%d" proto.P.name seed)
         (fun seed ->
-          Mcmp.Runner.run ~config:Mcmp.Config.default proto.P.builder
-            ~programs:(fun ~proc -> Workload.Producer_consumer.programs pc ~seed ~nprocs ~proc)
-            ~seed)
+          Mcmp.Runner.uncapped
+            (Mcmp.Runner.run ~config:Mcmp.Config.default proto.P.builder
+               ~programs:(fun ~proc ->
+                 Workload.Producer_consumer.programs pc ~seed ~nprocs ~proc)
+               ~seed))
         (scale_seeds ())
     in
     let n = float_of_int (List.length results) in
@@ -550,6 +552,7 @@ let scale () =
       ( "persistent_pct",
         J.Float (favg (fun r -> 100. *. Mcmp.Counters.persistent_fraction r.Mcmp.Runner.counters))
       );
+      ("completed", J.Bool (List.for_all (fun r -> r.Mcmp.Runner.completed) results));
     ]
   in
   let producer_consumer =
@@ -600,9 +603,10 @@ let scale () =
   let curve_run profile cfg proto seed =
     let t0 = Unix.gettimeofday () in
     let r =
-      Mcmp.Runner.run ~config:cfg proto.P.builder
-        ~programs:(fun ~proc -> Workload.Commercial.program profile ~seed ~proc)
-        ~seed
+      Mcmp.Runner.uncapped
+        (Mcmp.Runner.run ~config:cfg proto.P.builder
+           ~programs:(fun ~proc -> Workload.Commercial.program profile ~seed ~proc)
+           ~seed)
     in
     (r, Unix.gettimeofday () -. t0)
   in

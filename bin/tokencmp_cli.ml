@@ -60,6 +60,14 @@ let resolve_jobs j = Par.Pool.resolve_jobs ?requested:(if j < 0 then None else S
 
 let config_of_tiny tiny = if tiny then Mcmp.Config.tiny else Mcmp.Config.default
 
+(* The torture recipe on the chosen machine, under torture's own event
+   cap whichever machine that is. *)
+let torture_params tiny =
+  let d = Fault.Torture.default_params in
+  { d with
+    p_config =
+      { (config_of_tiny tiny) with max_events = d.p_config.Mcmp.Config.max_events } }
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -336,15 +344,12 @@ let torture_cmd =
              -- zero violations, every request retired -- instead of detecting it.")
   in
   let run runs seed jobs tiny drop_mode drop_tokens recover verbose =
-    let config = if tiny then Mcmp.Config.tiny else Mcmp.Config.default in
     let jobs = resolve_jobs jobs in
     let drop_mode = drop_mode || drop_tokens in
     let targets =
       if recover then Fault.Torture.token_targets else Fault.Torture.default_targets
     in
-    let params =
-      { Fault.Torture.default_params with p_config = config; p_recover = recover }
-    in
+    let params = { (torture_params tiny) with p_recover = recover } in
     let repro_line =
       Printf.sprintf "tokencmp torture --runs %d --seed %d -j %d%s%s%s" runs seed jobs
         (if tiny then " --tiny" else "")
@@ -401,7 +406,6 @@ let chaos_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every run, not only failures.")
   in
   let run runs seed jobs tiny duration flaps directory verbose =
-    let config = if tiny then Mcmp.Config.tiny else Mcmp.Config.default in
     let jobs = resolve_jobs jobs in
     let base = if flaps > 0 then Fault.Chaos.flaky ~links:flaps () else Fault.Chaos.none in
     let chaos =
@@ -422,8 +426,7 @@ let chaos_cmd =
             true, true)
     in
     let params =
-      { Fault.Torture.default_params with
-        p_config = config;
+      { (torture_params tiny) with
         p_recover = recover;
         p_adaptive = adaptive;
         p_chaos = Some chaos

@@ -24,6 +24,7 @@ let mean_breakdown per_seed =
     Interconnect.Msg_class.all
 
 let summarize protocol results =
+  let results = List.map Mcmp.Runner.uncapped results in
   let runtimes = List.map (fun r -> Sim.Time.to_ns r.Mcmp.Runner.runtime) results in
   let n = float_of_int (List.length results) in
   let favg f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in

@@ -18,7 +18,6 @@ type run_params = {
   p_watchdog_interval : Sim.Time.t;
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
-  p_max_events : int;
   p_recover : bool;
   p_adaptive : bool;
   p_chaos : Chaos.spec option;
@@ -28,7 +27,7 @@ type run_params = {
 
 let default_params =
   {
-    p_config = Mcmp.Config.tiny;
+    p_config = { Mcmp.Config.tiny with max_events = 20_000_000 };
     p_nlocks = 4;
     p_acquires = 30;
     p_trace_capacity = 512;
@@ -36,7 +35,6 @@ let default_params =
     p_watchdog_interval = Sim.Time.ns 20_000;
     p_no_progress_windows = 5;
     p_starvation_bound = Sim.Time.ns 200_000;
-    p_max_events = 20_000_000;
     p_recover = false;
     p_adaptive = false;
     p_chaos = None;
@@ -132,7 +130,7 @@ let run p target ~spec ~seed =
     invalid_arg
       "Torture.run: hard chaos (down links) on a token target requires recovery mode"
   | _ -> ());
-  let config = { p.p_config with Mcmp.Config.max_events = p.p_max_events } in
+  let config = p.p_config in
   let layout = Mcmp.Config.layout config in
   let buf = Obs.Buffer.create ~capacity:p.p_trace_capacity () in
   let registry = Obs.Registry.create () in
@@ -334,7 +332,7 @@ let run p target ~spec ~seed =
        else Tcjson.Null);
     metrics = Obs.Registry.snapshot registry;
     dump = (if keep_evidence then Format.asprintf "%a" m.m_dump () else "");
-    ops = Mcmp.Counters.data_ops m.m_counters + m.m_counters.Mcmp.Counters.ifetches;
+    ops = Mcmp.Counters.ops m.m_counters;
     runtime = E.now m.m_engine;
     events = E.events_processed m.m_engine;
     misses = Sim.Stat.Welford.count m.m_counters.Mcmp.Counters.miss_latency;

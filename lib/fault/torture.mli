@@ -52,13 +52,12 @@ val effective_margin :
     executes, what every outcome carries, and what a repro bundle
     serializes so a replay re-runs the same simulation.
 
-    [p_config] is the machine; its [max_events] is replaced by
-    [p_max_events], the run's event cap. [p_nlocks] and [p_acquires]
-    shape the locking workload. [p_trace_capacity] sizes the event
-    ring the evidence trace comes from. [p_monitor_interval] is the
-    invariant {!Monitor}'s cadence; [p_watchdog_interval],
-    [p_no_progress_windows] and [p_starvation_bound] configure the
-    liveness {!Watchdog}.
+    [p_config] is the machine, and its [max_events] the run's event
+    cap. [p_nlocks] and [p_acquires] shape the locking workload.
+    [p_trace_capacity] sizes the event ring the evidence trace comes
+    from. [p_monitor_interval] is the invariant {!Monitor}'s cadence;
+    [p_watchdog_interval], [p_no_progress_windows] and
+    [p_starvation_bound] configure the liveness {!Watchdog}.
 
     [p_recover] (token targets only; [Invalid_argument] on directory
     targets) arms the full recovery stack: the protocol's token
@@ -104,7 +103,6 @@ type run_params = {
   p_watchdog_interval : Sim.Time.t;
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
-  p_max_events : int;
   p_recover : bool;
   p_adaptive : bool;
   p_chaos : Chaos.spec option;
@@ -112,8 +110,8 @@ type run_params = {
   p_script : Plan.event list option;
 }
 
-(** Tiny config, 4 locks, 30 acquires (5 of them warm-up), a 512-event
-    trace ring, a 20M-event cap, no recovery, chaos or script. *)
+(** Tiny config with a 20M-event cap, 4 locks, 30 acquires (5 of them
+    warm-up), a 512-event trace ring, no recovery, chaos or script. *)
 val default_params : run_params
 
 type outcome = {

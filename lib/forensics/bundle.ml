@@ -101,9 +101,10 @@ let chaos_to_json (c : Fault.Chaos.spec) =
 
 (* The CLI exposes exactly two machine shapes; the bundle records which
    base the run used plus the three shape dimensions the shrinker is
-   allowed to cut, so a shrunk machine round-trips exactly. Custom
-   configs beyond (base, ncmp, procs_per_cmp, l2_banks) are not
-   representable — [config_to_json] snaps to the nearer base. *)
+   allowed to cut, so a shrunk machine round-trips exactly; the event
+   cap is the params' "max_events". Custom configs beyond (base, ncmp,
+   procs_per_cmp, l2_banks, max_events) are not representable —
+   [config_to_json] snaps to the nearer base. *)
 let config_base (c : Mcmp.Config.t) =
   if c.Mcmp.Config.l1_sets = Mcmp.Config.tiny.Mcmp.Config.l1_sets then "tiny" else "default"
 
@@ -153,7 +154,7 @@ let params_to_json (p : T.run_params) =
       ("watchdog_interval_ps", J.Int p.T.p_watchdog_interval);
       ("no_progress_windows", J.Int p.T.p_no_progress_windows);
       ("starvation_bound_ps", J.Int p.T.p_starvation_bound);
-      ("max_events", J.Int p.T.p_max_events);
+      ("max_events", J.Int p.T.p_config.Mcmp.Config.max_events);
       ("recover", J.Bool p.T.p_recover);
       ("adaptive", J.Bool p.T.p_adaptive);
       ("chaos", match p.T.p_chaos with None -> J.Null | Some c -> chaos_to_json c);
@@ -304,7 +305,9 @@ let event_of_json j : Fault.Plan.event =
 
 let params_of_json j : T.run_params =
   {
-    p_config = config_of_json (field j "config");
+    p_config =
+      { (config_of_json (field j "config")) with
+        Mcmp.Config.max_events = get_int j "max_events" };
     p_nlocks = get_int j "nlocks";
     p_acquires = get_int j "acquires";
     p_trace_capacity = get_int j "trace_capacity";
@@ -312,7 +315,6 @@ let params_of_json j : T.run_params =
     p_watchdog_interval = get_int j "watchdog_interval_ps";
     p_no_progress_windows = get_int j "no_progress_windows";
     p_starvation_bound = get_int j "starvation_bound_ps";
-    p_max_events = get_int j "max_events";
     p_recover = get_bool j "recover";
     p_adaptive = get_bool j "adaptive";
     p_chaos =

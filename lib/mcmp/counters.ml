@@ -44,6 +44,7 @@ let create () =
   }
 
 let data_ops t = t.loads + t.stores + t.atomics
+let ops t = data_ops t + t.ifetches
 
 (* The single funnel for miss-latency samples: every protocol
    completion path calls this once, so the per-cause decomposition sums

@@ -25,6 +25,10 @@ val create : unit -> t
 
 val data_ops : t -> int
 
+(** Committed operations: [data_ops] plus instruction fetches. The
+    [ops] of a run, as {!Runner.run} and the torture harness report it. *)
+val ops : t -> int
+
 (** [record_miss t ~cause lat_ns] is the single funnel for miss-latency
     samples: it feeds [miss_latency], [miss_histogram] and the
     per-cause count/histogram in one call, so the per-class

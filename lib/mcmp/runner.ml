@@ -56,7 +56,6 @@ let run ?(config = Config.default) ?registry ?buffer ?on_start builder ~programs
     | exception (Failure _ as e) ->
       if Sim.Engine.events_processed engine > max_events then true else raise e
   in
-  let ops = List.fold_left (fun acc c -> acc + Core.ops_committed c) 0 cores in
   let completed = !remaining = 0 in
   let finish = if completed then !finish_time else Sim.Engine.now engine in
   (* Measured runtime starts once every processor passed its warmup
@@ -76,12 +75,20 @@ let run ?(config = Config.default) ?registry ?buffer ?on_start builder ~programs
     traffic;
     counters;
     events = Sim.Engine.events_processed engine;
-    ops;
+    ops = Counters.ops counters;
   }
+
+let uncapped r =
+  match r.stop with
+  | Event_cap ->
+    failwith
+      (Printf.sprintf "Runner.run: seed %d stopped at the event cap after %d events" r.seed
+         r.events)
+  | Finished | Unfinished -> r
 
 let run_seeds ?(config = Config.default) builder ~programs ~seeds =
   let results =
-    List.map (fun seed -> run ~config builder ~programs:(programs ~seed) ~seed) seeds
+    List.map (fun seed -> uncapped (run ~config builder ~programs:(programs ~seed) ~seed)) seeds
   in
   let runtimes = List.map (fun r -> Sim.Time.to_ns r.runtime) results in
   (Sim.Stat.Summary.of_list runtimes, results)

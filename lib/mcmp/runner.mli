@@ -53,9 +53,16 @@ val run :
   seed:int ->
   result
 
+(** [uncapped r] is [r], or raises [Failure] when [r.stop = Event_cap].
+    For callers that would otherwise average a cut-off run, whose clock
+    at the cut is not a runtime: {!run_seeds}, the figure sweeps in
+    [Experiments] and the bench's scale rows. *)
+val uncapped : result -> result
+
 (** [run_seeds] repeats [run] over several seeds and summarizes the
     runtimes in ns (mean and 95% CI), as in Alameldeen & Wood's
-    perturbation methodology. Returns the per-seed results too. *)
+    perturbation methodology. Returns the per-seed results too. A
+    capped seed raises, as in {!uncapped}. *)
 val run_seeds :
   ?config:Config.t ->
   Protocol.builder ->

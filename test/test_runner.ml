@@ -32,6 +32,22 @@ let test_event_cap_is_a_stop () =
   Alcotest.(check bool) "not completed" false r.Mcmp.Runner.completed;
   Alcotest.(check int) "cut on the first event past the cap" 501 r.Mcmp.Runner.events
 
+(* Where runs are averaged into a figure the cap is still a failure: a
+   cut-off run's clock is not a runtime. *)
+let test_cap_fails_averaged_runs () =
+  let capped = { tiny with Mcmp.Config.max_events = 500 } in
+  (match Mcmp.Runner.uncapped (run ~config:capped dst1) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "uncapped must raise on an Event_cap stop");
+  let r = run dst1 in
+  Alcotest.(check bool) "a finished run passes through" true (Mcmp.Runner.uncapped r == r);
+  match
+    Tokencmp.Experiments.locking ~config:capped ~seeds:[ 1 ]
+      ~protocols:[ Tokencmp.Protocols.token Token.Policy.dst1 ] ~nlocks:4 ()
+  with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a locking sweep must not average a capped run"
+
 let test_invariant_violation_propagates () =
   let v = Mcmp.Violation.make ~kind:"test" ~time:Sim.Time.zero "planted" in
   match run (raising (Mcmp.Violation.Invariant_violation v)) with
@@ -73,6 +89,8 @@ let tests =
     Alcotest.test_case "a handler's Failure propagates" `Quick test_failure_propagates;
     Alcotest.test_case "the event cap is a stop, not an exception" `Quick
       test_event_cap_is_a_stop;
+    Alcotest.test_case "averaged runs still fail on the cap" `Quick
+      test_cap_fails_averaged_runs;
     Alcotest.test_case "Invariant_violation propagates" `Quick
       test_invariant_violation_propagates;
     Alcotest.test_case "a drained queue is an unfinished stop" `Quick

@@ -83,16 +83,21 @@ type adaptive = { a_params : Rtt.params; a_est : Rtt.t array }
    message copy, each carrying a closure allocated once at cell
    creation. Scheduling a delivery fills the mutable fields and hands
    the engine [c_thunk] — no per-copy closure. Cells recycle through an
-   index-based free list threaded via [c_next]; a released cell's
-   [c_msg] keeps its last message reachable until reuse, which is
-   bounded by the pool size. *)
+   index-based free list threaded via [c_next]. A released cell holds
+   a unit stand-in in [c_msg], so it pins no message. A parked copy
+   (see [park]) keeps its cell, with its arrival, reserved engine
+   sequence number and park key, on its destination's parked list,
+   also threaded via [c_next]. *)
 type 'msg cell = {
   c_idx : int;
   mutable c_src : int;
   mutable c_dst : int;
   mutable c_cls : Msg_class.t;
   mutable c_msg : 'msg;
-  mutable c_next : int;  (* free-list link; -1 terminates *)
+  mutable c_next : int;  (* free- or parked-list link; -1 terminates *)
+  mutable c_time : Sim.Time.t;  (* parked: arrival *)
+  mutable c_seq : int;  (* parked: reserved engine sequence number *)
+  mutable c_key : int;  (* parked: park key *)
   c_thunk : unit -> unit;
 }
 
@@ -114,6 +119,14 @@ type 'msg t = {
   mutable cells : 'msg cell array;
   mutable free_cell : int;  (* head of the cell free list; -1 = empty *)
   mutable pristine : bool;  (* no injector/outage/reliability ever armed *)
+  (* Parked copies: per node, a FIFO of cells in park order. [park_key]
+     is the key of the [send_set_parkable] in progress, or -1 when its
+     copies cannot park. *)
+  mutable parkable : int -> int -> bool;
+  mutable park_key : int;
+  park_head : int array;
+  park_tail : int array;
+  mutable parked : int;  (* copies parked and never woken, released ones included *)
   mutable handler : dst:int -> 'msg -> unit;
   port_busy : Sim.Time.t array; (* per node, on-chip egress port *)
   link_busy : Sim.Time.t array; (* per ordered site pair *)
@@ -133,6 +146,25 @@ type 'msg t = {
   mutable adaptive : adaptive option;
 }
 
+(* A parked copy is due once the engine has run past its place, where
+   its delivery would have run. *)
+let due t c = Sim.Engine.passed t.engine c.c_time ~seq:c.c_seq
+
+(* Deliveries, plus the parked copies the engine has run past: the
+   count a run without parking would show at this point. *)
+let delivered t =
+  let ahead = ref 0 in
+  Array.iter
+    (fun h ->
+      let i = ref h in
+      while !i >= 0 do
+        let c = t.cells.(!i) in
+        if not (due t c) then incr ahead;
+        i := c.c_next
+      done)
+    t.park_head;
+  t.delivered + t.parked - !ahead
+
 let register ?(prefix = "fabric.") registry t =
   let module R = Obs.Registry in
   let now_ns () = Sim.Time.to_ns (Sim.Engine.now t.engine) in
@@ -143,7 +175,7 @@ let register ?(prefix = "fabric.") registry t =
     let now = Sim.Engine.now t.engine in
     Array.fold_left (fun acc b -> acc +. Sim.Time.to_ns (max 0 (b - now))) 0. busy
   in
-  R.register_int registry (prefix ^ "delivered") (fun () -> t.delivered);
+  R.register_int registry (prefix ^ "delivered") (fun () -> delivered t);
   R.register_int registry (prefix ^ "dropped") (fun () -> t.dropped);
   R.register_float registry (prefix ^ "port_busy_ns") (fun () ->
       Sim.Time.to_ns t.port_busy_total);
@@ -185,6 +217,11 @@ let create engine layout params traffic rng =
       cells = [||];
       free_cell = -1;
       pristine = true;
+      parkable = (fun _ _ -> false);
+      park_key = -1;
+      park_head = Array.make nnodes (-1);
+      park_tail = Array.make nnodes (-1);
+      parked = 0;
       handler = (fun ~dst:_ _ -> failwith "Fabric: handler not set");
       port_busy = Array.make (Layout.node_count layout) Sim.Time.zero;
       link_busy = Array.make (layout.Layout.ncmp * layout.Layout.ncmp) Sim.Time.zero;
@@ -210,6 +247,46 @@ let create engine layout params traffic rng =
 
 let set_handler t h = t.handler <- h
 
+(* Unit stand-in (same dead-slot discipline as {!Sim.Heap}): a free
+   cell must not pin the last message it carried. *)
+let release_cell t c =
+  c.c_msg <- Obj.magic ();
+  c.c_next <- t.free_cell;
+  t.free_cell <- c.c_idx
+
+(* Walk [dst]'s parked list. A due copy is released: whatever woke it
+   would find it already delivered. A copy with key [key] whose arrival
+   is after now is scheduled at its original arrival and sequence
+   number, where it would have been had it never parked; its delivery
+   counts it, so it leaves [parked]. Every other copy stays parked. One
+   that arrives this very instant, after the running event, needs no
+   waking: whatever the running event sends lands after that copy's
+   lookup. *)
+let wake t ~dst ~key =
+  let i = ref t.park_head.(dst) in
+  if !i >= 0 then begin
+    let now = Sim.Engine.now t.engine in
+    let last = ref (-1) in
+    while !i >= 0 do
+      let c = t.cells.(!i) in
+      let next = c.c_next in
+      if due t c then release_cell t c
+      else if c.c_key = key && c.c_time > now then begin
+        t.parked <- t.parked - 1;
+        Sim.Engine.schedule_reserved t.engine c.c_time ~seq:c.c_seq c.c_thunk
+      end
+      else begin
+        if !last < 0 then t.park_head.(dst) <- !i else t.cells.(!last).c_next <- !i;
+        last := !i
+      end;
+      i := next
+    done;
+    if !last < 0 then t.park_head.(dst) <- -1 else t.cells.(!last).c_next <- -1;
+    t.park_tail.(dst) <- !last
+  end
+
+let set_parkable t f = t.parkable <- f
+
 let set_fault_injector t i =
   t.pristine <- false;
   t.injector <- Some i
@@ -225,11 +302,15 @@ let exactly_once t = t.pristine
 let set_msg_label t f = t.msg_label <- f
 let layout t = t.layout
 let engine t = t.engine
-let delivered t = t.delivered
 let dropped t = t.dropped
 
 let serialization bytes_per_ns bytes =
   Sim.Time.ps (int_of_float (Float.round (float_of_int bytes /. bytes_per_ns *. 1000.)))
+
+(* Every route to a cache ends in one of these two hops, or adds hops
+   to one; port queueing and jitter only add. *)
+let min_cache_latency p ~bytes =
+  min (serialization p.intra_bytes_per_ns bytes + p.intra_latency) p.mem_link_latency
 
 let jitter t = if t.params.jitter = 0 then 0 else Sim.Rng.int t.rng (t.params.jitter + 1)
 
@@ -446,11 +527,7 @@ let consult t ~src ~dst ~cls msg =
    cell is never read after release. *)
 let deliver_cell t c =
   let src = c.c_src and dst = c.c_dst and cls = c.c_cls and msg = c.c_msg in
-  (* Unit stand-in (same dead-slot discipline as {!Sim.Heap}): a free
-     cell must not pin the last message it carried. *)
-  c.c_msg <- Obj.magic ();
-  c.c_next <- t.free_cell;
-  t.free_cell <- c.c_idx;
+  release_cell t c;
   t.delivered <- t.delivered + 1;
   if Sim.Engine.tracing t.engine then
     Sim.Engine.emit t.engine
@@ -481,7 +558,7 @@ let acquire_cell t ~src ~dst ~cls msg =
           else
             let rec c =
               { c_idx = i; c_src = src; c_dst = dst; c_cls = cls;
-                c_msg = Obj.magic (); c_next = -1;
+                c_msg = Obj.magic (); c_next = -1; c_time = 0; c_seq = 0; c_key = -1;
                 c_thunk = (fun () -> deliver_cell t c) }
             in
             c)
@@ -504,6 +581,30 @@ let schedule_delivery t ~src ~cls time dst msg =
   | None -> ());
   let c = acquire_cell t ~src ~dst ~cls msg in
   Sim.Engine.schedule_at t.engine time c.c_thunk
+
+(* Park one copy instead of scheduling it. It takes its engine sequence
+   number now, as a scheduled copy would. Copies at the head of [dst]'s
+   list that are already due leave first, so a node that is never woken
+   holds only copies still in flight. *)
+let park t ~src ~cls time dst msg =
+  let h = ref t.park_head.(dst) in
+  while !h >= 0 && due t t.cells.(!h) do
+    let c = t.cells.(!h) in
+    h := c.c_next;
+    release_cell t c
+  done;
+  let c = acquire_cell t ~src ~dst ~cls msg in
+  c.c_time <- time;
+  c.c_seq <- Sim.Engine.reserve t.engine;
+  c.c_key <- t.park_key;
+  c.c_next <- -1;
+  if !h < 0 then t.park_head.(dst) <- c.c_idx
+  else begin
+    t.park_head.(dst) <- !h;
+    t.cells.(t.park_tail.(dst)).c_next <- c.c_idx
+  end;
+  t.park_tail.(dst) <- c.c_idx;
+  t.parked <- t.parked + 1
 
 (* Reliable delivery: each copy becomes a sequenced frame the sender
    keeps until it is known delivered. A [Drop] verdict is survived by
@@ -591,7 +692,9 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
            arrive = time })
   end;
   match (t.injector, t.outage) with
-  | None, None -> schedule_delivery t ~src ~cls time dst msg
+  | None, None ->
+    if t.park_key >= 0 && t.parkable dst t.park_key then park t ~src ~cls time dst msg
+    else schedule_delivery t ~src ~cls time dst msg
   | _ -> (
     match t.rel with
     | Some rel ->
@@ -749,7 +852,8 @@ let remote_copy t ~src ~cls ~bytes ~queue arrive d msg =
    node count. Copies, and so jitter draws, go in a fixed order: local
    destinations ascending, then remote sites ascending, each site's
    destinations descending. *)
-let send_set t ~src ~dsts ~cls ~bytes msg =
+let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
+  if t.pristine then t.park_key <- park;
   let now = Sim.Engine.now t.engine in
   let src_site = t.cmp_arr.(src) in
   let wb = Destset.word_bits in
@@ -807,7 +911,11 @@ let send_set t ~src ~dsts ~cls ~bytes msg =
         end
       end
     done
-  end
+  end;
+  t.park_key <- -1
+
+let[@inline] send_set t ~src ~dsts ~cls ~bytes msg =
+  send_set_parkable t ~park:(-1) ~src ~dsts ~cls ~bytes msg
 
 (* The scalar path: exactly the charges [send_set] makes for a
    one-node destination set, without the word scans. *)

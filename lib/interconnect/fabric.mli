@@ -231,6 +231,14 @@ val engine : 'msg t -> Sim.Engine.t
 val send_set :
   'msg t -> src:int -> dsts:Destset.t -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 
+(** [send_set_parkable t ~park ...] is {!send_set} whose copies may
+    park under the key [park] (the protocol's block address); see
+    {!set_parkable}. A negative key parks nothing. The key is a plain
+    argument, not an optional one on {!send_set}: an optional argument
+    boxes its value at every call. *)
+val send_set_parkable :
+  'msg t -> park:int -> src:int -> dsts:Destset.t -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
+
 (** [send_one t ~src ~dst ~cls ~bytes msg] is [send_set] on the
     one-node set [{dst}]: the same timing, traffic charges and rng
     draws, without the word scans.
@@ -240,7 +248,36 @@ val send_set :
 val send_one :
   'msg t -> src:int -> dst:int -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 
-(** Messages delivered so far. *)
+(** {2 Parked copies}
+
+    A protocol can tell the fabric that a copy would do nothing at its
+    destination unless something the protocol sends later wakes it.
+    Such a copy is {e parked}: it takes its engine sequence number at
+    send time but is not scheduled. {!wake} puts it back on the queue
+    at its original (arrival, sequence number), or releases it once
+    the engine has run past that place. The events that still run
+    keep their order; only the parked copies' own events go. Released
+    copies emit no [Msg_deliver] trace event; [Msg_send] and [Net_hop]
+    are emitted at send as always. *)
+
+(** [set_parkable t f] installs the per-copy test: a copy of a
+    [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
+    and the fabric is {!exactly_once}. Installed once, at construction;
+    without it nothing parks. *)
+val set_parkable : 'msg t -> (int -> int -> bool) -> unit
+
+(** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]
+    whose arrival is after now, and releases every copy the engine has
+    run past. Other copies stay parked. Allocates nothing. *)
+val wake : 'msg t -> dst:int -> key:int -> unit
+
+(** The least time from a send to the delivery of a [bytes]-byte copy
+    at a cache node, over every source and route. *)
+val min_cache_latency : params -> bytes:int -> Sim.Time.t
+
+(** Messages delivered so far. A parked copy counts once the engine has
+    run past the place its delivery would have had, so the count is the
+    one a run without parking shows at the same point. *)
 val delivered : 'msg t -> int
 
 (** Message copies eliminated by an injector's [Drop] verdicts. *)

@@ -4,6 +4,7 @@ type ext = ..
 type t = {
   mutable now : Time.t;
   mutable seq : int;
+  mutable at_seq : int;  (* seq of the event running or last run *)
   mutable processed : int;
   mutable stopped : bool;
   queue : Heap.t;
@@ -14,8 +15,8 @@ type t = {
 type timer = { mutable cancelled : bool }
 
 let create () =
-  { now = Time.zero; seq = 0; processed = 0; stopped = false; queue = Heap.create ();
-    sink = None; exts = [] }
+  { now = Time.zero; seq = 0; at_seq = 0; processed = 0; stopped = false;
+    queue = Heap.create (); sink = None; exts = [] }
 
 let now t = t.now
 let events_processed t = t.processed
@@ -40,10 +41,19 @@ let rec find_opt f = function
    this walk provides. *)
 let find_ext t f = find_opt f t.exts
 
+let reserve t =
+  t.seq <- t.seq + 1;
+  t.seq
+
+let schedule_reserved t time ~seq f =
+  assert (time > t.now);
+  Heap.push t.queue ~key:time ~seq f
+
 let schedule_at t time f =
   assert (time >= t.now);
-  t.seq <- t.seq + 1;
-  Heap.push t.queue ~key:time ~seq:t.seq f
+  Heap.push t.queue ~key:time ~seq:(reserve t) f
+
+let passed t time ~seq = time < t.now || (time = t.now && seq < t.at_seq)
 
 let schedule_in t delay f =
   assert (delay >= 0);
@@ -67,6 +77,7 @@ let run ?until ?(max_events = max_int) t =
   let q = t.queue in
   while (not t.stopped) && (not (Heap.is_empty q)) && Heap.min_key q <= bound do
     t.now <- Heap.min_key q;
+    t.at_seq <- Heap.min_seq q;
     let f = Heap.pop q in
     t.processed <- t.processed + 1;
     if t.processed > max_events then

@@ -33,6 +33,23 @@ val schedule_in : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_at t time f] runs [f] at absolute [time >= now t]. *)
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 
+(** [reserve t] takes the sequence number the next {!schedule_at} would
+    have used, without scheduling anything. An event later scheduled
+    with it through {!schedule_reserved} sits in the queue exactly
+    where it would have been, had it been scheduled at the
+    reservation. *)
+val reserve : t -> int
+
+(** [schedule_reserved t time ~seq f] runs [f] at [time] with a
+    sequence number from {!reserve}. [time] must be strictly after
+    [now t]: an event at the current instant could otherwise need to
+    run before one that has already run. *)
+val schedule_reserved : t -> Time.t -> seq:int -> (unit -> unit) -> unit
+
+(** [passed t time ~seq] is true when the engine has run past the place
+    [(time, seq)]: an event scheduled there would already have run. *)
+val passed : t -> Time.t -> seq:int -> bool
+
 (** Cancellable timer handle. *)
 type timer
 

@@ -33,6 +33,8 @@ let is_empty h = h.size = 0
 (* Keys are simulated times, far below [max_int]. *)
 let min_key h = if h.size = 0 then max_int else Array.unsafe_get h.keys 0
 
+let min_seq h = Array.unsafe_get h.seqs 0
+
 let grow h =
   let cap = 2 * Array.length h.keys in
   let keys = Array.make cap 0 and seqs = Array.make cap 0 and vals = Array.make cap dead in

@@ -22,6 +22,9 @@ val push : t -> key:int -> seq:int -> (unit -> unit) -> unit
     learn the popped entry's key. *)
 val min_key : t -> int
 
+(** The minimum entry's seq. Meaningless when the heap is empty. *)
+val min_seq : t -> int
+
 (** [pop h] removes the minimum entry and returns its thunk.
     @raise Invalid_argument if the heap is empty. *)
 val pop : t -> (unit -> unit)

@@ -289,6 +289,8 @@ let send_tokens t ~src ~dst ~addr ~count ~owner ~data ~dirty ~writeback =
     end
     else Msg.Tokens { addr; src; count; owner; data; dirty; writeback; epoch }
   in
+  (* Request copies for [addr] parked at [dst] may find a line now. *)
+  F.wake t.fabric ~dst ~key:addr;
   F.send_one t.fabric ~src ~dst ~cls ~bytes m
 
 (* Take [count] tokens out of [line] for a message; sending the owner
@@ -504,6 +506,10 @@ let has_marked_for t node addr =
 
 let persistent_targets t node = t.persistent_sets.(node.id)
 
+(* Park key of a transient request for [addr]: the block while no token
+   of it is in flight, else none (DESIGN.md, "Parked request copies"). *)
+let request_park t addr = if inflight_count t addr = 0 then addr else -1
+
 let rec broadcast_transient t node m ~force_external =
   let addr = m.m_addr in
   let rw = m.m_rw in
@@ -512,13 +518,14 @@ let rec broadcast_transient t node m ~force_external =
   if t.policy.Policy.hierarchical then begin
     let cmp = node_cmp node in
     let dsts = DS.add (home_l2 t ~cmp addr) t.l1_minus_self.(node.id) in
-    F.send_set t.fabric ~src:node.id ~dsts ~cls:MC.Request ~bytes:t.cfg.ctrl_bytes (msg `Local)
+    F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+      ~bytes:t.cfg.ctrl_bytes (msg `Local)
   end
   else begin
     (* Flat TokenB-style global broadcast (ablation). *)
     let dsts = DS.add (home_mem t addr) t.caches_minus_self.(node.id) in
-    F.send_set t.fabric ~src:node.id ~dsts ~cls:MC.Request ~bytes:t.cfg.ctrl_bytes
-      (msg `External)
+    F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+      ~bytes:t.cfg.ctrl_bytes (msg `External)
   end
 
 and arm_timer t node m =
@@ -866,7 +873,8 @@ let escalate_external t node ~addr ~requester ~rw ~hint ~full =
       (DS.singleton (home_mem t addr))
       chips
   in
-  F.send_set t.fabric ~src:node.id ~dsts ~cls:MC.Request ~bytes:t.cfg.ctrl_bytes
+  F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+    ~bytes:t.cfg.ctrl_bytes
     (Msg.Transient { addr; requester; rw; scope = `External; force_external = false; hint = None })
 
 let handle_transient_l1 t node ~addr ~requester ~rw =
@@ -899,7 +907,8 @@ let handle_transient_l2 t node ~addr ~requester ~rw ~scope ~force_external ~hint
     let base = L.l1d t.layout ~cmp:(node_cmp node) ~proc:0 in
     let dsts = DS.of_bitfield ~bits:meta.filter_sharers ~base in
     if not (DS.is_empty dsts) then
-      F.send_set t.fabric ~src:node.id ~dsts ~cls:MC.Request ~bytes:t.cfg.ctrl_bytes
+      F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+        ~bytes:t.cfg.ctrl_bytes
         (Msg.Transient { addr; requester; rw; scope = `External; force_external; hint = None })
   end;
   E.schedule_in t.engine t.cfg.l2_latency (fun () ->
@@ -1500,6 +1509,19 @@ let create ?recovery policy engine cfg traffic rng counters =
       crashes = 0;
     }
   in
+  (* A transient request copy to an L1 with no line for the block parks
+     until tokens for the block are sent there (DESIGN.md, "Parked
+     request copies"). That is exact only while every token message
+     takes longer than the L1 lookup, and without the recovery stack's
+     crashes and epoch changes. *)
+  if
+    recovery = None
+    && F.min_cache_latency cfg.fabric ~bytes:(min cfg.ctrl_bytes cfg.data_bytes)
+       > cfg.l1_latency
+  then
+    F.set_parkable fabric (fun dst addr ->
+        let node = nodes.(dst) in
+        is_l1_node node && not (Cache.Sarray.mem node.lines addr));
   F.set_handler fabric (fun ~dst msg ->
       handle t ~dst msg;
       (* [handle] fully destructures the message and never retains it,

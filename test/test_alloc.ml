@@ -75,6 +75,41 @@ let test_fabric_send_one () =
   check_zero "10k send_one + delivery" (fun () -> sends 10_000);
   Alcotest.(check int) "delivered" 11_000 (Interconnect.Fabric.delivered fabric)
 
+(* All-caches broadcasts whose L1 copies all park, each followed by a
+   wake of one L1 that puts one copy back on the queue: parking, the
+   pruning of due copies and the wake walk reuse the pooled delivery
+   cells, and the park key boxes nothing. *)
+let test_fabric_park_wake () =
+  let l = Interconnect.Layout.create ~ncmp:4 ~procs_per_cmp:4 ~banks_per_cmp:4 in
+  let engine = Sim.Engine.create () in
+  let traffic = Interconnect.Traffic.create () in
+  let fabric =
+    Interconnect.Fabric.create engine l Interconnect.Fabric.default_params traffic
+      (Sim.Rng.create 3)
+  in
+  let n = Interconnect.Layout.node_count l in
+  let handled = Array.make n 0 in
+  Interconnect.Fabric.set_handler fabric (fun ~dst () -> handled.(dst) <- handled.(dst) + 1);
+  Interconnect.Fabric.set_parkable fabric (fun dst _ -> Interconnect.Layout.is_l1 l dst);
+  let all_caches = Interconnect.Layout.all_caches_set l in
+  let woken = Interconnect.Layout.l1d l ~cmp:2 ~proc:1 in
+  let sends count =
+    for i = 1 to count do
+      let key = i land 7 in
+      Interconnect.Fabric.send_set_parkable fabric ~park:key ~src:(i * 13 mod n)
+        ~dsts:all_caches ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
+      Interconnect.Fabric.wake fabric ~dst:woken ~key;
+      Sim.Engine.run engine
+    done
+  in
+  sends 1_000;
+  check_zero "10k parked broadcasts + wake" (fun () -> sends 10_000);
+  for dst = 0 to n - 1 do
+    if Interconnect.Layout.is_l1 l dst && dst <> woken then
+      Alcotest.(check int) "a parked copy never reaches the handler" 0 handled.(dst)
+  done;
+  Alcotest.(check bool) "woken copies reach the handler" true (handled.(woken) > 10_000)
+
 let test_sarray_find () =
   let s = Cache.Sarray.create ~sets:64 ~ways:4 in
   for a = 0 to 191 do
@@ -110,6 +145,7 @@ let tests =
     Alcotest.test_case "engine steady-state pop + push" `Quick test_engine_steady;
     Alcotest.test_case "Rng.int and Rng.bool" `Quick test_rng;
     Alcotest.test_case "warmed Fabric.send_one + delivery" `Quick test_fabric_send_one;
+    Alcotest.test_case "parked Fabric.send_set_parkable + wake" `Quick test_fabric_park_wake;
     Alcotest.test_case "Cache.Sarray.find" `Quick test_sarray_find;
     Alcotest.test_case "Cache.Sarray.mem + touch" `Quick test_sarray_touch;
   ]

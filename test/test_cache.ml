@@ -111,6 +111,59 @@ let prop_population =
       Cache.Sarray.iter (fun _ _ -> incr n) s;
       !n = Cache.Sarray.population s && !n <= 8)
 
+(* The grouped array against the eager reference (test/sarray_ref.ml)
+   on geometries whose sets fill less than one group, one group and a
+   partial one, and several whole groups. Each step is a lookup, a
+   touch, a protocol-style fill (evict the victim, then insert), a
+   removal or a residency check; answers, victims, population and the
+   iteration order must agree throughout. *)
+let prop_model_eager (sets, ways) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "grouped sets match the eager array (%dx%d)" sets ways)
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 400)
+        (pair (int_range 0 4) (int_range 0 ((3 * sets * ways) + 2))))
+    (fun steps ->
+      let s = Cache.Sarray.create ~sets ~ways and r = Sarray_ref.create ~sets ~ways in
+      let contents iter t =
+        let l = ref [] in
+        iter (fun a st -> l := (a, st) :: !l) t;
+        List.rev !l
+      in
+      List.for_all
+        (fun (op, a) ->
+          let agree =
+            match op with
+            | 0 -> Cache.Sarray.find s a = Sarray_ref.find r a
+            | 1 ->
+              Cache.Sarray.touch s a;
+              Sarray_ref.touch r a;
+              true
+            | 2 ->
+              let v = Cache.Sarray.victim_for s a in
+              v = Sarray_ref.victim_for r a
+              &&
+              ((match v with
+               | Some (va, _) ->
+                 Cache.Sarray.remove s va;
+                 Sarray_ref.remove r va
+               | None -> ());
+               if not (Cache.Sarray.mem s a) then begin
+                 Cache.Sarray.insert s a a;
+                 Sarray_ref.insert r a a
+               end;
+               true)
+            | 3 ->
+              Cache.Sarray.remove s a;
+              Sarray_ref.remove r a;
+              true
+            | _ -> Cache.Sarray.mem s a = Sarray_ref.mem r a
+          in
+          agree && Cache.Sarray.population s = Sarray_ref.population r)
+        steps
+      && contents Cache.Sarray.iter s = contents Sarray_ref.iter r)
+
 let tests =
   [
     Alcotest.test_case "byte/block round trip" `Quick test_addr_roundtrip;
@@ -125,3 +178,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_lru;
     QCheck_alcotest.to_alcotest prop_population;
   ]
+  @ List.map
+      (fun g -> QCheck_alcotest.to_alcotest (prop_model_eager g))
+      [ (1, 1); (3, 2); (17, 4); (64, 4) ]

@@ -87,25 +87,25 @@ let expected : golden list = [
   { g_protocol = "TokenCMP-dst0"; g_runtime_ps = 987413; g_events = 6648; g_ops = 360;
     g_l1_misses = 210; g_retries = 0; g_persistent = 210; g_miss_ns = "49.855";
     g_intra_bytes = 63648; g_inter_bytes = 14808 };
-  { g_protocol = "TokenCMP-dst4"; g_runtime_ps = 4680051; g_events = 2335; g_ops = 360;
+  { g_protocol = "TokenCMP-dst4"; g_runtime_ps = 4680051; g_events = 1499; g_ops = 360;
     g_l1_misses = 64; g_retries = 23; g_persistent = 0; g_miss_ns = "180.474";
     g_intra_bytes = 13056; g_inter_bytes = 3520 };
-  { g_protocol = "TokenCMP-dst1"; g_runtime_ps = 1776154; g_events = 3508; g_ops = 360;
+  { g_protocol = "TokenCMP-dst1"; g_runtime_ps = 1776154; g_events = 2574; g_ops = 360;
     g_l1_misses = 99; g_retries = 0; g_persistent = 31; g_miss_ns = "155.207";
     g_intra_bytes = 24640; g_inter_bytes = 6400 };
-  { g_protocol = "TokenCMP-dst1-pred"; g_runtime_ps = 1210043; g_events = 4253; g_ops = 360;
+  { g_protocol = "TokenCMP-dst1-pred"; g_runtime_ps = 1210043; g_events = 3545; g_ops = 360;
     g_l1_misses = 129; g_retries = 0; g_persistent = 76; g_miss_ns = "112.908";
     g_intra_bytes = 35304; g_inter_bytes = 9144 };
-  { g_protocol = "TokenCMP-dst1-filt"; g_runtime_ps = 1115794; g_events = 3627; g_ops = 360;
+  { g_protocol = "TokenCMP-dst1-filt"; g_runtime_ps = 1115794; g_events = 2989; g_ops = 360;
     g_l1_misses = 115; g_retries = 0; g_persistent = 42; g_miss_ns = "175.571";
     g_intra_bytes = 27504; g_inter_bytes = 7336 };
   { g_protocol = "PerfectL2"; g_runtime_ps = 587000; g_events = 1389; g_ops = 543;
     g_l1_misses = 328; g_retries = 0; g_persistent = 0; g_miss_ns = "11.000";
     g_intra_bytes = 0; g_inter_bytes = 0 };
-  { g_protocol = "TokenCMP-dst1-flat"; g_runtime_ps = 1266022; g_events = 4029; g_ops = 360;
+  { g_protocol = "TokenCMP-dst1-flat"; g_runtime_ps = 1266022; g_events = 3027; g_ops = 360;
     g_l1_misses = 97; g_retries = 0; g_persistent = 29; g_miss_ns = "153.650";
     g_intra_bytes = 26216; g_inter_bytes = 6392 };
-  { g_protocol = "TokenCMP-dst1-mcast"; g_runtime_ps = 4802736; g_events = 2430; g_ops = 360;
+  { g_protocol = "TokenCMP-dst1-mcast"; g_runtime_ps = 4802736; g_events = 1602; g_ops = 360;
     g_l1_misses = 71; g_retries = 18; g_persistent = 3; g_miss_ns = "163.516";
     g_intra_bytes = 14592; g_inter_bytes = 4032 };
 ]

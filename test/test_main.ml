@@ -26,6 +26,7 @@ let () =
       ("forensics", Test_forensics.tests);
       ("par", Test_par.tests);
       ("golden", Test_golden.tests);
+      ("parking", Test_parking.tests);
       ("profiler", Test_profiler.tests);
       ("misc", Test_misc.tests);
       ("alloc", Test_alloc.tests);

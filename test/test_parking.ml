@@ -190,6 +190,34 @@ let test_locks policy () =
   check_exact ~name:"16-core 4-lock" ~config ~programs:(locking ~config ~nlocks:4 ~seed:1)
     ~seed:1 policy
 
+(* Random straight-line programs on 16 shared blocks, instruction
+   fetches included (so L1is hold tokens too): every token policy, with
+   and without parking, must agree on everything but the event count. *)
+let prop_random_programs =
+  QCheck.Test.make ~name:"random programs: parking changes only events" ~count:40
+    QCheck.(triple (int_range 0 (List.length policies - 1)) Test_random.arb_ops small_nat)
+    (fun (pi, ops, seed) ->
+      let policy = List.nth policies pi in
+      let run pass_through =
+        let captured = ref None in
+        let r =
+          Mcmp.Runner.run ~config:Mcmp.Config.tiny (builder ~pass_through policy captured)
+            ~programs:(fun ~proc:_ -> Test_random.random_program ops)
+            ~seed
+        in
+        let _, fabric = Option.get !captured in
+        let tr = r.Mcmp.Runner.traffic in
+        ( ( r.Mcmp.Runner.runtime, r.Mcmp.Runner.total_runtime, r.Mcmp.Runner.ops,
+            r.Mcmp.Runner.completed ),
+          ( r.Mcmp.Runner.counters,
+            Interconnect.Traffic.(intra_total tr, inter_total tr),
+            F.delivered fabric ),
+          r.Mcmp.Runner.events )
+      in
+      let ref_sim, ref_stats, ref_events = run true in
+      let sim, stats, events = run false in
+      sim = ref_sim && stats = ref_stats && events <= ref_events)
+
 let tests =
   [
     Alcotest.test_case "woken copy keeps its instant and order" `Quick test_woken_in_place;
@@ -213,3 +241,4 @@ let tests =
             (test_locks p);
         ])
       policies
+  @ [ QCheck_alcotest.to_alcotest prop_random_programs ]

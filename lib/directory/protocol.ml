@@ -342,11 +342,15 @@ and gate_local t node addr start =
     drain_ldir t node addr
   end
 
+(* Start deferred requests while the home stays idle: a writeback
+   request that turns out stale is cancelled without claiming it. *)
 and release_cdir t node addr =
   ignore t;
   let d = get_cdir node addr in
   d.cbusy <- false;
-  match Queue.take_opt d.cdefer with Some k -> k () | None -> ()
+  while (not d.cbusy) && not (Queue.is_empty d.cdefer) do
+    (Queue.pop d.cdefer) ()
+  done
 
 (* ---- L2 data array management ---- *)
 

@@ -136,6 +136,48 @@ let test_ifetch_shares_code () =
   Alcotest.(check int) "instruction block shared read-only" 1
     rig.counters.Mcmp.Counters.l1_hits
 
+(* The home must not stall behind a deferred writeback request that
+   turns into a cancel. Messages go straight to the home controller:
+   chip 1's GetM makes it busy, chip 0's stale WbReq and then its GetS
+   queue behind it, and chip 1's unblock frees it. The WbReq is
+   cancelled (chip 1 owns the block now), which leaves the home idle,
+   so the GetS must start at once and be forwarded to chip 1. *)
+let test_home_drains_past_cancelled_writeback () =
+  let engine = Sim.Engine.create () in
+  let i =
+    Directory.Protocol.create_instrumented ~dram_directory:true () engine tiny
+      (Interconnect.Traffic.create ())
+      (Sim.Rng.create 99) (Mcmp.Counters.create ())
+  in
+  let fabric = i.Directory.Protocol.i_fabric in
+  let layout = Mcmp.Config.layout tiny in
+  let module L = Interconnect.Layout in
+  let l2 cmp = L.l2 layout ~cmp ~bank:(Cache.Addr.l2_bank ~nbanks:tiny.Mcmp.Config.l2_banks block) in
+  let home = L.mem layout ~cmp:(Cache.Addr.home_cmp ~ncmp:tiny.Mcmp.Config.ncmp block) in
+  let forwarded = ref false in
+  Interconnect.Fabric.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst ~cls:_ msg ->
+      (match msg with
+      | Directory.Msg.C_fwd_gets { requester_l2; _ } when dst = l2 1 && requester_l2 = l2 0 ->
+        forwarded := true
+      | _ -> ());
+      Interconnect.Fabric.Pass);
+  let to_home ~src msg =
+    Interconnect.Fabric.send_one fabric ~src ~dst:home ~cls:Interconnect.Msg_class.Request
+      ~bytes:8 msg;
+    Sim.Engine.run ~max_events:100_000 engine
+  in
+  let addr = block in
+  to_home ~src:(l2 1) (Directory.Msg.C_getm { addr; l2 = l2 1 });
+  to_home ~src:(l2 0)
+    (Directory.Msg.C_wb_req { addr; cmp = 0; l2 = l2 0; dirty = true; still_shared = false });
+  to_home ~src:(l2 0) (Directory.Msg.C_gets { addr; l2 = l2 0 });
+  to_home ~src:(l2 1) (Directory.Msg.C_unblock { addr; cmp = 1; excl = true; shared = false });
+  if not !forwarded then begin
+    i.Directory.Protocol.i_dump Format.str_formatter ();
+    Alcotest.failf "GetS not forwarded to the owner chip; state:\n%s"
+      (Format.flush_str_formatter ())
+  end
+
 let tests =
   [
     Alcotest.test_case "cold read fills from memory" `Quick test_cold_read_from_memory;
@@ -150,4 +192,6 @@ let tests =
     Alcotest.test_case "sibling read stays on chip" `Quick test_sibling_read_through_l2;
     Alcotest.test_case "dirty data survives eviction" `Quick test_capacity_eviction_roundtrip;
     Alcotest.test_case "instruction fetches share" `Quick test_ifetch_shares_code;
+    Alcotest.test_case "home drains past a cancelled writeback" `Quick
+      test_home_drains_past_cancelled_writeback;
   ]

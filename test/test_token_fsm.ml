@@ -135,8 +135,59 @@ let test_eviction_returns_tokens () =
   Alcotest.(check bool) "refill from the local L2" true
     (rig.counters.Mcmp.Counters.l2_local_fills > fills)
 
-let tests =
+(* The substrate's transfer guards, each tripped directly on a tiny
+   machine. [home] holds all T tokens of [block] and the owner token;
+   nothing is delivered, since the engine never runs. *)
+module S = Token.Substrate
+
+let guard_cases =
+  let all = tiny.Mcmp.Config.tokens in
   [
+    ("empty-token-message", fun give _ -> give ~count:0 ~owner:false ~data:false);
+    ("owner-without-data", fun give _ -> give ~count:1 ~owner:true ~data:false);
+    ("token-overdraw", fun give _ -> give ~count:(all + 1) ~owner:false ~data:true);
+    ( "phantom-owner",
+      fun give _ ->
+        give ~count:1 ~owner:true ~data:true;
+        give ~count:1 ~owner:true ~data:true );
+    ("negative-inflight", fun _ receive -> receive ~count:1 ~owner:false);
+    ( "negative-inflight-owner",
+      fun give receive ->
+        give ~count:1 ~owner:false ~data:true;
+        receive ~count:1 ~owner:true );
+  ]
+
+let test_guard (kind, trip) () =
+  let engine = Sim.Engine.create () in
+  let layout = Mcmp.Config.layout tiny in
+  let fabric =
+    Interconnect.Fabric.create engine layout tiny.Mcmp.Config.fabric
+      (Interconnect.Traffic.create ())
+      (Sim.Rng.create 5)
+  in
+  Interconnect.Fabric.set_handler fabric (fun ~dst:_ _ -> ());
+  let s = S.create ~recovery:false tiny fabric (Mcmp.Counters.create ()) in
+  let home = S.home_mem s block and l1 = Interconnect.Layout.l1d_of_proc layout 0 in
+  let give ~count ~owner ~data =
+    match S.find s home block with
+    | Some line ->
+      S.give s ~src:home ~dst:l1 block line ~count ~owner ~data ~dirty:false ~writeback:false
+    | None -> Alcotest.fail "no home line"
+  in
+  let receive ~count ~owner =
+    ignore (S.receive s l1 block ~count ~owner ~data:true ~dirty:false ~epoch:0)
+  in
+  match trip give receive with
+  | exception Mcmp.Violation.Invariant_violation v ->
+    Alcotest.(check string) "violation kind" kind v.Mcmp.Violation.kind
+  | () -> Alcotest.failf "%s: no violation raised" kind
+
+let tests =
+  List.map
+    (fun ((kind, _) as case) ->
+      Alcotest.test_case ("substrate guard: " ^ kind) `Quick (test_guard case))
+    guard_cases
+  @ [
     Alcotest.test_case "write collects all tokens" `Quick test_write_collects_all_tokens;
     Alcotest.test_case "uncached read gets everything" `Quick
       test_read_leaves_tokens_at_memory;

@@ -8,7 +8,6 @@
      tab1   the TokenCMP variant table
      ablate design-choice ablations (not in the paper's figures)
      scale  8-CMP multicast and the 16..576-cache server-scale curve
-     micro  Bechamel micro-benchmarks of the simulator substrate
      profile    coherence profiler on token vs directory, overhead
      faultrate  recovery-mode cost vs token-drop probability
      chaos      partition duration vs runtime
@@ -689,86 +688,6 @@ let scale () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the substrate                          *)
-
-let micro () =
-  progress "[micro] bechamel micro-benchmarks...\n%!";
-  hr "Substrate micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let heap_bench () =
-    let h = Sim.Heap.create () in
-    for i = 0 to 255 do
-      Sim.Heap.push h ~key:((i * 7919) land 1023) ~seq:i ignore
-    done;
-    while not (Sim.Heap.is_empty h) do
-      Sim.Heap.pop h ()
-    done
-  in
-  let sarray_bench () =
-    let s = Cache.Sarray.create ~sets:64 ~ways:4 in
-    for i = 0 to 511 do
-      let a = (i * 37) land 255 in
-      match Cache.Sarray.find s a with
-      | Some _ -> Cache.Sarray.touch s a
-      | None -> (
-        match Cache.Sarray.victim_for s a with
-        | Some (v, _) ->
-          Cache.Sarray.remove s v;
-          Cache.Sarray.insert s a i
-        | None -> Cache.Sarray.insert s a i)
-    done
-  in
-  let rng_bench () =
-    let rng = Sim.Rng.create 1 in
-    let acc = ref 0 in
-    for _ = 0 to 999 do
-      acc := !acc + Sim.Rng.int rng 1024
-    done;
-    ignore !acc
-  in
-  let engine_bench () =
-    let e = Sim.Engine.create () in
-    for i = 1 to 512 do
-      Sim.Engine.schedule_in e (Sim.Time.ns (i land 31)) (fun () -> ())
-    done;
-    Sim.Engine.run e
-  in
-  let sim_bench () =
-    let cfg = { (Workload.Locking.default ~nlocks:4) with Workload.Locking.acquires = 5 } in
-    let programs = Workload.Locking.programs cfg ~seed:1 ~nprocs:4 in
-    ignore
-      (Mcmp.Runner.run ~config:Mcmp.Config.tiny (Token.Protocol.builder Token.Policy.dst1)
-         ~programs ~seed:1)
-  in
-  let tests =
-    [
-      Test.make ~name:"heap push/pop x256" (Staged.stage heap_bench);
-      Test.make ~name:"sarray access x512" (Staged.stage sarray_bench);
-      Test.make ~name:"splitmix64 x1000" (Staged.stage rng_bench);
-      Test.make ~name:"engine 512 events" (Staged.stage engine_bench);
-      Test.make ~name:"tiny TokenCMP simulation" (Staged.stage sim_bench);
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  emit
-    (T.make "Substrate micro-benchmarks (OLS estimate per iteration)"
-       (List.concat_map
-          (fun test ->
-            List.map
-              (fun elt ->
-                let raw = Benchmark.run cfg [ instance ] elt in
-                let ns =
-                  match Analyze.OLS.estimates (Analyze.one ols instance raw) with
-                  | Some [ ns ] -> J.Float ns
-                  | Some _ | None -> J.Null
-                in
-                [ ("benchmark", J.String (Test.Elt.name elt)); ("ns_per_iter", ns) ])
-              (Test.elements test))
-          tests))
-
-(* ------------------------------------------------------------------ *)
 (* Coherence profiler                                                  *)
 
 (* Profiles the locking micro-benchmark under TokenCMP and DirectoryCMP
@@ -1266,7 +1185,6 @@ let sections =
     ("sec5", sec5);
     ("ablate", ablate);
     ("scale", scale);
-    ("micro", micro);
     ("profile", profile);
     ("faultrate", faultrate);
     ("chaos", chaos);

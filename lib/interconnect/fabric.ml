@@ -291,13 +291,11 @@ let set_fault_injector t i =
   t.pristine <- false;
   t.injector <- Some i
 
-let clear_fault_injector t = t.injector <- None
-
 (* Sticky: once any fault machinery has been armed, copies may be
    duplicated or retained (injector [Duplicate], retransmit buffers),
-   so message records must not be recycled on first delivery. Clearing
-   an injector does not restore the guarantee for copies already in
-   flight, hence no way back to [true]. *)
+   so message records must not be recycled on first delivery. Copies
+   already in flight keep that hazard after the machinery goes quiet,
+   so nothing sets it back to [true]. *)
 let exactly_once t = t.pristine
 let set_msg_label t f = t.msg_label <- f
 let layout t = t.layout
@@ -764,9 +762,6 @@ let enable_adaptive_timeouts ?(params = Rtt.default_params) t =
   | None -> ()
 
 let adaptive t = t.adaptive <> None
-
-let adaptive_ceiling t =
-  match t.adaptive with Some a -> Some a.a_params.Rtt.ceiling | None -> None
 
 let rto t ~src_site ~dst_site =
   match t.adaptive with

@@ -63,8 +63,6 @@ val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
     as structured {!Obs.Event} values through the engine. *)
 val set_fault_injector : 'msg t -> 'msg injector -> unit
 
-val clear_fault_injector : 'msg t -> unit
-
 (** True while the fabric has {e never} had a fault injector, outage
     model or reliable transport armed: every scheduled copy is then
     delivered exactly once, which is the precondition the protocols'
@@ -192,11 +190,6 @@ val link_transitions : 'msg t -> int
 val enable_adaptive_timeouts : ?params:Rtt.params -> 'msg t -> unit
 
 val adaptive : 'msg t -> bool
-
-(** The estimator ceiling when adaptive mode is on — what liveness
-    margins must budget for (see
-    {!Token.Recovery.worst_case_latency}). *)
-val adaptive_ceiling : 'msg t -> Sim.Time.t option
 
 (** Current RTO of one ordered site-pair link.
     @raise Invalid_argument if adaptive mode is off. *)

@@ -31,10 +31,6 @@ let is_cache t id = id mod stride t < caches_per_cmp t
 let is_mem t id = not (is_cache t id)
 let is_l1 t id = id mod stride t < 2 * t.procs_per_cmp
 
-let is_l2 t id =
-  let off = id mod stride t in
-  off >= 2 * t.procs_per_cmp && off < caches_per_cmp t
-
 let l1d t ~cmp ~proc = (cmp * stride t) + proc
 let l1i t ~cmp ~proc = (cmp * stride t) + t.procs_per_cmp + proc
 let l2 t ~cmp ~bank = (cmp * stride t) + (2 * t.procs_per_cmp) + bank
@@ -72,12 +68,9 @@ let all_nodes t = List.init (node_count t) (fun i -> i)
    time so protocols can precompute broadcast masks; the hot paths then
    never rebuild these. *)
 let all_caches_set t = Destset.of_list (all_caches t)
-let all_mems_set t = Destset.of_list (all_mems t)
 let all_nodes_set t = Destset.of_list (all_nodes t)
-let caches_of_cmp_set t cmp = Destset.of_list (caches_of_cmp t cmp)
 let nodes_of_cmp_set t cmp = Destset.of_list (nodes_of_cmp t cmp)
 let l1s_of_cmp_set t cmp = Destset.of_list (l1s_of_cmp t cmp)
-let l2s_of_cmp_set t cmp = Destset.of_list (l2s_of_cmp t cmp)
 
 let pp_node t fmt id =
   match kind t id with

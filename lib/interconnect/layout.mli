@@ -36,7 +36,6 @@ val cmp_of : t -> int -> int
 val is_cache : t -> int -> bool
 val is_mem : t -> int -> bool
 val is_l1 : t -> int -> bool
-val is_l2 : t -> int -> bool
 
 (* Id accessors. *)
 val l1d : t -> cmp:int -> proc:int -> int
@@ -72,10 +71,7 @@ val all_nodes : t -> int list
     broadcast destination masks at component-creation time. *)
 val all_caches_set : t -> Destset.t
 
-val all_mems_set : t -> Destset.t
 val all_nodes_set : t -> Destset.t
-val caches_of_cmp_set : t -> int -> Destset.t
 val nodes_of_cmp_set : t -> int -> Destset.t
 val l1s_of_cmp_set : t -> int -> Destset.t
-val l2s_of_cmp_set : t -> int -> Destset.t
 val pp_node : t -> Format.formatter -> int -> unit

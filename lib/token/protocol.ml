@@ -132,7 +132,7 @@ let get_meta node addr =
       { sharers = 0; filter_sharers = 0; l1_tokens = 0; owner_hint = None })
 
 (* ------------------------------------------------------------------ *)
-(* Persistent-request machinery (the correctness substrate)            *)
+(* Persistent-request tables                                           *)
 
 (* Recovery: a leased table entry whose refresh stopped (its requester
    crashed, or the entry is a stale reapplication) eventually expires

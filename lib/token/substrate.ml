@@ -392,7 +392,9 @@ let node_owner s id addr = match peek s id addr with Some l -> l.owner | None ->
 
 let count_nodes s f =
   let n = ref 0 in
-  Array.iteri (fun id _ -> n := !n + f id) s.memory;
+  for id = 0 to Array.length s.lines - 1 do
+    n := !n + f id
+  done;
   !n
 
 let held s addr = count_nodes s (fun id -> node_tokens s id addr)

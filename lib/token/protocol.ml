@@ -1027,6 +1027,7 @@ let make_node t_layout policy rng id =
 let create ?recovery policy engine cfg traffic rng counters =
   let layout = Mcmp.Config.layout cfg in
   let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
+  let sub = S.create ~recovery:(recovery <> None) cfg fabric counters in
   let nodes =
     Array.init (L.node_count layout) (fun id -> make_node layout policy rng id)
   in
@@ -1044,7 +1045,7 @@ let create ?recovery policy engine cfg traffic rng counters =
       counters;
       rng;
       nodes;
-      sub = S.create ~recovery:(recovery <> None) cfg fabric counters;
+      sub;
       pseq = Array.make (L.nprocs layout) 0;
       ema_mem = Sim.Stat.Ema.create ~alpha:0.2 ~init:200.;
       ema_all = Sim.Stat.Ema.create ~alpha:0.2 ~init:200.;

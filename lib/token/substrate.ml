@@ -52,7 +52,8 @@ type t = {
 
 let create ~recovery (cfg : Mcmp.Config.t) fabric counters =
   let layout = F.layout fabric in
-  let per_node f = Array.init (L.node_count layout) (fun id -> f (L.kind layout id)) in
+  let kinds = Array.init (L.node_count layout) (L.kind layout) in
+  let per_node f = Array.map f kinds in
   {
     engine = F.engine fabric; cfg; layout; fabric; counters; recovery;
     memory = per_node (function L.Mem _ -> true | L.L1d _ | L.L1i _ | L.L2 _ -> false);
@@ -100,7 +101,7 @@ let mem_line s id addr =
     Hashtbl.add s.mem_lines.(id) addr l;
     l
 
-let find s id addr =
+let[@inline] find s id addr =
   if not s.memory.(id) then Cache.Sarray.find s.lines.(id) addr
   else if id = home_mem s addr then Some (mem_line s id addr)
   else None
@@ -118,7 +119,7 @@ let hold_until l = l.hold_until
 let set_hold_until l time = l.hold_until <- time
 let mark_dirty l = l.dirty <- true
 
-let permits s l rw =
+let[@inline] permits s l rw =
   l.valid && match rw with Msg.R -> l.tokens >= 1 | Msg.W -> l.tokens = s.cfg.tokens
 
 let touch s id addr = Cache.Sarray.touch s.lines.(id) addr
@@ -292,7 +293,7 @@ let receive s id addr ~count ~owner ~data ~dirty ~epoch =
     true
   end
 
-let recycle s msg =
+let[@inline] recycle s msg =
   match msg with
   | Msg.Tokens _ when F.exactly_once s.fabric ->
     if s.tok_top < Array.length s.tok_pool then begin

@@ -342,8 +342,9 @@ and gate_local t node addr start =
     drain_ldir t node addr
   end
 
-(* Start deferred requests while the home stays idle: a writeback
-   request that turns out stale is cancelled without claiming it. *)
+(* Start deferred requests while the home stays idle: a deferred
+   writeback request that has gone stale is cancelled and leaves the
+   home idle. *)
 and release_cdir t node addr =
   ignore t;
   let d = get_cdir node addr in

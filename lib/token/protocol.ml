@@ -1027,6 +1027,7 @@ let make_node t_layout policy rng id =
 let create ?recovery policy engine cfg traffic rng counters =
   let layout = Mcmp.Config.layout cfg in
   let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
+  (* Before the nodes: set-up measured cheaper (EXPERIMENTS.md, "Token substrate"). *)
   let sub = S.create ~recovery:(recovery <> None) cfg fabric counters in
   let nodes =
     Array.init (L.node_count layout) (fun id -> make_node layout policy rng id)
@@ -1071,7 +1072,7 @@ let create ?recovery policy engine cfg traffic rng counters =
        > cfg.l1_latency
   then
     F.set_parkable fabric (fun dst addr ->
-        is_l1_node nodes.(dst) && Option.is_none (S.find t.sub dst addr));
+        is_l1_node nodes.(dst) && not (S.cached t.sub dst addr));
   F.set_handler fabric (fun ~dst msg ->
       handle t ~dst msg;
       (* [handle] fully destructures the message and never retains it. *)

@@ -45,9 +45,7 @@ type t = {
      duplicate or a retransmit buffer), drained by [give]. *)
   tok_pool : Msg.t array;
   mutable tok_top : int;
-  mutable recreations : int;
-  mutable epoch_bumps : int;
-  mutable stale_discards : int;
+  mutable recreations : int; mutable epoch_bumps : int; mutable stale_discards : int;
 }
 
 let create ~recovery (cfg : Mcmp.Config.t) fabric counters =
@@ -123,6 +121,7 @@ let[@inline] permits s l rw =
   l.valid && match rw with Msg.R -> l.tokens >= 1 | Msg.W -> l.tokens = s.cfg.tokens
 
 let touch s id addr = Cache.Sarray.touch s.lines.(id) addr
+let cached s id addr = Cache.Sarray.mem s.lines.(id) addr
 
 (* Token-FSM state label for trace events, e.g. "T3OV" (3 tokens, owner,
    valid) or "I" (no tokens, no data). Only evaluated while tracing. *)

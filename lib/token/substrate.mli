@@ -30,13 +30,13 @@ val mark_dirty : line -> unit
 
 (** The policy's response-delay window. *)
 val hold_until : line -> Sim.Time.t
-
 val set_hold_until : line -> Sim.Time.t -> unit
 
 (** Valid data and one token ([R]) or all T tokens ([W]). *)
 val permits : t -> line -> Msg.rw -> bool
 
 val touch : t -> int -> Cache.Addr.t -> unit
+val cached : t -> int -> Cache.Addr.t -> bool
 
 (** Take tokens out of a line and send them to [dst] in one message,
     waking request copies parked there. A cache line left empty is

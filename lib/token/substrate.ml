@@ -157,12 +157,12 @@ let inflight s addr = try Hashtbl.find s.inflight addr with Not_found -> 0
 let inflight_owner s addr = try Hashtbl.find s.inflight_owner addr with Not_found -> 0
 let inflight_total s = Hashtbl.fold (fun _ n acc -> acc + n) s.inflight 0
 
-let fail s ?node addr kind detail =
+let fail s node addr kind detail =
   Mcmp.Violation.raise_it ~kind ~addr ?node ~time:(E.now s.engine) detail
 
 let add s table addr d ~kind detail =
   let v = (try Hashtbl.find table addr with Not_found -> 0) + d in
-  if v < 0 then fail s addr kind (detail (-v));
+  if v < 0 then fail s None addr kind (detail (-v));
   if v = 0 then Hashtbl.remove table addr else Hashtbl.replace table addr v
 
 (* [count] tokens, and the owner token if [owner], enter ([count] > 0)
@@ -182,18 +182,18 @@ let discard s addr ~count ~owner ~epoch =
 
 let give s ~src ~dst addr line ~count ~owner ~data ~dirty ~writeback =
   if count > line.tokens then
-    fail s ~node:src addr "token-overdraw"
+    fail s (Some src) addr "token-overdraw"
       (Printf.sprintf "taking %d tokens from a line holding %d" count line.tokens);
   if owner && not line.owner then
-    fail s ~node:src addr "phantom-owner" "taking the owner token from a non-owner line";
+    fail s (Some src) addr "phantom-owner" "taking the owner token from a non-owner line";
   line.tokens <- line.tokens - count;
   if owner then line.owner <- false;
   strip s src addr line;
   if count < 1 then
-    fail s ~node:src addr "empty-token-message"
+    fail s (Some src) addr "empty-token-message"
       (Printf.sprintf "attempted to send %d tokens to node %d" count dst);
   if owner && not data then
-    fail s ~node:src addr "owner-without-data"
+    fail s (Some src) addr "owner-without-data"
       (Printf.sprintf "owner token sent to node %d without the data block" dst);
   (* Tokens are stamped with the sender's epoch view; a sender always
      holds current-epoch tokens (the collect phase destroys older ones

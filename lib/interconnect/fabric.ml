@@ -84,21 +84,29 @@ type adaptive = { a_params : Rtt.params; a_est : Rtt.t array }
    creation. Scheduling a delivery fills the mutable fields and hands
    the engine [c_thunk] — no per-copy closure. Cells recycle through an
    index-based free list threaded via [c_next]. A released cell holds
-   a unit stand-in in [c_msg], so it pins no message. A parked copy
-   (see [park]) keeps its cell, with its arrival, reserved engine
-   sequence number and park key, on its destination's parked list,
-   also threaded via [c_next]. *)
+   a unit stand-in in [c_msg], so it pins no message. *)
 type 'msg cell = {
   c_idx : int;
   mutable c_src : int;
   mutable c_dst : int;
   mutable c_cls : Msg_class.t;
   mutable c_msg : 'msg;
-  mutable c_next : int;  (* free- or parked-list link; -1 terminates *)
-  mutable c_time : Sim.Time.t;  (* parked: arrival *)
-  mutable c_seq : int;  (* parked: reserved engine sequence number *)
-  mutable c_key : int;  (* parked: park key *)
+  mutable c_next : int;  (* free-list link; -1 terminates *)
   c_thunk : unit -> unit;
+}
+
+(* One [send_set_parkable] that parked at least one copy: what its
+   copies share. Its copies sit in the copy ring from position
+   [r_first] up to the next record's [r_first] (or the ring's tail, for
+   the newest record). A retired record holds a unit stand-in in
+   [r_msg]. *)
+type 'msg parked_send = {
+  mutable r_key : int;
+  mutable r_src : int;
+  mutable r_cls : Msg_class.t;
+  mutable r_msg : 'msg;
+  mutable r_last : Sim.Time.t;  (* latest arrival of its copies *)
+  mutable r_first : int;
 }
 
 type 'msg t = {
@@ -119,14 +127,23 @@ type 'msg t = {
   mutable cells : 'msg cell array;
   mutable free_cell : int;  (* head of the cell free list; -1 = empty *)
   mutable pristine : bool;  (* no injector/outage/reliability ever armed *)
-  (* Parked copies: per node, a FIFO of cells in park order. [park_key]
-     is the key of the [send_set_parkable] in progress, or -1 when its
-     copies cannot park. *)
+  (* Parked copies (see [park]): a FIFO ring of records, one per
+     parking send, and a ring of copies, three ints each: destination
+     (-1 once woken), arrival and reserved engine sequence number.
+     Positions only grow; position [p] lives in slot [p land (capacity
+     - 1)] of a ring, whose capacity is a power of two. [park_key] is
+     the key of the [send_set_parkable] in progress, or -1 when its
+     copies cannot park; [park_open] is set once it opened its record. *)
   mutable parkable : int -> int -> bool;
   mutable park_key : int;
-  park_head : int array;
-  park_tail : int array;
-  mutable parked : int;  (* copies parked and never woken, released ones included *)
+  mutable park_open : bool;
+  mutable recs : 'msg parked_send array;
+  mutable rec_head : int;  (* oldest live record *)
+  mutable rec_tail : int;  (* next record's position *)
+  mutable copies : int array;
+  mutable copy_head : int;  (* first copy of the oldest live record *)
+  mutable copy_tail : int;
+  mutable parked : int;  (* copies parked and never woken, retired ones included *)
   mutable handler : dst:int -> 'msg -> unit;
   port_busy : Sim.Time.t array; (* per node, on-chip egress port *)
   link_busy : Sim.Time.t array; (* per ordered site pair *)
@@ -146,23 +163,32 @@ type 'msg t = {
   mutable adaptive : adaptive option;
 }
 
-(* A parked copy is due once the engine has run past its place, where
-   its delivery would have run. *)
-let due t c = Sim.Engine.passed t.engine c.c_time ~seq:c.c_seq
+(* The copy ring's slot mask, and the first int of position [p]. *)
+let copy_mask t = (Array.length t.copies / 3) - 1
+let[@inline] slot t p = 3 * (p land copy_mask t)
+let record t p = t.recs.(p land (Array.length t.recs - 1))
+
+(* One past the last copy position of the record at position [p]. *)
+let copies_end t p = if p + 1 < t.rec_tail then (record t (p + 1)).r_first else t.copy_tail
 
 (* Deliveries, plus the parked copies the engine has run past: the
-   count a run without parking would show at this point. *)
+   count a run without parking would show at this point. A woken copy
+   counts at its delivery; a live record whose latest arrival is before
+   now has no copy ahead. *)
 let delivered t =
+  let now = Sim.Engine.now t.engine in
   let ahead = ref 0 in
-  Array.iter
-    (fun h ->
-      let i = ref h in
-      while !i >= 0 do
-        let c = t.cells.(!i) in
-        if not (due t c) then incr ahead;
-        i := c.c_next
-      done)
-    t.park_head;
+  for p = t.rec_head to t.rec_tail - 1 do
+    let r = record t p in
+    if r.r_last >= now then
+      for q = r.r_first to copies_end t p - 1 do
+        let i = slot t q in
+        if
+          t.copies.(i) >= 0
+          && not (Sim.Engine.passed t.engine t.copies.(i + 1) ~seq:t.copies.(i + 2))
+        then incr ahead
+      done
+  done;
   t.delivered + t.parked - !ahead
 
 let register ?(prefix = "fabric.") registry t =
@@ -219,8 +245,13 @@ let create engine layout params traffic rng =
       pristine = true;
       parkable = (fun _ _ -> false);
       park_key = -1;
-      park_head = Array.make nnodes (-1);
-      park_tail = Array.make nnodes (-1);
+      park_open = false;
+      recs = [||];
+      rec_head = 0;
+      rec_tail = 0;
+      copies = [||];
+      copy_head = 0;
+      copy_tail = 0;
       parked = 0;
       handler = (fun ~dst:_ _ -> failwith "Fabric: handler not set");
       port_busy = Array.make (Layout.node_count layout) Sim.Time.zero;
@@ -253,37 +284,6 @@ let release_cell t c =
   c.c_msg <- Obj.magic ();
   c.c_next <- t.free_cell;
   t.free_cell <- c.c_idx
-
-(* Walk [dst]'s parked list. A due copy is released: whatever woke it
-   would find it already delivered. A copy with key [key] whose arrival
-   is after now is scheduled at its original arrival and sequence
-   number, where it would have been had it never parked; its delivery
-   counts it, so it leaves [parked]. Every other copy stays parked. One
-   that arrives this very instant, after the running event, needs no
-   waking: whatever the running event sends lands after that copy's
-   lookup. *)
-let wake t ~dst ~key =
-  let i = ref t.park_head.(dst) in
-  if !i >= 0 then begin
-    let now = Sim.Engine.now t.engine in
-    let last = ref (-1) in
-    while !i >= 0 do
-      let c = t.cells.(!i) in
-      let next = c.c_next in
-      if due t c then release_cell t c
-      else if c.c_key = key && c.c_time > now then begin
-        t.parked <- t.parked - 1;
-        Sim.Engine.schedule_reserved t.engine c.c_time ~seq:c.c_seq c.c_thunk
-      end
-      else begin
-        if !last < 0 then t.park_head.(dst) <- !i else t.cells.(!last).c_next <- !i;
-        last := !i
-      end;
-      i := next
-    done;
-    if !last < 0 then t.park_head.(dst) <- -1 else t.cells.(!last).c_next <- -1;
-    t.park_tail.(dst) <- !last
-  end
 
 let set_parkable t f = t.parkable <- f
 
@@ -556,8 +556,7 @@ let acquire_cell t ~src ~dst ~cls msg =
           else
             let rec c =
               { c_idx = i; c_src = src; c_dst = dst; c_cls = cls;
-                c_msg = Obj.magic (); c_next = -1; c_time = 0; c_seq = 0; c_key = -1;
-                c_thunk = (fun () -> deliver_cell t c) }
+                c_msg = Obj.magic (); c_next = -1; c_thunk = (fun () -> deliver_cell t c) }
             in
             c)
     in
@@ -580,29 +579,92 @@ let schedule_delivery t ~src ~cls time dst msg =
   let c = acquire_cell t ~src ~dst ~cls msg in
   Sim.Engine.schedule_at t.engine time c.c_thunk
 
-(* Park one copy instead of scheduling it. It takes its engine sequence
-   number now, as a scheduled copy would. Copies at the head of [dst]'s
-   list that are already due leave first, so a node that is never woken
-   holds only copies still in flight. *)
-let park t ~src ~cls time dst msg =
-  let h = ref t.park_head.(dst) in
-  while !h >= 0 && due t t.cells.(!h) do
-    let c = t.cells.(!h) in
-    h := c.c_next;
-    release_cell t c
+(* Parked copies. A copy parks instead of being scheduled: it takes
+   its engine sequence number now, as a scheduled copy would, and its
+   destination, arrival and sequence number go to the copy ring. The
+   first copy a send parks opens the send's record, which holds what
+   all its copies share. Opening a record first retires, oldest first,
+   the records the engine has left behind, so the live records start
+   at the oldest one with a copy still in flight. *)
+
+let grow_records t =
+  let old = t.recs in
+  let cap = max 16 (2 * Array.length old) in
+  let recs =
+    Array.init cap (fun _ ->
+        { r_key = -1; r_src = 0; r_cls = Msg_class.Request; r_msg = Obj.magic (); r_last = 0;
+          r_first = 0 })
+  in
+  for p = t.rec_head to t.rec_tail - 1 do
+    recs.(p land (cap - 1)) <- old.(p land (Array.length old - 1))
   done;
-  let c = acquire_cell t ~src ~dst ~cls msg in
-  c.c_time <- time;
-  c.c_seq <- Sim.Engine.reserve t.engine;
-  c.c_key <- t.park_key;
-  c.c_next <- -1;
-  if !h < 0 then t.park_head.(dst) <- c.c_idx
-  else begin
-    t.park_head.(dst) <- !h;
-    t.cells.(t.park_tail.(dst)).c_next <- c.c_idx
-  end;
-  t.park_tail.(dst) <- c.c_idx;
+  t.recs <- recs
+
+let grow_copies t =
+  let old = t.copies and old_mask = copy_mask t in
+  let cap = max 64 (2 * (old_mask + 1)) in
+  let copies = Array.make (3 * cap) 0 in
+  for p = t.copy_head to t.copy_tail - 1 do
+    Array.blit old (3 * (p land old_mask)) copies (3 * (p land (cap - 1))) 3
+  done;
+  t.copies <- copies
+
+(* A record retires once every copy of it arrived before now: none can
+   be woken, and [delivered] counts them all. The unit stand-in keeps a
+   retired record from pinning its message. *)
+let open_record t ~src ~cls msg =
+  let now = Sim.Engine.now t.engine in
+  while t.rec_head < t.rec_tail && (record t t.rec_head).r_last < now do
+    (record t t.rec_head).r_msg <- Obj.magic ();
+    t.rec_head <- t.rec_head + 1
+  done;
+  t.copy_head <- (if t.rec_head < t.rec_tail then (record t t.rec_head).r_first else t.copy_tail);
+  if t.rec_tail - t.rec_head = Array.length t.recs then grow_records t;
+  let r = record t t.rec_tail in
+  r.r_key <- t.park_key;
+  r.r_src <- src;
+  r.r_cls <- cls;
+  r.r_msg <- msg;
+  r.r_last <- 0;
+  r.r_first <- t.copy_tail;
+  t.rec_tail <- t.rec_tail + 1;
+  t.park_open <- true
+
+let park t ~src ~cls time dst msg =
+  if not t.park_open then open_record t ~src ~cls msg;
+  if t.copy_tail - t.copy_head = copy_mask t + 1 then grow_copies t;
+  let i = slot t t.copy_tail in
+  t.copies.(i) <- dst;
+  t.copies.(i + 1) <- time;
+  t.copies.(i + 2) <- Sim.Engine.reserve t.engine;
+  t.copy_tail <- t.copy_tail + 1;
+  let r = record t (t.rec_tail - 1) in
+  if time > r.r_last then r.r_last <- time;
   t.parked <- t.parked + 1
+
+(* Schedule [dst]'s copies with key [key] whose arrival is after now,
+   each at its original arrival and sequence number in a fresh cell,
+   where it would have been had it never parked. Its delivery counts
+   it, so it leaves [parked], and it is marked, so no later wake
+   schedules it again. Every other copy stays parked. One that arrives
+   this very instant, after the running event, needs no waking:
+   whatever the running event sends lands after that copy's lookup. *)
+let wake t ~dst ~key =
+  let now = Sim.Engine.now t.engine in
+  for p = t.rec_head to t.rec_tail - 1 do
+    let r = record t p in
+    if r.r_key = key && r.r_last > now then
+      for q = r.r_first to copies_end t p - 1 do
+        let i = slot t q in
+        if t.copies.(i) = dst && t.copies.(i + 1) > now then begin
+          t.copies.(i) <- -1;
+          t.parked <- t.parked - 1;
+          let c = acquire_cell t ~src:r.r_src ~dst ~cls:r.r_cls r.r_msg in
+          Sim.Engine.schedule_reserved t.engine t.copies.(i + 1) ~seq:t.copies.(i + 2)
+            c.c_thunk
+        end
+      done
+  done
 
 (* Reliable delivery: each copy becomes a sequenced frame the sender
    keeps until it is known delivered. A [Drop] verdict is survived by
@@ -907,7 +969,8 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
       end
     done
   end;
-  t.park_key <- -1
+  t.park_key <- -1;
+  t.park_open <- false
 
 let[@inline] send_set t ~src ~dsts ~cls ~bytes msg =
   send_set_parkable t ~park:(-1) ~src ~dsts ~cls ~bytes msg

@@ -247,11 +247,13 @@ val send_one :
     destination unless something the protocol sends later wakes it.
     Such a copy is {e parked}: it takes its engine sequence number at
     send time but is not scheduled. {!wake} puts it back on the queue
-    at its original (arrival, sequence number), or releases it once
-    the engine has run past that place. The events that still run
-    keep their order; only the parked copies' own events go. Released
-    copies emit no [Msg_deliver] trace event; [Msg_send] and [Net_hop]
-    are emitted at send as always. *)
+    at its original (arrival, sequence number). A send that parks
+    copies keeps one record of what they share, and each copy is three
+    ints in it; the record is freed, oldest first, when a later send
+    parks and every copy of it arrived before then. The events that
+    still run keep their order; only the parked copies' own events go.
+    A copy never woken emits no [Msg_deliver] trace event; [Msg_send]
+    and [Net_hop] are emitted at send as always. *)
 
 (** [set_parkable t f] installs the per-copy test: a copy of a
     [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
@@ -260,8 +262,10 @@ val send_one :
 val set_parkable : 'msg t -> (int -> int -> bool) -> unit
 
 (** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]
-    whose arrival is after now, and releases every copy the engine has
-    run past. Other copies stay parked. Allocates nothing. *)
+    whose arrival is after now, each once. Other copies stay parked; a
+    copy the engine has run past is freed with its record, by a later
+    parking send, not here. Allocates nothing once the fabric's buffers
+    have grown. *)
 val wake : 'msg t -> dst:int -> key:int -> unit
 
 (** The least time from a send to the delivery of a [bytes]-byte copy

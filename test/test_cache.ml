@@ -164,6 +164,17 @@ let prop_model_eager (sets, ways) =
         steps
       && contents Cache.Sarray.iter s = contents Sarray_ref.iter r)
 
+(* A default L2 has 512 groups of sets: creating it must not empty
+   the minor heap, as [Array.make] does when a large array starts out
+   holding a young value. *)
+let test_sarray_create_no_minor_gc () =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let s = Cache.Sarray.create ~sets:8192 ~ways:4 in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections" 0 (after - before);
+  Alcotest.(check int) "sets" 8192 (Cache.Sarray.sets s)
+
 let tests =
   [
     Alcotest.test_case "byte/block round trip" `Quick test_addr_roundtrip;
@@ -175,6 +186,8 @@ let tests =
     Alcotest.test_case "remove" `Quick test_sarray_remove;
     Alcotest.test_case "misuse raises" `Quick test_sarray_full_set_raises;
     Alcotest.test_case "iter" `Quick test_sarray_iter;
+    Alcotest.test_case "create forces no minor collection" `Quick
+      test_sarray_create_no_minor_gc;
     QCheck_alcotest.to_alcotest prop_lru;
     QCheck_alcotest.to_alcotest prop_population;
   ]

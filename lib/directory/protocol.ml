@@ -1195,9 +1195,9 @@ let make_node layout cfg id =
     wb_serial = 0;
     mshr = None;
     l2_data = Cache.Sarray.create ~sets:(fst l2_geom) ~ways:(snd l2_geom);
-    ldir = Hashtbl.create 1024;
+    ldir = Hashtbl.create (match kind with L.L2 _ -> 1024 | _ -> 1);
     l2_wb = Hashtbl.create 8;
-    cdir = Hashtbl.create 1024;
+    cdir = Hashtbl.create (match kind with L.Mem _ -> 1024 | _ -> 1);
   }
 
 let name ~dram_directory = if dram_directory then "DirectoryCMP" else "DirectoryCMP-zero"

@@ -98,6 +98,105 @@ let test_counted_at_its_place () =
   Alcotest.(check (list int)) "delivered before and after the copy's place" [ 0; 1 ]
     (List.rev !seen)
 
+(* Two sends with one key park a copy each at one L1; an event
+   scheduled between the sends at the second copy's arrival runs ahead
+   of it. One wake schedules both at their own places; a second wake
+   finds nothing left to schedule. *)
+let test_one_wake_two_sends () =
+  let l, engine, fabric, log, _, dst, arrival = rig () in
+  let src = L.l1d l ~cmp:0 ~proc:0 in
+  let send tag =
+    F.send_set_parkable fabric ~park:5 ~src ~dsts:(Interconnect.Destset.singleton dst)
+      ~cls:Interconnect.Msg_class.Request ~bytes:8 tag
+  in
+  (* The second copy leaves the port one serialization later. *)
+  let second = arrival + Sim.Time.ps 125 in
+  send "a";
+  Sim.Engine.schedule_at engine second (fun () ->
+      log := ("between", -1, Sim.Engine.now engine) :: !log);
+  send "b";
+  F.wake fabric ~dst ~key:5;
+  F.wake fabric ~dst ~key:5;
+  Sim.Engine.run engine;
+  Alcotest.(check (list (triple string int int)))
+    "each copy at its own arrival and sequence number, once"
+    [ ("a", dst, arrival); ("between", -1, second); ("b", dst, second) ]
+    (List.rev !log);
+  Alcotest.(check int) "two copies counted" 2 (F.delivered fabric)
+
+(* 136 nodes, so a destination set spans three words. One all-caches
+   broadcast parks its 95 L1 copies, more than the copy buffer first
+   holds, in one record. *)
+let test_wide_record () =
+  let l = L.create ~ncmp:8 ~procs_per_cmp:6 ~banks_per_cmp:4 in
+  let engine = Sim.Engine.create () in
+  let fabric =
+    F.create engine l F.default_params (Interconnect.Traffic.create ()) (Sim.Rng.create 1)
+  in
+  let log = ref [] in
+  F.set_handler fabric (fun ~dst () -> log := dst :: !log);
+  F.set_parkable fabric (fun dst _ -> L.is_l1 l dst);
+  let dsts = L.all_caches_set l in
+  Alcotest.(check int) "three destset words" 3 (Interconnect.Destset.nwords dsts);
+  let src = L.l1d l ~cmp:0 ~proc:0 and woken = L.l1i l ~cmp:7 ~proc:5 in
+  let broadcast () =
+    F.send_set_parkable fabric ~park:9 ~src ~dsts ~cls:Interconnect.Msg_class.Request ~bytes:8 ()
+  in
+  let copies = L.ncaches l - 1 in
+  (* Runs the engine past every arrival so far. *)
+  let pass () =
+    Sim.Engine.schedule_in engine (Sim.Time.ns 100) ignore;
+    Sim.Engine.run engine
+  in
+  broadcast ();
+  F.wake fabric ~dst:woken ~key:9;
+  pass ();
+  Alcotest.(check (list int)) "the L2s and the one woken L1"
+    (List.sort compare (woken :: List.filter (fun d -> not (L.is_l1 l d)) (L.all_caches l)))
+    (List.sort compare !log);
+  Alcotest.(check int) "every copy once" copies (F.delivered fabric);
+  (* The next broadcast's record retires this one. A third at the same
+     instant grows the copy buffer while the live copies start past its
+     first slot. *)
+  broadcast ();
+  Alcotest.(check int) "after it retires, before the next copies arrive" copies
+    (F.delivered fabric);
+  broadcast ();
+  F.wake fabric ~dst:woken ~key:9;
+  pass ();
+  Alcotest.(check int) "the woken L1 gets one copy per broadcast" 3
+    (List.length (List.filter (( = ) woken) !log));
+  Alcotest.(check int) "and after the next copies arrive" (3 * copies) (F.delivered fabric)
+
+(* A send from an L1 of chip 0 parks a local copy and a remote one; a
+   later send parks local copies only. Once the local copies of both
+   have arrived, a third send opens its record: the first record, whose
+   remote copy is still in flight, stays, and its copy can be woken. *)
+let test_remote_copy_keeps_record () =
+  let l, engine, fabric, log, _, dst, arrival = rig () in
+  let src = L.l1d l ~cmp:0 ~proc:0 in
+  let remote = L.l1d l ~cmp:1 ~proc:0 in
+  let send ?(key = 5) dsts tag =
+    F.send_set_parkable fabric ~park:key ~src ~dsts ~cls:Interconnect.Msg_class.Request ~bytes:8
+      tag
+  in
+  send (Interconnect.Destset.of_list [ dst; remote ]) "far";
+  send ~key:6 (Interconnect.Destset.singleton dst) "near";
+  let later = arrival + Sim.Time.ns 1 in
+  let seen = ref [] in
+  Sim.Engine.schedule_at engine later (fun () ->
+      send ~key:7 (Interconnect.Destset.singleton dst) "third";
+      seen := F.delivered fabric :: !seen;
+      F.wake fabric ~dst:remote ~key:5);
+  Sim.Engine.run engine;
+  Alcotest.(check (list int)) "two local copies counted at the third send" [ 2 ] !seen;
+  (match List.rev !log with
+  | [ ("far", d, at) ] ->
+    Alcotest.(check int) "the remote copy is woken" remote d;
+    Alcotest.(check bool) "at its own arrival, after the third send" true (at > later)
+  | l -> Alcotest.failf "expected one woken remote copy, got %d deliveries" (List.length l));
+  Alcotest.(check int) "every copy once" 4 (F.delivered fabric)
+
 let test_injector_stops_parking () =
   let _, engine, fabric, log, send, dst, arrival = rig () in
   F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass);
@@ -229,6 +328,11 @@ let tests =
       test_counted_at_its_place;
     Alcotest.test_case "nothing parks once an injector is armed" `Quick
       test_injector_stops_parking;
+    Alcotest.test_case "one wake schedules two sends' copies once" `Quick
+      test_one_wake_two_sends;
+    Alcotest.test_case "a three-word send parks as one record" `Quick test_wide_record;
+    Alcotest.test_case "a remote copy in flight keeps its record" `Quick
+      test_remote_copy_keeps_record;
   ]
   @ List.concat_map
       (fun (p : Token.Policy.t) ->

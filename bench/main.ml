@@ -599,15 +599,19 @@ let scale () =
       Workload.Commercial.ops = (if !quick then 150 else 400) }
   in
   let curve_protocols = [ P.directory; P.token Token.Policy.dst1 ] in
+  (* The run's result, host wall clock, and the part of it spent
+     building the machine, up to [on_start]. *)
   let curve_run profile cfg proto seed =
     let t0 = Unix.gettimeofday () in
+    let built = ref t0 in
     let r =
       Mcmp.Runner.uncapped
         (Mcmp.Runner.run ~config:cfg proto.P.builder
+           ~on_start:(fun _ ~running:_ -> built := Unix.gettimeofday ())
            ~programs:(fun ~proc -> Workload.Commercial.program profile ~seed ~proc)
            ~seed)
     in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Unix.gettimeofday () -. t0, !built -. t0)
   in
   (* One row per protocol at one machine size. *)
   let curve_point ~pt_seeds ~profile ~ncmp ~procs_per_cmp =
@@ -631,10 +635,11 @@ let scale () =
             pt_seeds
         in
         let n = float_of_int (List.length results) in
-        let events = List.fold_left (fun a (r, _) -> a + r.Mcmp.Runner.events) 0 results in
-        let wall = List.fold_left (fun a (_, w) -> a +. w) 0. results in
+        let events = List.fold_left (fun a (r, _, _) -> a + r.Mcmp.Runner.events) 0 results in
+        let wall = List.fold_left (fun a (_, w, _) -> a +. w) 0. results in
+        let build = List.fold_left (fun a (_, _, b) -> a +. b) 0. results in
         let runtime_ns =
-          List.fold_left (fun a (r, _) -> a +. Sim.Time.to_ns r.Mcmp.Runner.runtime) 0. results
+          List.fold_left (fun a (r, _, _) -> a +. Sim.Time.to_ns r.Mcmp.Runner.runtime) 0. results
           /. n
         in
         [
@@ -647,7 +652,8 @@ let scale () =
           ("events", J.Int events);
           ("events_per_host_s", J.Float (float_of_int events /. wall));
           ("host_wall_s", J.Float wall);
-          ("completed", J.Bool (List.for_all (fun (r, _) -> r.Mcmp.Runner.completed) results));
+          ("build_s", J.Float build);
+          ("completed", J.Bool (List.for_all (fun (r, _, _) -> r.Mcmp.Runner.completed) results));
         ])
       curve_protocols
   in
@@ -1020,6 +1026,8 @@ let perf () =
      - bursty_churn: the broadcast shape, 32 events inside a 500 ps window;\n\
      - send_set / send_one: all-caches broadcasts and random point-to-point\n\
     \  pairs on the 4-CMP machine with a no-op handler;\n\
+     - send_parked: a request's local and escalation sets whose L1 copies\n\
+    \  all park, then a wake, per parked copy (spread: one row per repetition);\n\
      - tiny_sim: whole tiny TokenCMP-dst1 simulations, per retired op.\n\
      Absolute rates are machine-dependent; the allocation figures are\n\
      deterministic for a given compiler.";
@@ -1119,7 +1127,80 @@ let perf () =
         Interconnect.Fabric.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request
           ~bytes:8 ())
   in
-  (* 4. Whole simulations: protocol + caches + fabric, per retired op,
+  (* 4. Parked sends, in TokenCMP-dst1's shape: an L1 sends its chip's
+     other L1s and one L2 bank, then every other chip's L1s and one L2
+     bank each plus a memory controller, both with [send_set_parkable];
+     every L1 copy parks. Each send carries a fresh message, as the
+     protocol's do. A wake of the sender for the key follows, as the
+     reply carrying tokens to a requester makes, and the engine runs
+     10 ns. Reported per parked copy, per repetition after a warm-up
+     one that grows the pools. *)
+  let parked_reps =
+    let module L = Interconnect.Layout in
+    let module DS = Interconnect.Destset in
+    let engine = Sim.Engine.create () in
+    let fabric =
+      Interconnect.Fabric.create engine l Interconnect.Fabric.default_params
+        (Interconnect.Traffic.create ()) (Sim.Rng.create 1)
+    in
+    Interconnect.Fabric.set_handler fabric (fun ~dst:_ (_ : int ref) -> ());
+    Interconnect.Fabric.set_parkable fabric (fun dst _ -> L.is_l1 l dst);
+    let ncmp = l.L.ncmp in
+    let banks = List.length (L.l2s_of_cmp l 0) in
+    let l1s = Array.of_list (List.filter (L.is_l1 l) (L.all_caches l)) in
+    (* Both sets per (sending L1, bank), built before the loop. *)
+    let sets =
+      Array.map
+        (fun src ->
+          let cmp = L.cmp_of l src in
+          Array.init banks (fun bank ->
+              let local = DS.add (L.l2 l ~cmp ~bank) (DS.remove src (L.l1s_of_cmp_set l cmp)) in
+              let remote =
+                List.fold_left
+                  (fun acc c ->
+                    if c = cmp then acc
+                    else DS.union acc (DS.add (L.l2 l ~cmp:c ~bank) (L.l1s_of_cmp_set l c)))
+                  (DS.singleton (L.mem l ~cmp:(bank mod ncmp)))
+                  (List.init ncmp Fun.id)
+              in
+              (local, remote)))
+        l1s
+    in
+    let parked_per_round = Array.length l1s - 1 in
+    let stop () = Sim.Engine.stop engine in
+    let round i =
+      let src = l1s.(i mod Array.length l1s) in
+      let local, remote = sets.(i mod Array.length l1s).(i / Array.length l1s mod banks) in
+      let key = i land 255 in
+      Interconnect.Fabric.send_set_parkable fabric ~park:key ~src ~dsts:local
+        ~cls:Interconnect.Msg_class.Request ~bytes:8 (ref i);
+      Interconnect.Fabric.send_set_parkable fabric ~park:key ~src ~dsts:remote
+        ~cls:Interconnect.Msg_class.Request ~bytes:8 (ref i);
+      Interconnect.Fabric.wake fabric ~dst:src ~key;
+      Sim.Engine.schedule_in engine (Sim.Time.ns 10) stop;
+      Sim.Engine.run engine
+    in
+    let rounds = if !quick then 20_000 else 100_000 in
+    let rep () =
+      let dt, words =
+        measure (fun () ->
+            for i = 1 to rounds do
+              round i
+            done)
+      in
+      let copies = float_of_int (rounds * parked_per_round) in
+      (dt *. 1e9 /. copies, words /. copies)
+    in
+    ignore (rep ());
+    List.init (if !quick then 3 else 7) (fun _ -> rep ())
+  in
+  let parked_ns, parked_mw =
+    let ns = List.sort compare (List.map fst parked_reps) in
+    ( List.nth ns (List.length ns / 2),
+      List.fold_left (fun a (_, w) -> a +. w) 0. parked_reps
+      /. float_of_int (List.length parked_reps) )
+  in
+  (* 5. Whole simulations: protocol + caches + fabric, per retired op,
      the unit of simulated work (events per op is the protocol's and
      the engine's business, and changes when events are saved). *)
   let sim_ops, sim_mwpo =
@@ -1160,8 +1241,18 @@ let perf () =
            kernel "bursty_churn" "event" (bursty_eps, bursty_mwpe);
            kernel "send_set" "send" (set_sps, set_mwps);
            kernel "send_one" "send" (one_sps, one_mwps);
+           kernel "send_parked" "parked copy" (1e9 /. parked_ns, parked_mw);
            kernel "tiny_sim" "op" (sim_ops, sim_mwpo);
          ])
+  in
+  let send_parked =
+    emit
+      (T.make "send_parked repetitions"
+         (List.mapi
+            (fun i (ns, words) ->
+              [ ("rep", J.Int (i + 1)); ("ns_per_parked_copy", J.Float ns);
+                ("minor_words_per_parked_copy", J.Float words) ])
+            parked_reps))
   in
   let walls =
     emit
@@ -1170,7 +1261,7 @@ let perf () =
             (fun (n, w) -> [ ("section", J.String n); ("wall_s", J.Float w) ])
             !section_walls))
   in
-  J.Obj [ ("kernels", kernels); ("section_wall_clock_s", walls) ]
+  J.Obj [ ("kernels", kernels); ("send_parked", send_parked); ("section_wall_clock_s", walls) ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -157,6 +157,72 @@ let test_fabric_bandwidth_serialization () =
     Alcotest.(check int) "second delayed by port occupancy" (Sim.Time.ps 4250) b
   | _ -> Alcotest.fail "expected two deliveries"
 
+(* Fault verdicts, one arm at a time: a bare 2-CMP fabric, no jitter,
+   whose injector answers each offered copy with the next scripted
+   verdict (then [Pass]). One send crosses chips; returns the fabric and
+   the delivery times. *)
+module F = Interconnect.Fabric
+
+let scripted ?reliability script =
+  let l = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:1 ~banks_per_cmp:1 in
+  let engine = Sim.Engine.create () in
+  let params = { F.default_params with jitter = 0 } in
+  let fabric = F.create engine l params (Interconnect.Traffic.create ()) (Sim.Rng.create 1) in
+  let script = ref script in
+  F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ () ->
+      match !script with
+      | v :: rest ->
+        script := rest;
+        v
+      | [] -> F.Pass);
+  Option.iter (fun params -> F.enable_reliability ~params fabric (Sim.Rng.create 2)) reliability;
+  let arrivals = ref [] in
+  F.set_handler fabric (fun ~dst:_ () -> arrivals := Sim.Engine.now engine :: !arrivals);
+  F.send_one fabric ~src:(Interconnect.Layout.l1d l ~cmp:0 ~proc:0)
+    ~dst:(Interconnect.Layout.l1d l ~cmp:1 ~proc:0) ~cls:Interconnect.Msg_class.Request
+    ~bytes:8 ();
+  Sim.Engine.run engine;
+  (fabric, List.rev !arrivals)
+
+let times = Alcotest.(list int)
+
+let pass_arrival () =
+  match scripted [ F.Pass ] with
+  | _, [ t ] -> t
+  | _ -> Alcotest.fail "a passed copy is delivered once"
+
+let test_verdict_delay () =
+  let t = pass_arrival () and d = Sim.Time.ns 7 in
+  Alcotest.check times "lands d later" [ t + d ] (snd (scripted [ F.Delay d ]))
+
+let test_verdict_duplicate () =
+  let t = pass_arrival () and d = Sim.Time.ns 7 in
+  Alcotest.check times "at t and at t + d" [ t; t + d ] (snd (scripted [ F.Duplicate d ]))
+
+let test_verdict_drop () =
+  let fabric, arrivals = scripted [ F.Drop ] in
+  Alcotest.check times "nothing delivered" [] arrivals;
+  Alcotest.(check int) "counted" 1 (F.dropped fabric)
+
+let reliability = { F.default_reliability with F.retrans_jitter = 0 }
+
+let test_reliable_duplicate () =
+  let t = pass_arrival () in
+  let fabric, arrivals = scripted ~reliability [ F.Duplicate (Sim.Time.ns 7) ] in
+  Alcotest.check times "delivered once" [ t ] arrivals;
+  Alcotest.(check int) "absorbed" 1 (F.absorbed_duplicates fabric)
+
+(* The retransmit leaves one base timeout after the lost copy's
+   arrival and takes the same flight again. *)
+let test_reliable_drop () =
+  let t = pass_arrival () in
+  let fabric, arrivals = scripted ~reliability [ F.Drop; F.Pass ] in
+  Alcotest.check times "delivered once after the backoff"
+    [ t + reliability.F.retrans_timeout + t ]
+    arrivals;
+  Alcotest.(check int) "one retransmit" 1 (F.retransmits fabric);
+  Alcotest.(check int) "the lost copy counts" 1 (F.dropped fabric)
+
 let tests =
   [
     Alcotest.test_case "layout counts" `Quick test_layout_counts;
@@ -173,6 +239,11 @@ let tests =
     Alcotest.test_case "memory pin link" `Quick test_fabric_mem_link;
     Alcotest.test_case "port bandwidth serialization" `Quick
       test_fabric_bandwidth_serialization;
+    Alcotest.test_case "verdict: delay" `Quick test_verdict_delay;
+    Alcotest.test_case "verdict: duplicate" `Quick test_verdict_duplicate;
+    Alcotest.test_case "verdict: drop" `Quick test_verdict_drop;
+    Alcotest.test_case "reliable verdict: duplicate absorbed" `Quick test_reliable_duplicate;
+    Alcotest.test_case "reliable verdict: drop retransmitted" `Quick test_reliable_drop;
   ]
 
 (* Property: every message sent is delivered exactly once, whatever the

@@ -1,26 +1,16 @@
 (** Where a data grant was satisfied, for fill statistics. *)
 type origin = Chip | Remote | Memdram
 
-(* The first four arms have mutable fields: they are the point-to-point
-   records {!Protocol} pools on fault-free runs (see the pooling
-   invariants in DESIGN.md). Multicast arms (e.g. [L1_inv]) and
-   everything else stay immutable. *)
 type t =
-  | L1_gets of { mutable addr : Cache.Addr.t; mutable l1 : int }
-  | L1_getm of { mutable addr : Cache.Addr.t; mutable l1 : int }
-  | L1_data of {
-      mutable addr : Cache.Addr.t;
-      mutable excl : bool;
-      mutable dirty : bool;
-      mutable origin : origin;
-      mutable unblock : bool;
-    }
+  | L1_gets of { addr : Cache.Addr.t; l1 : int }
+  | L1_getm of { addr : Cache.Addr.t; l1 : int }
+  | L1_data of { addr : Cache.Addr.t; excl : bool; dirty : bool; origin : origin; unblock : bool }
   | L1_fwd_gets of { addr : Cache.Addr.t }
   | L1_fwd_getm of { addr : Cache.Addr.t }
   | L1_inv of { addr : Cache.Addr.t }
   | L1_inv_ack of { addr : Cache.Addr.t; l1 : int }
   | L1_owner_data of { addr : Cache.Addr.t; l1 : int; dirty : bool; migrated : bool }
-  | L1_unblock of { mutable addr : Cache.Addr.t; mutable l1 : int }
+  | L1_unblock of { addr : Cache.Addr.t; l1 : int }
   | L1_wb_req of { addr : Cache.Addr.t; l1 : int; dirty : bool; serial : int }
   | L1_wb_grant of { addr : Cache.Addr.t; serial : int }
   | L1_wb_cancel of { addr : Cache.Addr.t; serial : int }

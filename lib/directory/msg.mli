@@ -11,18 +11,14 @@ type origin = Chip | Remote | Memdram
 
 type t =
   (* ---- intra-CMP: L1 <-> home L2 bank ---- *)
-  (* The four mutable arms ([L1_gets], [L1_getm], [L1_data],
-     [L1_unblock]) are pooled by {!Protocol} on fault-free runs;
-     handlers must fully destructure them and never retain the record.
-     Multicast arms ([L1_inv]) and everything else stay immutable. *)
-  | L1_gets of { mutable addr : Cache.Addr.t; mutable l1 : int }
-  | L1_getm of { mutable addr : Cache.Addr.t; mutable l1 : int }
+  | L1_gets of { addr : Cache.Addr.t; l1 : int }
+  | L1_getm of { addr : Cache.Addr.t; l1 : int }
   | L1_data of {
-      mutable addr : Cache.Addr.t;
-      mutable excl : bool;
-      mutable dirty : bool;
-      mutable origin : origin;
-      mutable unblock : bool;
+      addr : Cache.Addr.t;
+      excl : bool;
+      dirty : bool;
+      origin : origin;
+      unblock : bool;
     }
       (** L2 -> requesting L1: data grant ([excl]: M/E permission) *)
   | L1_fwd_gets of { addr : Cache.Addr.t }
@@ -34,7 +30,7 @@ type t =
   | L1_owner_data of { addr : Cache.Addr.t; l1 : int; dirty : bool; migrated : bool }
       (** owner L1 -> L2 response to a fwd; [migrated] means the owner
           self-invalidated (migratory-sharing optimization) *)
-  | L1_unblock of { mutable addr : Cache.Addr.t; mutable l1 : int }
+  | L1_unblock of { addr : Cache.Addr.t; l1 : int }
   | L1_wb_req of { addr : Cache.Addr.t; l1 : int; dirty : bool; serial : int }
   | L1_wb_grant of { addr : Cache.Addr.t; serial : int }
   | L1_wb_cancel of { addr : Cache.Addr.t; serial : int }

@@ -101,23 +101,6 @@ type t = {
   nodes : node array;
   migratory : bool;
   dram_directory : bool;
-  (* Free lists of recycled records, one per hot point-to-point message
-     of the intra-CMP protocol (every L1 miss costs one request, one
-     data grant and one unblock). Filled at delivery while the fabric
-     reports {!F.exactly_once} — so a pooled record can never be
-     reached by a duplicate or a retransmit buffer — and drained at the
-     construction sites. Multicast [L1_inv] is shared across deliveries
-     and must not be pooled. The filler below a top index is never
-     popped: tops start at 0 and a release writes its slot before
-     exposing it. *)
-  pool_gets : Msg.t array;
-  mutable pool_gets_top : int;
-  pool_getm : Msg.t array;
-  mutable pool_getm_top : int;
-  pool_data : Msg.t array;
-  mutable pool_data_top : int;
-  pool_unblock : Msg.t array;
-  mutable pool_unblock_top : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -187,93 +170,6 @@ let ctrl t = t.cfg.Mcmp.Config.ctrl_bytes
 let datab t = t.cfg.Mcmp.Config.data_bytes
 
 let send1 t ~src ~dst ~cls ~bytes msg = F.send_one t.fabric ~src ~dst ~cls ~bytes msg
-
-(* Pool acquire: one function per pooled constructor (the free lists
-   are untyped [Msg.t] slots, so each acquire re-establishes its arm). *)
-
-let alloc_l1_gets t ~addr ~l1 =
-  if t.pool_gets_top > 0 then begin
-    t.pool_gets_top <- t.pool_gets_top - 1;
-    let m = t.pool_gets.(t.pool_gets_top) in
-    (match m with
-    | Msg.L1_gets r ->
-      r.addr <- addr;
-      r.l1 <- l1
-    | _ -> assert false);
-    m
-  end
-  else Msg.L1_gets { addr; l1 }
-
-let alloc_l1_getm t ~addr ~l1 =
-  if t.pool_getm_top > 0 then begin
-    t.pool_getm_top <- t.pool_getm_top - 1;
-    let m = t.pool_getm.(t.pool_getm_top) in
-    (match m with
-    | Msg.L1_getm r ->
-      r.addr <- addr;
-      r.l1 <- l1
-    | _ -> assert false);
-    m
-  end
-  else Msg.L1_getm { addr; l1 }
-
-let alloc_l1_data t ~addr ~excl ~dirty ~origin ~unblock =
-  if t.pool_data_top > 0 then begin
-    t.pool_data_top <- t.pool_data_top - 1;
-    let m = t.pool_data.(t.pool_data_top) in
-    (match m with
-    | Msg.L1_data r ->
-      r.addr <- addr;
-      r.excl <- excl;
-      r.dirty <- dirty;
-      r.origin <- origin;
-      r.unblock <- unblock
-    | _ -> assert false);
-    m
-  end
-  else Msg.L1_data { addr; excl; dirty; origin; unblock }
-
-let alloc_l1_unblock t ~addr ~l1 =
-  if t.pool_unblock_top > 0 then begin
-    t.pool_unblock_top <- t.pool_unblock_top - 1;
-    let m = t.pool_unblock.(t.pool_unblock_top) in
-    (match m with
-    | Msg.L1_unblock r ->
-      r.addr <- addr;
-      r.l1 <- l1
-    | _ -> assert false);
-    m
-  end
-  else Msg.L1_unblock { addr; l1 }
-
-(* Pool release, called by the delivery handler after [handle] returns:
-   [handle] fully destructures every pooled arm (the delayed
-   continuations capture the destructured scalars, never the record),
-   so the record is dead by then. *)
-let release_msg t msg =
-  if F.exactly_once t.fabric then
-    match msg with
-    | Msg.L1_gets _ ->
-      if t.pool_gets_top < Array.length t.pool_gets then begin
-        t.pool_gets.(t.pool_gets_top) <- msg;
-        t.pool_gets_top <- t.pool_gets_top + 1
-      end
-    | Msg.L1_getm _ ->
-      if t.pool_getm_top < Array.length t.pool_getm then begin
-        t.pool_getm.(t.pool_getm_top) <- msg;
-        t.pool_getm_top <- t.pool_getm_top + 1
-      end
-    | Msg.L1_data _ ->
-      if t.pool_data_top < Array.length t.pool_data then begin
-        t.pool_data.(t.pool_data_top) <- msg;
-        t.pool_data_top <- t.pool_data_top + 1
-      end
-    | Msg.L1_unblock _ ->
-      if t.pool_unblock_top < Array.length t.pool_unblock then begin
-        t.pool_unblock.(t.pool_unblock_top) <- msg;
-        t.pool_unblock_top <- t.pool_unblock_top + 1
-      end
-    | _ -> ()
 
 (* Directory state lives in DRAM alongside the data: a transaction that
    fetches data pays one DRAM access for both; state-only decisions
@@ -572,7 +468,7 @@ and l1_handle_data t node addr ~excl ~dirty ~origin ~unblock =
   if unblock then
     send1 t ~src:node.id ~dst:(home_l2 t ~cmp:(node_cmp node) addr) ~cls:MC.Unblock
       ~bytes:(ctrl t)
-      (alloc_l1_unblock t ~addr ~l1:node.id);
+      (Msg.L1_unblock { addr; l1 = node.id });
   m.m_commit ()
 
 (* ------------------------------------------------------------------ *)
@@ -597,8 +493,8 @@ and maybe_complete_local t node addr =
              { requester = tr.lt_l1;
                ns = Sim.Time.to_ns t.cfg.Mcmp.Config.dram_latency });
       send1 t ~src:node.id ~dst:tr.lt_l1 ~cls:MC.Response_data ~bytes:(datab t)
-        (alloc_l1_data t ~addr ~excl ~dirty:tr.lt_dirty ~origin:tr.lt_origin
-           ~unblock:true);
+        (Msg.L1_data
+           { addr; excl; dirty = tr.lt_dirty; origin = tr.lt_origin; unblock = true });
       if excl then begin
         d.owner_l1 <- Some tr.lt_l1;
         d.sharers <- 0;
@@ -652,7 +548,7 @@ and l2_handle_local_gets t node addr ~l1 =
         if d.chip = CInv then d.chip <- CSh;
         Cache.Sarray.touch node.l2_data addr;
         send1 t ~src:node.id ~dst:l1 ~cls:MC.Response_data ~bytes:(datab t)
-          (alloc_l1_data t ~addr ~excl:false ~dirty ~origin:Msg.Chip ~unblock:false)
+          (Msg.L1_data { addr; excl = false; dirty; origin = Msg.Chip; unblock = false })
       | None ->
         (* Chip has nothing usable: ask the inter-CMP directory. *)
         d.busy <- true;
@@ -1169,8 +1065,7 @@ let access t ~proc ~kind addr ~commit =
                { tid; node = node.id; proc; addr;
                  rw = (if write then Obs.Event.W else Obs.Event.R) });
         let msg =
-          if write then alloc_l1_getm t ~addr ~l1:node.id
-          else alloc_l1_gets t ~addr ~l1:node.id
+          if write then Msg.L1_getm { addr; l1 = node.id } else Msg.L1_gets { addr; l1 = node.id }
         in
         send1 t ~src:node.id ~dst:(home_l2 t ~cmp:(node_cmp node) addr) ~cls:MC.Request
           ~bytes:(ctrl t) msg
@@ -1343,7 +1238,6 @@ type instrumented = {
 let create_instrumented ~dram_directory () engine cfg traffic rng counters =
   let layout = Mcmp.Config.layout cfg in
   let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
-  let filler = Msg.L1_inv { addr = 0 } in
   let t =
     {
       engine;
@@ -1354,19 +1248,9 @@ let create_instrumented ~dram_directory () engine cfg traffic rng counters =
       nodes = Array.init (L.node_count layout) (fun id -> make_node layout cfg id);
       migratory = cfg.Mcmp.Config.migratory;
       dram_directory;
-      pool_gets = Array.make 256 filler;
-      pool_gets_top = 0;
-      pool_getm = Array.make 256 filler;
-      pool_getm_top = 0;
-      pool_data = Array.make 256 filler;
-      pool_data_top = 0;
-      pool_unblock = Array.make 256 filler;
-      pool_unblock_top = 0;
     }
   in
-  F.set_handler fabric (fun ~dst msg ->
-      handle t ~dst msg;
-      release_msg t msg);
+  F.set_handler fabric (fun ~dst msg -> handle t ~dst msg);
   (match Obs.Registry.of_engine engine with
   | Some reg ->
     Obs.Registry.register_int reg "directory.outstanding_misses" (fun () ->

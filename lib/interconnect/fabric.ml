@@ -291,12 +291,6 @@ let set_fault_injector t i =
   t.pristine <- false;
   t.injector <- Some i
 
-(* Sticky: once any fault machinery has been armed, copies may be
-   duplicated or retained (injector [Duplicate], retransmit buffers),
-   so message records must not be recycled on first delivery. Copies
-   already in flight keep that hazard after the machinery goes quiet,
-   so nothing sets it back to [true]. *)
-let exactly_once t = t.pristine
 let set_msg_label t f = t.msg_label <- f
 let layout t = t.layout
 let engine t = t.engine

@@ -63,15 +63,6 @@ val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
     as structured {!Obs.Event} values through the engine. *)
 val set_fault_injector : 'msg t -> 'msg injector -> unit
 
-(** True while the fabric has {e never} had a fault injector, outage
-    model or reliable transport armed: every scheduled copy is then
-    delivered exactly once, which is the precondition the protocols'
-    message-record pooling relies on before recycling a record at
-    delivery. Sticky — arming any fault machinery clears it for the
-    rest of the run (copies already in flight could still be
-    duplicated or retained). *)
-val exactly_once : 'msg t -> bool
-
 (** Opt-in reliable-delivery mode: per ordered (src, dst) link sequence
     numbers with ack-timeout retransmission.
 
@@ -257,8 +248,9 @@ val send_one :
 
 (** [set_parkable t f] installs the per-copy test: a copy of a
     [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
-    and the fabric is {!exactly_once}. Installed once, at construction;
-    without it nothing parks. *)
+    and no fault injector, outage model or reliable transport was ever
+    armed on the fabric. Installed once, at construction; without it
+    nothing parks. *)
 val set_parkable : 'msg t -> (int -> int -> bool) -> unit
 
 (** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]

@@ -11,18 +11,15 @@ type t =
       force_external : bool;
       hint : int option;  (* requester-predicted holder chip *)
     }
-  (* Mutable fields: [Tokens] is the protocol's hottest point-to-point
-     record and {!Protocol} pools it — see the pooling invariants in
-     DESIGN.md. Every other arm stays immutable. *)
   | Tokens of {
-      mutable addr : Cache.Addr.t;
-      mutable src : int;
-      mutable count : int;
-      mutable owner : bool;
-      mutable data : bool;
-      mutable dirty : bool;
-      mutable writeback : bool;
-      mutable epoch : int;
+      addr : Cache.Addr.t;
+      src : int;
+      count : int;
+      owner : bool;
+      data : bool;
+      dirty : bool;
+      writeback : bool;
+      epoch : int;
     }
   | P_activate of { addr : Cache.Addr.t; proc : int; l1 : int; rw : rw; seq : int }
   | P_deactivate of { addr : Cache.Addr.t; proc : int; seq : int }

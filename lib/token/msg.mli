@@ -23,18 +23,14 @@ type t =
               tokens for this block come from *)
     }
   | Tokens of {
-      (* Mutable so {!Protocol} can pool these records on fault-free
-         runs — the hottest message by volume. Handlers must fully
-         destructure a [Tokens] before acting on it and never retain
-         the record. *)
-      mutable addr : Cache.Addr.t;
-      mutable src : int;
-      mutable count : int;  (** >= 1 *)
-      mutable owner : bool;
-      mutable data : bool;  (** message carries the 64 B block *)
-      mutable dirty : bool;
-      mutable writeback : bool;  (** traffic-accounting only *)
-      mutable epoch : int;
+      addr : Cache.Addr.t;
+      src : int;
+      count : int;  (** >= 1 *)
+      owner : bool;
+      data : bool;  (** message carries the 64 B block *)
+      dirty : bool;
+      writeback : bool;  (** traffic-accounting only *)
+      epoch : int;
           (** token-recreation epoch these tokens belong to; always 0
               without the recovery layer. Receivers discard tokens from
               superseded epochs, which is what keeps recreation safe

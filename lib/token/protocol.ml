@@ -1073,10 +1073,7 @@ let create ?recovery policy engine cfg traffic rng counters =
   then
     F.set_parkable fabric (fun dst addr ->
         is_l1_node nodes.(dst) && not (S.cached t.sub dst addr));
-  F.set_handler fabric (fun ~dst msg ->
-      handle t ~dst msg;
-      (* [handle] fully destructures the message and never retains it. *)
-      S.recycle t.sub msg);
+  F.set_handler fabric (fun ~dst msg -> handle t ~dst msg);
   (match Obs.Registry.of_engine engine with
   | Some reg ->
     (* Instantaneous gauges for the profiler's time-series tracks. *)

@@ -39,12 +39,6 @@ type t = {
   inflight_owner : (Cache.Addr.t, int) Hashtbl.t;  (* owner tokens inside messages *)
   cur_epoch : (Cache.Addr.t, int) Hashtbl.t;  (* authoritative epoch, bumped at mint *)
   recreating : (Cache.Addr.t, rec_state) Hashtbl.t;  (* home-memory collect phase *)
-  (* Free list of recycled [Msg.Tokens] records — the hottest message
-     by volume. Filled at delivery (only while the fabric reports
-     {!F.exactly_once}, so a pooled record can never be reached by a
-     duplicate or a retransmit buffer), drained by [give]. *)
-  tok_pool : Msg.t array;
-  mutable tok_top : int;
   mutable recreations : int; mutable epoch_bumps : int; mutable stale_discards : int;
 }
 
@@ -66,11 +60,6 @@ let create ~recovery (cfg : Mcmp.Config.t) fabric counters =
     inflight_owner = Hashtbl.create 64;
     cur_epoch = Hashtbl.create 64;
     recreating = Hashtbl.create 8;
-    (* The shared filler below index [tok_top] is never popped:
-       [tok_top] starts at 0 and [recycle] writes a slot before
-       exposing it. *)
-    tok_pool = Array.make 256 (Msg.Epoch_bump { addr = 0; epoch = 0 });
-    tok_top = 0;
     recreations = 0; epoch_bumps = 0; stale_discards = 0;
   }
 
@@ -207,28 +196,10 @@ let give s ~src ~dst addr line ~count ~owner ~data ~dirty ~writeback =
     else MC.Inv_fwd_ack_tokens
   in
   let bytes = if data then s.cfg.data_bytes else s.cfg.ctrl_bytes in
-  let m =
-    if s.tok_top > 0 then begin
-      s.tok_top <- s.tok_top - 1;
-      let m = s.tok_pool.(s.tok_top) in
-      (match m with
-      | Msg.Tokens r ->
-        r.addr <- addr;
-        r.src <- src;
-        r.count <- count;
-        r.owner <- owner;
-        r.data <- data;
-        r.dirty <- dirty;
-        r.writeback <- writeback;
-        r.epoch <- epoch
-      | _ -> assert false);
-      m
-    end
-    else Msg.Tokens { addr; src; count; owner; data; dirty; writeback; epoch }
-  in
   (* Request copies for [addr] parked at [dst] may find a line now. *)
   F.wake s.fabric ~dst ~key:addr;
-  F.send_one s.fabric ~src ~dst ~cls ~bytes m
+  F.send_one s.fabric ~src ~dst ~cls ~bytes
+    (Msg.Tokens { addr; src; count; owner; data; dirty; writeback; epoch })
 
 let forward s id addr line ~l1 ~rw =
   let to_l1 ~count ~owner ~data =
@@ -291,15 +262,6 @@ let receive s id addr ~count ~owner ~data ~dirty ~epoch =
     if not mem then Cache.Sarray.touch s.lines.(id) addr;
     true
   end
-
-let[@inline] recycle s msg =
-  match msg with
-  | Msg.Tokens _ when F.exactly_once s.fabric ->
-    if s.tok_top < Array.length s.tok_pool then begin
-      s.tok_pool.(s.tok_top) <- msg;
-      s.tok_top <- s.tok_top + 1
-    end
-  | _ -> ()
 
 let crash s id =
   let addrs = ref [] in

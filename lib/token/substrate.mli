@@ -59,9 +59,6 @@ val receive :
 (** Tokens delivered to a crashed node die. *)
 val discard : t -> Cache.Addr.t -> count:int -> owner:bool -> epoch:int -> unit
 
-(** Pool a delivered, unretained [Tokens] record on an exactly-once fabric. *)
-val recycle : t -> Msg.t -> unit
-
 (** A crashed cache loses its lines but keeps its epochs. *)
 val crash : t -> int -> unit
 

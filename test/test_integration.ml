@@ -189,6 +189,41 @@ let test_config_validation () =
   let bad = { Mcmp.Config.default with Mcmp.Config.tokens = 4 } in
   Alcotest.(check bool) "too few tokens rejected" true (Mcmp.Config.validate bad <> Ok ())
 
+(* Messages are values: a record a protocol sends never changes after
+   the send, so the trace label taken when it was sent still describes
+   it after the run. A buffer is attached so the fabric takes labels. *)
+let test_records_are_values () =
+  let wl = { (Workload.Locking.default ~nlocks:4) with Workload.Locking.acquires = 10 } in
+  let programs = Workload.Locking.programs wl ~seed:1 ~nprocs:(Mcmp.Config.nprocs tiny) in
+  let check name label create =
+    let kept = ref [] in
+    let builder engine cfg traffic rng counters =
+      let handle, fabric = create engine cfg traffic rng counters in
+      Interconnect.Fabric.set_msg_label fabric (fun m ->
+          let l = label m in
+          kept := (m, l) :: !kept;
+          l);
+      handle
+    in
+    let r =
+      Mcmp.Runner.run ~config:tiny ~buffer:(Obs.Buffer.create ~capacity:16 ()) builder
+        ~programs ~seed:1
+    in
+    Alcotest.(check bool) (name ^ " completed") true r.Mcmp.Runner.completed;
+    Alcotest.(check bool) (name ^ " labels taken") true (!kept <> []);
+    let changed = List.filter (fun (m, l) -> label m <> l) !kept in
+    Alcotest.(check int) (name ^ " records changed after send") 0 (List.length changed)
+  in
+  check "TokenCMP-dst1" Token.Msg.label (fun engine cfg traffic rng counters ->
+      let i = Token.Protocol.create_instrumented Token.Policy.dst1 engine cfg traffic rng counters in
+      (i.Token.Protocol.i_handle, i.Token.Protocol.i_fabric));
+  check "DirectoryCMP" Directory.Msg.label (fun engine cfg traffic rng counters ->
+      let i =
+        Directory.Protocol.create_instrumented ~dram_directory:true () engine cfg traffic rng
+          counters
+      in
+      (i.Directory.Protocol.i_handle, i.Directory.Protocol.i_fabric))
+
 let tests =
   [
     Alcotest.test_case "mutual exclusion on all protocols" `Slow test_mutual_exclusion;
@@ -202,4 +237,5 @@ let tests =
     Alcotest.test_case "multi-seed summaries" `Quick test_runner_summaries;
     Alcotest.test_case "experiments facade" `Quick test_experiments_api;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "message records are values" `Quick test_records_are_values;
   ]

@@ -180,7 +180,7 @@ let dir_lookup t k =
   E.schedule_in t.engine d k
 
 (* ------------------------------------------------------------------ *)
-(* Forward declarations via mutual recursion                           *)
+(* Gating                                                              *)
 
 (* Gating discipline for one block at an L2 bank.
 
@@ -194,13 +194,7 @@ let dir_lookup t k =
    forward of their own outstanding to a local L1) do block externals.
    Deferred work re-checks its gate when popped, and every release
    drains until something claims the block again. *)
-let rec release_ldir t node addr =
-  ignore t;
-  let d = get_ldir node addr in
-  d.busy <- false;
-  drain_ldir t node addr
-
-and can_run_ext d =
+let can_run_ext d =
   d.ext = None && d.wb_from = None
   &&
   (* Home-bound transactions must admit external forwards (the home may
@@ -213,18 +207,23 @@ and can_run_ext d =
   | Some tr -> tr.lt_home_bound && not tr.lt_done
   | None -> not d.busy
 
-and drain_ldir t node addr =
+let rec drain_ldir node addr =
   let d = get_ldir node addr in
   if can_run_ext d && not (Queue.is_empty d.defer_ext) then begin
     (match Queue.take_opt d.defer_ext with Some k -> k () | None -> ());
-    drain_ldir t node addr
+    drain_ldir node addr
   end
   else if (not d.busy) && d.ext = None && not (Queue.is_empty d.defer) then begin
     (match Queue.take_opt d.defer with Some k -> k () | None -> ());
-    drain_ldir t node addr
+    drain_ldir node addr
   end
 
-and gate_local t node addr start =
+let release_ldir node addr =
+  let d = get_ldir node addr in
+  d.busy <- false;
+  drain_ldir node addr
+
+let gate_local node addr start =
   let d = get_ldir node addr in
   let rec k () =
     let d = get_ldir node addr in
@@ -235,26 +234,50 @@ and gate_local t node addr start =
     start ();
     (* the transaction just started may be home-bound, unblocking
        queued external forwards *)
-    drain_ldir t node addr
+    drain_ldir node addr
   end
+
+(* The home directory runs a request at once when the block is idle and
+   queues it otherwise. *)
+let gate_home d start = if d.cbusy then Queue.push start d.cdefer else start ()
 
 (* Start deferred requests while the home stays idle: a deferred
    writeback request that has gone stale is cancelled and leaves the
    home idle. *)
-and release_cdir t node addr =
-  ignore t;
+let release_cdir node addr =
   let d = get_cdir node addr in
   d.cbusy <- false;
   while (not d.cbusy) && not (Queue.is_empty d.cdefer) do
     (Queue.pop d.cdefer) ()
   done
 
+(* A local transaction of [kind] for [l1]. Only a home-bound one waits
+   for the home to say how many chip-level acks to collect; only a GETM
+   grants exclusively from the start. *)
+let local_trans kind ~l1 ~home_bound ~await_data ~origin =
+  {
+    lt_kind = kind;
+    lt_l1 = l1;
+    lt_home_bound = home_bound;
+    lt_await_data = await_data;
+    lt_acks_expected = 0;
+    lt_acks_known = not home_bound;
+    lt_acks_got = 0;
+    lt_dirty = false;
+    lt_excl = kind = `M;
+    lt_origin = origin;
+    lt_done = false;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Forward declarations via mutual recursion                           *)
+
 (* ---- L2 data array management ---- *)
 
 (* Evict the LRU L2 data line to make room; dirty chip-owned data (and
    clean exclusively-held data) relinquishes chip ownership with a
    three-phase writeback to home. *)
-and evict_l2_data t node vaddr (vline : l2_line) =
+let rec evict_l2_data t node vaddr (vline : l2_line) =
   Cache.Sarray.remove node.l2_data vaddr;
   let d = get_ldir node vaddr in
   let chip_responsible = d.owner_l1 = None && (d.chip = CEx || d.chip = COwn) in
@@ -298,37 +321,34 @@ and invalidate_local_sharers t node addr ~except =
 
 and l1_line node addr = Cache.Sarray.find node.l1_lines addr
 
+(* Trace an L1 line's state change ("I": no line). *)
+and l1_fsm t node addr ~from_state ~to_state =
+  if E.tracing t.engine then
+    E.emit t.engine (Obs.Event.Fsm { node = node.id; addr; fsm = "l1"; from_state; to_state })
+
 (* Install a granted block at the requesting L1, evicting if needed. *)
 and l1_install t node addr st =
-  let from_state =
-    if E.tracing t.engine then
-      match Cache.Sarray.find node.l1_lines addr with
-      | Some line -> l1_state_name line.st
-      | None -> "I"
-    else ""
+  let line, from_state =
+    match Cache.Sarray.find node.l1_lines addr with
+    | Some line ->
+      let from_state = l1_state_name line.st in
+      line.st <- st;
+      Cache.Sarray.touch node.l1_lines addr;
+      (line, from_state)
+    | None ->
+      (match Cache.Sarray.victim_for node.l1_lines addr with
+      | Some (vaddr, vline) -> l1_evict t node vaddr vline
+      | None -> ());
+      let line = { st; hold_until = 0 } in
+      Cache.Sarray.insert node.l1_lines addr line;
+      (line, "I")
   in
-  (match Cache.Sarray.find node.l1_lines addr with
-  | Some line ->
-    line.st <- st;
-    Cache.Sarray.touch node.l1_lines addr
-  | None ->
-    (match Cache.Sarray.victim_for node.l1_lines addr with
-    | Some (vaddr, vline) -> l1_evict t node vaddr vline
-    | None -> ());
-    Cache.Sarray.insert node.l1_lines addr { st; hold_until = 0 });
-  if E.tracing t.engine then
-    E.emit t.engine
-      (Obs.Event.Fsm
-         { node = node.id; addr; fsm = "l1"; from_state; to_state = l1_state_name st });
-  match Cache.Sarray.find node.l1_lines addr with Some l -> l | None -> assert false
+  l1_fsm t node addr ~from_state ~to_state:(l1_state_name st);
+  line
 
 and l1_evict t node vaddr (vline : l1_line) =
   Cache.Sarray.remove node.l1_lines vaddr;
-  if E.tracing t.engine then
-    E.emit t.engine
-      (Obs.Event.Fsm
-         { node = node.id; addr = vaddr; fsm = "l1";
-           from_state = l1_state_name vline.st; to_state = "I" });
+  l1_fsm t node vaddr ~from_state:(l1_state_name vline.st) ~to_state:"I";
   match vline.st with
   | S -> ()  (* silent drop; stale sharer bits are tolerated *)
   | M | O | Es ->
@@ -399,11 +419,7 @@ and l1_handle_inv t node addr =
       (match l1_line node addr with
       | Some line ->
         Cache.Sarray.remove node.l1_lines addr;
-        if E.tracing t.engine then
-          E.emit t.engine
-            (Obs.Event.Fsm
-               { node = node.id; addr; fsm = "l1"; from_state = l1_state_name line.st;
-                 to_state = "I" })
+        l1_fsm t node addr ~from_state:(l1_state_name line.st) ~to_state:"I"
       | None -> ());
       (* Ack is traffic-only: local invalidations are serialized at the
          L2 bank, so nothing waits on it. *)
@@ -524,20 +540,7 @@ and l2_handle_local_gets t node addr ~l1 =
       (* Data lives in a local L1: forward; completes on owner data. *)
       d.busy <- true;
       d.tr <-
-        Some
-          {
-            lt_kind = `S;
-            lt_l1 = l1;
-            lt_home_bound = false;
-            lt_await_data = true;
-            lt_acks_expected = 0;
-            lt_acks_known = true;
-            lt_acks_got = 0;
-            lt_dirty = false;
-            lt_excl = false;
-            lt_origin = Msg.Chip;
-            lt_done = false;
-          };
+        Some (local_trans `S ~l1 ~home_bound:false ~await_data:true ~origin:Msg.Chip);
       send1 t ~src:node.id ~dst:o ~cls:MC.Inv_fwd_ack_tokens ~bytes:(ctrl t)
         (Msg.L1_fwd_gets { addr })
     | Some _ | None -> (
@@ -553,24 +556,11 @@ and l2_handle_local_gets t node addr ~l1 =
         (* Chip has nothing usable: ask the inter-CMP directory. *)
         d.busy <- true;
         d.tr <-
-          Some
-            {
-              lt_kind = `S;
-              lt_l1 = l1;
-              lt_home_bound = true;
-              lt_await_data = true;
-              lt_acks_expected = 0;
-              lt_acks_known = false;
-              lt_acks_got = 0;
-              lt_dirty = false;
-              lt_excl = false;
-              lt_origin = Msg.Memdram;
-              lt_done = false;
-            };
+          Some (local_trans `S ~l1 ~home_bound:true ~await_data:true ~origin:Msg.Memdram);
         send1 t ~src:node.id ~dst:(home_mem t addr) ~cls:MC.Request ~bytes:(ctrl t)
           (Msg.C_gets { addr; l2 = node.id }))
   in
-  gate_local t node addr start
+  gate_local node addr start
 
 and l2_handle_local_getm t node addr ~l1 =
   if E.tracing t.engine then
@@ -586,19 +576,7 @@ and l2_handle_local_getm t node addr ~l1 =
       match d.owner_l1 with Some o -> o = l1 | None -> false
     in
     let tr =
-      {
-        lt_kind = `M;
-        lt_l1 = l1;
-        lt_home_bound = not chip_satisfiable;
-        lt_await_data = false;
-        lt_acks_expected = 0;
-        lt_acks_known = chip_satisfiable;
-        lt_acks_got = 0;
-        lt_dirty = false;
-        lt_excl = true;
-        lt_origin = Msg.Chip;
-        lt_done = false;
-      }
+      local_trans `M ~l1 ~home_bound:(not chip_satisfiable) ~await_data:false ~origin:Msg.Chip
     in
     d.tr <- Some tr;
     invalidate_local_sharers t node addr ~except:(local_l1_bit t l1);
@@ -633,7 +611,7 @@ and l2_handle_local_getm t node addr ~l1 =
       maybe_complete_local t node addr
     end
   in
-  gate_local t node addr start
+  gate_local node addr start
 
 and l2_handle_owner_data t node addr ~dirty ~migrated =
   let d = get_ldir node addr in
@@ -657,18 +635,17 @@ and l2_handle_owner_data t node addr ~dirty ~migrated =
     maybe_complete_local t node addr
   | None, (Some _ | None) -> ()
 
-and l2_handle_unblock t node addr =
+and l2_handle_unblock node addr =
   let d = get_ldir node addr in
   match d.tr with
   | Some _ ->
     d.tr <- None;
-    release_ldir t node addr
+    release_ldir node addr
   | None -> ()  (* unblock of a direct response: nothing was held *)
 
 (* ---- L1 writebacks at the L2 ---- *)
 
-and l2_handle_wb_req t node addr ~l1 ~dirty ~serial =
-  ignore dirty;
+and l2_handle_wb_req t node addr ~l1 ~serial =
   let d = get_ldir node addr in
   let start () =
     if d.owner_l1 = Some l1 then begin
@@ -681,7 +658,7 @@ and l2_handle_wb_req t node addr ~l1 ~dirty ~serial =
       send1 t ~src:node.id ~dst:l1 ~cls:MC.Writeback_control ~bytes:(ctrl t)
         (Msg.L1_wb_cancel { addr; serial })
   in
-  gate_local t node addr start
+  gate_local node addr start
 
 and l2_handle_wb_data t node addr ~dirty ~valid =
   let d = get_ldir node addr in
@@ -692,18 +669,17 @@ and l2_handle_wb_data t node addr ~dirty ~valid =
     d.owner_l1 <- None
   end;
   d.wb_from <- None;
-  release_ldir t node addr
+  release_ldir node addr
 
 (* ------------------------------------------------------------------ *)
 (* L2 bank: external (inter-CMP) traffic                               *)
 
-and l2_defer_ext_if_internal t node addr k =
-  ignore t;
+and l2_defer_ext_if_internal node addr k =
   let d = get_ldir node addr in
   if can_run_ext d then k () else Queue.push k d.defer_ext
 
 and l2_handle_c_fwd t node addr ~requester_l2 ~getm ~acks =
-  l2_defer_ext_if_internal t node addr (fun () ->
+  l2_defer_ext_if_internal node addr (fun () ->
       let d = get_ldir node addr in
       d.ext <-
         Some { et_kind = (if getm then `M else `S); et_requester_l2 = requester_l2; et_acks = acks };
@@ -768,7 +744,7 @@ and l2_ext_owner_data t node addr ext ~dirty ~migrated =
   d.ext <- None;
   send1 t ~src:node.id ~dst:ext.et_requester_l2 ~cls:MC.Response_data ~bytes:(datab t)
     (Msg.C_data { addr; excl; dirty; from_home = false; acks = ext.et_acks });
-  drain_ldir t node addr
+  drain_ldir node addr
 
 and l2_handle_c_inv t node addr ~requester_l2 =
   let d = get_ldir node addr in
@@ -824,24 +800,25 @@ and l2_handle_c_inv_ack t node addr =
     maybe_complete_local t node addr
   | None -> ()
 
+(* A grant with no buffer left (or a stale one) is answered cancelled,
+   control-sized. *)
 and l2_handle_c_wb_grant t node addr =
-  match Hashtbl.find_opt node.l2_wb addr with
-  | Some wb ->
-    Hashtbl.remove node.l2_wb addr;
-    let d = get_ldir node addr in
-    let cancelled = wb.wb_stale in
-    let still_shared = d.sharers <> 0 in
-    if not cancelled then d.chip <- (if still_shared then CSh else CInv);
-    send1 t ~src:node.id ~dst:(home_mem t addr)
-      ~cls:(if cancelled then MC.Writeback_control else MC.Writeback_data)
-      ~bytes:(if cancelled then ctrl t else datab t)
-      (Msg.C_wb_data { addr; cmp = node_cmp node; dirty = wb.wb_dirty; still_shared; cancelled })
-  | None ->
-    send1 t ~src:node.id ~dst:(home_mem t addr) ~cls:MC.Writeback_control ~bytes:(ctrl t)
-      (Msg.C_wb_data
-         { addr; cmp = node_cmp node; dirty = false; still_shared = false; cancelled = true })
+  let cancelled, dirty, still_shared =
+    match Hashtbl.find_opt node.l2_wb addr with
+    | Some wb ->
+      Hashtbl.remove node.l2_wb addr;
+      let d = get_ldir node addr in
+      let still_shared = d.sharers <> 0 in
+      if not wb.wb_stale then d.chip <- (if still_shared then CSh else CInv);
+      (wb.wb_stale, wb.wb_dirty, still_shared)
+    | None -> (true, false, false)
+  in
+  send1 t ~src:node.id ~dst:(home_mem t addr)
+    ~cls:(if cancelled then MC.Writeback_control else MC.Writeback_data)
+    ~bytes:(if cancelled then ctrl t else datab t)
+    (Msg.C_wb_data { addr; cmp = node_cmp node; dirty; still_shared; cancelled })
 
-and l2_handle_c_wb_cancel _t node addr = Hashtbl.remove node.l2_wb addr
+and l2_handle_c_wb_cancel node addr = Hashtbl.remove node.l2_wb addr
 
 (* ------------------------------------------------------------------ *)
 (* Home memory controller (inter-CMP directory)                        *)
@@ -867,18 +844,15 @@ and mem_handle_gets t node addr ~l2 =
           send1 t ~src:node.id ~dst:(home_l2 t ~cmp:oc addr) ~cls:MC.Inv_fwd_ack_tokens
             ~bytes:(ctrl t)
             (Msg.C_fwd_gets { addr; requester_l2 = l2 }))
-    | Some _ ->
-      (* Requester owns it at chip level; grant from memory data. *)
-      E.schedule_in t.engine t.cfg.Mcmp.Config.dram_latency (fun () ->
-          send1 t ~src:node.id ~dst:l2 ~cls:MC.Response_data ~bytes:(datab t)
-            (Msg.C_data { addr; excl = false; dirty = false; from_home = true; acks = 0 }))
-    | None ->
-      let excl = d.csharers = 0 in
+    | Some _ | None ->
+      (* Grant from memory data: shared when the requester owns it at
+         chip level or another chip shares it, else exclusive. *)
+      let excl = d.owner = None && d.csharers = 0 in
       E.schedule_in t.engine t.cfg.Mcmp.Config.dram_latency (fun () ->
           send1 t ~src:node.id ~dst:l2 ~cls:MC.Response_data ~bytes:(datab t)
             (Msg.C_data { addr; excl; dirty = false; from_home = true; acks = 0 }))
   in
-  if d.cbusy then Queue.push start d.cdefer else start ()
+  gate_home d start
 
 and mem_handle_getm t node addr ~l2 =
   let d = get_cdir node addr in
@@ -911,18 +885,18 @@ and mem_handle_getm t node addr ~l2 =
           send1 t ~src:node.id ~dst:l2 ~cls:MC.Response_data ~bytes:(datab t)
             (Msg.C_data { addr; excl = true; dirty = false; from_home = true; acks = nacks }))
   in
-  if d.cbusy then Queue.push start d.cdefer else start ()
+  gate_home d start
 
-and mem_handle_unblock t node addr ~cmp ~excl ~shared =
+and mem_handle_unblock node addr ~cmp ~excl ~shared =
   let d = get_cdir node addr in
   if excl then begin
     d.owner <- Some cmp;
     d.csharers <- 0
   end
   else if shared then d.csharers <- d.csharers lor (1 lsl cmp);
-  release_cdir t node addr
+  release_cdir node addr
 
-and mem_handle_wb_req t node addr ~cmp ~l2 ~dirty:_ ~still_shared:_ =
+and mem_handle_wb_req t node addr ~cmp ~l2 =
   let d = get_cdir node addr in
   let start () =
     if d.owner = Some cmp then begin
@@ -936,16 +910,16 @@ and mem_handle_wb_req t node addr ~cmp ~l2 ~dirty:_ ~still_shared:_ =
           send1 t ~src:node.id ~dst:l2 ~cls:MC.Writeback_control ~bytes:(ctrl t)
             (Msg.C_wb_cancel { addr }))
   in
-  if d.cbusy then Queue.push start d.cdefer else start ()
+  gate_home d start
 
-and mem_handle_wb_data t node addr ~cmp ~still_shared ~cancelled =
+and mem_handle_wb_data node addr ~cmp ~still_shared ~cancelled =
   let d = get_cdir node addr in
   if not cancelled then begin
     d.owner <- None;
     if still_shared then d.csharers <- d.csharers lor (1 lsl cmp)
     else d.csharers <- d.csharers land lnot (1 lsl cmp)
   end;
-  release_cdir t node addr
+  release_cdir node addr
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -963,19 +937,20 @@ let handle t ~dst msg =
   | Msg.L1_inv { addr } -> l1_handle_inv t node addr
   | Msg.L1_data { addr; excl; dirty; origin; unblock } ->
     l1_handle_data t node addr ~excl ~dirty ~origin ~unblock
-  | Msg.L1_wb_grant { addr; serial } -> (
-    match Hashtbl.find_opt node.l1_wb addr with
-    | Some (st, s') when s' = serial ->
-      Hashtbl.remove node.l1_wb addr;
-      let dirty = st = M || st = O in
-      send1 t ~src:node.id ~dst:(home_l2 t ~cmp:(node_cmp node) addr) ~cls:MC.Writeback_data
-        ~bytes:(datab t)
-        (Msg.L1_wb_data { addr; l1 = node.id; dirty; valid = true })
-    | Some _ | None ->
-      (* stale grant: the buffer instance it answers is gone *)
-      send1 t ~src:node.id ~dst:(home_l2 t ~cmp:(node_cmp node) addr) ~cls:MC.Writeback_control
-        ~bytes:(ctrl t)
-        (Msg.L1_wb_data { addr; l1 = node.id; dirty = false; valid = false }))
+  | Msg.L1_wb_grant { addr; serial } ->
+    (* A stale grant, whose buffer instance is gone, gets an invalid
+       control-sized reply. *)
+    let valid, dirty =
+      match Hashtbl.find_opt node.l1_wb addr with
+      | Some (st, s') when s' = serial ->
+        Hashtbl.remove node.l1_wb addr;
+        (true, st = M || st = O)
+      | Some _ | None -> (false, false)
+    in
+    send1 t ~src:node.id ~dst:(home_l2 t ~cmp:(node_cmp node) addr)
+      ~cls:(if valid then MC.Writeback_data else MC.Writeback_control)
+      ~bytes:(if valid then datab t else ctrl t)
+      (Msg.L1_wb_data { addr; l1 = node.id; dirty; valid })
   | Msg.L1_wb_cancel { addr; serial } -> (
     (* a cancel may only kill the buffer instance it answers *)
     match Hashtbl.find_opt node.l1_wb addr with
@@ -986,10 +961,10 @@ let handle t ~dst msg =
   | Msg.L1_getm { addr; l1 } -> l2_delay t (fun () -> l2_handle_local_getm t node addr ~l1)
   | Msg.L1_owner_data { addr; dirty; migrated; _ } ->
     l2_delay t (fun () -> l2_handle_owner_data t node addr ~dirty ~migrated)
-  | Msg.L1_unblock { addr; _ } -> l2_handle_unblock t node addr
+  | Msg.L1_unblock { addr; _ } -> l2_handle_unblock node addr
   | Msg.L1_inv_ack _ -> ()  (* traffic only; serialization makes acks redundant *)
-  | Msg.L1_wb_req { addr; l1; dirty; serial } ->
-    l2_delay t (fun () -> l2_handle_wb_req t node addr ~l1 ~dirty ~serial)
+  | Msg.L1_wb_req { addr; l1; serial; _ } ->
+    l2_delay t (fun () -> l2_handle_wb_req t node addr ~l1 ~serial)
   | Msg.L1_wb_data { addr; dirty; valid; _ } ->
     l2_delay t (fun () -> l2_handle_wb_data t node addr ~dirty ~valid)
   (* L2-side, inter *)
@@ -1005,18 +980,15 @@ let handle t ~dst msg =
     l2_delay t (fun () -> l2_handle_c_acks_expected t node addr ~acks)
   | Msg.C_inv_ack { addr } -> l2_delay t (fun () -> l2_handle_c_inv_ack t node addr)
   | Msg.C_wb_grant { addr } -> l2_delay t (fun () -> l2_handle_c_wb_grant t node addr)
-  | Msg.C_wb_cancel { addr } -> l2_handle_c_wb_cancel t node addr
+  | Msg.C_wb_cancel { addr } -> l2_handle_c_wb_cancel node addr
   (* Memory-side *)
   | Msg.C_gets { addr; l2 } -> mem_delay t (fun () -> mem_handle_gets t node addr ~l2)
   | Msg.C_getm { addr; l2 } -> mem_delay t (fun () -> mem_handle_getm t node addr ~l2)
   | Msg.C_unblock { addr; cmp; excl; shared } ->
-    E.schedule_in t.engine t.cfg.Mcmp.Config.mem_ctrl_latency (fun () ->
-        mem_handle_unblock t node addr ~cmp ~excl ~shared)
-  | Msg.C_wb_req { addr; cmp; l2; dirty; still_shared } ->
-    mem_delay t (fun () -> mem_handle_wb_req t node addr ~cmp ~l2 ~dirty ~still_shared)
+    mem_delay t (fun () -> mem_handle_unblock node addr ~cmp ~excl ~shared)
+  | Msg.C_wb_req { addr; cmp; l2; _ } -> mem_delay t (fun () -> mem_handle_wb_req t node addr ~cmp ~l2)
   | Msg.C_wb_data { addr; cmp; still_shared; cancelled; _ } ->
-    E.schedule_in t.engine t.cfg.Mcmp.Config.mem_ctrl_latency (fun () ->
-        mem_handle_wb_data t node addr ~cmp ~still_shared ~cancelled)
+    mem_delay t (fun () -> mem_handle_wb_data node addr ~cmp ~still_shared ~cancelled)
 
 (* ------------------------------------------------------------------ *)
 (* Processor-side entry point                                          *)

@@ -250,26 +250,18 @@ let sweep_cmd =
    the campaign with the given per-run callback. Every detected or
    failed run leaves a [<prefix>-run<i>.repro.json] bundle; a failed run
    also prints its reports, writes its evidence trace and dumps the
-   protocol state. Exit codes: 0 = clean/survived, 1 = invariant
-   violation, 2 = watchdog/liveness timeout (safety beats liveness). *)
+   protocol state. Exit codes ({!Fault.Torture.exit_code}): 0 =
+   clean/survived, 1 = safety failure, 2 = watchdog/liveness timeout
+   (safety beats liveness). *)
 let run_campaign ~prefix ~repro_line ~verbose campaign =
   let survived = ref 0 and detected = ref 0 and failures = ref 0 in
-  let invariant_broken = ref false and liveness_broken = ref false in
   let on_outcome i o =
     let v = Fault.Torture.verdict o in
     (match v with
     | Fault.Torture.Clean -> ()
     | Fault.Torture.Survived_partition -> incr survived
     | Fault.Torture.Detected -> incr detected
-    | Fault.Torture.Failed _ ->
-      incr failures;
-      if
-        List.exists
-          (fun r ->
-            match r.Fault.Report.kind with Fault.Report.Invariant _ -> true | _ -> false)
-          o.Fault.Torture.reports
-      then invariant_broken := true
-      else liveness_broken := true);
+    | Fault.Torture.Failed _ -> incr failures);
     (* Non-clean verdict: serialize the complete run recipe so the
        failure replays and shrinks offline. *)
     (match v with
@@ -301,15 +293,14 @@ let run_campaign ~prefix ~repro_line ~verbose campaign =
     (List.length outcomes - !survived - !detected - !failures)
     !detected !failures;
   Printf.printf "reproduce: %s\n" repro_line;
-  if !invariant_broken then begin
-    print_endline "exit: invariant violation (1)";
+  match Fault.Torture.exit_code outcomes with
+  | 0 -> print_endline "exit: clean (0)"
+  | 1 ->
+    print_endline "exit: safety failure (1)";
     exit 1
-  end
-  else if !liveness_broken then begin
+  | code ->
     print_endline "exit: watchdog/liveness timeout (2)";
-    exit 2
-  end
-  else print_endline "exit: clean (0)"
+    exit code
 
 let torture_cmd =
   let runs_arg =
@@ -689,7 +680,7 @@ let replay_cmd =
         let v = Fault.Torture.verdict o in
         Format.printf "reproduced bit-identically: %a@." Fault.Torture.pp_verdict v;
         Format.printf "  %a@." Bundle.pp_digest b.Bundle.recorded;
-        exit (Replay.exit_code_of_verdict v)
+        exit (Replay.exit_code o)
       | Replay.Diverged { expected; got; _ } ->
         Format.printf "DIVERGED from recorded run:@.";
         Format.printf "  recorded: %a@." Bundle.pp_digest expected;

@@ -166,7 +166,7 @@ let run p target ~spec ~seed =
           (* Reliable transport draws its retransmit jitter from its own
              split stream; the plan's schedule is untouched. *)
           F.enable_reliability fab (Sim.Rng.split rng);
-          F.set_give_up_handler fab (fun ~src ~dst ~cls _msg ->
+          F.set_give_up_handler fab (fun ~src ~dst ~cls ~attempts _msg ->
               report engine
                 {
                   Report.at = E.now engine;
@@ -176,7 +176,7 @@ let run p target ~spec ~seed =
                         src;
                         dst;
                         cls;
-                        attempts = F.default_reliability.F.max_retrans;
+                        attempts;
                         blame =
                           Option.map Report.blame_of_event
                             (Plan.last_drop_on plan ~src ~dst);
@@ -351,15 +351,17 @@ let run p target ~spec ~seed =
 
 type verdict = Clean | Survived_partition | Detected | Failed of string
 
+let has_invariant o =
+  List.exists (fun r -> match r.Report.kind with Report.Invariant _ -> true | _ -> false) o.reports
+
+let corrupted o = o.spec.Spec.duplicate_tokens && o.stats.Plan.token_dups > 0
+let unrecoverable o = o.stats.Plan.drops_unrecoverable > 0
+
 let verdict o =
-  let has_invariant =
-    List.exists
-      (fun r -> match r.Report.kind with Report.Invariant _ -> true | _ -> false)
-      o.reports
-  in
+  let has_invariant = has_invariant o in
   let fatal = List.exists (fun r -> Report.severity r = `Fatal) o.reports in
-  let corrupted = o.spec.Spec.duplicate_tokens && o.stats.Plan.token_dups > 0 in
-  let unrecoverable = o.stats.Plan.drops_unrecoverable > 0 in
+  let corrupted = corrupted o in
+  let unrecoverable = unrecoverable o in
   (* A partitioned run that fails to finish is a livelock — the network
      healed (every partition schedules its heal) and convergence was
      owed; one that retires everything violation-free genuinely
@@ -380,6 +382,15 @@ let verdict o =
     else Failed "run did not complete"
   else if partitioned then Survived_partition
   else Clean
+
+(* Every [Failed] verdict that an invariant report, a token-minting
+   duplicate or an unrecoverable drop decided is a safety failure; the
+   rest are liveness failures. *)
+let exit_code outcomes =
+  let failed = List.filter (fun o -> match verdict o with Failed _ -> true | _ -> false) outcomes in
+  if List.exists (fun o -> has_invariant o || corrupted o || unrecoverable o) failed then 1
+  else if failed <> [] then 2
+  else 0
 
 let pp_verdict fmt = function
   | Clean -> Format.pp_print_string fmt "clean"

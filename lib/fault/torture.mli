@@ -180,6 +180,13 @@ val run : run_params -> target -> spec:Spec.t -> seed:int -> outcome
 type verdict = Clean | Survived_partition | Detected | Failed of string
 
 val verdict : outcome -> verdict
+
+(** The exit code of a campaign over [outcomes], decided once for every
+    command: 1 when a run failed on safety (an invariant broke, or a
+    token-minting duplicate or an unrecoverable drop went unreported),
+    else 2 when a run failed on liveness, else 0. *)
+val exit_code : outcome list -> int
+
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -14,16 +14,4 @@ let check (b : Bundle.t) =
     Diverged
       { outcome = o; expected = b.Bundle.recorded; got = Bundle.digest_of_outcome o }
 
-(* The torture CLI's exit-code convention: 0 clean/survived, 1
-   invariant-class failure (detection or violation), 2 liveness-class
-   failure (deadlock/livelock/hang). *)
-let exit_code_of_verdict = function
-  | T.Clean | T.Survived_partition -> 0
-  | T.Detected -> 1
-  | T.Failed msg ->
-    let has sub =
-      let n = String.length sub and m = String.length msg in
-      let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-      go 0
-    in
-    if has "invariant" || has "duplicate" || has "drop" then 1 else 2
+let exit_code o = match T.verdict o with T.Detected -> 1 | _ -> T.exit_code [ o ]

@@ -18,7 +18,8 @@ type check_result =
 
 val check : Bundle.t -> check_result
 
-(** The torture CLI's exit-code convention: 0 = clean / survived
-    partition, 1 = invariant-class failure (detected corruption or a
-    genuine violation), 2 = liveness-class failure. *)
-val exit_code_of_verdict : Fault.Torture.verdict -> int
+(** [replay]'s exit code for a reproduced outcome: 0 clean or survived
+    partition, 1 detected or a safety failure, 2 a liveness failure.
+    Failures are classified by {!Fault.Torture.exit_code}, as in the
+    campaigns. *)
+val exit_code : Fault.Torture.outcome -> int

@@ -41,17 +41,16 @@ let default_reliability =
     retrans_jitter = Sim.Time.ns 50;
   }
 
-(* Reliable-delivery state. Sequence numbers are per ordered (src, dst)
-   pair; the rng is a dedicated stream so backoff jitter never perturbs
-   the fault plan's or the fabric's own draws. *)
+(* Reliable-delivery state. The rng is a dedicated stream so backoff
+   jitter never perturbs the fault plan's or the fabric's own draws. *)
 type 'msg rel = {
   rp : reliability_params;
   r_rng : Sim.Rng.t;
-  r_seq : (int * int, int) Hashtbl.t;
   mutable r_retransmits : int;
   mutable r_absorbed : int;
   mutable r_exhausted : int;
-  mutable r_give_up : (src:int -> dst:int -> cls:Msg_class.t -> 'msg -> unit) option;
+  mutable r_give_up :
+    (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) option;
 }
 
 type link_state =
@@ -660,20 +659,6 @@ let wake t ~dst ~key =
       done
   done
 
-(* Reliable delivery: each copy becomes a sequenced frame the sender
-   keeps until it is known delivered. A [Drop] verdict is survived by
-   re-offering the frame to the injector after an ack-timeout with
-   exponential backoff, up to [max_retrans] attempts; a [Duplicate]
-   verdict is absorbed by the receiver's per-link sequence filter. The
-   simulation collapses the ack round-trip into the timeout schedule:
-   attempt [n] fires [retrans_timeout * backoff^(n-1)] after the
-   previous attempt's expected arrival. *)
-let next_seq rel ~src ~dst =
-  let k = (src, dst) in
-  let n = try Hashtbl.find rel.r_seq k with Not_found -> 0 in
-  Hashtbl.replace rel.r_seq k (n + 1);
-  n
-
 (* The backoff base is the fixed [retrans_timeout], or — with adaptive
    timeouts enabled — the link's current estimated RTO. The jitter draw
    order per attempt is identical either way, so flipping adaptive mode
@@ -692,40 +677,53 @@ let rel_backoff t rel ~src ~dst ~attempt =
   in
   (base * pow 1 (attempt - 1)) + jitter
 
-let rec rel_attempt t rel ~src ~dst ~cls ~seq ~flight ~attempt time msg =
+(* One offer of a copy to the fault machinery, which may delay, drop or
+   duplicate it. Without reliable transport a duplicate is delivered
+   twice and a drop is only counted. With it, each copy is a frame the
+   sender keeps until it is known delivered: the receiver absorbs a
+   duplicate, and a dropped frame is offered again after an ack timeout
+   with exponential backoff, up to [max_retrans] retransmissions. The
+   simulation collapses the ack round-trip into the timeout schedule:
+   retransmission [n] leaves [retrans_timeout * backoff^(n-1)] after the
+   previous attempt's expected arrival and takes [flight] to arrive. *)
+let rec attempt t ~src ~dst ~cls ~flight ~n time msg =
   match consult t ~src ~dst ~cls msg with
   | Pass -> schedule_delivery t ~src ~cls time dst msg
   | Delay extra ->
     fault t ~src ~dst ~cls "delay";
     schedule_delivery t ~src ~cls (time + extra) dst msg
-  | Duplicate _ ->
+  | Duplicate extra -> (
     fault t ~src ~dst ~cls "duplicate";
-    rel.r_absorbed <- rel.r_absorbed + 1;
-    if Sim.Engine.tracing t.engine then
-      Sim.Engine.emit t.engine
-        (Obs.Event.Dup_absorbed { src; dst; cls = Msg_class.to_string cls });
-    schedule_delivery t ~src ~cls time dst msg
-  | Drop ->
+    match t.rel with
+    | Some rel ->
+      rel.r_absorbed <- rel.r_absorbed + 1;
+      if Sim.Engine.tracing t.engine then
+        Sim.Engine.emit t.engine
+          (Obs.Event.Dup_absorbed { src; dst; cls = Msg_class.to_string cls });
+      schedule_delivery t ~src ~cls time dst msg
+    | None ->
+      schedule_delivery t ~src ~cls time dst msg;
+      schedule_delivery t ~src ~cls (time + extra) dst msg)
+  | Drop -> (
     t.dropped <- t.dropped + 1;
     fault t ~src ~dst ~cls "drop";
-    if attempt > rel.rp.max_retrans then begin
+    match t.rel with
+    | None -> ()
+    | Some rel when n > rel.rp.max_retrans -> (
       rel.r_exhausted <- rel.r_exhausted + 1;
       if Sim.Engine.tracing t.engine then
         Sim.Engine.emit t.engine
           (Obs.Event.Retransmit_exhausted
-             { src; dst; cls = Msg_class.to_string cls; attempts = attempt });
-      match rel.r_give_up with Some f -> f ~src ~dst ~cls msg | None -> ()
-    end
-    else begin
+             { src; dst; cls = Msg_class.to_string cls; attempts = n });
+      match rel.r_give_up with Some f -> f ~src ~dst ~cls ~attempts:n msg | None -> ())
+    | Some rel ->
       rel.r_retransmits <- rel.r_retransmits + 1;
       if Sim.Engine.tracing t.engine then
         Sim.Engine.emit t.engine
-          (Obs.Event.Retransmit { src; dst; cls = Msg_class.to_string cls; attempt });
-      let wait = rel_backoff t rel ~src ~dst ~attempt in
+          (Obs.Event.Retransmit { src; dst; cls = Msg_class.to_string cls; attempt = n });
+      let wait = rel_backoff t rel ~src ~dst ~attempt:n in
       Sim.Engine.schedule_at t.engine (time + wait) (fun () ->
-          rel_attempt t rel ~src ~dst ~cls ~seq ~flight ~attempt:(attempt + 1)
-            (Sim.Engine.now t.engine + flight) msg)
-    end
+          attempt t ~src ~dst ~cls ~flight ~n:(n + 1) (Sim.Engine.now t.engine + flight) msg))
 
 (* Injection point: every copy of every message passes through here
    once its fault-free arrival time is known. A fault plan may delay,
@@ -749,25 +747,8 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
   | None, None ->
     if t.park_key >= 0 && t.parkable dst t.park_key then park t ~src ~cls time dst msg
     else schedule_delivery t ~src ~cls time dst msg
-  | _ -> (
-    match t.rel with
-    | Some rel ->
-      let seq = next_seq rel ~src ~dst in
-      let flight = max 0 (time - Sim.Engine.now t.engine) in
-      rel_attempt t rel ~src ~dst ~cls ~seq ~flight ~attempt:1 time msg
-    | None -> (
-      match consult t ~src ~dst ~cls msg with
-      | Pass -> schedule_delivery t ~src ~cls time dst msg
-      | Delay extra ->
-        fault t ~src ~dst ~cls "delay";
-        schedule_delivery t ~src ~cls (time + extra) dst msg
-      | Drop ->
-        t.dropped <- t.dropped + 1;
-        fault t ~src ~dst ~cls "drop"
-      | Duplicate extra ->
-        fault t ~src ~dst ~cls "duplicate";
-        schedule_delivery t ~src ~cls time dst msg;
-        schedule_delivery t ~src ~cls (time + extra) dst msg))
+  | _ ->
+    attempt t ~src ~dst ~cls ~flight:(max 0 (time - Sim.Engine.now t.engine)) ~n:1 time msg
 
 let enable_reliability ?(params = default_reliability) t rng =
   t.pristine <- false;
@@ -775,7 +756,6 @@ let enable_reliability ?(params = default_reliability) t rng =
     {
       rp = params;
       r_rng = rng;
-      r_seq = Hashtbl.create 64;
       r_retransmits = 0;
       r_absorbed = 0;
       r_exhausted = 0;

@@ -63,20 +63,22 @@ val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
     as structured {!Obs.Event} values through the engine. *)
 val set_fault_injector : 'msg t -> 'msg injector -> unit
 
-(** Opt-in reliable-delivery mode: per ordered (src, dst) link sequence
-    numbers with ack-timeout retransmission.
+(** Opt-in reliable-delivery mode: ack-timeout retransmission of every
+    copy the fault machinery offers.
 
     With reliability enabled, an injector's [Drop] verdict is survived:
     the frame is re-offered to the injector after [retrans_timeout]
     scaled by [retrans_backoff]^(attempt-1) (plus uniform
     [retrans_jitter], drawn from a dedicated rng stream so recovery
     randomness cannot perturb a fault plan's schedule), up to
-    [max_retrans] attempts. A [Duplicate] verdict is absorbed by the
-    receiver's sequence filter instead of delivering twice. *)
+    [max_retrans] retransmissions. A [Duplicate] verdict is absorbed
+    by the receiver: the copy is delivered once. *)
 type reliability_params = {
   retrans_timeout : Sim.Time.t;  (** base ack timeout before the first retransmit *)
   retrans_backoff : int;  (** exponential multiplier per attempt *)
-  max_retrans : int;  (** attempts before giving up *)
+  max_retrans : int;
+      (** retransmissions before giving up: a frame is offered up to
+          [max_retrans + 1] times *)
   retrans_jitter : Sim.Time.t;  (** max uniform extra wait per attempt *)
 }
 
@@ -94,10 +96,11 @@ val enable_reliability : ?params:reliability_params -> 'msg t -> Sim.Rng.t -> un
 val reliable : 'msg t -> bool
 
 (** Called when a frame exhausts its retransmit budget (after the
-    structured {!Obs.Event.Retransmit_exhausted} event is emitted).
+    structured {!Obs.Event.Retransmit_exhausted} event is emitted), with
+    the number of times it was offered, [max_retrans + 1].
     @raise Invalid_argument if reliability is not enabled. *)
 val set_give_up_handler :
-  'msg t -> (src:int -> dst:int -> cls:Msg_class.t -> 'msg -> unit) -> unit
+  'msg t -> (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) -> unit
 
 val retransmits : 'msg t -> int
 val absorbed_duplicates : 'msg t -> int

@@ -151,8 +151,13 @@ let test_exhaustion_then_heal_no_resurrection () =
   in
   F.enable_reliability ~params:rel fabric (Sim.Rng.create 6);
   F.enable_outages fabric (Sim.Rng.create 7);
-  let gave_up = ref 0 in
-  F.set_give_up_handler fabric (fun ~src:_ ~dst:_ ~cls:_ msg -> gave_up := msg);
+  let gave_up = ref 0 and handler_attempts = ref 0 and event_attempts = ref 0 in
+  F.set_give_up_handler fabric (fun ~src:_ ~dst:_ ~cls:_ ~attempts msg ->
+      gave_up := msg;
+      handler_attempts := attempts);
+  Sim.Engine.set_sink engine (fun _ -> function
+    | Obs.Event.Retransmit_exhausted { attempts; _ } -> event_attempts := attempts
+    | _ -> ());
   let deliveries = ref [] in
   F.set_handler fabric (fun ~dst:_ msg -> deliveries := msg :: !deliveries);
   F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_down;
@@ -167,6 +172,9 @@ let test_exhaustion_then_heal_no_resurrection () =
   Alcotest.(check int) "budget exhausted once" 1 (F.retrans_exhausted fabric);
   Alcotest.(check int) "give-up handler saw frame 1" 1 !gave_up;
   Alcotest.(check int) "retransmits capped" rel.F.max_retrans (F.retransmits fabric);
+  Alcotest.(check int) "offered max_retrans + 1 times" (rel.F.max_retrans + 1)
+    !handler_attempts;
+  Alcotest.(check int) "the exhaustion event agrees" !handler_attempts !event_attempts;
   Alcotest.(check (list int)) "frame 1 stays dead; post-heal frame 2 delivers" [ 2 ]
     !deliveries
 

@@ -304,6 +304,36 @@ let test_shrink_rejects_passing_bundle () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "shrink accepted a passing bundle"
 
+(* One classification of failed verdicts: a real clean outcome, edited
+   into the two safety failures that carry no invariant report and into
+   a liveness failure, exits with the same code from a campaign and from
+   replay. *)
+let test_exit_codes_agree () =
+  let o = run_drop clean_seed in
+  Alcotest.(check bool) "fixture is clean" true (T.verdict o = T.Clean);
+  let cases =
+    [
+      ( "token-minting duplicate was injected but no invariant violation reported",
+        1,
+        { o with
+          T.spec = { o.T.spec with Fault.Spec.duplicate_tokens = true };
+          stats = { o.T.stats with P.token_dups = 1 };
+          reports = [] } );
+      ( "unrecoverable drop silently absorbed",
+        1,
+        { o with T.stats = { o.T.stats with P.drops_unrecoverable = 1 }; reports = [] } );
+      ("run did not complete", 2, { o with T.completed = false });
+    ]
+  in
+  Alcotest.(check int) "clean: campaign" 0 (T.exit_code [ o ]);
+  Alcotest.(check int) "clean: replay" 0 (Forensics.Replay.exit_code o);
+  List.iter
+    (fun (why, code, o) ->
+      Alcotest.(check bool) why true (T.verdict o = T.Failed why);
+      Alcotest.(check int) (why ^ ": campaign") code (T.exit_code [ o ]);
+      Alcotest.(check int) (why ^ ": replay") code (Forensics.Replay.exit_code o))
+    cases
+
 let tests =
   [
     Alcotest.test_case "bundle JSON round-trip" `Slow test_bundle_roundtrip;
@@ -327,4 +357,5 @@ let tests =
       test_shrink_deterministic_across_jobs;
     Alcotest.test_case "shrink rejects passing bundles" `Slow
       test_shrink_rejects_passing_bundle;
+    Alcotest.test_case "campaign and replay exit codes agree" `Slow test_exit_codes_agree;
   ]

@@ -1028,7 +1028,8 @@ let perf () =
     \  pairs on the 4-CMP machine with a no-op handler;\n\
      - send_parked: a request's local and escalation sets whose L1 copies\n\
     \  all park, then a wake, per parked copy (spread: one row per repetition);\n\
-     - tiny_sim: whole tiny TokenCMP-dst1 simulations, per retired op.\n\
+     - tiny_sim / tiny_sim_directory: whole tiny TokenCMP-dst1 and\n\
+    \  DirectoryCMP simulations, per retired op.\n\
      Absolute rates are machine-dependent; the allocation figures are\n\
      deterministic for a given compiler.";
   (* Host seconds and minor words of [f ()]. *)
@@ -1203,7 +1204,7 @@ let perf () =
   (* 5. Whole simulations: protocol + caches + fabric, per retired op,
      the unit of simulated work (events per op is the protocol's and
      the engine's business, and changes when events are saved). *)
-  let sim_ops, sim_mwpo =
+  let tiny_sim builder =
     let config = Mcmp.Config.tiny in
     let wl = { (Workload.Locking.default ~nlocks:4) with Workload.Locking.acquires = 10 } in
     let programs = Workload.Locking.programs wl ~seed:1 ~nprocs:(Mcmp.Config.nprocs config) in
@@ -1212,10 +1213,7 @@ let perf () =
     let dt, words =
       measure (fun () ->
           for _ = 1 to reps do
-            let r =
-              Mcmp.Runner.run ~config (Token.Protocol.builder Token.Policy.dst1) ~programs
-                ~seed:1
-            in
+            let r = Mcmp.Runner.run ~config builder ~programs ~seed:1 in
             ops := !ops + r.Mcmp.Runner.ops
           done)
     in
@@ -1225,6 +1223,8 @@ let perf () =
        so CI gates it. *)
     (float_of_int !ops /. dt, words /. float_of_int !ops)
   in
+  let sim = tiny_sim (Token.Protocol.builder Token.Policy.dst1) in
+  let sim_directory = tiny_sim (Directory.Protocol.builder ~dram_directory:true ()) in
   let kernel name unit (per_s, minor_words) =
     [
       ("kernel", J.String name);
@@ -1242,7 +1242,8 @@ let perf () =
            kernel "send_set" "send" (set_sps, set_mwps);
            kernel "send_one" "send" (one_sps, one_mwps);
            kernel "send_parked" "parked copy" (1e9 /. parked_ns, parked_mw);
-           kernel "tiny_sim" "op" (sim_ops, sim_mwpo);
+           kernel "tiny_sim" "op" sim;
+           kernel "tiny_sim_directory" "op" sim_directory;
          ])
   in
   let send_parked =

@@ -358,20 +358,17 @@ let corrupted o = o.spec.Spec.duplicate_tokens && o.stats.Plan.token_dups > 0
 let unrecoverable o = o.stats.Plan.drops_unrecoverable > 0
 
 let verdict o =
-  let has_invariant = has_invariant o in
   let fatal = List.exists (fun r -> Report.severity r = `Fatal) o.reports in
-  let corrupted = corrupted o in
-  let unrecoverable = unrecoverable o in
   (* A partitioned run that fails to finish is a livelock — the network
      healed (every partition schedules its heal) and convergence was
      owed; one that retires everything violation-free genuinely
      survived the partition. *)
   let partitioned = match o.chaos with Some s -> s.Chaos.partitions > 0 | None -> false in
-  if corrupted then
-    if has_invariant then Detected
+  if corrupted o then
+    if has_invariant o then Detected
     else Failed "token-minting duplicate was injected but no invariant violation reported"
-  else if has_invariant then Failed "invariant violation"
-  else if unrecoverable then
+  else if has_invariant o then Failed "invariant violation"
+  else if unrecoverable o then
     if o.reports = [] then Failed "unrecoverable drop silently absorbed"
     else Detected
   else if fatal then

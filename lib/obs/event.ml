@@ -109,10 +109,10 @@ type Sim.Engine.event +=
       (** Reliable-delivery mode: a dropped copy was rescheduled. *)
   | Retransmit_exhausted of { src : int; dst : int; cls : string; attempts : int }
       (** Reliable-delivery mode: the retransmit cap was reached and the
-          copy abandoned. *)
+          copy abandoned after [attempts] offers, [max_retrans + 1]. *)
   | Dup_absorbed of { src : int; dst : int; cls : string }
-      (** Reliable-delivery mode: receiver-side sequence filtering
-          discarded a duplicated copy. *)
+      (** Reliable-delivery mode: the receiver absorbed a duplicated
+          copy. *)
   | Epoch_bump of { node : int; addr : int; epoch : int }
       (** Token recreation: [node] raised its known epoch for [addr],
           invalidating everything it held under the old epoch. *)

@@ -140,6 +140,59 @@ let test_partition_heal_helpers () =
   Alcotest.(check int) "downtime accounted" (ns 100) (F.link_downtime fabric);
   Alcotest.(check bool) "transitions counted" true (F.link_transitions fabric >= 10)
 
+(* One inter-site link goes down, then degraded, then up: each
+   transition reaches an attached trace buffer with the link's sites,
+   and the Perfetto export renders it as an instant on the link's
+   track. *)
+let test_link_transitions_traced () =
+  let engine, _, fabric = make_fabric () in
+  let buf = Obs.Buffer.create ~capacity:16 () in
+  Obs.Buffer.attach buf engine;
+  F.enable_outages fabric (Sim.Rng.create 9);
+  let set state () = F.set_link_state fabric ~src_site:1 ~dst_site:2 state in
+  set F.Link_down ();
+  Sim.Engine.schedule_at engine (ns 10)
+    (set (F.Link_degraded { latency_mult = 4.; drop_prob = 0.25 }));
+  Sim.Engine.schedule_at engine (ns 20) (set F.Link_up);
+  Sim.Engine.run engine;
+  let seen =
+    List.map
+      (fun { Obs.Buffer.at; ev } ->
+        match ev with
+        | Obs.Event.Link_down { src_site = 1; dst_site = 2 } -> ("down", at)
+        | Obs.Event.Link_degraded
+            { src_site = 1; dst_site = 2; latency_mult = 4.; drop_prob = 0.25 } ->
+          ("degraded", at)
+        | Obs.Event.Link_healed { src_site = 1; dst_site = 2 } -> ("healed", at)
+        | _ -> ("other", at))
+      (Obs.Buffer.to_list buf)
+  in
+  Alcotest.(check (list (pair string int))) "three transitions, in order"
+    [ ("down", 0); ("degraded", ns 10); ("healed", ns 20) ]
+    seen;
+  let json = Obs.Perfetto.export buf in
+  let events =
+    match Tcjson.member "traceEvents" json with Some (Tcjson.List evs) -> evs | _ -> []
+  in
+  let str k ev = match Tcjson.member k ev with Some (Tcjson.String s) -> s | _ -> "" in
+  let tid ev = match Tcjson.member "tid" ev with Some (Tcjson.Int t) -> t | _ -> -1 in
+  let instants = List.filter (fun ev -> str "ph" ev = "i") events in
+  Alcotest.(check (list string)) "rendered as link instants"
+    [ "link-down"; "link-degraded"; "link-healed" ]
+    (List.map (str "name") instants);
+  let track =
+    List.find_map
+      (fun ev ->
+        match Tcjson.member "args" ev with
+        | Some args when str "ph" ev = "M" && str "name" args = "link 1->2" -> Some (tid ev)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list (option int))) "all on the link's track"
+    [ track; track; track ]
+    (List.map (fun ev -> Some (tid ev)) instants);
+  Alcotest.(check bool) "the link's track is named" true (track <> None)
+
 (* ---- reliable transport over a Down link that heals late
    (satellite: retransmit exhaustion must not resurrect after heal) ---- *)
 
@@ -410,6 +463,8 @@ let tests =
     Alcotest.test_case "degraded link stacks latency" `Quick test_degraded_link_latency;
     Alcotest.test_case "degraded link loses copies" `Quick test_degraded_link_loss;
     Alcotest.test_case "partition and heal helpers" `Quick test_partition_heal_helpers;
+    Alcotest.test_case "link transitions reach the trace" `Quick
+      test_link_transitions_traced;
     Alcotest.test_case "exhausted frame not resurrected by heal" `Quick
       test_exhaustion_then_heal_no_resurrection;
     Alcotest.test_case "reliable transport over Wide destsets" `Slow

@@ -7,8 +7,6 @@
 
 type t = int
 
-val block_bytes : int
-
 val of_byte_address : int -> t
 val to_byte_address : t -> int
 

@@ -23,8 +23,6 @@ type run = {
   completed : bool;  (** every seed ran to completion *)
 }
 
-val default_seeds : int list
-
 (** The locking micro-benchmark at one contention level. *)
 val locking :
   ?jobs:int ->

@@ -1,11 +1,13 @@
 (** Chaos plans: scheduled network-level outage campaigns.
 
     Where {!Plan} perturbs individual message copies (i.i.d. drops,
-    delays, duplicates), a chaos plan drives the fabric's {e link
-    outage model} ({!Interconnect.Fabric.set_link_state}) through
-    scheduled transitions: flapping links, region partitions with a
-    scheduled heal, and correlated burst loss. The two compose — a
-    fault plan speaks per copy, the link state applies on top.
+    delays, duplicates), a chaos plan drives a {e link table}: one
+    {!link_state} per ordered pair of sites, changed by scheduled
+    transitions (flapping links, a 2-region partition with a scheduled
+    heal, correlated burst loss). The table reaches the fabric as a
+    fault injector wrapped over the plan's, so the two compose at the
+    fabric's one fault hook: the plan speaks per copy, and the link
+    state applies to what the plan let through.
 
     Determinism discipline: {!install} seeds a dedicated rng stream
     (link picks, degraded-loss draws), so arming a chaos plan draws
@@ -57,20 +59,14 @@ val flaky :
     heal. *)
 val split : ?at:Sim.Time.t -> duration:Sim.Time.t -> unit -> spec
 
-(** [burst_loss ()] — every inter-site link degrades at once for
-    [duration]: [prob] per-copy loss and [latency_mult] x latency. *)
-val burst_loss :
-  ?at:Sim.Time.t ->
-  ?duration:Sim.Time.t ->
-  ?prob:float ->
-  ?latency_mult:float ->
-  unit ->
-  spec
+(** [burst_loss ()] — every inter-site link degrades at once from
+    3 us to 7 us: 0.3 per-copy loss and 4 x latency. *)
+val burst_loss : unit -> spec
 
 (** The loss-free rendition of a plan: every Down becomes a
     [brownout_mult] x-latency degrade and burst loss drops to zero.
     What directory targets take in place of a hard partition. *)
-val brownout_of : ?mult:float -> spec -> spec
+val brownout_of : spec -> spec
 
 (** Whether the plan schedules any transition at all. *)
 val active : spec -> bool
@@ -92,16 +88,62 @@ type stats = {
   mutable bursts_applied : int;
 }
 
-(** The canonical 2-region node-mask split of a layout (low CMPs /
-    high CMPs) — exposed for tests and custom partitions. *)
-val split_regions : Interconnect.Layout.t -> Interconnect.Destset.t list
+(** {2 The link table} *)
 
-(** [install ~seed ~spec engine fabric] arms the fabric's outage model
-    (dedicated rng stream derived from [seed]) and schedules every
-    transition. Returns the live counters the scheduled transitions
-    update. A plan with [active spec = false] arms nothing. *)
+(** A [Link_down] link loses every copy; a [Link_degraded] link loses
+    each copy with [drop_prob] and delays a survivor by
+    [latency_mult - 1] x the fabric's inter-site latency. *)
+type link_state =
+  | Link_up
+  | Link_degraded of { latency_mult : float; drop_prob : float }
+  | Link_down
+
+type links
+
+(** [install ~seed ~spec fabric inner] builds a table with every link
+    up, schedules every transition of [spec], and installs on [fabric]
+    the injector that asks [inner] first and then applies the state of
+    the copy's link to a copy [inner] did not drop: a link drop stands,
+    a link delay adds to a plan delay, and a plan duplicate passes
+    un-delayed. On-chip copies cross no link. Link picks and
+    degraded-link losses draw from a stream derived from [seed].
+    Registers [fabric.links_down], [fabric.link_downtime_ns],
+    [fabric.outage_drops] and [fabric.link_transitions] when the engine
+    carries a metrics registry. Returns the counters the transitions
+    update, and the table; with {!none}, every link stays up and no
+    arrival changes. *)
 val install :
-  seed:int -> spec:spec -> Sim.Engine.t -> 'msg Interconnect.Fabric.t -> stats
+  seed:int ->
+  spec:spec ->
+  'msg Interconnect.Fabric.t ->
+  'msg Interconnect.Fabric.injector ->
+  stats * links
+
+(** Transition one ordered link, emitting {!Obs.Event.Link_down},
+    [Link_degraded] or [Link_healed] on tracing runs; a no-op if the
+    link is already in [state].
+    @raise Invalid_argument on a bad site or on the diagonal. *)
+val set_link_state : links -> src_site:int -> dst_site:int -> link_state -> unit
+
+val link_state : links -> src_site:int -> dst_site:int -> link_state
+
+(** [partition links state] puts every link between a site below
+    [ncmp / 2] and a site at or above it into [state]. *)
+val partition : links -> link_state -> unit
+
+(** Every link back to [Link_up]. *)
+val heal : links -> unit
+
+val links_down : links -> int
+
+(** Time spent down, summed over links, outages in progress included. *)
+val link_downtime : links -> Sim.Time.t
+
+(** Copies lost to down or degraded links (the fabric counts them in
+    its [dropped] too). *)
+val outage_drops : links -> int
+
+val link_transitions : links -> int
 
 val pp : Format.formatter -> spec -> unit
 val pp_stats : Format.formatter -> stats -> unit

@@ -85,9 +85,6 @@ val scripted : t -> bool
 (** Number of decision points consulted so far. *)
 val offers : t -> int
 
-(** All drop decisions so far, oldest first. *)
-val drop_records : t -> drop_record list
-
 (** The unrecoverable subset — what the monitor turns into reports. *)
 val unrecoverable_drops : t -> drop_record list
 
@@ -125,6 +122,5 @@ val token_injector : t -> Token.Msg.t Interconnect.Fabric.injector
 val directory_injector : t -> Directory.Msg.t Interconnect.Fabric.injector
 
 val pp_drop_record : Format.formatter -> drop_record -> unit
-val pp_action : Format.formatter -> action -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp_stats : Format.formatter -> stats -> unit

@@ -146,6 +146,18 @@ let run p target ~spec ~seed =
        focused on it (expected reports let the run play out). *)
     match Report.severity r with `Fatal -> E.stop engine | `Expected -> ()
   in
+  (* One injector per run: the plan's, or the chaos link table wrapped
+     over it. The table stays out of the outcome, which is plain data;
+     its downtime is read when the run ends. *)
+  let install_faults fab inject chaos =
+    match chaos with
+    | Some c when Chaos.active c ->
+      let stats, links = Chaos.install ~seed ~spec:c fab inject in
+      (Some stats, fun () -> Chaos.link_downtime links)
+    | _ ->
+      F.set_fault_injector fab inject;
+      (None, fun () -> Sim.Time.zero)
+  in
   (* The protocol, its fault plan, reliable transport and chaos are
      built inside the runner's builder; everything else reads them
      from here. *)
@@ -161,7 +173,6 @@ let run p target ~spec ~seed =
         in
         let fab = i.Token.Protocol.i_fabric in
         F.set_msg_label fab Token.Msg.label;
-        F.set_fault_injector fab (Plan.token_injector plan);
         if recover then begin
           (* Reliable transport draws its retransmit jitter from its own
              split stream; the plan's schedule is untouched. *)
@@ -189,11 +200,7 @@ let run p target ~spec ~seed =
                  (fun () -> Sim.Time.mul_f (F.max_rto fab) adaptive_recreation_scale))
           end
         end;
-        let chaos_stats =
-          match chaos with
-          | Some c when Chaos.active c -> Some (Chaos.install ~seed ~spec:c engine fab)
-          | _ -> None
-        in
+        let chaos_stats, downtime = install_faults fab (Plan.token_injector plan) chaos in
         ( i.Token.Protocol.i_handle,
           {
             m_engine = engine;
@@ -206,7 +213,7 @@ let run p target ~spec ~seed =
               (fun () -> if recover then Some (i.Token.Protocol.i_recovery ()) else None);
             m_retransmits = (fun () -> F.retransmits fab);
             m_chaos = chaos_stats;
-            m_downtime = (fun () -> F.link_downtime fab);
+            m_downtime = downtime;
           } )
       | Directory { dram_directory } ->
         let i =
@@ -215,15 +222,11 @@ let run p target ~spec ~seed =
         in
         let fab = i.Directory.Protocol.i_fabric in
         F.set_msg_label fab Directory.Msg.label;
-        F.set_fault_injector fab (Plan.directory_injector plan);
         (* Directory messages cannot be lost, so its chaos is the
            loss-free brownout rendition — the same discipline as
            Spec.delay_only for per-copy faults. *)
-        let chaos_stats =
-          match chaos with
-          | Some c when Chaos.active c ->
-            Some (Chaos.install ~seed ~spec:(Chaos.brownout_of c) engine fab)
-          | _ -> None
+        let chaos_stats, downtime =
+          install_faults fab (Plan.directory_injector plan) (Option.map Chaos.brownout_of chaos)
         in
         ( i.Directory.Protocol.i_handle,
           {
@@ -236,7 +239,7 @@ let run p target ~spec ~seed =
             m_recovery = (fun () -> None);
             m_retransmits = (fun () -> 0);
             m_chaos = chaos_stats;
-            m_downtime = (fun () -> F.link_downtime fab);
+            m_downtime = downtime;
           } )
     in
     machine := Some m;

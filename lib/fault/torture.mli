@@ -19,14 +19,10 @@ val default_targets : target list
     run against (the directory protocol has no recovery layer). *)
 val token_targets : target list
 
-(** Adaptive-timeout configuration used by [p_adaptive] runs: the
-    fabric RTT-estimator parameters, and the scale mapping the largest
-    per-link RTO to the token recreation timeout. Their product —
-    {!adaptive_recreation_ceiling} — bounds the adaptive recreation
-    wait and is what liveness margins budget for. *)
-val adaptive_rtt_params : Interconnect.Rtt.params
-
-val adaptive_recreation_scale : float
+(** The bound on the recreation wait of a [p_adaptive] run: the fabric
+    RTT estimator's RTO ceiling times the scale that maps the largest
+    per-link RTO to the token recreation timeout. Liveness margins
+    budget for it. *)
 val adaptive_recreation_ceiling : Sim.Time.t
 
 (** The watchdog margin a run actually attaches: [base] (the
@@ -76,8 +72,8 @@ val effective_margin :
     by a fixed factor, so recreation waits track observed network
     conditions instead of a static constant.
 
-    [p_chaos] installs a link-outage campaign ({!Chaos.install}) on the
-    fabric. Hard chaos (down links) on a token target requires
+    [p_chaos] wraps a link-outage campaign ({!Chaos.install}) over the
+    fault plan's injector, so every run installs one injector. Hard chaos (down links) on a token target requires
     [p_recover]; directory targets automatically take the loss-free
     {!Chaos.brownout_of} rendition, the same discipline as
     {!Spec.delay_only}.
@@ -145,8 +141,8 @@ type outcome = {
       (** link-outage campaign counters; [Some] only when an active
           chaos plan was installed *)
   link_downtime : Sim.Time.t;
-      (** cumulative per-link Down time accumulated by the fabric's
-          outage model (zero when no chaos ran) *)
+      (** the chaos link table's {!Chaos.link_downtime}, read when the
+          run ends (zero when no chaos ran) *)
   plan_events : Plan.event list;
       (** the materialized fault schedule (every non-Pass plan
           decision, oldest first); captured only on evidence — same

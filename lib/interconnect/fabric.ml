@@ -53,25 +53,6 @@ type 'msg rel = {
     (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) option;
 }
 
-type link_state =
-  | Link_up
-  | Link_degraded of { latency_mult : float; drop_prob : float }
-  | Link_down
-
-(* Outage-model state: one link_state per ordered site pair, mutated by
-   Fabric.set_link_state / partition / heal. The rng is a dedicated
-   stream (degraded-link drop draws only) so arming the model never
-   perturbs a fault plan's or the fabric's own sequences. *)
-type outage = {
-  o_rng : Sim.Rng.t;
-  o_state : link_state array;
-  o_down_since : Sim.Time.t array;  (* valid while the link is down *)
-  mutable o_links_down : int;
-  mutable o_downtime : Sim.Time.t;  (* of links already healed *)
-  mutable o_drops : int;  (* copies lost to down/degraded links *)
-  mutable o_transitions : int;
-}
-
 (* Adaptive-timeout state: one RTT estimator per ordered site pair
    (diagonal = on-chip traffic), fed with every observed delivery
    latency; the reliable transport's backoff base becomes the link's
@@ -125,7 +106,7 @@ type 'msg t = {
   site_words : int array;  (* site s, word w at [s * nwords + w] *)
   mutable cells : 'msg cell array;
   mutable free_cell : int;  (* head of the cell free list; -1 = empty *)
-  mutable pristine : bool;  (* no injector/outage/reliability ever armed *)
+  mutable pristine : bool;  (* no injector/reliability ever armed *)
   (* Parked copies (see [park]): a FIFO ring of records, one per
      parking send, and a ring of copies, three ints each: destination
      (-1 once woken), arrival and reserved engine sequence number.
@@ -158,7 +139,6 @@ type 'msg t = {
   mutable last_port_wait : Sim.Time.t;
   mutable last_link_wait : Sim.Time.t;
   mutable rel : 'msg rel option;
-  mutable outage : outage option;
   mutable adaptive : adaptive option;
 }
 
@@ -190,7 +170,7 @@ let delivered t =
   done;
   t.delivered + t.parked - !ahead
 
-let register ?(prefix = "fabric.") registry t =
+let register registry t =
   let module R = Obs.Registry in
   let now_ns () = Sim.Time.to_ns (Sim.Engine.now t.engine) in
   let backlog busy =
@@ -200,21 +180,21 @@ let register ?(prefix = "fabric.") registry t =
     let now = Sim.Engine.now t.engine in
     Array.fold_left (fun acc b -> acc +. Sim.Time.to_ns (max 0 (b - now))) 0. busy
   in
-  R.register_int registry (prefix ^ "delivered") (fun () -> delivered t);
-  R.register_int registry (prefix ^ "dropped") (fun () -> t.dropped);
-  R.register_float registry (prefix ^ "port_busy_ns") (fun () ->
+  R.register_int registry "fabric.delivered" (fun () -> delivered t);
+  R.register_int registry "fabric.dropped" (fun () -> t.dropped);
+  R.register_float registry "fabric.port_busy_ns" (fun () ->
       Sim.Time.to_ns t.port_busy_total);
-  R.register_float registry (prefix ^ "link_busy_ns") (fun () ->
+  R.register_float registry "fabric.link_busy_ns" (fun () ->
       Sim.Time.to_ns t.link_busy_total);
-  R.register_float registry (prefix ^ "port_utilization") (fun () ->
+  R.register_float registry "fabric.port_utilization" (fun () ->
       let elapsed = now_ns () *. float_of_int (Array.length t.port_busy) in
       if elapsed = 0. then 0. else Sim.Time.to_ns t.port_busy_total /. elapsed);
-  R.register_float registry (prefix ^ "link_utilization") (fun () ->
+  R.register_float registry "fabric.link_utilization" (fun () ->
       let nlinks = t.layout.Layout.ncmp * (t.layout.Layout.ncmp - 1) in
       let elapsed = now_ns () *. float_of_int (max 1 nlinks) in
       if elapsed = 0. then 0. else Sim.Time.to_ns t.link_busy_total /. elapsed);
-  R.register_float registry (prefix ^ "port_backlog_ns") (fun () -> backlog t.port_busy);
-  R.register_float registry (prefix ^ "link_backlog_ns") (fun () -> backlog t.link_busy)
+  R.register_float registry "fabric.port_backlog_ns" (fun () -> backlog t.port_busy);
+  R.register_float registry "fabric.link_backlog_ns" (fun () -> backlog t.link_busy)
 
 let create engine layout params traffic rng =
   let nnodes = Layout.node_count layout in
@@ -264,7 +244,6 @@ let create engine layout params traffic rng =
       last_port_wait = Sim.Time.zero;
       last_link_wait = Sim.Time.zero;
       rel = None;
-      outage = None;
       adaptive = None;
     }
   in
@@ -292,6 +271,7 @@ let set_fault_injector t i =
 
 let set_msg_label t f = t.msg_label <- f
 let layout t = t.layout
+let params t = t.params
 let engine t = t.engine
 let dropped t = t.dropped
 
@@ -334,183 +314,11 @@ let fault t ~src ~dst ~cls action =
     Sim.Engine.emit t.engine
       (Obs.Event.Fault_action { src; dst; cls = Msg_class.to_string cls; action })
 
-(* ------------------------------------------------------------------ *)
-(* Link outage model                                                   *)
-
 let link_index t ~src_site ~dst_site = (src_site * t.layout.Layout.ncmp) + dst_site
 
 let check_site t name s =
   if s < 0 || s >= t.layout.Layout.ncmp then
     invalid_arg (Printf.sprintf "Fabric.%s: site %d out of range" name s)
-
-let outage_downtime t o =
-  (* Accumulated downtime of healed links plus the in-progress downtime
-     of links currently down. *)
-  let now = Sim.Engine.now t.engine in
-  let acc = ref o.o_downtime in
-  Array.iteri
-    (fun i st -> match st with Link_down -> acc := !acc + (now - o.o_down_since.(i)) | _ -> ())
-    o.o_state;
-  !acc
-
-let enable_outages t rng =
-  t.pristine <- false;
-  let n = t.layout.Layout.ncmp * t.layout.Layout.ncmp in
-  let o =
-    {
-      o_rng = rng;
-      o_state = Array.make n Link_up;
-      o_down_since = Array.make n Sim.Time.zero;
-      o_links_down = 0;
-      o_downtime = Sim.Time.zero;
-      o_drops = 0;
-      o_transitions = 0;
-    }
-  in
-  t.outage <- Some o;
-  match Obs.Registry.of_engine t.engine with
-  | Some registry ->
-    let module R = Obs.Registry in
-    R.register_int registry "fabric.links_down" (fun () -> o.o_links_down);
-    R.register_float registry "fabric.link_downtime_ns" (fun () ->
-        Sim.Time.to_ns (outage_downtime t o));
-    R.register_int registry "fabric.outage_drops" (fun () -> o.o_drops);
-    R.register_int registry "fabric.link_transitions" (fun () -> o.o_transitions)
-  | None -> ()
-
-let outages_enabled t = t.outage <> None
-
-let set_link_state t ~src_site ~dst_site state =
-  match t.outage with
-  | None -> invalid_arg "Fabric.set_link_state: outages not enabled"
-  | Some o ->
-    check_site t "set_link_state" src_site;
-    check_site t "set_link_state" dst_site;
-    if src_site = dst_site then
-      invalid_arg "Fabric.set_link_state: on-chip crossbar has no link state";
-    let i = link_index t ~src_site ~dst_site in
-    let prev = o.o_state.(i) in
-    if prev <> state then begin
-      let now = Sim.Engine.now t.engine in
-      o.o_transitions <- o.o_transitions + 1;
-      (match prev with
-      | Link_down ->
-        o.o_links_down <- o.o_links_down - 1;
-        o.o_downtime <- o.o_downtime + (now - o.o_down_since.(i))
-      | Link_up | Link_degraded _ -> ());
-      (match state with
-      | Link_down ->
-        o.o_links_down <- o.o_links_down + 1;
-        o.o_down_since.(i) <- now
-      | Link_up | Link_degraded _ -> ());
-      o.o_state.(i) <- state;
-      if Sim.Engine.tracing t.engine then
-        Sim.Engine.emit t.engine
-          (match state with
-          | Link_down -> Obs.Event.Link_down { src_site; dst_site }
-          | Link_degraded { latency_mult; drop_prob } ->
-            Obs.Event.Link_degraded { src_site; dst_site; latency_mult; drop_prob }
-          | Link_up -> Obs.Event.Link_healed { src_site; dst_site })
-    end
-
-let link_state t ~src_site ~dst_site =
-  match t.outage with
-  | None -> Link_up
-  | Some o ->
-    check_site t "link_state" src_site;
-    check_site t "link_state" dst_site;
-    o.o_state.(link_index t ~src_site ~dst_site)
-
-(* Map Destset region masks to site sets, then cut every link between
-   sites in different regions. Sites absent from all regions keep their
-   links; a site listed in two regions counts as the later one. *)
-let partition ?(state = Link_down) t regions =
-  if t.outage = None then invalid_arg "Fabric.partition: outages not enabled";
-  let ncmp = t.layout.Layout.ncmp in
-  let region_of_site = Array.make ncmp (-1) in
-  List.iteri
-    (fun ri ds ->
-      List.iter
-        (fun node -> region_of_site.(t.cmp_arr.(node)) <- ri)
-        (Destset.to_list ds))
-    regions;
-  for a = 0 to ncmp - 1 do
-    for b = 0 to ncmp - 1 do
-      if
-        a <> b
-        && region_of_site.(a) >= 0
-        && region_of_site.(b) >= 0
-        && region_of_site.(a) <> region_of_site.(b)
-      then set_link_state t ~src_site:a ~dst_site:b state
-    done
-  done
-
-let heal t =
-  if t.outage = None then invalid_arg "Fabric.heal: outages not enabled";
-  let ncmp = t.layout.Layout.ncmp in
-  for a = 0 to ncmp - 1 do
-    for b = 0 to ncmp - 1 do
-      if a <> b then set_link_state t ~src_site:a ~dst_site:b Link_up
-    done
-  done
-
-let links_down t = match t.outage with Some o -> o.o_links_down | None -> 0
-let outage_drops t = match t.outage with Some o -> o.o_drops | None -> 0
-let link_transitions t = match t.outage with Some o -> o.o_transitions | None -> 0
-
-let link_downtime t =
-  match t.outage with Some o -> outage_downtime t o | None -> Sim.Time.zero
-
-(* Outage verdict for one copy. On-chip traffic never crosses a link;
-   degraded-link loss draws from the outage model's dedicated stream. *)
-let outage_action t o ~src ~dst =
-  let ss = t.cmp_arr.(src) and ds = t.cmp_arr.(dst) in
-  if ss = ds then Pass
-  else
-    match o.o_state.(link_index t ~src_site:ss ~dst_site:ds) with
-    | Link_up -> Pass
-    | Link_down ->
-      o.o_drops <- o.o_drops + 1;
-      Drop
-    | Link_degraded { latency_mult; drop_prob } ->
-      if drop_prob > 0. && Sim.Rng.float o.o_rng 1.0 < drop_prob then begin
-        o.o_drops <- o.o_drops + 1;
-        Drop
-      end
-      else if latency_mult > 1.0 then
-        Delay (Sim.Time.mul_f t.params.inter_latency (latency_mult -. 1.0))
-      else Pass
-
-(* Effective per-copy verdict: the fault plan speaks first (so its rng
-   stream sees the same offer sequence whether or not outages are
-   armed), then the link state is applied to the surviving copy. A
-   degraded link's extra latency stacks on a plan delay; a duplicate's
-   second copy rides the link un-delayed (the type cannot express
-   both). Consulted afresh on every retransmit attempt, so a heal lets
-   queued retransmits through. *)
-let consult t ~src ~dst ~cls msg =
-  let v =
-    match t.injector with
-    | Some inject -> inject ~now:(Sim.Engine.now t.engine) ~src ~dst ~cls msg
-    | None -> Pass
-  in
-  match t.outage with
-  | None -> v
-  | Some o -> (
-    match v with
-    | Drop -> Drop
-    | _ -> (
-      match outage_action t o ~src ~dst with
-      | Drop -> Drop
-      | Pass -> v
-      | Delay d -> (
-        match v with
-        | Pass -> Delay d
-        | Delay d2 -> Delay (d + d2)
-        | (Duplicate _ | Drop) as v -> v)
-      | Duplicate _ -> v))
-
-(* ------------------------------------------------------------------ *)
 
 (* Fire one pooled delivery. The cell is snapshotted and released
    {e before} the handler runs, so sends the handler performs can reuse
@@ -685,9 +493,10 @@ let rel_backoff t rel ~src ~dst ~attempt =
    with exponential backoff, up to [max_retrans] retransmissions. The
    simulation collapses the ack round-trip into the timeout schedule:
    retransmission [n] leaves [retrans_timeout * backoff^(n-1)] after the
-   previous attempt's expected arrival and takes [flight] to arrive. *)
-let rec attempt t ~src ~dst ~cls ~flight ~n time msg =
-  match consult t ~src ~dst ~cls msg with
+   previous attempt's expected arrival and takes [flight] to arrive.
+   The injector is consulted afresh on every attempt. *)
+let rec attempt t inject ~src ~dst ~cls ~flight ~n time msg =
+  match inject ~now:(Sim.Engine.now t.engine) ~src ~dst ~cls msg with
   | Pass -> schedule_delivery t ~src ~cls time dst msg
   | Delay extra ->
     fault t ~src ~dst ~cls "delay";
@@ -723,7 +532,8 @@ let rec attempt t ~src ~dst ~cls ~flight ~n time msg =
           (Obs.Event.Retransmit { src; dst; cls = Msg_class.to_string cls; attempt = n });
       let wait = rel_backoff t rel ~src ~dst ~attempt:n in
       Sim.Engine.schedule_at t.engine (time + wait) (fun () ->
-          attempt t ~src ~dst ~cls ~flight ~n:(n + 1) (Sim.Engine.now t.engine + flight) msg))
+          attempt t inject ~src ~dst ~cls ~flight ~n:(n + 1) (Sim.Engine.now t.engine + flight)
+            msg))
 
 (* Injection point: every copy of every message passes through here
    once its fault-free arrival time is known. A fault plan may delay,
@@ -743,12 +553,13 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
            queue_ns = Sim.Time.to_ns queue; flight_ns = Sim.Time.to_ns flight;
            arrive = time })
   end;
-  match (t.injector, t.outage) with
-  | None, None ->
+  match t.injector with
+  | None ->
     if t.park_key >= 0 && t.parkable dst t.park_key then park t ~src ~cls time dst msg
     else schedule_delivery t ~src ~cls time dst msg
-  | _ ->
-    attempt t ~src ~dst ~cls ~flight:(max 0 (time - Sim.Engine.now t.engine)) ~n:1 time msg
+  | Some inject ->
+    attempt t inject ~src ~dst ~cls ~flight:(max 0 (time - Sim.Engine.now t.engine)) ~n:1 time
+      msg
 
 let enable_reliability ?(params = default_reliability) t rng =
   t.pristine <- false;

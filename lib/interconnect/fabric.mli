@@ -19,7 +19,13 @@
     Delivery order between two nodes is not guaranteed (unordered
     network), exactly as both protocols assume. An optional per-hop
     random jitter perturbs latencies to create run-to-run variability
-    for confidence intervals (Alameldeen & Wood). *)
+    for confidence intervals (Alameldeen & Wood).
+
+    Every fault reaches the fabric through one hook, the fault injector
+    ({!set_fault_injector}): per-copy fault plans, node stalls and link
+    outages (the chaos link table in [Fault.Chaos], which wraps a
+    plan's injector) alike. An opt-in reliable transport retransmits
+    what the injector drops. *)
 
 type params = {
   intra_latency : Sim.Time.t;
@@ -52,13 +58,19 @@ type 'msg injector =
 
 type 'msg t
 
+(** When the engine carries a metrics registry, [create] registers the
+    delivery counters and the queue-occupancy and utilization samplers
+    ([fabric.delivered], [fabric.port_busy_ns],
+    [fabric.link_utilization], [fabric.port_backlog_ns], ...). *)
 val create :
   Sim.Engine.t -> Layout.t -> params -> Traffic.t -> Sim.Rng.t -> 'msg t
 
 (** Must be called before the first send; [dst] is the destination node. *)
 val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
 
-(** Attach a fault injector. Injected faults (and, when the engine has
+(** Attach the fault injector, replacing any earlier one. It is
+    consulted on every offer of a copy, reliable-transport
+    retransmissions included. Injected faults (and, when the engine has
     a trace sink, ordinary sends/deliveries/link transfers) are emitted
     as structured {!Obs.Event} values through the engine. *)
 val set_fault_injector : 'msg t -> 'msg injector -> unit
@@ -106,70 +118,6 @@ val retransmits : 'msg t -> int
 val absorbed_duplicates : 'msg t -> int
 val retrans_exhausted : 'msg t -> int
 
-(** {2 Link outage model}
-
-    Opt-in per-link state machine over the ordered inter-site links.
-    A [Link_down] link loses every copy offered to it; a
-    [Link_degraded] link loses each copy with [drop_prob] (drawn from
-    the outage model's dedicated rng stream) and charges survivors
-    [latency_mult] x the inter-site latency as extra delay. On-chip
-    traffic (including a chip's own memory controller) never crosses a
-    link and is unaffected.
-
-    The state is consulted on {e every} delivery attempt — including
-    reliable-transport retransmits — so a heal lets queued retransmits
-    through, and an outage alone (no fault injector installed) already
-    drops traffic. With outages never enabled the send path is
-    unchanged and no randomness is drawn. *)
-
-type link_state =
-  | Link_up
-  | Link_degraded of { latency_mult : float; drop_prob : float }
-  | Link_down
-
-(** [enable_outages t rng] arms the model with every link up. [rng]
-    should be a stream split off for this purpose. Registers
-    [fabric.links_down] / [fabric.link_downtime_ns] /
-    [fabric.outage_drops] / [fabric.link_transitions] samplers when the
-    engine carries a metrics registry. *)
-val enable_outages : 'msg t -> Sim.Rng.t -> unit
-
-val outages_enabled : 'msg t -> bool
-
-(** Transition one ordered link; emits {!Obs.Event.Link_down} /
-    [Link_degraded] / [Link_healed] on tracing runs and accounts
-    downtime. No-op if the link is already in [state].
-    @raise Invalid_argument without {!enable_outages}, on a bad site,
-    or on the diagonal (on-chip traffic has no link state). *)
-val set_link_state : 'msg t -> src_site:int -> dst_site:int -> link_state -> unit
-
-(** Current state ([Link_up] when outages are not enabled). *)
-val link_state : 'msg t -> src_site:int -> dst_site:int -> link_state
-
-(** [partition t regions] cuts every link between sites that fall in
-    different region masks (node-id {!Destset}s, mapped to their
-    sites); sites in no region keep their links. [state] defaults to
-    [Link_down]; pass a [Link_degraded] to model a brownout partition
-    instead of a hard split.
-    @raise Invalid_argument without {!enable_outages}. *)
-val partition : ?state:link_state -> 'msg t -> Destset.t list -> unit
-
-(** Return every link to [Link_up].
-    @raise Invalid_argument without {!enable_outages}. *)
-val heal : 'msg t -> unit
-
-val links_down : 'msg t -> int
-
-(** Total time spent down, summed over links (in-progress outages
-    included). *)
-val link_downtime : 'msg t -> Sim.Time.t
-
-(** Copies lost to down or degraded links (also counted in
-    {!dropped}). *)
-val outage_drops : 'msg t -> int
-
-val link_transitions : 'msg t -> int
-
 (** {2 Adaptive timeouts}
 
     Opt-in replacement of the reliable transport's fixed
@@ -198,14 +146,10 @@ val max_rto : 'msg t -> Sim.Time.t
     message class always accompanies it). *)
 val set_msg_label : 'msg t -> ('msg -> string) -> unit
 
-(** Register delivery counters plus queue-occupancy and utilization
-    samplers ([<prefix>delivered], [<prefix>port_busy_ns],
-    [<prefix>link_utilization], [<prefix>port_backlog_ns], ...) into a
-    metrics registry. [create] does this automatically when the engine
-    already carries an attached {!Obs.Registry}. *)
-val register : ?prefix:string -> Obs.Registry.t -> 'msg t -> unit
-
 val layout : 'msg t -> Layout.t
+
+(** The parameters the fabric was created with. *)
+val params : 'msg t -> params
 val engine : 'msg t -> Sim.Engine.t
 
 (** [send_set t ~src ~dsts ~cls ~bytes msg] delivers a copy of [msg]
@@ -251,8 +195,8 @@ val send_one :
 
 (** [set_parkable t f] installs the per-copy test: a copy of a
     [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
-    and no fault injector, outage model or reliable transport was ever
-    armed on the fabric. Installed once, at construction; without it
+    and no fault injector or reliable transport was ever armed on the
+    fabric. Installed once, at construction; without it
     nothing parks. *)
 val set_parkable : 'msg t -> (int -> int -> bool) -> unit
 

@@ -62,9 +62,6 @@ val l2s_of_cmp : t -> int -> int list
 val all_caches : t -> int list
 val all_mems : t -> int list
 
-(** Every node of one CMP, memory controller included — a site mask. *)
-val nodes_of_cmp : t -> int -> int list
-
 val all_nodes : t -> int list
 
 (** {!Destset} twins of the list accessors above, for precomputing

@@ -20,16 +20,14 @@ let merge ~into src =
   Array.iteri (fun i v -> into.intra.(i) <- into.intra.(i) + v) src.intra;
   Array.iteri (fun i v -> into.inter.(i) <- into.inter.(i) + v) src.inter
 
-let register ?(prefix = "traffic.") registry t =
-  Obs.Registry.register_int registry (prefix ^ "intra_bytes") (fun () -> intra_total t);
-  Obs.Registry.register_int registry (prefix ^ "inter_bytes") (fun () -> inter_total t);
+let register registry t =
+  Obs.Registry.register_int registry "traffic.intra_bytes" (fun () -> intra_total t);
+  Obs.Registry.register_int registry "traffic.inter_bytes" (fun () -> inter_total t);
   List.iter
     (fun cls ->
       let name = Msg_class.to_string cls in
-      Obs.Registry.register_int registry
-        (Printf.sprintf "%sintra_bytes.%s" prefix name)
-        (fun () -> intra_bytes t cls);
-      Obs.Registry.register_int registry
-        (Printf.sprintf "%sinter_bytes.%s" prefix name)
-        (fun () -> inter_bytes t cls))
+      Obs.Registry.register_int registry ("traffic.intra_bytes." ^ name) (fun () ->
+          intra_bytes t cls);
+      Obs.Registry.register_int registry ("traffic.inter_bytes." ^ name) (fun () ->
+          inter_bytes t cls))
     Msg_class.all

@@ -23,6 +23,6 @@ val reset : t -> unit
 val merge : into:t -> t -> unit
 
 (** Register totals and per-class byte counters into a metrics
-    registry (names [<prefix>intra_bytes], [<prefix>inter_bytes.req],
+    registry (names [traffic.intra_bytes], [traffic.inter_bytes.req],
     ...). *)
-val register : ?prefix:string -> Obs.Registry.t -> t -> unit
+val register : Obs.Registry.t -> t -> unit

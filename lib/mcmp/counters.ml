@@ -86,7 +86,7 @@ let persistent_fraction t =
   if t.l1_misses = 0 then 0.
   else float_of_int t.persistent_requests /. float_of_int t.l1_misses
 
-let register ?(prefix = "counters.") registry t =
+let register registry t =
   let module R = Obs.Registry in
   let ints =
     [ ("loads", fun () -> t.loads);
@@ -104,22 +104,22 @@ let register ?(prefix = "counters.") registry t =
       ("writebacks", fun () -> t.writebacks);
       ("dir_indirections", fun () -> t.dir_indirections) ]
   in
-  List.iter (fun (name, f) -> R.register_int registry (prefix ^ name) f) ints;
-  R.register_float registry (prefix ^ "persistent_fraction") (fun () ->
+  List.iter (fun (name, f) -> R.register_int registry ("counters." ^ name) f) ints;
+  R.register_float registry "counters.persistent_fraction" (fun () ->
       persistent_fraction t);
-  R.register_float registry (prefix ^ "miss_latency_ns.mean") (fun () ->
+  R.register_float registry "counters.miss_latency_ns.mean" (fun () ->
       Sim.Stat.Welford.mean t.miss_latency);
-  R.register_float registry (prefix ^ "miss_latency_ns.stddev") (fun () ->
+  R.register_float registry "counters.miss_latency_ns.stddev" (fun () ->
       Sim.Stat.Welford.stddev t.miss_latency);
-  R.register_histogram registry (prefix ^ "miss_latency_ns") t.miss_histogram;
+  R.register_histogram registry "counters.miss_latency_ns" t.miss_histogram;
   List.iter
     (fun cause ->
       let name = Obs.Event.cause_to_string cause in
       let i = Obs.Event.cause_index cause in
-      R.register_int registry (prefix ^ "miss_class." ^ name) (fun () ->
+      R.register_int registry ("counters.miss_class." ^ name) (fun () ->
           t.cause_counts.(i));
       R.register_histogram registry
-        (prefix ^ "miss_class_ns." ^ name)
+        ("counters.miss_class_ns." ^ name)
         t.cause_latency.(i))
     Obs.Event.all_causes
 

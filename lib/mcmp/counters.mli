@@ -44,8 +44,8 @@ val cause_histogram : t -> Obs.Event.cause -> Sim.Stat.Histogram.t
 val merge : into:t -> t -> unit
 
 (** Register every counter, the persistent fraction and the miss-latency
-    statistics into a metrics registry under [<prefix>...]. *)
-val register : ?prefix:string -> Obs.Registry.t -> t -> unit
+    statistics into a metrics registry under [counters.]. *)
+val register : Obs.Registry.t -> t -> unit
 
 (** Fraction of L1 misses that escalated to a persistent request. *)
 val persistent_fraction : t -> float

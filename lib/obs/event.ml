@@ -20,15 +20,6 @@ let cause_index = function
   | Persistent_escalation -> 4
   | Recovery_delayed -> 5
 
-let cause_of_index = function
-  | 0 -> Cold
-  | 1 -> Sharing_local
-  | 2 -> Sharing_remote
-  | 3 -> Upgrade
-  | 4 -> Persistent_escalation
-  | 5 -> Recovery_delayed
-  | i -> invalid_arg (Printf.sprintf "Obs.Event.cause_of_index: %d" i)
-
 let all_causes =
   [ Cold; Sharing_local; Sharing_remote; Upgrade; Persistent_escalation; Recovery_delayed ]
 

@@ -33,9 +33,6 @@ type cause =
 val ncauses : int
 val cause_index : cause -> int
 
-(** Inverse of {!cause_index}; raises [Invalid_argument] out of range. *)
-val cause_of_index : int -> cause
-
 (** All causes in {!cause_index} order. *)
 val all_causes : cause list
 

@@ -32,9 +32,7 @@ let counter ~name ~ts v =
       ("tid", J.Int 0); ("ts", J.Float ts);
       ("args", J.Obj [ ("value", J.Float v) ]) ]
 
-let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
-    ?(process_name = "tokencmp") ?(include_instants = true) ?(marks = [])
-    ?(samples = []) buf =
+let export ?(process_name = "tokencmp") ?(marks = []) ?(samples = []) buf =
   let events = ref [] in
   let push e = events := e :: !events in
   let nodes = Hashtbl.create 64 in
@@ -99,19 +97,19 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
           (complete
              ~args:[ ("cls", J.String x.cls); ("bytes", J.Int x.bytes) ]
              ~name:x.cls ~tid ~ts ~dur ())
-      | Event.Msg_send m when include_instants ->
+      | Event.Msg_send m ->
         node_instant
           ~args:[ ("dst", J.Int m.dst); ("cls", J.String m.cls); ("bytes", J.Int m.bytes);
                   ("label", J.String m.label) ]
           ~name:(Printf.sprintf "send [%s]" m.cls) m.src ts
-      | Event.Msg_deliver m when include_instants ->
+      | Event.Msg_deliver m ->
         node_instant
           ~args:[ ("src", J.Int m.src); ("cls", J.String m.cls); ("label", J.String m.label) ]
           ~name:(Printf.sprintf "deliver [%s]" m.cls) m.dst ts
       | Event.Fault_action f ->
         node_instant ~args:[ ("src", J.Int f.src); ("cls", J.String f.cls) ]
           ~name:(Printf.sprintf "fault:%s" f.action) f.dst ts
-      | Event.Req_reissue r when include_instants ->
+      | Event.Req_reissue r ->
         node_instant ~args:[ ("tid", J.Int r.tid); ("retry", J.Int r.retry) ] ~name:"reissue"
           r.node ts
       | Event.Dir_indirection d ->
@@ -120,17 +118,17 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
       | Event.Persistent p ->
         node_instant ~args:[ ("proc", J.Int p.proc); ("addr", addr p.addr) ]
           ~name:(Printf.sprintf "persistent:%s" p.action) p.node ts
-      | Event.Fsm f when include_instants ->
+      | Event.Fsm f ->
         node_instant ~args:[ ("addr", addr f.addr) ]
           ~name:(Printf.sprintf "%s %s>%s" f.fsm f.from_state f.to_state) f.node ts
-      | Event.Lookup l when include_instants ->
+      | Event.Lookup l ->
         node_instant ~args:[ ("addr", addr l.addr) ]
           ~name:
             (Printf.sprintf "%s %s" (Event.level_to_string l.level)
                (if l.hit then "hit" else "miss"))
           l.node ts
-      (* Recovery and outage events: rare, and the evidence a failed
-         recovery or chaos run is judged by, so never filtered. *)
+      (* Recovery and outage events: the evidence a failed recovery
+         or chaos run is judged by. *)
       | Event.Retransmit r ->
         node_instant
           ~args:[ ("dst", J.Int r.dst); ("cls", J.String r.cls); ("attempt", J.Int r.attempt) ]
@@ -180,7 +178,7 @@ let export ?(node_name = fun id -> Printf.sprintf "node%d" id)
     ::
     (Hashtbl.fold (fun id () acc -> id :: acc) nodes []
     |> List.sort compare
-    |> List.map (fun id -> metadata ~name:"thread_name" ~tid:id (node_name id)))
+    |> List.map (fun id -> metadata ~name:"thread_name" ~tid:id (Printf.sprintf "node%d" id)))
     @ (Hashtbl.fold (fun (s, d) tid acc -> (tid, s, d) :: acc) links []
       |> List.sort compare
       |> List.map (fun (tid, s, d) ->

@@ -11,21 +11,16 @@
     Timestamps are microseconds of simulated time (1 us on screen =
     1 us simulated; sub-ns structure survives as fractional ts). *)
 
-(** [export buf] renders the retained event window.
-    @param node_name names node tracks (defaults to ["node<i>"]).
+(** [export buf] renders the retained event window; node tracks are
+    named ["node<i>"].
     @param process_name the Perfetto process label.
-    @param include_instants when false, only transaction/link slices
-    and fault/persistent markers are emitted — traces stay small on
-    long runs.
     @param marks extra global instant events (e.g. invariant
     violations) stamped onto track 0.
     @param samples periodic gauge samples from {!Sampler}, rendered as
     Perfetto counter tracks ("C" events, one track per metric name)
     next to the span tracks. *)
 val export :
-  ?node_name:(int -> string) ->
   ?process_name:string ->
-  ?include_instants:bool ->
   ?marks:(Sim.Time.t * string) list ->
   ?samples:Sampler.sample list ->
   Buffer.t ->

@@ -24,10 +24,10 @@ let rec arm t =
          take t;
          arm t))
 
-let create ?(sample_at_start = true) engine registry ~period =
+let create engine registry ~period =
   if Sim.Time.to_ns period <= 0. then invalid_arg "Obs.Sampler.create: period must be positive";
   let t = { engine; registry; period; samples = []; nsamples = 0 } in
-  if sample_at_start then take t;
+  take t;
   arm t;
   t
 

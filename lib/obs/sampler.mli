@@ -10,12 +10,11 @@ type t
 
 type sample = { at : Sim.Time.t; values : (string * float) list }
 
-(** [create engine registry ~period] arms the timer; every [period] of
-    simulated time it records {!Registry.gauges}. [sample_at_start]
-    (default true) also records one sample at creation time, so short
-    runs still produce a non-empty series. Raises [Invalid_argument]
-    on a non-positive period. *)
-val create : ?sample_at_start:bool -> Sim.Engine.t -> Registry.t -> period:Sim.Time.t -> t
+(** [create engine registry ~period] records {!Registry.gauges} now
+    and then every [period] of simulated time, so short runs still
+    produce a non-empty series. Raises [Invalid_argument] on a
+    non-positive period. *)
+val create : Sim.Engine.t -> Registry.t -> period:Sim.Time.t -> t
 
 (** Samples in time order. *)
 val samples : t -> sample list

@@ -209,7 +209,7 @@ let phase_histograms ?(bucket = 10) ?(buckets = 200) spans =
     spans;
   h
 
-let register_phase_histograms ?(prefix = "spans.") registry h =
-  Registry.register_histogram registry (prefix ^ "request_ns") h.request;
-  Registry.register_histogram registry (prefix ^ "fill_ns") h.fill;
-  Registry.register_histogram registry (prefix ^ "total_ns") h.total
+let register_phase_histograms registry h =
+  Registry.register_histogram registry "spans.request_ns" h.request;
+  Registry.register_histogram registry "spans.fill_ns" h.fill;
+  Registry.register_histogram registry "spans.total_ns" h.total

@@ -92,4 +92,5 @@ type phase_histograms = {
     10 ns buckets, 200 of them). *)
 val phase_histograms : ?bucket:int -> ?buckets:int -> t list -> phase_histograms
 
-val register_phase_histograms : ?prefix:string -> Registry.t -> phase_histograms -> unit
+(** Registers [spans.request_ns], [spans.fill_ns] and [spans.total_ns]. *)
+val register_phase_histograms : Registry.t -> phase_histograms -> unit

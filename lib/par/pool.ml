@@ -10,10 +10,8 @@ let () =
            (Printexc.to_string e.exn))
     | _ -> None)
 
-let available_jobs () = Domain.recommended_domain_count ()
-
-let jobs_from_env ?(var = "TOKENCMP_JOBS") () =
-  match Sys.getenv_opt var with
+let jobs_from_env () =
+  match Sys.getenv_opt "TOKENCMP_JOBS" with
   | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
@@ -23,7 +21,7 @@ let jobs_from_env ?(var = "TOKENCMP_JOBS") () =
 let resolve_jobs ?requested () =
   match requested with
   | Some n when n >= 1 -> n
-  | Some _ -> available_jobs ()
+  | Some _ -> Domain.recommended_domain_count ()
   | None -> ( match jobs_from_env () with Some n -> n | None -> 1)
 
 let default_label i _ = "job-" ^ string_of_int i

@@ -23,17 +23,11 @@ type error = {
 
 exception Job_failed of error
 
-(** [Domain.recommended_domain_count ()]. *)
-val available_jobs : unit -> int
-
-(** Parse [TOKENCMP_JOBS] (or [var]); [None] if unset or not a
-    positive integer. *)
-val jobs_from_env : ?var:string -> unit -> int option
-
 (** Worker-count policy shared by the bench and the CLI:
     [requested >= 1] wins; [requested = 0] means "all cores"
-    ({!available_jobs}); otherwise [TOKENCMP_JOBS]; otherwise 1
-    (serial, the historical behavior). *)
+    ([Domain.recommended_domain_count ()]); otherwise [TOKENCMP_JOBS],
+    if it is a positive integer; otherwise 1 (serial, the historical
+    behavior). *)
 val resolve_jobs : ?requested:int -> unit -> int
 
 (** [map ~jobs ~label f xs] applies [f] to every element of [xs] and

@@ -53,14 +53,16 @@ type node = {
   ptable : pentry option array;  (* distributed activation *)
   peer_seq : int array;  (* distributed: last activation seq applied, per proc *)
   parb_active : (Cache.Addr.t, int * int * Msg.rw) Hashtbl.t;  (* arbiter activation *)
-  parb_epoch : (Cache.Addr.t, int) Hashtbl.t;  (* last arbiter epoch applied *)
+  (* last arbiter epoch applied; at a block's home memory controller,
+     the arbiter's own activation count, since no other node sends it
+     an activation or deactivation for that block *)
+  parb_epoch : (Cache.Addr.t, int) Hashtbl.t;
   (* mem arbiter: per-block activation queues plus a single arbitration
      server (fair queuing): every request/done decision occupies the
      arbiter for a service time, so blocks colocated on one controller
      contend for its arbitration bandwidth *)
   arb_queue : (Cache.Addr.t, (int * int * Msg.rw * int) Queue.t) Hashtbl.t;
   mutable arb_busy_until : Sim.Time.t;
-  arb_epoch_ctr : (Cache.Addr.t, int) Hashtbl.t;  (* mem arbiter: activation epochs *)
   arb_active_rid : (Cache.Addr.t, int) Hashtbl.t;  (* mem arbiter: rid of active entry *)
   arb_done_rid : int array;  (* mem arbiter: highest completed rid, per proc *)
   predictor : Predictor.t option;  (* L1, dst1-pred *)
@@ -692,8 +694,7 @@ let arb_schedule t node k =
 let arb_activate t node addr (proc, l1, rw, rid) =
   if E.tracing t.engine then
     E.emit t.engine (Obs.Event.Persistent { node = node.id; proc; addr; action = "arb-grant" });
-  let epoch = 1 + (try Hashtbl.find node.arb_epoch_ctr addr with Not_found -> 0) in
-  Hashtbl.replace node.arb_epoch_ctr addr epoch;
+  let epoch = 1 + (try Hashtbl.find node.parb_epoch addr with Not_found -> 0) in
   Hashtbl.replace node.parb_epoch addr epoch;
   Hashtbl.replace node.parb_active addr (proc, l1, rw);
   Hashtbl.replace node.arb_active_rid addr rid;
@@ -739,7 +740,7 @@ let handle_arb_done t node ~addr ~proc ~rid =
       | Some (p, _, _), Some r when p = proc && (r = rid || (recovery_on t && r <= rid)) ->
         Hashtbl.remove node.parb_active addr;
         Hashtbl.remove node.arb_active_rid addr;
-        let epoch = try Hashtbl.find node.arb_epoch_ctr addr with Not_found -> 0 in
+        let epoch = try Hashtbl.find node.parb_epoch addr with Not_found -> 0 in
         broadcast_persistent t node (Msg.P_deactivate { addr; proc; seq = epoch });
         (match arb_pop_fresh node (arb_queue node addr) with
         | Some next -> arb_activate t node addr next
@@ -1013,7 +1014,6 @@ let make_node t_layout policy rng id =
     parb_epoch = Hashtbl.create 16;
     arb_queue = Hashtbl.create (match kind with L.Mem _ -> 64 | _ -> 1);
     arb_busy_until = 0;
-    arb_epoch_ctr = Hashtbl.create (match kind with L.Mem _ -> 64 | _ -> 1);
     arb_active_rid = Hashtbl.create (match kind with L.Mem _ -> 64 | _ -> 1);
     arb_done_rid = Array.make (L.nprocs t_layout) (-1);
     predictor =

@@ -1,8 +1,9 @@
-(* Partition tolerance: the link outage model, the adaptive RTT/RTO
+(* Partition tolerance: the chaos link table, the adaptive RTT/RTO
    estimator, and chaos campaigns driving both through the torture
    harness. *)
 
 module F = Interconnect.Fabric
+module C = Fault.Chaos
 module L = Interconnect.Layout
 module Rtt = Interconnect.Rtt
 
@@ -47,33 +48,49 @@ let test_rtt_invalid_params () =
   Alcotest.(check bool) "floor above ceiling" true
     (bad { Rtt.default_params with Rtt.floor = us 10; ceiling = us 1 })
 
-(* ---- fabric link outage model ---- *)
+(* ---- chaos link table ---- *)
 
 let layout () = L.create ~ncmp:4 ~procs_per_cmp:4 ~banks_per_cmp:4
 
-let make_fabric ?(lay = layout ()) () =
+let make_fabric ?(lay = layout ()) ?(jitter = 0) () =
   let engine = Sim.Engine.create () in
   let traffic = Interconnect.Traffic.create () in
-  let params = { F.default_params with F.jitter = 0 } in
+  let params = { F.default_params with F.jitter } in
   let fabric = F.create engine lay params traffic (Sim.Rng.create 1) in
   (engine, lay, fabric)
 
+(* A table with every link up, over an injector that passes everything. *)
+let arm fabric =
+  snd (C.install ~seed:1 ~spec:C.none fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass))
+
 let test_outage_requires_enable () =
+  let arrivals ~armed =
+    let engine, l, fabric = make_fabric ~jitter:(Sim.Time.ps 500) () in
+    if armed then ignore (arm fabric);
+    let seen = ref [] in
+    F.set_handler fabric (fun ~dst () -> seen := (dst, Sim.Engine.now engine) :: !seen);
+    F.send_set fabric ~src:(L.l1d l ~cmp:0 ~proc:0) ~dsts:(L.all_nodes_set l)
+      ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
+    F.send_one fabric ~src:(L.mem l ~cmp:3) ~dst:(L.l2 l ~cmp:1 ~bank:2)
+      ~cls:Interconnect.Msg_class.Response_data ~bytes:72 ();
+    Sim.Engine.run engine;
+    List.rev !seen
+  in
+  Alcotest.(check (list (pair int int))) "every link up changes no arrival"
+    (arrivals ~armed:false) (arrivals ~armed:true);
   let _, _, fabric = make_fabric () in
-  Alcotest.(check bool) "outages off by default" false (F.outages_enabled fabric);
-  Alcotest.(check bool) "up without the model" true
-    (F.link_state fabric ~src_site:0 ~dst_site:1 = F.Link_up);
-  Alcotest.(check bool) "set_link_state without enable rejected" true
-    (match F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_down with
+  let links = arm fabric in
+  Alcotest.(check bool) "the diagonal is rejected" true
+    (match C.set_link_state links ~src_site:1 ~dst_site:1 C.Link_down with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | () -> false)
 
 let test_down_link_drops () =
   let engine, l, fabric = make_fabric () in
-  F.enable_outages fabric (Sim.Rng.create 2);
+  let links = arm fabric in
   let delivered = ref 0 in
   F.set_handler fabric (fun ~dst:_ () -> incr delivered);
-  F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_down;
+  C.set_link_state links ~src_site:0 ~dst_site:1 C.Link_down;
   let src = L.l1d l ~cmp:0 ~proc:0 in
   F.send_one fabric ~src ~dst:(L.l2 l ~cmp:1 ~bank:0) ~cls:Interconnect.Msg_class.Request
     ~bytes:8 ();
@@ -84,15 +101,15 @@ let test_down_link_drops () =
     ~bytes:8 ();
   Sim.Engine.run engine;
   Alcotest.(check int) "only the down direction lost" 2 !delivered;
-  Alcotest.(check int) "outage drop counted" 1 (F.outage_drops fabric);
+  Alcotest.(check int) "outage drop counted" 1 (C.outage_drops links);
   Alcotest.(check int) "also a fabric drop" 1 (F.dropped fabric);
-  Alcotest.(check int) "one link down" 1 (F.links_down fabric)
+  Alcotest.(check int) "one link down" 1 (C.links_down links)
 
 let test_degraded_link_latency () =
   let engine, l, fabric = make_fabric () in
-  F.enable_outages fabric (Sim.Rng.create 3);
-  F.set_link_state fabric ~src_site:0 ~dst_site:1
-    (F.Link_degraded { latency_mult = 3.0; drop_prob = 0. });
+  let links = arm fabric in
+  C.set_link_state links ~src_site:0 ~dst_site:1
+    (C.Link_degraded { latency_mult = 3.0; drop_prob = 0. });
   let arrival = ref (-1) in
   F.set_handler fabric (fun ~dst:_ () -> arrival := Sim.Engine.now engine);
   F.send_one fabric ~src:(L.l1d l ~cmp:0 ~proc:0) ~dst:(L.l2 l ~cmp:1 ~bank:0)
@@ -105,40 +122,38 @@ let test_degraded_link_latency () =
 
 let test_degraded_link_loss () =
   let engine, l, fabric = make_fabric () in
-  F.enable_outages fabric (Sim.Rng.create 4);
-  F.set_link_state fabric ~src_site:0 ~dst_site:1
-    (F.Link_degraded { latency_mult = 1.0; drop_prob = 1.0 });
+  let links = arm fabric in
+  C.set_link_state links ~src_site:0 ~dst_site:1
+    (C.Link_degraded { latency_mult = 1.0; drop_prob = 1.0 });
   let delivered = ref 0 in
   F.set_handler fabric (fun ~dst:_ () -> incr delivered);
   F.send_one fabric ~src:(L.l1d l ~cmp:0 ~proc:0) ~dst:(L.l2 l ~cmp:1 ~bank:0)
     ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
   Sim.Engine.run engine;
   Alcotest.(check int) "drop_prob=1 loses every copy" 0 !delivered;
-  Alcotest.(check int) "counted as outage drop" 1 (F.outage_drops fabric)
+  Alcotest.(check int) "counted as outage drop" 1 (C.outage_drops links)
 
 let test_partition_heal_helpers () =
-  let engine, l, fabric = make_fabric () in
-  F.enable_outages fabric (Sim.Rng.create 5);
-  let regions = Fault.Chaos.split_regions l in
-  Alcotest.(check int) "two regions" 2 (List.length regions);
-  F.partition fabric regions;
-  let state a b = F.link_state fabric ~src_site:a ~dst_site:b in
-  Alcotest.(check bool) "cross-region cut" true (state 0 2 = F.Link_down);
-  Alcotest.(check bool) "cut is bidirectional" true (state 3 1 = F.Link_down);
-  Alcotest.(check bool) "intra-region link stays up" true (state 0 1 = F.Link_up);
-  Alcotest.(check bool) "intra-region link stays up (high)" true (state 2 3 = F.Link_up);
+  let engine, _, fabric = make_fabric () in
+  let links = arm fabric in
+  C.partition links C.Link_down;
+  let state a b = C.link_state links ~src_site:a ~dst_site:b in
+  Alcotest.(check bool) "cross-region cut" true (state 0 2 = C.Link_down);
+  Alcotest.(check bool) "cut is bidirectional" true (state 3 1 = C.Link_down);
+  Alcotest.(check bool) "intra-region link stays up" true (state 0 1 = C.Link_up);
+  Alcotest.(check bool) "intra-region link stays up (high)" true (state 2 3 = C.Link_up);
   (* 2 sites x 2 sites x both directions. *)
-  Alcotest.(check int) "eight links down" 8 (F.links_down fabric);
-  F.heal fabric;
-  Alcotest.(check int) "heal restores everything" 0 (F.links_down fabric);
-  Alcotest.(check bool) "healed link up" true (state 0 2 = F.Link_up);
+  Alcotest.(check int) "eight links down" 8 (C.links_down links);
+  C.heal links;
+  Alcotest.(check int) "heal restores everything" 0 (C.links_down links);
+  Alcotest.(check bool) "healed link up" true (state 0 2 = C.Link_up);
   (* Downtime accounting: down from t=0 until a heal at 100 ns. *)
-  F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_down;
+  C.set_link_state links ~src_site:0 ~dst_site:1 C.Link_down;
   Sim.Engine.schedule_at engine (ns 100) (fun () ->
-      F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_up);
+      C.set_link_state links ~src_site:0 ~dst_site:1 C.Link_up);
   Sim.Engine.run engine;
-  Alcotest.(check int) "downtime accounted" (ns 100) (F.link_downtime fabric);
-  Alcotest.(check bool) "transitions counted" true (F.link_transitions fabric >= 10)
+  Alcotest.(check int) "downtime accounted" (ns 100) (C.link_downtime links);
+  Alcotest.(check bool) "transitions counted" true (C.link_transitions links >= 10)
 
 (* One inter-site link goes down, then degraded, then up: each
    transition reaches an attached trace buffer with the link's sites,
@@ -148,12 +163,12 @@ let test_link_transitions_traced () =
   let engine, _, fabric = make_fabric () in
   let buf = Obs.Buffer.create ~capacity:16 () in
   Obs.Buffer.attach buf engine;
-  F.enable_outages fabric (Sim.Rng.create 9);
-  let set state () = F.set_link_state fabric ~src_site:1 ~dst_site:2 state in
-  set F.Link_down ();
+  let links = arm fabric in
+  let set state () = C.set_link_state links ~src_site:1 ~dst_site:2 state in
+  set C.Link_down ();
   Sim.Engine.schedule_at engine (ns 10)
-    (set (F.Link_degraded { latency_mult = 4.; drop_prob = 0.25 }));
-  Sim.Engine.schedule_at engine (ns 20) (set F.Link_up);
+    (set (C.Link_degraded { latency_mult = 4.; drop_prob = 0.25 }));
+  Sim.Engine.schedule_at engine (ns 20) (set C.Link_up);
   Sim.Engine.run engine;
   let seen =
     List.map
@@ -203,7 +218,7 @@ let test_exhaustion_then_heal_no_resurrection () =
       retrans_jitter = Sim.Time.zero }
   in
   F.enable_reliability ~params:rel fabric (Sim.Rng.create 6);
-  F.enable_outages fabric (Sim.Rng.create 7);
+  let links = arm fabric in
   let gave_up = ref 0 and handler_attempts = ref 0 and event_attempts = ref 0 in
   F.set_give_up_handler fabric (fun ~src:_ ~dst:_ ~cls:_ ~attempts msg ->
       gave_up := msg;
@@ -213,12 +228,12 @@ let test_exhaustion_then_heal_no_resurrection () =
     | _ -> ());
   let deliveries = ref [] in
   F.set_handler fabric (fun ~dst:_ msg -> deliveries := msg :: !deliveries);
-  F.set_link_state fabric ~src_site:0 ~dst_site:1 F.Link_down;
+  C.set_link_state links ~src_site:0 ~dst_site:1 C.Link_down;
   let src = L.l1d l ~cmp:0 ~proc:0 and dst = L.l2 l ~cmp:1 ~bank:0 in
   (* Frame 1 exhausts its budget (retransmits end by ~1 us) long before
      the heal at 5 us; the heal must not resurrect it. *)
   F.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request ~bytes:8 1;
-  Sim.Engine.schedule_at engine (us 5) (fun () -> F.heal fabric);
+  Sim.Engine.schedule_at engine (us 5) (fun () -> C.heal links);
   Sim.Engine.schedule_at engine (us 6) (fun () ->
       F.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request ~bytes:8 2);
   Sim.Engine.run engine;

@@ -4,10 +4,9 @@
    counts once in [delivered], from the place its delivery would have
    had. The protocol cases pin exactness: every
    token policy, run with parking and again with a pass-through fault
-   injector (once a fault injector, outage model or reliable transport
-   was ever armed, nothing parks, and every copy is scheduled as it
-   always was), must give the same simulated results, with no more
-   events. *)
+   injector (once a fault injector or reliable transport was ever
+   armed, nothing parks, and every copy is scheduled as it always
+   was), must give the same simulated results, with no more events. *)
 
 module F = Interconnect.Fabric
 module L = Interconnect.Layout

@@ -22,10 +22,10 @@
     for confidence intervals (Alameldeen & Wood).
 
     Every fault reaches the fabric through one hook, the fault injector
-    ({!set_fault_injector}): per-copy fault plans, node stalls and link
-    outages (the chaos link table in [Fault.Chaos], which wraps a
-    plan's injector) alike. An opt-in reliable transport retransmits
-    what the injector drops. *)
+    ({!set_fault_injector}): per-copy fault plans, node stalls and the
+    chaos link table of [Fault.Chaos], which wraps a plan's injector,
+    alike. An opt-in reliable transport retransmits what the injector
+    drops. *)
 
 type params = {
   intra_latency : Sim.Time.t;

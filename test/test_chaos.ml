@@ -59,9 +59,10 @@ let make_fabric ?(lay = layout ()) ?(jitter = 0) () =
   let fabric = F.create engine lay params traffic (Sim.Rng.create 1) in
   (engine, lay, fabric)
 
-(* A table with every link up, over an injector that passes everything. *)
-let arm fabric =
-  snd (C.install ~seed:1 ~spec:C.none fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass))
+(* A table with every link up, over [inner] (by default an injector
+   that passes everything). *)
+let arm ?(inner = fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass) fabric =
+  snd (C.install ~seed:1 ~spec:C.none fabric inner)
 
 let test_outage_requires_enable () =
   let arrivals ~armed =
@@ -106,19 +107,28 @@ let test_down_link_drops () =
   Alcotest.(check int) "one link down" 1 (C.links_down links)
 
 let test_degraded_link_latency () =
-  let engine, l, fabric = make_fabric () in
-  let links = arm fabric in
-  C.set_link_state links ~src_site:0 ~dst_site:1
-    (C.Link_degraded { latency_mult = 3.0; drop_prob = 0. });
-  let arrival = ref (-1) in
-  F.set_handler fabric (fun ~dst:_ () -> arrival := Sim.Engine.now engine);
-  F.send_one fabric ~src:(L.l1d l ~cmp:0 ~proc:0) ~dst:(L.l2 l ~cmp:1 ~bank:0)
-    ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
-  Sim.Engine.run engine;
+  (* Arrivals of one copy over a 3x degraded link, under a wrapped
+     injector that answers [verdict] to every copy. *)
+  let arrivals verdict =
+    let engine, l, fabric = make_fabric () in
+    let links = arm ~inner:(fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> verdict) fabric in
+    C.set_link_state links ~src_site:0 ~dst_site:1
+      (C.Link_degraded { latency_mult = 3.0; drop_prob = 0. });
+    let seen = ref [] in
+    F.set_handler fabric (fun ~dst:_ () -> seen := Sim.Engine.now engine :: !seen);
+    F.send_one fabric ~src:(L.l1d l ~cmp:0 ~proc:0) ~dst:(L.l2 l ~cmp:1 ~bank:0)
+      ~cls:Interconnect.Msg_class.Request ~bytes:8 ();
+    Sim.Engine.run engine;
+    List.rev !seen
+  in
   (* Fault-free inter-site arrival for this path is 24625 ps (pinned in
      test_interconnect); a 3x degrade adds 2 extra inter_latency = 40 ns. *)
-  Alcotest.(check int) "degraded latency stacks on the link"
-    (Sim.Time.ps 24_625 + ns 40) !arrival
+  let base = Sim.Time.ps 24_625 in
+  Alcotest.(check (list int)) "degraded latency stacks on the link" [ base + ns 40 ]
+    (arrivals F.Pass);
+  Alcotest.(check (list int)) "and on a plan delay" [ base + ns 45 ] (arrivals (F.Delay (ns 5)));
+  Alcotest.(check (list int)) "a plan duplicate passes un-delayed" [ base; base + ns 7 ]
+    (arrivals (F.Duplicate (ns 7)))
 
 let test_degraded_link_loss () =
   let engine, l, fabric = make_fabric () in

@@ -73,8 +73,9 @@ val effective_margin :
     conditions instead of a static constant.
 
     [p_chaos] wraps a link-outage campaign ({!Chaos.install}) over the
-    fault plan's injector, so every run installs one injector. Hard chaos (down links) on a token target requires
-    [p_recover]; directory targets automatically take the loss-free
+    fault plan's injector, so every run installs one injector. Hard
+    chaos (down links) on a token target requires [p_recover];
+    directory targets automatically take the loss-free
     {!Chaos.brownout_of} rendition, the same discipline as
     {!Spec.delay_only}.
 

@@ -398,15 +398,12 @@ let chaos_cmd =
   in
   let run runs seed jobs tiny duration flaps directory verbose =
     let jobs = resolve_jobs jobs in
-    let base = if flaps > 0 then Fault.Chaos.flaky ~links:flaps () else Fault.Chaos.none in
+    (* Flaps before the cut: causes are scheduled in list order. *)
     let chaos =
-      if duration > 0 then
-        { base with
-          Fault.Chaos.partition_at = Some (Sim.Time.us 5);
-          partition_duration = Sim.Time.us duration }
-      else base
+      (if flaps > 0 then Fault.Chaos.flaky ~links:flaps () else [])
+      @ if duration > 0 then Fault.Chaos.split ~duration:(Sim.Time.us duration) () else []
     in
-    if not (Fault.Chaos.active chaos) then begin
+    if chaos = [] then begin
       print_endline "chaos: nothing to do (no partition, no flaps)";
       exit 0
     end;

@@ -26,8 +26,7 @@ let () =
   let _ = check "flat directory" (Mc.Dir_model.flat d) in
   Printf.printf
     "\nmodel sizes: token substrate %d LoC vs flat directory %d LoC\n"
-    (Mc.Dir_model.model_loc `Token)
-    (Mc.Dir_model.model_loc `Directory);
+    Mc.Model_loc.token Mc.Model_loc.directory;
   print_endline
     "The token models cover every performance policy because policy actions\n\
      (which tokens to move where) are nondeterministic; the directory model\n\

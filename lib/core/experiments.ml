@@ -159,14 +159,12 @@ let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs 
   let dp = Mc.Dir_model.default_params in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
   let rp = Mc.Recovery_model.default_params in
-  let token_loc = Mc.Dir_model.model_loc `Token in
-  let dir_loc = Mc.Dir_model.model_loc `Directory in
-  let rec_loc = Mc.Dir_model.model_loc `Recovery in
+  let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
   [
     check "TokenCMP-safety" (Mc.Token_model.safety tp) token_loc;
     check "TokenCMP-dst" (Mc.Token_model.distributed tp) token_loc;
     check "TokenCMP-arb" (Mc.Token_model.arbiter tp) token_loc;
-    check "TokenCMP-recovery" (Mc.Recovery_model.model rp) rec_loc;
+    check "TokenCMP-recovery" (Mc.Recovery_model.model rp) Mc.Model_loc.recovery;
     check "Flat Directory (2c)" (Mc.Dir_model.flat dp) dir_loc;
     (* one more cache makes the directory's coupled transient states
        blow past the state budget -- the scaling wall of Section 5 *)
@@ -193,8 +191,7 @@ let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1)
      3-cache graph *)
   let dp = { Mc.Dir_model.default_params with Mc.Dir_model.net_cap = 3 } in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
-  let token_loc = Mc.Dir_model.model_loc `Token in
-  let dir_loc = Mc.Dir_model.model_loc `Directory in
+  let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
   [
     check "TokenCMP-dst (2c)" 2 (Mc.Token_model.distributed tp) token_loc;
     check "TokenCMP-dst (3c)" 3 (Mc.Token_model.distributed tp3) token_loc;

@@ -2,125 +2,93 @@ module E = Sim.Engine
 module F = Interconnect.Fabric
 module L = Interconnect.Layout
 
-type burst = {
-  burst_at : Sim.Time.t;
-  burst_duration : Sim.Time.t;
-  burst_drop_prob : float;
-  burst_latency_mult : float;
-}
+type link_state =
+  | Link_up
+  | Link_degraded of { latency_mult : float; drop_prob : float }
+  | Link_down
 
-type spec = {
-  flap_links : int;
-  flap_cycles : int;
-  flap_start : Sim.Time.t;
-  flap_down : Sim.Time.t;
-  flap_period : Sim.Time.t;
-  partition_at : Sim.Time.t option;
-  partition_duration : Sim.Time.t;
-  bursts : burst list;
-  brownout : bool;
-  brownout_mult : float;
-}
-
-let none =
-  {
-    flap_links = 0;
-    flap_cycles = 0;
-    flap_start = Sim.Time.us 2;
-    flap_down = Sim.Time.us 5;
-    flap_period = Sim.Time.us 12;
-    partition_at = None;
-    partition_duration = Sim.Time.zero;
-    bursts = [];
-    brownout = false;
-    brownout_mult = 8.;
-  }
+type held = Pair of int | Cut | Every_link
+type cause = { held : held; from : Sim.Time.t; until : Sim.Time.t; state : link_state }
+type spec = cause list
 
 let flaky ?(links = 1) ?(cycles = 3) ?(start = Sim.Time.us 2) ?(down = Sim.Time.us 5)
     ?(period = Sim.Time.us 12) () =
   if down >= period then invalid_arg "Chaos.flaky: down time must be shorter than the period";
-  { none with flap_links = links; flap_cycles = cycles; flap_start = start;
-    flap_down = down; flap_period = period }
+  List.concat
+    (List.init links (fun i ->
+         List.init cycles (fun c ->
+             let from = start + (c * period) in
+             { held = Pair i; from; until = from + down; state = Link_down })))
 
 let split ?(at = Sim.Time.us 5) ~duration () =
-  { none with partition_at = Some at; partition_duration = duration }
+  [ { held = Cut; from = at; until = at + duration; state = Link_down } ]
 
 let burst_loss () =
-  {
-    none with
-    bursts =
-      [
-        {
-          burst_at = Sim.Time.us 3;
-          burst_duration = Sim.Time.us 4;
-          burst_drop_prob = 0.3;
-          burst_latency_mult = 4.;
-        };
-      ];
-  }
+  [
+    {
+      held = Every_link;
+      from = Sim.Time.us 3;
+      until = Sim.Time.us 7;
+      state = Link_degraded { latency_mult = 4.; drop_prob = 0.3 };
+    };
+  ]
 
-let brownout_of spec = { spec with brownout = true }
+let brownout_of spec =
+  List.map
+    (fun c ->
+      match c.state with
+      | Link_up -> c
+      | Link_down -> { c with state = Link_degraded { latency_mult = 8.; drop_prob = 0. } }
+      | Link_degraded d -> { c with state = Link_degraded { d with drop_prob = 0. } })
+    spec
 
-let active s =
-  (s.flap_links > 0 && s.flap_cycles > 0) || s.partition_at <> None || s.bursts <> []
+let lossy spec =
+  List.exists
+    (fun c ->
+      match c.state with
+      | Link_down -> true
+      | Link_degraded { drop_prob; _ } -> drop_prob > 0.
+      | Link_up -> false)
+    spec
 
-let has_partition s = s.partition_at <> None
-
-(* Longest continuous impairment of any single link — what a liveness
-   watchdog must be willing to wait out on top of recovery latency. *)
-let max_outage s =
-  let flap = if s.flap_links > 0 && s.flap_cycles > 0 then s.flap_down else Sim.Time.zero in
-  let part = match s.partition_at with Some _ -> s.partition_duration | None -> Sim.Time.zero in
-  let burst =
-    List.fold_left (fun acc b -> max acc b.burst_duration) Sim.Time.zero s.bursts
+(* Sweep the causes by start time, growing the current stretch while
+   the next cause starts before it ends. *)
+let max_outage spec =
+  let stretch (best, lo, hi) c =
+    if c.from <= hi then (best, lo, max hi c.until) else (max best (hi - lo), c.from, c.until)
   in
-  max flap (max part burst)
-
-(* Latest scheduled heal — after this the network is whole again and
-   convergence is owed. *)
-let horizon s =
-  let flap =
-    if s.flap_links > 0 && s.flap_cycles > 0 then
-      s.flap_start + ((s.flap_cycles - 1) * s.flap_period) + s.flap_down
-    else Sim.Time.zero
-  in
-  let part =
-    match s.partition_at with Some at -> at + s.partition_duration | None -> Sim.Time.zero
-  in
-  let burst =
-    List.fold_left (fun acc b -> max acc (b.burst_at + b.burst_duration)) Sim.Time.zero
-      s.bursts
-  in
-  max flap (max part burst)
+  let sorted = List.sort (fun a b -> compare a.from b.from) spec in
+  let best, lo, hi = List.fold_left stretch Sim.Time.(zero, zero, zero) sorted in
+  max best (hi - lo)
 
 type stats = {
   mutable flap_downs : int;
   mutable partitions : int;
   mutable heals : int;
   mutable bursts_applied : int;
+  mutable cut_copies : int;
 }
 
-let pp fmt s =
-  let part =
-    match s.partition_at with
-    | Some at ->
-      Format.asprintf " partition@%a+%a" Sim.Time.pp at Sim.Time.pp s.partition_duration
-    | None -> ""
+(* No break hints: the plan stays on one line. *)
+let pp fmt spec =
+  let cause fmt c =
+    Format.fprintf fmt "%s %s %a..%a"
+      (match c.held with Pair i -> Printf.sprintf "pair%d" i | Cut -> "cut" | Every_link -> "all")
+      (match c.state with
+      | Link_up -> "up"
+      | Link_down -> "down"
+      | Link_degraded { latency_mult; drop_prob } ->
+        Printf.sprintf "degraded(%gx,loss=%g)" latency_mult drop_prob)
+      Sim.Time.pp c.from Sim.Time.pp c.until
   in
-  Format.fprintf fmt "flaps=%dx%d%s bursts=%d%s" s.flap_links s.flap_cycles part
-    (List.length s.bursts)
-    (if s.brownout then " brownout" else "")
+  let sep fmt () = Format.pp_print_string fmt "; " in
+  Format.fprintf fmt "[%a]" (Format.pp_print_list ~pp_sep:sep cause) spec
 
 let pp_stats fmt st =
   Format.fprintf fmt "flap-downs=%d partitions=%d heals=%d bursts=%d" st.flap_downs
     st.partitions st.heals st.bursts_applied
 
 (* ---- the link table ---- *)
-
-type link_state =
-  | Link_up
-  | Link_degraded of { latency_mult : float; drop_prob : float }
-  | Link_down
 
 (* One state per ordered site pair. The rng is a dedicated stream
    (degraded-link drop draws only), so arming the table perturbs no
@@ -130,7 +98,9 @@ type links = {
   layout : L.t;
   inter_latency : Sim.Time.t;
   rng : Sim.Rng.t;
+  stats : stats;
   state : link_state array;
+  cut : bool array;  (* held by a [Cut] cause now *)
   down_since : Sim.Time.t array;  (* valid while the link is down *)
   mutable links_down : int;
   mutable downtime : Sim.Time.t;  (* of links already healed *)
@@ -187,24 +157,26 @@ let set_link_state l ~src_site ~dst_site state =
         | Link_up -> Obs.Event.Link_healed { src_site; dst_site })
   end
 
-(* Every link that passes [cut] goes to [state]. *)
-let set_links l cut state =
-  let ncmp = l.layout.L.ncmp in
-  for a = 0 to ncmp - 1 do
-    for b = 0 to ncmp - 1 do
-      if a <> b && cut a b then set_link_state l ~src_site:a ~dst_site:b state
-    done
-  done
+(* The inter-site links (a, b) that pass [keep], in row-major order. *)
+let site_pairs ncmp keep =
+  List.filter
+    (fun (a, b) -> a <> b && keep a b)
+    (List.init (ncmp * ncmp) (fun i -> (i / ncmp, i mod ncmp)))
 
-let partition l state =
-  let half = l.layout.L.ncmp / 2 in
-  set_links l (fun a b -> (a < half) <> (b < half)) state
+let in_cut ncmp a b = (a < ncmp / 2) <> (b < ncmp / 2)
 
-let heal l = set_links l (fun _ _ -> true) Link_up
+let set_links l pairs state =
+  List.iter (fun (a, b) -> set_link_state l ~src_site:a ~dst_site:b state) pairs
 
-let drop l =
-  l.drops <- l.drops + 1;
-  F.Drop
+let partition l state = set_links l (site_pairs l.layout.L.ncmp (in_cut l.layout.L.ncmp)) state
+let heal l = set_links l (site_pairs l.layout.L.ncmp (fun _ _ -> true)) Link_up
+
+(* Verdict [v] on a copy that link [i] lost or delayed; on a link a cut
+   holds the copy is cut traffic. *)
+let hit l i v =
+  if l.cut.(i) then l.stats.cut_copies <- l.stats.cut_copies + 1;
+  (match v with F.Drop -> l.drops <- l.drops + 1 | _ -> ());
+  v
 
 (* The wrapped injector speaks first, so its rng stream sees the same
    offers whether or not the table is armed; the link state then
@@ -212,7 +184,7 @@ let drop l =
    A degraded link's extra latency stacks on a delay; a duplicate's
    second copy rides the link un-delayed (the verdict cannot say
    both). *)
-let arm fabric rng inner =
+let arm fabric rng stats inner =
   let layout = F.layout fabric and engine = F.engine fabric in
   let n = layout.L.ncmp * layout.L.ncmp in
   let l =
@@ -221,7 +193,9 @@ let arm fabric rng inner =
       layout;
       inter_latency = (F.params fabric).F.inter_latency;
       rng;
+      stats;
       state = Array.make n Link_up;
+      cut = Array.make n false;
       down_since = Array.make n Sim.Time.zero;
       links_down = 0;
       downtime = Sim.Time.zero;
@@ -236,14 +210,18 @@ let arm fabric rng inner =
         let src_site = L.cmp_of layout src and dst_site = L.cmp_of layout dst in
         if src_site = dst_site then v
         else
-          match l.state.((src_site * layout.L.ncmp) + dst_site) with
+          let i = (src_site * layout.L.ncmp) + dst_site in
+          match l.state.(i) with
           | Link_up -> v
-          | Link_down -> drop l
+          | Link_down -> hit l i F.Drop
           | Link_degraded { latency_mult; drop_prob } ->
-            if drop_prob > 0. && Sim.Rng.float l.rng 1.0 < drop_prob then drop l
+            if drop_prob > 0. && Sim.Rng.float l.rng 1.0 < drop_prob then hit l i F.Drop
             else if latency_mult > 1.0 then
               let d = Sim.Time.mul_f l.inter_latency (latency_mult -. 1.0) in
-              match v with F.Pass -> F.Delay d | F.Delay d2 -> F.Delay (d + d2) | v -> v
+              match v with
+              | F.Pass -> hit l i (F.Delay d)
+              | F.Delay d2 -> hit l i (F.Delay (d + d2))
+              | v -> v
             else v));
   (match Obs.Registry.of_engine engine with
   | Some registry ->
@@ -256,65 +234,83 @@ let arm fabric rng inner =
   | None -> ());
   l
 
+(* Down beats a degrade; two degrades combine factor by factor. *)
+let worst a b =
+  match (a, b) with
+  | Link_down, _ | _, Link_down -> Link_down
+  | Link_up, s | s, Link_up -> s
+  | Link_degraded x, Link_degraded y ->
+    let latency_mult = Float.max x.latency_mult y.latency_mult in
+    Link_degraded { latency_mult; drop_prob = Float.max x.drop_prob y.drop_prob }
+
 let install ~seed ~spec fabric inner =
-  let stats = { flap_downs = 0; partitions = 0; heals = 0; bursts_applied = 0 } in
+  if List.exists (fun c -> c.until < c.from) spec then
+    invalid_arg "Chaos.install: a cause ends before it starts";
+  let stats =
+    { flap_downs = 0; partitions = 0; heals = 0; bursts_applied = 0; cut_copies = 0 }
+  in
   (* Dedicated chaos stream (same discipline as the crash scheduler):
      installing a plan draws nothing from the protocol's, the fault
      plan's or the fabric's streams, so chaos on/off leaves every other
      draw identical. *)
   let rng = Sim.Rng.create ((seed * 48_271) + 1_013) in
-  let l = arm fabric (Sim.Rng.split rng) inner in
-  let engine = F.engine fabric and ncmp = (F.layout fabric).L.ncmp in
-  let at time f = E.schedule_at engine time f in
+  let l = arm fabric (Sim.Rng.split rng) stats inner in
+  let ncmp = l.layout.L.ncmp in
   if ncmp > 1 then begin
-    let impaired =
-      if spec.brownout then Link_degraded { latency_mult = spec.brownout_mult; drop_prob = 0. }
-      else Link_down
+    let npairs =
+      List.fold_left
+        (fun n c -> match c.held with Pair i -> max n (i + 1) | Cut | Every_link -> n)
+        0 spec
     in
-    for _ = 1 to spec.flap_links do
-      let a = Sim.Rng.int rng ncmp in
-      let b = (a + 1 + Sim.Rng.int rng (ncmp - 1)) mod ncmp in
-      let both state =
-        set_link_state l ~src_site:a ~dst_site:b state;
-        set_link_state l ~src_site:b ~dst_site:a state
-      in
-      for c = 0 to spec.flap_cycles - 1 do
-        let t0 = spec.flap_start + (c * spec.flap_period) in
-        at t0 (fun () ->
-            stats.flap_downs <- stats.flap_downs + 1;
-            both impaired);
-        at (t0 + spec.flap_down) (fun () ->
+    let pairs =
+      Array.init npairs (fun _ ->
+          let a = Sim.Rng.int rng ncmp in
+          (a, (a + 1 + Sim.Rng.int rng (ncmp - 1)) mod ncmp))
+    in
+    let causes = Array.of_list spec in
+    let held =
+      Array.map
+        (fun c ->
+          match c.held with
+          | Pair i ->
+            let a, b = pairs.(i) in
+            [ (a, b); (b, a) ]
+          | Cut -> site_pairs ncmp (in_cut ncmp)
+          | Every_link -> site_pairs ncmp (fun _ _ -> true))
+        causes
+    in
+    let on = Array.make (Array.length causes) false in
+    (* Each link cause [k] holds takes the worst state of the causes
+       holding it now, so a cause that ends lifts only its own hold. *)
+    let refresh k =
+      List.iter
+        (fun (a, b) ->
+          let state = ref Link_up and cut = ref false in
+          Array.iteri
+            (fun j (c : cause) ->
+              if on.(j) && List.mem (a, b) held.(j) then begin
+                state := worst !state c.state;
+                cut := !cut || c.held = Cut
+              end)
+            causes;
+          l.cut.((a * ncmp) + b) <- !cut;
+          set_link_state l ~src_site:a ~dst_site:b !state)
+        held.(k)
+    in
+    let at time f = E.schedule_at l.engine time f in
+    Array.iteri
+      (fun k c ->
+        at c.from (fun () ->
+            (match c.held with
+            | Pair _ -> stats.flap_downs <- stats.flap_downs + 1
+            | Cut -> stats.partitions <- stats.partitions + 1
+            | Every_link -> stats.bursts_applied <- stats.bursts_applied + 1);
+            on.(k) <- true;
+            refresh k);
+        at c.until (fun () ->
             stats.heals <- stats.heals + 1;
-            both Link_up)
-      done
-    done;
-    (match spec.partition_at with
-    | Some t0 ->
-      at t0 (fun () ->
-          stats.partitions <- stats.partitions + 1;
-          partition l impaired);
-      at (t0 + spec.partition_duration) (fun () ->
-          stats.heals <- stats.heals + 1;
-          heal l)
-    | None -> ());
-    List.iter
-      (fun b ->
-        (* Correlated loss: every inter-site link degrades at once. The
-           closing heal is global, by design — bursts model a
-           fabric-wide episode, not a per-link fault. *)
-        let state =
-          Link_degraded
-            {
-              latency_mult = b.burst_latency_mult;
-              drop_prob = (if spec.brownout then 0. else b.burst_drop_prob);
-            }
-        in
-        at b.burst_at (fun () ->
-            stats.bursts_applied <- stats.bursts_applied + 1;
-            set_links l (fun _ _ -> true) state);
-        at (b.burst_at + b.burst_duration) (fun () ->
-            stats.heals <- stats.heals + 1;
-            heal l))
-      spec.bursts
+            on.(k) <- false;
+            refresh k))
+      causes
   end;
   (stats, l)

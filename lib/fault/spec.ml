@@ -73,8 +73,7 @@ let random rng =
 let with_drops ?(tokens = false) ~prob t =
   { t with drop_prob = prob; drop_tokens = tokens }
 
-let with_crashes ?(down = Sim.Time.ns 10_000) ~count t =
-  { t with crashes = count; crash_down = down }
+let with_crashes ~count t = { t with crashes = count; crash_down = Sim.Time.ns 10_000 }
 
 let delay_only t =
   { t with dup_prob = 0.; drop_prob = 0.; drop_tokens = false; duplicate_tokens = false }

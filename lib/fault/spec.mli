@@ -65,9 +65,9 @@ val random : Sim.Rng.t -> t
     allows (unrecoverable, detected) token-carrying drops. *)
 val with_drops : ?tokens:bool -> prob:float -> t -> t
 
-(** Schedule [count] cache crash/restart cycles, each [down] long
-    (default 10 us). Only meaningful for recovery-mode torture runs. *)
-val with_crashes : ?down:Sim.Time.t -> count:int -> t -> t
+(** Schedule [count] cache crash/restart cycles, each 10 us long.
+    Only meaningful for recovery-mode torture runs. *)
+val with_crashes : count:int -> t -> t
 
 (** Restrict to delay/reorder/stall faults — what DirectoryCMP can
     survive, since it has no timeout-driven retry path. *)

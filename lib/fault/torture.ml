@@ -11,36 +11,33 @@ let target_name = function
    repro bundle must capture for a replay to be bit-identical. *)
 type run_params = {
   p_config : Mcmp.Config.t;
-  p_nlocks : int;
-  p_acquires : int;
   p_trace_capacity : int;
-  p_monitor_interval : Sim.Time.t;
-  p_watchdog_interval : Sim.Time.t;
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
   p_recover : bool;
   p_adaptive : bool;
   p_chaos : Chaos.spec option;
-  p_watchdog_margin : float option;
   p_script : Plan.event list option;
 }
 
 let default_params =
   {
     p_config = { Mcmp.Config.tiny with max_events = 20_000_000 };
-    p_nlocks = 4;
-    p_acquires = 30;
     p_trace_capacity = 512;
-    p_monitor_interval = Sim.Time.ns 500;
-    p_watchdog_interval = Sim.Time.ns 20_000;
     p_no_progress_windows = 5;
     p_starvation_bound = Sim.Time.ns 200_000;
     p_recover = false;
     p_adaptive = false;
     p_chaos = None;
-    p_watchdog_margin = None;
     p_script = None;
   }
+
+(* The locking workload every run drives, and the cadences of its
+   invariant monitor and liveness watchdog. *)
+let nlocks = 4
+let acquires = 30
+let monitor_interval = Sim.Time.ns 500
+let watchdog_interval = Sim.Time.ns 20_000
 
 type outcome = {
   seed : int;
@@ -80,15 +77,15 @@ type machine = {
   m_downtime : unit -> Sim.Time.t;
 }
 
-(* Adaptive-timeout configuration for [run ~adaptive]: the fabric RTT
-   estimator's parameters, and the scale mapping its largest per-link
-   RTO to the token recreation timeout. Their product bounds the
-   adaptive recreation wait — what the watchdog must budget for. *)
-let adaptive_rtt_params = Interconnect.Rtt.default_params
+(* The scale mapping the fabric RTT estimator's largest per-link RTO
+   to the token recreation timeout of a [p_adaptive] run. Times the
+   estimator's ceiling it bounds the adaptive recreation wait — what
+   the watchdog must budget for. *)
 let adaptive_recreation_scale = 16.
 
 let adaptive_recreation_ceiling =
-  Sim.Time.mul_f adaptive_rtt_params.Interconnect.Rtt.ceiling adaptive_recreation_scale
+  Sim.Time.mul_f Interconnect.Rtt.default_params.Interconnect.Rtt.ceiling
+    adaptive_recreation_scale
 
 (* The watchdog margin a run actually attaches: the base widened, if
    needed, to out-wait the longest legitimate stall — a full chaos
@@ -126,9 +123,8 @@ let run p target ~spec ~seed =
   if adaptive && not recover then
     invalid_arg "Torture.run: adaptive timeouts ride on the recovery stack";
   (match (target, chaos) with
-  | Token _, Some c when Chaos.active c && (not c.Chaos.brownout) && not recover ->
-    invalid_arg
-      "Torture.run: hard chaos (down links) on a token target requires recovery mode"
+  | Token _, Some c when Chaos.lossy c && not recover ->
+    invalid_arg "Torture.run: lossy chaos on a token target requires recovery mode"
   | _ -> ());
   let config = p.p_config in
   let layout = Mcmp.Config.layout config in
@@ -151,7 +147,7 @@ let run p target ~spec ~seed =
      its downtime is read when the run ends. *)
   let install_faults fab inject chaos =
     match chaos with
-    | Some c when Chaos.active c ->
+    | Some (_ :: _ as c) ->
       let stats, links = Chaos.install ~seed ~spec:c fab inject in
       (Some stats, fun () -> Chaos.link_downtime links)
     | _ ->
@@ -194,7 +190,7 @@ let run p target ~spec ~seed =
                       };
                 });
           if adaptive then begin
-            F.enable_adaptive_timeouts ~params:adaptive_rtt_params fab;
+            F.enable_adaptive_timeouts fab;
             i.Token.Protocol.i_set_recreation_source
               (Some
                  (fun () -> Sim.Time.mul_f (F.max_rto fab) adaptive_recreation_scale))
@@ -246,14 +242,11 @@ let run p target ~spec ~seed =
     handle
   in
   let the_machine () = match !machine with Some m -> m | None -> assert false in
-  let base_margin =
-    match p.p_watchdog_margin with Some m -> m | None -> if recover then 2.5 else 1.0
-  in
   let margin =
-    effective_margin ~base:base_margin ~recover ~adaptive ?chaos
-      ~watchdog_interval:p.p_watchdog_interval
-      ~no_progress_windows:p.p_no_progress_windows
-      ~starvation_bound:p.p_starvation_bound ()
+    effective_margin
+      ~base:(if recover then 2.5 else 1.0)
+      ~recover ~adaptive ?chaos ~watchdog_interval
+      ~no_progress_windows:p.p_no_progress_windows ~starvation_bound:p.p_starvation_bound ()
   in
   let running = ref (fun () -> true) and monitor = ref None in
   let on_start engine ~running:is_running =
@@ -279,17 +272,17 @@ let run p target ~spec ~seed =
     end;
     monitor :=
       Some
-        (Monitor.attach engine ~probe:m.m_probe ~plan ~interval:p.p_monitor_interval
+        (Monitor.attach engine ~probe:m.m_probe ~plan ~interval:monitor_interval
            ~running:is_running ~report:(report engine));
     ignore
       (Watchdog.attach ~margin engine ~probe:m.m_probe ~counters:m.m_counters
-         ~interval:p.p_watchdog_interval ~no_progress_windows:p.p_no_progress_windows
+         ~interval:watchdog_interval ~no_progress_windows:p.p_no_progress_windows
          ~starvation_bound:p.p_starvation_bound ~running:is_running ~report:(report engine)
          ~on_stall:(fun () -> E.stop engine))
   in
   let lcfg =
-    { (Workload.Locking.default ~nlocks:p.p_nlocks) with
-      acquires = p.p_acquires;
+    { (Workload.Locking.default ~nlocks) with
+      acquires;
       warmup_acquires = 5
     }
   in
@@ -365,8 +358,9 @@ let verdict o =
   (* A partitioned run that fails to finish is a livelock — the network
      healed (every partition schedules its heal) and convergence was
      owed; one that retires everything violation-free genuinely
-     survived the partition. *)
-  let partitioned = match o.chaos with Some s -> s.Chaos.partitions > 0 | None -> false in
+     survived the partition. A cut that dropped or delayed no copy
+     partitioned nothing. *)
+  let partitioned = match o.chaos with Some s -> s.Chaos.cut_copies > 0 | None -> false in
   if corrupted o then
     if has_invariant o then Detected
     else Failed "token-minting duplicate was injected but no invariant violation reported"

@@ -25,10 +25,10 @@ val token_targets : target list
     budget for it. *)
 val adaptive_recreation_ceiling : Sim.Time.t
 
-(** The watchdog margin a run actually attaches: [base] (the
-    [p_watchdog_margin] recipe field or its default) widened, if needed, so
-    the scaled no-progress and starvation bounds out-wait the longest
-    legitimate stall — the chaos plan's {!Chaos.max_outage} plus
+(** The watchdog margin a run actually attaches: [base] (2.5 in
+    recovery mode, 1.0 otherwise) widened, if needed, so the scaled
+    no-progress and starvation bounds out-wait the longest legitimate
+    stall — the chaos plan's {!Chaos.max_outage} plus
     {!Token.Recovery.worst_case_latency}, the latter computed against
     {!adaptive_recreation_ceiling} when [adaptive] (not the static
     recreation constant an adaptive run no longer uses). Exposed so
@@ -49,11 +49,12 @@ val effective_margin :
     serializes so a replay re-runs the same simulation.
 
     [p_config] is the machine, and its [max_events] the run's event
-    cap. [p_nlocks] and [p_acquires] shape the locking workload.
-    [p_trace_capacity] sizes the event ring the evidence trace comes
-    from. [p_monitor_interval] is the invariant {!Monitor}'s cadence;
-    [p_watchdog_interval], [p_no_progress_windows] and
-    [p_starvation_bound] configure the liveness {!Watchdog}.
+    cap. [p_trace_capacity] sizes the event ring the evidence trace
+    comes from. [p_no_progress_windows] and [p_starvation_bound]
+    configure the liveness {!Watchdog}. Every run drives the same
+    locking workload (4 locks, 30 acquires after 5 warm-up ones) under
+    an invariant {!Monitor} that checks every 500 ns and a watchdog
+    whose progress window is 20 us.
 
     [p_recover] (token targets only; [Invalid_argument] on directory
     targets) arms the full recovery stack: the protocol's token
@@ -72,17 +73,16 @@ val effective_margin :
     by a fixed factor, so recreation waits track observed network
     conditions instead of a static constant.
 
-    [p_chaos] wraps a link-outage campaign ({!Chaos.install}) over the
-    fault plan's injector, so every run installs one injector. Hard
-    chaos (down links) on a token target requires [p_recover];
-    directory targets automatically take the loss-free
-    {!Chaos.brownout_of} rendition, the same discipline as
-    {!Spec.delay_only}.
+    [p_chaos] is a list of link-outage causes ({!Chaos.spec}) whose
+    link table ({!Chaos.install}) wraps the fault plan's injector, so
+    every run installs one injector. A {!Chaos.lossy} plan on a token
+    target requires [p_recover]; directory targets automatically take
+    the loss-free {!Chaos.brownout_of} rendition, the same discipline
+    as {!Spec.delay_only}.
 
-    [p_watchdog_margin] overrides the {e base} {!Watchdog.attach}
-    margin (default 2.5 in recovery mode, 1.0 otherwise). The margin
-    actually attached is then widened, if needed, to out-wait the
-    longest legitimate stall: the chaos plan's {!Chaos.max_outage}
+    The {!Watchdog.attach} margin is 2.5 in recovery mode and 1.0
+    otherwise, widened by {!effective_margin}, if needed, to out-wait
+    the longest legitimate stall: the chaos plan's {!Chaos.max_outage}
     plus {!Token.Recovery.worst_case_latency} — computed against the
     adaptive recreation source's {e ceiling} when [p_adaptive] is set,
     not the static constant it replaced.
@@ -93,22 +93,18 @@ val effective_margin :
     candidate evaluation path. *)
 type run_params = {
   p_config : Mcmp.Config.t;
-  p_nlocks : int;
-  p_acquires : int;
   p_trace_capacity : int;
-  p_monitor_interval : Sim.Time.t;
-  p_watchdog_interval : Sim.Time.t;
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
   p_recover : bool;
   p_adaptive : bool;
   p_chaos : Chaos.spec option;
-  p_watchdog_margin : float option;
   p_script : Plan.event list option;
 }
 
-(** Tiny config with a 20M-event cap, 4 locks, 30 acquires (5 of them
-    warm-up), a 512-event trace ring, no recovery, chaos or script. *)
+(** Tiny config with a 20M-event cap, a 512-event trace ring, 5
+    no-progress windows, a 200 us starvation bound, and no recovery,
+    chaos or script. *)
 val default_params : run_params
 
 type outcome = {
@@ -139,7 +135,7 @@ type outcome = {
       (** recovery-layer activity; [Some] only for recovery-mode runs *)
   retransmits : int;  (** reliable-transport retransmissions (recovery mode) *)
   chaos : Chaos.stats option;
-      (** link-outage campaign counters; [Some] only when an active
+      (** link-outage campaign counters; [Some] only when a non-empty
           chaos plan was installed *)
   link_downtime : Sim.Time.t;
       (** the chaos link table's {!Chaos.link_downtime}, read when the
@@ -165,15 +161,17 @@ val run : run_params -> target -> spec:Spec.t -> seed:int -> outcome
 
     - [Clean]: completed, nothing to report;
     - [Survived_partition]: clean {e and} the run rode out at least one
-      region partition — every request retired after the heal with zero
-      violations;
+      region partition that cut traffic ({!Chaos.stats}[.cut_copies]
+      > 0) — every request retired after the heal with zero
+      violations; a cut that held no copy reads [Clean];
     - [Detected]: an injected unsurvivable fault (token-carrying drop,
       token-minting duplicate) was correctly caught and reported;
     - [Failed _]: a genuine robustness bug — an invariant broke under
       survivable faults, a liveness failure without an unsurvivable
       fault, an unsurvivable fault that went unreported, a silent hang,
-      or (under a partition, whose heal is always scheduled) a livelock
-      that failed to converge after the network healed. *)
+      or (under a partition that cut traffic, whose heal is always
+      scheduled) a livelock that failed to converge after the network
+      healed. *)
 type verdict = Clean | Survived_partition | Detected | Failed of string
 
 val verdict : outcome -> verdict

@@ -2,7 +2,7 @@ module J = Tcjson
 module T = Fault.Torture
 module MC = Interconnect.Msg_class
 
-let schema_version = 1
+let schema_version = 2
 let kind_tag = "tokencmp-repro"
 
 type digest = {
@@ -78,26 +78,21 @@ let spec_to_json (s : Fault.Spec.t) =
       ("crashes", J.Int s.Fault.Spec.crashes);
       ("crash_down_ps", J.Int s.Fault.Spec.crash_down) ]
 
-let burst_to_json (b : Fault.Chaos.burst) =
+let cause_to_json (c : Fault.Chaos.cause) =
   J.Obj
-    [ ("at_ps", J.Int b.Fault.Chaos.burst_at);
-      ("duration_ps", J.Int b.Fault.Chaos.burst_duration);
-      ("drop_prob", J.Float b.Fault.Chaos.burst_drop_prob);
-      ("latency_mult", J.Float b.Fault.Chaos.burst_latency_mult) ]
-
-let chaos_to_json (c : Fault.Chaos.spec) =
-  J.Obj
-    [ ("flap_links", J.Int c.Fault.Chaos.flap_links);
-      ("flap_cycles", J.Int c.Fault.Chaos.flap_cycles);
-      ("flap_start_ps", J.Int c.Fault.Chaos.flap_start);
-      ("flap_down_ps", J.Int c.Fault.Chaos.flap_down);
-      ("flap_period_ps", J.Int c.Fault.Chaos.flap_period);
-      ("partition_at_ps",
-       match c.Fault.Chaos.partition_at with None -> J.Null | Some t -> J.Int t);
-      ("partition_duration_ps", J.Int c.Fault.Chaos.partition_duration);
-      ("bursts", J.List (List.map burst_to_json c.Fault.Chaos.bursts));
-      ("brownout", J.Bool c.Fault.Chaos.brownout);
-      ("brownout_mult", J.Float c.Fault.Chaos.brownout_mult) ]
+    ((match c.Fault.Chaos.held with
+     | Fault.Chaos.Pair i -> [ ("held", J.String "pair"); ("pair", J.Int i) ]
+     | Fault.Chaos.Cut -> [ ("held", J.String "cut") ]
+     | Fault.Chaos.Every_link -> [ ("held", J.String "every-link") ])
+    @ [ ("from_ps", J.Int c.Fault.Chaos.from); ("until_ps", J.Int c.Fault.Chaos.until) ]
+    @
+    match c.Fault.Chaos.state with
+    | Fault.Chaos.Link_up -> [ ("state", J.String "up") ]
+    | Fault.Chaos.Link_down -> [ ("state", J.String "down") ]
+    | Fault.Chaos.Link_degraded { latency_mult; drop_prob } ->
+      [ ("state", J.String "degraded");
+        ("latency_mult", J.Float latency_mult);
+        ("drop_prob", J.Float drop_prob) ])
 
 (* The CLI exposes exactly two machine shapes; the bundle records which
    base the run used plus the three shape dimensions the shrinker is
@@ -147,19 +142,14 @@ let event_to_json (e : Fault.Plan.event) =
 let params_to_json (p : T.run_params) =
   J.Obj
     [ ("config", config_to_json p.T.p_config);
-      ("nlocks", J.Int p.T.p_nlocks);
-      ("acquires", J.Int p.T.p_acquires);
       ("trace_capacity", J.Int p.T.p_trace_capacity);
-      ("monitor_interval_ps", J.Int p.T.p_monitor_interval);
-      ("watchdog_interval_ps", J.Int p.T.p_watchdog_interval);
       ("no_progress_windows", J.Int p.T.p_no_progress_windows);
       ("starvation_bound_ps", J.Int p.T.p_starvation_bound);
       ("max_events", J.Int p.T.p_config.Mcmp.Config.max_events);
       ("recover", J.Bool p.T.p_recover);
       ("adaptive", J.Bool p.T.p_adaptive);
-      ("chaos", match p.T.p_chaos with None -> J.Null | Some c -> chaos_to_json c);
-      ("watchdog_margin",
-       match p.T.p_watchdog_margin with None -> J.Null | Some m -> J.Float m);
+      ("chaos",
+       match p.T.p_chaos with None -> J.Null | Some c -> J.List (List.map cause_to_json c));
       ("script",
        match p.T.p_script with
        | None -> J.Null
@@ -251,30 +241,24 @@ let spec_of_json j : Fault.Spec.t =
     crash_down = get_int j "crash_down_ps";
   }
 
-let burst_of_json j : Fault.Chaos.burst =
+let cause_of_json j : Fault.Chaos.cause =
   {
-    burst_at = get_int j "at_ps";
-    burst_duration = get_int j "duration_ps";
-    burst_drop_prob = get_float j "drop_prob";
-    burst_latency_mult = get_float j "latency_mult";
-  }
-
-let chaos_of_json j : Fault.Chaos.spec =
-  {
-    flap_links = get_int j "flap_links";
-    flap_cycles = get_int j "flap_cycles";
-    flap_start = get_int j "flap_start_ps";
-    flap_down = get_int j "flap_down_ps";
-    flap_period = get_int j "flap_period_ps";
-    partition_at =
-      (match field j "partition_at_ps" with
-      | J.Null -> None
-      | J.Int t -> Some t
-      | _ -> fail "partition_at_ps: expected int or null");
-    partition_duration = get_int j "partition_duration_ps";
-    bursts = List.map burst_of_json (get_list j "bursts");
-    brownout = get_bool j "brownout";
-    brownout_mult = get_float j "brownout_mult";
+    held =
+      (match get_string j "held" with
+      | "pair" -> Fault.Chaos.Pair (get_int j "pair")
+      | "cut" -> Fault.Chaos.Cut
+      | "every-link" -> Fault.Chaos.Every_link
+      | h -> fail "unknown held links %S" h);
+    from = get_int j "from_ps";
+    until = get_int j "until_ps";
+    state =
+      (match get_string j "state" with
+      | "up" -> Fault.Chaos.Link_up
+      | "down" -> Fault.Chaos.Link_down
+      | "degraded" ->
+        Fault.Chaos.Link_degraded
+          { latency_mult = get_float j "latency_mult"; drop_prob = get_float j "drop_prob" }
+      | st -> fail "unknown link state %S" st);
   }
 
 let config_of_json j =
@@ -308,23 +292,16 @@ let params_of_json j : T.run_params =
     p_config =
       { (config_of_json (field j "config")) with
         Mcmp.Config.max_events = get_int j "max_events" };
-    p_nlocks = get_int j "nlocks";
-    p_acquires = get_int j "acquires";
     p_trace_capacity = get_int j "trace_capacity";
-    p_monitor_interval = get_int j "monitor_interval_ps";
-    p_watchdog_interval = get_int j "watchdog_interval_ps";
     p_no_progress_windows = get_int j "no_progress_windows";
     p_starvation_bound = get_int j "starvation_bound_ps";
     p_recover = get_bool j "recover";
     p_adaptive = get_bool j "adaptive";
     p_chaos =
-      (match field j "chaos" with J.Null -> None | c -> Some (chaos_of_json c));
-    p_watchdog_margin =
-      (match field j "watchdog_margin" with
+      (match field j "chaos" with
       | J.Null -> None
-      | J.Float m -> Some m
-      | J.Int m -> Some (float_of_int m)
-      | _ -> fail "watchdog_margin: expected float or null");
+      | J.List causes -> Some (List.map cause_of_json causes)
+      | _ -> fail "chaos: expected list or null");
     p_script =
       (match field j "script" with
       | J.Null -> None

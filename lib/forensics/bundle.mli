@@ -1,10 +1,10 @@
 (** Repro bundles: the complete recipe of one torture run — target,
-    machine shape, workload knobs, seed, fault/chaos specs, recovery +
-    adaptive flags, and (for shrunk bundles) an explicit scripted fault
-    schedule — plus a digest of the recorded outcome, serialized to
-    schema-versioned JSON. A bundle is everything `tokencmp replay`
-    needs to re-run the simulation deterministically and check that the
-    recorded verdict reproduces bit-identically.
+    machine shape, seed, fault/chaos specs, recovery + adaptive flags,
+    and (for shrunk bundles) an explicit scripted fault schedule — plus
+    a digest of the recorded outcome, serialized to schema-versioned
+    JSON. A bundle is everything `tokencmp replay` needs to re-run the
+    simulation deterministically and check that the recorded verdict
+    reproduces bit-identically.
 
     Machine-shape caveat: only the two CLI bases ("tiny"/"default")
     plus the three shape dimensions the shrinker cuts (ncmp,

@@ -53,12 +53,6 @@ type 'msg rel = {
     (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) option;
 }
 
-(* Adaptive-timeout state: one RTT estimator per ordered site pair
-   (diagonal = on-chip traffic), fed with every observed delivery
-   latency; the reliable transport's backoff base becomes the link's
-   current RTO instead of the fixed [retrans_timeout]. *)
-type adaptive = { a_params : Rtt.params; a_est : Rtt.t array }
-
 (* A pooled delivery: one preallocated cell per concurrently in-flight
    message copy, each carrying a closure allocated once at cell
    creation. Scheduling a delivery fills the mutable fields and hands
@@ -139,7 +133,11 @@ type 'msg t = {
   mutable last_port_wait : Sim.Time.t;
   mutable last_link_wait : Sim.Time.t;
   mutable rel : 'msg rel option;
-  mutable adaptive : adaptive option;
+  (* Adaptive timeouts: one RTT estimator per ordered site pair
+     (diagonal = on-chip traffic), fed with every observed delivery
+     latency; the reliable transport's backoff base becomes the link's
+     current RTO instead of the fixed [retrans_timeout]. *)
+  mutable adaptive : Rtt.t array option;
 }
 
 (* The copy ring's slot mask, and the first int of position [p]. *)
@@ -373,9 +371,9 @@ let acquire_cell t ~src ~dst ~cls msg =
 
 let schedule_delivery t ~src ~cls time dst msg =
   (match t.adaptive with
-  | Some a ->
+  | Some est ->
     let i = link_index t ~src_site:t.cmp_arr.(src) ~dst_site:t.cmp_arr.(dst) in
-    Rtt.observe a.a_est.(i) (max 0 (time - Sim.Engine.now t.engine))
+    Rtt.observe est.(i) (max 0 (time - Sim.Engine.now t.engine))
   | None -> ());
   let c = acquire_cell t ~src ~dst ~cls msg in
   Sim.Engine.schedule_at t.engine time c.c_thunk
@@ -475,8 +473,8 @@ let rel_backoff t rel ~src ~dst ~attempt =
   let base =
     match t.adaptive with
     | None -> rel.rp.retrans_timeout
-    | Some a ->
-      Rtt.rto a.a_est.(link_index t ~src_site:t.cmp_arr.(src) ~dst_site:t.cmp_arr.(dst))
+    | Some est ->
+      Rtt.rto est.(link_index t ~src_site:t.cmp_arr.(src) ~dst_site:t.cmp_arr.(dst))
   in
   let rec pow acc n = if n <= 0 then acc else pow (acc * rel.rp.retrans_backoff) (n - 1) in
   let jitter =
@@ -593,19 +591,19 @@ let retransmits t = match t.rel with Some r -> r.r_retransmits | None -> 0
 let absorbed_duplicates t = match t.rel with Some r -> r.r_absorbed | None -> 0
 let retrans_exhausted t = match t.rel with Some r -> r.r_exhausted | None -> 0
 
-let enable_adaptive_timeouts ?(params = Rtt.default_params) t =
+let enable_adaptive_timeouts t =
   if t.rel = None then
     invalid_arg "Fabric.enable_adaptive_timeouts: reliability not enabled";
   let n = t.layout.Layout.ncmp * t.layout.Layout.ncmp in
-  let a = { a_params = params; a_est = Array.init n (fun _ -> Rtt.create params) } in
-  t.adaptive <- Some a;
+  let est = Array.init n (fun _ -> Rtt.create Rtt.default_params) in
+  t.adaptive <- Some est;
   match Obs.Registry.of_engine t.engine with
   | Some registry ->
     let module R = Obs.Registry in
     R.register_float registry "fabric.rto_max_ns" (fun () ->
-        Array.fold_left (fun acc e -> Float.max acc (Sim.Time.to_ns (Rtt.rto e))) 0. a.a_est);
+        Array.fold_left (fun acc e -> Float.max acc (Sim.Time.to_ns (Rtt.rto e))) 0. est);
     R.register_int registry "fabric.rtt_samples" (fun () ->
-        Array.fold_left (fun acc e -> acc + Rtt.samples e) 0 a.a_est)
+        Array.fold_left (fun acc e -> acc + Rtt.samples e) 0 est)
   | None -> ()
 
 let adaptive t = t.adaptive <> None
@@ -613,15 +611,15 @@ let adaptive t = t.adaptive <> None
 let rto t ~src_site ~dst_site =
   match t.adaptive with
   | None -> invalid_arg "Fabric.rto: adaptive timeouts not enabled"
-  | Some a ->
+  | Some est ->
     check_site t "rto" src_site;
     check_site t "rto" dst_site;
-    Rtt.rto a.a_est.(link_index t ~src_site ~dst_site)
+    Rtt.rto est.(link_index t ~src_site ~dst_site)
 
 let max_rto t =
   match t.adaptive with
   | None -> invalid_arg "Fabric.max_rto: adaptive timeouts not enabled"
-  | Some a -> Array.fold_left (fun acc e -> max acc (Rtt.rto e)) 0 a.a_est
+  | Some est -> Array.fold_left (fun acc e -> max acc (Rtt.rto e)) 0 est
 
 (* Per-copy charging shared by [send_set] and [send_one]. A copy to a
    node on the sender's own site takes one hop: across the on-chip

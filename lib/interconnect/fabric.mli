@@ -129,7 +129,7 @@ val retrans_exhausted : 'msg t -> int
     reliability stream produces. Registers [fabric.rto_max_ns] /
     [fabric.rtt_samples] samplers when the engine carries a registry.
     @raise Invalid_argument if reliability is not enabled. *)
-val enable_adaptive_timeouts : ?params:Rtt.params -> 'msg t -> unit
+val enable_adaptive_timeouts : 'msg t -> unit
 
 val adaptive : 'msg t -> bool
 

@@ -632,29 +632,3 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
   end)
 
 let flat p = (flat_sym p :> (module Explore.MODEL))
-
-let fallback_loc = function `Token -> 330 | `Directory -> 390 | `Recovery -> 280
-
-let model_loc which =
-  let file =
-    match which with
-    | `Token -> "lib/mc/token_model.ml"
-    | `Directory -> "lib/mc/dir_model.ml"
-    | `Recovery -> "lib/mc/recovery_model.ml"
-  in
-  let count path =
-    let ic = open_in path in
-    let n = ref 0 in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && not (String.length line >= 2 && String.sub line 0 2 = "(*") then incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
-  in
-  let candidates = [ file; Filename.concat ".." file; Filename.concat "../.." file ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> ( try count path with Sys_error _ -> fallback_loc which)
-  | None -> fallback_loc which

@@ -30,7 +30,3 @@ val flat_sym : params -> (module Explore.MODEL with type state = state)
 val movable : params -> int list
 val apply_perm : params -> (int -> int) -> state -> state
 val canonicalize : params -> state -> state
-
-(** Non-comment source lines of the given model implementations, the
-    rough complexity metric the paper reports for its TLA+ specs. *)
-val model_loc : [ `Token | `Directory | `Recovery ] -> int

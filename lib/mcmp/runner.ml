@@ -85,10 +85,3 @@ let uncapped r =
       (Printf.sprintf "Runner.run: seed %d stopped at the event cap after %d events" r.seed
          r.events)
   | Finished | Unfinished -> r
-
-let run_seeds ?(config = Config.default) builder ~programs ~seeds =
-  let results =
-    List.map (fun seed -> uncapped (run ~config builder ~programs:(programs ~seed) ~seed)) seeds
-  in
-  let runtimes = List.map (fun r -> Sim.Time.to_ns r.runtime) results in
-  (Sim.Stat.Summary.of_list runtimes, results)

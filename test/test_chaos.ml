@@ -59,10 +59,10 @@ let make_fabric ?(lay = layout ()) ?(jitter = 0) () =
   let fabric = F.create engine lay params traffic (Sim.Rng.create 1) in
   (engine, lay, fabric)
 
-(* A table with every link up, over [inner] (by default an injector
-   that passes everything). *)
-let arm ?(inner = fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass) fabric =
-  snd (C.install ~seed:1 ~spec:C.none fabric inner)
+(* A table running [spec] (by default none: every link up), over
+   [inner] (by default an injector that passes everything). *)
+let arm ?(inner = fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass) ?(spec = []) fabric =
+  snd (C.install ~seed:1 ~spec fabric inner)
 
 let test_outage_requires_enable () =
   let arrivals ~armed =
@@ -301,21 +301,106 @@ let test_reliability_wide_destsets () =
 (* ---- chaos plans ---- *)
 
 let test_chaos_spec () =
-  Alcotest.(check bool) "none is inactive" false (Fault.Chaos.active Fault.Chaos.none);
   let s = Fault.Chaos.split ~at:(us 5) ~duration:(us 50) () in
-  Alcotest.(check bool) "split is active" true (Fault.Chaos.active s);
-  Alcotest.(check bool) "split partitions" true (Fault.Chaos.has_partition s);
   Alcotest.(check int) "max outage is the partition" (us 50) (Fault.Chaos.max_outage s);
-  Alcotest.(check int) "horizon is the heal" (us 55) (Fault.Chaos.horizon s);
   let f = Fault.Chaos.flaky ~links:2 ~cycles:3 ~start:(us 2) ~down:(us 5) ~period:(us 12) () in
+  Alcotest.(check int) "one cause per pair and cycle" 6 (List.length f);
   Alcotest.(check int) "flap outage" (us 5) (Fault.Chaos.max_outage f);
-  Alcotest.(check int) "flap horizon" (us 31) (Fault.Chaos.horizon f);
+  (* The CLI's default plan with a 25 us cut: flaps at 2-7, 14-19 and
+     26-31 us around the cut at 5-30 us, a 2-31 us union. *)
+  let ci = Fault.Chaos.flaky () @ Fault.Chaos.split ~duration:(us 25) () in
+  Alcotest.(check int) "stacked causes outage is their union" (us 29)
+    (Fault.Chaos.max_outage ci);
   Alcotest.(check bool) "down >= period rejected" true
     (match Fault.Chaos.flaky ~down:(us 12) ~period:(us 12) () with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  Alcotest.(check bool) "a cut is lossy" true (Fault.Chaos.lossy s);
+  Alcotest.(check bool) "burst loss is lossy" true
+    (Fault.Chaos.lossy (Fault.Chaos.burst_loss ()));
   let b = Fault.Chaos.brownout_of (Fault.Chaos.burst_loss ()) in
-  Alcotest.(check bool) "brownout flag" true b.Fault.Chaos.brownout
+  Alcotest.(check bool) "brownout flag" true (not (Fault.Chaos.lossy b))
+
+(* [spec] armed on [lay]; returns each listed link's state at each
+   probe time. *)
+let states_over ?(lay = layout ()) spec ~links ~times =
+  let engine, _, fabric = make_fabric ~lay () in
+  let table = arm ~spec fabric in
+  let seen = ref [] in
+  List.iter
+    (fun t ->
+      Sim.Engine.schedule_at engine t (fun () ->
+          List.iter
+            (fun (a, b) ->
+              seen := (t, a, b, C.link_state table ~src_site:a ~dst_site:b) :: !seen)
+            links))
+    times;
+  Sim.Engine.run engine;
+  (List.rev !seen, table)
+
+let state_name = function
+  | C.Link_up -> "up"
+  | C.Link_down -> "down"
+  | C.Link_degraded { latency_mult; drop_prob } ->
+    Printf.sprintf "degraded(%g,%g)" latency_mult drop_prob
+
+let check_states msg want got =
+  Alcotest.(check (list (pair (pair int (pair int int)) string)))
+    msg want
+    (List.map (fun (t, a, b, st) -> ((t, (a, b)), state_name st)) got)
+
+(* On 2 sites the one flapping pair is the pair the cut holds. The
+   flap's heal at 7 us falls inside the 5-30 us cut and must leave
+   both directions down until the cut ends. *)
+let test_flap_heal_inside_partition () =
+  let two = L.create ~ncmp:2 ~procs_per_cmp:2 ~banks_per_cmp:2 in
+  let spec =
+    Fault.Chaos.flaky ~cycles:1 ~start:(us 2) ~down:(us 5) ()
+    @ Fault.Chaos.split ~at:(us 5) ~duration:(us 25) ()
+  in
+  let seen, table =
+    states_over ~lay:two spec ~links:[ (0, 1); (1, 0) ] ~times:[ us 6; us 8; us 31 ]
+  in
+  check_states "the pair stays cut after the flap heals"
+    [ ((us 6, (0, 1)), "down"); ((us 6, (1, 0)), "down");
+      ((us 8, (0, 1)), "down"); ((us 8, (1, 0)), "down");
+      ((us 31, (0, 1)), "up"); ((us 31, (1, 0)), "up") ]
+    seen;
+  Alcotest.(check int) "2 links x 2-30 us" (us 56) (C.link_downtime table);
+  Alcotest.(check int) "one down and one up per link" 4 (C.link_transitions table)
+
+(* A burst degrades every link from 3 to 7 us inside a 1-11 us cut:
+   the cut links stay down throughout, and the burst's end lifts only
+   the links the cut does not hold. *)
+let test_burst_heal_inside_partition () =
+  let spec = Fault.Chaos.burst_loss () @ Fault.Chaos.split ~at:(us 1) ~duration:(us 10) () in
+  let seen, _ =
+    states_over spec ~links:[ (0, 2); (3, 1); (0, 1); (3, 2) ] ~times:[ us 4; us 8; us 12 ]
+  in
+  let burst = "degraded(4,0.3)" in
+  check_states "the burst's end leaves the cut in place"
+    [ ((us 4, (0, 2)), "down"); ((us 4, (3, 1)), "down");
+      ((us 4, (0, 1)), burst); ((us 4, (3, 2)), burst);
+      ((us 8, (0, 2)), "down"); ((us 8, (3, 1)), "down");
+      ((us 8, (0, 1)), "up"); ((us 8, (3, 2)), "up");
+      ((us 12, (0, 2)), "up"); ((us 12, (3, 1)), "up");
+      ((us 12, (0, 1)), "up"); ((us 12, (3, 2)), "up") ]
+    seen
+
+(* Two degrades on one link combine into the larger latency factor and
+   the larger loss, whichever cause brings each. *)
+let test_degradations_combine () =
+  let degraded latency_mult drop_prob = C.Link_degraded { latency_mult; drop_prob } in
+  let spec =
+    [ { C.held = C.Every_link; from = us 1; until = us 10; state = degraded 4. 0.1 };
+      { C.held = C.Cut; from = us 2; until = us 5; state = degraded 2. 0.5 } ]
+  in
+  let seen, _ = states_over spec ~links:[ (0, 2); (0, 1) ] ~times:[ us 3; us 6; us 11 ] in
+  check_states "factor by factor"
+    [ ((us 3, (0, 2)), "degraded(4,0.5)"); ((us 3, (0, 1)), "degraded(4,0.1)");
+      ((us 6, (0, 2)), "degraded(4,0.1)"); ((us 6, (0, 1)), "degraded(4,0.1)");
+      ((us 11, (0, 2)), "up"); ((us 11, (0, 1)), "up") ]
+    seen
 
 let recovering = { Fault.Torture.default_params with Fault.Torture.p_recover = true }
 let adaptive = { recovering with Fault.Torture.p_adaptive = true }
@@ -381,6 +466,26 @@ let test_partition_survival () =
       (o.Fault.Torture.link_downtime > Sim.Time.zero)
   done
 
+(* A cut that holds no copy partitioned nothing: a zero-length one is
+   scheduled and counted, but the run reads clean. *)
+let test_hollow_cut_is_clean () =
+  let o =
+    Fault.Torture.run
+      { recovering with
+        Fault.Torture.p_chaos = Some (Fault.Chaos.split ~at:(us 3) ~duration:0 ())
+      }
+      (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.none ~seed:1
+  in
+  (match o.Fault.Torture.chaos with
+  | Some s ->
+    Alcotest.(check int) "the cut was scheduled" 1 s.Fault.Chaos.partitions;
+    Alcotest.(check int) "and held no copy" 0 s.Fault.Chaos.cut_copies
+  | None -> Alcotest.fail "chaos stats missing");
+  Alcotest.(check int) "no downtime" 0 o.Fault.Torture.link_downtime;
+  match Fault.Torture.verdict o with
+  | Fault.Torture.Clean -> ()
+  | v -> Alcotest.failf "expected clean, got %a" Fault.Torture.pp_verdict v
+
 (* Hard chaos (down links) needs the recovery stack on token targets;
    adaptive timeouts need recovery. *)
 let test_chaos_validation () =
@@ -399,9 +504,11 @@ let test_chaos_validation () =
            (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.default ~seed:1))
 
 (* Directory targets take the loss-free brownout rendition of the plan
-   and must still retire everything (delay-only discipline). *)
+   and must still retire everything (delay-only discipline). The cut
+   opens at 2 us: this run sends no inter-site copy after 5 us, so a
+   cut from 5 us would hold nothing. *)
 let test_directory_brownout () =
-  let chaos = Fault.Chaos.split ~at:(us 5) ~duration:(us 20) () in
+  let chaos = Fault.Chaos.split ~at:(us 2) ~duration:(us 20) () in
   let o =
     Fault.Torture.run
       { Fault.Torture.default_params with Fault.Torture.p_chaos = Some chaos }
@@ -412,6 +519,8 @@ let test_directory_brownout () =
   (match Fault.Torture.verdict o with
   | Fault.Torture.Survived_partition -> ()
   | v -> Alcotest.failf "expected survived-partition, got %a" Fault.Torture.pp_verdict v);
+  Alcotest.(check bool) "the brownout delayed cut traffic" true
+    (match o.Fault.Torture.chaos with Some s -> s.Fault.Chaos.cut_copies > 0 | None -> false);
   Alcotest.(check int) "nothing dropped by the outage model" 0
     (match o.Fault.Torture.chaos with Some _ -> 0 | None -> 1)
 
@@ -495,6 +604,13 @@ let tests =
     Alcotest.test_case "reliable transport over Wide destsets" `Slow
       test_reliability_wide_destsets;
     Alcotest.test_case "chaos spec constructors" `Quick test_chaos_spec;
+    Alcotest.test_case "flap heal inside a partition leaves the pair down" `Quick
+      test_flap_heal_inside_partition;
+    Alcotest.test_case "burst heal inside a partition lifts only the burst" `Quick
+      test_burst_heal_inside_partition;
+    Alcotest.test_case "degradations combine factor by factor" `Quick
+      test_degradations_combine;
+    Alcotest.test_case "a zero-length cut reads clean" `Slow test_hollow_cut_is_clean;
     Alcotest.test_case "dormant chaos leaves runs bit-identical" `Slow
       test_chaos_gating_deterministic;
     Alcotest.test_case "partition survived and converged after heal" `Slow

@@ -87,6 +87,32 @@ let test_bundle_file_roundtrip () =
           (b2.B.params.T.p_chaos = livelock_params.T.p_chaos);
         Alcotest.(check bool) "digest survives" true (b2.B.recorded = b.B.recorded))
 
+(* A plan whose causes stack — a flap, a cut and a lossy burst — is
+   serialized cause by cause and parses back to the same list. *)
+let test_bundle_chaos_causes_roundtrip () =
+  let plan =
+    Fault.Chaos.flaky ~cycles:1 () @ Fault.Chaos.split ~duration:(us 25) ()
+    @ Fault.Chaos.burst_loss ()
+  in
+  let b =
+    {
+      B.target = livelock_target;
+      seed = 1;
+      spec = Fault.Spec.default;
+      params = { livelock_params with T.p_chaos = Some plan };
+      recorded =
+        { B.d_verdict = T.Survived_partition; d_ops = 1; d_events = 2; d_runtime = us 3;
+          d_misses = 4; d_reports = [] };
+    }
+  in
+  let j = B.to_json b in
+  match B.of_json j with
+  | Error e -> Alcotest.failf "of_json failed: %s" e
+  | Ok b2 ->
+    Alcotest.(check bool) "every cause survives" true (b2.B.params.T.p_chaos = Some plan);
+    Alcotest.(check string) "JSON is canonical" (Tcjson.to_string j)
+      (Tcjson.to_string (B.to_json b2))
+
 let test_bundle_rejects_unknown_schema () =
   let o = run_drop drop_seed in
   let b = B.make o in
@@ -339,6 +365,8 @@ let tests =
     Alcotest.test_case "bundle JSON round-trip" `Slow test_bundle_roundtrip;
     Alcotest.test_case "bundle file round-trip (livelock)" `Slow
       test_bundle_file_roundtrip;
+    Alcotest.test_case "stacked chaos causes round-trip" `Quick
+      test_bundle_chaos_causes_roundtrip;
     Alcotest.test_case "unknown schema version rejected" `Slow
       test_bundle_rejects_unknown_schema;
     Alcotest.test_case "clean replay is bit-identical" `Slow

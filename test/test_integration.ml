@@ -157,14 +157,14 @@ let test_perfect_is_lower_bound () =
     [ Tokencmp.Protocols.directory; Tokencmp.Protocols.token Token.Policy.dst1 ]
 
 let test_runner_summaries () =
-  let wl = { (Workload.Locking.default ~nlocks:8) with Workload.Locking.acquires = 10 } in
-  let nprocs = Mcmp.Config.nprocs tiny in
-  let summary, results =
-    Mcmp.Runner.run_seeds ~config:tiny (Token.Protocol.builder Token.Policy.dst1)
-      ~programs:(fun ~seed -> Workload.Locking.programs wl ~seed ~nprocs)
-      ~seeds:[ 1; 2; 3 ]
+  let runs =
+    Tokencmp.Experiments.locking ~config:tiny ~seeds:[ 1; 2; 3 ] ~acquires:10
+      ~protocols:[ Tokencmp.Protocols.token Token.Policy.dst1 ]
+      ~nlocks:8 ()
   in
-  Alcotest.(check int) "three runs" 3 (List.length results);
+  let run = Tokencmp.Experiments.find runs "TokenCMP-dst1" in
+  let summary = run.Tokencmp.Experiments.runtime_ns in
+  Alcotest.(check bool) "every seed completed" true run.Tokencmp.Experiments.completed;
   Alcotest.(check int) "summary n" 3 summary.Sim.Stat.Summary.n;
   Alcotest.(check bool) "positive mean" true (summary.Sim.Stat.Summary.mean > 0.)
 

@@ -125,9 +125,8 @@ let test_recovery_model () =
   Alcotest.(check int) "loss always survivable (no doomed states)" 0 s.Mc.Explore.doomed
 
 let test_model_loc_metric () =
-  let t = Mc.Dir_model.model_loc `Token in
-  let d = Mc.Dir_model.model_loc `Directory in
-  let r = Mc.Dir_model.model_loc `Recovery in
+  let t = Mc.Model_loc.token and d = Mc.Model_loc.directory in
+  let r = Mc.Model_loc.recovery in
   Alcotest.(check bool) "positive" true (t > 0 && d > 0 && r > 0)
 
 (* ------------------------------------------------------------------ *)

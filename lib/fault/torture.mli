@@ -204,8 +204,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
     directory protocol), specs gain token-carrying drops plus two
     crash/restart cycles, and a clean verdict means the storm was
     {e survived} rather than detected. A campaign whose [p_chaos]
-    partitions the network expects [Survived_partition] verdicts, not
-    [Clean]. *)
+    partitions the network expects [Survived_partition] verdicts from
+    the runs its cut held, not [Clean]. *)
 val campaign :
   params:run_params ->
   ?runs:int ->

@@ -878,19 +878,23 @@ let chaos () =
   progress "[chaos] partition-duration cost sweep...\n%!";
   hr "Chaos sweep: partition duration vs runtime (token recovery vs directory)";
   print_endline
-    "A 2-region partition opens at 5us and heals after the given\n\
+    "A 2-region partition opens at 1us and heals after the given\n\
      duration. TokenCMP runs the full recovery stack (reliable\n\
      transport with adaptive RTT-based timeouts + token recreation)\n\
      against the hard partition; DirectoryCMP cannot survive message\n\
      loss, so it takes the loss-free brownout rendition of the same\n\
-     plan. Every run must retire all requests after the heal.";
-  let durations_us = if !quick then [ 0; 25; 50 ] else [ 0; 12; 25; 50; 100 ] in
+     plan. Its runs end 12-15us in under a long brownout, so it sweeps\n\
+     only cuts that heal inside its runs. Every run must retire all\n\
+     requests, and every cut must hold traffic and heal before its run\n\
+     ends.";
+  let at = Sim.Time.us 1 in
+  let token_us = if !quick then [ 0; 25; 50 ] else [ 0; 12; 25; 50; 100 ] in
+  let directory_us = if !quick then [ 0; 2; 8 ] else [ 0; 2; 4; 8 ] in
   let sweep_seeds = if !quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let nseeds = float_of_int (List.length sweep_seeds) in
-  let measure ~directory dur =
+  let measure ~name ~directory dur =
     let chaos =
-      if dur = 0 then None
-      else Some (Fault.Chaos.split ~at:(Sim.Time.us 5) ~duration:(Sim.Time.us dur) ())
+      if dur = 0 then None else Some (Fault.Chaos.split ~at ~duration:(Sim.Time.us dur) ())
     in
     let outcomes =
       List.map
@@ -910,6 +914,18 @@ let chaos () =
               (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.none ~seed)
         sweep_seeds
     in
+    let cut_copies o =
+      match o.Fault.Torture.chaos with Some s -> s.Fault.Chaos.cut_copies | None -> 0
+    in
+    (* A cut measures something only if it held traffic and healed
+       before the run ended. *)
+    let held o = o.Fault.Torture.runtime > at + Sim.Time.us dur && cut_copies o > 0 in
+    if dur > 0 && not (List.for_all held outcomes) then begin
+      Printf.eprintf
+        "[chaos] FAILED: %s, %d us cut: a run ended before the heal or the cut held no copy\n%!"
+        name dur;
+      exit 1
+    end;
     let clean =
       List.for_all
         (fun o ->
@@ -922,26 +938,30 @@ let chaos () =
       List.fold_left (fun a o -> a +. Sim.Time.to_ns o.Fault.Torture.runtime) 0. outcomes
       /. nseeds
     in
-    let retrans = List.fold_left (fun a o -> a + o.Fault.Torture.retransmits) 0 outcomes in
-    (dur, runtime, retrans, clean)
+    let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+    (dur, runtime, sum (fun o -> o.Fault.Torture.retransmits), sum cut_copies, clean)
   in
   let protocols =
-    [ ("token-dst1+recovery", false); (Directory.Protocol.name ~dram_directory:true, true) ]
+    [
+      ("token-dst1+recovery", false, token_us);
+      (Directory.Protocol.name ~dram_directory:true, true, directory_us);
+    ]
   in
   emit
     (T.make "Partition duration vs runtime"
        (List.concat_map
-          (fun (name, directory) ->
-            let points = List.map (measure ~directory) durations_us in
-            let base = match points with (_, rt, _, _) :: _ -> rt | [] -> 1. in
+          (fun (name, directory, durations) ->
+            let points = List.map (measure ~name ~directory) durations in
+            let base = match points with (_, rt, _, _, _) :: _ -> rt | [] -> 1. in
             List.map
-              (fun (dur, rt, rx, clean) ->
+              (fun (dur, rt, rx, cut, clean) ->
                 [
                   ("protocol", J.String name);
                   ("partition_us", J.Int dur);
                   ("runtime_ns", J.Float rt);
                   ("slowdown", J.Float (rt /. base));
                   ("retransmits", J.Int rx);
+                  ("cut_copies", J.Int cut);
                   ("clean", J.Bool clean);
                 ])
               points)

@@ -101,9 +101,10 @@ type links = {
   stats : stats;
   state : link_state array;
   cut : bool array;  (* held by a [Cut] cause now *)
-  down_since : Sim.Time.t array;  (* valid while the link is down *)
+  since : Sim.Time.t array;  (* when the link went down or degraded *)
   mutable links_down : int;
-  mutable downtime : Sim.Time.t;  (* of links already healed *)
+  mutable downtime : Sim.Time.t;  (* of down stretches already over *)
+  mutable degraded : Sim.Time.t;  (* of degraded stretches already over *)
   mutable drops : int;  (* copies lost to down or degraded links *)
   mutable transitions : int;
 }
@@ -114,14 +115,22 @@ let index name l ~src_site ~dst_site =
     invalid_arg (Printf.sprintf "Chaos.%s: link %d->%d out of range" name src_site dst_site);
   (src_site * ncmp) + dst_site
 
-(* Healed links' downtime plus that of the links down now. *)
-let link_downtime l =
+(* The stretches already over, plus those of the links that are in
+   the state now. *)
+let time_in l ~down =
   let now = E.now l.engine in
-  let acc = ref l.downtime in
+  let acc = ref (if down then l.downtime else l.degraded) in
   Array.iteri
-    (fun i st -> match st with Link_down -> acc := !acc + (now - l.down_since.(i)) | _ -> ())
+    (fun i st ->
+      match st with
+      | Link_down when down -> acc := !acc + (now - l.since.(i))
+      | Link_degraded _ when not down -> acc := !acc + (now - l.since.(i))
+      | _ -> ())
     l.state;
   !acc
+
+let link_downtime l = time_in l ~down:true
+let link_degraded_time l = time_in l ~down:false
 
 let links_down l = l.links_down
 let outage_drops l = l.drops
@@ -137,16 +146,18 @@ let set_link_state l ~src_site ~dst_site state =
   if prev <> state then begin
     let now = E.now l.engine in
     l.transitions <- l.transitions + 1;
-    (match prev with
-    | Link_down ->
-      l.links_down <- l.links_down - 1;
-      l.downtime <- l.downtime + (now - l.down_since.(i))
-    | Link_up | Link_degraded _ -> ());
-    (match state with
-    | Link_down ->
-      l.links_down <- l.links_down + 1;
-      l.down_since.(i) <- now
-    | Link_up | Link_degraded _ -> ());
+    (* A degraded link that degrades differently stays in one stretch. *)
+    (match (prev, state) with
+    | Link_degraded _, Link_degraded _ -> ()
+    | _ ->
+      (match prev with
+      | Link_down ->
+        l.links_down <- l.links_down - 1;
+        l.downtime <- l.downtime + (now - l.since.(i))
+      | Link_degraded _ -> l.degraded <- l.degraded + (now - l.since.(i))
+      | Link_up -> ());
+      if state = Link_down then l.links_down <- l.links_down + 1;
+      l.since.(i) <- now);
     l.state.(i) <- state;
     if E.tracing l.engine then
       E.emit l.engine
@@ -196,33 +207,35 @@ let arm fabric rng stats inner =
       stats;
       state = Array.make n Link_up;
       cut = Array.make n false;
-      down_since = Array.make n Sim.Time.zero;
+      since = Array.make n Sim.Time.zero;
       links_down = 0;
       downtime = Sim.Time.zero;
+      degraded = Sim.Time.zero;
       drops = 0;
       transitions = 0;
     }
   in
-  F.set_fault_injector fabric (fun ~now ~src ~dst ~cls msg ->
-      match inner ~now ~src ~dst ~cls msg with
-      | F.Drop -> F.Drop
-      | v -> (
-        let src_site = L.cmp_of layout src and dst_site = L.cmp_of layout dst in
-        if src_site = dst_site then v
-        else
-          let i = (src_site * layout.L.ncmp) + dst_site in
-          match l.state.(i) with
-          | Link_up -> v
-          | Link_down -> hit l i F.Drop
-          | Link_degraded { latency_mult; drop_prob } ->
-            if drop_prob > 0. && Sim.Rng.float l.rng 1.0 < drop_prob then hit l i F.Drop
-            else if latency_mult > 1.0 then
-              let d = Sim.Time.mul_f l.inter_latency (latency_mult -. 1.0) in
-              match v with
-              | F.Pass -> hit l i (F.Delay d)
-              | F.Delay d2 -> hit l i (F.Delay (d + d2))
-              | v -> v
-            else v));
+  let inject ~now ~src ~dst ~cls ~arrive msg =
+    match inner ~now ~src ~dst ~cls ~arrive msg with
+    | F.Drop -> F.Drop
+    | v -> (
+      let src_site = L.cmp_of layout src and dst_site = L.cmp_of layout dst in
+      if src_site = dst_site then v
+      else
+        let i = (src_site * layout.L.ncmp) + dst_site in
+        match l.state.(i) with
+        | Link_up -> v
+        | Link_down -> hit l i F.Drop
+        | Link_degraded { latency_mult; drop_prob } ->
+          if drop_prob > 0. && Sim.Rng.float l.rng 1.0 < drop_prob then hit l i F.Drop
+          else if latency_mult > 1.0 then
+            let d = Sim.Time.mul_f l.inter_latency (latency_mult -. 1.0) in
+            match v with
+            | F.Pass -> hit l i (F.Delay d)
+            | F.Delay d2 -> hit l i (F.Delay (d + d2))
+            | v -> v
+          else v)
+  in
   (match Obs.Registry.of_engine engine with
   | Some registry ->
     let module R = Obs.Registry in
@@ -232,7 +245,7 @@ let arm fabric rng stats inner =
     R.register_int registry "fabric.outage_drops" (fun () -> l.drops);
     R.register_int registry "fabric.link_transitions" (fun () -> l.transitions)
   | None -> ());
-  l
+  (l, inject)
 
 (* Down beats a degrade; two degrades combine factor by factor. *)
 let worst a b =
@@ -254,7 +267,7 @@ let install ~seed ~spec fabric inner =
      plan's or the fabric's streams, so chaos on/off leaves every other
      draw identical. *)
   let rng = Sim.Rng.create ((seed * 48_271) + 1_013) in
-  let l = arm fabric (Sim.Rng.split rng) stats inner in
+  let l, inject = arm fabric (Sim.Rng.split rng) stats inner in
   let ncmp = l.layout.L.ncmp in
   if ncmp > 1 then begin
     let npairs =
@@ -281,10 +294,11 @@ let install ~seed ~spec fabric inner =
     in
     let on = Array.make (Array.length causes) false in
     (* Each link cause [k] holds takes the worst state of the causes
-       holding it now, so a cause that ends lifts only its own hold. *)
+       holding it now, so a cause that ends lifts only its own hold.
+       Returns whether some link came back up. *)
     let refresh k =
-      List.iter
-        (fun (a, b) ->
+      List.fold_left
+        (fun lifted (a, b) ->
           let state = ref Link_up and cut = ref false in
           Array.iteri
             (fun j (c : cause) ->
@@ -294,8 +308,10 @@ let install ~seed ~spec fabric inner =
               end)
             causes;
           l.cut.((a * ncmp) + b) <- !cut;
-          set_link_state l ~src_site:a ~dst_site:b !state)
-        held.(k)
+          let was_up = l.state.((a * ncmp) + b) = Link_up in
+          set_link_state l ~src_site:a ~dst_site:b !state;
+          lifted || ((not was_up) && !state = Link_up))
+        false held.(k)
     in
     let at time f = E.schedule_at l.engine time f in
     Array.iteri
@@ -306,11 +322,10 @@ let install ~seed ~spec fabric inner =
             | Cut -> stats.partitions <- stats.partitions + 1
             | Every_link -> stats.bursts_applied <- stats.bursts_applied + 1);
             on.(k) <- true;
-            refresh k);
+            ignore (refresh k));
         at c.until (fun () ->
-            stats.heals <- stats.heals + 1;
             on.(k) <- false;
-            refresh k))
+            if refresh k then stats.heals <- stats.heals + 1))
       causes
   end;
-  (stats, l)
+  (stats, l, inject)

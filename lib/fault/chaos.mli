@@ -8,10 +8,10 @@
     burst). A link's state is the worst of the causes holding it at
     the time, so causes stack: when one ends it lifts only its own
     hold, and a flap that heals inside a partition leaves the pair
-    cut. The table reaches the fabric as a fault injector wrapped over
-    the plan's, so the two compose at the fabric's one fault hook: the
-    plan speaks per copy, and the link state applies to what the plan
-    let through.
+    cut. The table is a fault injector wrapped over the plan's, so the
+    two compose at the fabric's one fault hook: the plan speaks per
+    copy, and the link state applies to what the plan let through. A
+    {!Transport} wraps the table in turn on runs that retransmit.
 
     Determinism discipline: {!install} seeds a dedicated rng stream
     (flap pair picks, degraded-loss draws), so arming a chaos plan
@@ -78,10 +78,12 @@ val lossy : spec -> bool
     watchdog must be willing to out-wait on top of recovery latency. *)
 val max_outage : spec -> Sim.Time.t
 
-(** [partitions] counts {!Cut} starts, [flap_downs] {!Pair} starts,
-    [bursts_applied] {!Every_link} starts, and [heals] cause ends.
-    [cut_copies] counts the copies a link held by a {!Cut} dropped or
-    delayed: a cut that held no traffic has none. *)
+(** [partitions] counts {!Cut} starts, [flap_downs] {!Pair} starts and
+    [bursts_applied] {!Every_link} starts. [heals] counts the cause
+    ends that brought some link back up: one that ends while other
+    causes still hold all its links heals nothing. [cut_copies] counts
+    the copies a link held by a {!Cut} dropped or delayed: a cut that
+    held no traffic has none. *)
 type stats = {
   mutable flap_downs : int;
   mutable partitions : int;
@@ -96,10 +98,11 @@ type links
 
 (** [install ~seed ~spec fabric inner] builds a table with every link
     up, schedules the start and end of every cause of [spec], and
-    installs on [fabric] the injector that asks [inner] first and then
-    applies the state of the copy's link to a copy [inner] did not
-    drop: a link drop stands, a link delay adds to a plan delay, and a
-    plan duplicate passes un-delayed. On-chip copies cross no link.
+    returns with it the injector to install on [fabric] in place of
+    [inner]: it asks [inner] first and then applies the state of the
+    copy's link to a copy [inner] did not drop: a link drop stands, a
+    link delay adds to a plan delay, and a plan duplicate passes
+    un-delayed. On-chip copies cross no link.
     When a cause starts or ends, each link it holds takes the worst
     state of the causes holding it then: Down beats a degrade, and two
     degrades combine into the larger [latency_mult] and the larger
@@ -108,15 +111,15 @@ type links
     Registers [fabric.links_down], [fabric.link_downtime_ns],
     [fabric.outage_drops] and [fabric.link_transitions] when the engine
     carries a metrics registry. Returns the counters the causes update,
-    and the table; with an empty plan, every link stays up and no
-    arrival changes.
+    the table and the injector; with an empty plan, every link stays up
+    and no arrival changes.
     @raise Invalid_argument on a cause that ends before it starts. *)
 val install :
   seed:int ->
   spec:spec ->
   'msg Interconnect.Fabric.t ->
   'msg Interconnect.Fabric.injector ->
-  stats * links
+  stats * links * 'msg Interconnect.Fabric.injector
 
 (** Transition one ordered link, emitting {!Obs.Event.Link_down},
     [Link_degraded] or [Link_healed] on tracing runs; a no-op if the
@@ -136,6 +139,9 @@ val links_down : links -> int
 
 (** Time spent down, summed over links, outages in progress included. *)
 val link_downtime : links -> Sim.Time.t
+
+(** Time spent degraded, summed over links, in the same way. *)
+val link_degraded_time : links -> Sim.Time.t
 
 (** Copies lost to down or degraded links (the fabric counts them in
     its [dropped] too). *)

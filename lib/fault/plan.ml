@@ -280,7 +280,7 @@ let decide t ~now ~src ~dst ~cls ~tokens_carried ~label =
   | None -> random_decide t ~index ~now ~src ~dst ~cls ~tokens_carried ~label
 
 let token_injector t : Token.Msg.t Interconnect.Fabric.injector =
- fun ~now ~src ~dst ~cls msg ->
+ fun ~now ~src ~dst ~cls ~arrive:_ msg ->
   decide t ~now ~src ~dst ~cls
     ~tokens_carried:(Token.Msg.tokens_carried msg)
     ~label:(fun () -> Token.Msg.label msg)
@@ -290,7 +290,7 @@ let token_injector t : Token.Msg.t Interconnect.Fabric.injector =
    be {!Spec.delay_only}; [tokens_carried = 0] here only means
    "not a token message", never "safe to drop". *)
 let directory_injector t : Directory.Msg.t Interconnect.Fabric.injector =
- fun ~now ~src ~dst ~cls msg ->
+ fun ~now ~src ~dst ~cls ~arrive:_ msg ->
   ignore msg;
   decide t ~now ~src ~dst ~cls ~tokens_carried:0 ~label:(fun () -> MC.to_string cls)
 

@@ -59,6 +59,7 @@ type outcome = {
   retransmits : int;
   chaos : Chaos.stats option;
   link_downtime : Sim.Time.t;
+  link_degraded : Sim.Time.t;
   plan_events : Plan.event list;
   plan_offers : int;
 }
@@ -73,19 +74,16 @@ type machine = {
   m_restart : int -> unit;
   m_recovery : unit -> Token.Protocol.recovery_stats option;
   m_retransmits : unit -> int;
-  m_chaos : Chaos.stats option;
-  m_downtime : unit -> Sim.Time.t;
+  m_chaos : (Chaos.stats * Chaos.links) option;
 }
 
-(* The scale mapping the fabric RTT estimator's largest per-link RTO
-   to the token recreation timeout of a [p_adaptive] run. Times the
+(* The scale mapping the transport's largest per-link RTO to the
+   token recreation timeout of a [p_adaptive] run. Times the
    estimator's ceiling it bounds the adaptive recreation wait — what
    the watchdog must budget for. *)
 let adaptive_recreation_scale = 16.
 
-let adaptive_recreation_ceiling =
-  Sim.Time.mul_f Interconnect.Rtt.default_params.Interconnect.Rtt.ceiling
-    adaptive_recreation_scale
+let adaptive_recreation_ceiling = Sim.Time.mul_f Rtt.ceiling adaptive_recreation_scale
 
 (* The watchdog margin a run actually attaches: the base widened, if
    needed, to out-wait the longest legitimate stall — a full chaos
@@ -102,7 +100,7 @@ let effective_margin ~base ~recover ~adaptive ?chaos ~watchdog_interval
       if recover then
         Token.Recovery.worst_case_latency
           ?recreation_timeout:(if adaptive then Some adaptive_recreation_ceiling else None)
-          Token.Recovery.default
+          ()
       else Sim.Time.zero
     in
     outage + recovery_worst
@@ -142,61 +140,63 @@ let run p target ~spec ~seed =
        focused on it (expected reports let the run play out). *)
     match Report.severity r with `Fatal -> E.stop engine | `Expected -> ()
   in
-  (* One injector per run: the plan's, or the chaos link table wrapped
-     over it. The table stays out of the outcome, which is plain data;
-     its downtime is read when the run ends. *)
-  let install_faults fab inject chaos =
+  (* The plan's injector, wrapped by the chaos link table when the run
+     has causes. The table stays out of the outcome, which is plain
+     data; its link times are read when the run ends. *)
+  let with_chaos fab inject chaos =
     match chaos with
     | Some (_ :: _ as c) ->
-      let stats, links = Chaos.install ~seed ~spec:c fab inject in
-      (Some stats, fun () -> Chaos.link_downtime links)
-    | _ ->
-      F.set_fault_injector fab inject;
-      (None, fun () -> Sim.Time.zero)
+      let stats, links, inject = Chaos.install ~seed ~spec:c fab inject in
+      (Some (stats, links), inject)
+    | _ -> (None, inject)
   in
-  (* The protocol, its fault plan, reliable transport and chaos are
-     built inside the runner's builder; everything else reads them
-     from here. *)
+  let give_up engine ~src ~dst ~cls ~attempts _msg =
+    report engine
+      {
+        Report.at = E.now engine;
+        kind =
+          Report.Retransmit_exhausted
+            {
+              src;
+              dst;
+              cls;
+              attempts;
+              blame = Option.map Report.blame_of_event (Plan.last_drop_on plan ~src ~dst);
+            };
+      }
+  in
+  (* The protocol and its one fault injector (plan, then chaos, then
+     reliable transport) are built inside the runner's builder;
+     everything else reads them from here. *)
   let machine = ref None in
   let builder engine config traffic rng counters =
     let handle, m =
       match target with
       | Token policy ->
-        let recovery = if recover then Some Token.Recovery.default else None in
         let i =
-          Token.Protocol.create_instrumented ?recovery policy engine config traffic rng
+          Token.Protocol.create_instrumented ~recovery:recover policy engine config traffic rng
             counters
         in
         let fab = i.Token.Protocol.i_fabric in
         F.set_msg_label fab Token.Msg.label;
-        if recover then begin
-          (* Reliable transport draws its retransmit jitter from its own
-             split stream; the plan's schedule is untouched. *)
-          F.enable_reliability fab (Sim.Rng.split rng);
-          F.set_give_up_handler fab (fun ~src ~dst ~cls ~attempts _msg ->
-              report engine
-                {
-                  Report.at = E.now engine;
-                  kind =
-                    Report.Retransmit_exhausted
-                      {
-                        src;
-                        dst;
-                        cls;
-                        attempts;
-                        blame =
-                          Option.map Report.blame_of_event
-                            (Plan.last_drop_on plan ~src ~dst);
-                      };
-                });
-          if adaptive then begin
-            F.enable_adaptive_timeouts fab;
-            i.Token.Protocol.i_set_recreation_source
-              (Some
-                 (fun () -> Sim.Time.mul_f (F.max_rto fab) adaptive_recreation_scale))
+        let chaos, inject = with_chaos fab (Plan.token_injector plan) chaos in
+        let transport, inject =
+          if recover then begin
+            (* The transport draws its retransmit jitter from its own
+               split stream; the plan's schedule is untouched. *)
+            let tr, inject =
+              Transport.wrap ~adaptive ~rng:(Sim.Rng.split rng) ~give_up:(give_up engine) fab
+                inject
+            in
+            if adaptive then
+              i.Token.Protocol.i_set_recreation_source
+                (Some
+                   (fun () -> Sim.Time.mul_f (Transport.max_rto tr) adaptive_recreation_scale));
+            (Some tr, inject)
           end
-        end;
-        let chaos_stats, downtime = install_faults fab (Plan.token_injector plan) chaos in
+          else (None, inject)
+        in
+        F.set_fault_injector fab inject;
         ( i.Token.Protocol.i_handle,
           {
             m_engine = engine;
@@ -207,9 +207,9 @@ let run p target ~spec ~seed =
             m_restart = i.Token.Protocol.i_restart;
             m_recovery =
               (fun () -> if recover then Some (i.Token.Protocol.i_recovery ()) else None);
-            m_retransmits = (fun () -> F.retransmits fab);
-            m_chaos = chaos_stats;
-            m_downtime = downtime;
+            m_retransmits =
+              (fun () -> match transport with Some tr -> Transport.retransmits tr | None -> 0);
+            m_chaos = chaos;
           } )
       | Directory { dram_directory } ->
         let i =
@@ -221,9 +221,10 @@ let run p target ~spec ~seed =
         (* Directory messages cannot be lost, so its chaos is the
            loss-free brownout rendition — the same discipline as
            Spec.delay_only for per-copy faults. *)
-        let chaos_stats, downtime =
-          install_faults fab (Plan.directory_injector plan) (Option.map Chaos.brownout_of chaos)
+        let chaos, inject =
+          with_chaos fab (Plan.directory_injector plan) (Option.map Chaos.brownout_of chaos)
         in
+        F.set_fault_injector fab inject;
         ( i.Directory.Protocol.i_handle,
           {
             m_engine = engine;
@@ -234,8 +235,7 @@ let run p target ~spec ~seed =
             m_restart = (fun _ -> ());
             m_recovery = (fun () -> None);
             m_retransmits = (fun () -> 0);
-            m_chaos = chaos_stats;
-            m_downtime = downtime;
+            m_chaos = chaos;
           } )
     in
     machine := Some m;
@@ -312,6 +312,7 @@ let run p target ~spec ~seed =
   let keep_evidence = reports <> [] || not completed in
   let span_list, dropped_spans = Obs.Span.assemble_full buf in
   let spans = Obs.Span.summarize ~dropped_spans span_list in
+  let link_time f = match m.m_chaos with Some (_, links) -> f links | None -> Sim.Time.zero in
   {
     seed;
     spec;
@@ -335,8 +336,9 @@ let run p target ~spec ~seed =
     spans;
     recovered = m.m_recovery ();
     retransmits = m.m_retransmits ();
-    chaos = m.m_chaos;
-    link_downtime = m.m_downtime ();
+    chaos = Option.map fst m.m_chaos;
+    link_downtime = link_time Chaos.link_downtime;
+    link_degraded = link_time Chaos.link_degraded_time;
     (* The materialized fault schedule rides along only when the run is
        worth dissecting — same gate as the trace/dump evidence, and it
        covers every non-clean verdict (each implies a report or an
@@ -404,8 +406,8 @@ let pp_outcome fmt o =
   | None -> ());
   match o.chaos with
   | Some cs ->
-    Format.fprintf fmt "@,  chaos: %a downtime=%a" Chaos.pp_stats cs Sim.Time.pp
-      o.link_downtime
+    Format.fprintf fmt "@,  chaos: %a downtime=%a degraded=%a" Chaos.pp_stats cs Sim.Time.pp
+      o.link_downtime Sim.Time.pp o.link_degraded
   | None -> ()
 
 (* Per-run spec derivation must not depend on list evaluation order.

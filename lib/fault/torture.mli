@@ -19,8 +19,8 @@ val default_targets : target list
     run against (the directory protocol has no recovery layer). *)
 val token_targets : target list
 
-(** The bound on the recreation wait of a [p_adaptive] run: the fabric
-    RTT estimator's RTO ceiling times the scale that maps the largest
+(** The bound on the recreation wait of a [p_adaptive] run: the
+    transport's {!Rtt.ceiling} times the scale that maps the largest
     per-link RTO to the token recreation timeout. Liveness margins
     budget for it. *)
 val adaptive_recreation_ceiling : Sim.Time.t
@@ -58,27 +58,29 @@ val effective_margin :
 
     [p_recover] (token targets only; [Invalid_argument] on directory
     targets) arms the full recovery stack: the protocol's token
-    recreation ({!Token.Recovery.default} timescales), reliable
-    transport on the fabric, crash/restart cycles per the spec's
-    [crashes] field (scheduled from a dedicated rng stream so the
-    message-level fault schedule is unchanged), and a widened watchdog.
+    recreation (the {!Token.Recovery} timescales), a reliable
+    {!Transport} wrapped over the run's injector, crash/restart cycles
+    per the spec's [crashes] field (scheduled from a dedicated rng
+    stream so the message-level fault schedule is unchanged), and a
+    widened watchdog.
     The fault plan then records token-carrying drops as {e recoverable}
     — the pass criterion flips from "detect the loss" to "survive it:
     zero violations, every request retires, slowdown bounded".
 
-    [p_adaptive] (requires [p_recover]) replaces the fixed
-    retransmission timeout with the fabric's per-link RTT estimator
-    ({!Interconnect.Fabric.enable_adaptive_timeouts}) and installs an
-    adaptive token-recreation source: the largest per-link RTO scaled
-    by a fixed factor, so recreation waits track observed network
-    conditions instead of a static constant.
+    [p_adaptive] (requires [p_recover]) makes the transport adaptive,
+    backing off from per-link RTT estimators ({!Rtt}) in place of the
+    fixed retransmission timeout, and installs an adaptive
+    token-recreation source: the largest per-link RTO scaled by a fixed
+    factor, so recreation waits track observed network conditions
+    instead of a static constant.
 
     [p_chaos] is a list of link-outage causes ({!Chaos.spec}) whose
-    link table ({!Chaos.install}) wraps the fault plan's injector, so
-    every run installs one injector. A {!Chaos.lossy} plan on a token
-    target requires [p_recover]; directory targets automatically take
-    the loss-free {!Chaos.brownout_of} rendition, the same discipline
-    as {!Spec.delay_only}.
+    link table ({!Chaos.install}) wraps the fault plan's injector. A
+    run wraps the plan's injector in the link table and that in the
+    transport, and installs the result once. A {!Chaos.lossy} plan on
+    a token target requires [p_recover]; directory targets
+    automatically take the loss-free {!Chaos.brownout_of} rendition,
+    the same discipline as {!Spec.delay_only}.
 
     The {!Watchdog.attach} margin is 2.5 in recovery mode and 1.0
     otherwise, widened by {!effective_margin}, if needed, to out-wait
@@ -140,6 +142,8 @@ type outcome = {
   link_downtime : Sim.Time.t;
       (** the chaos link table's {!Chaos.link_downtime}, read when the
           run ends (zero when no chaos ran) *)
+  link_degraded : Sim.Time.t;
+      (** its {!Chaos.link_degraded_time}, read the same way *)
   plan_events : Plan.event list;
       (** the materialized fault schedule (every non-Pass plan
           decision, oldest first); captured only on evidence — same
@@ -150,7 +154,7 @@ type outcome = {
 
 (** [run params target ~spec ~seed] builds the machine and drives the
     locking workload through {!Mcmp.Runner.run}: the protocol, fault
-    plan, reliable transport and chaos are built in its builder, and
+    plan, chaos and reliable transport are built in its builder, and
     the crash schedule, invariant monitor and watchdog are armed in its
     [on_start]. An {!Mcmp.Violation.Invariant_violation} raised by a
     handler becomes a report; any other exception propagates. *)

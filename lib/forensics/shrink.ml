@@ -63,11 +63,9 @@ let eval_batch st ~config cands =
   if misses <> [] then begin
     let test c = T.verdict (run_candidate st ~config c) = st.want in
     let results =
-      if st.jobs <= 1 then List.map test misses
-      else
-        Par.Pool.map ~jobs:st.jobs
-          ~label:(fun i c -> Printf.sprintf "shrink candidate %d (%d events)" i (List.length c))
-          test misses
+      Par.Pool.map ~jobs:st.jobs
+        ~label:(fun i c -> Printf.sprintf "shrink candidate %d (%d events)" i (List.length c))
+        test misses
     in
     List.iter2
       (fun c r ->

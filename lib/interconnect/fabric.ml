@@ -24,34 +24,13 @@ type fault_action =
   | Duplicate of Sim.Time.t
 
 type 'msg injector =
-  now:Sim.Time.t -> src:int -> dst:int -> cls:Msg_class.t -> 'msg -> fault_action
-
-type reliability_params = {
-  retrans_timeout : Sim.Time.t;
-  retrans_backoff : int;
-  max_retrans : int;
-  retrans_jitter : Sim.Time.t;
-}
-
-let default_reliability =
-  {
-    retrans_timeout = Sim.Time.ns 300;
-    retrans_backoff = 2;
-    max_retrans = 10;
-    retrans_jitter = Sim.Time.ns 50;
-  }
-
-(* Reliable-delivery state. The rng is a dedicated stream so backoff
-   jitter never perturbs the fault plan's or the fabric's own draws. *)
-type 'msg rel = {
-  rp : reliability_params;
-  r_rng : Sim.Rng.t;
-  mutable r_retransmits : int;
-  mutable r_absorbed : int;
-  mutable r_exhausted : int;
-  mutable r_give_up :
-    (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) option;
-}
+  now:Sim.Time.t ->
+  src:int ->
+  dst:int ->
+  cls:Msg_class.t ->
+  arrive:Sim.Time.t ->
+  'msg ->
+  fault_action
 
 (* A pooled delivery: one preallocated cell per concurrently in-flight
    message copy, each carrying a closure allocated once at cell
@@ -100,7 +79,6 @@ type 'msg t = {
   site_words : int array;  (* site s, word w at [s * nwords + w] *)
   mutable cells : 'msg cell array;
   mutable free_cell : int;  (* head of the cell free list; -1 = empty *)
-  mutable pristine : bool;  (* no injector/reliability ever armed *)
   (* Parked copies (see [park]): a FIFO ring of records, one per
      parking send, and a ring of copies, three ints each: destination
      (-1 once woken), arrival and reserved engine sequence number.
@@ -132,12 +110,6 @@ type 'msg t = {
      queueing vs flight for Net_hop events. Pure observation. *)
   mutable last_port_wait : Sim.Time.t;
   mutable last_link_wait : Sim.Time.t;
-  mutable rel : 'msg rel option;
-  (* Adaptive timeouts: one RTT estimator per ordered site pair
-     (diagonal = on-chip traffic), fed with every observed delivery
-     latency; the reliable transport's backoff base becomes the link's
-     current RTO instead of the fixed [retrans_timeout]. *)
-  mutable adaptive : Rtt.t array option;
 }
 
 (* The copy ring's slot mask, and the first int of position [p]. *)
@@ -219,7 +191,6 @@ let create engine layout params traffic rng =
       site_words;
       cells = [||];
       free_cell = -1;
-      pristine = true;
       parkable = (fun _ _ -> false);
       park_key = -1;
       park_open = false;
@@ -241,8 +212,6 @@ let create engine layout params traffic rng =
       link_busy_total = Sim.Time.zero;
       last_port_wait = Sim.Time.zero;
       last_link_wait = Sim.Time.zero;
-      rel = None;
-      adaptive = None;
     }
   in
   (* Self-register occupancy/utilization samplers when the engine
@@ -263,9 +232,7 @@ let release_cell t c =
 
 let set_parkable t f = t.parkable <- f
 
-let set_fault_injector t i =
-  t.pristine <- false;
-  t.injector <- Some i
+let set_fault_injector t i = t.injector <- Some i
 
 let set_msg_label t f = t.msg_label <- f
 let layout t = t.layout
@@ -311,12 +278,6 @@ let fault t ~src ~dst ~cls action =
   if Sim.Engine.tracing t.engine then
     Sim.Engine.emit t.engine
       (Obs.Event.Fault_action { src; dst; cls = Msg_class.to_string cls; action })
-
-let link_index t ~src_site ~dst_site = (src_site * t.layout.Layout.ncmp) + dst_site
-
-let check_site t name s =
-  if s < 0 || s >= t.layout.Layout.ncmp then
-    invalid_arg (Printf.sprintf "Fabric.%s: site %d out of range" name s)
 
 (* Fire one pooled delivery. The cell is snapshotted and released
    {e before} the handler runs, so sends the handler performs can reuse
@@ -370,11 +331,6 @@ let acquire_cell t ~src ~dst ~cls msg =
   end
 
 let schedule_delivery t ~src ~cls time dst msg =
-  (match t.adaptive with
-  | Some est ->
-    let i = link_index t ~src_site:t.cmp_arr.(src) ~dst_site:t.cmp_arr.(dst) in
-    Rtt.observe est.(i) (max 0 (time - Sim.Engine.now t.engine))
-  | None -> ());
   let c = acquire_cell t ~src ~dst ~cls msg in
   Sim.Engine.schedule_at t.engine time c.c_thunk
 
@@ -465,80 +421,34 @@ let wake t ~dst ~key =
       done
   done
 
-(* The backoff base is the fixed [retrans_timeout], or — with adaptive
-   timeouts enabled — the link's current estimated RTO. The jitter draw
-   order per attempt is identical either way, so flipping adaptive mode
-   never changes how many values the reliability stream produces. *)
-let rel_backoff t rel ~src ~dst ~attempt =
-  let base =
-    match t.adaptive with
-    | None -> rel.rp.retrans_timeout
-    | Some est ->
-      Rtt.rto est.(link_index t ~src_site:t.cmp_arr.(src) ~dst_site:t.cmp_arr.(dst))
-  in
-  let rec pow acc n = if n <= 0 then acc else pow (acc * rel.rp.retrans_backoff) (n - 1) in
-  let jitter =
-    if rel.rp.retrans_jitter = 0 then 0
-    else Sim.Rng.int rel.r_rng (rel.rp.retrans_jitter + 1)
-  in
-  (base * pow 1 (attempt - 1)) + jitter
-
-(* One offer of a copy to the fault machinery, which may delay, drop or
-   duplicate it. Without reliable transport a duplicate is delivered
-   twice and a drop is only counted. With it, each copy is a frame the
-   sender keeps until it is known delivered: the receiver absorbs a
-   duplicate, and a dropped frame is offered again after an ack timeout
-   with exponential backoff, up to [max_retrans] retransmissions. The
-   simulation collapses the ack round-trip into the timeout schedule:
-   retransmission [n] leaves [retrans_timeout * backoff^(n-1)] after the
-   previous attempt's expected arrival and takes [flight] to arrive.
-   The injector is consulted afresh on every attempt. *)
-let rec attempt t inject ~src ~dst ~cls ~flight ~n time msg =
-  match inject ~now:(Sim.Engine.now t.engine) ~src ~dst ~cls msg with
-  | Pass -> schedule_delivery t ~src ~cls time dst msg
+(* One offer of a copy to the injector, which may delay, drop or
+   duplicate it; [arrive] is its fault-free arrival. Faults are emitted
+   as structured events so a violation dump shows exactly what the
+   network did. *)
+let apply t inject ~src ~dst ~cls ~arrive msg =
+  match inject ~now:(Sim.Engine.now t.engine) ~src ~dst ~cls ~arrive msg with
+  | Pass -> schedule_delivery t ~src ~cls arrive dst msg
   | Delay extra ->
     fault t ~src ~dst ~cls "delay";
-    schedule_delivery t ~src ~cls (time + extra) dst msg
-  | Duplicate extra -> (
+    schedule_delivery t ~src ~cls (arrive + extra) dst msg
+  | Duplicate extra ->
     fault t ~src ~dst ~cls "duplicate";
-    match t.rel with
-    | Some rel ->
-      rel.r_absorbed <- rel.r_absorbed + 1;
-      if Sim.Engine.tracing t.engine then
-        Sim.Engine.emit t.engine
-          (Obs.Event.Dup_absorbed { src; dst; cls = Msg_class.to_string cls });
-      schedule_delivery t ~src ~cls time dst msg
-    | None ->
-      schedule_delivery t ~src ~cls time dst msg;
-      schedule_delivery t ~src ~cls (time + extra) dst msg)
-  | Drop -> (
+    schedule_delivery t ~src ~cls arrive dst msg;
+    schedule_delivery t ~src ~cls (arrive + extra) dst msg
+  | Drop ->
     t.dropped <- t.dropped + 1;
-    fault t ~src ~dst ~cls "drop";
-    match t.rel with
-    | None -> ()
-    | Some rel when n > rel.rp.max_retrans -> (
-      rel.r_exhausted <- rel.r_exhausted + 1;
-      if Sim.Engine.tracing t.engine then
-        Sim.Engine.emit t.engine
-          (Obs.Event.Retransmit_exhausted
-             { src; dst; cls = Msg_class.to_string cls; attempts = n });
-      match rel.r_give_up with Some f -> f ~src ~dst ~cls ~attempts:n msg | None -> ())
-    | Some rel ->
-      rel.r_retransmits <- rel.r_retransmits + 1;
-      if Sim.Engine.tracing t.engine then
-        Sim.Engine.emit t.engine
-          (Obs.Event.Retransmit { src; dst; cls = Msg_class.to_string cls; attempt = n });
-      let wait = rel_backoff t rel ~src ~dst ~attempt:n in
-      Sim.Engine.schedule_at t.engine (time + wait) (fun () ->
-          attempt t inject ~src ~dst ~cls ~flight ~n:(n + 1) (Sim.Engine.now t.engine + flight)
-            msg))
+    fault t ~src ~dst ~cls "drop"
 
-(* Injection point: every copy of every message passes through here
-   once its fault-free arrival time is known. A fault plan may delay,
-   drop or duplicate the copy; faults are emitted as structured events
-   so a violation dump shows exactly what the network did. [queue] is
-   the contention wait (busy port + busy link) already baked into
-   [time]; the rest of [time - now] is flight/serialization. *)
+let offer t ~src ~dst ~cls ~arrive msg =
+  match t.injector with
+  | None -> schedule_delivery t ~src ~cls arrive dst msg
+  | Some inject -> apply t inject ~src ~dst ~cls ~arrive msg
+
+(* Every copy of every message passes through here once its fault-free
+   arrival time is known: it parks, is scheduled, or is offered to the
+   injector. [queue] is the contention wait (busy port + busy link)
+   already baked into [time]; the rest of [time - now] is
+   flight/serialization. *)
 let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
   if Sim.Engine.tracing t.engine then begin
     Sim.Engine.emit t.engine
@@ -555,71 +465,7 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
   | None ->
     if t.park_key >= 0 && t.parkable dst t.park_key then park t ~src ~cls time dst msg
     else schedule_delivery t ~src ~cls time dst msg
-  | Some inject ->
-    attempt t inject ~src ~dst ~cls ~flight:(max 0 (time - Sim.Engine.now t.engine)) ~n:1 time
-      msg
-
-let enable_reliability ?(params = default_reliability) t rng =
-  t.pristine <- false;
-  let rel =
-    {
-      rp = params;
-      r_rng = rng;
-      r_retransmits = 0;
-      r_absorbed = 0;
-      r_exhausted = 0;
-      r_give_up = None;
-    }
-  in
-  t.rel <- Some rel;
-  match Obs.Registry.of_engine t.engine with
-  | Some registry ->
-    let module R = Obs.Registry in
-    R.register_int registry "fabric.retransmits" (fun () -> rel.r_retransmits);
-    R.register_int registry "fabric.dups_absorbed" (fun () -> rel.r_absorbed);
-    R.register_int registry "fabric.retrans_exhausted" (fun () -> rel.r_exhausted)
-  | None -> ()
-
-let reliable t = t.rel <> None
-
-let set_give_up_handler t f =
-  match t.rel with
-  | Some rel -> rel.r_give_up <- Some f
-  | None -> invalid_arg "Fabric.set_give_up_handler: reliability not enabled"
-
-let retransmits t = match t.rel with Some r -> r.r_retransmits | None -> 0
-let absorbed_duplicates t = match t.rel with Some r -> r.r_absorbed | None -> 0
-let retrans_exhausted t = match t.rel with Some r -> r.r_exhausted | None -> 0
-
-let enable_adaptive_timeouts t =
-  if t.rel = None then
-    invalid_arg "Fabric.enable_adaptive_timeouts: reliability not enabled";
-  let n = t.layout.Layout.ncmp * t.layout.Layout.ncmp in
-  let est = Array.init n (fun _ -> Rtt.create Rtt.default_params) in
-  t.adaptive <- Some est;
-  match Obs.Registry.of_engine t.engine with
-  | Some registry ->
-    let module R = Obs.Registry in
-    R.register_float registry "fabric.rto_max_ns" (fun () ->
-        Array.fold_left (fun acc e -> Float.max acc (Sim.Time.to_ns (Rtt.rto e))) 0. est);
-    R.register_int registry "fabric.rtt_samples" (fun () ->
-        Array.fold_left (fun acc e -> acc + Rtt.samples e) 0 est)
-  | None -> ()
-
-let adaptive t = t.adaptive <> None
-
-let rto t ~src_site ~dst_site =
-  match t.adaptive with
-  | None -> invalid_arg "Fabric.rto: adaptive timeouts not enabled"
-  | Some est ->
-    check_site t "rto" src_site;
-    check_site t "rto" dst_site;
-    Rtt.rto est.(link_index t ~src_site ~dst_site)
-
-let max_rto t =
-  match t.adaptive with
-  | None -> invalid_arg "Fabric.max_rto: adaptive timeouts not enabled"
-  | Some est -> Array.fold_left (fun acc e -> max acc (Rtt.rto e)) 0 est
+  | Some inject -> apply t inject ~src ~dst ~cls ~arrive:time msg
 
 (* Per-copy charging shared by [send_set] and [send_one]. A copy to a
    node on the sender's own site takes one hop: across the on-chip
@@ -693,7 +539,7 @@ let remote_copy t ~src ~cls ~bytes ~queue arrive d msg =
    destinations ascending, then remote sites ascending, each site's
    destinations descending. *)
 let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
-  if t.pristine then t.park_key <- park;
+  t.park_key <- park;
   let now = Sim.Engine.now t.engine in
   let src_site = t.cmp_arr.(src) in
   let wb = Destset.word_bits in

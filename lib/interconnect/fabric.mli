@@ -22,10 +22,12 @@
     for confidence intervals (Alameldeen & Wood).
 
     Every fault reaches the fabric through one hook, the fault injector
-    ({!set_fault_injector}): per-copy fault plans, node stalls and the
-    chaos link table of [Fault.Chaos], which wraps a plan's injector,
-    alike. An opt-in reliable transport retransmits what the injector
-    drops. *)
+    ({!set_fault_injector}). A fault plan's injector (per-copy faults,
+    node stalls), the chaos link table of [Fault.Chaos] and the
+    reliable transport of [Fault.Transport] are each an injector, and
+    the table and the transport each wrap the one before. The fabric
+    itself never retransmits: a transport re-offers a lost copy through
+    {!offer}. *)
 
 type params = {
   intra_latency : Sim.Time.t;
@@ -52,9 +54,16 @@ type fault_action =
   | Drop
   | Duplicate of Sim.Time.t
 
-(** Consulted once per (message, destination) copy. *)
+(** Consulted once per offer of a (message, destination) copy, with
+    the copy's fault-free arrival time [arrive]. *)
 type 'msg injector =
-  now:Sim.Time.t -> src:int -> dst:int -> cls:Msg_class.t -> 'msg -> fault_action
+  now:Sim.Time.t ->
+  src:int ->
+  dst:int ->
+  cls:Msg_class.t ->
+  arrive:Sim.Time.t ->
+  'msg ->
+  fault_action
 
 type 'msg t
 
@@ -69,78 +78,19 @@ val create :
 val set_handler : 'msg t -> (dst:int -> 'msg -> unit) -> unit
 
 (** Attach the fault injector, replacing any earlier one. It is
-    consulted on every offer of a copy, reliable-transport
-    retransmissions included. Injected faults (and, when the engine has
-    a trace sink, ordinary sends/deliveries/link transfers) are emitted
-    as structured {!Obs.Event} values through the engine. *)
+    consulted on every offer of a copy: each copy a send makes, and
+    each {!offer}. Injected faults (and, when the engine has a trace
+    sink, ordinary sends/deliveries/link transfers) are emitted as
+    structured {!Obs.Event} values through the engine. *)
 val set_fault_injector : 'msg t -> 'msg injector -> unit
 
-(** Opt-in reliable-delivery mode: ack-timeout retransmission of every
-    copy the fault machinery offers.
-
-    With reliability enabled, an injector's [Drop] verdict is survived:
-    the frame is re-offered to the injector after [retrans_timeout]
-    scaled by [retrans_backoff]^(attempt-1) (plus uniform
-    [retrans_jitter], drawn from a dedicated rng stream so recovery
-    randomness cannot perturb a fault plan's schedule), up to
-    [max_retrans] retransmissions. A [Duplicate] verdict is absorbed
-    by the receiver: the copy is delivered once. *)
-type reliability_params = {
-  retrans_timeout : Sim.Time.t;  (** base ack timeout before the first retransmit *)
-  retrans_backoff : int;  (** exponential multiplier per attempt *)
-  max_retrans : int;
-      (** retransmissions before giving up: a frame is offered up to
-          [max_retrans + 1] times *)
-  retrans_jitter : Sim.Time.t;  (** max uniform extra wait per attempt *)
-}
-
-val default_reliability : reliability_params
-
-(** [enable_reliability t rng] switches the fabric into reliable mode.
-    [rng] should be a stream split off for this purpose. Registers
-    [fabric.retransmits] / [fabric.dups_absorbed] /
-    [fabric.retrans_exhausted] samplers when the engine carries a
-    metrics registry. No effect on fault-free traffic: frames that pass
-    the injector unharmed are delivered exactly as without reliability,
-    and no randomness is drawn. *)
-val enable_reliability : ?params:reliability_params -> 'msg t -> Sim.Rng.t -> unit
-
-val reliable : 'msg t -> bool
-
-(** Called when a frame exhausts its retransmit budget (after the
-    structured {!Obs.Event.Retransmit_exhausted} event is emitted), with
-    the number of times it was offered, [max_retrans + 1].
-    @raise Invalid_argument if reliability is not enabled. *)
-val set_give_up_handler :
-  'msg t -> (src:int -> dst:int -> cls:Msg_class.t -> attempts:int -> 'msg -> unit) -> unit
-
-val retransmits : 'msg t -> int
-val absorbed_duplicates : 'msg t -> int
-val retrans_exhausted : 'msg t -> int
-
-(** {2 Adaptive timeouts}
-
-    Opt-in replacement of the reliable transport's fixed
-    [retrans_timeout] with a per-link RTT-estimator RTO ({!Rtt}): every
-    scheduled delivery feeds its link's estimator, and retransmission
-    backoff multiplies the link's current [Rtt.rto] instead of the
-    constant. The per-attempt jitter draw order is unchanged, so
-    enabling adaptive mode never changes how many values the
-    reliability stream produces. Registers [fabric.rto_max_ns] /
-    [fabric.rtt_samples] samplers when the engine carries a registry.
-    @raise Invalid_argument if reliability is not enabled. *)
-val enable_adaptive_timeouts : 'msg t -> unit
-
-val adaptive : 'msg t -> bool
-
-(** Current RTO of one ordered site-pair link.
-    @raise Invalid_argument if adaptive mode is off. *)
-val rto : 'msg t -> src_site:int -> dst_site:int -> Sim.Time.t
-
-(** Largest current RTO over all links — the conservative base for
-    timeouts that must out-wait any single link.
-    @raise Invalid_argument if adaptive mode is off. *)
-val max_rto : 'msg t -> Sim.Time.t
+(** [offer t ~src ~dst ~cls ~arrive msg] offers one copy to the fault
+    injector as if a send had just computed its fault-free arrival
+    [arrive], and applies the verdict; without an injector the copy is
+    scheduled for [arrive]. It claims no port or link, charges no
+    traffic and emits no [Msg_send] or [Net_hop]: it is how a
+    retransmission re-enters the fault hook. *)
+val offer : 'msg t -> src:int -> dst:int -> cls:Msg_class.t -> arrive:Sim.Time.t -> 'msg -> unit
 
 (** Label messages in trace events (defaults to the empty string; the
     message class always accompanies it). *)
@@ -195,9 +145,8 @@ val send_one :
 
 (** [set_parkable t f] installs the per-copy test: a copy of a
     [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
-    and no fault injector or reliable transport was ever armed on the
-    fabric. Installed once, at construction; without it
-    nothing parks. *)
+    and the fabric has no fault injector. Installed once, at
+    construction; without it nothing parks. *)
 val set_parkable : 'msg t -> (int -> int -> bool) -> unit
 
 (** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]

@@ -93,8 +93,8 @@ type t = {
   l1_sets : DS.t array;  (* per cmp: its L1 nodes *)
   l1_minus_self : DS.t array;  (* per node: own chip's L1s minus itself *)
   caches_minus_self : DS.t array;  (* per node: all caches minus itself *)
-  (* --- recovery state (all idle when [recovery = None]) --- *)
-  recovery : Recovery.params option;
+  (* --- recovery state (all idle when not [recovery]) --- *)
+  recovery : bool;
   mutable rec_timeout_src : (unit -> Sim.Time.t) option;
       (* adaptive recreation timeout (e.g. scaled fabric RTO); None
          keeps the static [recreation_timeout] and bit-identical runs *)
@@ -119,7 +119,7 @@ let local_l1_bit t id =
   | L.L1i { proc; _ } -> 1 lsl (t.layout.L.procs_per_cmp + proc)
   | L.L2 _ | L.Mem _ -> 0
 
-let recovery_on t = t.recovery <> None
+let recovery_on t = t.recovery
 
 let find_or_add table addr make =
   match Hashtbl.find_opt table addr with
@@ -307,8 +307,7 @@ and arm_timer t node m =
    than merely contended. The ask retries until satisfied; the home
    side dedupes. *)
 and arm_rec_timer t node m =
-  match t.recovery with
-  | Some p ->
+  if t.recovery then begin
     (match m.m_rec_timer with Some ti -> E.cancel ti | None -> ());
     (* An adaptive source replaces the static constant outright (that
        is the point: scale with observed conditions, down as well as
@@ -316,12 +315,12 @@ and arm_rec_timer t node m =
        recreation ask. *)
     let timeout =
       match t.rec_timeout_src with
-      | Some f -> max p.Recovery.bump_retry (f ())
-      | None -> p.Recovery.recreation_timeout
+      | Some f -> max Recovery.bump_retry (f ())
+      | None -> Recovery.recreation_timeout
     in
     m.m_rec_timer <-
       Some (E.timer_in t.engine timeout (fun () -> request_recreation t node m))
-  | None -> ()
+  end
 
 and request_recreation t node m =
   m.m_rec_timer <- None;
@@ -470,13 +469,12 @@ and deactivate t node m =
    deferred persistent issues. Self-rescheduling only while recovery
    work is outstanding, so runs still drain their event queues. *)
 and ensure_tick t =
-  match t.recovery with
-  | Some p when not t.tick_on ->
+  if t.recovery && not t.tick_on then begin
     t.tick_on <- true;
-    ignore (E.timer_in t.engine p.Recovery.refresh_interval (fun () -> recovery_tick t p))
-  | Some _ | None -> ()
+    ignore (E.timer_in t.engine Recovery.refresh_interval (fun () -> recovery_tick t))
+  end
 
-and recovery_tick t p =
+and recovery_tick t =
   Array.iter
     (fun node ->
       if not node.down then
@@ -514,7 +512,7 @@ and recovery_tick t p =
           node.parb_active)
     t.nodes;
   if !live then
-    ignore (E.timer_in t.engine p.Recovery.refresh_interval (fun () -> recovery_tick t p))
+    ignore (E.timer_in t.engine Recovery.refresh_interval (fun () -> recovery_tick t))
   else t.tick_on <- false
 
 and refresh_activation t node m =
@@ -765,9 +763,7 @@ let handle_p_activate t node ~addr ~proc ~l1 ~rw ~seq =
            | Some e -> e.pe_addr = addr && e.pe_marked
            | None -> false)
       in
-      let expires =
-        match t.recovery with Some p -> now t + p.Recovery.lease | None -> 0
-      in
+      let expires = if t.recovery then now t + Recovery.lease else 0 in
       node.ptable.(proc) <-
         Some { pe_addr = addr; pe_rw = rw; pe_l1 = l1; pe_marked = marked; pe_expires = expires };
       persistent_check t node addr
@@ -849,9 +845,7 @@ let handle t ~dst msg =
        epoch view is starving *now* and a fresh recreation is warranted.
        Concurrent and duplicate asks collapse onto the in-progress
        collect phase. *)
-    match t.recovery with
-    | Some p -> S.recreate t.sub node.id addr ~retry:p.Recovery.bump_retry
-    | None -> ())
+    if t.recovery then S.recreate t.sub node.id addr ~retry:Recovery.bump_retry)
   | Msg.Epoch_bump { addr; epoch } ->
     S.bump t.sub node.id addr ~epoch;
     (* Always ack, including re-deliveries: the controller's collect must
@@ -1024,11 +1018,11 @@ let make_node t_layout policy rng id =
     pending_restart = None;
   }
 
-let create ?recovery policy engine cfg traffic rng counters =
+let create ~recovery policy engine cfg traffic rng counters =
   let layout = Mcmp.Config.layout cfg in
   let fabric = F.create engine layout cfg.Mcmp.Config.fabric traffic (Sim.Rng.split rng) in
   (* Before the nodes: set-up measured cheaper (EXPERIMENTS.md, "Token substrate"). *)
-  let sub = S.create ~recovery:(recovery <> None) cfg fabric counters in
+  let sub = S.create ~recovery cfg fabric counters in
   let nodes =
     Array.init (L.node_count layout) (fun id -> make_node layout policy rng id)
   in
@@ -1067,7 +1061,7 @@ let create ?recovery policy engine cfg traffic rng counters =
      takes longer than the L1 lookup, and without the recovery stack's
      crashes and epoch changes. *)
   if
-    recovery = None
+    (not recovery)
     && F.min_cache_latency cfg.fabric ~bytes:(min cfg.ctrl_bytes cfg.data_bytes)
        > cfg.l1_latency
   then
@@ -1082,7 +1076,7 @@ let create ?recovery policy engine cfg traffic rng counters =
     Obs.Registry.register_int reg "token.tokens_inflight" (fun () -> S.inflight_total t.sub)
   | None -> ());
   (match (recovery, Obs.Registry.of_engine engine) with
-  | Some _, Some reg ->
+  | true, Some reg ->
     Obs.Registry.register_int reg "token.recreations" (fun () -> S.recreations t.sub);
     Obs.Registry.register_int reg "token.epoch_bumps" (fun () -> S.epoch_bumps t.sub);
     Obs.Registry.register_int reg "token.stale_discards" (fun () -> S.stale_discards t.sub);
@@ -1227,8 +1221,8 @@ type instrumented = {
   i_set_recreation_source : (unit -> Sim.Time.t) option -> unit;
 }
 
-let create_instrumented ?recovery policy engine cfg traffic rng counters =
-  let t = create ?recovery policy engine cfg traffic rng counters in
+let create_instrumented ?(recovery = false) policy engine cfg traffic rng counters =
+  let t = create ~recovery policy engine cfg traffic rng counters in
   {
     i_handle =
       {

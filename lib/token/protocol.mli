@@ -21,7 +21,7 @@ type debug = {
 }
 
 (** Recovery-layer activity counters (all zero when the protocol was
-    built without [?recovery]). *)
+    built without recovery). *)
 type recovery_stats = {
   rs_recreations : int;  (** token sets reminted at home controllers *)
   rs_epoch_bumps : int;  (** epoch bumps applied at caches *)
@@ -44,7 +44,7 @@ type recovery_stats = {
     fault model): a crash loses all volatile state — resident lines,
     MSHR, activation tables — while the block-epoch table survives and
     the interrupted request is re-issued at restart. Only meaningful
-    when built with [?recovery]; crashing a memory node raises
+    when built with [~recovery:true]; crashing a memory node raises
     [Invalid_argument]. *)
 type instrumented = {
   i_handle : Mcmp.Protocol.handle;
@@ -58,7 +58,7 @@ type instrumented = {
   i_set_recreation_source : (unit -> Sim.Time.t) option -> unit;
       (** Install (or clear) an adaptive source for the recreation
           timeout, consulted each time the starvation timer is armed —
-          typically a scaled {!Interconnect.Fabric.max_rto} so token
+          typically a scaled {!Fault.Transport.max_rto} so token
           recreation waits for what the network is actually doing. The
           value is floored at [bump_retry]; [None] (the default)
           keeps the static [recreation_timeout] and bit-identical
@@ -66,7 +66,7 @@ type instrumented = {
           source's {e ceiling} (see {!Recovery.worst_case_latency}). *)
 }
 
-(** [?recovery] opts the protocol into the fault-recovery layer:
+(** [~recovery:true] opts the protocol into the fault-recovery layer:
     per-block epoch numbers stamped on token messages, home-controller
     token recreation when a persistent request starves past
     [recreation_timeout], leased persistent activations with periodic
@@ -77,7 +77,7 @@ type instrumented = {
     tolerates token {e deficits} (healed by recreation) but still
     reports excess tokens or duplicate owners — the unsafe direction. *)
 val create_instrumented :
-  ?recovery:Recovery.params ->
+  ?recovery:bool ->
   Policy.t ->
   Sim.Engine.t ->
   Mcmp.Config.t ->

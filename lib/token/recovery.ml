@@ -1,26 +1,9 @@
-type params = {
-  recreation_timeout : Sim.Time.t;
-  bump_retry : Sim.Time.t;
-  refresh_interval : Sim.Time.t;
-  lease : Sim.Time.t;
-}
+let recreation_timeout = Sim.Time.ns 30_000
+let bump_retry = Sim.Time.ns 5_000
+let refresh_interval = Sim.Time.ns 10_000
+let lease = Sim.Time.ns 30_000
 
-let default =
-  {
-    recreation_timeout = Sim.Time.ns 30_000;
-    bump_retry = Sim.Time.ns 5_000;
-    refresh_interval = Sim.Time.ns 10_000;
-    lease = Sim.Time.ns 30_000;
-  }
-
-let worst_case_latency ?(max_down = Sim.Time.ns 20_000) ?(rounds = 2) ?recreation_timeout
-    p =
-  let rt =
-    match recreation_timeout with Some r -> max r p.bump_retry | None -> p.recreation_timeout
-  in
-  rounds * (rt + max_down + (3 * p.bump_retry) + p.lease)
-
-let pp fmt p =
-  Format.fprintf fmt "recreation=%a bump-retry=%a refresh=%a lease=%a" Sim.Time.pp
-    p.recreation_timeout Sim.Time.pp p.bump_retry Sim.Time.pp p.refresh_interval Sim.Time.pp
-    p.lease
+(* Two rounds, each of which may wait out a cache down for 20 us. *)
+let worst_case_latency ?recreation_timeout:r () =
+  let rt = match r with Some r -> max r bump_retry | None -> recreation_timeout in
+  2 * (rt + Sim.Time.ns 20_000 + (3 * bump_retry) + lease)

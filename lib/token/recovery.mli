@@ -1,47 +1,38 @@
 (** Timescales of the token-recreation recovery layer.
 
-    Recovery is strictly opt-in: a protocol built without a [params]
-    value draws no extra randomness, sends no extra messages and stamps
-    every token message with epoch 0, so fixed-seed runs are
-    bit-identical with the recovery code compiled in but idle. *)
+    Recovery is strictly opt-in: a protocol built without it draws no
+    extra randomness, sends no extra messages and stamps every token
+    message with epoch 0, so fixed-seed runs are bit-identical with the
+    recovery code compiled in but idle. *)
 
-type params = {
-  recreation_timeout : Sim.Time.t;
-      (** how long a persistent request may starve before its requester
-          asks the home controller to recreate the block's tokens (also
-          the retry period of that ask) *)
-  bump_retry : Sim.Time.t;
-      (** home-controller rebroadcast period for un-acked epoch bumps —
-          what rides through caches that are crashed mid-recreation *)
-  refresh_interval : Sim.Time.t;
-      (** period of the recovery tick: persistent-activation refresh
-          (re-populating restarted nodes' tables) and expired-lease
-          purging *)
-  lease : Sim.Time.t;
-      (** validity of a persistent-activation table entry without a
-          refresh; stale entries a crash orphaned expire instead of
-          blocking a block forever *)
-}
+(** 30 us: how long a persistent request may starve before its
+    requester asks the home controller to recreate the block's tokens
+    (also the retry period of that ask). *)
+val recreation_timeout : Sim.Time.t
 
-val default : params
+(** 5 us: home-controller rebroadcast period for un-acked epoch bumps —
+    what rides through caches that are crashed mid-recreation. *)
+val bump_retry : Sim.Time.t
 
-(** Conservative bound on end-to-end recovery latency: [rounds] full
+(** 10 us: period of the recovery tick: persistent-activation refresh
+    (re-populating restarted nodes' tables) and expired-lease purging. *)
+val refresh_interval : Sim.Time.t
+
+(** 30 us: validity of a persistent-activation table entry without a
+    refresh; stale entries a crash orphaned expire instead of blocking a
+    block forever. *)
+val lease : Sim.Time.t
+
+(** Conservative bound on end-to-end recovery latency: two full
     recreations, each preceded by a starvation timeout and possibly
-    waiting out a crashed cache ([max_down]) plus bump retries and a
-    lease expiry. {!Fault.Watchdog} margins must exceed this so a
+    waiting out a crashed cache (20 us) plus bump retries and a lease
+    expiry. {!Fault.Watchdog} margins must exceed this so a
     legitimately-recovering run is never flagged as livelocked.
 
-    [recreation_timeout] overrides the static [p.recreation_timeout]
-    term (floored at [bump_retry], matching the protocol's own floor) —
+    [recreation_timeout] overrides the static {!recreation_timeout}
+    term (floored at {!bump_retry}, matching the protocol's own floor) —
     required when an adaptive recreation source is installed
     ({!Protocol.instrumented.i_set_recreation_source}): the watchdog
     must budget for the source's {e ceiling}, not the static constant
     the adaptive mode no longer uses. *)
-val worst_case_latency :
-  ?max_down:Sim.Time.t ->
-  ?rounds:int ->
-  ?recreation_timeout:Sim.Time.t ->
-  params ->
-  Sim.Time.t
-
-val pp : Format.formatter -> params -> unit
+val worst_case_latency : ?recreation_timeout:Sim.Time.t -> unit -> Sim.Time.t

@@ -1,11 +1,12 @@
-(* Partition tolerance: the chaos link table, the adaptive RTT/RTO
-   estimator, and chaos campaigns driving both through the torture
-   harness. *)
+(* Partition tolerance: the chaos link table, the reliable transport
+   and its adaptive RTT/RTO estimator, and chaos campaigns driving both
+   through the torture harness. *)
 
 module F = Interconnect.Fabric
 module C = Fault.Chaos
 module L = Interconnect.Layout
-module Rtt = Interconnect.Rtt
+module Rtt = Fault.Rtt
+module Tr = Fault.Transport
 
 let ns = Sim.Time.ns
 let us = Sim.Time.us
@@ -13,12 +14,11 @@ let us = Sim.Time.us
 (* ---- RTT estimator (RFC 6298 shape) ---- *)
 
 let test_rtt_estimator () =
-  let est = Rtt.create Rtt.default_params in
+  let est = Rtt.create () in
   (* Unfed, the RTO is the floor — i.e. exactly the fixed
      retrans_timeout, so adaptive transport behaves like static
      transport until it has seen traffic. *)
-  Alcotest.(check int) "rto before any sample is the floor"
-    Rtt.default_params.Rtt.floor (Rtt.rto est);
+  Alcotest.(check int) "rto before any sample is the floor" Tr.retrans_timeout (Rtt.rto est);
   Alcotest.(check int) "no samples" 0 (Rtt.samples est);
   (* First sample seeds srtt = r, rttvar = r/2: rto = r + 4*(r/2) = 3r. *)
   Rtt.observe est (ns 1_000);
@@ -30,23 +30,14 @@ let test_rtt_estimator () =
   Alcotest.(check int) "two samples" 2 (Rtt.samples est)
 
 let test_rtt_clamping () =
-  let est = Rtt.create Rtt.default_params in
+  let est = Rtt.create () in
   Rtt.observe est (us 100);
-  Alcotest.(check int) "huge RTT clamps to the ceiling"
-    Rtt.default_params.Rtt.ceiling (Rtt.rto est);
-  let est = Rtt.create Rtt.default_params in
+  Alcotest.(check int) "huge RTT clamps to the ceiling" Rtt.ceiling (Rtt.rto est);
+  let est = Rtt.create () in
   for _ = 1 to 50 do
     Rtt.observe est (ns 10)
   done;
-  Alcotest.(check int) "tiny RTTs clamp to the floor"
-    Rtt.default_params.Rtt.floor (Rtt.rto est)
-
-let test_rtt_invalid_params () =
-  let bad p = match Rtt.create p with exception Invalid_argument _ -> true | _ -> false in
-  Alcotest.(check bool) "alpha out of range" true
-    (bad { Rtt.default_params with Rtt.alpha = 0. });
-  Alcotest.(check bool) "floor above ceiling" true
-    (bad { Rtt.default_params with Rtt.floor = us 10; ceiling = us 1 })
+  Alcotest.(check int) "tiny RTTs clamp to the floor" Rtt.floor (Rtt.rto est)
 
 (* ---- chaos link table ---- *)
 
@@ -59,10 +50,14 @@ let make_fabric ?(lay = layout ()) ?(jitter = 0) () =
   let fabric = F.create engine lay params traffic (Sim.Rng.create 1) in
   (engine, lay, fabric)
 
-(* A table running [spec] (by default none: every link up), over
-   [inner] (by default an injector that passes everything). *)
-let arm ?(inner = fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass) ?(spec = []) fabric =
-  snd (C.install ~seed:1 ~spec fabric inner)
+let pass ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ = F.Pass
+
+(* A table running [spec] (by default none: every link up) over
+   [inner] (by default [pass]), installed on [fabric]. *)
+let arm ?(inner = pass) ?(spec = []) fabric =
+  let _, links, inject = C.install ~seed:1 ~spec fabric inner in
+  F.set_fault_injector fabric inject;
+  links
 
 let test_outage_requires_enable () =
   let arrivals ~armed =
@@ -111,7 +106,7 @@ let test_degraded_link_latency () =
      injector that answers [verdict] to every copy. *)
   let arrivals verdict =
     let engine, l, fabric = make_fabric () in
-    let links = arm ~inner:(fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> verdict) fabric in
+    let links = arm ~inner:(fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ -> verdict) fabric in
     C.set_link_state links ~src_site:0 ~dst_site:1
       (C.Link_degraded { latency_mult = 3.0; drop_prob = 0. });
     let seen = ref [] in
@@ -223,16 +218,14 @@ let test_link_transitions_traced () =
 
 let test_exhaustion_then_heal_no_resurrection () =
   let engine, l, fabric = make_fabric () in
-  let rel =
-    { F.retrans_timeout = ns 100; retrans_backoff = 2; max_retrans = 3;
-      retrans_jitter = Sim.Time.zero }
-  in
-  F.enable_reliability ~params:rel fabric (Sim.Rng.create 6);
-  let links = arm fabric in
   let gave_up = ref 0 and handler_attempts = ref 0 and event_attempts = ref 0 in
-  F.set_give_up_handler fabric (fun ~src:_ ~dst:_ ~cls:_ ~attempts msg ->
-      gave_up := msg;
-      handler_attempts := attempts);
+  let give_up ~src:_ ~dst:_ ~cls:_ ~attempts msg =
+    gave_up := msg;
+    handler_attempts := attempts
+  in
+  let _, links, inject = C.install ~seed:1 ~spec:[] fabric pass in
+  let tr, inject = Tr.wrap ~adaptive:false ~rng:(Sim.Rng.create 6) ~give_up fabric inject in
+  F.set_fault_injector fabric inject;
   Sim.Engine.set_sink engine (fun _ -> function
     | Obs.Event.Retransmit_exhausted { attempts; _ } -> event_attempts := attempts
     | _ -> ());
@@ -240,18 +233,18 @@ let test_exhaustion_then_heal_no_resurrection () =
   F.set_handler fabric (fun ~dst:_ msg -> deliveries := msg :: !deliveries);
   C.set_link_state links ~src_site:0 ~dst_site:1 C.Link_down;
   let src = L.l1d l ~cmp:0 ~proc:0 and dst = L.l2 l ~cmp:1 ~bank:0 in
-  (* Frame 1 exhausts its budget (retransmits end by ~1 us) long before
-     the heal at 5 us; the heal must not resurrect it. *)
+  (* Frame 1 exhausts its budget long before the heal at 400 us: its
+     ten backoffs take 300 ns x (2^10 - 1) = 306.9 us plus at most 50 ns
+     of jitter each. The heal must not resurrect it. *)
   F.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request ~bytes:8 1;
-  Sim.Engine.schedule_at engine (us 5) (fun () -> C.heal links);
-  Sim.Engine.schedule_at engine (us 6) (fun () ->
+  Sim.Engine.schedule_at engine (us 400) (fun () -> C.heal links);
+  Sim.Engine.schedule_at engine (us 401) (fun () ->
       F.send_one fabric ~src ~dst ~cls:Interconnect.Msg_class.Request ~bytes:8 2);
   Sim.Engine.run engine;
-  Alcotest.(check int) "budget exhausted once" 1 (F.retrans_exhausted fabric);
+  Alcotest.(check int) "budget exhausted once" 1 (Tr.exhausted tr);
   Alcotest.(check int) "give-up handler saw frame 1" 1 !gave_up;
-  Alcotest.(check int) "retransmits capped" rel.F.max_retrans (F.retransmits fabric);
-  Alcotest.(check int) "offered max_retrans + 1 times" (rel.F.max_retrans + 1)
-    !handler_attempts;
+  Alcotest.(check int) "retransmits capped" Tr.max_retrans (Tr.retransmits tr);
+  Alcotest.(check int) "offered max_retrans + 1 times" (Tr.max_retrans + 1) !handler_attempts;
   Alcotest.(check int) "the exhaustion event agrees" !handler_attempts !event_attempts;
   Alcotest.(check (list int)) "frame 1 stays dead; post-heal frame 2 delivers" [ 2 ]
     !deliveries
@@ -262,16 +255,22 @@ let test_exhaustion_then_heal_no_resurrection () =
 
 let reliable_broadcast lay =
   let engine, l, fabric = make_fabric ~lay () in
-  F.enable_reliability fabric (Sim.Rng.create 8);
   (* Per (destination, frame) copy: first offer dropped, the retransmit
      duplicated, anything later passes — exercising retransmission and
      duplicate absorption on every copy of the broadcast. *)
   let offers = Hashtbl.create 256 in
-  F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst ~cls:_ msg ->
-      let k = (dst, msg) in
-      let n = 1 + (try Hashtbl.find offers k with Not_found -> 0) in
-      Hashtbl.replace offers k n;
-      match n with 1 -> F.Drop | 2 -> F.Duplicate (ns 10) | _ -> F.Pass);
+  let inner ~now:_ ~src:_ ~dst ~cls:_ ~arrive:_ msg =
+    let k = (dst, msg) in
+    let n = 1 + (try Hashtbl.find offers k with Not_found -> 0) in
+    Hashtbl.replace offers k n;
+    match n with 1 -> F.Drop | 2 -> F.Duplicate (ns 10) | _ -> F.Pass
+  in
+  let tr, inject =
+    Tr.wrap ~adaptive:false ~rng:(Sim.Rng.create 8)
+      ~give_up:(fun ~src:_ ~dst:_ ~cls:_ ~attempts:_ _ -> ())
+      fabric inner
+  in
+  F.set_fault_injector fabric inject;
   let received = Hashtbl.create 256 in
   F.set_handler fabric (fun ~dst msg ->
       Hashtbl.replace received (dst, msg)
@@ -285,9 +284,8 @@ let reliable_broadcast lay =
   Hashtbl.iter (fun _ n -> if n <> 1 then exactly_once := false) received;
   Alcotest.(check int) "every destination reached" ndsts (Hashtbl.length received);
   Alcotest.(check bool) "each exactly once" true !exactly_once;
-  Alcotest.(check int) "one retransmit per copy" ndsts (F.retransmits fabric);
-  Alcotest.(check int) "one duplicate absorbed per copy" ndsts
-    (F.absorbed_duplicates fabric)
+  Alcotest.(check int) "one retransmit per copy" ndsts (Tr.retransmits tr);
+  Alcotest.(check int) "one duplicate absorbed per copy" ndsts (Tr.absorbed_duplicates tr)
 
 let test_reliability_wide_destsets () =
   (* 16 CMPs x (2*6 L1 + 4 L2 + mem) = 272 nodes: a destset five words
@@ -401,6 +399,43 @@ let test_degradations_combine () =
       ((us 6, (0, 2)), "degraded(4,0.1)"); ((us 6, (0, 1)), "degraded(4,0.1)");
       ((us 11, (0, 2)), "up"); ((us 11, (0, 1)), "up") ]
     seen
+
+(* A cause's end is a heal only when some link it held comes back up.
+   On 2 sites the flapping pair is the cut pair: in CI's plan (flaps at
+   2-7, 14-19 and 26-31 us around a 5-30 us cut) the pair comes up once,
+   at 31 us. Two flaps that do not overlap heal twice. *)
+let test_heals_count_links_that_come_up () =
+  let heals spec =
+    let lay = L.create ~ncmp:2 ~procs_per_cmp:2 ~banks_per_cmp:2 in
+    let engine, _, fabric = make_fabric ~lay () in
+    let stats, _, _ = C.install ~seed:1 ~spec fabric pass in
+    Sim.Engine.run engine;
+    stats
+  in
+  let ci = heals (C.flaky () @ C.split ~duration:(us 25) ()) in
+  Alcotest.(check (pair int int)) "three flaps and a cut start" (3, 1)
+    (ci.C.flap_downs, ci.C.partitions);
+  Alcotest.(check int) "the pair comes up once" 1 ci.C.heals;
+  Alcotest.(check int) "separate flaps heal separately" 2
+    (heals (C.flaky ~cycles:2 ())).C.heals
+
+(* Degraded time is summed over links like downtime, and a link that
+   is down is not also degraded. A burst (every link, 3-7 us) inside a
+   1-11 us cut on 4 sites: the 8 cut links are down for 10 us each and
+   the other 4 degraded for 4 us each. A degrade that changes factors
+   stays one stretch: 12 links degraded from 1 to 10 us. *)
+let test_degraded_time () =
+  let times spec =
+    let _, table = states_over spec ~links:[] ~times:[ us 20 ] in
+    (C.link_downtime table, C.link_degraded_time table)
+  in
+  Alcotest.(check (pair int int)) "cut links down, the others degraded" (us 80, us 16)
+    (times (C.burst_loss () @ C.split ~at:(us 1) ~duration:(us 10) ()));
+  let degraded latency_mult drop_prob = C.Link_degraded { latency_mult; drop_prob } in
+  Alcotest.(check (pair int int)) "one stretch per link" (0, us 108)
+    (times
+       [ { C.held = C.Every_link; from = us 1; until = us 10; state = degraded 4. 0.1 };
+         { C.held = C.Cut; from = us 2; until = us 5; state = degraded 2. 0.5 } ])
 
 let recovering = { Fault.Torture.default_params with Fault.Torture.p_recover = true }
 let adaptive = { recovering with Fault.Torture.p_adaptive = true }
@@ -521,6 +556,8 @@ let test_directory_brownout () =
   | v -> Alcotest.failf "expected survived-partition, got %a" Fault.Torture.pp_verdict v);
   Alcotest.(check bool) "the brownout delayed cut traffic" true
     (match o.Fault.Torture.chaos with Some s -> s.Fault.Chaos.cut_copies > 0 | None -> false);
+  Alcotest.(check bool) "and the outcome reports degraded time" true
+    (o.Fault.Torture.link_degraded > Sim.Time.zero);
   Alcotest.(check int) "nothing dropped by the outage model" 0
     (match o.Fault.Torture.chaos with Some _ -> 0 | None -> 1)
 
@@ -537,10 +574,10 @@ let test_margin_covers_adaptive_ceiling () =
     Fault.Torture.effective_margin ~base:2.5 ~recover:true ~adaptive ~watchdog_interval
       ~no_progress_windows ~starvation_bound ()
   in
-  let static_worst = Token.Recovery.worst_case_latency Token.Recovery.default in
+  let static_worst = Token.Recovery.worst_case_latency () in
   let adaptive_worst =
     Token.Recovery.worst_case_latency
-      ~recreation_timeout:Fault.Torture.adaptive_recreation_ceiling Token.Recovery.default
+      ~recreation_timeout:Fault.Torture.adaptive_recreation_ceiling ()
   in
   Alcotest.(check bool) "adaptive ceiling raises worst-case recovery" true
     (adaptive_worst > static_worst);
@@ -591,7 +628,6 @@ let tests =
   [
     Alcotest.test_case "rtt estimator follows RFC 6298" `Quick test_rtt_estimator;
     Alcotest.test_case "rtt rto clamps to floor and ceiling" `Quick test_rtt_clamping;
-    Alcotest.test_case "rtt invalid params rejected" `Quick test_rtt_invalid_params;
     Alcotest.test_case "outage model is opt-in" `Quick test_outage_requires_enable;
     Alcotest.test_case "down link drops copies" `Quick test_down_link_drops;
     Alcotest.test_case "degraded link stacks latency" `Quick test_degraded_link_latency;
@@ -610,6 +646,9 @@ let tests =
       test_burst_heal_inside_partition;
     Alcotest.test_case "degradations combine factor by factor" `Quick
       test_degradations_combine;
+    Alcotest.test_case "a heal is a cause end that brings a link up" `Quick
+      test_heals_count_links_that_come_up;
+    Alcotest.test_case "degraded time is summed over links" `Quick test_degraded_time;
     Alcotest.test_case "a zero-length cut reads clean" `Slow test_hollow_cut_is_clean;
     Alcotest.test_case "dormant chaos leaves runs bit-identical" `Slow
       test_chaos_gating_deterministic;

@@ -155,7 +155,7 @@ let test_home_drains_past_cancelled_writeback () =
   let l2 cmp = L.l2 layout ~cmp ~bank:(Cache.Addr.l2_bank ~nbanks:tiny.Mcmp.Config.l2_banks block) in
   let home = L.mem layout ~cmp:(Cache.Addr.home_cmp ~ncmp:tiny.Mcmp.Config.ncmp block) in
   let forwarded = ref false in
-  Interconnect.Fabric.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst ~cls:_ msg ->
+  Interconnect.Fabric.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst ~cls:_ ~arrive:_ msg ->
       (match msg with
       | Directory.Msg.C_fwd_gets { requester_l2; _ } when dst = l2 1 && requester_l2 = l2 0 ->
         forwarded := true

@@ -282,7 +282,7 @@ let test_plan_rng_identical_with_recovery () =
    worst-case end-to-end latency, or legitimate recoveries would be
    misreported as starvation/livelock. *)
 let test_watchdog_margin_covers_recreation () =
-  let worst = Token.Recovery.worst_case_latency Token.Recovery.default in
+  let worst = Token.Recovery.worst_case_latency () in
   let scaled_starvation = Sim.Time.ns (int_of_float (2.5 *. 200_000.)) in
   Alcotest.(check bool) "margin-scaled starvation bound clears worst-case recovery" true
     (scaled_starvation > worst);
@@ -502,6 +502,61 @@ let test_outstanding_misses_gauge () =
       (Fault.Torture.Directory { dram_directory = true }, "directory.outstanding_misses");
     ]
 
+(* The recovery stack's exact outputs, recorded before the reliable
+   transport moved from the fabric into Fault.Transport: four seed-1
+   runs covering the fixed transport with duplicate absorption and
+   crashes, the adaptive transport through flaps around a cut and
+   through a lossy burst, and retransmit exhaustion in a 400 us cut. *)
+let test_recovery_stack_pinned () =
+  let us = Sim.Time.us and dst1 = Fault.Torture.Token Token.Policy.dst1 in
+  let run ?chaos ~adaptive target spec =
+    Fault.Torture.run
+      { recovering with Fault.Torture.p_adaptive = adaptive; p_chaos = chaos }
+      target ~spec ~seed:1
+  in
+  let pinned name o ~verdict ~ops ~events ~runtime ~retransmits metrics =
+    let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+    Alcotest.(check string) (name ^ ": verdict") verdict
+      (Format.asprintf "%a" Fault.Torture.pp_verdict (Fault.Torture.verdict o));
+    check "ops" ops o.Fault.Torture.ops;
+    check "events" events o.Fault.Torture.events;
+    check "runtime (ps)" runtime o.Fault.Torture.runtime;
+    check "retransmits" retransmits o.Fault.Torture.retransmits;
+    List.iter
+      (fun (k, v) ->
+        let got =
+          match Tcjson.member k o.Fault.Torture.metrics with
+          | Some (Tcjson.Int i) -> float_of_int i
+          | Some (Tcjson.Float f) -> f
+          | _ -> Alcotest.failf "%s: no metric %s" name k
+        in
+        Alcotest.(check (float 1e-9)) (name ^ ": " ^ k) v got)
+      metrics
+  in
+  let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.02 Fault.Spec.default in
+  pinned "drops and crashes"
+    (run ~adaptive:false dst1 (Fault.Spec.with_crashes ~count:2 spec))
+    ~verdict:"clean" ~ops:420 ~events:4663 ~runtime:48_298_017 ~retransmits:17
+    [ ("fabric.dups_absorbed", 17.) ];
+  pinned "flaps around a cut"
+    (run
+       ~chaos:(Fault.Chaos.flaky () @ Fault.Chaos.split ~duration:(us 25) ())
+       ~adaptive:true dst1 Fault.Spec.default)
+    ~verdict:"survived-partition" ~ops:420 ~events:4343 ~runtime:67_186_769 ~retransmits:804
+    [ ("fabric.dups_absorbed", 10.); ("fabric.rtt_samples", 1757.); ("fabric.rto_max_ns", 300.) ];
+  pinned "lossy burst"
+    (run ~chaos:(Fault.Chaos.burst_loss ()) ~adaptive:true
+       (Fault.Torture.Token Token.Policy.arb0)
+       (Fault.Spec.with_drops ~tokens:false ~prob:0.05 Fault.Spec.default))
+    ~verdict:"clean" ~ops:420 ~events:7132 ~runtime:21_175_008 ~retransmits:63
+    [ ("fabric.rtt_samples", 5684.); ("fabric.rto_max_ns", 592.701) ];
+  pinned "400 us cut"
+    (run ~chaos:(Fault.Chaos.split ~duration:(us 400) ()) ~adaptive:true dst1 Fault.Spec.none)
+    ~verdict:"FAILED: livelock: did not converge after partition heal" ~ops:319 ~events:16423
+    ~runtime:312_405_365 ~retransmits:12615
+    [ ("fabric.retrans_exhausted", 1.); ("fabric.rtt_samples", 2604.);
+      ("fabric.dropped", 12616.) ]
+
 let tests =
   [
     Alcotest.test_case "spec modes" `Quick test_spec_modes;
@@ -530,6 +585,7 @@ let tests =
       test_span_reconciliation_under_faults;
     Alcotest.test_case "retransmit exhaustion is a structured report" `Slow
       test_retransmit_exhaustion_structured;
+    Alcotest.test_case "recovery stack outputs are pinned" `Slow test_recovery_stack_pinned;
     Alcotest.test_case "recovery campaign, all token targets" `Slow
       test_recovery_campaign;
     Alcotest.test_case "torture runs the runner's machine" `Quick

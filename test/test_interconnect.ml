@@ -159,23 +159,24 @@ let test_fabric_bandwidth_serialization () =
 
 (* Fault verdicts, one arm at a time: a bare 2-CMP fabric, no jitter,
    whose injector answers each offered copy with the next scripted
-   verdict (then [Pass]). One send crosses chips; returns the fabric and
-   the delivery times. *)
+   verdict (then [Pass]); [wrap] may wrap that injector before it is
+   installed. One send crosses chips; returns the fabric and the
+   delivery times. *)
 module F = Interconnect.Fabric
 
-let scripted ?reliability script =
+let scripted ?(wrap = fun _ inject -> inject) script =
   let l = Interconnect.Layout.create ~ncmp:2 ~procs_per_cmp:1 ~banks_per_cmp:1 in
   let engine = Sim.Engine.create () in
   let params = { F.default_params with jitter = 0 } in
   let fabric = F.create engine l params (Interconnect.Traffic.create ()) (Sim.Rng.create 1) in
   let script = ref script in
-  F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ () ->
-      match !script with
-      | v :: rest ->
-        script := rest;
-        v
-      | [] -> F.Pass);
-  Option.iter (fun params -> F.enable_reliability ~params fabric (Sim.Rng.create 2)) reliability;
+  F.set_fault_injector fabric
+    (wrap fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ () ->
+         match !script with
+         | v :: rest ->
+           script := rest;
+           v
+         | [] -> F.Pass));
   let arrivals = ref [] in
   F.set_handler fabric (fun ~dst:_ () -> arrivals := Sim.Engine.now engine :: !arrivals);
   F.send_one fabric ~src:(Interconnect.Layout.l1d l ~cmp:0 ~proc:0)
@@ -204,23 +205,38 @@ let test_verdict_drop () =
   Alcotest.check times "nothing delivered" [] arrivals;
   Alcotest.(check int) "counted" 1 (F.dropped fabric)
 
-let reliability = { F.default_reliability with F.retrans_jitter = 0 }
+(* The same send under a reliable transport whose jitter stream is
+   [Sim.Rng.create 2]. *)
+let reliably script =
+  let transport = ref None in
+  let wrap fabric inject =
+    let tr, inject =
+      Fault.Transport.wrap ~adaptive:false ~rng:(Sim.Rng.create 2)
+        ~give_up:(fun ~src:_ ~dst:_ ~cls:_ ~attempts:_ () -> ())
+        fabric inject
+    in
+    transport := Some tr;
+    inject
+  in
+  let fabric, arrivals = scripted ~wrap script in
+  (fabric, Option.get !transport, arrivals)
 
 let test_reliable_duplicate () =
   let t = pass_arrival () in
-  let fabric, arrivals = scripted ~reliability [ F.Duplicate (Sim.Time.ns 7) ] in
+  let _, tr, arrivals = reliably [ F.Duplicate (Sim.Time.ns 7) ] in
   Alcotest.check times "delivered once" [ t ] arrivals;
-  Alcotest.(check int) "absorbed" 1 (F.absorbed_duplicates fabric)
+  Alcotest.(check int) "absorbed" 1 (Fault.Transport.absorbed_duplicates tr)
 
-(* The retransmit leaves one base timeout after the lost copy's
-   arrival and takes the same flight again. *)
+(* The retransmit leaves one base timeout plus its jitter draw after
+   the lost copy's arrival, and takes the same flight again. *)
 let test_reliable_drop () =
   let t = pass_arrival () in
-  let fabric, arrivals = scripted ~reliability [ F.Drop; F.Pass ] in
+  let fabric, tr, arrivals = reliably [ F.Drop; F.Pass ] in
+  let jitter = Sim.Rng.int (Sim.Rng.create 2) (Fault.Transport.retrans_jitter + 1) in
   Alcotest.check times "delivered once after the backoff"
-    [ t + reliability.F.retrans_timeout + t ]
+    [ t + Fault.Transport.retrans_timeout + jitter + t ]
     arrivals;
-  Alcotest.(check int) "one retransmit" 1 (F.retransmits fabric);
+  Alcotest.(check int) "one retransmit" 1 (Fault.Transport.retransmits tr);
   Alcotest.(check int) "the lost copy counts" 1 (F.dropped fabric)
 
 let tests =

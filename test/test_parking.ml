@@ -199,7 +199,7 @@ let test_remote_copy_keeps_record () =
 
 let test_injector_stops_parking () =
   let _, engine, fabric, log, send, dst, arrival = rig () in
-  F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass);
+  F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ -> F.Pass);
   send 5;
   Sim.Engine.run engine;
   Alcotest.(check (list (triple string int int)))
@@ -213,7 +213,8 @@ let builder ~pass_through policy captured : Mcmp.Protocol.builder =
  fun engine config traffic rng counters ->
   let i = Token.Protocol.create_instrumented policy engine config traffic rng counters in
   let fabric = i.Token.Protocol.i_fabric in
-  if pass_through then F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ _ -> F.Pass);
+  if pass_through then
+    F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ -> F.Pass);
   captured := Some (engine, fabric);
   i.Token.Protocol.i_handle
 

@@ -636,6 +636,7 @@ let scale () =
         in
         let n = float_of_int (List.length results) in
         let events = List.fold_left (fun a (r, _, _) -> a + r.Mcmp.Runner.events) 0 results in
+        let ops = List.fold_left (fun a (r, _, _) -> a + r.Mcmp.Runner.ops) 0 results in
         let wall = List.fold_left (fun a (_, w, _) -> a +. w) 0. results in
         let build = List.fold_left (fun a (_, _, b) -> a +. b) 0. results in
         let runtime_ns =
@@ -653,6 +654,10 @@ let scale () =
           ("events_per_host_s", J.Float (float_of_int events /. wall));
           ("host_wall_s", J.Float wall);
           ("build_s", J.Float build);
+          ("ops", J.Int ops);
+          (* Host time per retired op, set-up excluded: the unit that
+             stays comparable when a change saves events. *)
+          ("host_ns_per_op", J.Float ((wall -. build) *. 1e9 /. float_of_int ops));
           ("completed", J.Bool (List.for_all (fun (r, _, _) -> r.Mcmp.Runner.completed) results));
         ])
       curve_protocols
@@ -1044,6 +1049,8 @@ let perf () =
      each with its minor words allocated per unit of work:\n\
      - engine_churn: one queue, empty handlers, uniform 4096-event batches;\n\
      - bursty_churn: the broadcast shape, 32 events inside a 500 ps window;\n\
+     - fresh_churn: the bursty shape with a fresh closure per event, as a\n\
+    \  protocol's schedule_in passes (engine kernels: one row per repetition);\n\
      - send_set / send_one: all-caches broadcasts and random point-to-point\n\
     \  pairs on the 4-CMP machine with a no-op handler;\n\
      - send_parked: a request's local and escalation sets whose L1 copies\n\
@@ -1060,58 +1067,79 @@ let perf () =
     let dt = Unix.gettimeofday () -. t0 in
     (dt, Gc.minor_words () -. w0)
   in
+  (* Repetitions of a kernel after a warm-up one: [rep ()] returns
+     (host seconds, minor words, units of work). *)
+  let reps rep =
+    ignore (rep ());
+    List.init (if !quick then 3 else 7) (fun _ ->
+        let dt, words, n = rep () in
+        (n /. dt, words /. n))
+  in
+  (* The median rate and the mean minor words of [reps]' rows. *)
+  let summary rows =
+    let rates = List.sort compare (List.map fst rows) in
+    ( List.nth rates (List.length rates / 2),
+      List.fold_left (fun a (_, w) -> a +. w) 0. rows /. float_of_int (List.length rows) )
+  in
   (* 1. Uniform churn: schedule-then-drain batches of 4096 events with
      one preallocated empty thunk, the pure queue-discipline cost. *)
-  let churn_eps, churn_mwpe =
-    let batches = if !quick then 60 else 200 in
+  let churn_reps =
+    let batches = if !quick then 20 else 60 in
     let per_batch = 4096 in
     let e = Sim.Engine.create () in
     let nop () = () in
-    let dt, words =
-      measure (fun () ->
-          for _ = 1 to batches do
-            for i = 1 to per_batch do
-              Sim.Engine.schedule_in e (Sim.Time.ps ((i * 7919) land 0xffff)) nop
-            done;
-            Sim.Engine.run e
-          done)
-    in
-    let n = float_of_int (batches * per_batch) in
-    (n /. dt, words /. n)
+    reps (fun () ->
+        let dt, words =
+          measure (fun () ->
+              for _ = 1 to batches do
+                for i = 1 to per_batch do
+                  Sim.Engine.schedule_in e (Sim.Time.ps ((i * 7919) land 0xffff)) nop
+                done;
+                Sim.Engine.run e
+              done)
+        in
+        (dt, words, float_of_int (batches * per_batch)))
   in
   (* 2. Bursty churn, the broadcast shape: 8 independent chains, each
      scheduling a cluster of 32 events 20 ns ahead inside a 500 ps
      jitter window; the cluster's last event launches the chain's next
-     cluster, so ~256 events stay pending. *)
+     cluster, so ~256 events stay pending. With [fresh], every event is
+     a fresh closure, as a protocol's [schedule_in] passes; otherwise
+     each chain pushes one preallocated thunk. *)
   let cluster = 32 and window_ps = 500 in
-  let bursty_eps, bursty_mwpe =
+  let bursty ~fresh =
     let chains = 8 in
-    let total = if !quick then 1_000_000 else 4_000_000 in
+    let per_rep = if !quick then 250_000 else 1_000_000 in
     let e = Sim.Engine.create () in
     let rng = Sim.Rng.create 1 in
+    let limit = ref 0 in
     let left = Array.make chains 0 in
     let thunks = Array.make chains ignore in
-    let launch c =
+    let rec launch c =
       left.(c) <- cluster;
       for _ = 1 to cluster do
         Sim.Engine.schedule_in e
           (Sim.Time.ns 20 + Sim.Rng.int rng (window_ps + 1))
-          thunks.(c)
+          (if fresh then fun () -> step c else thunks.(c))
       done
+    and step c =
+      left.(c) <- left.(c) - 1;
+      if left.(c) = 0 && Sim.Engine.events_processed e < !limit then launch c
     in
     for c = 0 to chains - 1 do
-      thunks.(c) <-
-        (fun () ->
-          left.(c) <- left.(c) - 1;
-          if left.(c) = 0 && Sim.Engine.events_processed e < total then launch c)
+      thunks.(c) <- (fun () -> step c)
     done;
-    for c = 0 to chains - 1 do
-      launch c
-    done;
-    let dt, words = measure (fun () -> Sim.Engine.run e) in
-    let n = float_of_int (Sim.Engine.events_processed e) in
-    (n /. dt, words /. n)
+    reps (fun () ->
+        let start = Sim.Engine.events_processed e in
+        limit := start + per_rep;
+        for c = 0 to chains - 1 do
+          launch c
+        done;
+        let dt, words = measure (fun () -> Sim.Engine.run e) in
+        (dt, words, float_of_int (Sim.Engine.events_processed e - start)))
   in
+  let bursty_reps = bursty ~fresh:false in
+  let fresh_reps = bursty ~fresh:true in
   (* 3. Sends on the default 4-CMP machine with a no-op handler:
      all-caches broadcasts through [send_set], and random point-to-point
      pairs through [send_one]. The engine drains every 256 sends. *)
@@ -1202,24 +1230,14 @@ let perf () =
       Sim.Engine.run engine
     in
     let rounds = if !quick then 20_000 else 100_000 in
-    let rep () =
-      let dt, words =
-        measure (fun () ->
-            for i = 1 to rounds do
-              round i
-            done)
-      in
-      let copies = float_of_int (rounds * parked_per_round) in
-      (dt *. 1e9 /. copies, words /. copies)
-    in
-    ignore (rep ());
-    List.init (if !quick then 3 else 7) (fun _ -> rep ())
-  in
-  let parked_ns, parked_mw =
-    let ns = List.sort compare (List.map fst parked_reps) in
-    ( List.nth ns (List.length ns / 2),
-      List.fold_left (fun a (_, w) -> a +. w) 0. parked_reps
-      /. float_of_int (List.length parked_reps) )
+    reps (fun () ->
+        let dt, words =
+          measure (fun () ->
+              for i = 1 to rounds do
+                round i
+              done)
+        in
+        (dt, words, float_of_int (rounds * parked_per_round)))
   in
   (* 5. Whole simulations: protocol + caches + fabric, per retired op,
      the unit of simulated work (events per op is the protocol's and
@@ -1257,21 +1275,35 @@ let perf () =
     emit
       (T.make "Kernel hot paths"
          [
-           kernel "engine_churn" "event" (churn_eps, churn_mwpe);
-           kernel "bursty_churn" "event" (bursty_eps, bursty_mwpe);
+           kernel "engine_churn" "event" (summary churn_reps);
+           kernel "bursty_churn" "event" (summary bursty_reps);
+           kernel "fresh_churn" "event" (summary fresh_reps);
            kernel "send_set" "send" (set_sps, set_mwps);
            kernel "send_one" "send" (one_sps, one_mwps);
-           kernel "send_parked" "parked copy" (1e9 /. parked_ns, parked_mw);
+           kernel "send_parked" "parked copy" (summary parked_reps);
            kernel "tiny_sim" "op" sim;
            kernel "tiny_sim_directory" "op" sim_directory;
          ])
+  in
+  let engine_reps =
+    emit
+      (T.make "Engine kernel repetitions"
+         (List.concat_map
+            (fun (name, rows) ->
+              List.mapi
+                (fun i (per_s, words) ->
+                  [ ("kernel", J.String name); ("rep", J.Int (i + 1));
+                    ("events_per_s", J.Float per_s); ("minor_words_per_event", J.Float words) ])
+                rows)
+            [ ("engine_churn", churn_reps); ("bursty_churn", bursty_reps);
+              ("fresh_churn", fresh_reps) ]))
   in
   let send_parked =
     emit
       (T.make "send_parked repetitions"
          (List.mapi
-            (fun i (ns, words) ->
-              [ ("rep", J.Int (i + 1)); ("ns_per_parked_copy", J.Float ns);
+            (fun i (per_s, words) ->
+              [ ("rep", J.Int (i + 1)); ("ns_per_parked_copy", J.Float (1e9 /. per_s));
                 ("minor_words_per_parked_copy", J.Float words) ])
             parked_reps))
   in
@@ -1282,7 +1314,13 @@ let perf () =
             (fun (n, w) -> [ ("section", J.String n); ("wall_s", J.Float w) ])
             !section_walls))
   in
-  J.Obj [ ("kernels", kernels); ("send_parked", send_parked); ("section_wall_clock_s", walls) ]
+  J.Obj
+    [
+      ("kernels", kernels);
+      ("engine_repetitions", engine_reps);
+      ("send_parked", send_parked);
+      ("section_wall_clock_s", walls);
+    ]
 
 (* ------------------------------------------------------------------ *)
 

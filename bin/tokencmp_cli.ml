@@ -438,8 +438,10 @@ let chaos_cmd =
        ~doc:
          "Link-outage chaos campaign: flapping links and a 2-region partition with a \
           scheduled heal against the token recovery stack (reliable transport with \
-          adaptive RTT-based timeouts, token recreation). Pass criterion: every request \
-          retires after the heal with zero violations. With $(b,--directory), the \
+          adaptive RTT-based timeouts, token recreation). Pass criterion: the run \
+          completes with zero violations; it reads survived-partition when the cut held \
+          copies, whether it ended during the cut or after the heal. With \
+          $(b,--directory), the \
           loss-free brownout rendition runs against DirectoryCMP. Exit codes: 0 \
           survived/clean, 1 invariant violation, 2 watchdog/liveness timeout.")
     Term.(

@@ -359,7 +359,7 @@ let verdict o =
   let fatal = List.exists (fun r -> Report.severity r = `Fatal) o.reports in
   (* A partitioned run that fails to finish is a livelock — the network
      healed (every partition schedules its heal) and convergence was
-     owed; one that retires everything violation-free genuinely
+     owed; one that completes violation-free, during or after its cut,
      survived the partition. A cut that dropped or delayed no copy
      partitioned nothing. *)
   let partitioned = match o.chaos with Some s -> s.Chaos.cut_copies > 0 | None -> false in

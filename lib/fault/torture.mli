@@ -164,10 +164,10 @@ val run : run_params -> target -> spec:Spec.t -> seed:int -> outcome
     survivable:
 
     - [Clean]: completed, nothing to report;
-    - [Survived_partition]: clean {e and} the run rode out at least one
-      region partition that cut traffic ({!Chaos.stats}[.cut_copies]
-      > 0) — every request retired after the heal with zero
-      violations; a cut that held no copy reads [Clean];
+    - [Survived_partition]: clean {e and} a region partition held at
+      least one copy ({!Chaos.stats}[.cut_copies] > 0): the run
+      completed with zero violations, during or after that cut (a run
+      may end before the heal); a cut that held no copy reads [Clean];
     - [Detected]: an injected unsurvivable fault (token-carrying drop,
       token-minting duplicate) was correctly caught and reported;
     - [Failed _]: a genuine robustness bug — an invariant broke under

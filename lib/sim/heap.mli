@@ -3,10 +3,13 @@
 
     [seq] breaks ties so that entries with equal keys pop in ascending
     [seq] (for the engine: scheduling) order, which keeps event
-    processing deterministic. Keys, seqs and thunks live in parallel
-    arrays: push and pop allocate nothing once the arrays have grown
-    to the peak population, and a popped thunk is no longer reachable
-    from the heap. *)
+    processing deterministic. Keys, seqs and cell numbers live in
+    parallel int arrays, and a thunk stays in its cell from push to
+    pop, so sifts move only unboxed ints and each entry costs two
+    pointer writes (its thunk at push, a filler over it at pop) however
+    many levels it moves. Push and pop allocate nothing once the arrays
+    have grown to the peak population, and a popped thunk is no longer
+    reachable from the heap. *)
 
 type t
 

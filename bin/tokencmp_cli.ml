@@ -51,9 +51,9 @@ let jobs_arg =
     value & opt int (-1)
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for independent simulations (0 = all cores). Defaults to \
-           $(b,TOKENCMP_JOBS) if set, else 1 (serial). Results are bit-identical for any \
-           value.")
+          "Worker domains for independent simulations or the model checker's BFS \
+           frontiers (0 = all cores). Defaults to $(b,TOKENCMP_JOBS) if set, else 1 \
+           (serial). Results are bit-identical for any value.")
 
 (* -1 = flag absent: defer to TOKENCMP_JOBS / serial. *)
 let resolve_jobs j = Par.Pool.resolve_jobs ?requested:(if j < 0 then None else Some j) ()
@@ -617,14 +617,6 @@ let check_cmd =
              style; a vanishingly small, reported collision probability can hide \
              states).")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Expand BFS frontiers across N domains (0 = all cores; default \
-             $(b,TOKENCMP_JOBS) or serial). Stats are identical to the serial run.")
-  in
   let sym_arg =
     Arg.(
       value & flag
@@ -635,7 +627,7 @@ let check_cmd =
              default configs are unaffected either way.")
   in
   let run max_states store jobs no_sym =
-    let jobs = Par.Pool.resolve_jobs ?requested:jobs () in
+    let jobs = resolve_jobs jobs in
     let rows = Tokencmp.Experiments.model_checking ~max_states ~store ~jobs ~sym:(not no_sym) () in
     let failed = ref false in
     List.iter

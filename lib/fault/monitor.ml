@@ -6,7 +6,6 @@ type t = {
   running : unit -> bool;
   report : Report.t -> unit;
   mutable drops_seen : int;
-  mutable checks : int;
 }
 
 (* An invariant violation is blamed on the most recent destructive
@@ -15,7 +14,7 @@ type t = {
    when the periodic check trips, the last such injection is the
    forensic cause. *)
 let emit_violations t vs =
-  let blame = Option.map Report.blame_of_event (Plan.last_destructive t.plan) in
+  let blame = Plan.last_destructive t.plan in
   List.iter
     (fun v ->
       t.report
@@ -23,25 +22,23 @@ let emit_violations t vs =
           kind = Report.Invariant { violation = v; blame } })
     vs
 
-(* Unrecoverable injected drops surface as reports exactly once each. *)
+(* Unrecoverable injected drops surface as reports exactly once each.
+   The plan's counter says whether any are new, so a quiet tick never
+   scans the log. *)
 let emit_new_drops t =
-  let all = Plan.unrecoverable_drops t.plan in
-  let n = List.length all in
+  let n = (Plan.stats t.plan).Plan.drops_unrecoverable in
   if n > t.drops_seen then begin
     List.iteri
-      (fun i d ->
+      (fun i e ->
         if i >= t.drops_seen then
-          t.report { Report.at = d.Plan.dr_time; kind = Report.Unrecoverable_drop d })
-      all;
+          t.report { Report.at = e.Plan.ev_time; kind = Report.Unrecoverable_drop e })
+      (Plan.unrecoverable_drops t.plan);
     t.drops_seen <- n
   end
 
 let check t =
-  t.checks <- t.checks + 1;
   emit_violations t (t.probe.Mcmp.Probe.check ());
   emit_new_drops t
-
-let checks t = t.checks
 
 let rec tick t =
   if t.running () then begin
@@ -51,7 +48,7 @@ let rec tick t =
 
 let attach engine ~probe ~plan ~interval ~running ~report =
   let t =
-    { engine; probe; plan; interval; running; report; drops_seen = 0; checks = 0 }
+    { engine; probe; plan; interval; running; report; drops_seen = 0 }
   in
   Sim.Engine.schedule_in engine interval (fun () -> tick t);
   t

@@ -22,6 +22,3 @@ val attach :
 (** Run one check immediately (also used for the final end-of-run
     sweep after the engine stops). *)
 val check : t -> unit
-
-(** Number of checks performed so far. *)
-val checks : t -> int

@@ -1,14 +1,5 @@
 module MC = Interconnect.Msg_class
 
-type drop_record = {
-  dr_time : Sim.Time.t;
-  dr_src : int;
-  dr_dst : int;
-  dr_cls : MC.t;
-  dr_label : string;
-  dr_recoverable : bool;
-}
-
 type action = Drop_copy | Delay_copy of Sim.Time.t | Duplicate_copy of Sim.Time.t
 
 type event = {
@@ -34,7 +25,6 @@ type stats = {
 
 type t = {
   spec : Spec.t;
-  seed : int;
   rng : Sim.Rng.t;
   nodes : int;
   recovery : bool;  (* token drops are recoverable (recreation heals them) *)
@@ -43,7 +33,6 @@ type t = {
   mutable next_roll : Sim.Time.t;
   mutable offers : int;  (* decision points consulted so far *)
   stats : stats;
-  mutable drops : drop_record list;  (* newest first *)
   mutable events : event list;  (* every non-Pass decision, newest first *)
 }
 
@@ -64,7 +53,6 @@ let create ?(recovery = false) ?script ~seed ~nodes spec =
   in
   {
     spec;
-    seed;
     rng = Sim.Rng.create (seed * 2_654_435_761);
     nodes;
     recovery;
@@ -82,20 +70,16 @@ let create ?(recovery = false) ?script ~seed ~nodes spec =
         drops_unrecoverable = 0;
         token_dups = 0;
       };
-    drops = [];
     events = [];
   }
 
-let spec t = t.spec
-let seed t = t.seed
 let stats t = t.stats
-let scripted t = t.script <> None
 let offers t = t.offers
-let drop_records t = List.rev t.drops
 let events t = List.rev t.events
 
 let unrecoverable_drops t =
-  List.filter (fun r -> not r.dr_recoverable) (drop_records t)
+  if t.recovery then []
+  else List.filter (fun e -> e.ev_action = Drop_copy && e.ev_destructive) (events t)
 
 let last_destructive t = List.find_opt (fun e -> e.ev_destructive) t.events
 
@@ -104,33 +88,56 @@ let last_drop_on t ~src ~dst =
     (fun e -> e.ev_action = Drop_copy && e.ev_src = src && e.ev_dst = dst)
     t.events
 
-let record t ~index ~now ~src ~dst ~cls ~label ~action ~destructive =
-  t.events <-
-    {
-      ev_index = index;
-      ev_time = now;
-      ev_src = src;
-      ev_dst = dst;
-      ev_cls = cls;
-      ev_label = label ();
-      ev_action = action;
-      ev_destructive = destructive;
-    }
-    :: t.events
+(* The counters a delay can bump: which knob drew it. *)
+let count_delay s = s.delays <- s.delays + 1
+let count_reorder s = s.reorders <- s.reorders + 1
+let count_stall_hold s = s.stall_holds <- s.stall_holds + 1
 
-let record_drop t ~now ~src ~dst ~cls ~label ~recoverable =
-  if recoverable then t.stats.drops_recoverable <- t.stats.drops_recoverable + 1
-  else t.stats.drops_unrecoverable <- t.stats.drops_unrecoverable + 1;
-  t.drops <-
-    {
-      dr_time = now;
-      dr_src = src;
-      dr_dst = dst;
-      dr_cls = cls;
-      dr_label = label ();
-      dr_recoverable = recoverable;
-    }
-    :: t.drops
+(* The one fault rule, as a guard per action (DESIGN.md §6): a delay
+   may hit any copy; a drop or duplicate never hits a persistent copy,
+   hits a token-carrying copy only under the spec's matching corruption
+   flag, and otherwise hits only a transient request. An eligible
+   action bumps its stats counter ([count] for a delay) and is logged
+   under its offer [index]; an ineligible one passes the copy. Logging
+   draws nothing from the rng, so it leaves the fault sequence
+   untouched, and the log plus the run recipe IS the counterexample. *)
+let apply t ~index ~now ~src ~dst ~cls ~tokens_carried ~label ~count action =
+  let s = t.stats and carries = tokens_carried > 0 in
+  let eligible corruption =
+    cls <> MC.Persistent && if carries then corruption else cls = MC.Request
+  in
+  let log ~destructive verdict =
+    t.events <-
+      {
+        ev_index = index;
+        ev_time = now;
+        ev_src = src;
+        ev_dst = dst;
+        ev_cls = cls;
+        ev_label = label ();
+        ev_action = action;
+        ev_destructive = destructive;
+      }
+      :: t.events;
+    verdict
+  in
+  match action with
+  | Delay_copy d ->
+    count s;
+    log ~destructive:false (Interconnect.Fabric.Delay d)
+  | Drop_copy when eligible t.spec.Spec.drop_tokens ->
+    (* Under the recovery layer a lost token is healed by recreation,
+       so the drop counts as recoverable: the count is the ONLY thing
+       [recovery] changes. *)
+    if carries && not t.recovery then s.drops_unrecoverable <- s.drops_unrecoverable + 1
+    else s.drops_recoverable <- s.drops_recoverable + 1;
+    log ~destructive:carries Interconnect.Fabric.Drop
+  | Duplicate_copy d when eligible t.spec.Spec.duplicate_tokens ->
+    (* A token-carrying duplicate is deliberate corruption: it mints
+       tokens. *)
+    if carries then s.token_dups <- s.token_dups + 1 else s.dups <- s.dups + 1;
+    log ~destructive:carries (Interconnect.Fabric.Duplicate d)
+  | Drop_copy | Duplicate_copy _ -> Interconnect.Fabric.Pass
 
 (* Re-roll the stalled-node set once per stall period (lazily, on the
    first decision inside the new period). *)
@@ -151,133 +158,45 @@ let stall_hold t ~now node =
 
 let hit t p = p > 0. && Sim.Rng.float t.rng 1.0 < p
 
-(* The stochastic decision point. Every non-Pass verdict is also
-   appended to the plan's event log under its offer [index], which is
-   what makes the materialized fault schedule replayable: the log plus
-   the run recipe IS the counterexample. Recording draws nothing from
-   the rng, so logging leaves the fault sequence untouched. *)
-let random_decide t ~index ~now ~src ~dst ~cls ~tokens_carried ~label =
+(* The stochastic proposal, drawing from the rng in the order the
+   golden suite pins: node-stall hold (a stalled endpoint holds its
+   traffic until the stall window ends), token-minting duplicate, drop,
+   request duplicate, delay spike, reorder. A proposal also names the
+   counter a delay bumps; {!apply} decides whether the copy takes it. *)
+let propose t ~now ~src ~dst ~cls ~tokens_carried =
   let s = t.spec in
   roll_stalls t ~now;
-  (* A stalled endpoint holds its traffic until the stall window ends. *)
   match
     match stall_hold t ~now src with Some h -> Some h | None -> stall_hold t ~now dst
   with
-  | Some hold ->
-    t.stats.stall_holds <- t.stats.stall_holds + 1;
-    record t ~index ~now ~src ~dst ~cls ~label ~action:(Delay_copy hold) ~destructive:false;
-    Interconnect.Fabric.Delay hold
+  | Some hold -> Some (Delay_copy hold, count_stall_hold)
   | None ->
-    let carries_tokens = tokens_carried > 0 in
     let persistent = cls = MC.Persistent in
-    if (not persistent) && carries_tokens && s.Spec.duplicate_tokens && hit t s.Spec.dup_prob
-    then begin
-      (* Deliberate corruption: the duplicate mints tokens. *)
-      t.stats.token_dups <- t.stats.token_dups + 1;
-      let d = Sim.Time.ns (Sim.Rng.int_in t.rng 10 200) in
-      record t ~index ~now ~src ~dst ~cls ~label ~action:(Duplicate_copy d)
-        ~destructive:true;
-      Interconnect.Fabric.Duplicate d
-    end
-    else if (not persistent) && hit t s.Spec.drop_prob then
-      if carries_tokens then
-        if s.Spec.drop_tokens then begin
-          (* Under the recovery layer a lost token is healed by
-             recreation, so the drop is recorded as recoverable — the
-             recording is the ONLY thing [recovery] changes; the RNG
-             draw sequence is identical either way, so one (seed, spec)
-             pair fires the exact same fault schedule with recovery on
-             or off. *)
-          record_drop t ~now ~src ~dst ~cls ~label ~recoverable:t.recovery;
-          record t ~index ~now ~src ~dst ~cls ~label ~action:Drop_copy ~destructive:true;
-          Interconnect.Fabric.Drop
-        end
-        else Interconnect.Fabric.Pass
-      else if cls = MC.Request then begin
-        record_drop t ~now ~src ~dst ~cls ~label ~recoverable:true;
-        record t ~index ~now ~src ~dst ~cls ~label ~action:Drop_copy ~destructive:false;
-        Interconnect.Fabric.Drop
-      end
-      else Interconnect.Fabric.Pass
-    else if cls = MC.Request && hit t s.Spec.dup_prob then begin
-      t.stats.dups <- t.stats.dups + 1;
-      let d = Sim.Time.ns (Sim.Rng.int_in t.rng 10 200) in
-      record t ~index ~now ~src ~dst ~cls ~label ~action:(Duplicate_copy d)
-        ~destructive:false;
-      Interconnect.Fabric.Duplicate d
-    end
-    else if hit t s.Spec.delay_prob then begin
-      t.stats.delays <- t.stats.delays + 1;
+    let duplicate () = Duplicate_copy (Sim.Time.ns (Sim.Rng.int_in t.rng 10 200)) in
+    if (not persistent) && tokens_carried > 0 && s.Spec.duplicate_tokens
+       && hit t s.Spec.dup_prob
+    then Some (duplicate (), count_delay)
+    else if (not persistent) && hit t s.Spec.drop_prob then Some (Drop_copy, count_delay)
+    else if cls = MC.Request && hit t s.Spec.dup_prob then Some (duplicate (), count_delay)
+    else if hit t s.Spec.delay_prob then
       let d = Sim.Rng.int_in t.rng s.Spec.delay_min (max s.Spec.delay_min s.Spec.delay_max) in
-      record t ~index ~now ~src ~dst ~cls ~label ~action:(Delay_copy d) ~destructive:false;
-      Interconnect.Fabric.Delay d
-    end
-    else if hit t s.Spec.reorder_prob then begin
-      t.stats.reorders <- t.stats.reorders + 1;
-      let d = Sim.Rng.int t.rng (max 1 s.Spec.reorder_max) in
-      record t ~index ~now ~src ~dst ~cls ~label ~action:(Delay_copy d) ~destructive:false;
-      Interconnect.Fabric.Delay d
-    end
-    else Interconnect.Fabric.Pass
-
-(* Scripted replay: apply the scheduled action at this offer index, if
-   any, drawing nothing from the rng. An action is applied only if the
-   stochastic plan could have offered it to this message — persistent
-   requests are never harmed, drops/duplicates respect the spec's
-   corruption flags and class gating — so a shrunk schedule whose run
-   diverged cannot express a fault the torture harness never injects.
-   Ineligible actions quietly become Pass; ddmin treats the candidate
-   like any other. *)
-let scripted_decide t sched ~index ~now ~src ~dst ~cls ~tokens_carried ~label =
-  match Hashtbl.find_opt sched index with
-  | None -> Interconnect.Fabric.Pass
-  | Some a -> (
-    let persistent = cls = MC.Persistent in
-    let carries_tokens = tokens_carried > 0 in
-    match a with
-    | Delay_copy d ->
-      t.stats.delays <- t.stats.delays + 1;
-      record t ~index ~now ~src ~dst ~cls ~label ~action:(Delay_copy d) ~destructive:false;
-      Interconnect.Fabric.Delay d
-    | Drop_copy when persistent -> Interconnect.Fabric.Pass
-    | Drop_copy when carries_tokens ->
-      if t.spec.Spec.drop_tokens then begin
-        record_drop t ~now ~src ~dst ~cls ~label ~recoverable:t.recovery;
-        record t ~index ~now ~src ~dst ~cls ~label ~action:Drop_copy ~destructive:true;
-        Interconnect.Fabric.Drop
-      end
-      else Interconnect.Fabric.Pass
-    | Drop_copy ->
-      if cls = MC.Request then begin
-        record_drop t ~now ~src ~dst ~cls ~label ~recoverable:true;
-        record t ~index ~now ~src ~dst ~cls ~label ~action:Drop_copy ~destructive:false;
-        Interconnect.Fabric.Drop
-      end
-      else Interconnect.Fabric.Pass
-    | Duplicate_copy _ when persistent -> Interconnect.Fabric.Pass
-    | Duplicate_copy d when carries_tokens ->
-      if t.spec.Spec.duplicate_tokens then begin
-        t.stats.token_dups <- t.stats.token_dups + 1;
-        record t ~index ~now ~src ~dst ~cls ~label ~action:(Duplicate_copy d)
-          ~destructive:true;
-        Interconnect.Fabric.Duplicate d
-      end
-      else Interconnect.Fabric.Pass
-    | Duplicate_copy d ->
-      if cls = MC.Request then begin
-        t.stats.dups <- t.stats.dups + 1;
-        record t ~index ~now ~src ~dst ~cls ~label ~action:(Duplicate_copy d)
-          ~destructive:false;
-        Interconnect.Fabric.Duplicate d
-      end
-      else Interconnect.Fabric.Pass)
+      Some (Delay_copy d, count_delay)
+    else if hit t s.Spec.reorder_prob then
+      Some (Delay_copy (Sim.Rng.int t.rng (max 1 s.Spec.reorder_max)), count_reorder)
+    else None
 
 let decide t ~now ~src ~dst ~cls ~tokens_carried ~label =
   let index = t.offers in
   t.offers <- t.offers + 1;
-  match t.script with
-  | Some sched -> scripted_decide t sched ~index ~now ~src ~dst ~cls ~tokens_carried ~label
-  | None -> random_decide t ~index ~now ~src ~dst ~cls ~tokens_carried ~label
+  let proposal =
+    match t.script with
+    | Some script -> Option.map (fun a -> (a, count_delay)) (Hashtbl.find_opt script index)
+    | None -> propose t ~now ~src ~dst ~cls ~tokens_carried
+  in
+  match proposal with
+  | None -> Interconnect.Fabric.Pass
+  | Some (action, count) ->
+    apply t ~index ~now ~src ~dst ~cls ~tokens_carried ~label ~count action
 
 let token_injector t : Token.Msg.t Interconnect.Fabric.injector =
  fun ~now ~src ~dst ~cls ~arrive:_ msg ->
@@ -293,11 +212,6 @@ let directory_injector t : Directory.Msg.t Interconnect.Fabric.injector =
  fun ~now ~src ~dst ~cls ~arrive:_ msg ->
   ignore msg;
   decide t ~now ~src ~dst ~cls ~tokens_carried:0 ~label:(fun () -> MC.to_string cls)
-
-let pp_drop_record fmt r =
-  Format.fprintf fmt "%a %s %d->%d [%s] %s" Sim.Time.pp r.dr_time
-    (if r.dr_recoverable then "dropped" else "DROPPED-UNRECOVERABLE")
-    r.dr_src r.dr_dst (MC.to_string r.dr_cls) r.dr_label
 
 let pp_action fmt = function
   | Drop_copy -> Format.pp_print_string fmt "drop"

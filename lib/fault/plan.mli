@@ -3,29 +3,17 @@
     from the plan's own SplitMix64 stream, so a (seed, spec) pair
     replays the exact same fault sequence.
 
-    Plans run in one of two modes. In the default {e stochastic} mode
-    every decision rolls the plan RNG; every non-Pass outcome is also
-    logged as an {!event} keyed by its {e offer index} (the ordinal of
-    the [decide] call), materializing the concrete fault schedule. In
-    {e scripted} mode ([?script]) the RNG is never consulted: the plan
-    replays an explicit event list, applying each scheduled action at
-    its recorded offer index. Because the decision points themselves
-    are deterministic given the run recipe, replaying a plan's full
-    event log is bit-identical to the stochastic run that produced it —
-    and any {e subset} of the log is a valid candidate schedule, which
-    is what the forensics shrinker delta-debugs over. *)
-
-type drop_record = {
-  dr_time : Sim.Time.t;
-  dr_src : int;
-  dr_dst : int;
-  dr_cls : Interconnect.Msg_class.t;
-  dr_label : string;
-  dr_recoverable : bool;
-      (** true: a transient request the protocol must recover from via
-          timeout/reissue; false: a token-carrying message — the run is
-          expected to report it, not survive it *)
-}
+    Every offer (one [decide] call, numbered by its {e offer index})
+    goes through one rule: a mode proposes an action, and the plan
+    applies it only if the copy is eligible for it, bumps its stats
+    counter and logs it as an {!event}. In the default {e stochastic}
+    mode the proposal rolls the plan RNG; in {e scripted} mode
+    ([?script]) the RNG is never consulted and the proposal is the
+    scheduled action at that offer index. Because the decision points
+    themselves are deterministic given the run recipe, replaying a
+    plan's full event log is bit-identical to the stochastic run that
+    produced it — and any {e subset} of the log is a valid candidate
+    schedule, which is what the forensics shrinker delta-debugs over. *)
 
 (** What the plan did to one message copy. Reorders are folded into
     [Delay_copy] (a reorder IS a bounded delay at the fabric level). *)
@@ -42,8 +30,8 @@ type event = {
   ev_label : string;
   ev_action : action;
   ev_destructive : bool;
-      (** true for faults the protocol is not expected to absorb:
-          unrecoverable-class token drops and token-minting duplicates *)
+      (** true for token-carrying drops and duplicates: faults that
+          change the machine's token count *)
 }
 
 type stats = {
@@ -58,7 +46,7 @@ type stats = {
 
 type t
 
-(** [recovery] marks token-carrying drops as recoverable (the recovery
+(** [recovery] counts token-carrying drops as recoverable (the recovery
     layer's token recreation heals them) instead of unrecoverable. It
     changes bookkeeping only: the plan's RNG stream is drawn
     identically either way, so the same (seed, spec) pair fires the
@@ -66,27 +54,25 @@ type t
     randomness can never perturb the fault schedule.
 
     [script] switches the plan to scripted mode: the given events are
-    applied at their recorded offer indices and the RNG is never
-    consulted. An action is applied only if the stochastic plan could
-    have offered it to the message actually seen at that index —
-    persistent-class messages are never harmed, drops and duplicates
-    respect the spec's corruption flags — so shrunk schedules cannot
-    express faults the torture harness never injects.
+    proposed at their recorded offer indices and the RNG is never
+    consulted. Either mode's proposal passes the same eligibility
+    guard — persistent-class copies are never harmed, and a drop or
+    duplicate hits only a transient request or, under the spec's
+    matching corruption flag, a token-carrying copy — so shrunk
+    schedules cannot express faults the torture harness never injects.
+    A script does not record which knob drew a delay, so its delays all
+    count as [delays].
     Raises [Invalid_argument] on duplicate offer indices. *)
 val create : ?recovery:bool -> ?script:event list -> seed:int -> nodes:int -> Spec.t -> t
 
-val spec : t -> Spec.t
-val seed : t -> int
 val stats : t -> stats
-
-(** True iff the plan was created with [?script]. *)
-val scripted : t -> bool
 
 (** Number of decision points consulted so far. *)
 val offers : t -> int
 
-(** The unrecoverable subset — what the monitor turns into reports. *)
-val unrecoverable_drops : t -> drop_record list
+(** The logged token-carrying drops when the plan runs without
+    recovery, oldest first — what the monitor turns into reports. *)
+val unrecoverable_drops : t -> event list
 
 (** The materialized fault schedule: every non-Pass decision so far,
     oldest first. *)
@@ -121,6 +107,5 @@ val token_injector : t -> Token.Msg.t Interconnect.Fabric.injector
     pair this with {!Spec.delay_only} plans. *)
 val directory_injector : t -> Directory.Msg.t Interconnect.Fabric.injector
 
-val pp_drop_record : Format.formatter -> drop_record -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,8 +1,6 @@
-type blame = { b_index : int; b_at : Sim.Time.t }
-
 type kind =
-  | Invariant of { violation : Mcmp.Violation.t; blame : blame option }
-  | Unrecoverable_drop of Plan.drop_record
+  | Invariant of { violation : Mcmp.Violation.t; blame : Plan.event option }
+  | Unrecoverable_drop of Plan.event
   | No_progress of { window : Sim.Time.t; mode : [ `Deadlock | `Livelock ] }
   | Starvation of Mcmp.Probe.outstanding
   | Retransmit_exhausted of {
@@ -10,12 +8,10 @@ type kind =
       dst : int;
       cls : Interconnect.Msg_class.t;
       attempts : int;
-      blame : blame option;
+      blame : Plan.event option;
     }
 
 type t = { at : Sim.Time.t; kind : kind }
-
-let blame_of_event (e : Plan.event) = { b_index = e.Plan.ev_index; b_at = e.Plan.ev_time }
 
 let blame r =
   match r.kind with
@@ -32,15 +28,19 @@ let severity r =
 
 let pp_blame fmt = function
   | None -> ()
-  | Some b -> Format.fprintf fmt " (blame: plan event #%d at %a)" b.b_index Sim.Time.pp b.b_at
+  | Some e ->
+    Format.fprintf fmt " (blame: plan event #%d at %a)" e.Plan.ev_index Sim.Time.pp e.Plan.ev_time
 
 let pp fmt r =
   match r.kind with
   | Invariant { violation; blame } ->
     Format.fprintf fmt "%a: INVARIANT %a%a" Sim.Time.pp r.at Mcmp.Violation.pp violation
       pp_blame blame
-  | Unrecoverable_drop d ->
-    Format.fprintf fmt "%a: FAULT %a" Sim.Time.pp r.at Plan.pp_drop_record d
+  | Unrecoverable_drop e ->
+    Format.fprintf fmt "%a: FAULT %a DROPPED-UNRECOVERABLE %d->%d [%s] %s" Sim.Time.pp r.at
+      Sim.Time.pp e.Plan.ev_time e.Plan.ev_src e.Plan.ev_dst
+      (Interconnect.Msg_class.to_string e.Plan.ev_cls)
+      e.Plan.ev_label
   | No_progress { window; mode } ->
     Format.fprintf fmt "%a: %s (no operation retired for %a)" Sim.Time.pp r.at
       (match mode with `Deadlock -> "DEADLOCK" | `Livelock -> "LIVELOCK")
@@ -75,8 +75,8 @@ let to_json r =
   in
   let blame_fields = function
     | None -> []
-    | Some b ->
-      [ ("blame_plan_index", J.Int b.b_index); ("blame_at_ps", J.Int b.b_at) ]
+    | Some e ->
+      [ ("blame_plan_index", J.Int e.Plan.ev_index); ("blame_at_ps", J.Int e.Plan.ev_time) ]
   in
   let extra =
     match r.kind with

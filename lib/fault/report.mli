@@ -1,17 +1,16 @@
-(** Structured result of a detected problem during a torture run. *)
+(** Structured result of a detected problem during a torture run.
 
-(** Cross-link from a verdict back to the fault schedule: the plan
-    event (by offer index + sim timestamp) forensically blamed for
-    causing this report. Filled by the torture harness from
-    {!Plan.last_destructive} / {!Plan.last_drop_on}; [None] when no
-    plan event is a plausible cause (e.g. chaos-induced failures). *)
-type blame = { b_index : int; b_at : Sim.Time.t }
+    A report that blames the fault schedule carries the logged
+    {!Plan.event} itself (its offer index, time, link and action): the
+    torture harness fills it from {!Plan.last_destructive} /
+    {!Plan.last_drop_on}, and it is [None] when no plan event is a
+    plausible cause (e.g. chaos-induced failures). *)
 
 type kind =
-  | Invariant of { violation : Mcmp.Violation.t; blame : blame option }
+  | Invariant of { violation : Mcmp.Violation.t; blame : Plan.event option }
       (** safety: a monitor/protocol check failed *)
-  | Unrecoverable_drop of Plan.drop_record
-      (** an injected token-carrying drop — expected to appear whenever
+  | Unrecoverable_drop of Plan.event
+      (** a logged token-carrying drop — expected to appear whenever
           the plan's corruption mode fired; its {e absence} after such
           a fault is the bug *)
   | No_progress of { window : Sim.Time.t; mode : [ `Deadlock | `Livelock ] }
@@ -26,7 +25,7 @@ type kind =
       dst : int;
       cls : Interconnect.Msg_class.t;
       attempts : int;
-      blame : blame option;
+      blame : Plan.event option;
     }
       (** reliable transport gave up on a link after its retransmit cap
           — the network is lossier than the recovery layer was
@@ -34,10 +33,8 @@ type kind =
 
 type t = { at : Sim.Time.t; kind : kind }
 
-val blame_of_event : Plan.event -> blame
-
-(** The blame cross-link, if this report kind carries one. *)
-val blame : t -> blame option
+(** The blamed plan event, if this report kind carries one. *)
+val blame : t -> Plan.event option
 
 (** [`Expected] marks reports that injected unsurvivable faults are
     {e supposed} to produce (detection working as intended); [`Fatal]

@@ -85,8 +85,8 @@ let adaptive_recreation_scale = 16.
 
 let adaptive_recreation_ceiling = Sim.Time.mul_f Rtt.ceiling adaptive_recreation_scale
 
-(* The watchdog margin a run actually attaches: the base widened, if
-   needed, to out-wait the longest legitimate stall — a full chaos
+(* The margin a run widens its watchdog bounds by: the base widened,
+   if needed, to out-wait the longest legitimate stall — a full chaos
    outage followed by worst-case recovery, which in adaptive mode is
    bounded by the recreation source's ceiling, NOT the static
    recreation constant the source replaced. Recomputing here (rather
@@ -156,13 +156,7 @@ let run p target ~spec ~seed =
         Report.at = E.now engine;
         kind =
           Report.Retransmit_exhausted
-            {
-              src;
-              dst;
-              cls;
-              attempts;
-              blame = Option.map Report.blame_of_event (Plan.last_drop_on plan ~src ~dst);
-            };
+            { src; dst; cls; attempts; blame = Plan.last_drop_on plan ~src ~dst };
       }
   in
   (* The protocol and its one fault injector (plan, then chaos, then
@@ -242,11 +236,22 @@ let run p target ~spec ~seed =
     handle
   in
   let the_machine () = match !machine with Some m -> m | None -> assert false in
+  (* The margin widens both liveness bounds uniformly: a legitimate
+     token recreation (starvation timeout + bump collect + lease
+     expiry, see Token.Recovery.worst_case_latency) can stall one
+     request far beyond the plain-fault starvation bound without being
+     a protocol failure. *)
   let margin =
     effective_margin
       ~base:(if recover then 2.5 else 1.0)
       ~recover ~adaptive ?chaos ~watchdog_interval
       ~no_progress_windows:p.p_no_progress_windows ~starvation_bound:p.p_starvation_bound ()
+  in
+  let no_progress_windows =
+    int_of_float (ceil (float_of_int p.p_no_progress_windows *. margin))
+  in
+  let starvation_bound =
+    Sim.Time.ns (int_of_float (ceil (Sim.Time.to_ns p.p_starvation_bound *. margin)))
   in
   let running = ref (fun () -> true) and monitor = ref None in
   let on_start engine ~running:is_running =
@@ -274,11 +279,10 @@ let run p target ~spec ~seed =
       Some
         (Monitor.attach engine ~probe:m.m_probe ~plan ~interval:monitor_interval
            ~running:is_running ~report:(report engine));
-    ignore
-      (Watchdog.attach ~margin engine ~probe:m.m_probe ~counters:m.m_counters
-         ~interval:watchdog_interval ~no_progress_windows:p.p_no_progress_windows
-         ~starvation_bound:p.p_starvation_bound ~running:is_running ~report:(report engine)
-         ~on_stall:(fun () -> E.stop engine))
+    Watchdog.attach engine ~probe:m.m_probe ~counters:m.m_counters
+      ~interval:watchdog_interval ~no_progress_windows ~starvation_bound ~running:is_running
+      ~report:(report engine)
+      ~on_stall:(fun () -> E.stop engine)
   in
   let lcfg =
     { (Workload.Locking.default ~nlocks) with
@@ -294,12 +298,7 @@ let run p target ~spec ~seed =
     report engine
       {
         Report.at = E.now engine;
-        kind =
-          Report.Invariant
-            {
-              violation = v;
-              blame = Option.map Report.blame_of_event (Plan.last_destructive plan);
-            };
+        kind = Report.Invariant { violation = v; blame = Plan.last_destructive plan };
       });
   let m = the_machine () in
   Option.iter Monitor.check !monitor;

@@ -25,7 +25,7 @@ val token_targets : target list
     budget for it. *)
 val adaptive_recreation_ceiling : Sim.Time.t
 
-(** The watchdog margin a run actually attaches: [base] (2.5 in
+(** The margin a run widens its watchdog bounds by: [base] (2.5 in
     recovery mode, 1.0 otherwise) widened, if needed, so the scaled
     no-progress and starvation bounds out-wait the longest legitimate
     stall — the chaos plan's {!Chaos.max_outage} plus
@@ -82,10 +82,12 @@ val effective_margin :
     automatically take the loss-free {!Chaos.brownout_of} rendition,
     the same discipline as {!Spec.delay_only}.
 
-    The {!Watchdog.attach} margin is 2.5 in recovery mode and 1.0
-    otherwise, widened by {!effective_margin}, if needed, to out-wait
-    the longest legitimate stall: the chaos plan's {!Chaos.max_outage}
-    plus {!Token.Recovery.worst_case_latency} — computed against the
+    The run scales [p_no_progress_windows] and [p_starvation_bound] by
+    a margin, rounding up, before it hands them to {!Watchdog.attach}.
+    The margin is 2.5 in recovery mode and 1.0 otherwise, widened by
+    {!effective_margin}, if needed, to out-wait the longest legitimate
+    stall: the chaos plan's {!Chaos.max_outage} plus
+    {!Token.Recovery.worst_case_latency} — computed against the
     adaptive recreation source's {e ceiling} when [p_adaptive] is set,
     not the static constant it replaced.
 

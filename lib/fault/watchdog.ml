@@ -64,18 +64,8 @@ let rec tick t =
     if not t.fired then Sim.Engine.schedule_in t.engine t.interval (fun () -> tick t)
   end
 
-let attach ?(margin = 1.0) engine ~probe ~counters ~interval ~no_progress_windows
-    ~starvation_bound ~running ~report ~on_stall =
-  if margin < 1.0 then invalid_arg "Watchdog.attach: margin must be >= 1.0";
-  (* The margin widens both liveness criteria uniformly. Recovery runs
-     need it: a legitimate token recreation (starvation timeout + bump
-     collect + lease expiry, see Token.Recovery.worst_case_latency) can
-     stall one request far beyond the plain-fault starvation bound
-     without being a protocol failure. *)
-  let no_progress_windows = int_of_float (ceil (float_of_int no_progress_windows *. margin)) in
-  let starvation_bound =
-    Sim.Time.ns (int_of_float (ceil (Sim.Time.to_ns starvation_bound *. margin)))
-  in
+let attach engine ~probe ~counters ~interval ~no_progress_windows ~starvation_bound ~running
+    ~report ~on_stall =
   let t =
     {
       engine;
@@ -94,5 +84,4 @@ let attach ?(margin = 1.0) engine ~probe ~counters ~interval ~no_progress_window
       starving = Hashtbl.create 8;
     }
   in
-  Sim.Engine.schedule_in engine interval (fun () -> tick t);
-  t
+  Sim.Engine.schedule_in engine interval (fun () -> tick t)

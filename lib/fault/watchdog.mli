@@ -15,19 +15,11 @@
     [starvation_bound] is reported once, even while the rest of the
     system makes progress. The bound must comfortably exceed the
     injected worst case (delay spikes + persistent-request latency), or
-    healthy runs will false-positive.
-
-    [margin] (default 1.0, must be >= 1.0) uniformly widens both
-    criteria: the starvation bound and the stalled-window count are
-    scaled by it at attach time. Recovery-mode torture runs pass a
-    margin so that a legitimate token recreation — bounded by
-    {!Token.Recovery.worst_case_latency} — is never misreported as
-    livelock or starvation. *)
-
-type t
+    healthy runs will false-positive; recovery-mode torture runs widen
+    both bounds ({!Torture.effective_margin}) so that a legitimate
+    token recreation is never misreported as livelock or starvation. *)
 
 val attach :
-  ?margin:float ->
   Sim.Engine.t ->
   probe:Mcmp.Probe.t ->
   counters:Mcmp.Counters.t ->
@@ -37,4 +29,4 @@ val attach :
   running:(unit -> bool) ->
   report:(Report.t -> unit) ->
   on_stall:(unit -> unit) ->
-  t
+  unit

@@ -293,9 +293,8 @@ let report r =
   | blames ->
     Format.fprintf fmt "blamed schedule entries:@,";
     List.iter
-      (fun bl ->
-        Format.fprintf fmt "  plan event #%d at %a@," bl.Fault.Report.b_index Sim.Time.pp
-          bl.Fault.Report.b_at)
+      (fun (e : P.event) ->
+        Format.fprintf fmt "  plan event #%d at %a@," e.P.ev_index Sim.Time.pp e.P.ev_time)
       blames);
   Format.fprintf fmt
     "shrink:   %d candidate runs (%d still failing), %d ddmin rounds, %d shape trials, %.2fs@]@."

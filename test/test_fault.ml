@@ -83,11 +83,68 @@ let test_plan_class_gating () =
   let recs = Fault.Plan.unrecoverable_drops plan in
   Alcotest.(check int) "unrecoverable recorded" 10 (List.length recs);
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "flagged unrecoverable" false r.Fault.Plan.dr_recoverable;
-      Alcotest.(check bool) "drop record prints" true
-        (String.length (Format.asprintf "%a" Fault.Plan.pp_drop_record r) > 0))
+    (fun e ->
+      Alcotest.(check bool) "flagged destructive" true e.Fault.Plan.ev_destructive;
+      Alcotest.(check bool) "logged drop prints" true
+        (String.length (Format.asprintf "%a" Fault.Plan.pp_event e) > 0))
     recs
+
+(* The two plan modes are one rule: whatever a stochastic plan
+   decides for an offer stream, a scripted plan built from its log
+   decides too, and logs the same events. The counters agree, except
+   that a script does not record which knob drew a delay, so its
+   delays are the stochastic delays, reorders and stall holds. *)
+let prop_plan_modes_one_rule =
+  let open QCheck.Gen in
+  let gen_spec =
+    map
+      (fun ((spec_seed, drop_prob, dup_prob), (drop_tokens, duplicate_tokens)) ->
+        {
+          (Fault.Spec.random (Sim.Rng.create spec_seed)) with
+          Fault.Spec.drop_prob;
+          dup_prob;
+          drop_tokens;
+          duplicate_tokens;
+        })
+      (pair (triple nat (float_range 0. 1.) (float_range 0. 1.)) (pair bool bool))
+  in
+  let gen_offer =
+    quad (oneofl Interconnect.Msg_class.all) (int_range 0 3)
+      (pair (int_range 0 7) (int_range 0 7))
+      (int_range 0 2_000)
+  in
+  let gen = quad gen_spec bool nat (list_size (int_range 0 300) gen_offer) in
+  let print (spec, recovery, seed, offers) =
+    Format.asprintf "%a recovery=%b seed=%d offers=%d" Fault.Spec.pp spec recovery seed
+      (List.length offers)
+  in
+  QCheck.Test.make ~name:"stochastic and scripted plans apply one rule" ~count:300
+    (QCheck.make ~print gen)
+    (fun (spec, recovery, seed, offers) ->
+      let run plan =
+        let now = ref 0 in
+        List.map
+          (fun (cls, tokens_carried, (src, dst), dt) ->
+            now := !now + ns dt;
+            Fault.Plan.decide plan ~now:!now ~src ~dst ~cls ~tokens_carried
+              ~label:(fun () -> Interconnect.Msg_class.to_string cls))
+          offers
+      in
+      let stochastic = Fault.Plan.create ~recovery ~seed ~nodes:8 spec in
+      let verdicts = run stochastic in
+      let scripted =
+        Fault.Plan.create ~recovery ~script:(Fault.Plan.events stochastic) ~seed ~nodes:8 spec
+      in
+      let replayed = run scripted in
+      let a = Fault.Plan.stats stochastic and b = Fault.Plan.stats scripted in
+      verdicts = replayed
+      && Fault.Plan.events stochastic = Fault.Plan.events scripted
+      && a.Fault.Plan.drops_recoverable = b.Fault.Plan.drops_recoverable
+      && a.Fault.Plan.drops_unrecoverable = b.Fault.Plan.drops_unrecoverable
+      && a.Fault.Plan.dups = b.Fault.Plan.dups
+      && a.Fault.Plan.token_dups = b.Fault.Plan.token_dups
+      && b.Fault.Plan.delays
+         = a.Fault.Plan.delays + a.Fault.Plan.reorders + a.Fault.Plan.stall_holds)
 
 (* ---- Violation / Report ---- *)
 
@@ -115,12 +172,14 @@ let test_report_severity () =
   let at = ns 100 in
   let dr =
     {
-      Fault.Plan.dr_time = at;
-      dr_src = 0;
-      dr_dst = 1;
-      dr_cls = Interconnect.Msg_class.Response_data;
-      dr_label = "Tokens";
-      dr_recoverable = false;
+      Fault.Plan.ev_index = 0;
+      ev_time = at;
+      ev_src = 0;
+      ev_dst = 1;
+      ev_cls = Interconnect.Msg_class.Response_data;
+      ev_label = "Tokens";
+      ev_action = Fault.Plan.Drop_copy;
+      ev_destructive = true;
     }
   in
   let sev k = Fault.Report.severity { Fault.Report.at; kind = k } in
@@ -289,19 +348,7 @@ let test_watchdog_margin_covers_recreation () =
   (* no-progress: 5 windows x 20 us, scaled by 2.5 -> 260 us > worst *)
   let scaled_window = Sim.Time.ns (int_of_float (ceil (5. *. 2.5)) * 20_000) in
   Alcotest.(check bool) "margin-scaled no-progress window clears worst-case recovery" true
-    (scaled_window > worst);
-  Alcotest.(check bool) "margin below 1 rejected" true
-    (match
-       Fault.Watchdog.attach ~margin:0.5 (Sim.Engine.create ())
-         ~probe:
-           { Mcmp.Probe.check = (fun () -> []); outstanding = (fun () -> []) }
-         ~counters:(Mcmp.Counters.create ()) ~interval:(ns 100) ~no_progress_windows:1
-         ~starvation_bound:(ns 100) ~running:(fun () -> true)
-         ~report:(fun _ -> ())
-         ~on_stall:(fun () -> ())
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (scaled_window > worst)
 
 (* Acceptance (tentpole): a token-drop storm that is *detected* without
    the recovery layer is *survived* with it — reliable transport
@@ -562,6 +609,7 @@ let tests =
     Alcotest.test_case "spec modes" `Quick test_spec_modes;
     Alcotest.test_case "plans are seed-deterministic" `Quick test_plan_deterministic;
     Alcotest.test_case "plan class gating" `Quick test_plan_class_gating;
+    QCheck_alcotest.to_alcotest prop_plan_modes_one_rule;
     Alcotest.test_case "violation fields" `Quick test_violation_fields;
     Alcotest.test_case "report severity" `Quick test_report_severity;
     Alcotest.test_case "clean fixed-seed campaign, all targets" `Slow test_campaign_clean;

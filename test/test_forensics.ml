@@ -227,14 +227,9 @@ let test_blame_attached () =
       incr hits;
       List.iter
         (fun bl ->
-          match
-            List.find_opt (fun e -> e.P.ev_index = bl.Fault.Report.b_index) o.T.plan_events
-          with
-          | None -> Alcotest.fail "blame index not in materialized schedule"
-          | Some e ->
-            Alcotest.(check bool) "blamed event is destructive" true e.P.ev_destructive;
-            Alcotest.(check bool) "blame timestamp matches event" true
-              (bl.Fault.Report.b_at = e.P.ev_time))
+          Alcotest.(check bool) "blamed event is destructive" true bl.P.ev_destructive;
+          Alcotest.(check bool) "blamed event is in the materialized schedule" true
+            (List.mem bl o.T.plan_events))
         blamed
     end
   done;
@@ -288,7 +283,7 @@ let test_shrink_drop_case () =
   List.iter
     (fun bl ->
       Alcotest.(check bool) "blame survives shrinking" true
-        (List.exists (fun e -> e.P.ev_index = bl.Fault.Report.b_index) sched))
+        (List.exists (fun e -> e.P.ev_index = bl.P.ev_index) sched))
     blamed
 
 let test_shrink_livelock_case () =

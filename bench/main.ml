@@ -131,7 +131,8 @@ let mc_table title ~store rows =
            ("transitions", J.Int s.Mc.Explore.transitions);
            ("diameter", J.Int s.Mc.Explore.diameter);
            ("goals", J.Int s.Mc.Explore.goals);
-           ("doomed", J.Int s.Mc.Explore.doomed);
+           ( "doomed",
+             match s.Mc.Explore.doomed with Some d -> J.Int d | None -> J.Null );
            ("truncated", J.Bool s.Mc.Explore.truncated);
            ( "violation",
              match s.Mc.Explore.violation with None -> J.Null | Some (r, _) -> J.String r );
@@ -186,9 +187,7 @@ let tab4 () =
   progress "[tab4] model-checking comparison, paper config + one size up...\n%!";
   let store = Mc.Explore.Compact in
   let max_states = if !quick then 300_000 else 200_000_000 in
-  let mc_rows =
-    List.map (fun (n, _, s, l) -> (n, s, l)) (E.table4 ~max_states ~store ~jobs:!jobs ())
-  in
+  let mc_rows = List.map (fun (n, _, s, l) -> (n, s, l)) (E.table4 ~max_states ~store ()) in
   let model_checking =
     emit
       (mc_table "Model checkability, paper config (2c) and one size above (3c)" ~store mc_rows)
@@ -329,7 +328,7 @@ let sec5 () =
   let store = Mc.Explore.Compact in
   emit
     (mc_table "Model-checking results" ~store
-       (E.model_checking ~max_states ~store ~jobs:!jobs ()))
+       (E.model_checking ~max_states ~store ()))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: variants                                                   *)

@@ -51,9 +51,9 @@ let jobs_arg =
     value & opt int (-1)
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for independent simulations or the model checker's BFS \
-           frontiers (0 = all cores). Defaults to $(b,TOKENCMP_JOBS) if set, else 1 \
-           (serial). Results are bit-identical for any value.")
+          "Worker domains for independent simulations (0 = all cores). Defaults to \
+           $(b,TOKENCMP_JOBS) if set, else 1 (serial). Results are bit-identical for any \
+           value.")
 
 (* -1 = flag absent: defer to TOKENCMP_JOBS / serial. *)
 let resolve_jobs j = Par.Pool.resolve_jobs ?requested:(if j < 0 then None else Some j) ()
@@ -617,32 +617,20 @@ let check_cmd =
              style; a vanishingly small, reported collision probability can hide \
              states).")
   in
-  let sym_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sym" ]
-          ~doc:
-            "Disable symmetry reduction (canonicalization of interchangeable caches). \
-             Only configurations with 4+ caches have interchangeable nodes, so the \
-             default configs are unaffected either way.")
-  in
-  let run max_states store jobs no_sym =
-    let jobs = resolve_jobs jobs in
-    let rows = Tokencmp.Experiments.model_checking ~max_states ~store ~jobs ~sym:(not no_sym) () in
-    let failed = ref false in
+  let run max_states store =
+    let rows = Tokencmp.Experiments.model_checking ~max_states ~store () in
     List.iter
-      (fun (name, s, loc) ->
-        Format.printf "%-20s (%4d LoC) %a@." name loc Mc.Explore.pp_stats s;
-        if
-          s.Mc.Explore.violation <> None
-          || (s.Mc.Explore.doomed > 0 && not s.Mc.Explore.truncated)
-        then failed := true)
+      (fun (name, s, loc) -> Format.printf "%-20s (%4d LoC) %a@." name loc Mc.Explore.pp_stats s)
       rows;
-    if !failed then exit 1
+    (* doomed is counted on closed graphs only *)
+    let failed (_, s, _) =
+      s.Mc.Explore.violation <> None || Option.value s.Mc.Explore.doomed ~default:0 > 0
+    in
+    if List.exists failed rows then exit 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Model-check the substrate variants and the flat directory.")
-    Term.(const run $ max_states_arg $ store_arg $ jobs_arg $ sym_arg)
+    Term.(const run $ max_states_arg $ store_arg)
 
 (* ---- replay ---- *)
 
@@ -703,12 +691,6 @@ let shrink_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Perfetto trace of the minimized run (default: BUNDLE with .min.trace.json).")
   in
-  let no_shape_arg =
-    Arg.(
-      value & flag
-      & info [ "no-shape" ]
-          ~doc:"Skip machine-shape shrinking (keep the original CMP/processor counts).")
-  in
   let assert_max_arg =
     Arg.(
       value & opt (some int) None
@@ -726,7 +708,7 @@ let shrink_cmd =
     in
     base ^ suffix
   in
-  let run file jobs no_shape out trace_out assert_max quiet =
+  let run file jobs out trace_out assert_max quiet =
     let jobs = resolve_jobs jobs in
     match Forensics.Bundle.read_file file with
     | Error msg ->
@@ -734,7 +716,7 @@ let shrink_cmd =
       exit 4
     | Ok b -> (
       let log = if quiet then fun _ -> () else fun s -> Printf.printf "%s\n%!" s in
-      match Forensics.Shrink.run ~jobs ~shrink_shape:(not no_shape) ~log b with
+      match Forensics.Shrink.run ~jobs ~log b with
       | Error msg ->
         Printf.eprintf "shrink: %s\n" msg;
         exit 4
@@ -775,8 +757,8 @@ let shrink_cmd =
           Candidate schedules are evaluated in parallel with $(b,-j); the result is \
           identical for any value.")
     Term.(
-      const run $ bundle_pos_arg $ jobs_arg $ no_shape_arg $ out_arg $ trace_out_arg
-      $ assert_max_arg $ quiet_arg)
+      const run $ bundle_pos_arg $ jobs_arg $ out_arg $ trace_out_arg $ assert_max_arg
+      $ quiet_arg)
 
 let () =
   let doc = "TokenCMP: M-CMP cache coherence with flat correctness (HPCA 2005 reproduction)" in

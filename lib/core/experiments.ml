@@ -148,13 +148,13 @@ let commercial ?(jobs = 1) ?(config = Mcmp.Config.default) ?(seeds = default_see
   let programs ~seed ~proc = Workload.Commercial.program profile ~seed ~proc in
   run_protocols ~jobs ~config ~seeds ~protocols ~programs:(fun ~seed -> programs ~seed)
 
-let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs = 1)
-    ?(sym = true) () =
-  let check name m loc =
-    let module M = (val m : Mc.Explore.MODEL) in
-    let module R = Mc.Explore.Make (M) in
-    (name, R.run ~max_states ~store ~jobs ~sym (), loc)
-  in
+let explore ~max_states ~store m =
+  let module M = (val m : Mc.Explore.MODEL) in
+  let module R = Mc.Explore.Make (M) in
+  R.run ~max_states ~store ()
+
+let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) () =
+  let check name m loc = (name, explore ~max_states ~store m, loc) in
   let tp = Mc.Token_model.default_params in
   let dp = Mc.Dir_model.default_params in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
@@ -176,13 +176,8 @@ let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs 
    configuration (2 caches) and one size above it (3 caches, one more
    token). The 3-cache graphs are orders of magnitude bigger; the
    compacted store is the default here so they close in memory. *)
-let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1) ?(sym = true)
-    () =
-  let check name caches m loc =
-    let module M = (val m : Mc.Explore.MODEL) in
-    let module R = Mc.Explore.Make (M) in
-    (name, caches, R.run ~max_states ~store ~jobs ~sym (), loc)
-  in
+let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) () =
+  let check name caches m loc = (name, caches, explore ~max_states ~store m, loc) in
   let tp = Mc.Token_model.default_params in
   let tp3 = { tp with Mc.Token_model.caches = 3; tokens = 4 } in
   (* both directory rows run at net_cap 3: the 2-cache directory graph

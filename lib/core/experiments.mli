@@ -6,8 +6,8 @@
     randomly perturbed message latencies and reported as mean ± 95% CI
     (Alameldeen & Wood's methodology).
 
-    Every harness takes [?jobs]: the independent (protocol, seed)
-    simulations fan out over a {!Par.Pool} of that many domains.
+    Every simulation harness takes [?jobs]: the independent (protocol,
+    seed) simulations fan out over a {!Par.Pool} of that many domains.
     Results are regrouped in submission order and each simulation owns
     its engine/rng/counters, so any [jobs] value produces output
     bit-identical to the serial run (enforced by [test/test_par.ml]). *)
@@ -73,15 +73,11 @@ val commercial :
 
 (** Section 5: model-check every substrate variant and the flat
     directory; returns (model name, exploration stats, model source
-    lines). [store], [jobs] and [sym] select the visited-set
-    representation, parallel frontier width and symmetry reduction (see
-    {!Mc.Explore.Make.run}); defaults preserve the historical exact
-    serial semantics. *)
+    lines). [store] selects the visited-set representation (see
+    {!Mc.Explore.Make.run}); the default is the exact store. *)
 val model_checking :
   ?max_states:int ->
   ?store:Mc.Explore.store ->
-  ?jobs:int ->
-  ?sym:bool ->
   unit ->
   (string * Mc.Explore.stats * int) list
 
@@ -95,8 +91,6 @@ val model_checking :
 val table4 :
   ?max_states:int ->
   ?store:Mc.Explore.store ->
-  ?jobs:int ->
-  ?sym:bool ->
   unit ->
   (string * int * Mc.Explore.stats * int) list
 

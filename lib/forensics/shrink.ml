@@ -190,7 +190,7 @@ let rec shape_loop st config sched =
 let first_report_at (o : T.outcome) =
   match o.T.reports with [] -> None | r :: _ -> Some r.Fault.Report.at
 
-let run ?(jobs = 1) ?(shrink_shape = true) ?(log = fun _ -> ()) (b : Bundle.t) =
+let run ?(jobs = 1) ?(log = fun _ -> ()) (b : Bundle.t) =
   match b.Bundle.recorded.Bundle.d_verdict with
   | T.Clean | T.Survived_partition ->
     Error "bundle records a passing run; nothing to shrink"
@@ -226,9 +226,7 @@ let run ?(jobs = 1) ?(shrink_shape = true) ?(log = fun _ -> ()) (b : Bundle.t) =
       let sched =
         minimize_schedule st ~config:config0 sched0 ~first_report_at:(first_report_at o0)
       in
-      let config, sched =
-        if shrink_shape then shape_loop st config0 sched else (config0, sched)
-      in
+      let config, sched = shape_loop st config0 sched in
       (* The minimal run, re-executed once to capture its outcome and
          re-digest the (possibly changed) recorded verdict fields. *)
       let o = run_candidate st ~config sched in

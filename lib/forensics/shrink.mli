@@ -41,7 +41,6 @@ type result = {
     [log] receives one-line progress messages. *)
 val run :
   ?jobs:int ->
-  ?shrink_shape:bool ->
   ?log:(string -> unit) ->
   Bundle.t ->
   (result, string) Stdlib.result

@@ -19,7 +19,7 @@ type stats = {
   violation : (string * string list) option;
   violation_state : string option;
   violation_path : string list;  (** rendered states along the violating path *)
-  doomed : int;
+  doomed : int option;
   doomed_example : string list option;
   goals : int;
   truncated : bool;
@@ -130,15 +130,14 @@ module Make (M : MODEL) = struct
       violation = None;
       violation_state = None;
       violation_path = [];
-      doomed = 0;
+      doomed = Some 0;
       doomed_example = None;
       goals = 0;
       truncated = false;
       collision_bound = 0.;
     }
 
-  let run ?(max_states = 2_000_000) ?(store = Exact) ?(jobs = 1) ?(sym = true) () =
-    let canon = if sym then M.canonicalize else fun s -> s in
+  let run ?(max_states = 2_000_000) ?(store = Exact) () =
     match M.initial with
     | [] -> zero_stats
     | first_initial :: _ ->
@@ -149,16 +148,17 @@ module Make (M : MODEL) = struct
       (* per-state bookkeeping, id-indexed; [states] is only populated
          in [Exact] mode — the compacted store never retains a state
          after its frontier entry is expanded *)
-      let states = buf_create (canon first_initial) in
+      let states = buf_create (M.canonicalize first_initial) in
       let pred_id = buf_create (-1) in
       let pred_label = buf_create "" in
       let depth = buf_create 0 in
       let goal_flag = buf_create false in
       (* reverse edges as a flat pair buffer, built into CSR form for
          the liveness pass; a list-per-state representation costs 3
-         words per edge and shreds the minor heap at scale *)
-      let edge_child = buf_create 0 in
-      let edge_parent = buf_create 0 in
+         words per edge and shreds the minor heap at scale. The log is
+         dropped ([None]) once the graph cannot close: on truncation or
+         a violation. *)
+      let edges = ref (Some (buf_create 0, buf_create 0)) in
       (* transition labels repeat heavily; interning them keeps one
          copy per distinct label instead of one per state *)
       let label_pool : (string, string) Hashtbl.t = Hashtbl.create 256 in
@@ -177,6 +177,7 @@ module Make (M : MODEL) = struct
       let count = ref 0 in
       let transitions = ref 0 in
       let diameter = ref 0 in
+      let goals = ref 0 in
       let violation = ref None in
       let violation_state = ref None in
       let violation_path = ref [] in
@@ -185,7 +186,8 @@ module Make (M : MODEL) = struct
       let initial_by_id = ref [] in
       (* Intern a canonical state; returns its id or -1 when the state
          budget is exhausted. [fresh] reports first-time discovery. *)
-      let intern ~pred ~label ~key state =
+      let intern ~pred ~label state =
+        let key = key_of state in
         match Tbl.find tbl key eq state with
         | id when id >= 0 ->
           fresh := false;
@@ -193,6 +195,7 @@ module Make (M : MODEL) = struct
         | _ ->
           if !count >= max_states then begin
             truncated := true;
+            edges := None;
             fresh := false;
             -1
           end
@@ -206,14 +209,19 @@ module Make (M : MODEL) = struct
             let d = if pred < 0 then 0 else depth.arr.(pred) + 1 in
             buf_push depth d;
             if d > !diameter then diameter := d;
-            buf_push goal_flag (M.goal state);
+            let g = M.goal state in
+            if g then incr goals;
+            buf_push goal_flag g;
             fresh := true;
             id
           end
       in
       let record_edge ~child ~parent =
-        buf_push edge_child child;
-        buf_push edge_parent parent
+        match !edges with
+        | Some (edge_child, edge_parent) ->
+          buf_push edge_child child;
+          buf_push edge_parent parent
+        | None -> ()
       in
       let trace_to id =
         let rec climb id acc =
@@ -254,12 +262,12 @@ module Make (M : MODEL) = struct
                       (fun (l, s') ->
                         l = label
                         &&
-                        let c = canon s' in
+                        let c = M.canonicalize s' in
                         Tbl.find tbl (key_of c) eq c = next_id)
                       (M.next !cur)
                   with
                   | Some (_, s') ->
-                    cur := canon s';
+                    cur := M.canonicalize s';
                     out := render !cur :: !out
                   | None ->
                     ok := false;
@@ -272,170 +280,95 @@ module Make (M : MODEL) = struct
       let record_violation id state reason =
         violation := Some (reason, trace_to id);
         violation_state := Some (render state);
-        violation_path := render_path id state
+        violation_path := render_path id state;
+        edges := None
       in
-      (* seed the frontier with the canonical initial states *)
-      let init_frontier = ref [] in
+      (* Breadth-first search as a plain FIFO. After truncation the
+         queue still drains, so every counted state has its invariant
+         checked; a violation ends the search. *)
+      let queue = Queue.create () in
       List.iter
         (fun s ->
-          let c = canon s in
-          let id = intern ~pred:(-1) ~label:"" ~key:(key_of c) c in
+          let c = M.canonicalize s in
+          let id = intern ~pred:(-1) ~label:"" c in
           if id >= 0 && !fresh then begin
             initial_by_id := (id, c) :: !initial_by_id;
-            init_frontier := (id, c) :: !init_frontier
+            Queue.push (id, c) queue
           end)
         M.initial;
-      let init_frontier = List.rev !init_frontier in
-      (* Expand one frontier state, interning its successors (the
-         deterministic "merge" step shared by the serial and parallel
-         drivers). Appends fresh states to [push]. *)
-      let expand_into ~push (id, state) =
-        if !violation = None then
-          match M.invariant state with
-          | Error reason -> record_violation id state reason
-          | Ok () ->
-            List.iter
-              (fun (label, succ) ->
-                incr transitions;
-                let c = canon succ in
-                let sid = intern ~pred:id ~label ~key:(key_of c) c in
-                if sid >= 0 then begin
-                  record_edge ~child:sid ~parent:id;
-                  if !fresh then push (sid, c)
-                end)
-              (M.next state)
-      in
-      (* Merge a precomputed expansion (from a worker domain) in the
-         same order [expand_into] would have produced. *)
-      let merge_into ~push (id, state) result =
-        if !violation = None then
-          match result with
-          | Error reason -> record_violation id state reason
-          | Ok succs ->
-            List.iter
-              (fun (label, c, key) ->
-                incr transitions;
-                let sid = intern ~pred:id ~label ~key c in
-                if sid >= 0 then begin
-                  record_edge ~child:sid ~parent:id;
-                  if !fresh then push (sid, c)
-                end)
-              succs
-      in
-      (* Pure per-state expansion work, safe to run on a worker domain:
-         successor generation, canonicalization and fingerprinting.
-         Interning stays on the calling domain, in frontier order, so
-         parallel stats are identical to the serial run. *)
-      let expand_pure (_, state) =
+      while !violation = None && not (Queue.is_empty queue) do
+        let id, state = Queue.pop queue in
         match M.invariant state with
-        | Error reason -> Error reason
+        | Error reason -> record_violation id state reason
         | Ok () ->
-          Ok
-            (List.map
-               (fun (label, succ) ->
-                 let c = canon succ in
-                 (label, c, key_of c))
-               (M.next state))
-      in
-      let rec chunk ~size = function
-        | [] -> []
-        | xs ->
-          let rec take n acc = function
-            | rest when n = 0 -> (List.rev acc, rest)
-            | [] -> (List.rev acc, [])
-            | x :: rest -> take (n - 1) (x :: acc) rest
-          in
-          let c, rest = take size [] xs in
-          c :: chunk ~size rest
-      in
-      if jobs <= 1 then begin
-        (* serial: plain FIFO — identical visit order to a
-           level-synchronous sweep, without the level bookkeeping *)
-        let queue = Queue.create () in
-        List.iter (fun item -> Queue.push item queue) init_frontier;
-        let push item = Queue.push item queue in
-        let continue = ref true in
-        while !continue do
-          match Queue.take_opt queue with
-          | None -> continue := false
-          | Some item ->
-            expand_into ~push item;
-            if !violation <> None then continue := false
-        done
-      end
-      else begin
-        (* parallel: expand whole BFS levels across domains, then merge
-           serially in frontier order *)
-        let level = ref init_frontier in
-        while !level <> [] && !violation = None do
-          let items = !level in
-          let nitems = List.length items in
-          let acc = ref [] in
-          let push item = acc := item :: !acc in
-          if nitems < 4 * jobs then List.iter (expand_into ~push) items
-          else begin
-            let size = (nitems + jobs - 1) / jobs in
-            let chunks = chunk ~size items in
-            let results = Par.Pool.map ~jobs (fun c -> List.map expand_pure c) chunks in
-            List.iter2
-              (fun chunk_items chunk_results ->
-                List.iter2 (fun item r -> merge_into ~push item r) chunk_items chunk_results)
-              chunks results
-          end;
-          level := List.rev !acc
-        done
-      end;
-      (* Liveness proxy: backward reachability from goal states over
-         the reverse edges, materialized in CSR form. *)
+          List.iter
+            (fun (label, succ) ->
+              incr transitions;
+              let c = M.canonicalize succ in
+              let sid = intern ~pred:id ~label c in
+              if sid >= 0 then begin
+                record_edge ~child:sid ~parent:id;
+                if !fresh then Queue.push (sid, c) queue
+              end)
+            (M.next state)
+      done;
       let n = !count in
-      let m = edge_child.n in
-      let deg = Array.make (n + 1) 0 in
-      for e = 0 to m - 1 do
-        let c = edge_child.arr.(e) in
-        deg.(c + 1) <- deg.(c + 1) + 1
-      done;
-      for i = 1 to n do
-        deg.(i) <- deg.(i) + deg.(i - 1)
-      done;
-      let adj = Array.make m 0 in
-      let cursor = Array.copy deg in
-      for e = 0 to m - 1 do
-        let c = edge_child.arr.(e) in
-        adj.(cursor.(c)) <- edge_parent.arr.(e);
-        cursor.(c) <- cursor.(c) + 1
-      done;
-      let can_reach = Bytes.make (max n 1) '\000' in
-      let goals = ref 0 in
-      let stack = buf_create 0 in
-      for id = 0 to n - 1 do
-        if goal_flag.arr.(id) then begin
-          incr goals;
-          if Bytes.get can_reach id = '\000' then begin
+      (* Liveness proxy: backward reachability from goal states over
+         the reverse edges, materialized in CSR form. It runs on closed
+         graphs only, since an open graph's unexpanded frontier would
+         count as doomed. *)
+      let liveness (edge_child, edge_parent) =
+        let m = edge_child.n in
+        let deg = Array.make (n + 1) 0 in
+        for e = 0 to m - 1 do
+          let c = edge_child.arr.(e) in
+          deg.(c + 1) <- deg.(c + 1) + 1
+        done;
+        for i = 1 to n do
+          deg.(i) <- deg.(i) + deg.(i - 1)
+        done;
+        let adj = Array.make m 0 in
+        let cursor = Array.copy deg in
+        for e = 0 to m - 1 do
+          let c = edge_child.arr.(e) in
+          adj.(cursor.(c)) <- edge_parent.arr.(e);
+          cursor.(c) <- cursor.(c) + 1
+        done;
+        let can_reach = Bytes.make n '\000' in
+        let stack = buf_create 0 in
+        for id = 0 to n - 1 do
+          if goal_flag.arr.(id) then begin
             Bytes.set can_reach id '\001';
             buf_push stack id
           end
-        end
-      done;
-      while stack.n > 0 do
-        stack.n <- stack.n - 1;
-        let id = stack.arr.(stack.n) in
-        for e = deg.(id) to deg.(id + 1) - 1 do
-          let p = adj.(e) in
-          if Bytes.get can_reach p = '\000' then begin
-            Bytes.set can_reach p '\001';
-            buf_push stack p
-          end
-        done
-      done;
-      let doomed = ref 0 in
-      let doomed_example = ref None in
-      if !goals > 0 then
+        done;
+        while stack.n > 0 do
+          stack.n <- stack.n - 1;
+          let id = stack.arr.(stack.n) in
+          for e = deg.(id) to deg.(id + 1) - 1 do
+            let p = adj.(e) in
+            if Bytes.get can_reach p = '\000' then begin
+              Bytes.set can_reach p '\001';
+              buf_push stack p
+            end
+          done
+        done;
+        let doomed = ref 0 in
+        let example = ref None in
         for id = 0 to n - 1 do
           if Bytes.get can_reach id = '\000' then begin
             incr doomed;
-            if !doomed_example = None then doomed_example := Some (trace_to id)
+            if !example = None then example := Some (trace_to id)
           end
         done;
+        (Some !doomed, !example)
+      in
+      let doomed, doomed_example =
+        match !edges with
+        | None -> (None, None)
+        | Some _ when !goals = 0 -> (Some 0, None)
+        | Some log -> liveness log
+      in
       let collision_bound =
         match store with
         | Exact -> 0.
@@ -450,8 +383,8 @@ module Make (M : MODEL) = struct
         violation = !violation;
         violation_state = !violation_state;
         violation_path = !violation_path;
-        doomed = !doomed;
-        doomed_example = !doomed_example;
+        doomed;
+        doomed_example;
         goals = !goals;
         truncated = !truncated;
         collision_bound;
@@ -459,8 +392,9 @@ module Make (M : MODEL) = struct
 end
 
 let pp_stats fmt s =
-  Format.fprintf fmt "states=%d transitions=%d diameter=%d goals=%d doomed=%d%s%s" s.states
-    s.transitions s.diameter s.goals s.doomed
+  Format.fprintf fmt "states=%d transitions=%d diameter=%d goals=%d doomed=%s%s%s" s.states
+    s.transitions s.diameter s.goals
+    (match s.doomed with Some d -> string_of_int d | None -> "-")
     (if s.truncated then " TRUNCATED" else "")
     (match s.violation with
     | None -> " (invariants hold)"

@@ -9,25 +9,18 @@
     "eventually all requests are satisfied" property on these finite
     graphs.
 
-    Three orthogonal scale-up levers, all validated to produce stats
-    identical to the exact serial sweep on closed graphs:
-    - {b symmetry reduction}: states are interned through the model's
-      {!MODEL.canonicalize} (identity for models without symmetry), so
-      configurations that differ only by a permutation of
-      interchangeable nodes collapse into one representative;
+    Two orthogonal scale-up levers:
+    - {b symmetry reduction}: states are always interned through the
+      model's {!MODEL.canonicalize} (identity for models without
+      symmetry), so configurations that differ only by a permutation
+      of interchangeable nodes collapse into one representative;
     - {b compacted visited sets} ({!Compact}): the visited set stores
       60-bit fingerprints instead of full states, Cleary/bit-state
       style; the frontier carries states explicitly, so no state is
       retained after expansion. Two distinct states may collide with
       probability bounded by {!stats.collision_bound} (reported per
       run), in which case part of the graph is silently skipped —
-      verification verdicts should be confirmed in {!Exact} mode;
-    - {b parallel frontier expansion} ([jobs > 1]): successor
-      generation, canonicalization and fingerprinting for each BFS
-      level fan out across domains ([Par.Pool]); interning happens on
-      the calling domain in frontier order, so the resulting stats are
-      bit-identical to the serial run. Requires the model's functions
-      to be pure (all models in this library are). *)
+      verification verdicts should be confirmed in {!Exact} mode. *)
 
 module type MODEL = sig
   type state
@@ -73,7 +66,10 @@ type stats = {
   violation_state : string option;  (** rendering of the violating state *)
   violation_path : string list;
       (** renderings of every state along the violating path *)
-  doomed : int;  (** states from which no goal state is reachable *)
+  doomed : int option;
+      (** states from which no goal state is reachable; [None] unless
+          the graph closed (no truncation, no violation), since an open
+          graph's unexpanded frontier would count as doomed *)
   doomed_example : string list option;
       (** transition trace to the first doomed state found *)
   goals : int;  (** reachable goal states *)
@@ -84,14 +80,14 @@ type stats = {
 }
 
 module Make (M : MODEL) : sig
-  (** [run ()] explores the model breadth-first. [store] selects the
-      visited-set representation (default {!Exact}), [jobs] the number
-      of domains expanding each BFS level (default 1, serial), [sym]
-      whether {!MODEL.canonicalize} is applied (default [true]; set
-      [false] to measure the unreduced graph). All combinations
-      produce identical stats on closed graphs (modulo
-      {!stats.collision_bound} for [Compact]). *)
-  val run : ?max_states:int -> ?store:store -> ?jobs:int -> ?sym:bool -> unit -> stats
+  (** [run ()] explores the model breadth-first from a single FIFO,
+      stopping at the first violation. [store] selects the visited-set
+      representation (default {!Exact}); both produce identical stats
+      on closed graphs (modulo {!stats.collision_bound} for
+      [Compact]). Past [max_states] no new state is counted, but the
+      queue still drains, so every counted state has its invariant
+      checked. *)
+  val run : ?max_states:int -> ?store:store -> unit -> stats
 end
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -17,16 +17,26 @@ let counter_model ?(bug_at = 3) ~bound ~bug () : (module Mc.Explore.MODEL) =
     let canonicalize s = s
   end)
 
-let run ?(max_states = 1_000_000) ?store ?jobs ?sym m () =
+let run ?(max_states = 1_000_000) ?store m () =
   let module M = (val m : Mc.Explore.MODEL) in
   let module R = Mc.Explore.Make (M) in
-  R.run ~max_states ?store ?jobs ?sym ()
+  R.run ~max_states ?store ()
+
+(* The explorer always interns through [canonicalize]; an identity one
+   gives the unreduced graph. *)
+let unreduced m : (module Mc.Explore.MODEL) =
+  let module M = (val m : Mc.Explore.MODEL) in
+  (module struct
+    include M
+
+    let canonicalize s = s
+  end)
 
 let test_explorer_counts () =
   let s = run (counter_model ~bound:10 ~bug:false ()) () in
   Alcotest.(check int) "states" 11 s.Mc.Explore.states;
   Alcotest.(check int) "diameter" 10 s.Mc.Explore.diameter;
-  Alcotest.(check int) "goal reachable from everywhere" 0 s.Mc.Explore.doomed;
+  Alcotest.(check (option int)) "goal reachable from everywhere" (Some 0) s.Mc.Explore.doomed;
   Alcotest.(check bool) "no violation" true (s.Mc.Explore.violation = None)
 
 let test_explorer_finds_violation () =
@@ -34,13 +44,42 @@ let test_explorer_finds_violation () =
   match s.Mc.Explore.violation with
   | Some (reason, trace) ->
     Alcotest.(check string) "reason" "hit the bug" reason;
-    Alcotest.(check (list string)) "shortest trace" [ "inc"; "inc"; "inc" ] trace
+    Alcotest.(check (list string)) "shortest trace" [ "inc"; "inc"; "inc" ] trace;
+    Alcotest.(check (option int)) "no doomed count after a violation" None s.Mc.Explore.doomed
   | None -> Alcotest.fail "violation not found"
 
 let test_explorer_truncation () =
   let s = run (counter_model ~bound:1000 ~bug:false ()) ~max_states:10 () in
   Alcotest.(check bool) "truncated" true s.Mc.Explore.truncated;
-  Alcotest.(check int) "states capped" 10 s.Mc.Explore.states
+  Alcotest.(check int) "states capped" 10 s.Mc.Explore.states;
+  Alcotest.(check (option int)) "no doomed count on an open graph" None s.Mc.Explore.doomed
+
+let test_truncated_run_checks_counted_states () =
+  (* The budget fills while state 0 is expanded; state 1 was counted
+     before it did, so its violation must still be reported. With goal
+     state 2, counting the open graph would report state 1 as doomed. *)
+  let m : (module Mc.Explore.MODEL) =
+    (module struct
+      type state = int
+
+      let name = "fan"
+      let initial = [ 0 ]
+      let next = function 0 -> [ ("to1", 1); ("to2", 2); ("to3", 3) ] | _ -> []
+      let invariant s = if s = 1 then Error "state 1" else Ok ()
+      let goal s = s = 2
+      let pp = Format.pp_print_int
+      let canonicalize s = s
+    end)
+  in
+  let s = run m ~max_states:3 () in
+  Alcotest.(check bool) "truncated" true s.Mc.Explore.truncated;
+  Alcotest.(check int) "states capped" 3 s.Mc.Explore.states;
+  (match s.Mc.Explore.violation with
+  | Some (reason, trace) ->
+    Alcotest.(check string) "reason" "state 1" reason;
+    Alcotest.(check (list string)) "trace" [ "to1" ] trace
+  | None -> Alcotest.fail "violation on a counted state not reported");
+  Alcotest.(check (option int)) "no doomed count" None s.Mc.Explore.doomed
 
 let test_doomed_detection () =
   (* A model with an absorbing non-goal state must report doomed states. *)
@@ -62,7 +101,7 @@ let test_doomed_detection () =
     end)
   in
   let s = run m () in
-  Alcotest.(check int) "trap state is doomed" 1 s.Mc.Explore.doomed
+  Alcotest.(check (option int)) "trap state is doomed" (Some 1) s.Mc.Explore.doomed
 
 let micro = { Mc.Token_model.caches = 2; tokens = 3; max_writes = 1; net_cap = 3 }
 
@@ -76,7 +115,7 @@ let test_token_dst_model () =
   let s = run (Mc.Token_model.distributed micro) () in
   Alcotest.(check bool) "invariants hold" true (s.Mc.Explore.violation = None);
   Alcotest.(check bool) "goals reached" true (s.Mc.Explore.goals > 0);
-  Alcotest.(check int) "no doomed states (liveness proxy)" 0 s.Mc.Explore.doomed
+  Alcotest.(check (option int)) "no doomed states (liveness proxy)" (Some 0) s.Mc.Explore.doomed
 
 let test_token_arb_model () =
   (* the arbiter's activate/deactivate broadcasts need one more slot of
@@ -84,7 +123,7 @@ let test_token_arb_model () =
   let s = run (Mc.Token_model.arbiter { micro with Mc.Token_model.net_cap = 4 }) () in
   Alcotest.(check bool) "invariants hold" true (s.Mc.Explore.violation = None);
   Alcotest.(check bool) "goals reached" true (s.Mc.Explore.goals > 0);
-  Alcotest.(check int) "no doomed states" 0 s.Mc.Explore.doomed
+  Alcotest.(check (option int)) "no doomed states" (Some 0) s.Mc.Explore.doomed
 
 let dir2 = { Mc.Dir_model.caches = 2; max_writes = 2; net_cap = 4 }
 
@@ -92,7 +131,7 @@ let test_dir_model () =
   let s = run (Mc.Dir_model.flat dir2) () in
   Alcotest.(check bool) "invariants hold" true (s.Mc.Explore.violation = None);
   Alcotest.(check bool) "goals reached" true (s.Mc.Explore.goals > 0);
-  Alcotest.(check int) "no doomed states" 0 s.Mc.Explore.doomed
+  Alcotest.(check (option int)) "no doomed states" (Some 0) s.Mc.Explore.doomed
 
 let test_dst_cheaper_than_arb () =
   (* The paper found TokenCMP-dst somewhat more intensive than -arb in
@@ -122,7 +161,8 @@ let test_recovery_model () =
   Alcotest.(check bool) "states explored" true (s.Mc.Explore.states > 100);
   Alcotest.(check bool) "not truncated" true (not s.Mc.Explore.truncated);
   Alcotest.(check bool) "goals reached" true (s.Mc.Explore.goals > 0);
-  Alcotest.(check int) "loss always survivable (no doomed states)" 0 s.Mc.Explore.doomed
+  Alcotest.(check (option int)) "loss always survivable (no doomed states)" (Some 0)
+    s.Mc.Explore.doomed
 
 let test_model_loc_metric () =
   let t = Mc.Model_loc.token and d = Mc.Model_loc.directory in
@@ -140,7 +180,7 @@ let check_counts name (exp_states, exp_trans, exp_diam, exp_goals, exp_doomed) s
   Alcotest.(check int) (name ^ " transitions") exp_trans s.Mc.Explore.transitions;
   Alcotest.(check int) (name ^ " diameter") exp_diam s.Mc.Explore.diameter;
   Alcotest.(check int) (name ^ " goals") exp_goals s.Mc.Explore.goals;
-  Alcotest.(check int) (name ^ " doomed") exp_doomed s.Mc.Explore.doomed;
+  Alcotest.(check (option int)) (name ^ " doomed") (Some exp_doomed) s.Mc.Explore.doomed;
   Alcotest.(check bool) (name ^ " closed") false s.Mc.Explore.truncated;
   Alcotest.(check bool) (name ^ " no violation") true (s.Mc.Explore.violation = None);
   Alcotest.(check (float 0.)) (name ^ " exact has no collision risk") 0.
@@ -157,9 +197,8 @@ let test_exact_stats_pinned_big () =
     (run (Mc.Recovery_model.model Mc.Recovery_model.default_params) ())
 
 (* ------------------------------------------------------------------ *)
-(* Differential suite: on every small config, the compacted store and
-   the parallel frontier (and their combination) must report stats
-   identical to the exact serial baseline — the model-checking
+(* Differential suite: on every small config, the compacted store must
+   report stats identical to the exact baseline — the model-checking
    analogue of the golden suite. *)
 
 let check_same_stats name (a : Mc.Explore.stats) (b : Mc.Explore.stats) =
@@ -167,7 +206,7 @@ let check_same_stats name (a : Mc.Explore.stats) (b : Mc.Explore.stats) =
   Alcotest.(check int) (name ^ " transitions") a.transitions b.transitions;
   Alcotest.(check int) (name ^ " diameter") a.diameter b.diameter;
   Alcotest.(check int) (name ^ " goals") a.goals b.goals;
-  Alcotest.(check int) (name ^ " doomed") a.doomed b.doomed;
+  Alcotest.(check (option int)) (name ^ " doomed") a.doomed b.doomed;
   Alcotest.(check bool) (name ^ " truncated") a.truncated b.truncated;
   Alcotest.(check bool) (name ^ " violation") true (a.violation = b.violation);
   Alcotest.(check bool) (name ^ " violation state") true
@@ -175,12 +214,9 @@ let check_same_stats name (a : Mc.Explore.stats) (b : Mc.Explore.stats) =
   Alcotest.(check bool) (name ^ " doomed example") true (a.doomed_example = b.doomed_example)
 
 let differential name m =
-  let base = run m ~store:Mc.Explore.Exact ~jobs:1 () in
-  check_same_stats (name ^ " compact==exact") base
-    (run m ~store:Mc.Explore.Compact ~jobs:1 ());
-  check_same_stats (name ^ " parallel==serial") base (run m ~store:Mc.Explore.Exact ~jobs:3 ());
-  check_same_stats (name ^ " compact+parallel==exact serial") base
-    (run m ~store:Mc.Explore.Compact ~jobs:2 ())
+  check_same_stats (name ^ " compact==exact")
+    (run m ~store:Mc.Explore.Exact ())
+    (run m ~store:Mc.Explore.Compact ())
 
 let test_differential_small () =
   differential "counter" (counter_model ~bound:10 ~bug:false ());
@@ -193,12 +229,10 @@ let test_differential_big () =
   differential "recovery" (Mc.Recovery_model.model Mc.Recovery_model.default_params)
 
 let test_differential_truncated () =
-  (* truncation must bite at the same state in every mode *)
+  (* truncation must bite at the same state in both stores *)
   let m = counter_model ~bound:1000 ~bug:false () in
-  let base = run m ~max_states:100 () in
-  check_same_stats "truncated compact" base
-    (run m ~max_states:100 ~store:Mc.Explore.Compact ());
-  check_same_stats "truncated parallel" base (run m ~max_states:100 ~jobs:2 ())
+  check_same_stats "truncated compact" (run m ~max_states:100 ())
+    (run m ~max_states:100 ~store:Mc.Explore.Compact ())
 
 let test_collision_bound_reported () =
   let s = run (Mc.Token_model.distributed micro) ~store:Mc.Explore.Compact () in
@@ -219,9 +253,7 @@ let test_deep_violation_path () =
   Alcotest.(check bool) "violating state rendered" true
     (s.Mc.Explore.violation_state = Some "50");
   let c = run m ~store:Mc.Explore.Compact () in
-  Alcotest.(check (list string)) "compact replay path" expected c.Mc.Explore.violation_path;
-  let p = run m ~jobs:2 () in
-  Alcotest.(check (list string)) "parallel path" expected p.Mc.Explore.violation_path
+  Alcotest.(check (list string)) "compact replay path" expected c.Mc.Explore.violation_path
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization properties. States are sampled through the models'
@@ -290,15 +322,15 @@ let test_canon_identity_on_2c () =
   (* with two caches there are no interchangeable nodes: the reduced
      run must equal the unreduced run exactly *)
   let m = Mc.Token_model.distributed micro in
-  check_same_stats "2c sym==nosym" (run m ~sym:false ()) (run m ~sym:true ());
+  check_same_stats "2c sym==nosym" (run (unreduced m) ()) (run m ());
   Alcotest.(check bool) "movable empty" true (Mc.Token_model.movable micro = [])
 
 let test_canon_reduces_4c () =
   (* with two interchangeable caches the reduction must shrink the
      graph (and never grow it), preserving the verdicts *)
   let m = Mc.Token_model.safety sym_tp in
-  let off = run m ~sym:false () in
-  let on = run m ~sym:true () in
+  let off = run (unreduced m) () in
+  let on = run m () in
   Alcotest.(check bool) "reduced is strictly smaller" true
     (on.Mc.Explore.states < off.Mc.Explore.states);
   Alcotest.(check bool) "same verdict" true
@@ -326,8 +358,9 @@ let pair_model ~bound ~bug_sum : (module Mc.Explore.MODEL) =
   end)
 
 let test_canon_preserves_violation () =
-  let off = run (pair_model ~bound:6 ~bug_sum:5) ~sym:false () in
-  let on = run (pair_model ~bound:6 ~bug_sum:5) ~sym:true () in
+  let m = pair_model ~bound:6 ~bug_sum:5 in
+  let off = run (unreduced m) () in
+  let on = run m () in
   (match (off.Mc.Explore.violation, on.Mc.Explore.violation) with
   | Some (r1, t1), Some (r2, t2) ->
     Alcotest.(check string) "same reason" r1 r2;
@@ -365,9 +398,9 @@ let tests =
     Alcotest.test_case "exact-mode stats pinned (small models)" `Quick
       test_exact_stats_pinned_small;
     Alcotest.test_case "exact-mode stats pinned (big models)" `Slow test_exact_stats_pinned_big;
-    Alcotest.test_case "differential: compact/parallel == exact serial (small)" `Quick
+    Alcotest.test_case "differential: compact == exact (small)" `Quick
       test_differential_small;
-    Alcotest.test_case "differential: compact/parallel == exact serial (big)" `Slow
+    Alcotest.test_case "differential: compact == exact (big)" `Slow
       test_differential_big;
     Alcotest.test_case "differential: truncation point identical" `Quick
       test_differential_truncated;
@@ -385,4 +418,6 @@ let tests =
     Alcotest.test_case "symmetry shrinks a 4-cache graph" `Quick test_canon_reduces_4c;
     Alcotest.test_case "reduction preserves violations" `Quick test_canon_preserves_violation;
     Alcotest.test_case "symmetry helpers" `Quick test_symmetry_helpers;
+    Alcotest.test_case "truncated run checks every counted state" `Quick
+      test_truncated_run_checks_counted_states;
   ]

@@ -884,7 +884,7 @@ let chaos () =
   print_endline
     "A 2-region partition opens at 1us and heals after the given\n\
      duration. TokenCMP runs the full recovery stack (reliable\n\
-     transport with adaptive RTT-based timeouts + token recreation)\n\
+     transport with retransmission backoff + token recreation)\n\
      against the hard partition; DirectoryCMP cannot survive message\n\
      loss, so it takes the loss-free brownout rendition of the same\n\
      plan. Its runs end 12-15us in under a long brownout, so it sweeps\n\
@@ -910,11 +910,7 @@ let chaos () =
               ~spec:Fault.Spec.none ~seed
           else
             Fault.Torture.run
-              { Fault.Torture.default_params with
-                p_recover = true;
-                p_adaptive = true;
-                p_chaos = chaos
-              }
+              { Fault.Torture.default_params with p_recover = true; p_chaos = chaos }
               (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.none ~seed)
         sweep_seeds
     in

@@ -407,19 +407,11 @@ let chaos_cmd =
       print_endline "chaos: nothing to do (no partition, no flaps)";
       exit 0
     end;
-    let targets, recover, adaptive =
-      if directory then
-        ([ Fault.Torture.Directory { dram_directory = true } ], false, false)
-      else ([ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ],
-            true, true)
+    let targets, recover =
+      if directory then ([ Fault.Torture.Directory { dram_directory = true } ], false)
+      else ([ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ], true)
     in
-    let params =
-      { (torture_params tiny) with
-        p_recover = recover;
-        p_adaptive = adaptive;
-        p_chaos = Some chaos
-      }
-    in
+    let params = { (torture_params tiny) with p_recover = recover; p_chaos = Some chaos } in
     let repro_line =
       Printf.sprintf "tokencmp chaos --runs %d --seed %d -j %d --duration %d --flaps %d%s%s"
         runs seed jobs duration flaps
@@ -428,7 +420,7 @@ let chaos_cmd =
     in
     Format.printf "chaos: %d runs over %d targets, base seed %d, plan %a%s%s@." runs
       (List.length targets) seed Fault.Chaos.pp chaos
-      (if recover then ", recover+adaptive" else ", brownout")
+      (if recover then ", recover" else ", brownout")
       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
     run_campaign ~prefix:"chaos" ~repro_line ~verbose (fun ~on_outcome ->
         Fault.Torture.campaign ~params ~runs ~jobs ~targets ~seed ~on_outcome ())
@@ -438,7 +430,7 @@ let chaos_cmd =
        ~doc:
          "Link-outage chaos campaign: flapping links and a 2-region partition with a \
           scheduled heal against the token recovery stack (reliable transport with \
-          adaptive RTT-based timeouts, token recreation). Pass criterion: the run \
+          retransmission backoff, token recreation). Pass criterion: the run \
           completes with zero violations; it reads survived-partition when the cut held \
           copies, whether it ended during the cut or after the heal. With \
           $(b,--directory), the \

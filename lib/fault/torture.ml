@@ -15,7 +15,6 @@ type run_params = {
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
   p_recover : bool;
-  p_adaptive : bool;
   p_chaos : Chaos.spec option;
   p_script : Plan.event list option;
 }
@@ -27,7 +26,6 @@ let default_params =
     p_no_progress_windows = 5;
     p_starvation_bound = Sim.Time.ns 200_000;
     p_recover = false;
-    p_adaptive = false;
     p_chaos = None;
     p_script = None;
   }
@@ -77,33 +75,14 @@ type machine = {
   m_chaos : (Chaos.stats * Chaos.links) option;
 }
 
-(* The scale mapping the transport's largest per-link RTO to the
-   token recreation timeout of a [p_adaptive] run. Times the
-   estimator's ceiling it bounds the adaptive recreation wait — what
-   the watchdog must budget for. *)
-let adaptive_recreation_scale = 16.
-
-let adaptive_recreation_ceiling = Sim.Time.mul_f Rtt.ceiling adaptive_recreation_scale
-
 (* The margin a run widens its watchdog bounds by: the base widened,
-   if needed, to out-wait the longest legitimate stall — a full chaos
-   outage followed by worst-case recovery, which in adaptive mode is
-   bounded by the recreation source's ceiling, NOT the static
-   recreation constant the source replaced. Recomputing here (rather
-   than trusting the static default margin) is what keeps adaptive
-   mode from silently out-waiting the watchdog. *)
-let effective_margin ~base ~recover ~adaptive ?chaos ~watchdog_interval
-    ~no_progress_windows ~starvation_bound () =
+   if needed, to out-wait the longest legitimate stall, a full chaos
+   outage followed by worst-case recovery. *)
+let effective_margin ~base ~recover ?chaos ~watchdog_interval ~no_progress_windows
+    ~starvation_bound () =
   let longest_stall =
     let outage = match chaos with Some c -> Chaos.max_outage c | None -> Sim.Time.zero in
-    let recovery_worst =
-      if recover then
-        Token.Recovery.worst_case_latency
-          ?recreation_timeout:(if adaptive then Some adaptive_recreation_ceiling else None)
-          ()
-      else Sim.Time.zero
-    in
-    outage + recovery_worst
+    outage + if recover then Token.Recovery.worst_case_latency else Sim.Time.zero
   in
   if longest_stall = Sim.Time.zero then base
   else begin
@@ -113,13 +92,11 @@ let effective_margin ~base ~recover ~adaptive ?chaos ~watchdog_interval
   end
 
 let run p target ~spec ~seed =
-  let recover = p.p_recover and adaptive = p.p_adaptive and chaos = p.p_chaos in
+  let recover = p.p_recover and chaos = p.p_chaos in
   (match target with
   | Directory _ when recover ->
     invalid_arg "Torture.run: recovery mode is a token-protocol feature"
   | _ -> ());
-  if adaptive && not recover then
-    invalid_arg "Torture.run: adaptive timeouts ride on the recovery stack";
   (match (target, chaos) with
   | Token _, Some c when Chaos.lossy c && not recover ->
     invalid_arg "Torture.run: lossy chaos on a token target requires recovery mode"
@@ -179,13 +156,8 @@ let run p target ~spec ~seed =
             (* The transport draws its retransmit jitter from its own
                split stream; the plan's schedule is untouched. *)
             let tr, inject =
-              Transport.wrap ~adaptive ~rng:(Sim.Rng.split rng) ~give_up:(give_up engine) fab
-                inject
+              Transport.wrap ~rng:(Sim.Rng.split rng) ~give_up:(give_up engine) fab inject
             in
-            if adaptive then
-              i.Token.Protocol.i_set_recreation_source
-                (Some
-                   (fun () -> Sim.Time.mul_f (Transport.max_rto tr) adaptive_recreation_scale));
             (Some tr, inject)
           end
           else (None, inject)
@@ -244,7 +216,7 @@ let run p target ~spec ~seed =
   let margin =
     effective_margin
       ~base:(if recover then 2.5 else 1.0)
-      ~recover ~adaptive ?chaos ~watchdog_interval
+      ~recover ?chaos ~watchdog_interval
       ~no_progress_windows:p.p_no_progress_windows ~starvation_bound:p.p_starvation_bound ()
   in
   let no_progress_windows =

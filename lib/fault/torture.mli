@@ -19,24 +19,15 @@ val default_targets : target list
     run against (the directory protocol has no recovery layer). *)
 val token_targets : target list
 
-(** The bound on the recreation wait of a [p_adaptive] run: the
-    transport's {!Rtt.ceiling} times the scale that maps the largest
-    per-link RTO to the token recreation timeout. Liveness margins
-    budget for it. *)
-val adaptive_recreation_ceiling : Sim.Time.t
-
 (** The margin a run widens its watchdog bounds by: [base] (2.5 in
     recovery mode, 1.0 otherwise) widened, if needed, so the scaled
     no-progress and starvation bounds out-wait the longest legitimate
-    stall — the chaos plan's {!Chaos.max_outage} plus
-    {!Token.Recovery.worst_case_latency}, the latter computed against
-    {!adaptive_recreation_ceiling} when [adaptive] (not the static
-    recreation constant an adaptive run no longer uses). Exposed so
-    tests can pin that the adaptive ceiling is actually budgeted. *)
+    stall — the chaos plan's {!Chaos.max_outage} plus, when [recover],
+    {!Token.Recovery.worst_case_latency}. Exposed so tests can pin
+    what it budgets for. *)
 val effective_margin :
   base:float ->
   recover:bool ->
-  adaptive:bool ->
   ?chaos:Chaos.spec ->
   watchdog_interval:Sim.Time.t ->
   no_progress_windows:int ->
@@ -67,13 +58,6 @@ val effective_margin :
     — the pass criterion flips from "detect the loss" to "survive it:
     zero violations, every request retires, slowdown bounded".
 
-    [p_adaptive] (requires [p_recover]) makes the transport adaptive,
-    backing off from per-link RTT estimators ({!Rtt}) in place of the
-    fixed retransmission timeout, and installs an adaptive
-    token-recreation source: the largest per-link RTO scaled by a fixed
-    factor, so recreation waits track observed network conditions
-    instead of a static constant.
-
     [p_chaos] is a list of link-outage causes ({!Chaos.spec}) whose
     link table ({!Chaos.install}) wraps the fault plan's injector. A
     run wraps the plan's injector in the link table and that in the
@@ -87,9 +71,7 @@ val effective_margin :
     The margin is 2.5 in recovery mode and 1.0 otherwise, widened by
     {!effective_margin}, if needed, to out-wait the longest legitimate
     stall: the chaos plan's {!Chaos.max_outage} plus
-    {!Token.Recovery.worst_case_latency} — computed against the
-    adaptive recreation source's {e ceiling} when [p_adaptive] is set,
-    not the static constant it replaced.
+    {!Token.Recovery.worst_case_latency}.
 
     [p_script] puts the fault plan in scripted mode
     ({!Plan.create}[ ?script]): the recipe's RNG-drawn schedule is
@@ -101,7 +83,6 @@ type run_params = {
   p_no_progress_windows : int;
   p_starvation_bound : Sim.Time.t;
   p_recover : bool;
-  p_adaptive : bool;
   p_chaos : Chaos.spec option;
   p_script : Plan.event list option;
 }

@@ -19,16 +19,9 @@
     The simulation collapses each ack round-trip into that schedule.
     A copy that passes unharmed is delivered exactly as without a
     transport, and no randomness is drawn for it: the jitter comes from
-    the transport's own stream, so a fault plan's schedule is untouched.
+    the transport's own stream, so a fault plan's schedule is untouched. *)
 
-    An {e adaptive} transport keeps one {!Rtt} estimator per ordered
-    site pair (the diagonal is on-chip traffic), fed with the latency
-    of every copy it lets through, and backs off from the link's
-    current RTO in place of [retrans_timeout]. The jitter draw per
-    attempt is the same either way. *)
-
-(** 300 ns: the base ack timeout before the first retransmission, and
-    {!Rtt.floor}. *)
+(** 300 ns: the base ack timeout before the first retransmission. *)
 val retrans_timeout : Sim.Time.t
 
 (** 10: a frame is offered up to [max_retrans + 1] times. *)
@@ -39,21 +32,19 @@ val retrans_jitter : Sim.Time.t
 
 type t
 
-(** [wrap ~adaptive ~rng ~give_up fabric inner] is the transport and
-    the injector to install on [fabric] in place of [inner]. [rng]
-    should be a stream split off for it. [give_up] runs when a frame
+(** [wrap ~rng ~give_up fabric inner] is the transport and the
+    injector to install on [fabric] in place of [inner]. [rng] should
+    be a stream split off for it. [give_up] runs when a frame
     exhausts its retransmissions, after the structured
     {!Obs.Event.Retransmit_exhausted} event, with the number of times
     it was offered, [max_retrans + 1]. Registers [fabric.retransmits],
-    [fabric.dups_absorbed] and [fabric.retrans_exhausted], and when
-    [adaptive] also [fabric.rto_max_ns] and [fabric.rtt_samples], when
-    the engine carries a metrics registry.
+    [fabric.dups_absorbed] and [fabric.retrans_exhausted] when the
+    engine carries a metrics registry.
 
     The returned injector must be the one the fabric consults on every
     offer: a retransmission passes its attempt number to the offer it
     makes through the transport. *)
 val wrap :
-  adaptive:bool ->
   rng:Sim.Rng.t ->
   give_up:(src:int -> dst:int -> cls:Interconnect.Msg_class.t -> attempts:int -> 'msg -> unit) ->
   'msg Interconnect.Fabric.t ->
@@ -65,8 +56,3 @@ val absorbed_duplicates : t -> int
 
 (** Frames given up. *)
 val exhausted : t -> int
-
-(** The largest current RTO over all links, [retrans_timeout] when not
-    adaptive: the conservative base for timeouts that must out-wait any
-    single link. *)
-val max_rto : t -> Sim.Time.t

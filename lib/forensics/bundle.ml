@@ -2,7 +2,7 @@ module J = Tcjson
 module T = Fault.Torture
 module MC = Interconnect.Msg_class
 
-let schema_version = 2
+let schema_version = 3
 let kind_tag = "tokencmp-repro"
 
 type digest = {
@@ -147,7 +147,6 @@ let params_to_json (p : T.run_params) =
       ("starvation_bound_ps", J.Int p.T.p_starvation_bound);
       ("max_events", J.Int p.T.p_config.Mcmp.Config.max_events);
       ("recover", J.Bool p.T.p_recover);
-      ("adaptive", J.Bool p.T.p_adaptive);
       ("chaos",
        match p.T.p_chaos with None -> J.Null | Some c -> J.List (List.map cause_to_json c));
       ("script",
@@ -296,7 +295,6 @@ let params_of_json j : T.run_params =
     p_no_progress_windows = get_int j "no_progress_windows";
     p_starvation_bound = get_int j "starvation_bound_ps";
     p_recover = get_bool j "recover";
-    p_adaptive = get_bool j "adaptive";
     p_chaos =
       (match field j "chaos" with
       | J.Null -> None

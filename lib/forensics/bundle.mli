@@ -1,6 +1,6 @@
 (** Repro bundles: the complete recipe of one torture run — target,
-    machine shape, seed, fault/chaos specs, recovery + adaptive flags,
-    and (for shrunk bundles) an explicit scripted fault schedule — plus
+    machine shape, seed, fault/chaos specs, the recovery flag, and
+    (for shrunk bundles) an explicit scripted fault schedule — plus
     a digest of the recorded outcome, serialized to schema-versioned
     JSON. A bundle is everything `tokencmp replay` needs to re-run the
     simulation deterministically and check that the recorded verdict

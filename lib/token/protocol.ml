@@ -95,9 +95,6 @@ type t = {
   caches_minus_self : DS.t array;  (* per node: all caches minus itself *)
   (* --- recovery state (all idle when not [recovery]) --- *)
   recovery : bool;
-  mutable rec_timeout_src : (unit -> Sim.Time.t) option;
-      (* adaptive recreation timeout (e.g. scaled fabric RTO); None
-         keeps the static [recreation_timeout] and bit-identical runs *)
   mutable tick_on : bool;  (* recovery refresh tick currently armed *)
   mutable crashes : int;
 }
@@ -309,17 +306,9 @@ and arm_timer t node m =
 and arm_rec_timer t node m =
   if t.recovery then begin
     (match m.m_rec_timer with Some ti -> E.cancel ti | None -> ());
-    (* An adaptive source replaces the static constant outright (that
-       is the point: scale with observed conditions, down as well as
-       up), floored at [bump_retry] so a cold estimator cannot spin the
-       recreation ask. *)
-    let timeout =
-      match t.rec_timeout_src with
-      | Some f -> max Recovery.bump_retry (f ())
-      | None -> Recovery.recreation_timeout
-    in
     m.m_rec_timer <-
-      Some (E.timer_in t.engine timeout (fun () -> request_recreation t node m))
+      Some
+        (E.timer_in t.engine Recovery.recreation_timeout (fun () -> request_recreation t node m))
   end
 
 and request_recreation t node m =
@@ -1050,7 +1039,6 @@ let create ~recovery policy engine cfg traffic rng counters =
         Array.init nnodes (fun id -> DS.remove id l1_sets.(L.cmp_of layout id));
       caches_minus_self = Array.init nnodes (fun id -> DS.remove id all_caches_set);
       recovery;
-      rec_timeout_src = None;
       tick_on = false;
       crashes = 0;
     }
@@ -1218,7 +1206,6 @@ type instrumented = {
   i_crash : int -> unit;
   i_restart : int -> unit;
   i_recovery : unit -> recovery_stats;
-  i_set_recreation_source : (unit -> Sim.Time.t) option -> unit;
 }
 
 let create_instrumented ?(recovery = false) policy engine cfg traffic rng counters =
@@ -1244,7 +1231,6 @@ let create_instrumented ?(recovery = false) policy engine cfg traffic rng counte
           rs_stale_discards = S.stale_discards t.sub;
           rs_crashes = t.crashes;
         });
-    i_set_recreation_source = (fun f -> t.rec_timeout_src <- f);
   }
 
 let builder policy : Mcmp.Protocol.builder =

@@ -55,15 +55,6 @@ type instrumented = {
   i_crash : int -> unit;
   i_restart : int -> unit;
   i_recovery : unit -> recovery_stats;
-  i_set_recreation_source : (unit -> Sim.Time.t) option -> unit;
-      (** Install (or clear) an adaptive source for the recreation
-          timeout, consulted each time the starvation timer is armed —
-          typically a scaled {!Fault.Transport.max_rto} so token
-          recreation waits for what the network is actually doing. The
-          value is floored at [bump_retry]; [None] (the default)
-          keeps the static [recreation_timeout] and bit-identical
-          fixed-seed runs. Liveness watchdogs must budget for the
-          source's {e ceiling} (see {!Recovery.worst_case_latency}). *)
 }
 
 (** [~recovery:true] opts the protocol into the fault-recovery layer:

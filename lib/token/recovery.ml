@@ -1,9 +1,8 @@
-let recreation_timeout = Sim.Time.ns 30_000
+let recreation_timeout = Sim.Time.ns 5_000
 let bump_retry = Sim.Time.ns 5_000
 let refresh_interval = Sim.Time.ns 10_000
 let lease = Sim.Time.ns 30_000
 
 (* Two rounds, each of which may wait out a cache down for 20 us. *)
-let worst_case_latency ?recreation_timeout:r () =
-  let rt = match r with Some r -> max r bump_retry | None -> recreation_timeout in
-  2 * (rt + Sim.Time.ns 20_000 + (3 * bump_retry) + lease)
+let worst_case_latency =
+  2 * (recreation_timeout + Sim.Time.ns 20_000 + (3 * bump_retry) + lease)

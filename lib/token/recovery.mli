@@ -5,7 +5,7 @@
     message with epoch 0, so fixed-seed runs are bit-identical with the
     recovery code compiled in but idle. *)
 
-(** 30 us: how long a persistent request may starve before its
+(** 5 us: how long a persistent request may starve before its
     requester asks the home controller to recreate the block's tokens
     (also the retry period of that ask). *)
 val recreation_timeout : Sim.Time.t
@@ -23,16 +23,9 @@ val refresh_interval : Sim.Time.t
     block forever. *)
 val lease : Sim.Time.t
 
-(** Conservative bound on end-to-end recovery latency: two full
-    recreations, each preceded by a starvation timeout and possibly
-    waiting out a crashed cache (20 us) plus bump retries and a lease
-    expiry. {!Fault.Watchdog} margins must exceed this so a
-    legitimately-recovering run is never flagged as livelocked.
-
-    [recreation_timeout] overrides the static {!recreation_timeout}
-    term (floored at {!bump_retry}, matching the protocol's own floor) —
-    required when an adaptive recreation source is installed
-    ({!Protocol.instrumented.i_set_recreation_source}): the watchdog
-    must budget for the source's {e ceiling}, not the static constant
-    the adaptive mode no longer uses. *)
-val worst_case_latency : ?recreation_timeout:Sim.Time.t -> unit -> Sim.Time.t
+(** 140 us: a conservative bound on end-to-end recovery latency: two
+    full recreations, each preceded by a starvation timeout and
+    possibly waiting out a crashed cache (20 us) plus bump retries and
+    a lease expiry. {!Fault.Watchdog} margins must exceed this so a
+    legitimately-recovering run is never flagged as livelocked. *)
+val worst_case_latency : Sim.Time.t

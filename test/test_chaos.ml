@@ -1,43 +1,13 @@
-(* Partition tolerance: the chaos link table, the reliable transport
-   and its adaptive RTT/RTO estimator, and chaos campaigns driving both
-   through the torture harness. *)
+(* Partition tolerance: the chaos link table, the reliable transport,
+   and chaos campaigns driving both through the torture harness. *)
 
 module F = Interconnect.Fabric
 module C = Fault.Chaos
 module L = Interconnect.Layout
-module Rtt = Fault.Rtt
 module Tr = Fault.Transport
 
 let ns = Sim.Time.ns
 let us = Sim.Time.us
-
-(* ---- RTT estimator (RFC 6298 shape) ---- *)
-
-let test_rtt_estimator () =
-  let est = Rtt.create () in
-  (* Unfed, the RTO is the floor — i.e. exactly the fixed
-     retrans_timeout, so adaptive transport behaves like static
-     transport until it has seen traffic. *)
-  Alcotest.(check int) "rto before any sample is the floor" Tr.retrans_timeout (Rtt.rto est);
-  Alcotest.(check int) "no samples" 0 (Rtt.samples est);
-  (* First sample seeds srtt = r, rttvar = r/2: rto = r + 4*(r/2) = 3r. *)
-  Rtt.observe est (ns 1_000);
-  Alcotest.(check int) "first-sample rto = 3r" (ns 3_000) (Rtt.rto est);
-  (* Second identical sample: rttvar = 0.75 * (r/2), srtt unchanged,
-     rto = r + 4 * 0.375r = 2.5r. *)
-  Rtt.observe est (ns 1_000);
-  Alcotest.(check int) "steady sample shrinks variance" (ns 2_500) (Rtt.rto est);
-  Alcotest.(check int) "two samples" 2 (Rtt.samples est)
-
-let test_rtt_clamping () =
-  let est = Rtt.create () in
-  Rtt.observe est (us 100);
-  Alcotest.(check int) "huge RTT clamps to the ceiling" Rtt.ceiling (Rtt.rto est);
-  let est = Rtt.create () in
-  for _ = 1 to 50 do
-    Rtt.observe est (ns 10)
-  done;
-  Alcotest.(check int) "tiny RTTs clamp to the floor" Rtt.floor (Rtt.rto est)
 
 (* ---- chaos link table ---- *)
 
@@ -224,7 +194,7 @@ let test_exhaustion_then_heal_no_resurrection () =
     handler_attempts := attempts
   in
   let _, links, inject = C.install ~seed:1 ~spec:[] fabric pass in
-  let tr, inject = Tr.wrap ~adaptive:false ~rng:(Sim.Rng.create 6) ~give_up fabric inject in
+  let tr, inject = Tr.wrap ~rng:(Sim.Rng.create 6) ~give_up fabric inject in
   F.set_fault_injector fabric inject;
   Sim.Engine.set_sink engine (fun _ -> function
     | Obs.Event.Retransmit_exhausted { attempts; _ } -> event_attempts := attempts
@@ -266,7 +236,7 @@ let reliable_broadcast lay =
     match n with 1 -> F.Drop | 2 -> F.Duplicate (ns 10) | _ -> F.Pass
   in
   let tr, inject =
-    Tr.wrap ~adaptive:false ~rng:(Sim.Rng.create 8)
+    Tr.wrap ~rng:(Sim.Rng.create 8)
       ~give_up:(fun ~src:_ ~dst:_ ~cls:_ ~attempts:_ _ -> ())
       fabric inner
   in
@@ -438,7 +408,6 @@ let test_degraded_time () =
          { C.held = C.Cut; from = us 2; until = us 5; state = degraded 2. 0.5 } ])
 
 let recovering = { Fault.Torture.default_params with Fault.Torture.p_recover = true }
-let adaptive = { recovering with Fault.Torture.p_adaptive = true }
 
 (* A chaos plan whose first transition lies beyond the end of the run
    must leave the simulation bit-identical: installing it draws from a
@@ -477,7 +446,7 @@ let test_partition_survival () =
   for seed = 1 to 3 do
     let o =
       Fault.Torture.run
-        { adaptive with Fault.Torture.p_chaos = Some chaos }
+        { recovering with Fault.Torture.p_chaos = Some chaos }
         (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed
     in
     (match Fault.Torture.verdict o with
@@ -521,8 +490,7 @@ let test_hollow_cut_is_clean () =
   | Fault.Torture.Clean -> ()
   | v -> Alcotest.failf "expected clean, got %a" Fault.Torture.pp_verdict v
 
-(* Hard chaos (down links) needs the recovery stack on token targets;
-   adaptive timeouts need recovery. *)
+(* Hard chaos (down links) needs the recovery stack on token targets. *)
 let test_chaos_validation () =
   let invalid f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool) "hard chaos without recovery rejected" true
@@ -531,11 +499,6 @@ let test_chaos_validation () =
            { Fault.Torture.default_params with
              Fault.Torture.p_chaos = Some (Fault.Chaos.split ~duration:(us 10) ())
            }
-           (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.default ~seed:1));
-  Alcotest.(check bool) "adaptive without recovery rejected" true
-    (invalid (fun () ->
-         Fault.Torture.run
-           { Fault.Torture.default_params with Fault.Torture.p_adaptive = true }
            (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.default ~seed:1))
 
 (* Directory targets take the loss-free brownout rendition of the plan
@@ -561,48 +524,41 @@ let test_directory_brownout () =
   Alcotest.(check int) "nothing dropped by the outage model" 0
     (match o.Fault.Torture.chaos with Some _ -> 0 | None -> 1)
 
-(* Satellite: the watchdog margin must budget for the *adaptive*
-   recreation ceiling, not the static constant the adaptive source
-   replaced. With torture defaults (20 us x 5 windows, 200 us
-   starvation bound) the static default margin of 2.5 covers only
-   250 us of stall, while adaptive worst-case recovery is 290 us — the
-   bug this recomputation fixes. *)
-let test_margin_covers_adaptive_ceiling () =
+(* The watchdog margin must budget for a chaos outage followed by
+   worst-case recovery. With torture defaults (20 us x 5 windows, 200 us
+   starvation bound) the recovery-mode default margin of 2.5 covers
+   250 us of stall: enough for recovery alone (140 us), not for a
+   200 us cut followed by it. *)
+let test_margin_covers_outage_and_recovery () =
   let watchdog_interval = ns 20_000 and no_progress_windows = 5
   and starvation_bound = ns 200_000 in
-  let margin ~adaptive =
-    Fault.Torture.effective_margin ~base:2.5 ~recover:true ~adaptive ~watchdog_interval
+  let margin ?chaos () =
+    Fault.Torture.effective_margin ~base:2.5 ~recover:true ?chaos ~watchdog_interval
       ~no_progress_windows ~starvation_bound ()
   in
-  let static_worst = Token.Recovery.worst_case_latency () in
-  let adaptive_worst =
-    Token.Recovery.worst_case_latency
-      ~recreation_timeout:Fault.Torture.adaptive_recreation_ceiling ()
-  in
-  Alcotest.(check bool) "adaptive ceiling raises worst-case recovery" true
-    (adaptive_worst > static_worst);
-  (* The tightest scaled bound under the static default margin. *)
+  let chaos = Fault.Chaos.split ~duration:(us 200) () in
+  let stall = Fault.Chaos.max_outage chaos + Token.Recovery.worst_case_latency in
+  (* The tightest scaled bound under the default margin. *)
   let np_total = Sim.Time.mul_f watchdog_interval (float_of_int no_progress_windows) in
-  let static_budget = Sim.Time.mul_f (min np_total starvation_bound) 2.5 in
-  Alcotest.(check bool) "static 2.5 margin cannot out-wait adaptive recovery" true
-    (static_budget < adaptive_worst);
-  (* Non-adaptive recovery stays at the pinned default margin... *)
-  Alcotest.(check (float 1e-9)) "static margin unchanged" 2.5 (margin ~adaptive:false);
-  (* ...while the adaptive margin is recomputed to cover the ceiling. *)
-  let m = margin ~adaptive:true in
-  Alcotest.(check bool) "adaptive margin widened" true (m > 2.5);
-  let budget = Sim.Time.mul_f (min np_total starvation_bound) m in
-  Alcotest.(check bool) "recomputed margin out-waits adaptive recovery" true
-    (budget >= adaptive_worst);
-  (* End to end: an adaptive recovery run under a drop storm completes
-     without the watchdog misfiring on a legitimate recovery wait. *)
+  let budget m = Sim.Time.mul_f (min np_total starvation_bound) m in
+  Alcotest.(check bool) "default margin out-waits recovery alone" true
+    (budget 2.5 >= Token.Recovery.worst_case_latency);
+  Alcotest.(check bool) "default margin cannot out-wait the cut plus recovery" true
+    (budget 2.5 < stall);
+  Alcotest.(check (float 1e-9)) "no outage: default margin" 2.5 (margin ());
+  let m = margin ~chaos () in
+  Alcotest.(check bool) "outage widens the margin" true (m > 2.5);
+  Alcotest.(check bool) "widened margin out-waits the cut plus recovery" true
+    (budget m >= stall);
+  (* End to end: a recovery run under a drop storm completes without
+     the watchdog misfiring on a legitimate recovery wait. *)
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.03 Fault.Spec.default in
   let o =
-    Fault.Torture.run adaptive (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:17
+    Fault.Torture.run recovering (Fault.Torture.Token Token.Policy.dst1) ~spec ~seed:17
   in
   match Fault.Torture.verdict o with
   | Fault.Torture.Clean -> ()
-  | v -> Alcotest.failf "adaptive run not clean: %a" Fault.Torture.pp_verdict v
+  | v -> Alcotest.failf "recovery run not clean: %a" Fault.Torture.pp_verdict v
 
 (* Campaign-level passthrough: a small chaos campaign over token
    targets comes back all survived. *)
@@ -610,7 +566,7 @@ let test_chaos_campaign () =
   let chaos = Fault.Chaos.split ~at:(us 5) ~duration:(us 25) () in
   let outcomes =
     Fault.Torture.campaign
-      ~params:{ adaptive with Fault.Torture.p_chaos = Some chaos }
+      ~params:{ recovering with Fault.Torture.p_chaos = Some chaos }
       ~runs:4
       ~targets:[ Fault.Torture.Token Token.Policy.dst1; Fault.Torture.Token Token.Policy.arb0 ]
       ~seed:2026 ()
@@ -626,8 +582,6 @@ let test_chaos_campaign () =
 
 let tests =
   [
-    Alcotest.test_case "rtt estimator follows RFC 6298" `Quick test_rtt_estimator;
-    Alcotest.test_case "rtt rto clamps to floor and ceiling" `Quick test_rtt_clamping;
     Alcotest.test_case "outage model is opt-in" `Quick test_outage_requires_enable;
     Alcotest.test_case "down link drops copies" `Quick test_down_link_drops;
     Alcotest.test_case "degraded link stacks latency" `Quick test_degraded_link_latency;
@@ -654,10 +608,10 @@ let tests =
       test_chaos_gating_deterministic;
     Alcotest.test_case "partition survived and converged after heal" `Slow
       test_partition_survival;
-    Alcotest.test_case "chaos/adaptive validation" `Quick test_chaos_validation;
+    Alcotest.test_case "chaos validation" `Quick test_chaos_validation;
     Alcotest.test_case "directory rides out a brownout partition" `Slow
       test_directory_brownout;
-    Alcotest.test_case "watchdog margin covers the adaptive ceiling" `Slow
-      test_margin_covers_adaptive_ceiling;
+    Alcotest.test_case "watchdog margin covers an outage plus recovery" `Slow
+      test_margin_covers_outage_and_recovery;
     Alcotest.test_case "chaos campaign survives" `Slow test_chaos_campaign;
   ]

@@ -341,7 +341,7 @@ let test_plan_rng_identical_with_recovery () =
    worst-case end-to-end latency, or legitimate recoveries would be
    misreported as starvation/livelock. *)
 let test_watchdog_margin_covers_recreation () =
-  let worst = Token.Recovery.worst_case_latency () in
+  let worst = Token.Recovery.worst_case_latency in
   let scaled_starvation = Sim.Time.ns (int_of_float (2.5 *. 200_000.)) in
   Alcotest.(check bool) "margin-scaled starvation bound clears worst-case recovery" true
     (scaled_starvation > worst);
@@ -549,17 +549,14 @@ let test_outstanding_misses_gauge () =
       (Fault.Torture.Directory { dram_directory = true }, "directory.outstanding_misses");
     ]
 
-(* The recovery stack's exact outputs, recorded before the reliable
-   transport moved from the fabric into Fault.Transport: four seed-1
-   runs covering the fixed transport with duplicate absorption and
-   crashes, the adaptive transport through flaps around a cut and
-   through a lossy burst, and retransmit exhaustion in a 400 us cut. *)
+(* The recovery stack's exact outputs: four seed-1 runs covering the
+   transport with duplicate absorption and crashes, the transport
+   through flaps around a cut and through a lossy burst, and
+   retransmit exhaustion in a 400 us cut. *)
 let test_recovery_stack_pinned () =
   let us = Sim.Time.us and dst1 = Fault.Torture.Token Token.Policy.dst1 in
-  let run ?chaos ~adaptive target spec =
-    Fault.Torture.run
-      { recovering with Fault.Torture.p_adaptive = adaptive; p_chaos = chaos }
-      target ~spec ~seed:1
+  let run ?chaos target spec =
+    Fault.Torture.run { recovering with Fault.Torture.p_chaos = chaos } target ~spec ~seed:1
   in
   let pinned name o ~verdict ~ops ~events ~runtime ~retransmits metrics =
     let check what = Alcotest.(check int) (name ^ ": " ^ what) in
@@ -582,27 +579,24 @@ let test_recovery_stack_pinned () =
   in
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.02 Fault.Spec.default in
   pinned "drops and crashes"
-    (run ~adaptive:false dst1 (Fault.Spec.with_crashes ~count:2 spec))
-    ~verdict:"clean" ~ops:420 ~events:4663 ~runtime:48_298_017 ~retransmits:17
-    [ ("fabric.dups_absorbed", 17.) ];
+    (run dst1 (Fault.Spec.with_crashes ~count:2 spec))
+    ~verdict:"clean" ~ops:420 ~events:4609 ~runtime:22_370_314 ~retransmits:17
+    [ ("fabric.dups_absorbed", 19.) ];
   pinned "flaps around a cut"
-    (run
-       ~chaos:(Fault.Chaos.flaky () @ Fault.Chaos.split ~duration:(us 25) ())
-       ~adaptive:true dst1 Fault.Spec.default)
-    ~verdict:"survived-partition" ~ops:420 ~events:4343 ~runtime:67_186_769 ~retransmits:804
-    [ ("fabric.dups_absorbed", 10.); ("fabric.rtt_samples", 1757.); ("fabric.rto_max_ns", 300.) ];
+    (run ~chaos:(Fault.Chaos.flaky () @ Fault.Chaos.split ~duration:(us 25) ()) dst1
+       Fault.Spec.default)
+    ~verdict:"survived-partition" ~ops:420 ~events:4415 ~runtime:71_125_369 ~retransmits:812
+    [ ("fabric.dups_absorbed", 14.) ];
   pinned "lossy burst"
-    (run ~chaos:(Fault.Chaos.burst_loss ()) ~adaptive:true
-       (Fault.Torture.Token Token.Policy.arb0)
+    (run ~chaos:(Fault.Chaos.burst_loss ()) (Fault.Torture.Token Token.Policy.arb0)
        (Fault.Spec.with_drops ~tokens:false ~prob:0.05 Fault.Spec.default))
-    ~verdict:"clean" ~ops:420 ~events:7132 ~runtime:21_175_008 ~retransmits:63
-    [ ("fabric.rtt_samples", 5684.); ("fabric.rto_max_ns", 592.701) ];
+    ~verdict:"clean" ~ops:420 ~events:7228 ~runtime:17_702_903 ~retransmits:84
+    [ ("fabric.dropped", 84.) ];
   pinned "400 us cut"
-    (run ~chaos:(Fault.Chaos.split ~duration:(us 400) ()) ~adaptive:true dst1 Fault.Spec.none)
+    (run ~chaos:(Fault.Chaos.split ~duration:(us 400) ()) dst1 Fault.Spec.none)
     ~verdict:"FAILED: livelock: did not converge after partition heal" ~ops:319 ~events:16423
     ~runtime:312_405_365 ~retransmits:12615
-    [ ("fabric.retrans_exhausted", 1.); ("fabric.rtt_samples", 2604.);
-      ("fabric.dropped", 12616.) ]
+    [ ("fabric.retrans_exhausted", 1.); ("fabric.dropped", 12616.) ]
 
 let tests =
   [

@@ -211,7 +211,7 @@ let reliably script =
   let transport = ref None in
   let wrap fabric inject =
     let tr, inject =
-      Fault.Transport.wrap ~adaptive:false ~rng:(Sim.Rng.create 2)
+      Fault.Transport.wrap ~rng:(Sim.Rng.create 2)
         ~give_up:(fun ~src:_ ~dst:_ ~cls:_ ~attempts:_ () -> ())
         fabric inject
     in

@@ -391,8 +391,13 @@ and complete t node m =
         ~time:(now t) "request completed but the line is no longer resident"
   in
   let lat_ns = Sim.Time.to_ns (now t - m.m_issued) in
-  Sim.Stat.Ema.add t.ema_all lat_ns;
-  if m.m_saw_mem then Sim.Stat.Ema.add t.ema_mem lat_ns;
+  (* A miss that waited out a crash or a token recreation says nothing
+     about the network's miss latency; averaging it in would stretch
+     the transient-request timeout past the liveness watchdog. *)
+  if not m.m_recovery then begin
+    Sim.Stat.Ema.add t.ema_all lat_ns;
+    if m.m_saw_mem then Sim.Stat.Ema.add t.ema_mem lat_ns
+  end;
   let c = t.counters in
   (* Cause priority: the most specific condition wins. Recovery and
      persistent escalation dominate because they, not the fill source,

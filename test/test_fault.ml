@@ -408,6 +408,26 @@ let test_recovery_crash_restart_retires () =
   Alcotest.(check bool) "crashes actually fired" true (!crashes > 0);
   Alcotest.(check bool) "lost tokens were recreated" true (!recreations > 0)
 
+(* A miss that waited out a crash or a token recreation must not feed
+   the miss-latency average the transient-request timeout doubles:
+   averaged in, it stretched the next reissue past the watchdog, and
+   these four dst4 runs each ended LIVELOCK with an L1 MSHR one or two
+   retries into a 145-240 us wait. *)
+let test_recovery_delayed_misses_keep_timeout () =
+  let spec =
+    Fault.Spec.with_crashes ~count:2
+      (Fault.Spec.with_drops ~tokens:true ~prob:0.01 Fault.Spec.default)
+  in
+  List.iter
+    (fun seed ->
+      let o =
+        Fault.Torture.run recovering (Fault.Torture.Token Token.Policy.dst4) ~spec ~seed
+      in
+      match Fault.Torture.verdict o with
+      | Fault.Torture.Clean -> ()
+      | v -> Alcotest.failf "seed %d: expected clean, got %a" seed Fault.Torture.pp_verdict v)
+    [ 1; 207; 219; 240 ]
+
 (* Profiler satellite: span accounting must stay exact under the full
    recovery torture (drops + retransmissions + crash/restart). With a
    wrap-proof ring, every miss-latency sample has a span or is counted
@@ -580,13 +600,13 @@ let test_recovery_stack_pinned () =
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.02 Fault.Spec.default in
   pinned "drops and crashes"
     (run dst1 (Fault.Spec.with_crashes ~count:2 spec))
-    ~verdict:"clean" ~ops:420 ~events:4609 ~runtime:22_370_314 ~retransmits:17
+    ~verdict:"clean" ~ops:420 ~events:4588 ~runtime:17_329_893 ~retransmits:17
     [ ("fabric.dups_absorbed", 19.) ];
   pinned "flaps around a cut"
     (run ~chaos:(Fault.Chaos.flaky () @ Fault.Chaos.split ~duration:(us 25) ()) dst1
        Fault.Spec.default)
-    ~verdict:"survived-partition" ~ops:420 ~events:4415 ~runtime:71_125_369 ~retransmits:812
-    [ ("fabric.dups_absorbed", 14.) ];
+    ~verdict:"survived-partition" ~ops:420 ~events:4748 ~runtime:39_586_620 ~retransmits:812
+    [ ("fabric.dups_absorbed", 17.) ];
   pinned "lossy burst"
     (run ~chaos:(Fault.Chaos.burst_loss ()) (Fault.Torture.Token Token.Policy.arb0)
        (Fault.Spec.with_drops ~tokens:false ~prob:0.05 Fault.Spec.default))
@@ -623,6 +643,8 @@ let tests =
       test_recovery_survives_token_drops;
     Alcotest.test_case "crash/restart retires all requests" `Slow
       test_recovery_crash_restart_retires;
+    Alcotest.test_case "recovery-delayed misses keep the reissue timeout" `Slow
+      test_recovery_delayed_misses_keep_timeout;
     Alcotest.test_case "span reconciliation under recovery torture" `Slow
       test_span_reconciliation_under_faults;
     Alcotest.test_case "retransmit exhaustion is a structured report" `Slow

@@ -153,23 +153,27 @@ let explore ~max_states ~store m =
   let module R = Mc.Explore.Make (M) in
   R.run ~max_states ~store ()
 
+(* Rows are explored in the order they print: [List.map] applies its
+   function front to back, where the elements of a list literal are
+   evaluated back to front. *)
 let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) () =
-  let check name m loc = (name, explore ~max_states ~store m, loc) in
   let tp = Mc.Token_model.default_params in
   let dp = Mc.Dir_model.default_params in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
   let rp = Mc.Recovery_model.default_params in
   let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
-  [
-    check "TokenCMP-safety" (Mc.Token_model.safety tp) token_loc;
-    check "TokenCMP-dst" (Mc.Token_model.distributed tp) token_loc;
-    check "TokenCMP-arb" (Mc.Token_model.arbiter tp) token_loc;
-    check "TokenCMP-recovery" (Mc.Recovery_model.model rp) Mc.Model_loc.recovery;
-    check "Flat Directory (2c)" (Mc.Dir_model.flat dp) dir_loc;
-    (* one more cache makes the directory's coupled transient states
-       blow past the state budget -- the scaling wall of Section 5 *)
-    check "Flat Directory (3c)" (Mc.Dir_model.flat dp3) dir_loc;
-  ]
+  List.map
+    (fun (name, m, loc) -> (name, explore ~max_states ~store m, loc))
+    [
+      ("TokenCMP-safety", Mc.Token_model.safety tp, token_loc);
+      ("TokenCMP-dst", Mc.Token_model.distributed tp, token_loc);
+      ("TokenCMP-arb", Mc.Token_model.arbiter tp, token_loc);
+      ("TokenCMP-recovery", Mc.Recovery_model.model rp, Mc.Model_loc.recovery);
+      ("Flat Directory (2c)", Mc.Dir_model.flat dp, dir_loc);
+      (* one more cache makes the directory's coupled transient states
+         blow past the state budget -- the scaling wall of Section 5 *)
+      ("Flat Directory (3c)", Mc.Dir_model.flat dp3, dir_loc);
+    ]
 
 (* The paper's Table 4 comparison — model size and checkability of the
    token substrate vs the flat directory — re-run at the paper's
@@ -177,7 +181,6 @@ let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) () =
    token). The 3-cache graphs are orders of magnitude bigger; the
    compacted store is the default here so they close in memory. *)
 let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) () =
-  let check name caches m loc = (name, caches, explore ~max_states ~store m, loc) in
   let tp = Mc.Token_model.default_params in
   let tp3 = { tp with Mc.Token_model.caches = 3; tokens = 4 } in
   (* both directory rows run at net_cap 3: the 2-cache directory graph
@@ -187,12 +190,14 @@ let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) () =
   let dp = { Mc.Dir_model.default_params with Mc.Dir_model.net_cap = 3 } in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
   let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
-  [
-    check "TokenCMP-dst (2c)" 2 (Mc.Token_model.distributed tp) token_loc;
-    check "TokenCMP-dst (3c)" 3 (Mc.Token_model.distributed tp3) token_loc;
-    check "Flat Directory (2c)" 2 (Mc.Dir_model.flat dp) dir_loc;
-    check "Flat Directory (3c)" 3 (Mc.Dir_model.flat dp3) dir_loc;
-  ]
+  List.map
+    (fun (name, caches, m, loc) -> (name, caches, explore ~max_states ~store m, loc))
+    [
+      ("TokenCMP-dst (2c)", 2, Mc.Token_model.distributed tp, token_loc);
+      ("TokenCMP-dst (3c)", 3, Mc.Token_model.distributed tp3, token_loc);
+      ("Flat Directory (2c)", 2, Mc.Dir_model.flat dp, dir_loc);
+      ("Flat Directory (3c)", 3, Mc.Dir_model.flat dp3, dir_loc);
+    ]
 
 let faultrate ~probs ~seeds =
   let points =

@@ -326,12 +326,26 @@ let has_invariant o =
 let corrupted o = o.spec.Spec.duplicate_tokens && o.stats.Plan.token_dups > 0
 let unrecoverable o = o.stats.Plan.drops_unrecoverable > 0
 
+(* Why a run whose cut held a copy failed to finish. A run stops at its
+   first fatal report, so a transport that gave up did so while a link
+   was still down. Otherwise the run failed either after a link came
+   back up, when convergence was owed, or before anything healed. *)
+let partition_failure o =
+  let gave_up =
+    List.exists
+      (fun r -> match r.Report.kind with Report.Retransmit_exhausted _ -> true | _ -> false)
+      o.reports
+  in
+  let healed = match o.chaos with Some s -> s.Chaos.heals > 0 | None -> false in
+  if gave_up then "transport gave up inside the partition"
+  else if healed then "livelock: did not converge after partition heal"
+  else "run stopped inside the partition, before it healed"
+
 let verdict o =
   let fatal = List.exists (fun r -> Report.severity r = `Fatal) o.reports in
-  (* A partitioned run that fails to finish is a livelock — the network
-     healed (every partition schedules its heal) and convergence was
-     owed; one that completes violation-free, during or after its cut,
-     survived the partition. A cut that dropped or delayed no copy
+  (* A partitioned run that completes violation-free, during or after
+     its cut, survived the partition; one that fails to finish says why
+     ([partition_failure]). A cut that dropped or delayed no copy
      partitioned nothing. *)
   let partitioned = match o.chaos with Some s -> s.Chaos.cut_copies > 0 | None -> false in
   if corrupted o then
@@ -341,12 +355,9 @@ let verdict o =
   else if unrecoverable o then
     if o.reports = [] then Failed "unrecoverable drop silently absorbed"
     else Detected
-  else if fatal then
-    if partitioned then Failed "livelock: did not converge after partition heal"
-    else Failed "liveness failure without an unsurvivable fault"
-  else if not o.completed then
-    if partitioned then Failed "livelock: did not converge after partition heal"
-    else Failed "run did not complete"
+  else if partitioned && (fatal || not o.completed) then Failed (partition_failure o)
+  else if fatal then Failed "liveness failure without an unsurvivable fault"
+  else if not o.completed then Failed "run did not complete"
   else if partitioned then Survived_partition
   else Clean
 

@@ -155,10 +155,13 @@ val run : run_params -> target -> spec:Spec.t -> seed:int -> outcome
       token-minting duplicate) was correctly caught and reported;
     - [Failed _]: a genuine robustness bug — an invariant broke under
       survivable faults, a liveness failure without an unsurvivable
-      fault, an unsurvivable fault that went unreported, a silent hang,
-      or (under a partition that cut traffic, whose heal is always
-      scheduled) a livelock that failed to converge after the network
-      healed. *)
+      fault, an unsurvivable fault that went unreported, or a silent
+      hang. A run whose cut held a copy and that did not finish says
+      which of three things happened: the transport gave up on a frame
+      inside the partition (a [Retransmit_exhausted] report); a link
+      came back up ({!Chaos.stats}[.heals > 0]) and the run still did
+      not converge; or the run stopped inside the partition before
+      anything healed. All three are liveness failures. *)
 type verdict = Clean | Survived_partition | Detected | Failed of string
 
 val verdict : outcome -> verdict

@@ -490,6 +490,32 @@ let test_hollow_cut_is_clean () =
   | Fault.Torture.Clean -> ()
   | v -> Alcotest.failf "expected clean, got %a" Fault.Torture.pp_verdict v
 
+(* A partitioned run that fails says where. In a 400 us cut the
+   transport gives up on a frame at ~312 us, before the heal at 405 us:
+   that run reads as a give-up, not as a failure to converge after a
+   heal that never came. The same outcome without the give-up report
+   stopped inside the cut; with a link brought back up, convergence was
+   owed. All three are liveness failures. *)
+let test_partition_failure_verdicts () =
+  let o =
+    Fault.Torture.run
+      { recovering with Fault.Torture.p_chaos = Some (C.split ~duration:(us 400) ()) }
+      (Fault.Torture.Token Token.Policy.dst1) ~spec:Fault.Spec.none ~seed:1
+  in
+  let stats = match o.Fault.Torture.chaos with Some s -> s | None -> assert false in
+  Alcotest.(check int) "the cut never healed" 0 stats.C.heals;
+  let check name want o =
+    Alcotest.(check string) name want
+      (Format.asprintf "%a" Fault.Torture.pp_verdict (Fault.Torture.verdict o));
+    Alcotest.(check int) (name ^ ": liveness exit code") 2 (Fault.Torture.exit_code [ o ])
+  in
+  check "give-up" "FAILED: transport gave up inside the partition" o;
+  let stopped = { o with Fault.Torture.reports = [] } in
+  check "no give-up, no heal" "FAILED: run stopped inside the partition, before it healed"
+    stopped;
+  check "no give-up, healed" "FAILED: livelock: did not converge after partition heal"
+    { stopped with Fault.Torture.chaos = Some { stats with C.heals = 1 } }
+
 (* Hard chaos (down links) needs the recovery stack on token targets. *)
 let test_chaos_validation () =
   let invalid f = match f () with exception Invalid_argument _ -> true | _ -> false in
@@ -608,6 +634,8 @@ let tests =
       test_chaos_gating_deterministic;
     Alcotest.test_case "partition survived and converged after heal" `Slow
       test_partition_survival;
+    Alcotest.test_case "partition failures say where they failed" `Slow
+      test_partition_failure_verdicts;
     Alcotest.test_case "chaos validation" `Quick test_chaos_validation;
     Alcotest.test_case "directory rides out a brownout partition" `Slow
       test_directory_brownout;

@@ -614,7 +614,7 @@ let test_recovery_stack_pinned () =
     [ ("fabric.dropped", 84.) ];
   pinned "400 us cut"
     (run ~chaos:(Fault.Chaos.split ~duration:(us 400) ()) dst1 Fault.Spec.none)
-    ~verdict:"FAILED: livelock: did not converge after partition heal" ~ops:319 ~events:16423
+    ~verdict:"FAILED: transport gave up inside the partition" ~ops:319 ~events:16423
     ~runtime:312_405_365 ~retransmits:12615
     [ ("fabric.retrans_exhausted", 1.); ("fabric.dropped", 12616.) ]
 

@@ -25,8 +25,9 @@ let clean_seed = 15
 
 (* Planted case #2: a pure 2-region split held longer than the
    reliable transport's full backoff chain (~307us), recovery armed.
-   Every cross-region frame exhausts its retransmit budget while the
-   run is still going: livelock, on every seed. *)
+   A cross-region frame exhausts its retransmit budget while the cut
+   still holds: the transport gives up inside the partition, on every
+   seed. *)
 let livelock_params =
   {
     T.default_params with
@@ -72,7 +73,7 @@ let test_bundle_file_roundtrip () =
   | T.Failed msg ->
     Alcotest.(check bool)
       "planted livelock verdict" true
-      (msg = "livelock: did not converge after partition heal")
+      (msg = "transport gave up inside the partition")
   | v -> Alcotest.failf "planted livelock got %a" T.pp_verdict v);
   let b = B.make o in
   let path = Filename.temp_file "tokencmp-test" ".repro.json" in

@@ -409,10 +409,10 @@ let test_recovery_crash_restart_retires () =
   Alcotest.(check bool) "lost tokens were recreated" true (!recreations > 0)
 
 (* A miss that waited out a crash or a token recreation must not feed
-   the miss-latency average the transient-request timeout doubles:
-   averaged in, it stretched the next reissue past the watchdog, and
-   these four dst4 runs each ended LIVELOCK with an L1 MSHR one or two
-   retries into a 145-240 us wait. *)
+   the miss-latency average the transient-request timeout doubles.
+   Averaged in, it took the memory-miss average from 200 ns to 29-48 us
+   in these four dst4 runs, so an L1 MSHR two retries in waited roughly
+   100-270 us for its next reissue, and each run ended LIVELOCK. *)
 let test_recovery_delayed_misses_keep_timeout () =
   let spec =
     Fault.Spec.with_crashes ~count:2

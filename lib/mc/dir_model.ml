@@ -216,40 +216,40 @@ let normalize_txns s =
   in
   { s with cs; net = norm_net net; dir }
 
+(* Only the order of one cache's live writeback serials matters (a
+   grant or cancel answers the buffer whose serial it carries; a fresh
+   serial exceeds every one in flight), so map them onto 1..k in order:
+   the serial space stays finite however many writebacks came before. *)
 let normalize_serials p s =
-  let refs = Array.make p.caches [] in
-  List.iteri
-    (fun c cache -> if cache.wb <> None then refs.(c) <- [ cache.wb_serial ])
-    s.cs;
+  let live = Array.make p.caches [] in
+  List.iteri (fun c cache -> if cache.wb <> None then live.(c) <- [ cache.wb_serial ]) s.cs;
   List.iter
-    (fun m ->
-      match m with
-      | WbReq { src; serial } -> refs.(src) <- serial :: refs.(src)
-      | WbGrant { dst; serial } | WbCancel { dst; serial } -> refs.(dst) <- serial :: refs.(dst)
+    (function
+      | WbReq { src = c; serial } | WbGrant { dst = c; serial } | WbCancel { dst = c; serial } ->
+        live.(c) <- serial :: live.(c)
       | _ -> ())
     (s.net @ s.dir.defer);
-  (* rebase so the smallest live serial becomes 1 (0 = "no buffer") *)
-  let offset =
-    Array.map (fun l -> match l with [] -> 0 | _ -> List.fold_left min max_int l - 1) refs
+  let live = Array.map (List.sort_uniq compare) live in
+  let rank c serial = 1 + Option.get (List.find_index (( = ) serial) live.(c)) in
+  let fix_msg = function
+    | WbReq { src; serial } -> WbReq { src; serial = rank src serial }
+    | WbGrant { dst; serial } -> WbGrant { dst; serial = rank dst serial }
+    | WbCancel { dst; serial } -> WbCancel { dst; serial = rank dst serial }
+    | m -> m
   in
   let cs =
     List.mapi
       (fun c cache ->
-        if cache.wb <> None then { cache with wb_serial = cache.wb_serial - offset.(c) }
-        else { cache with wb_serial = 0 })
+        { cache with wb_serial = (if cache.wb <> None then rank c cache.wb_serial else 0) })
       s.cs
   in
-  let net =
-    List.map
-      (fun m ->
-        match m with
-        | WbReq { src; serial } -> WbReq { src; serial = serial - offset.(src) }
-        | WbGrant { dst; serial } -> WbGrant { dst; serial = serial - offset.(dst) }
-        | WbCancel { dst; serial } -> WbCancel { dst; serial = serial - offset.(dst) }
-        | _ -> m)
-      s.net
-  in
-  normalize_txns { s with cs; net = norm_net net }
+  normalize_txns
+    {
+      s with
+      cs;
+      net = norm_net (List.map fix_msg s.net);
+      dir = { s.dir with defer = List.map fix_msg s.dir.defer };
+    }
 
 (* Caches other than the designated writer (0) and reader (1) are
    interchangeable; the directory/memory is the home and has no index
@@ -327,7 +327,9 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
       let setc dst c = { s with cs = set_nth s.cs dst c } in
       match msg with
       | GetS _ | GetM _ | WbReq _ ->
-        if s.dir.busy then
+        (* FIFO, as the simulator's home: an arrival at an idle
+           directory still queues behind older deferred requests *)
+        if s.dir.busy || s.dir.defer <> [] then
           Some ("defer", { s with dir = { s.dir with defer = s.dir.defer @ [ msg ] } })
         else Option.map (fun s -> ("dir", s)) (dir_process p s msg)
       | DataS { dst; ver; txn } -> (

@@ -186,9 +186,33 @@ let check_counts name (exp_states, exp_trans, exp_diam, exp_goals, exp_doomed) s
   Alcotest.(check (float 0.)) (name ^ " exact has no collision risk") 0.
     s.Mc.Explore.collision_bound
 
+(* The 2-cache directory attains a network of 3, so every larger cap
+   gives the same graph. *)
 let test_exact_stats_pinned_small () =
   check_counts "tok-safety-micro" (984, 6289, 11, 0, 0) (run (Mc.Token_model.safety micro) ());
-  check_counts "dir-2c" (403, 825, 17, 29, 0) (run (Mc.Dir_model.flat dir2) ())
+  List.iter
+    (fun net_cap ->
+      check_counts
+        (Printf.sprintf "dir-2c cap %d" net_cap)
+        (403, 825, 17, 29, 0)
+        (run (Mc.Dir_model.flat { dir2 with Mc.Dir_model.net_cap }) ()))
+    [ 3; 4; 5; 6 ]
+
+(* FIFO deferral and rank-compressed writeback serials keep the flat
+   directory's state finite, so its 3-cache graph closes. *)
+let test_dir_3c_closes () =
+  let s =
+    run ~max_states:2_000_000 ~store:Mc.Explore.Compact
+      (Mc.Dir_model.flat { Mc.Dir_model.caches = 3; max_writes = 2; net_cap = 3 })
+      ()
+  in
+  Alcotest.(check bool) "closed" false s.Mc.Explore.truncated;
+  Alcotest.(check bool) "no violation" true (s.Mc.Explore.violation = None);
+  Alcotest.(check int) "states" 1_749_354 s.Mc.Explore.states;
+  Alcotest.(check int) "transitions" 5_248_933 s.Mc.Explore.transitions;
+  Alcotest.(check int) "diameter" 86 s.Mc.Explore.diameter;
+  Alcotest.(check int) "goals" 118_432 s.Mc.Explore.goals;
+  Alcotest.(check (option int)) "doomed" (Some 0) s.Mc.Explore.doomed
 
 let test_exact_stats_pinned_big () =
   check_counts "tok-dst-micro" (123929, 777046, 24, 45178, 0)
@@ -398,6 +422,7 @@ let tests =
     Alcotest.test_case "exact-mode stats pinned (small models)" `Quick
       test_exact_stats_pinned_small;
     Alcotest.test_case "exact-mode stats pinned (big models)" `Slow test_exact_stats_pinned_big;
+    Alcotest.test_case "flat directory 3c closes at cap 3" `Slow test_dir_3c_closes;
     Alcotest.test_case "differential: compact == exact (small)" `Quick
       test_differential_small;
     Alcotest.test_case "differential: compact == exact (big)" `Slow

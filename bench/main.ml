@@ -4,7 +4,7 @@
      tab4   barrier micro-benchmark
      fig6   commercial-workload runtime
      fig7   inter- and intra-CMP traffic breakdowns
-     sec5   model-checking study
+     sec5   model-checking study, with Table 4's checkability comparison
      tab1   the TokenCMP variant table
      ablate design-choice ablations (not in the paper's figures)
      scale  8-CMP multicast and the 16..576-cache server-scale curve
@@ -20,9 +20,11 @@
    simulations out over N domains (0 = all cores; default
    $TOKENCMP_JOBS or serial).
 
-   Every result table is a Tokencmp.Table: it is printed to stdout as
-   markdown and serialized into BENCH_<section>.json (schema in README)
-   from the same rows, so the perf trajectory is tracked across PRs. *)
+   A section returns its result tables, each a Tokencmp.Table under a
+   JSON key. The driver at the bottom prints the section's title, note
+   and tables as markdown, and writes exactly those tables, under their
+   keys, as the data of BENCH_<section>.json (schema in README), so the
+   text on stdout and the committed trajectory cannot drift apart. *)
 
 module E = Tokencmp.Experiments
 module P = Tokencmp.Protocols
@@ -43,108 +45,86 @@ let locks () = if !quick then [ 2; 8; 32; 128; 512 ] else [ 2; 4; 8; 16; 32; 64;
 
 let progress fmt = Printf.eprintf fmt
 
-let hr title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 let mean (r : E.run) = r.E.runtime_ns.Sim.Stat.Summary.mean
-let print_table t = Printf.printf "%s%!" (T.to_markdown t)
 
-(* Prints a table and returns its JSON: both renderings of one value. *)
-let emit t =
-  print_table t;
-  T.to_json t
+(* A bench section: the title and note printed above its tables, and
+   the run that returns them under their JSON keys. *)
+type section = { title : string; note : string; tables : unit -> (string * T.t) list }
 
-let runs_json runs = J.List (List.map E.run_to_json runs)
-
-let sweep_json sweep =
-  J.List
-    (List.map
-       (fun (nlocks, runs) ->
-         J.Obj [ ("nlocks", J.Int nlocks); ("runs", runs_json runs) ])
-       sweep)
+(* Every summarized run of a section in one long table: the point's
+   columns (lock count, work, workload), then the run's. *)
+let runs_table points =
+  T.make "Runs (runtime in ns over seeds)"
+    (List.concat_map
+       (fun (point, runs) ->
+         List.map
+           (fun (r : E.run) ->
+             let s = r.E.runtime_ns in
+             point
+             @ [
+                 ("protocol", J.String r.E.protocol);
+                 ("runtime_ns_mean", J.Float s.Sim.Stat.Summary.mean);
+                 ("runtime_ns_ci95", J.Float s.Sim.Stat.Summary.ci95);
+                 ("runtime_ns_stddev", J.Float s.Sim.Stat.Summary.stddev);
+                 ("seeds", J.Int s.Sim.Stat.Summary.n);
+                 ("persistent_fraction", J.Float r.E.persistent_fraction);
+                 ("retries_per_miss", J.Float r.E.retries_per_miss);
+                 ("miss_latency_ns", J.Float r.E.miss_latency_ns);
+                 ("completed", J.Bool r.E.completed);
+               ])
+           runs)
+       points)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 2 and 3: locking micro-benchmark                            *)
 
-let print_locking_table ~title ~note sweep protocols =
-  hr title;
-  print_endline note;
-  (* normalized to DirectoryCMP at the highest lock count *)
+(* The lock sweep normalized to DirectoryCMP at the highest lock count,
+   and every run. *)
+let locking_tables protocols () =
+  let sweep =
+    E.locking_sweep ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~locks:(locks ())
+      ~protocols ()
+  in
   let _, low_contention = List.hd (List.rev sweep) in
   let baseline = E.find low_contention "DirectoryCMP" in
-  print_table
-    (T.make "Normalized runtime (baseline: DirectoryCMP at max locks; smaller is better)"
-       (List.map
-          (fun (nlocks, runs) ->
-            ("locks", J.Int nlocks)
-            :: List.concat_map
-                 (fun p ->
-                   let r = E.find runs p.P.name in
-                   [
-                     (p.P.name, J.Float (E.normalize ~baseline r));
-                     (p.P.name ^ " us", J.Float (mean r /. 1000.));
-                   ])
-                 protocols)
-          sweep))
+  [
+    ( "normalized",
+      T.make "Normalized runtime (baseline: DirectoryCMP at max locks; smaller is better)"
+        (List.map
+           (fun (nlocks, runs) ->
+             ("locks", J.Int nlocks)
+             :: List.concat_map
+                  (fun p ->
+                    let r = E.find runs p.P.name in
+                    [
+                      (p.P.name, J.Float (E.normalize ~baseline r));
+                      (p.P.name ^ " us", J.Float (mean r /. 1000.));
+                    ])
+                  protocols)
+           sweep) );
+    ( "runs",
+      runs_table (List.map (fun (nlocks, runs) -> ([ ("locks", J.Int nlocks) ], runs)) sweep) );
+  ]
 
-let fig2 () =
-  progress "[fig2] locking sweep, persistent requests only...\n%!";
-  let sweep =
-    E.locking_sweep ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~locks:(locks ())
-      ~protocols:E.fig2_protocols ()
-  in
-  print_locking_table
-    ~title:"Figure 2: locking micro-benchmark, persistent requests only"
-    ~note:
-      "Paper shape: TokenCMP-arb0 far worse than DirectoryCMP under contention\n\
-       (~3.7x at 2 locks); TokenCMP-dst0 comparable or better than the directory\n\
-       across the sweep."
-    sweep E.fig2_protocols;
-  sweep_json sweep
+let fig2 =
+  { title = "Figure 2: locking micro-benchmark, persistent requests only";
+    note = "Paper shape: TokenCMP-arb0 far worse than DirectoryCMP under contention\n\
+            (~3.7x at 2 locks); TokenCMP-dst0 comparable or better than the directory\n\
+            across the sweep.";
+    tables = locking_tables E.fig2_protocols }
 
-let fig3 () =
-  progress "[fig3] locking sweep, transient + persistent...\n%!";
-  let sweep =
-    E.locking_sweep ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~locks:(locks ())
-      ~protocols:E.fig3_protocols ()
-  in
-  print_locking_table
-    ~title:"Figure 3: locking micro-benchmark, transient + persistent requests"
-    ~note:
-      "Paper shape: token variants ~2x faster than DirectoryCMP at 512 locks\n\
-       (many lock handoffs are remote sharing misses that the directory\n\
-       indirects); contention degrades the token variants, with dst1-pred most\n\
-       robust and retry-happy policies worst."
-    sweep E.fig3_protocols;
-  sweep_json sweep
+let fig3 =
+  { title = "Figure 3: locking micro-benchmark, transient + persistent requests";
+    note = "Paper shape: token variants ~2x faster than DirectoryCMP at 512 locks\n\
+            (many lock handoffs are remote sharing misses that the directory\n\
+            indirects); contention degrades the token variants, with dst1-pred most\n\
+            robust and retry-happy policies worst.";
+    tables = locking_tables E.fig3_protocols }
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: barrier micro-benchmark                                    *)
 
-(* Model-checking result rows, shared by sec5 and the tab4 scale-up
-   comparison. *)
-let mc_table title ~store rows =
-  T.make title
-    (List.map
-       (fun (name, s, loc) ->
-         [
-           ("model", J.String name);
-           ("states", J.Int s.Mc.Explore.states);
-           ("transitions", J.Int s.Mc.Explore.transitions);
-           ("diameter", J.Int s.Mc.Explore.diameter);
-           ("goals", J.Int s.Mc.Explore.goals);
-           ( "doomed",
-             match s.Mc.Explore.doomed with Some d -> J.Int d | None -> J.Null );
-           ("truncated", J.Bool s.Mc.Explore.truncated);
-           ( "violation",
-             match s.Mc.Explore.violation with None -> J.Null | Some (r, _) -> J.String r );
-           ("model_loc", J.Int loc);
-           ("store", J.String (match store with Mc.Explore.Exact -> "exact" | Compact -> "compact"));
-           ("collision_bound", J.Float s.Mc.Explore.collision_bound);
-         ])
-       rows)
-
-let tab4 () =
-  progress "[tab4] barrier micro-benchmark...\n%!";
-  hr "Table 4: barrier micro-benchmark runtime (normalized to DirectoryCMP)";
+let tab4_tables () =
   let paper = function
     | "TokenCMP-arb0" -> (1.40, 1.29)
     | "TokenCMP-dst0" -> (0.94, 0.91)
@@ -156,57 +136,38 @@ let tab4 () =
     | "TokenCMP-dst1-filt" -> (0.99, 0.95)
     | _ -> (nan, nan)
   in
-  let fixed =
-    E.barrier ~jobs:!jobs ~seeds:(seeds ()) ~episodes:(episodes ()) ~variability:Sim.Time.zero
+  let barrier variability =
+    E.barrier ~jobs:!jobs ~seeds:(seeds ()) ~episodes:(episodes ()) ~variability
       ~protocols:E.tab4_protocols ()
   in
-  let vary =
-    E.barrier ~jobs:!jobs ~seeds:(seeds ()) ~episodes:(episodes ())
-      ~variability:(Sim.Time.ns 1000) ~protocols:E.tab4_protocols ()
-  in
+  let fixed = barrier Sim.Time.zero in
+  let vary = barrier (Sim.Time.ns 1000) in
   let base_fixed = E.find fixed "DirectoryCMP" in
   let base_vary = E.find vary "DirectoryCMP" in
-  print_table
-    (T.make "Work 3000 ns fixed, and 3000 ns + U(1000)"
-       (List.map
-          (fun p ->
-            let name = p.P.name in
-            let pf, pv = paper name in
-            [
-              ("protocol", J.String name);
-              ("fixed", J.Float (E.normalize ~baseline:base_fixed (E.find fixed name)));
-              ("vary", J.Float (E.normalize ~baseline:base_vary (E.find vary name)));
-              ("paper fixed", J.Float pf);
-              ("paper vary", J.Float pv);
-            ])
-          E.tab4_protocols));
-  (* The paper's other Table 4 axis: model checkability. Re-check the
-     token substrate and the flat directory at the paper's 2-cache
-     configuration AND one size above it — the compacted visited set is
-     what lets the 3-cache graphs close without truncation. *)
-  progress "[tab4] model-checking comparison, paper config + one size up...\n%!";
-  let store = Mc.Explore.Compact in
-  let max_states = if !quick then 300_000 else 200_000_000 in
-  let mc_rows = List.map (fun (n, _, s, l) -> (n, s, l)) (E.table4 ~max_states ~store ()) in
-  let model_checking =
-    emit
-      (mc_table "Model checkability, paper config (2c) and one size above (3c)" ~store mc_rows)
-  in
-  (if !quick then
-     print_endline
-       "(quick mode caps the state budget; run the full bench for the closed 3c graphs)"
-   else
-     let bound =
-       List.fold_left (fun a (_, s, _) -> Float.max a s.Mc.Explore.collision_bound) 0. mc_rows
-     in
-     Printf.printf
-       "(compacted visited set: worst-case fingerprint-collision probability %.2e)\n" bound);
-  J.Obj
-    [
-      ("fixed_work", runs_json fixed);
-      ("variable_work", runs_json vary);
-      ("model_checking", model_checking);
-    ]
+  [
+    ( "normalized",
+      T.make "Work 3000 ns fixed, and 3000 ns + U(1000)"
+        (List.map
+           (fun p ->
+             let name = p.P.name in
+             let pf, pv = paper name in
+             [
+               ("protocol", J.String name);
+               ("fixed", J.Float (E.normalize ~baseline:base_fixed (E.find fixed name)));
+               ("vary", J.Float (E.normalize ~baseline:base_vary (E.find vary name)));
+               ("paper fixed", J.Float pf);
+               ("paper vary", J.Float pv);
+             ])
+           E.tab4_protocols) );
+    ( "runs",
+      runs_table [ ([ ("work", J.String "fixed") ], fixed); ([ ("work", J.String "vary") ], vary) ]
+    );
+  ]
+
+let tab4 =
+  { title = "Table 4: barrier micro-benchmark runtime (normalized to DirectoryCMP)";
+    note = "";
+    tables = tab4_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Figures 6 and 7: commercial workloads                               *)
@@ -226,11 +187,10 @@ let runs_for profile =
     fig6_cache := (name, runs) :: !fig6_cache;
     runs
 
-let fig6 () =
+let fig6_tables () =
   let table =
     List.map (fun p -> (p.Workload.Commercial.name, runs_for p)) Workload.Commercial.all
   in
-  hr "Figure 6: commercial workload runtime (normalized to DirectoryCMP)";
   let paper_dst1 = function
     | "OLTP" -> 1. /. 1.50
     | "Apache" -> 1. /. 1.29
@@ -241,29 +201,34 @@ let fig6 () =
     ("protocol", J.String label)
     :: List.map (fun (workload, runs) -> (workload, J.Float (value workload runs))) table
   in
-  print_table
-    (T.make "Normalized runtime"
-       (List.map
-          (fun proto ->
-            row proto.P.name (fun _ runs ->
-                E.normalize ~baseline:(E.find runs "DirectoryCMP") (E.find runs proto.P.name)))
-          E.fig6_protocols
-       @ [ row "(paper TokenCMP-dst1)" (fun workload _ -> paper_dst1 workload) ]));
-  print_table
-    (T.make "TokenCMP-dst1 persistent requests, % of misses (paper: < 0.3%)"
-       (List.map
-          (fun (workload, runs) ->
-            [
-              ("workload", J.String workload);
-              ( "persistent %",
-                J.Float (100. *. (E.find runs "TokenCMP-dst1").E.persistent_fraction) );
-            ])
-          table));
-  J.List
-    (List.map
-       (fun (workload, runs) ->
-         J.Obj [ ("workload", J.String workload); ("runs", runs_json runs) ])
-       table)
+  [
+    ( "normalized",
+      T.make "Normalized runtime"
+        (List.map
+           (fun proto ->
+             row proto.P.name (fun _ runs ->
+                 E.normalize ~baseline:(E.find runs "DirectoryCMP") (E.find runs proto.P.name)))
+           E.fig6_protocols
+        @ [ row "(paper TokenCMP-dst1)" (fun workload _ -> paper_dst1 workload) ]) );
+    ( "persistent",
+      T.make "TokenCMP-dst1 persistent requests, % of misses (paper: < 0.3%)"
+        (List.map
+           (fun (workload, runs) ->
+             [
+               ("workload", J.String workload);
+               ( "persistent %",
+                 J.Float (100. *. (E.find runs "TokenCMP-dst1").E.persistent_fraction) );
+             ])
+           table) );
+    ( "runs",
+      runs_table
+        (List.map (fun (workload, runs) -> ([ ("workload", J.String workload) ], runs)) table) );
+  ]
+
+let fig6 =
+  { title = "Figure 6: commercial workload runtime (normalized to DirectoryCMP)";
+    note = "";
+    tables = fig6_tables }
 
 (* One row per (workload, message class) plus a TOTAL row; each
    protocol's bytes are a fraction of DirectoryCMP's total for the
@@ -291,78 +256,107 @@ let traffic_table ~title ~select =
          @ [ row "TOTAL" total ])
        Workload.Commercial.all)
 
-let fig7 () =
-  hr "Figure 7: traffic by message type (normalized to DirectoryCMP)";
-  print_endline
-    "Paper shape: inter-CMP, TokenCMP totals slightly BELOW DirectoryCMP (the\n\
-     directory spends extra control messages per transaction); intra-CMP,\n\
-     similar totals, token spending more on (broadcast) requests and the\n\
-     directory more on response data (L1 data routes through the L2).";
-  let inter =
-    emit
-      (traffic_table ~title:"Figure 7a: inter-CMP traffic" ~select:(fun r -> r.E.inter_bytes))
-  in
-  let intra =
-    emit
-      (traffic_table ~title:"Figure 7b: intra-CMP traffic" ~select:(fun r -> r.E.intra_bytes))
-  in
-  J.Obj [ ("inter_cmp", inter); ("intra_cmp", intra) ]
+let fig7 =
+  { title = "Figure 7: traffic by message type (normalized to DirectoryCMP)";
+    note = "Paper shape: inter-CMP, TokenCMP totals slightly BELOW DirectoryCMP (the\n\
+            directory spends extra control messages per transaction); intra-CMP,\n\
+            similar totals, token spending more on (broadcast) requests and the\n\
+            directory more on response data (L1 data routes through the L2).";
+    tables =
+      (fun () ->
+        [
+          ( "inter_cmp",
+            traffic_table ~title:"Figure 7a: inter-CMP traffic" ~select:(fun r -> r.E.inter_bytes)
+          );
+          ( "intra_cmp",
+            traffic_table ~title:"Figure 7b: intra-CMP traffic" ~select:(fun r -> r.E.intra_bytes)
+          );
+        ]) }
 
 (* ------------------------------------------------------------------ *)
 (* Section 5: model checking                                           *)
 
-let sec5 () =
-  progress "[sec5] model checking (this explores a few million states)...\n%!";
-  hr "Section 5: model-checking the correctness substrate";
-  print_endline
-    "All variants must satisfy: token conservation, single owner,\n\
-     owner-implies-data, serial view of memory; plus the liveness proxy\n\
-     (no reachable state is doomed). Policy actions are nondeterministic, so\n\
-     the result covers every performance policy. Model LoC is the analogue of\n\
-     the paper's non-comment TLA+ line counts (383/396 token vs 1025 flat\n\
-     directory).";
-  let max_states = if !quick then 300_000 else 4_000_000 in
+let sec5_tables () =
   (* the compacted visited set keeps the multi-million-state graphs out
      of exact-state memory; small-config equivalence with the exact
      store is pinned by the differential tests *)
   let store = Mc.Explore.Compact in
-  emit
-    (mc_table "Model-checking results" ~store
-       (E.model_checking ~max_states ~store ()))
+  let rows = E.model_checking ?max_states:(if !quick then Some 300_000 else None) ~store () in
+  [
+    ( "model_checking",
+      T.make "Model-checking results"
+        (List.map
+           (fun (r : E.mc_row) ->
+             let s = r.E.stats in
+             [
+               ("model", J.String r.E.model);
+               ("caches", J.Int r.E.caches);
+               ("net_cap", J.Int r.E.net_cap);
+               ("states", J.Int s.Mc.Explore.states);
+               ("transitions", J.Int s.Mc.Explore.transitions);
+               ("diameter", J.Int s.Mc.Explore.diameter);
+               ("goals", J.Int s.Mc.Explore.goals);
+               ("doomed", match s.Mc.Explore.doomed with Some d -> J.Int d | None -> J.Null);
+               ("truncated", J.Bool s.Mc.Explore.truncated);
+               ( "violation",
+                 match s.Mc.Explore.violation with None -> J.Null | Some (v, _) -> J.String v );
+               ("model_loc", J.Int r.E.model_loc);
+               ("store", J.String (match store with Exact -> "exact" | Compact -> "compact"));
+               ("collision_bound", J.Float s.Mc.Explore.collision_bound);
+             ])
+           rows) );
+  ]
+
+let sec5 =
+  { title = "Section 5: model-checking the correctness substrate";
+    note = "All variants must satisfy: token conservation, single owner,\n\
+            owner-implies-data, serial view of memory; plus the liveness proxy\n\
+            (no reachable state is doomed). Policy actions are nondeterministic, so\n\
+            the result covers every performance policy. Model LoC is the analogue of\n\
+            the paper's non-comment TLA+ line counts (383/396 token vs 1025 flat\n\
+            directory). The last four rows are Table 4's checkability comparison:\n\
+            TokenCMP-dst and the flat directory at one network cap, at the paper's\n\
+            2 caches and one size above.";
+    tables = sec5_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: variants                                                   *)
 
-let tab1 () =
-  hr "Table 1: TokenCMP variants";
-  List.iter (fun p -> Format.printf "%a@." Token.Policy.pp p) Token.Policy.all;
-  J.List
-    (List.map
-       (fun p -> J.String (Format.asprintf "%a" Token.Policy.pp p))
-       Token.Policy.all)
+let tab1 =
+  { title = "Table 1: TokenCMP variants";
+    note = "";
+    tables =
+      (fun () ->
+        [
+          ( "variants",
+            T.make "Variants"
+              (List.map
+                 (fun (p : Token.Policy.t) ->
+                   [
+                     ("protocol", J.String p.name);
+                     ("transient_requests", J.Int p.transient_requests);
+                     ( "activation",
+                       J.String
+                         (match p.activation with
+                         | Token.Policy.Arbiter -> "arbiter"
+                         | Token.Policy.Distributed -> "distributed") );
+                     ("predictor", J.Bool p.predictor);
+                     ("filter", J.Bool p.filter);
+                     ("multicast", J.Bool p.multicast);
+                   ])
+                 Token.Policy.all) );
+        ]) }
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 
-let ablate () =
-  progress "[ablate] design-choice ablations...\n%!";
-  hr "Ablations (DESIGN.md section 4; not figures of the paper)";
-  print_endline
-    "Locking with 16 locks unless noted; runtimes are mean ns per run.\n\
-     - flat_broadcast: TokenB-style flat broadcast sends everything inter-CMP.\n\
-     - response_delay_window: 4 locks.\n\
-     - timeout_estimation: averaging all responses (TokenB-style) admits fast\n\
-    \  on-chip hits and fires premature retries.\n\
-     - arbiter_colocation (4 contended locks): the paper finds colocation even\n\
-    \  worse; distributed activation is immune to where locks map.\n\
-     - bandwidth_sensitivity (OLTP, dst1/directory runtime ratio): broadcasts\n\
-    \  consume more link bandwidth, so token's advantage narrows as the global\n\
-    \  links tighten.\n\
-     - l2_capacity_pressure (OLTP, 1MB L2): emulates the steady-state L2 churn\n\
-    \  behind Fig. 7a's writeback traffic.";
-  let nlocks = 16 in
-  let run protocols =
-    E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~protocols ~nlocks ()
+let ablate_tables () =
+  let locking = E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) in
+  let run protocols = locking ~protocols ~nlocks:16 () in
+  let oltp config =
+    let profile = { Workload.Commercial.oltp with Workload.Commercial.ops = ops () } in
+    E.commercial ~jobs:!jobs ~config ~seeds:(seeds ()) ~profile
+      ~protocols:[ P.directory; P.token Token.Policy.dst1 ] ()
   in
   let row ablation measure value =
     [ ("ablation", J.String ablation); ("measure", J.String measure); ("value", J.Float value) ]
@@ -383,8 +377,7 @@ let ablate () =
   let mig_off = { Mcmp.Config.default with Mcmp.Config.migratory = false } in
   let r_on = run [ P.token Token.Policy.dst1; P.directory ] in
   let r_off =
-    E.locking ~jobs:!jobs ~config:mig_off ~seeds:(seeds ()) ~acquires:(acquires ())
-      ~protocols:[ P.token Token.Policy.dst1; P.directory ] ~nlocks ()
+    locking ~config:mig_off ~protocols:[ P.token Token.Policy.dst1; P.directory ] ~nlocks:16 ()
   in
   let migratory =
     List.concat_map
@@ -397,14 +390,8 @@ let ablate () =
   in
   (* 3. response-delay window *)
   let no_delay = { Mcmp.Config.default with Mcmp.Config.response_delay = Sim.Time.zero } in
-  let r_nd =
-    E.locking ~jobs:!jobs ~config:no_delay ~seeds:(seeds ()) ~acquires:(acquires ())
-      ~protocols:[ P.token Token.Policy.dst1 ] ~nlocks:4 ()
-  in
-  let r_d =
-    E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ())
-      ~protocols:[ P.token Token.Policy.dst1 ] ~nlocks:4 ()
-  in
+  let r_nd = locking ~config:no_delay ~protocols:[ P.token Token.Policy.dst1 ] ~nlocks:4 () in
+  let r_d = locking ~protocols:[ P.token Token.Policy.dst1 ] ~nlocks:4 () in
   let delay =
     [
       row "response_delay_window" "with_window_ns" (mean (E.find r_d "TokenCMP-dst1"));
@@ -424,14 +411,8 @@ let ablate () =
   in
   (* 5. Arbiter colocation (Section 7: "TokenCMP-arb0 performs even
      worse when highly-contended locks map to the same arbiter"). *)
-  let spread =
-    E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ())
-      ~protocols:[ P.token Token.Policy.arb0 ] ~nlocks:4 ()
-  in
-  let colocated =
-    E.locking ~jobs:!jobs ~seeds:(seeds ()) ~acquires:(acquires ()) ~lock_stride:4
-      ~protocols:[ P.token Token.Policy.arb0 ] ~nlocks:4 ()
-  in
+  let spread = locking ~protocols:[ P.token Token.Policy.arb0 ] ~nlocks:4 () in
+  let colocated = locking ~lock_stride:4 ~protocols:[ P.token Token.Policy.arb0 ] ~nlocks:4 () in
   let coloc =
     [
       row "arbiter_colocation" "spread_ns" (mean (E.find spread "TokenCMP-arb0"));
@@ -443,12 +424,7 @@ let ablate () =
      watch broadcast overhead bite. *)
   let squeeze bw =
     let fabric = { Interconnect.Fabric.default_params with inter_bytes_per_ns = bw } in
-    let cfg = { Mcmp.Config.default with Mcmp.Config.fabric } in
-    let profile = { Workload.Commercial.oltp with Workload.Commercial.ops = ops () } in
-    let runs =
-      E.commercial ~jobs:!jobs ~config:cfg ~seeds:(seeds ()) ~profile
-        ~protocols:[ P.directory; P.token Token.Policy.dst1 ] ()
-    in
+    let runs = oltp { Mcmp.Config.default with Mcmp.Config.fabric } in
     E.normalize ~baseline:(E.find runs "DirectoryCMP") (E.find runs "TokenCMP-dst1")
   in
   let bandwidth =
@@ -460,12 +436,7 @@ let ablate () =
      runs keep the 8MB L2 churning, producing the writeback traffic of
      Fig. 7a; our short runs cannot fill it, so emulate the steady state
      with a 1MB L2. *)
-  let small_l2 = { Mcmp.Config.default with Mcmp.Config.l2_sets = 1024 } in
-  let profile = { Workload.Commercial.oltp with Workload.Commercial.ops = ops () } in
-  let r_small =
-    E.commercial ~jobs:!jobs ~config:small_l2 ~seeds:(seeds ()) ~profile
-      ~protocols:[ P.directory; P.token Token.Policy.dst1 ] ()
-  in
+  let r_small = oltp { Mcmp.Config.default with Mcmp.Config.l2_sets = 1024 } in
   let dir = E.find r_small "DirectoryCMP" and tok = E.find r_small "TokenCMP-dst1" in
   let wb_share r = List.assoc Interconnect.Msg_class.Writeback_data r.E.inter_bytes /. inter r in
   let l2 =
@@ -477,22 +448,31 @@ let ablate () =
       row "l2_capacity_pressure" "runtime_ratio" (E.normalize ~baseline:dir tok);
     ]
   in
-  emit
-    (T.make "Ablation results"
-       (flat @ migratory @ delay @ timeout @ coloc @ bandwidth @ l2))
+  [
+    ( "ablations",
+      T.make "Ablation results" (flat @ migratory @ delay @ timeout @ coloc @ bandwidth @ l2) );
+  ]
+
+let ablate =
+  { title = "Ablations (DESIGN.md section 4; not figures of the paper)";
+    note = "Locking with 16 locks unless noted; runtimes are mean ns per run.\n\
+            - flat_broadcast: TokenB-style flat broadcast sends everything inter-CMP.\n\
+            - response_delay_window: 4 locks.\n\
+            - timeout_estimation: averaging all responses (TokenB-style) admits fast\n\
+           \  on-chip hits and fires premature retries.\n\
+            - arbiter_colocation (4 contended locks): the paper finds colocation even\n\
+           \  worse; distributed activation is immune to where locks map.\n\
+            - bandwidth_sensitivity (OLTP, dst1/directory runtime ratio): broadcasts\n\
+           \  consume more link bandwidth, so token's advantage narrows as the global\n\
+           \  links tighten.\n\
+            - l2_capacity_pressure (OLTP, 1MB L2): emulates the steady-state L2 churn\n\
+           \  behind Fig. 7a's writeback traffic.";
+    tables = ablate_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: 8 CMPs and destination-set-prediction multicast            *)
 
-let scale () =
-  progress "[scale] 8-CMP system, multicast extension...\n%!";
-  hr "Scaling to 8 CMPs (Section 8's outlook + the multicast extension)";
-  print_endline
-    "The paper predicts TokenCMP's inter-CMP traffic grows with the CMP count\n\
-     unless destination-set prediction multicast is employed. This runs the\n\
-     OLTP stand-in on an 8-CMP (32-processor) machine. Multicast escalates to\n\
-     the predicted holder chip + home instead of all 8 chips; mispredictions\n\
-     cost one retry and the substrate keeps them safe.";
+let scale_tables () =
   let config8 =
     { Mcmp.Config.default with Mcmp.Config.ncmp = 8; tokens = 128 }
   in
@@ -506,20 +486,19 @@ let scale () =
   let baseline = E.find runs "DirectoryCMP" in
   let inter r = List.fold_left (fun a (_, b) -> a +. b) 0. r.E.inter_bytes in
   let oltp_8cmp =
-    emit
-      (T.make "OLTP on 8 CMPs"
-         (List.map
-            (fun p ->
-              let r = E.find runs p.P.name in
-              [
-                ("protocol", J.String p.P.name);
-                ("runtime_ns", J.Float (mean r));
-                ("ci95_ns", J.Float r.E.runtime_ns.Sim.Stat.Summary.ci95);
-                ("normalized", J.Float (E.normalize ~baseline r));
-                ("inter_bytes", J.Float (inter r));
-                ("persistent_pct", J.Float (100. *. r.E.persistent_fraction));
-              ])
-            protocols))
+    T.make "OLTP on 8 CMPs"
+      (List.map
+         (fun p ->
+           let r = E.find runs p.P.name in
+           [
+             ("protocol", J.String p.P.name);
+             ("runtime_ns", J.Float (mean r));
+             ("ci95_ns", J.Float r.E.runtime_ns.Sim.Stat.Summary.ci95);
+             ("normalized", J.Float (E.normalize ~baseline r));
+             ("inter_bytes", J.Float (inter r));
+             ("persistent_pct", J.Float (100. *. r.E.persistent_fraction));
+           ])
+         protocols)
   in
   (* Stable point-to-point sharing is where destination-set prediction
      pays off on both latency and traffic. *)
@@ -554,12 +533,10 @@ let scale () =
     ]
   in
   let producer_consumer =
-    emit
-      (T.make
-         (Printf.sprintf "Producer-consumer pairs (%d rounds, cross-chip)"
-            pc.Workload.Producer_consumer.rounds)
-         (List.map pc_row
-            [ P.directory; P.token Token.Policy.dst1; P.token Token.Policy.dst1_mcast ]))
+    T.make
+      (Printf.sprintf "Producer-consumer pairs (%d rounds, cross-chip)"
+         pc.Workload.Producer_consumer.rounds)
+      (List.map pc_row [ P.directory; P.token Token.Policy.dst1; P.token Token.Policy.dst1_mcast ])
   in
   (* Server-scale curve: 16 caches per CMP (6 procs x 2 L1 + 4 L2
      banks), CMP count swept so the machine lands exactly on 16, 64,
@@ -662,16 +639,14 @@ let scale () =
       curve_protocols
   in
   let server_scale_curve =
-    emit
-      (T.make
-         (Printf.sprintf "Server-scale curve (OLTP stand-in, %d ops/proc, n=%d seeds)"
-            curve_profile.Workload.Commercial.ops
-            (List.length (scale_seeds ())))
-         (List.concat_map
-            (fun ncmp ->
-              curve_point ~pt_seeds:(scale_seeds ()) ~profile:curve_profile ~ncmp
-                ~procs_per_cmp:6)
-            [ 1; 4; 8; 16 ]))
+    T.make
+      (Printf.sprintf "Server-scale curve (OLTP stand-in, %d ops/proc, n=%d seeds)"
+         curve_profile.Workload.Commercial.ops
+         (List.length (scale_seeds ())))
+      (List.concat_map
+         (fun ncmp ->
+           curve_point ~pt_seeds:(scale_seeds ()) ~profile:curve_profile ~ncmp ~procs_per_cmp:6)
+         [ 1; 4; 8; 16 ])
   in
   (* Headline completion check: 16 CMPs x 16 cores per CMP — 256
      processors, 576 caches, 592 coherence nodes — must finish on both
@@ -685,17 +660,24 @@ let scale () =
       Workload.Commercial.ops = (if !quick then 60 else 150) }
   in
   let headline =
-    emit
-      (T.make "16 CMP x 16 core machine (completion check, one seed)"
-         (curve_point ~pt_seeds:[ 1 ] ~profile:headline_profile ~ncmp:16 ~procs_per_cmp:16))
+    T.make "16 CMP x 16 core machine (completion check, one seed)"
+      (curve_point ~pt_seeds:[ 1 ] ~profile:headline_profile ~ncmp:16 ~procs_per_cmp:16)
   in
-  J.Obj
-    [
-      ("oltp_8cmp", oltp_8cmp);
-      ("producer_consumer", producer_consumer);
-      ("server_scale_curve", server_scale_curve);
-      ("headline_16cmp_x_16core", headline);
-    ]
+  [
+    ("oltp_8cmp", oltp_8cmp);
+    ("producer_consumer", producer_consumer);
+    ("server_scale_curve", server_scale_curve);
+    ("headline_16cmp_x_16core", headline);
+  ]
+
+let scale =
+  { title = "Scaling to 8 CMPs (Section 8's outlook + the multicast extension)";
+    note = "The paper predicts TokenCMP's inter-CMP traffic grows with the CMP count\n\
+            unless destination-set prediction multicast is employed. This runs the\n\
+            OLTP stand-in on an 8-CMP (32-processor) machine. Multicast escalates to\n\
+            the predicted holder chip + home instead of all 8 chips; mispredictions\n\
+            cost one retry and the substrate keeps them safe.";
+    tables = scale_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Coherence profiler                                                  *)
@@ -712,9 +694,7 @@ let scale () =
      - instrumentation does not perturb simulated outcomes, and its
        wall-clock overhead is reported for the CI budget check.
    Any failed guarantee exits non-zero. *)
-let profile () =
-  progress "[profile] coherence profiler: token vs directory miss mix...\n%!";
-  hr "Coherence profile: miss classes, hop attribution, counter tracks";
+let profile_tables () =
   let fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -822,75 +802,53 @@ let profile () =
     a.(i) +. ((pos -. float_of_int i) *. (a.(j) -. a.(i)))
   in
   let ratios = List.map (fun (p, i) -> i /. Float.max 1e-9 p) samples in
-  List.iter (fun (_, r) -> print_string (Tokencmp.Profiler.to_markdown r)) reports;
-  let overhead =
-    emit
-      (T.make
-         (Printf.sprintf
-            "Instrumentation overhead (TokenCMP-dst1, median of %d alternated pairs)" pairs)
-         [
-           [
-             ("pairs", J.Int pairs);
-             ("plain_s_median", J.Float (quantile (List.map fst samples) 0.5));
-             ("instrumented_s_median", J.Float (quantile (List.map snd samples) 0.5));
-             ("ratio_median", J.Float (quantile ratios 0.5));
-             ("ratio_q1", J.Float (quantile ratios 0.25));
-             ("ratio_q3", J.Float (quantile ratios 0.75));
-             ("ratio_iqr", J.Float (quantile ratios 0.75 -. quantile ratios 0.25));
-             ("noninvasive", J.Bool true);
-           ];
-         ])
-  in
-  (* Committed trajectory data: the full reports minus the bulky
-     registry snapshot and sample series (deterministic without them). *)
-  let trimmed (r : Tokencmp.Profiler.t) =
-    match Tokencmp.Profiler.to_json r with
-    | J.Obj fields ->
-      J.Obj
-        (List.filter (fun (k, _) -> k <> "metrics" && k <> "sample_series") fields)
-    | other -> other
-  in
-  J.Obj
-    [
-      ( "protocols",
-        J.Obj (List.map (fun ((p : P.t), r) -> (p.P.name, trimmed r)) reports) );
-      ("overhead", overhead);
+  Tokencmp.Profiler.tables (List.map snd reports)
+  @ [
+      ( "overhead",
+        T.make
+          (Printf.sprintf
+             "Instrumentation overhead (TokenCMP-dst1, median of %d alternated pairs)" pairs)
+          [
+            [
+              ("pairs", J.Int pairs);
+              ("plain_s_median", J.Float (quantile (List.map fst samples) 0.5));
+              ("instrumented_s_median", J.Float (quantile (List.map snd samples) 0.5));
+              ("ratio_median", J.Float (quantile ratios 0.5));
+              ("ratio_q1", J.Float (quantile ratios 0.25));
+              ("ratio_q3", J.Float (quantile ratios 0.75));
+              ("ratio_iqr", J.Float (quantile ratios 0.75 -. quantile ratios 0.25));
+              ("noninvasive", J.Bool true);
+            ];
+          ] );
     ]
+
+let profile =
+  { title = "Coherence profile: miss classes, hop attribution, counter tracks";
+    note = "";
+    tables = profile_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Fault-rate sweep (recovery mode)                                    *)
 
-let faultrate () =
-  progress "[faultrate] recovery-mode fault-rate sweep...\n%!";
-  hr "Fault-rate sweep: recovery-mode cost vs token-drop probability";
-  print_endline
-    "Locking micro-benchmark with the recovery stack armed (reliable\n\
-     transport + token recreation). Token-carrying messages are dropped\n\
-     with the given probability; every run must stay violation-free and\n\
-     retire all requests, paying for the faults in retransmissions and\n\
-     (when transport gives out) token recreations.";
-  let probs =
-    if !quick then [ 0.0; 0.01; 0.05 ] else [ 0.0; 0.002; 0.005; 0.01; 0.02; 0.05 ]
-  in
-  let seeds = if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
-  emit (fst (E.faultrate ~probs ~seeds))
+let faultrate =
+  { title = "Fault-rate sweep: recovery-mode cost vs token-drop probability";
+    note = "Locking micro-benchmark with the recovery stack armed (reliable\n\
+            transport + token recreation). Token-carrying messages are dropped\n\
+            with the given probability; every run must stay violation-free and\n\
+            retire all requests, paying for the faults in retransmissions and\n\
+            (when transport gives out) token recreations.";
+    tables =
+      (fun () ->
+        let probs =
+          if !quick then [ 0.0; 0.01; 0.05 ] else [ 0.0; 0.002; 0.005; 0.01; 0.02; 0.05 ]
+        in
+        let seeds = if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
+        [ ("sweep", fst (E.faultrate ~probs ~seeds)) ]) }
 
 (* ------------------------------------------------------------------ *)
 (* Chaos sweep: partition duration vs runtime                          *)
 
-let chaos () =
-  progress "[chaos] partition-duration cost sweep...\n%!";
-  hr "Chaos sweep: partition duration vs runtime (token recovery vs directory)";
-  print_endline
-    "A 2-region partition opens at 1us and heals after the given\n\
-     duration. TokenCMP runs the full recovery stack (reliable\n\
-     transport with retransmission backoff + token recreation)\n\
-     against the hard partition; DirectoryCMP cannot survive message\n\
-     loss, so it takes the loss-free brownout rendition of the same\n\
-     plan. Its runs end 12-15us in under a long brownout, so it sweeps\n\
-     only cuts that heal inside its runs. Every run must retire all\n\
-     requests, and every cut must hold traffic and heal before its run\n\
-     ends.";
+let chaos_tables () =
   let at = Sim.Time.us 1 in
   let token_us = if !quick then [ 0; 25; 50 ] else [ 0; 12; 25; 50; 100 ] in
   let directory_us = if !quick then [ 0; 2; 8 ] else [ 0; 2; 4; 8 ] in
@@ -947,25 +905,40 @@ let chaos () =
       (Directory.Protocol.name ~dram_directory:true, true, directory_us);
     ]
   in
-  emit
-    (T.make "Partition duration vs runtime"
-       (List.concat_map
-          (fun (name, directory, durations) ->
-            let points = List.map (measure ~name ~directory) durations in
-            let base = match points with (_, rt, _, _, _) :: _ -> rt | [] -> 1. in
-            List.map
-              (fun (dur, rt, rx, cut, clean) ->
-                [
-                  ("protocol", J.String name);
-                  ("partition_us", J.Int dur);
-                  ("runtime_ns", J.Float rt);
-                  ("slowdown", J.Float (rt /. base));
-                  ("retransmits", J.Int rx);
-                  ("cut_copies", J.Int cut);
-                  ("clean", J.Bool clean);
-                ])
-              points)
-          protocols))
+  [
+    ( "partitions",
+      T.make "Partition duration vs runtime"
+        (List.concat_map
+           (fun (name, directory, durations) ->
+             let points = List.map (measure ~name ~directory) durations in
+             let base = match points with (_, rt, _, _, _) :: _ -> rt | [] -> 1. in
+             List.map
+               (fun (dur, rt, rx, cut, clean) ->
+                 [
+                   ("protocol", J.String name);
+                   ("partition_us", J.Int dur);
+                   ("runtime_ns", J.Float rt);
+                   ("slowdown", J.Float (rt /. base));
+                   ("retransmits", J.Int rx);
+                   ("cut_copies", J.Int cut);
+                   ("clean", J.Bool clean);
+                 ])
+               points)
+           protocols) );
+  ]
+
+let chaos =
+  { title = "Chaos sweep: partition duration vs runtime (token recovery vs directory)";
+    note = "A 2-region partition opens at 1us and heals after the given\n\
+            duration. TokenCMP runs the full recovery stack (reliable\n\
+            transport with retransmission backoff + token recreation)\n\
+            against the hard partition; DirectoryCMP cannot survive message\n\
+            loss, so it takes the loss-free brownout rendition of the same\n\
+            plan. Its runs end 12-15us in under a long brownout, so it sweeps\n\
+            only cuts that heal inside its runs. Every run must retire all\n\
+            requests, and every cut must hold traffic and heal before its run\n\
+            ends.";
+    tables = chaos_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Forensics: counterexample shrink cost                               *)
@@ -975,13 +948,7 @@ let chaos () =
    partition livelock (the empty-schedule pre-test short-circuits).
    What the trajectory tracks: candidate simulations per shrink, the
    reduction ratio, and wall clock — the price of a 1-minimal repro. *)
-let forensics () =
-  progress "[forensics] counterexample shrink cost...\n%!";
-  hr "Forensics: ddmin shrink cost on the planted counterexamples";
-  print_endline
-    "Each planted failure is bundled and shrunk to a 1-minimal fault\n\
-     schedule. Candidates run in parallel (-j) with submission-order\n\
-     determinism; candidate counts are identical at any job count.";
+let forensics_tables () =
   let cases =
     [
       ( "token-drop-detected",
@@ -1001,32 +968,41 @@ let forensics () =
         1 );
     ]
   in
-  emit
-    (T.make "Shrink cost"
-       (List.map
-          (fun (name, params, target, spec, seed) ->
-            let b = Forensics.Bundle.make (Fault.Torture.run params target ~spec ~seed) in
-            match Forensics.Shrink.run ~jobs:!jobs b with
-            | Error e ->
-              Printf.eprintf "[forensics] FAILED: %s: shrink failed: %s\n%!" name e;
-              exit 1
-            | Ok r ->
-              let st = r.Forensics.Shrink.r_stats in
-              [
-                ("case", J.String name);
-                ( "verdict",
-                  J.String
-                    (Format.asprintf "%a" Fault.Torture.pp_verdict
-                       (Fault.Torture.verdict r.Forensics.Shrink.r_outcome)) );
-                ("original_events", J.Int r.Forensics.Shrink.r_original_events);
-                ("minimal_events", J.Int (List.length r.Forensics.Shrink.r_schedule));
-                ("candidate_runs", J.Int st.Forensics.Shrink.s_candidates);
-                ("failing_candidates", J.Int st.Forensics.Shrink.s_failing);
-                ("ddmin_rounds", J.Int st.Forensics.Shrink.s_rounds);
-                ("shape_trials", J.Int st.Forensics.Shrink.s_shape_trials);
-                ("wall_clock_s", J.Float st.Forensics.Shrink.s_wall_s);
-              ])
-          cases))
+  [
+    ( "shrink_cost",
+      T.make "Shrink cost"
+        (List.map
+           (fun (name, params, target, spec, seed) ->
+             let b = Forensics.Bundle.make (Fault.Torture.run params target ~spec ~seed) in
+             match Forensics.Shrink.run ~jobs:!jobs b with
+             | Error e ->
+               Printf.eprintf "[forensics] FAILED: %s: shrink failed: %s\n%!" name e;
+               exit 1
+             | Ok r ->
+               let st = r.Forensics.Shrink.r_stats in
+               [
+                 ("case", J.String name);
+                 ( "verdict",
+                   J.String
+                     (Format.asprintf "%a" Fault.Torture.pp_verdict
+                        (Fault.Torture.verdict r.Forensics.Shrink.r_outcome)) );
+                 ("original_events", J.Int r.Forensics.Shrink.r_original_events);
+                 ("minimal_events", J.Int (List.length r.Forensics.Shrink.r_schedule));
+                 ("candidate_runs", J.Int st.Forensics.Shrink.s_candidates);
+                 ("failing_candidates", J.Int st.Forensics.Shrink.s_failing);
+                 ("ddmin_rounds", J.Int st.Forensics.Shrink.s_rounds);
+                 ("shape_trials", J.Int st.Forensics.Shrink.s_shape_trials);
+                 ("wall_clock_s", J.Float st.Forensics.Shrink.s_wall_s);
+               ])
+           cases) );
+  ]
+
+let forensics =
+  { title = "Forensics: ddmin shrink cost on the planted counterexamples";
+    note = "Each planted failure is bundled and shrunk to a 1-minimal fault\n\
+            schedule. Candidates run in parallel (-j) with submission-order\n\
+            determinism; candidate counts are identical at any job count.";
+    tables = forensics_tables }
 
 (* ------------------------------------------------------------------ *)
 (* Perf: simulation-kernel hot-path throughput                         *)
@@ -1036,24 +1012,7 @@ let forensics () =
    run leaves a complete trajectory point in BENCH_perf.json. *)
 let section_walls : (string * float) list ref = ref []
 
-let perf () =
-  progress "[perf] kernel hot-path throughput...\n%!";
-  hr "Kernel perf: event scheduling and message send hot paths";
-  print_endline
-    "Host-time throughput of the simulation kernel (not simulated time),\n\
-     each with its minor words allocated per unit of work:\n\
-     - engine_churn: one queue, empty handlers, uniform 4096-event batches;\n\
-     - bursty_churn: the broadcast shape, 32 events inside a 500 ps window;\n\
-     - fresh_churn: the bursty shape with a fresh closure per event, as a\n\
-    \  protocol's schedule_in passes (engine kernels: one row per repetition);\n\
-     - send_set / send_one: all-caches broadcasts and random point-to-point\n\
-    \  pairs on the 4-CMP machine with a no-op handler;\n\
-     - send_parked: a request's local and escalation sets whose L1 copies\n\
-    \  all park, then a wake, per parked copy (spread: one row per repetition);\n\
-     - tiny_sim / tiny_sim_directory: whole tiny TokenCMP-dst1 and\n\
-    \  DirectoryCMP simulations, per retired op.\n\
-     Absolute rates are machine-dependent; the allocation figures are\n\
-     deterministic for a given compiler.";
+let perf_tables () =
   (* Host seconds and minor words of [f ()]. *)
   let measure f =
     let w0 = Gc.minor_words () in
@@ -1266,56 +1225,60 @@ let perf () =
       ("minor_words_per_unit", J.Float minor_words);
     ]
   in
-  let kernels =
-    emit
-      (T.make "Kernel hot paths"
-         [
-           kernel "engine_churn" "event" (summary churn_reps);
-           kernel "bursty_churn" "event" (summary bursty_reps);
-           kernel "fresh_churn" "event" (summary fresh_reps);
-           kernel "send_set" "send" (set_sps, set_mwps);
-           kernel "send_one" "send" (one_sps, one_mwps);
-           kernel "send_parked" "parked copy" (summary parked_reps);
-           kernel "tiny_sim" "op" sim;
-           kernel "tiny_sim_directory" "op" sim_directory;
-         ])
-  in
-  let engine_reps =
-    emit
-      (T.make "Engine kernel repetitions"
-         (List.concat_map
-            (fun (name, rows) ->
-              List.mapi
-                (fun i (per_s, words) ->
-                  [ ("kernel", J.String name); ("rep", J.Int (i + 1));
-                    ("events_per_s", J.Float per_s); ("minor_words_per_event", J.Float words) ])
-                rows)
-            [ ("engine_churn", churn_reps); ("bursty_churn", bursty_reps);
-              ("fresh_churn", fresh_reps) ]))
-  in
-  let send_parked =
-    emit
-      (T.make "send_parked repetitions"
-         (List.mapi
-            (fun i (per_s, words) ->
-              [ ("rep", J.Int (i + 1)); ("ns_per_parked_copy", J.Float (1e9 /. per_s));
-                ("minor_words_per_parked_copy", J.Float words) ])
-            parked_reps))
-  in
-  let walls =
-    emit
-      (T.make "Wall clock of sections run in this invocation"
-         (List.map
-            (fun (n, w) -> [ ("section", J.String n); ("wall_s", J.Float w) ])
-            !section_walls))
-  in
-  J.Obj
-    [
-      ("kernels", kernels);
-      ("engine_repetitions", engine_reps);
-      ("send_parked", send_parked);
-      ("section_wall_clock_s", walls);
-    ]
+  [
+    ( "kernels",
+      T.make "Kernel hot paths"
+        [
+          kernel "engine_churn" "event" (summary churn_reps);
+          kernel "bursty_churn" "event" (summary bursty_reps);
+          kernel "fresh_churn" "event" (summary fresh_reps);
+          kernel "send_set" "send" (set_sps, set_mwps);
+          kernel "send_one" "send" (one_sps, one_mwps);
+          kernel "send_parked" "parked copy" (summary parked_reps);
+          kernel "tiny_sim" "op" sim;
+          kernel "tiny_sim_directory" "op" sim_directory;
+        ] );
+    ( "engine_repetitions",
+      T.make "Engine kernel repetitions"
+        (List.concat_map
+           (fun (name, rows) ->
+             List.mapi
+               (fun i (per_s, words) ->
+                 [ ("kernel", J.String name); ("rep", J.Int (i + 1));
+                   ("events_per_s", J.Float per_s); ("minor_words_per_event", J.Float words) ])
+               rows)
+           [ ("engine_churn", churn_reps); ("bursty_churn", bursty_reps);
+             ("fresh_churn", fresh_reps) ]) );
+    ( "send_parked",
+      T.make "send_parked repetitions"
+        (List.mapi
+           (fun i (per_s, words) ->
+             [ ("rep", J.Int (i + 1)); ("ns_per_parked_copy", J.Float (1e9 /. per_s));
+               ("minor_words_per_parked_copy", J.Float words) ])
+           parked_reps) );
+    ( "section_wall_clock_s",
+      T.make "Wall clock of sections run in this invocation"
+        (List.map (fun (n, w) -> [ ("section", J.String n); ("wall_s", J.Float w) ]) !section_walls)
+    );
+  ]
+
+let perf =
+  { title = "Kernel perf: event scheduling and message send hot paths";
+    note = "Host-time throughput of the simulation kernel (not simulated time),\n\
+            each with its minor words allocated per unit of work:\n\
+            - engine_churn: one queue, empty handlers, uniform 4096-event batches;\n\
+            - bursty_churn: the broadcast shape, 32 events inside a 500 ps window;\n\
+            - fresh_churn: the bursty shape with a fresh closure per event, as a\n\
+           \  protocol's schedule_in passes (engine kernels: one row per repetition);\n\
+            - send_set / send_one: all-caches broadcasts and random point-to-point\n\
+           \  pairs on the 4-CMP machine with a no-op handler;\n\
+            - send_parked: a request's local and escalation sets whose L1 copies\n\
+           \  all park, then a wake, per parked copy (spread: one row per repetition);\n\
+            - tiny_sim / tiny_sim_directory: whole tiny TokenCMP-dst1 and\n\
+           \  DirectoryCMP simulations, per retired op.\n\
+            Absolute rates are machine-dependent; the allocation figures are\n\
+            deterministic for a given compiler.";
+    tables = perf_tables }
 
 (* ------------------------------------------------------------------ *)
 
@@ -1339,19 +1302,19 @@ let sections =
     ("perf", perf);
   ]
 
-(* Envelope around each section's payload; BENCH_<section>.json files
+(* Envelope around each section's tables; BENCH_<section>.json files
    are the cross-PR perf trajectory (schema in README). *)
-let write_json name ~wall_clock data =
+let write_json name ~wall_clock tables =
   let file = "BENCH_" ^ name ^ ".json" in
   J.write_file file
     (J.Obj
        [
-         ("schema_version", J.Int 3);
+         ("schema_version", J.Int 4);
          ("section", J.String name);
          ("quick", J.Bool !quick);
          ("jobs", J.Int !jobs);
          ("wall_clock_s", J.Float wall_clock);
-         ("data", data);
+         ("data", J.Obj (List.map (fun (key, t) -> (key, T.to_json t)) tables));
        ]);
   progress "[%s] wrote %s (%.1fs wall clock, %d jobs)\n%!" name file wall_clock !jobs
 
@@ -1379,12 +1342,17 @@ let () =
   List.iter
     (fun name ->
       match List.assoc_opt name sections with
-      | Some f ->
+      | Some s ->
+        progress "[%s] %s\n%!" name s.title;
+        Printf.printf "\n%s\n%s\n" s.title (String.make (String.length s.title) '=');
+        if s.note <> "" then print_endline s.note;
         let t0 = Unix.gettimeofday () in
-        let data = f () in
+        let tables = s.tables () in
         let wall = Unix.gettimeofday () -. t0 in
+        List.iter (fun (_, t) -> print_string (T.to_markdown t)) tables;
+        flush stdout;
         section_walls := !section_walls @ [ (name, wall) ];
-        write_json name ~wall_clock:wall data
+        write_json name ~wall_clock:wall tables
       | None ->
         Printf.eprintf "unknown section %s (have: %s)\n" name
           (String.concat ", " (List.map fst sections));

@@ -610,13 +610,17 @@ let check_cmd =
              states).")
   in
   let run max_states store =
-    let rows = Tokencmp.Experiments.model_checking ~max_states ~store () in
+    let module E = Tokencmp.Experiments in
+    let rows = E.model_checking ~max_states ~store () in
     List.iter
-      (fun (name, s, loc) -> Format.printf "%-20s (%4d LoC) %a@." name loc Mc.Explore.pp_stats s)
+      (fun r ->
+        Format.printf "%-17s %dc cap %d (%4d LoC) %a@." r.E.model r.E.caches r.E.net_cap
+          r.E.model_loc Mc.Explore.pp_stats r.E.stats)
       rows;
     (* doomed is counted on closed graphs only *)
-    let failed (_, s, _) =
-      s.Mc.Explore.violation <> None || Option.value s.Mc.Explore.doomed ~default:0 > 0
+    let failed r =
+      r.E.stats.Mc.Explore.violation <> None
+      || Option.value r.E.stats.Mc.Explore.doomed ~default:0 > 0
     in
     if List.exists failed rows then exit 1
   in

@@ -30,9 +30,9 @@ let () =
   print_endline
     "The token models cover every performance policy because policy actions\n\
      (which tokens to move where) are nondeterministic; the directory model\n\
-     verifies only the one protocol it encodes - and a hierarchical\n\
-     composition of two such levels would be intractable, which is the\n\
-     paper's argument for flat correctness.\n\n\
+     verifies only the one protocol it encodes. The paper's argument for\n\
+     flat correctness is that a hierarchical composition of two such\n\
+     levels is much harder to check; that graph is not measured here.\n\n\
      A cautionary tale from this reproduction: a bounded model with two\n\
      requesters missed a reordering race between persistent-request\n\
      activations and deactivations that our full simulator then hit; the\n\

@@ -153,50 +153,47 @@ let explore ~max_states ~store m =
   let module R = Mc.Explore.Make (M) in
   R.run ~max_states ~store ()
 
+type mc_row = {
+  model : string;
+  caches : int;
+  net_cap : int;
+  stats : Mc.Explore.stats;
+  model_loc : int;
+}
+
 (* Rows are explored in the order they print: [List.map] applies its
    function front to back, where the elements of a list literal are
-   evaluated back to front. *)
-let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) () =
+   evaluated back to front. The last four rows are Table 4's
+   checkability comparison: both flat models at one network cap, at
+   the paper's 2 caches and one size above (the 3-cache token model
+   holds one more token). *)
+let model_checking ?(max_states = 2_000_000) ?(store = Mc.Explore.Exact) () =
   let tp = Mc.Token_model.default_params in
-  let dp = Mc.Dir_model.default_params in
-  let dp3 = { dp with Mc.Dir_model.caches = 3 } in
+  let tp3 = { tp with Mc.Token_model.net_cap = 3 } in
+  let dp3 = { Mc.Dir_model.default_params with Mc.Dir_model.net_cap = 3 } in
   let rp = Mc.Recovery_model.default_params in
-  let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
+  let token model kind (p : Mc.Token_model.params) =
+    (model, p.caches, p.net_cap, Mc.Model_loc.token, kind p)
+  in
+  let directory (p : Mc.Dir_model.params) =
+    ("Flat Directory", p.caches, p.net_cap, Mc.Model_loc.directory, Mc.Dir_model.flat p)
+  in
   List.map
-    (fun (name, m, loc) -> (name, explore ~max_states ~store m, loc))
+    (fun (model, caches, net_cap, model_loc, m) ->
+      { model; caches; net_cap; stats = explore ~max_states ~store m; model_loc })
     [
-      ("TokenCMP-safety", Mc.Token_model.safety tp, token_loc);
-      ("TokenCMP-dst", Mc.Token_model.distributed tp, token_loc);
-      ("TokenCMP-arb", Mc.Token_model.arbiter tp, token_loc);
-      ("TokenCMP-recovery", Mc.Recovery_model.model rp, Mc.Model_loc.recovery);
-      ("Flat Directory (2c)", Mc.Dir_model.flat dp, dir_loc);
-      (* one more cache makes the directory's coupled transient states
-         blow past the state budget -- the scaling wall of Section 5 *)
-      ("Flat Directory (3c)", Mc.Dir_model.flat dp3, dir_loc);
-    ]
-
-(* The paper's Table 4 comparison — model size and checkability of the
-   token substrate vs the flat directory — re-run at the paper's
-   configuration (2 caches) and one size above it (3 caches, one more
-   token). The 3-cache graphs are orders of magnitude bigger; the
-   compacted store is the default here so they close in memory. *)
-let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) () =
-  let tp = Mc.Token_model.default_params in
-  let tp3 = { tp with Mc.Token_model.caches = 3; tokens = 4 } in
-  (* both directory rows run at net_cap 3: the 2-cache directory graph
-     is invariant for any cap >= 3 (attained concurrency is 3), and
-     pinning the cap is the directory's best shot at closing the
-     3-cache graph *)
-  let dp = { Mc.Dir_model.default_params with Mc.Dir_model.net_cap = 3 } in
-  let dp3 = { dp with Mc.Dir_model.caches = 3 } in
-  let token_loc = Mc.Model_loc.token and dir_loc = Mc.Model_loc.directory in
-  List.map
-    (fun (name, caches, m, loc) -> (name, caches, explore ~max_states ~store m, loc))
-    [
-      ("TokenCMP-dst (2c)", 2, Mc.Token_model.distributed tp, token_loc);
-      ("TokenCMP-dst (3c)", 3, Mc.Token_model.distributed tp3, token_loc);
-      ("Flat Directory (2c)", 2, Mc.Dir_model.flat dp, dir_loc);
-      ("Flat Directory (3c)", 3, Mc.Dir_model.flat dp3, dir_loc);
+      token "TokenCMP-safety" Mc.Token_model.safety tp;
+      token "TokenCMP-dst" Mc.Token_model.distributed tp;
+      token "TokenCMP-arb" Mc.Token_model.arbiter tp;
+      ( "TokenCMP-recovery",
+        rp.Mc.Recovery_model.caches,
+        rp.Mc.Recovery_model.net_cap,
+        Mc.Model_loc.recovery,
+        Mc.Recovery_model.model rp );
+      token "TokenCMP-dst" Mc.Token_model.distributed tp3;
+      token "TokenCMP-dst" Mc.Token_model.distributed { tp3 with caches = 3; tokens = 4 };
+      directory dp3;
+      directory { dp3 with caches = 3 };
     ]
 
 let faultrate ~probs ~seeds =
@@ -279,30 +276,3 @@ let find runs name =
   | None -> invalid_arg ("Experiments.find: no run for " ^ name)
 
 let normalize ~baseline run = run.runtime_ns.Sim.Stat.Summary.mean /. baseline.runtime_ns.Sim.Stat.Summary.mean
-
-let breakdown_to_json breakdown =
-  Tcjson.Obj
-    (List.map
-       (fun (cls, bytes) -> (Interconnect.Msg_class.to_string cls, Tcjson.Float bytes))
-       breakdown)
-
-let run_to_json r =
-  let s = r.runtime_ns in
-  Tcjson.Obj
-    [
-      ("protocol", Tcjson.String r.protocol);
-      ( "runtime_ns",
-        Tcjson.Obj
-          [
-            ("mean", Tcjson.Float s.Sim.Stat.Summary.mean);
-            ("ci95", Tcjson.Float s.Sim.Stat.Summary.ci95);
-            ("stddev", Tcjson.Float s.Sim.Stat.Summary.stddev);
-            ("n", Tcjson.Int s.Sim.Stat.Summary.n);
-          ] );
-      ("persistent_fraction", Tcjson.Float r.persistent_fraction);
-      ("retries_per_miss", Tcjson.Float r.retries_per_miss);
-      ("miss_latency_ns", Tcjson.Float r.miss_latency_ns);
-      ("inter_bytes", breakdown_to_json r.inter_bytes);
-      ("intra_bytes", breakdown_to_json r.intra_bytes);
-      ("completed", Tcjson.Bool r.completed);
-    ]

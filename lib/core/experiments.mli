@@ -71,28 +71,24 @@ val commercial :
   unit ->
   run list
 
-(** Section 5: model-check every substrate variant and the flat
-    directory; returns (model name, exploration stats, model source
-    lines). [store] selects the visited-set representation (see
-    {!Mc.Explore.Make.run}); the default is the exact store. *)
-val model_checking :
-  ?max_states:int ->
-  ?store:Mc.Explore.store ->
-  unit ->
-  (string * Mc.Explore.stats * int) list
+(** One model-checked configuration: the model, its cache count and
+    network cap, the exploration stats and the model's source lines. *)
+type mc_row = {
+  model : string;
+  caches : int;
+  net_cap : int;
+  stats : Mc.Explore.stats;
+  model_loc : int;
+}
 
-(** The Table 4 checkability comparison (token substrate vs flat
-    directory) at the paper's 2-cache configuration and one size above
-    it (3 caches); returns (model name, caches, stats, model source
-    lines). Defaults to the compacted store and a 200M-state budget:
-    the 3-cache token graph closes at 10.6M states; the 3-cache
-    directory graph exceeds the budget (that truncated row is the
-    result — it quantifies the paper's checkability gap). *)
-val table4 :
-  ?max_states:int ->
-  ?store:Mc.Explore.store ->
-  unit ->
-  (string * int * Mc.Explore.stats * int) list
+(** Section 5 and Table 4's checkability comparison, reported once:
+    every substrate variant at the paper's 2-cache configuration, then
+    TokenCMP-dst and the flat directory at [net_cap] 3 with 2 and 3
+    caches. [store] selects the visited-set representation (see
+    {!Mc.Explore.Make.run}); the default is the exact store, and the
+    default 2M-state budget closes every row. *)
+val model_checking :
+  ?max_states:int -> ?store:Mc.Explore.store -> unit -> mc_row list
 
 (** The recovery-mode fault-rate sweep: the locking torture run on
     TokenCMP-dst1 with the recovery stack armed (reliable transport and
@@ -115,7 +111,3 @@ val fig6_protocols : Protocols.t list
 val normalize : baseline:run -> run -> float
 
 val find : run list -> string -> run
-
-(** Serialization for the committed [BENCH_<section>.json] trajectory
-    files (schema documented in README "Machine-readable bench output"). *)
-val run_to_json : run -> Tcjson.t

@@ -208,25 +208,25 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering: the four tables are built once and feed both renderers. *)
+(* Rendering: the four tables are built once and feed both renderers,
+   and the long tables that stack several reports. *)
 
-let class_table t =
-  Table.make "Miss classification"
-    (List.map
-       (fun row ->
-         [
-           ("class", Tcjson.String (Obs.Event.cause_to_string row.cause));
-           ("count", Tcjson.Int row.count);
-           ("share", Tcjson.Float row.share);
-           ("mean_ns", Tcjson.Float row.mean_ns);
-           ("p50_ns", Tcjson.Int row.p50_ns);
-           ("p99_ns", Tcjson.Int row.p99_ns);
-           ("p99_clamped", Tcjson.Bool row.p99_clamped);
-           ("total_ns", Tcjson.Float row.class_total_ns);
-         ])
-       t.classes)
+let class_rows t =
+  List.map
+    (fun row ->
+      [
+        ("class", Tcjson.String (Obs.Event.cause_to_string row.cause));
+        ("count", Tcjson.Int row.count);
+        ("share", Tcjson.Float row.share);
+        ("mean_ns", Tcjson.Float row.mean_ns);
+        ("p50_ns", Tcjson.Int row.p50_ns);
+        ("p99_ns", Tcjson.Int row.p99_ns);
+        ("p99_clamped", Tcjson.Bool row.p99_clamped);
+        ("total_ns", Tcjson.Float row.class_total_ns);
+      ])
+    t.classes
 
-let attribution_table t =
+let attribution_rows t =
   let row window threshold (a : Obs.Span.attribution) =
     [
       ("window", Tcjson.String window);
@@ -239,29 +239,49 @@ let attribution_table t =
       ("total_ns", Tcjson.Float a.Obs.Span.att_total_ns);
     ]
   in
-  Table.make "Critical-path attribution"
-    (row "all misses" Tcjson.Null t.attribution
-    :: (match t.tail with
-       | Some (threshold, a) -> [ row "p99 tail" (Tcjson.Float threshold) a ]
-       | None -> []))
+  row "all misses" Tcjson.Null t.attribution
+  :: (match t.tail with
+     | Some (threshold, a) -> [ row "p99 tail" (Tcjson.Float threshold) a ]
+     | None -> [])
 
-let block_table title rows =
-  Table.make title
-    (List.map
-       (fun b ->
-         [
-           ("addr", Tcjson.Int b.block_addr);
-           ("misses", Tcjson.Int b.block_misses);
-           ("total_ns", Tcjson.Float b.block_total_ns);
-           ("retries", Tcjson.Int b.block_retries);
-           ("persistent", Tcjson.Int b.block_persistent);
-         ])
-       rows)
+let block_rows rows =
+  List.map
+    (fun b ->
+      [
+        ("addr", Tcjson.Int b.block_addr);
+        ("misses", Tcjson.Int b.block_misses);
+        ("total_ns", Tcjson.Float b.block_total_ns);
+        ("retries", Tcjson.Int b.block_retries);
+        ("persistent", Tcjson.Int b.block_persistent);
+      ])
+    rows
 
-let hot_table t = block_table "Hot blocks (by miss count)" t.hot_blocks
-let contended_table t = block_table "Contended blocks (by total latency)" t.contended_blocks
+(* (key, title, rows of one report), in print order. *)
+let table_specs =
+  [
+    ("classes", "Miss classification", class_rows);
+    ("attribution", "Critical-path attribution", attribution_rows);
+    ("hot_blocks", "Hot blocks (by miss count)", fun t -> block_rows t.hot_blocks);
+    ( "contended_blocks",
+      "Contended blocks (by total latency)",
+      fun t -> block_rows t.contended_blocks );
+  ]
+
+let own_tables t = List.map (fun (key, title, rows) -> (key, Table.make title (rows t))) table_specs
+
+let tables reports =
+  List.map
+    (fun (key, title, rows) ->
+      ( key,
+        Table.make title
+          (List.concat_map
+             (fun t -> List.map (fun row -> ("protocol", Tcjson.String t.protocol) :: row) (rows t))
+             reports) ))
+    table_specs
 
 let to_json t =
+  let tables = own_tables t in
+  let table key = Table.to_json (List.assoc key tables) in
   Tcjson.Obj
     [
       ("protocol", Tcjson.String t.protocol);
@@ -271,10 +291,10 @@ let to_json t =
       ("ops", Tcjson.Int t.ops);
       ("events", Tcjson.Int t.events);
       ("l1_misses", Tcjson.Int t.l1_misses);
-      ("classes", Table.to_json (class_table t));
-      ("hot_blocks", Table.to_json (hot_table t));
-      ("contended_blocks", Table.to_json (contended_table t));
-      ("attribution", Table.to_json (attribution_table t));
+      ("classes", table "classes");
+      ("hot_blocks", table "hot_blocks");
+      ("contended_blocks", table "contended_blocks");
+      ("attribution", table "attribution");
       ( "spans",
         Tcjson.Obj
           [
@@ -315,9 +335,7 @@ let to_markdown t =
     (if t.completed then "completed" else "DID NOT COMPLETE");
   p "- ops: %d, engine events: %d, L1 misses: %d\n" t.ops t.events t.l1_misses;
   p "- time-series samples: %d\n\n" t.nsamples;
-  List.iter
-    (fun table -> Buffer.add_string b (Table.to_markdown table))
-    [ class_table t; attribution_table t; hot_table t; contended_table t ];
+  List.iter (fun (_, table) -> Buffer.add_string b (Table.to_markdown table)) (own_tables t);
   p "(a clamped p99 means the histogram tail overflowed: the value is a lower bound)\n\n";
   let r = t.reconciliation in
   p "## Reconciliation\n\n";

@@ -92,4 +92,10 @@ val spans_reconcile : reconciliation -> bool
     block tables are the rows {!to_markdown} prints. *)
 val to_json : t -> Tcjson.t
 
+(** The class, attribution, hot-block and contended-block tables of
+    several reports, each stacked into one long table with a leading
+    [protocol] column, under the keys [classes], [attribution],
+    [hot_blocks] and [contended_blocks]. *)
+val tables : t list -> (string * Table.t) list
+
 val to_markdown : t -> string

@@ -63,28 +63,3 @@ let kind_name r =
   | No_progress { mode = `Livelock; _ } -> "livelock"
   | Starvation _ -> "starvation"
   | Retransmit_exhausted _ -> "retransmit-exhausted"
-
-let to_json r =
-  let module J = Tcjson in
-  let base =
-    [ ("at_ns", J.Float (Sim.Time.to_ns r.at));
-      ("kind", J.String (kind_name r));
-      ("severity",
-       J.String (match severity r with `Fatal -> "fatal" | `Expected -> "expected"));
-      ("detail", J.String (to_string r)) ]
-  in
-  let blame_fields = function
-    | None -> []
-    | Some e ->
-      [ ("blame_plan_index", J.Int e.Plan.ev_index); ("blame_at_ps", J.Int e.Plan.ev_time) ]
-  in
-  let extra =
-    match r.kind with
-    | Invariant { blame; _ } -> blame_fields blame
-    | No_progress { window; _ } -> [ ("window_ns", J.Float (Sim.Time.to_ns window)) ]
-    | Retransmit_exhausted { src; dst; attempts; blame; _ } ->
-      [ ("src", J.Int src); ("dst", J.Int dst); ("attempts", J.Int attempts) ]
-      @ blame_fields blame
-    | _ -> []
-  in
-  J.Obj (base @ extra)

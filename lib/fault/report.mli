@@ -47,9 +47,3 @@ val to_string : t -> string
 (** Stable short name of the report kind ("invariant", "livelock",
     "retransmit-exhausted", ...) — what bundles and JSON dumps key on. *)
 val kind_name : t -> string
-
-(** Structured rendering: [at_ns], [kind], [severity], [detail], plus
-    kind-specific fields (including [blame_plan_index]/[blame_at_ps]
-    when a blame cross-link is present). Shared by torture evidence
-    dumps and the bench JSON emitter. *)
-val to_json : t -> Tcjson.t

@@ -597,36 +597,21 @@ let check_cmd =
       value & opt int 2_000_000
       & info [ "max-states" ] ~docv:"N" ~doc:"State-count safety limit.")
   in
-  let store_arg =
-    Arg.(
-      value
-      & opt (enum [ ("exact", Mc.Explore.Exact); ("compact", Mc.Explore.Compact) ])
-          Mc.Explore.Exact
-      & info [ "store" ] ~docv:"STORE"
-          ~doc:
-            "Visited-set representation: $(b,exact) keys every full state (sound, \
-             memory-hungry), $(b,compact) keys 60-bit fingerprints (Cleary/bit-state \
-             style; a vanishingly small, reported collision probability can hide \
-             states).")
-  in
-  let run max_states store =
+  let run max_states =
     let module E = Tokencmp.Experiments in
-    let rows = E.model_checking ~max_states ~store () in
-    List.iter
-      (fun r ->
-        Format.printf "%-17s %dc cap %d (%4d LoC) %a@." r.E.model r.E.caches r.E.net_cap
-          r.E.model_loc Mc.Explore.pp_stats r.E.stats)
-      rows;
-    (* doomed is counted on closed graphs only *)
-    let failed r =
-      r.E.stats.Mc.Explore.violation <> None
-      || Option.value r.E.stats.Mc.Explore.doomed ~default:0 > 0
+    let failed =
+      Seq.fold_left
+        (fun failed r ->
+          Format.printf "%-17s %dc cap %d (%4d LoC) %a@." r.E.model r.E.caches r.E.net_cap
+            r.E.model_loc Mc.Explore.pp_stats r.E.stats;
+          failed || E.mc_failed r)
+        false (E.model_checking ~max_states ())
     in
-    if List.exists failed rows then exit 1
+    if failed then exit 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Model-check the substrate variants and the flat directory.")
-    Term.(const run $ max_states_arg $ store_arg)
+    Term.(const run $ max_states_arg)
 
 (* ---- replay ---- *)
 

@@ -148,10 +148,10 @@ let commercial ?(jobs = 1) ?(config = Mcmp.Config.default) ?(seeds = default_see
   let programs ~seed ~proc = Workload.Commercial.program profile ~seed ~proc in
   run_protocols ~jobs ~config ~seeds ~protocols ~programs:(fun ~seed -> programs ~seed)
 
-let explore ~max_states ~store m =
+let explore ~max_states m =
   let module M = (val m : Mc.Explore.MODEL) in
   let module R = Mc.Explore.Make (M) in
-  R.run ~max_states ~store ()
+  R.run ~max_states ()
 
 type mc_row = {
   model : string;
@@ -161,13 +161,12 @@ type mc_row = {
   model_loc : int;
 }
 
-(* Rows are explored in the order they print: [List.map] applies its
-   function front to back, where the elements of a list literal are
-   evaluated back to front. The last four rows are Table 4's
-   checkability comparison: both flat models at one network cap, at
-   the paper's 2 caches and one size above (the 3-cache token model
-   holds one more token). *)
-let model_checking ?(max_states = 2_000_000) ?(store = Mc.Explore.Exact) () =
+(* Each row is explored when the sequence reaches it, so a caller can
+   report a row as soon as its graph closes. The last four rows are
+   Table 4's checkability comparison: both flat models at one network
+   cap, at the paper's 2 caches and one size above (the 3-cache token
+   model holds one more token). *)
+let model_checking ?(max_states = 2_000_000) () =
   let tp = Mc.Token_model.default_params in
   let tp3 = { tp with Mc.Token_model.net_cap = 3 } in
   let dp3 = { Mc.Dir_model.default_params with Mc.Dir_model.net_cap = 3 } in
@@ -178,23 +177,28 @@ let model_checking ?(max_states = 2_000_000) ?(store = Mc.Explore.Exact) () =
   let directory (p : Mc.Dir_model.params) =
     ("Flat Directory", p.caches, p.net_cap, Mc.Model_loc.directory, Mc.Dir_model.flat p)
   in
-  List.map
+  Seq.map
     (fun (model, caches, net_cap, model_loc, m) ->
-      { model; caches; net_cap; stats = explore ~max_states ~store m; model_loc })
-    [
-      token "TokenCMP-safety" Mc.Token_model.safety tp;
-      token "TokenCMP-dst" Mc.Token_model.distributed tp;
-      token "TokenCMP-arb" Mc.Token_model.arbiter tp;
-      ( "TokenCMP-recovery",
-        rp.Mc.Recovery_model.caches,
-        rp.Mc.Recovery_model.net_cap,
-        Mc.Model_loc.recovery,
-        Mc.Recovery_model.model rp );
-      token "TokenCMP-dst" Mc.Token_model.distributed tp3;
-      token "TokenCMP-dst" Mc.Token_model.distributed { tp3 with caches = 3; tokens = 4 };
-      directory dp3;
-      directory { dp3 with caches = 3 };
-    ]
+      { model; caches; net_cap; stats = explore ~max_states m; model_loc })
+    (List.to_seq
+       [
+         token "TokenCMP-safety" Mc.Token_model.safety tp;
+         token "TokenCMP-dst" Mc.Token_model.distributed tp;
+         token "TokenCMP-arb" Mc.Token_model.arbiter tp;
+         ( "TokenCMP-recovery",
+           rp.Mc.Recovery_model.caches,
+           rp.Mc.Recovery_model.net_cap,
+           Mc.Model_loc.recovery,
+           Mc.Recovery_model.model rp );
+         token "TokenCMP-dst" Mc.Token_model.distributed tp3;
+         token "TokenCMP-dst" Mc.Token_model.distributed { tp3 with caches = 3; tokens = 4 };
+         directory dp3;
+         directory { dp3 with caches = 3 };
+       ])
+
+(* Doomed states are counted on closed graphs only. *)
+let mc_failed r =
+  r.stats.Mc.Explore.violation <> None || Option.value r.stats.Mc.Explore.doomed ~default:0 > 0
 
 let faultrate ~probs ~seeds =
   let points =

@@ -84,11 +84,14 @@ type mc_row = {
 (** Section 5 and Table 4's checkability comparison, reported once:
     every substrate variant at the paper's 2-cache configuration, then
     TokenCMP-dst and the flat directory at [net_cap] 3 with 2 and 3
-    caches. [store] selects the visited-set representation (see
-    {!Mc.Explore.Make.run}); the default is the exact store, and the
-    default 2M-state budget closes every row. *)
-val model_checking :
-  ?max_states:int -> ?store:Mc.Explore.store -> unit -> mc_row list
+    caches. Each row is explored when the sequence reaches it, front
+    to back, and again on every traversal. The default 2M-state budget
+    closes every row. *)
+val model_checking : ?max_states:int -> unit -> mc_row Seq.t
+
+(** A row fails on an invariant violation or on a doomed state, which
+    only a closed graph counts. *)
+val mc_failed : mc_row -> bool
 
 (** The recovery-mode fault-rate sweep: the locking torture run on
     TokenCMP-dst1 with the recovery stack armed (reliable transport and

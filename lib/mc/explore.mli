@@ -9,20 +9,19 @@
     "eventually all requests are satisfied" property on these finite
     graphs.
 
-    Two orthogonal scale-up levers:
+    Two scale-up levers:
     - {b symmetry reduction}: states are always interned through the
       model's {!MODEL.canonicalize} (identity for models without
       symmetry), so configurations that differ only by a permutation
       of interchangeable nodes collapse into one representative;
-    - {b compacted visited sets} ({!Compact}): the visited set stores
-      60-bit fingerprints instead of full states, Cleary/bit-state
-      style; the frontier carries states explicitly, so no state is
-      retained after expansion. Two distinct states may collide with
-      probability bounded by {!stats.collision_bound} (reported per
-      run), in which case part of the graph is silently skipped —
-      verification verdicts should be confirmed in {!Exact} mode. *)
+    - {b packed states}: the visited set is exact, but keeps each
+      state as its marshalled bytes rather than as a boxed value. A
+      state is decoded again only to be expanded or rendered. *)
 
 module type MODEL = sig
+  (** Immutable data without closures: two equal states must marshal
+      to equal bytes under [Marshal.No_sharing], since the visited set
+      compares states by those bytes. *)
   type state
 
   val name : string
@@ -50,13 +49,6 @@ module type MODEL = sig
   val canonicalize : state -> state
 end
 
-(** Visited-set representation. [Exact] keys the set by full states
-    (the historical semantics; states are retained for the run's
-    lifetime). [Compact] keys it by 60-bit fingerprints and never
-    retains states — memory drops from hundreds of bytes to ~25 bytes
-    per state, at the cost of a bounded hash-collision probability. *)
-type store = Exact | Compact
-
 type stats = {
   states : int;
   transitions : int;
@@ -74,20 +66,14 @@ type stats = {
       (** transition trace to the first doomed state found *)
   goals : int;  (** reachable goal states *)
   truncated : bool;  (** hit [max_states] before closing the graph *)
-  collision_bound : float;
-      (** upper bound on the probability that any two distinct states
-          shared a fingerprint ([Compact] store only; 0 for [Exact]) *)
 }
 
 module Make (M : MODEL) : sig
-  (** [run ()] explores the model breadth-first from a single FIFO,
-      stopping at the first violation. [store] selects the visited-set
-      representation (default {!Exact}); both produce identical stats
-      on closed graphs (modulo {!stats.collision_bound} for
-      [Compact]). Past [max_states] no new state is counted, but the
-      queue still drains, so every counted state has its invariant
+  (** [run ()] explores the model breadth-first, stopping at the first
+      violation. Past [max_states] no new state is counted, but the
+      frontier still drains, so every counted state has its invariant
       checked. *)
-  val run : ?max_states:int -> ?store:store -> unit -> stats
+  val run : ?max_states:int -> unit -> stats
 end
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -17,10 +17,10 @@ let counter_model ?(bug_at = 3) ~bound ~bug () : (module Mc.Explore.MODEL) =
     let canonicalize s = s
   end)
 
-let run ?(max_states = 1_000_000) ?store m () =
+let run ?(max_states = 1_000_000) m () =
   let module M = (val m : Mc.Explore.MODEL) in
   let module R = Mc.Explore.Make (M) in
-  R.run ~max_states ?store ()
+  R.run ~max_states ()
 
 (* The explorer always interns through [canonicalize]; an identity one
    gives the unreduced graph. *)
@@ -182,9 +182,7 @@ let check_counts name (exp_states, exp_trans, exp_diam, exp_goals, exp_doomed) s
   Alcotest.(check int) (name ^ " goals") exp_goals s.Mc.Explore.goals;
   Alcotest.(check (option int)) (name ^ " doomed") (Some exp_doomed) s.Mc.Explore.doomed;
   Alcotest.(check bool) (name ^ " closed") false s.Mc.Explore.truncated;
-  Alcotest.(check bool) (name ^ " no violation") true (s.Mc.Explore.violation = None);
-  Alcotest.(check (float 0.)) (name ^ " exact has no collision risk") 0.
-    s.Mc.Explore.collision_bound
+  Alcotest.(check bool) (name ^ " no violation") true (s.Mc.Explore.violation = None)
 
 (* The 2-cache directory attains a network of 3, so every larger cap
    gives the same graph. *)
@@ -202,7 +200,7 @@ let test_exact_stats_pinned_small () =
    directory's state finite, so its 3-cache graph closes. *)
 let test_dir_3c_closes () =
   let s =
-    run ~max_states:2_000_000 ~store:Mc.Explore.Compact
+    run ~max_states:2_000_000
       (Mc.Dir_model.flat { Mc.Dir_model.caches = 3; max_writes = 2; net_cap = 3 })
       ()
   in
@@ -221,9 +219,8 @@ let test_exact_stats_pinned_big () =
     (run (Mc.Recovery_model.model Mc.Recovery_model.default_params) ())
 
 (* ------------------------------------------------------------------ *)
-(* Differential suite: on every small config, the compacted store must
-   report stats identical to the exact baseline — the model-checking
-   analogue of the golden suite. *)
+(* Two runs agree on every reported number: the symmetry tests compare
+   a reduced run with an unreduced one. *)
 
 let check_same_stats name (a : Mc.Explore.stats) (b : Mc.Explore.stats) =
   Alcotest.(check int) (name ^ " states") a.states b.states;
@@ -237,37 +234,10 @@ let check_same_stats name (a : Mc.Explore.stats) (b : Mc.Explore.stats) =
     (a.violation_state = b.violation_state);
   Alcotest.(check bool) (name ^ " doomed example") true (a.doomed_example = b.doomed_example)
 
-let differential name m =
-  check_same_stats (name ^ " compact==exact")
-    (run m ~store:Mc.Explore.Exact ())
-    (run m ~store:Mc.Explore.Compact ())
-
-let test_differential_small () =
-  differential "counter" (counter_model ~bound:10 ~bug:false ());
-  differential "counter-bug" (counter_model ~bound:10 ~bug:true ());
-  differential "tok-safety" (Mc.Token_model.safety micro);
-  differential "dir-2c" (Mc.Dir_model.flat dir2)
-
-let test_differential_big () =
-  differential "tok-dst" (Mc.Token_model.distributed micro);
-  differential "recovery" (Mc.Recovery_model.model Mc.Recovery_model.default_params)
-
-let test_differential_truncated () =
-  (* truncation must bite at the same state in both stores *)
-  let m = counter_model ~bound:1000 ~bug:false () in
-  check_same_stats "truncated compact" (run m ~max_states:100 ())
-    (run m ~max_states:100 ~store:Mc.Explore.Compact ())
-
-let test_collision_bound_reported () =
-  let s = run (Mc.Token_model.distributed micro) ~store:Mc.Explore.Compact () in
-  Alcotest.(check bool) "positive" true (s.Mc.Explore.collision_bound > 0.);
-  Alcotest.(check bool) "tiny at this scale" true (s.Mc.Explore.collision_bound < 1e-6)
-
 (* ------------------------------------------------------------------ *)
 (* Violation-path reconstruction: a deep violation must render every
    state along the path (regression for the O(states x path) full-table
-   scan this used to be), in exact mode via the id-indexed side array
-   and in compact mode via forward replay from the initial state. *)
+   scan this used to be), decoding each state's bytes by id. *)
 
 let test_deep_violation_path () =
   let m = counter_model ~bound:100 ~bug:true ~bug_at:50 () in
@@ -275,9 +245,29 @@ let test_deep_violation_path () =
   let expected = List.init 51 string_of_int in
   Alcotest.(check (list string)) "every state rendered" expected s.Mc.Explore.violation_path;
   Alcotest.(check bool) "violating state rendered" true
-    (s.Mc.Explore.violation_state = Some "50");
-  let c = run m ~store:Mc.Explore.Compact () in
-  Alcotest.(check (list string)) "compact replay path" expected c.Mc.Explore.violation_path
+    (s.Mc.Explore.violation_state = Some "50")
+
+(* The visited set compares marshalled bytes. Marshalling with sharing
+   encodes a pair of one list twice as a back-reference, and a pair of
+   two equal lists built apart as two copies; the explorer must see
+   one state. *)
+let test_equal_states_share_bytes () =
+  let m : (module Mc.Explore.MODEL) =
+    (module struct
+      type state = int list * int list
+
+      let name = "aliased"
+      let initial = [ ([ 1; 2; 3 ], List.map (fun x -> x) [ 1; 2; 3 ]) ]
+      let next (a, _) = [ ("alias", (a, a)) ]
+      let invariant _ = Ok ()
+      let goal _ = true
+      let pp fmt (a, b) = Format.fprintf fmt "%d,%d" (List.length a) (List.length b)
+      let canonicalize s = s
+    end)
+  in
+  let s = run m () in
+  Alcotest.(check int) "one state" 1 s.Mc.Explore.states;
+  Alcotest.(check int) "one transition" 1 s.Mc.Explore.transitions
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization properties. States are sampled through the models'
@@ -423,16 +413,10 @@ let tests =
       test_exact_stats_pinned_small;
     Alcotest.test_case "exact-mode stats pinned (big models)" `Slow test_exact_stats_pinned_big;
     Alcotest.test_case "flat directory 3c closes at cap 3" `Slow test_dir_3c_closes;
-    Alcotest.test_case "differential: compact == exact (small)" `Quick
-      test_differential_small;
-    Alcotest.test_case "differential: compact == exact (big)" `Slow
-      test_differential_big;
-    Alcotest.test_case "differential: truncation point identical" `Quick
-      test_differential_truncated;
-    Alcotest.test_case "compact store reports collision bound" `Slow
-      test_collision_bound_reported;
     Alcotest.test_case "deep violation path renders every state" `Quick
       test_deep_violation_path;
+    Alcotest.test_case "equal states intern once, however shared" `Quick
+      test_equal_states_share_bytes;
     Alcotest.test_case "canonicalization properties (token)" `Quick test_canon_properties_token;
     Alcotest.test_case "canonicalization properties (directory)" `Quick
       test_canon_properties_dir;

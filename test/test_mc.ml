@@ -269,6 +269,109 @@ let test_equal_states_share_bytes () =
   Alcotest.(check int) "one state" 1 s.Mc.Explore.states;
   Alcotest.(check int) "one transition" 1 s.Mc.Explore.transitions
 
+(* The visited table keys each state by the hash of its bytes, and a
+   key match counts as a hit only when the bytes are equal. Among the
+   100001 counter states some pairs share a key, and the table grows
+   past its first capacity, so no state may be lost or merged. *)
+let test_shared_hash_keys_stay_distinct () =
+  let bound = 100_000 in
+  let keys = Hashtbl.create 1024 in
+  for i = 0 to bound do
+    Hashtbl.replace keys (Hashtbl.hash (Marshal.to_string i [ Marshal.No_sharing ])) ()
+  done;
+  Alcotest.(check bool) "some states share a hash key" true (Hashtbl.length keys <= bound);
+  let s = run (counter_model ~bound ~bug:false ()) () in
+  Alcotest.(check int) "every state counted" (bound + 1) s.Mc.Explore.states;
+  Alcotest.(check int) "transitions" ((2 * bound) - 1) s.Mc.Explore.transitions;
+  Alcotest.(check int) "diameter" bound s.Mc.Explore.diameter;
+  Alcotest.(check (option int)) "closed, nothing doomed" (Some 0) s.Mc.Explore.doomed
+
+(* Ids are handed out in discovery order and the cursor expands them in
+   that order, so a binary tree is expanded level by level. A LIFO
+   frontier would expand 0, 2, 6, 14, ... first. *)
+let test_cursor_expands_in_discovery_order () =
+  let expanded = ref [] in
+  let m : (module Mc.Explore.MODEL) =
+    (module struct
+      type state = int
+
+      let name = "tree"
+      let initial = [ 0 ]
+      let next n = if n < 15 then [ ("l", (2 * n) + 1); ("r", (2 * n) + 2) ] else []
+
+      let invariant n =
+        expanded := n :: !expanded;
+        Ok ()
+
+      let goal _ = false
+      let pp = Format.pp_print_int
+      let canonicalize s = s
+    end)
+  in
+  let s = run m () in
+  Alcotest.(check (list int)) "breadth-first order" (List.init 31 Fun.id) (List.rev !expanded);
+  Alcotest.(check int) "states" 31 s.Mc.Explore.states;
+  Alcotest.(check int) "diameter" 4 s.Mc.Explore.diameter
+
+(* ------------------------------------------------------------------ *)
+(* The Section 5 report: [check] and [bench sec5] share its rows and
+   its failure rule. *)
+
+module E = Tokencmp.Experiments
+
+let row ?violation ?(doomed = Some 0) ?(truncated = false) () =
+  let stats =
+    {
+      Mc.Explore.states = 10;
+      transitions = 20;
+      diameter = 3;
+      violation;
+      violation_state = None;
+      violation_path = [];
+      doomed;
+      doomed_example = None;
+      goals = 1;
+      truncated;
+    }
+  in
+  { E.model = "m"; caches = 2; net_cap = 3; stats; model_loc = 1 }
+
+let test_mc_failed_rule () =
+  Alcotest.(check bool) "closed and live" false (E.mc_failed (row ()));
+  Alcotest.(check bool) "a doomed state" true (E.mc_failed (row ~doomed:(Some 2) ()));
+  Alcotest.(check bool) "a violation" true
+    (E.mc_failed (row ~violation:("stale data", [ "req" ]) ~doomed:None ()));
+  Alcotest.(check bool) "truncation alone" false
+    (E.mc_failed (row ~doomed:None ~truncated:true ()))
+
+(* At a 2000-state budget only the 2-cache safety and directory graphs
+   close. Each traversal of the rows explores them again, to the same
+   numbers. *)
+let test_model_checking_rows () =
+  let rows = E.model_checking ~max_states:2000 () in
+  let first = List.of_seq rows and again = List.of_seq rows in
+  Alcotest.(check (list (triple string int int)))
+    "report order"
+    [
+      ("TokenCMP-safety", 2, 4);
+      ("TokenCMP-dst", 2, 4);
+      ("TokenCMP-arb", 2, 4);
+      ("TokenCMP-recovery", 2, 3);
+      ("TokenCMP-dst", 2, 3);
+      ("TokenCMP-dst", 3, 3);
+      ("Flat Directory", 2, 3);
+      ("Flat Directory", 3, 3);
+    ]
+    (List.map (fun (r : E.mc_row) -> (r.model, r.caches, r.net_cap)) first);
+  Alcotest.(check (list bool))
+    "truncated"
+    [ false; true; true; true; true; true; false; true ]
+    (List.map (fun (r : E.mc_row) -> r.stats.Mc.Explore.truncated) first);
+  Alcotest.(check bool) "no row fails" false (List.exists E.mc_failed first);
+  List.iter2
+    (fun (a : E.mc_row) (b : E.mc_row) -> check_same_stats a.model a.stats b.stats)
+    first again
+
 (* ------------------------------------------------------------------ *)
 (* Canonicalization properties. States are sampled through the models'
    own [next] so every tested state is reachable. *)
@@ -417,6 +520,12 @@ let tests =
       test_deep_violation_path;
     Alcotest.test_case "equal states intern once, however shared" `Quick
       test_equal_states_share_bytes;
+    Alcotest.test_case "states sharing a hash key stay distinct" `Quick
+      test_shared_hash_keys_stay_distinct;
+    Alcotest.test_case "cursor expands states in discovery order" `Quick
+      test_cursor_expands_in_discovery_order;
+    Alcotest.test_case "mc_failed: a violation or a doomed state" `Quick test_mc_failed_rule;
+    Alcotest.test_case "model_checking rows in report order" `Quick test_model_checking_rows;
     Alcotest.test_case "canonicalization properties (token)" `Quick test_canon_properties_token;
     Alcotest.test_case "canonicalization properties (directory)" `Quick
       test_canon_properties_dir;

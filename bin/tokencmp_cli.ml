@@ -498,13 +498,8 @@ let profile_cmd =
   let out_arg =
     Arg.(
       value & opt string "tokencmp.profile.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"JSON report output path.")
-  in
-  let md_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "markdown" ] ~docv:"FILE"
-          ~doc:"Also write the rendered markdown report to FILE.")
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"JSON report output path (same tables and keys as BENCH_profile.json data).")
   in
   let trace_arg =
     Arg.(
@@ -529,7 +524,7 @@ let profile_cmd =
       value & opt int 8
       & info [ "top" ] ~docv:"K" ~doc:"Depth of the hot/contended block tables.")
   in
-  let run protocol workload seed tiny out md trace capacity period top_k =
+  let run protocol workload seed tiny out trace capacity period top_k =
     let config = config_of_tiny tiny in
     if period <= 0 then begin
       prerr_endline "profile: --sample-period must be positive";
@@ -544,50 +539,36 @@ let profile_cmd =
         Tokencmp.Profiler.profile ~config ~capacity ~period:(Sim.Time.ns period)
           ~top_k ~protocol ~programs ~seed ()
       in
-      print_string (Tokencmp.Profiler.to_markdown report);
-      (match Obs.Perfetto.validate report.Tokencmp.Profiler.perfetto with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "profile: trace validation failed: %s\n" e;
-        exit 1);
-      Tcjson.write_file out (Tokencmp.Profiler.to_json report);
+      let tables = Tokencmp.Profiler.tables [ report ] in
+      List.iter (fun (_, t) -> print_string (Tokencmp.Table.to_markdown t)) tables;
+      Tcjson.write_file out (Tokencmp.Table.keyed_to_json tables);
       Printf.printf "wrote %s\n" out;
-      (match md with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        output_string oc (Tokencmp.Profiler.to_markdown report);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
       (match trace with
       | None -> ()
       | Some file ->
         Tcjson.write_file file report.Tokencmp.Profiler.perfetto;
         Printf.printf "wrote %s (open in https://ui.perfetto.dev)\n" file);
-      (* A ring that dropped events cannot reconcile; one that did not
-         must. *)
       let rc = report.Tokencmp.Profiler.reconciliation in
-      if rc.Tokencmp.Profiler.buffer_dropped = 0 && not rc.Tokencmp.Profiler.spans_exact
-      then begin
+      if rc.Tokencmp.Profiler.buffer_dropped > 0 then
         Printf.eprintf
-          "profile: span accounting does not reconcile (%d spans for %d misses, span mass \
-           %.3f ns vs Welford %.3f ns)\n"
-          rc.Tokencmp.Profiler.spans rc.Tokencmp.Profiler.misses
-          rc.Tokencmp.Profiler.span_mass_ns rc.Tokencmp.Profiler.welford_mass_ns;
-        exit 1
-      end;
-      if not report.Tokencmp.Profiler.completed then exit 1
+          "profile: the trace ring dropped %d events and %d retires have no span; the span \
+           tables are approximate\n"
+          rc.Tokencmp.Profiler.buffer_dropped rc.Tokencmp.Profiler.dropped_spans;
+      let failures = Tokencmp.Profiler.failures report in
+      List.iter (Printf.eprintf "profile: FAILED: %s\n") failures;
+      if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run one fully instrumented simulation and print the coherence profile: miss \
-          classification with per-class latency, hop-level critical-path attribution \
-          (overall and p99 tail), hot/contended blocks, time-series counter tracks and \
-          an exact reconciliation block.")
+         "Run one fully instrumented simulation and print the coherence profile: the run, \
+          miss classification with per-class latency, hop-level critical-path attribution \
+          (overall and p99 tail), hot/contended blocks and an exact reconciliation, as the \
+          tables the profile bench section commits. Exits 1 when the run did not complete \
+          or the profile does not reconcile, after writing its files.")
     Term.(
-      const run $ protocol_arg $ workload_arg $ seed_arg $ tiny_arg $ out_arg $ md_arg
-      $ trace_arg $ capacity_arg $ period_arg $ topk_arg)
+      const run $ protocol_arg $ workload_arg $ seed_arg $ tiny_arg $ out_arg $ trace_arg
+      $ capacity_arg $ period_arg $ topk_arg)
 
 (* ---- check ---- *)
 

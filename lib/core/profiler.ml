@@ -45,11 +45,8 @@ type t = {
   contended_blocks : block_row list;
   attribution : Obs.Span.attribution;
   tail : (float * Obs.Span.attribution) option;
-  span_summary : Obs.Span.summary;
   nsamples : int;
-  sample_series : Tcjson.t;
   reconciliation : reconciliation;
-  metrics : Tcjson.t;
   perfetto : Tcjson.t;
 }
 
@@ -178,11 +175,7 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
   let reconciliation =
     { reconciliation with spans_exact = spans_reconcile reconciliation }
   in
-  let samples, sample_series =
-    match !sampler with
-    | Some s -> (Obs.Sampler.samples s, Obs.Sampler.to_json s)
-    | None -> ([], Tcjson.List [])
-  in
+  let samples = match !sampler with Some s -> Obs.Sampler.samples s | None -> [] in
   let perfetto =
     Obs.Perfetto.export ~process_name:protocol.Protocols.name ~samples buffer
   in
@@ -199,17 +192,27 @@ let profile ?(config = Mcmp.Config.tiny) ?(capacity = 1_000_000)
     contended_blocks;
     attribution;
     tail;
-    span_summary;
     nsamples = List.length samples;
-    sample_series;
     reconciliation;
-    metrics = Obs.Registry.snapshot registry;
     perfetto;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering: the four tables are built once and feed both renderers,
-   and the long tables that stack several reports. *)
+(* The report: each table's rows for one report, stacked over several
+   reports behind a [protocol] column. *)
+
+let runs_rows t =
+  [
+    [
+      ("seed", Tcjson.Int t.seed);
+      ("runtime_ns", Tcjson.Float t.runtime_ns);
+      ("completed", Tcjson.Bool t.completed);
+      ("ops", Tcjson.Int t.ops);
+      ("events", Tcjson.Int t.events);
+      ("l1_misses", Tcjson.Int t.l1_misses);
+      ("samples", Tcjson.Int t.nsamples);
+    ];
+  ]
 
 let class_rows t =
   List.map
@@ -256,18 +259,37 @@ let block_rows rows =
       ])
     rows
 
+let reconciliation_rows t =
+  let r = t.reconciliation in
+  [
+    [
+      ("misses", Tcjson.Int r.misses);
+      ("class_count_total", Tcjson.Int r.class_count_total);
+      ("class_mass_ns", Tcjson.Float r.class_mass_ns);
+      ("histogram_mass_ns", Tcjson.Float r.histogram_mass_ns);
+      ("welford_mass_ns", Tcjson.Float r.welford_mass_ns);
+      ("span_mass_ns", Tcjson.Float r.span_mass_ns);
+      ("spans", Tcjson.Int r.spans);
+      ("incomplete", Tcjson.Int r.incomplete);
+      ("dropped_spans", Tcjson.Int r.dropped_spans);
+      ("buffer_dropped", Tcjson.Int r.buffer_dropped);
+      ("classes_exact", Tcjson.Bool r.classes_exact);
+      ("spans_exact", Tcjson.Bool r.spans_exact);
+    ];
+  ]
+
 (* (key, title, rows of one report), in print order. *)
 let table_specs =
   [
+    ("runs", "Runs", runs_rows);
     ("classes", "Miss classification", class_rows);
     ("attribution", "Critical-path attribution", attribution_rows);
     ("hot_blocks", "Hot blocks (by miss count)", fun t -> block_rows t.hot_blocks);
     ( "contended_blocks",
       "Contended blocks (by total latency)",
       fun t -> block_rows t.contended_blocks );
+    ("reconciliation", "Reconciliation", reconciliation_rows);
   ]
-
-let own_tables t = List.map (fun (key, title, rows) -> (key, Table.make title (rows t))) table_specs
 
 let tables reports =
   List.map
@@ -279,79 +301,29 @@ let tables reports =
              reports) ))
     table_specs
 
-let to_json t =
-  let tables = own_tables t in
-  let table key = Table.to_json (List.assoc key tables) in
-  Tcjson.Obj
-    [
-      ("protocol", Tcjson.String t.protocol);
-      ("seed", Tcjson.Int t.seed);
-      ("runtime_ns", Tcjson.Float t.runtime_ns);
-      ("completed", Tcjson.Bool t.completed);
-      ("ops", Tcjson.Int t.ops);
-      ("events", Tcjson.Int t.events);
-      ("l1_misses", Tcjson.Int t.l1_misses);
-      ("classes", table "classes");
-      ("hot_blocks", table "hot_blocks");
-      ("contended_blocks", table "contended_blocks");
-      ("attribution", table "attribution");
-      ( "spans",
-        Tcjson.Obj
-          [
-            ("completed", Tcjson.Int t.span_summary.Obs.Span.spans);
-            ("incomplete", Tcjson.Int t.span_summary.Obs.Span.incomplete);
-            ("dropped", Tcjson.Int t.span_summary.Obs.Span.dropped_spans);
-            ("request_total_ns", Tcjson.Float t.span_summary.Obs.Span.request_total_ns);
-            ("fill_total_ns", Tcjson.Float t.span_summary.Obs.Span.fill_total_ns);
-            ("total_ns", Tcjson.Float t.span_summary.Obs.Span.total_ns);
-          ] );
-      ("samples", Tcjson.Int t.nsamples);
-      ("sample_series", t.sample_series);
-      ( "reconciliation",
-        let r = t.reconciliation in
-        Tcjson.Obj
-          [
-            ("misses", Tcjson.Int r.misses);
-            ("class_count_total", Tcjson.Int r.class_count_total);
-            ("class_mass_ns", Tcjson.Float r.class_mass_ns);
-            ("histogram_mass_ns", Tcjson.Float r.histogram_mass_ns);
-            ("welford_mass_ns", Tcjson.Float r.welford_mass_ns);
-            ("span_mass_ns", Tcjson.Float r.span_mass_ns);
-            ("spans", Tcjson.Int r.spans);
-            ("incomplete", Tcjson.Int r.incomplete);
-            ("dropped_spans", Tcjson.Int r.dropped_spans);
-            ("buffer_dropped", Tcjson.Int r.buffer_dropped);
-            ("classes_exact", Tcjson.Bool r.classes_exact);
-            ("spans_exact", Tcjson.Bool r.spans_exact);
-          ] );
-      ("metrics", t.metrics);
-    ]
-
-let to_markdown t =
-  let b = Buffer.create 4096 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "# Coherence profile: %s (seed %d)\n\n" t.protocol t.seed;
-  p "- runtime: %.1f ns (%s)\n" t.runtime_ns
-    (if t.completed then "completed" else "DID NOT COMPLETE");
-  p "- ops: %d, engine events: %d, L1 misses: %d\n" t.ops t.events t.l1_misses;
-  p "- time-series samples: %d\n\n" t.nsamples;
-  List.iter (fun (_, table) -> Buffer.add_string b (Table.to_markdown table)) (own_tables t);
-  p "(a clamped p99 means the histogram tail overflowed: the value is a lower bound)\n\n";
+let failures t =
   let r = t.reconciliation in
-  p "## Reconciliation\n\n";
-  p "- misses (Welford): %d; class counts sum: %d; spans: %d completed,\n" r.misses
-    r.class_count_total r.spans;
-  p "  %d incomplete, %d dropped (ring wrap)\n" r.incomplete r.dropped_spans;
-  p "- class histogram mass: %.0f ns vs overall histogram %.0f ns\n" r.class_mass_ns
-    r.histogram_mass_ns;
-  p "- span mass: %.1f ns vs Welford %.1f ns\n" r.span_mass_ns r.welford_mass_ns;
-  p "- class decomposition exact: %b; span accounting exact: %b\n" r.classes_exact
-    r.spans_exact;
-  if r.buffer_dropped > 0 then
-    p "- WARNING: trace ring dropped %d events; span-level numbers are approximate\n"
-      r.buffer_dropped;
-  if r.dropped_spans > 0 then
-    p "- WARNING: %d retires had no matching issue; their latency is in the\n\
-      \  Welford but in no span\n"
-      r.dropped_spans;
-  Buffer.contents b
+  let att = t.attribution.Obs.Span.att_total_ns in
+  let check ok fmt =
+    Printf.ksprintf (fun s -> if ok then None else Some (t.protocol ^ ": " ^ s)) fmt
+  in
+  List.filter_map Fun.id
+    [
+      check t.completed "run did not complete";
+      check r.classes_exact "class decomposition does not reconcile (%d classified vs %d misses)"
+        r.class_count_total r.misses;
+      (* A ring that dropped events cannot reconcile its spans; one
+         that dropped nothing must. *)
+      check
+        (r.buffer_dropped > 0 || r.spans_exact)
+        "span accounting not exact (%d spans + %d dropped vs %d misses; span mass %.3f ns vs \
+         Welford %.3f ns)"
+        r.spans r.dropped_spans r.misses r.span_mass_ns r.welford_mass_ns;
+      check
+        (Float.abs (att -. r.span_mass_ns) <= 1e-6 *. Float.max 1. r.span_mass_ns)
+        "attribution total %.3f ns vs span total %.3f ns" att r.span_mass_ns;
+      check (t.nsamples > 0) "sampler recorded no counter-track samples";
+      (match Obs.Perfetto.validate t.perfetto with
+      | Ok () -> None
+      | Error e -> check false "perfetto validation: %s" e);
+    ]

@@ -7,7 +7,11 @@
     the miss total and class histogram mass equals the overall
     histogram mass {e exactly}. Span-level numbers come from the trace
     buffer and reconcile exactly when the ring did not wrap; the
-    [reconciliation] block says which guarantee held. *)
+    [reconciliation] table says which guarantee held.
+
+    {!tables} is the one report: [tokencmp profile] prints it and
+    writes it to [-o], and the [profile] bench section commits it.
+    {!failures} is the one rule both fail on. *)
 
 type class_row = {
   cause : Obs.Event.cause;
@@ -57,11 +61,8 @@ type t = {
   attribution : Obs.Span.attribution;  (** over all completed spans *)
   tail : (float * Obs.Span.attribution) option;
       (** p99 threshold (ns) and the attribution of spans at or above it *)
-  span_summary : Obs.Span.summary;
   nsamples : int;  (** time-series samples recorded *)
-  sample_series : Tcjson.t;  (** {!Obs.Sampler.to_json} *)
   reconciliation : reconciliation;
-  metrics : Tcjson.t;  (** registry snapshot at end of run *)
   perfetto : Tcjson.t;  (** trace with span slices and counter tracks *)
 }
 
@@ -87,15 +88,18 @@ val profile :
     equals the Welford mass within 1e-6 relative. *)
 val spans_reconcile : reconciliation -> bool
 
-(** Deterministic JSON of everything except [perfetto] (written
-    separately — it dwarfs the report). The class, attribution and
-    block tables are the rows {!to_markdown} prints. *)
-val to_json : t -> Tcjson.t
-
-(** The class, attribution, hot-block and contended-block tables of
-    several reports, each stacked into one long table with a leading
-    [protocol] column, under the keys [classes], [attribution],
-    [hot_blocks] and [contended_blocks]. *)
+(** The report of several runs, each table stacked into one long table
+    with a leading [protocol] column, in print order under the keys
+    [runs] (seed, runtime, completion, ops, engine events, L1 misses,
+    samples), [classes], [attribution], [hot_blocks],
+    [contended_blocks] and [reconciliation] (every {!reconciliation}
+    field). *)
 val tables : t list -> (string * Table.t) list
 
-val to_markdown : t -> string
+(** Every guarantee the report breaks, one message each, led by the
+    protocol name: the run did not complete; the class decomposition
+    is not exact; a ring that dropped nothing does not reconcile its
+    spans; the attribution total differs from the span mass by more
+    than 1e-6 relative; the sampler recorded nothing; the Perfetto
+    export does not validate. Empty when the report holds. *)
+val failures : t -> string list

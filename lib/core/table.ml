@@ -52,3 +52,5 @@ let to_markdown t =
   Buffer.contents b
 
 let to_json t = Tcjson.List (List.map (fun row -> Tcjson.Obj row) t.rows)
+
+let keyed_to_json tables = Tcjson.Obj (List.map (fun (key, t) -> (key, to_json t)) tables)

@@ -22,3 +22,8 @@ val to_markdown : t -> string
 (** The rows as a JSON list of objects, one per row, keys in column
     order. *)
 val to_json : t -> Tcjson.t
+
+(** Tables under their keys as one JSON object, keys in list order:
+    the [data] of a [BENCH_<section>.json] file, and what
+    [tokencmp profile -o] writes. *)
+val keyed_to_json : (string * t) list -> Tcjson.t

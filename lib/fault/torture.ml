@@ -46,7 +46,7 @@ type outcome = {
   reports : Report.t list;
   stats : Plan.stats;
   trace : Tcjson.t;
-  metrics : Tcjson.t;
+  gauges : (string * float) list;
   dump : string;
   ops : int;
   runtime : Sim.Time.t;
@@ -298,7 +298,7 @@ let run p target ~spec ~seed =
            ~marks:(List.map (fun r -> (r.Report.at, Report.to_string r)) reports)
            buf
        else Tcjson.Null);
-    metrics = Obs.Registry.snapshot registry;
+    gauges = Obs.Registry.gauges registry;
     dump = (if keep_evidence then Format.asprintf "%a" m.m_dump () else "");
     ops = Mcmp.Counters.ops m.m_counters;
     runtime = E.now m.m_engine;

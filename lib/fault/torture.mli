@@ -103,7 +103,7 @@ type outcome = {
   trace : Tcjson.t;
       (** Perfetto trace of the event ring with reports as instant
           marks; captured only on evidence, [Tcjson.Null] otherwise *)
-  metrics : Tcjson.t;  (** metrics-registry snapshot at end of run *)
+  gauges : (string * float) list;  (** {!Obs.Registry.gauges} at end of run *)
   dump : string;  (** protocol-state dump; captured only on evidence *)
   ops : int;
   runtime : Sim.Time.t;

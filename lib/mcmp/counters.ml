@@ -111,16 +111,12 @@ let register registry t =
       Sim.Stat.Welford.mean t.miss_latency);
   R.register_float registry "counters.miss_latency_ns.stddev" (fun () ->
       Sim.Stat.Welford.stddev t.miss_latency);
-  R.register_histogram registry "counters.miss_latency_ns" t.miss_histogram;
   List.iter
     (fun cause ->
       let name = Obs.Event.cause_to_string cause in
       let i = Obs.Event.cause_index cause in
       R.register_int registry ("counters.miss_class." ^ name) (fun () ->
-          t.cause_counts.(i));
-      R.register_histogram registry
-        ("counters.miss_class_ns." ^ name)
-        t.cause_latency.(i))
+          t.cause_counts.(i)))
     Obs.Event.all_causes
 
 let pp fmt t =

@@ -43,8 +43,9 @@ val cause_histogram : t -> Obs.Event.cause -> Sim.Stat.Histogram.t
     [miss_histogram] bucket-wise. Used to aggregate per-seed results. *)
 val merge : into:t -> t -> unit
 
-(** Register every counter, the persistent fraction and the miss-latency
-    statistics into a metrics registry under [counters.]. *)
+(** Register every counter, the persistent fraction, the miss-latency
+    mean and standard deviation and the per-class miss counts into a
+    metrics registry as gauges under [counters.]. *)
 val register : Obs.Registry.t -> t -> unit
 
 (** Fraction of L1 misses that escalated to a persistent request. *)

@@ -33,7 +33,7 @@ type result = {
 
 (** @param registry when given, attached to the engine and populated
     with the run's counters, traffic and fabric samplers before the
-    protocol is built (snapshot it after [run] returns).
+    protocol is built (read its gauges after [run] returns).
     @param buffer when given, installed as the engine's trace sink:
     the run records structured {!Obs.Event}s (tracing changes no
     simulation outcome, only observation).

@@ -1,74 +1,20 @@
-type metric =
-  | Int_gauge of (unit -> int)
-  | Float_gauge of (unit -> float)
-  | Histogram of Sim.Stat.Histogram.t
-
-type t = { mutable metrics : (string * metric) list }
+type t = { mutable gauges : (string * (unit -> float)) list }
 
 type Sim.Engine.ext += Registry of t
 
-let create () = { metrics = [] }
+let create () = { gauges = [] }
 
-let register t name m =
-  if List.mem_assoc name t.metrics then
+let register_float t name f =
+  if List.mem_assoc name t.gauges then
     invalid_arg (Printf.sprintf "Obs.Registry: duplicate metric %S" name);
-  t.metrics <- (name, m) :: t.metrics
+  t.gauges <- (name, f) :: t.gauges
 
-let register_int t name f = register t name (Int_gauge f)
-let register_float t name f = register t name (Float_gauge f)
-let register_histogram t name h = register t name (Histogram h)
+let register_int t name f = register_float t name (fun () -> float_of_int (f ()))
 
 let attach t engine = Sim.Engine.add_ext engine (Registry t)
 
 let of_engine engine =
   Sim.Engine.find_ext engine (function Registry r -> Some r | _ -> None)
 
-let sorted t = List.sort (fun (a, _) (b, _) -> compare a b) t.metrics
-
-let names t = List.map fst (sorted t)
-
-(* Scalar gauges only, name-sorted: the sampler's view. Histograms are
-   cumulative distributions — they have no meaningful instantaneous
-   value, so time series skip them. *)
 let gauges t =
-  List.filter_map
-    (fun (name, m) ->
-      match m with
-      | Int_gauge f -> Some (name, float_of_int (f ()))
-      | Float_gauge f -> Some (name, f ())
-      | Histogram _ -> None)
-    (sorted t)
-
-let histogram_json h =
-  let module H = Sim.Stat.Histogram in
-  (* Percentiles on a clamped tail report the last bucket's bound;
-     [clamped_percentiles] names the ones that lie, and [max] is the
-     true extreme. *)
-  let clamped =
-    List.filter_map
-      (fun (name, p) -> if H.percentile_clamped h p then Some (Tcjson.String name) else None)
-      [ ("p50", 50.); ("p90", 90.); ("p99", 99.) ]
-  in
-  Tcjson.Obj
-    [ ("count", Tcjson.Int (H.count h));
-      ("total", Tcjson.Int (H.total h));
-      ("mean", Tcjson.Float (H.mean h));
-      ("p50", Tcjson.Int (H.percentile h 50.));
-      ("p90", Tcjson.Int (H.percentile h 90.));
-      ("p99", Tcjson.Int (H.percentile h 99.));
-      ("overflow", Tcjson.Int (H.overflow h));
-      ("max", Tcjson.Int (H.max_value h));
-      ("clamped_percentiles", Tcjson.List clamped) ]
-
-let snapshot t =
-  Tcjson.Obj
-    (List.map
-       (fun (name, m) ->
-         let v =
-           match m with
-           | Int_gauge f -> Tcjson.Int (f ())
-           | Float_gauge f -> Tcjson.Float (f ())
-           | Histogram h -> histogram_json h
-         in
-         (name, v))
-       (sorted t))
+  List.map (fun (name, f) -> (name, f ())) (List.sort (fun (a, _) (b, _) -> compare a b) t.gauges)

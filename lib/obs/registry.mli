@@ -1,7 +1,8 @@
-(** Named metrics registry (pull model). Components register getters
-    once at construction; a snapshot reads every metric at that instant
-    and renders a deterministic, name-sorted JSON object — the
-    [metrics] payload of BENCH schema v2 and of torture evidence. *)
+(** Named gauge registry (pull model). Components register getters
+    once at construction; {!gauges} reads every gauge at that instant.
+    The periodic {!Sampler} turns those readings into the counter
+    tracks of a Perfetto export, and a torture outcome keeps the
+    readings at the end of its run. *)
 
 type t
 
@@ -16,22 +17,11 @@ val create : unit -> t
 
 val register_int : t -> string -> (unit -> int) -> unit
 val register_float : t -> string -> (unit -> float) -> unit
-val register_histogram : t -> string -> Sim.Stat.Histogram.t -> unit
 
 (** [attach t engine] makes the registry discoverable from the engine. *)
 val attach : t -> Sim.Engine.t -> unit
 
 val of_engine : Sim.Engine.t -> t option
 
-(** Registered names, sorted. *)
-val names : t -> string list
-
-(** Instantaneous values of the scalar (int/float) gauges, name-sorted;
-    histograms are skipped. This is what the periodic {!Sampler} reads. *)
+(** Instantaneous value of every gauge, name-sorted. *)
 val gauges : t -> (string * float) list
-
-(** Histograms render as [{count; total; mean; p50; p90; p99; overflow;
-    max; clamped_percentiles}] — [clamped_percentiles] lists which of
-    p50/p90/p99 landed in an overflowed last bucket and therefore
-    understate the true value ([max] is exact). *)
-val snapshot : t -> Tcjson.t

@@ -1,6 +1,6 @@
 (* Periodic time-series sampler: a self-rearming engine timer that
-   snapshots the registry's scalar gauges every [period]. Only armed
-   when explicitly created, so default runs never see its events; the
+   reads the registry's gauges every [period]. Only armed when
+   explicitly created, so default runs never see its events; the
    runner stops the engine when all processors finish, which also
    retires the pending timer — a sampler cannot keep a run alive. *)
 
@@ -11,12 +11,10 @@ type t = {
   registry : Registry.t;
   period : Sim.Time.t;
   mutable samples : sample list;  (* newest first *)
-  mutable nsamples : int;
 }
 
 let take t =
-  t.samples <- { at = Sim.Engine.now t.engine; values = Registry.gauges t.registry } :: t.samples;
-  t.nsamples <- t.nsamples + 1
+  t.samples <- { at = Sim.Engine.now t.engine; values = Registry.gauges t.registry } :: t.samples
 
 let rec arm t =
   ignore
@@ -26,19 +24,9 @@ let rec arm t =
 
 let create engine registry ~period =
   if Sim.Time.to_ns period <= 0. then invalid_arg "Obs.Sampler.create: period must be positive";
-  let t = { engine; registry; period; samples = []; nsamples = 0 } in
+  let t = { engine; registry; period; samples = [] } in
   take t;
   arm t;
   t
 
 let samples t = List.rev t.samples
-let count t = t.nsamples
-
-let to_json t =
-  Tcjson.List
-    (List.map
-       (fun s ->
-         Tcjson.Obj
-           (("at_ns", Tcjson.Float (Sim.Time.to_ns s.at))
-           :: List.map (fun (name, v) -> (name, Tcjson.Float v)) s.values))
-       (samples t))

@@ -1,10 +1,10 @@
-(** Periodic time-series sampler: snapshots the registry's scalar
-    gauges on a fixed cadence of simulated time, producing counter
-    tracks for the Perfetto exporter ("C" events) and the profiler's
-    timeline. Never created on default runs — attaching one adds timer
-    events to the engine, so it is opt-in (trace/profile modes only).
-    The runner's stop-when-done semantics retire the pending timer, so
-    a sampler cannot keep a simulation alive. *)
+(** Periodic time-series sampler: reads the registry's gauges on a
+    fixed cadence of simulated time, producing the counter tracks of
+    the Perfetto export ("C" events). Never created on default runs —
+    attaching one adds timer events to the engine, so it is opt-in
+    (trace/profile modes only). The runner's stop-when-done semantics
+    retire the pending timer, so a sampler cannot keep a simulation
+    alive. *)
 
 type t
 
@@ -18,8 +18,3 @@ val create : Sim.Engine.t -> Registry.t -> period:Sim.Time.t -> t
 
 (** Samples in time order. *)
 val samples : t -> sample list
-
-val count : t -> int
-
-(** Deterministic JSON: a list of [{at_ns; <gauge>: value; ...}]. *)
-val to_json : t -> Tcjson.t

@@ -187,29 +187,3 @@ let attribution spans =
         completed_spans
     in
     (overall, Some (thr, attribution_of tail))
-
-type phase_histograms = {
-  request : Sim.Stat.Histogram.t;
-  fill : Sim.Stat.Histogram.t;
-  total : Sim.Stat.Histogram.t;
-}
-
-let phase_histograms ?(bucket = 10) ?(buckets = 200) spans =
-  let module H = Sim.Stat.Histogram in
-  let h = { request = H.create ~bucket ~buckets; fill = H.create ~bucket ~buckets;
-            total = H.create ~bucket ~buckets }
-  in
-  List.iter
-    (fun sp ->
-      if completed sp then begin
-        Option.iter (fun v -> H.add h.request (int_of_float v)) (request_ns sp);
-        Option.iter (fun v -> H.add h.fill (int_of_float v)) (fill_ns sp);
-        Option.iter (fun v -> H.add h.total (int_of_float v)) (total_ns sp)
-      end)
-    spans;
-  h
-
-let register_phase_histograms registry h =
-  Registry.register_histogram registry "spans.request_ns" h.request;
-  Registry.register_histogram registry "spans.fill_ns" h.fill;
-  Registry.register_histogram registry "spans.total_ns" h.total

@@ -80,17 +80,3 @@ type attribution = {
     overall breakdown plus, when any span completed, the p99 tail
     (threshold in ns, breakdown of the slowest 1%, at least one span). *)
 val attribution : t list -> attribution * (float * attribution) option
-
-type phase_histograms = {
-  request : Sim.Stat.Histogram.t;
-  fill : Sim.Stat.Histogram.t;
-  total : Sim.Stat.Histogram.t;
-}
-
-(** Per-phase latency histograms over completed spans
-    (default geometry matches [Mcmp.Counters.miss_histogram]:
-    10 ns buckets, 200 of them). *)
-val phase_histograms : ?bucket:int -> ?buckets:int -> t list -> phase_histograms
-
-(** Registers [spans.request_ns], [spans.fill_ns] and [spans.total_ns]. *)
-val register_phase_histograms : Registry.t -> phase_histograms -> unit

@@ -243,8 +243,8 @@ let test_token_drop_detected () =
         (o.Fault.Torture.trace <> Tcjson.Null);
       Alcotest.(check bool) "trace validates" true
         (Obs.Perfetto.validate o.Fault.Torture.trace = Ok ());
-      Alcotest.(check bool) "metrics snapshot present" true
-        (Tcjson.member "counters.l1_misses" o.Fault.Torture.metrics <> None)
+      Alcotest.(check bool) "gauges read at end of run" true
+        (List.mem_assoc "counters.l1_misses" o.Fault.Torture.gauges)
     end
   done;
   Alcotest.(check bool) "at least one unrecoverable drop injected" true (!hits > 0)
@@ -555,15 +555,15 @@ let test_torture_runs_the_runner_machine () =
     ]
 
 (* Both protocols register their outstanding-miss gauge from their one
-   constructor, so torture metrics carry it for either. *)
+   constructor, so torture gauges carry it for either. *)
 let test_outstanding_misses_gauge () =
   List.iter
     (fun (target, gauge) ->
       let o = Fault.Torture.run plain target ~spec:Fault.Spec.none ~seed:1 in
       Alcotest.(check bool)
-        (Fault.Torture.target_name target ^ " metrics carry " ^ gauge)
+        (Fault.Torture.target_name target ^ " gauges carry " ^ gauge)
         true
-        (Tcjson.member gauge o.Fault.Torture.metrics <> None))
+        (List.mem_assoc gauge o.Fault.Torture.gauges))
     [
       (Fault.Torture.Token Token.Policy.dst1, "token.outstanding_misses");
       (Fault.Torture.Directory { dram_directory = true }, "directory.outstanding_misses");
@@ -578,7 +578,7 @@ let test_recovery_stack_pinned () =
   let run ?chaos target spec =
     Fault.Torture.run { recovering with Fault.Torture.p_chaos = chaos } target ~spec ~seed:1
   in
-  let pinned name o ~verdict ~ops ~events ~runtime ~retransmits metrics =
+  let pinned name o ~verdict ~ops ~events ~runtime ~retransmits gauges =
     let check what = Alcotest.(check int) (name ^ ": " ^ what) in
     Alcotest.(check string) (name ^ ": verdict") verdict
       (Format.asprintf "%a" Fault.Torture.pp_verdict (Fault.Torture.verdict o));
@@ -589,13 +589,12 @@ let test_recovery_stack_pinned () =
     List.iter
       (fun (k, v) ->
         let got =
-          match Tcjson.member k o.Fault.Torture.metrics with
-          | Some (Tcjson.Int i) -> float_of_int i
-          | Some (Tcjson.Float f) -> f
-          | _ -> Alcotest.failf "%s: no metric %s" name k
+          match List.assoc_opt k o.Fault.Torture.gauges with
+          | Some f -> f
+          | None -> Alcotest.failf "%s: no gauge %s" name k
         in
         Alcotest.(check (float 1e-9)) (name ^ ": " ^ k) v got)
-      metrics
+      gauges
   in
   let spec = Fault.Spec.with_drops ~tokens:true ~prob:0.02 Fault.Spec.default in
   pinned "drops and crashes"

@@ -1,7 +1,8 @@
 (* Coherence profiler end to end: the report's per-class counts sum to
    the miss total, hop attribution sums to the span totals, the
-   Perfetto export (spans + counter tracks) validates, and rendering is
-   deterministic. *)
+   Perfetto export (spans + counter tracks) validates, the report is
+   the six tables in print order and is deterministic, and
+   [Profiler.failures] names each broken guarantee once. *)
 
 module J = Tcjson
 module Pr = Tokencmp.Profiler
@@ -14,6 +15,9 @@ let run_profile proto =
     ~programs:(Workload.Locking.programs wl ~seed:3 ~nprocs)
     ~seed:3 ()
 
+(* The report as [tokencmp profile -o] writes it. *)
+let report_json r = Tokencmp.Table.keyed_to_json (Pr.tables [ r ])
+
 let check_report name (r : Pr.t) =
   Alcotest.(check bool) (name ^ ": completed") true r.Pr.completed;
   let rc = r.Pr.reconciliation in
@@ -23,22 +27,20 @@ let check_report name (r : Pr.t) =
      spans carry more latency than the misses retired does not
      reconcile. *)
   Alcotest.(check bool) (name ^ ": span mass reconciles") true (Pr.spans_reconcile rc);
-  Alcotest.(check bool) (name ^ ": span mass disagreement detected") false
-    (Pr.spans_reconcile { rc with Pr.span_mass_ns = rc.Pr.span_mass_ns *. (1. +. 1e-3) });
   Alcotest.(check int)
     (name ^ ": class counts sum to misses")
     rc.Pr.misses
     (List.fold_left (fun acc row -> acc + row.Pr.count) 0 r.Pr.classes);
   let att = r.Pr.attribution in
-  let span_total = r.Pr.span_summary.Obs.Span.total_ns in
   Alcotest.(check bool) (name ^ ": attribution sums to span total") true
-    (Float.abs (att.Obs.Span.att_total_ns -. span_total)
-    <= 1e-6 *. Float.max 1. span_total);
+    (Float.abs (att.Obs.Span.att_total_ns -. rc.Pr.span_mass_ns)
+    <= 1e-6 *. Float.max 1. rc.Pr.span_mass_ns);
   Alcotest.(check bool) (name ^ ": sampler produced counter tracks") true
     (r.Pr.nsamples > 0);
   (match Obs.Perfetto.validate r.Pr.perfetto with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: perfetto validation: %s" name e);
+  Alcotest.(check (list string)) (name ^ ": no failure") [] (Pr.failures r);
   (* Hot blocks never count more misses than exist, and come sorted. *)
   let rec desc = function
     | a :: (b :: _ as rest) ->
@@ -53,22 +55,41 @@ let check_report name (r : Pr.t) =
       Alcotest.(check bool) (name ^ ": block miss count bounded") true
         (blk.Pr.block_misses <= rc.Pr.misses))
     r.Pr.hot_blocks;
-  (* Rendering: JSON round-trips through the parser, markdown carries
-     the section structure. *)
-  let json = Pr.to_json r in
-  (match J.parse (J.to_string json) with
-  | Ok round -> Alcotest.(check bool) (name ^ ": json round-trips") true (J.equal round json)
-  | Error e -> Alcotest.failf "%s: json re-parse: %s" name e);
-  let md = Pr.to_markdown r in
-  List.iter
-    (fun needle ->
-      let contains =
-        let nl = String.length needle and ml = String.length md in
-        let rec go i = i + nl <= ml && (String.sub md i nl = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) (name ^ ": markdown has " ^ needle) true contains)
-    [ "## Miss classification"; "## Critical-path attribution"; "## Reconciliation" ]
+  (* The report: six tables in print order, each row led by the
+     protocol, and the run and reconciliation rows carry the record. *)
+  let json = report_json r in
+  (match json with
+  | J.Obj tables ->
+    Alcotest.(check (list string)) (name ^ ": report keys")
+      [ "runs"; "classes"; "attribution"; "hot_blocks"; "contended_blocks"; "reconciliation" ]
+      (List.map fst tables);
+    List.iter
+      (fun (key, rows) ->
+        match rows with
+        | J.List rows ->
+          List.iter
+            (fun row ->
+              Alcotest.(check bool) (name ^ ": " ^ key ^ " row led by protocol") true
+                (match row with
+                | J.Obj (("protocol", J.String p) :: _) -> p = r.Pr.protocol
+                | _ -> false))
+            rows
+        | _ -> Alcotest.failf "%s: %s is not a list of rows" name key)
+      tables
+  | _ -> Alcotest.failf "%s: report is not an object" name);
+  let cell key column =
+    match J.member key json with
+    | Some (J.List [ row ]) -> J.member column row
+    | _ -> None
+  in
+  Alcotest.(check bool) (name ^ ": runs row has ops") true
+    (cell "runs" "ops" = Some (J.Int r.Pr.ops));
+  Alcotest.(check bool) (name ^ ": runs row has samples") true
+    (cell "runs" "samples" = Some (J.Int r.Pr.nsamples));
+  Alcotest.(check bool) (name ^ ": reconciliation row has misses") true
+    (cell "reconciliation" "misses" = Some (J.Int rc.Pr.misses));
+  Alcotest.(check bool) (name ^ ": reconciliation row has spans_exact") true
+    (cell "reconciliation" "spans_exact" = Some (J.Bool true))
 
 let test_token () =
   let r = run_profile (Tokencmp.Protocols.token Token.Policy.dst1) in
@@ -93,13 +114,54 @@ let test_directory () =
 
 let test_deterministic () =
   let proto = Tokencmp.Protocols.token Token.Policy.dst1 in
-  let a = Pr.to_json (run_profile proto) in
-  let b = Pr.to_json (run_profile proto) in
+  let a = report_json (run_profile proto) in
+  let b = report_json (run_profile proto) in
   Alcotest.(check bool) "same seed, same report" true (J.equal a b)
+
+(* [Profiler.failures] is the one rule [tokencmp profile] and the
+   profile bench section fail on: each broken guarantee of a doctored
+   report yields exactly one message, led by the protocol. *)
+let test_failures () =
+  let r = run_profile (Tokencmp.Protocols.token Token.Policy.dst1) in
+  let rc = r.Pr.reconciliation in
+  let one what doctored =
+    match Pr.failures doctored with
+    | [ msg ] ->
+      Alcotest.(check bool) (what ^ ": message names the protocol") true
+        (String.starts_with ~prefix:"TokenCMP-dst1: " msg)
+    | fs -> Alcotest.failf "%s: expected one failure, got %d" what (List.length fs)
+  in
+  one "not completed" { r with Pr.completed = false };
+  one "class counts differ from misses"
+    {
+      r with
+      Pr.reconciliation =
+        { rc with Pr.class_count_total = rc.Pr.misses + 1; classes_exact = false };
+    };
+  one "spans inexact on an unwrapped ring"
+    { r with Pr.reconciliation = { rc with Pr.spans_exact = false } };
+  one "attribution off the span mass"
+    {
+      r with
+      Pr.attribution =
+        {
+          r.Pr.attribution with
+          Obs.Span.att_total_ns = r.Pr.attribution.Obs.Span.att_total_ns +. 1.;
+        };
+    };
+  one "no samples" { r with Pr.nsamples = 0 };
+  one "perfetto without traceEvents" { r with Pr.perfetto = J.Obj [] };
+  Alcotest.(check (list string)) "a wrapped ring may leave spans inexact" []
+    (Pr.failures
+       { r with Pr.reconciliation = { rc with Pr.buffer_dropped = 1; spans_exact = false } });
+  (* The span-mass rule behind [spans_exact]. *)
+  Alcotest.(check bool) "span mass disagreement detected" false
+    (Pr.spans_reconcile { rc with Pr.span_mass_ns = rc.Pr.span_mass_ns *. (1. +. 1e-3) })
 
 let tests =
   [
     Alcotest.test_case "token profile reconciles and renders" `Quick test_token;
     Alcotest.test_case "directory profile reconciles and renders" `Quick test_directory;
     Alcotest.test_case "profile report is deterministic" `Quick test_deterministic;
+    Alcotest.test_case "failures: one message per broken guarantee" `Quick test_failures;
   ]

@@ -1106,6 +1106,7 @@ let perf_tables () =
   (* 4. Parked sends, in TokenCMP-dst1's shape: an L1 sends its chip's
      other L1s and one L2 bank, then every other chip's L1s and one L2
      bank each plus a memory controller, both with [send_set_parkable];
+     the parking test answers every key with the words of all L1s, so
      every L1 copy parks. Each send carries a fresh message, as the
      protocol's do. A wake of the sender for the key follows, as the
      reply carrying tokens to a requester makes, and the engine runs
@@ -1120,7 +1121,8 @@ let perf_tables () =
         (Interconnect.Traffic.create ()) (Sim.Rng.create 1)
     in
     Interconnect.Fabric.set_handler fabric (fun ~dst:_ (_ : int ref) -> ());
-    Interconnect.Fabric.set_parkable fabric (fun dst _ -> L.is_l1 l dst);
+    let l1_words = DS.unsafe_words (L.all_l1s_set l) in
+    Interconnect.Fabric.set_parkable fabric (fun _ -> l1_words);
     let ncmp = l.L.ncmp in
     let banks = List.length (L.l2s_of_cmp l 0) in
     let l1s = Array.of_list (List.filter (L.is_l1 l) (L.all_caches l)) in

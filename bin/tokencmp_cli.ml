@@ -457,7 +457,9 @@ let faultrate_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the sweep as JSON (same schema as BENCH_faultrate.json data).")
+          ~doc:
+            "Also write the sweep as JSON: the $(b,data) object of BENCH_faultrate.json, \
+             the table under the key $(b,sweep).")
   in
   let run probs seeds quick out =
     let probs = if quick then [ 0.0; 0.01; 0.05 ] else probs in
@@ -475,7 +477,7 @@ let faultrate_cmd =
     (match out with
     | None -> ()
     | Some file ->
-      Tcjson.write_file file (Tokencmp.Table.to_json table);
+      Tcjson.write_file file (Tokencmp.Table.keyed_to_json [ ("sweep", table) ]);
       Printf.printf "wrote %s\n" file);
     if unclean <> [] then exit 1
   in

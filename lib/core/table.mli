@@ -25,5 +25,5 @@ val to_json : t -> Tcjson.t
 
 (** Tables under their keys as one JSON object, keys in list order:
     the [data] of a [BENCH_<section>.json] file, and what
-    [tokencmp profile -o] writes. *)
+    [tokencmp profile -o] and [tokencmp faultrate -o] write. *)
 val keyed_to_json : (string * t) list -> Tcjson.t

@@ -83,10 +83,12 @@ type 'msg t = {
      parking send, and a ring of copies, three ints each: destination
      (-1 once woken), arrival and reserved engine sequence number.
      Positions only grow; position [p] lives in slot [p land (capacity
-     - 1)] of a ring, whose capacity is a power of two. [park_key] is
-     the key of the [send_set_parkable] in progress, or -1 when its
-     copies cannot park; [park_open] is set once it opened its record. *)
-  mutable parkable : int -> int -> bool;
+     - 1)] of a ring, whose capacity is a power of two. [parkable]
+     gives the destset words of a parking send's destinations that may
+     park (see [send_set_parkable]). [park_key] is the key of the
+     [send_set_parkable] in progress; [park_open] is set once it opened
+     its record. *)
+  mutable parkable : int -> int array;
   mutable park_key : int;
   mutable park_open : bool;
   mutable recs : 'msg parked_send array;
@@ -191,7 +193,7 @@ let create engine layout params traffic rng =
       site_words;
       cells = [||];
       free_cell = -1;
-      parkable = (fun _ _ -> false);
+      parkable = (fun _ -> [||]);
       park_key = -1;
       park_open = false;
       recs = [||];
@@ -445,11 +447,11 @@ let offer t ~src ~dst ~cls ~arrive msg =
   | Some inject -> apply t inject ~src ~dst ~cls ~arrive msg
 
 (* Every copy of every message passes through here once its fault-free
-   arrival time is known: it parks, is scheduled, or is offered to the
-   injector. [queue] is the contention wait (busy port + busy link)
-   already baked into [time]; the rest of [time - now] is
-   flight/serialization. *)
-let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
+   arrival time is known: it parks ([parks], decided by the send), is
+   scheduled, or is offered to the injector. [queue] is the contention
+   wait (busy port + busy link) already baked into [time]; the rest of
+   [time - now] is flight/serialization. *)
+let deliver_at t ~src ~cls ~bytes ~queue ~parks time dst msg =
   if Sim.Engine.tracing t.engine then begin
     Sim.Engine.emit t.engine
       (Obs.Event.Msg_send
@@ -461,11 +463,11 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
            queue_ns = Sim.Time.to_ns queue; flight_ns = Sim.Time.to_ns flight;
            arrive = time })
   end;
-  match t.injector with
-  | None ->
-    if t.park_key >= 0 && t.parkable dst t.park_key then park t ~src ~cls time dst msg
-    else schedule_delivery t ~src ~cls time dst msg
-  | Some inject -> apply t inject ~src ~dst ~cls ~arrive:time msg
+  if parks then park t ~src ~cls time dst msg
+  else
+    match t.injector with
+    | None -> schedule_delivery t ~src ~cls time dst msg
+    | Some inject -> apply t inject ~src ~dst ~cls ~arrive:time msg
 
 (* Per-copy charging shared by [send_set] and [send_one]. A copy to a
    node on the sender's own site takes one hop: across the on-chip
@@ -473,29 +475,29 @@ let deliver_at t ~src ~cls ~bytes ~queue time dst msg =
    out to its local controller over the off-chip pins. A broadcast is
    charged per copy, reflecting the per-cache lookup bandwidth the
    paper highlights for broadcast protocols. *)
-let local_copy t ~src ~cls ~bytes now d msg =
+let local_copy t ~src ~cls ~bytes ~parks now d msg =
   let p = t.params in
   let src_onchip = t.is_cache_arr.(src) in
   if t.is_cache_arr.(d) then begin
     Traffic.add_intra t.traffic cls bytes;
     if src_onchip then begin
       let dep = claim_port t src (serialization p.intra_bytes_per_ns bytes) in
-      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
+      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait ~parks
         (dep + p.intra_latency + jitter t) d msg
     end
     else
-      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
+      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero ~parks
         (now + p.mem_link_latency + jitter t) d msg
   end
   else begin
     Traffic.add_inter t.traffic cls bytes;
     if src_onchip then begin
       let dep = claim_port t src (serialization p.inter_bytes_per_ns bytes) in
-      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait
+      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait ~parks
         (dep + p.mem_link_latency + jitter t) d msg
     end
     else
-      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero
+      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero ~parks
         (now + p.mem_link_latency + jitter t) d msg
   end
 
@@ -522,7 +524,7 @@ let cross_link t ~src_site ~dst_site ~cls ~bytes ready =
   claim_link t ~src_site ~dst_site ~cls ~bytes ready ser + t.params.inter_latency
 
 (* Fan-out on the destination site: the last hop of one remote copy. *)
-let remote_copy t ~src ~cls ~bytes ~queue arrive d msg =
+let remote_copy t ~src ~cls ~bytes ~queue ~parks arrive d msg =
   let entry =
     if t.is_cache_arr.(d) then begin
       Traffic.add_intra t.traffic cls bytes;
@@ -530,16 +532,22 @@ let remote_copy t ~src ~cls ~bytes ~queue arrive d msg =
     end
     else t.params.mem_link_latency
   in
-  deliver_at t ~src ~cls ~bytes ~queue (arrive + entry + jitter t) d msg
+  deliver_at t ~src ~cls ~bytes ~queue ~parks (arrive + entry + jitter t) d msg
 
 (* Bitset multicast: dedup, self-exclusion and the local/remote split
    are bit operations over the destset's words against the precomputed
    per-site word masks — no list, pair or hashtable allocation at any
    node count. Copies, and so jitter draws, go in a fixed order: local
    destinations ascending, then remote sites ascending, each site's
-   destinations descending. *)
+   destinations descending. Which copies park is decided once, here:
+   the protocol's words for the key, read a word at a time, one bit per
+   copy. *)
 let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
   t.park_key <- park;
+  let pw =
+    match t.injector with None when park >= 0 -> t.parkable park | None | Some _ -> [||]
+  in
+  let npw = Array.length pw in
   let now = Sim.Engine.now t.engine in
   let src_site = t.cmp_arr.(src) in
   let wb = Destset.word_bits in
@@ -552,11 +560,11 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
   for w = 0 to top do
     let lm0 = Array.unsafe_get mwords w land Array.unsafe_get t.site_words (sbase + w) in
     let lm = ref (if w = src_w then lm0 land lnot src_b else lm0) in
-    let base = w * wb in
+    let base = w * wb and pm = if w < npw then Array.unsafe_get pw w else 0 in
     while !lm <> 0 do
       let b = Destset.lsb !lm in
       lm := !lm lxor b;
-      local_copy t ~src ~cls ~bytes now (base + Destset.bit_index b) msg
+      local_copy t ~src ~cls ~bytes ~parks:(pm land b <> 0) now (base + Destset.bit_index b) msg
     done
   done;
   (* Any remote destination at all? One word-skip pass. *)
@@ -587,18 +595,18 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
                 (Array.unsafe_get mwords w
                 land Array.unsafe_get t.site_words (tbase + w))
             in
-            let base = w * wb in
+            let base = w * wb and pm = if w < npw then Array.unsafe_get pw w else 0 in
             while !rm <> 0 do
               let b = Destset.msb !rm in
               rm := !rm lxor b;
-              remote_copy t ~src ~cls ~bytes ~queue arrive (base + Destset.bit_index b) msg
+              remote_copy t ~src ~cls ~bytes ~queue ~parks:(pm land b <> 0) arrive
+                (base + Destset.bit_index b) msg
             done
           done
         end
       end
     done
   end;
-  t.park_key <- -1;
   t.park_open <- false
 
 let[@inline] send_set t ~src ~dsts ~cls ~bytes msg =
@@ -611,10 +619,10 @@ let send_one t ~src ~dst ~cls ~bytes msg =
     invalid_arg (Printf.sprintf "Fabric.send_one: node %d sending to itself" src);
   let now = Sim.Engine.now t.engine in
   let src_site = t.cmp_arr.(src) and dst_site = t.cmp_arr.(dst) in
-  if dst_site = src_site then local_copy t ~src ~cls ~bytes now dst msg
+  if dst_site = src_site then local_copy t ~src ~cls ~bytes ~parks:false now dst msg
   else begin
     let ready = exit_hop t ~src ~cls ~bytes now in
     let arrive = cross_link t ~src_site ~dst_site ~cls ~bytes ready in
     let queue = t.last_port_wait + t.last_link_wait in
-    remote_copy t ~src ~cls ~bytes ~queue arrive dst msg
+    remote_copy t ~src ~cls ~bytes ~queue ~parks:false arrive dst msg
   end

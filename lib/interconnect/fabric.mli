@@ -116,7 +116,9 @@ val send_set :
     park under the key [park] (the protocol's block address); see
     {!set_parkable}. A negative key parks nothing. The key is a plain
     argument, not an optional one on {!send_set}: an optional argument
-    boxes its value at every call. *)
+    boxes its value at every call. The send asks {!set_parkable}'s
+    function once, before its first copy, and tests one bit of the
+    answer per copy. *)
 val send_set_parkable :
   'msg t -> park:int -> src:int -> dsts:Destset.t -> cls:Msg_class.t -> bytes:int -> 'msg -> unit
 
@@ -143,11 +145,17 @@ val send_one :
     A copy never woken emits no [Msg_deliver] trace event; [Msg_send]
     and [Net_hop] are emitted at send as always. *)
 
-(** [set_parkable t f] installs the per-copy test: a copy of a
-    [send_set_parkable ~park:key] to [dst] parks when [f dst key] holds
-    and the fabric has no fault injector. Installed once, at
-    construction; without it nothing parks. *)
-val set_parkable : 'msg t -> (int -> int -> bool) -> unit
+(** [set_parkable t f] installs the per-send test: [f key] gives the
+    destset words of the nodes at which the copies of a
+    [send_set_parkable ~park:key] park (bit [i mod Destset.word_bits]
+    of word [i / Destset.word_bits] for node [i]; words past the end of
+    the array are zero). The fabric calls [f] once per such send, when
+    it has no fault injector, and reads the array only until the send
+    returns, so [f] may fill and return one buffer every time. No
+    handler runs during a send, so the words hold for all of its
+    copies. Installed once, at construction; without it nothing
+    parks. *)
+val set_parkable : 'msg t -> (int -> int array) -> unit
 
 (** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]
     whose arrival is after now, each once. Other copies stay parked; a

@@ -71,6 +71,7 @@ let all_caches_set t = Destset.of_list (all_caches t)
 let all_nodes_set t = Destset.of_list (all_nodes t)
 let nodes_of_cmp_set t cmp = Destset.of_list (nodes_of_cmp t cmp)
 let l1s_of_cmp_set t cmp = Destset.of_list (l1s_of_cmp t cmp)
+let all_l1s_set t = Destset.of_list (List.concat (List.init t.ncmp (l1s_of_cmp t)))
 
 let pp_node t fmt id =
   match kind t id with

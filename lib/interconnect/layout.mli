@@ -71,4 +71,5 @@ val all_caches_set : t -> Destset.t
 val all_nodes_set : t -> Destset.t
 val nodes_of_cmp_set : t -> int -> Destset.t
 val l1s_of_cmp_set : t -> int -> Destset.t
+val all_l1s_set : t -> Destset.t
 val pp_node : t -> Format.formatter -> int -> unit

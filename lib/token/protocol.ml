@@ -139,20 +139,20 @@ let get_meta node addr =
 let pe_expired t e =
   recovery_on t && e.pe_expires > 0 && E.now t.engine > e.pe_expires
 
-(* The request currently activated at [node] for [addr], if any. *)
+(* The first proc from [proc] up whose live entry names [addr]. *)
+let rec first_live t ptable addr proc =
+  if proc = Array.length ptable then None
+  else
+    match ptable.(proc) with
+    | Some e when e.pe_addr = addr && not (pe_expired t e) -> Some (proc, e.pe_l1, e.pe_rw)
+    | Some _ | None -> first_live t ptable addr (proc + 1)
+
+(* The request currently activated at [node] for [addr], if any: in a
+   distributed table, the lowest proc's. *)
 let active_persistent t node addr =
   match t.policy.Policy.activation with
   | Policy.Arbiter -> Hashtbl.find_opt node.parb_active addr
-  | Policy.Distributed ->
-    let best = ref None in
-    Array.iteri
-      (fun proc entry ->
-        match entry with
-        | Some e when e.pe_addr = addr && not (pe_expired t e) ->
-          if !best = None then best := Some (proc, e.pe_l1, e.pe_rw)
-        | Some _ | None -> ())
-      node.ptable;
-    !best
+  | Policy.Distributed -> first_live t node.ptable addr 0
 
 (* Forward tokens held at [node] to the active persistent requester
    ({!S.forward}), once the response-delay window has closed. *)
@@ -256,12 +256,14 @@ let proc_of_node t node =
   | L.L1d { cmp; proc } | L.L1i { cmp; proc } -> (cmp * t.layout.L.procs_per_cmp) + proc
   | L.L2 _ | L.Mem _ -> invalid_arg "proc_of_node"
 
-let has_marked_for t node addr =
-  Array.exists
-    (function
-      | Some e -> e.pe_addr = addr && e.pe_marked && not (pe_expired t e)
-      | None -> false)
-    node.ptable
+let rec marked_from t ptable addr proc =
+  proc < Array.length ptable
+  &&
+  match ptable.(proc) with
+  | Some e when e.pe_addr = addr && e.pe_marked && not (pe_expired t e) -> true
+  | Some _ | None -> marked_from t ptable addr (proc + 1)
+
+let has_marked_for t node addr = marked_from t node.ptable addr 0
 
 (* A persistent-request message to every other node. *)
 let broadcast_persistent t node msg =
@@ -272,10 +274,6 @@ let to_home t node addr msg =
   F.send_one t.fabric ~src:node.id ~dst:(S.home_mem t.sub addr) ~cls:MC.Persistent
     ~bytes:t.cfg.ctrl_bytes msg
 
-(* Park key of a transient request for [addr]: the block while no token
-   of it is in flight, else none (DESIGN.md, "Parked request copies"). *)
-let request_park t addr = if S.inflight t.sub addr = 0 then addr else -1
-
 let rec broadcast_transient t node m ~force_external =
   let addr = m.m_addr in
   let rw = m.m_rw in
@@ -284,13 +282,13 @@ let rec broadcast_transient t node m ~force_external =
   if t.policy.Policy.hierarchical then begin
     let cmp = node_cmp node in
     let dsts = DS.add (S.home_l2 t.sub ~cmp addr) t.l1_minus_self.(node.id) in
-    F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+    F.send_set_parkable t.fabric ~park:addr ~src:node.id ~dsts ~cls:MC.Request
       ~bytes:t.cfg.ctrl_bytes (msg `Local)
   end
   else begin
     (* Flat TokenB-style global broadcast (ablation). *)
     let dsts = DS.add (S.home_mem t.sub addr) t.caches_minus_self.(node.id) in
-    F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+    F.send_set_parkable t.fabric ~park:addr ~src:node.id ~dsts ~cls:MC.Request
       ~bytes:t.cfg.ctrl_bytes (msg `External)
   end
 
@@ -578,7 +576,7 @@ let escalate_external t node ~addr ~requester ~rw ~hint ~full =
       (DS.singleton (S.home_mem t.sub addr))
       chips
   in
-  F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+  F.send_set_parkable t.fabric ~park:addr ~src:node.id ~dsts ~cls:MC.Request
     ~bytes:t.cfg.ctrl_bytes
     (Msg.Transient { addr; requester; rw; scope = `External; force_external = false; hint = None })
 
@@ -612,7 +610,7 @@ let handle_transient_l2 t node ~addr ~requester ~rw ~scope ~force_external ~hint
     let base = L.l1d t.layout ~cmp:(node_cmp node) ~proc:0 in
     let dsts = DS.of_bitfield ~bits:meta.filter_sharers ~base in
     if not (DS.is_empty dsts) then
-      F.send_set_parkable t.fabric ~park:(request_park t addr) ~src:node.id ~dsts ~cls:MC.Request
+      F.send_set_parkable t.fabric ~park:addr ~src:node.id ~dsts ~cls:MC.Request
         ~bytes:t.cfg.ctrl_bytes
         (Msg.Transient { addr; requester; rw; scope = `External; force_external; hint = None })
   end;
@@ -979,6 +977,26 @@ let restart_node t id =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
+(* The parking test (DESIGN.md, "Parked request copies"), run once per
+   transient send: the destset words of the nodes where the send's
+   copies for [addr] park. While a token of the block is in flight,
+   none; else every L1 without a line for it, the layout's L1s minus
+   the substrate's holders. One buffer serves every send. *)
+let park_words t =
+  let l1s = L.all_l1s_set t.layout in
+  let nwords = ((L.node_count t.layout - 1) / DS.word_bits) + 1 in
+  let l1_words = Array.init nwords (fun w -> if w < DS.nwords l1s then DS.word l1s w else 0) in
+  let buf = Array.make nwords 0 in
+  fun addr ->
+    if S.inflight t.sub addr > 0 then [||]
+    else begin
+      let held = S.l1_holders t.sub addr in
+      for w = 0 to nwords - 1 do
+        buf.(w) <- l1_words.(w) land lnot held.(w)
+      done;
+      buf
+    end
+
 type debug = {
   token_count : Cache.Addr.t -> int;
   inflight_count : Cache.Addr.t -> int;
@@ -1057,9 +1075,7 @@ let create ~recovery policy engine cfg traffic rng counters =
     (not recovery)
     && F.min_cache_latency cfg.fabric ~bytes:(min cfg.ctrl_bytes cfg.data_bytes)
        > cfg.l1_latency
-  then
-    F.set_parkable fabric (fun dst addr ->
-        is_l1_node nodes.(dst) && not (S.cached t.sub dst addr));
+  then F.set_parkable fabric (park_words t);
   F.set_handler fabric (fun ~dst msg -> handle t ~dst msg);
   (match Obs.Registry.of_engine engine with
   | Some reg ->

@@ -4,6 +4,14 @@ module F = Interconnect.Fabric
 module MC = Interconnect.Msg_class
 module DS = Interconnect.Destset
 
+(* Per-block tables keyed by block number, which hashes as itself. *)
+module Blocks = Hashtbl.Make (struct
+  type t = Cache.Addr.t
+
+  let equal = Int.equal
+  let hash (a : t) = a
+end)
+
 (* Per-block token state of one cache line (or of memory's home entry).
    Invariant: resident cache lines have tokens >= 1; owner => valid. *)
 type line = {
@@ -29,7 +37,17 @@ type t = {
   counters : Mcmp.Counters.t;
   recovery : bool;
   memory : bool array;  (* per node: a memory controller *)
+  l1 : bool array;  (* per node: an L1 *)
   lines : line Cache.Sarray.t array;  (* per cache; unused singleton for mem *)
+  (* Per block, the destset words of the L1s whose tag array holds a
+     line for it. Written only beside an L1 tag array's insert and
+     remove ([insert_line], [remove_line]). A block keeps its entry,
+     all zero, when its last L1 line goes: removing it put the
+     benchmark's next set-up in glibc's slow trim mode (EXPERIMENTS.md,
+     "Parking from an L1 holder set"). *)
+  holders : int array Blocks.t;
+  no_holders : int array;  (* all zero, [nwords] long *)
+  nwords : int;
   mem_lines : (Cache.Addr.t, line) Hashtbl.t array;  (* per memory controller *)
   epochs : (Cache.Addr.t, int) Hashtbl.t array;
       (* per cache: known recreation epoch per block. Survives a crash:
@@ -46,14 +64,19 @@ let create ~recovery (cfg : Mcmp.Config.t) fabric counters =
   let layout = F.layout fabric in
   let kinds = Array.init (L.node_count layout) (L.kind layout) in
   let per_node f = Array.map f kinds in
+  let nwords = ((L.node_count layout - 1) / DS.word_bits) + 1 in
   {
     engine = F.engine fabric; cfg; layout; fabric; counters; recovery;
     memory = per_node (function L.Mem _ -> true | L.L1d _ | L.L1i _ | L.L2 _ -> false);
+    l1 = per_node (function L.L1d _ | L.L1i _ -> true | L.L2 _ | L.Mem _ -> false);
     lines =
       per_node (function
         | L.L1d _ | L.L1i _ -> Cache.Sarray.create ~sets:cfg.l1_sets ~ways:cfg.l1_ways
         | L.L2 _ -> Cache.Sarray.create ~sets:cfg.l2_sets ~ways:cfg.l2_ways
         | L.Mem _ -> Cache.Sarray.create ~sets:1 ~ways:1);
+    holders = Blocks.create 64;
+    no_holders = Array.make nwords 0;
+    nwords;
     mem_lines = per_node (fun kind -> Hashtbl.create (match kind with L.Mem _ -> 4096 | _ -> 1));
     epochs = per_node (fun _ -> Hashtbl.create 16);
     inflight = Hashtbl.create 1024;
@@ -110,7 +133,40 @@ let[@inline] permits s l rw =
   l.valid && match rw with Msg.R -> l.tokens >= 1 | Msg.W -> l.tokens = s.cfg.tokens
 
 let touch s id addr = Cache.Sarray.touch s.lines.(id) addr
-let cached s id addr = Cache.Sarray.mem s.lines.(id) addr
+
+(* ------------------------------------------------------------------ *)
+(* The L1 holder set                                                   *)
+
+(* Set node [id]'s bit in [table]'s words for [addr], adding them. *)
+let add_bit s table id addr =
+  let w =
+    match Blocks.find table addr with
+    | w -> w
+    | exception Not_found ->
+      let w = Array.make s.nwords 0 in
+      Blocks.add table addr w;
+      w
+  in
+  let i = id / DS.word_bits in
+  w.(i) <- w.(i) lor (1 lsl (id mod DS.word_bits))
+
+let drop_holder s id addr =
+  match Blocks.find s.holders addr with
+  | exception Not_found -> ()
+  | w ->
+    let i = id / DS.word_bits in
+    w.(i) <- w.(i) land lnot (1 lsl (id mod DS.word_bits))
+
+let l1_holders s addr = try Blocks.find s.holders addr with Not_found -> s.no_holders
+
+(* The only writes to a cache's tag array. *)
+let insert_line s id addr line =
+  Cache.Sarray.insert s.lines.(id) addr line;
+  if s.l1.(id) then add_bit s s.holders id addr
+
+let remove_line s id addr =
+  Cache.Sarray.remove s.lines.(id) addr;
+  if s.l1.(id) then drop_holder s id addr
 
 (* Token-FSM state label for trace events, e.g. "T3OV" (3 tokens, owner,
    valid) or "I" (no tokens, no data). Only evaluated while tracing. *)
@@ -128,7 +184,7 @@ let strip s id addr line =
     line.valid <- false;
     line.dirty <- false;
     line.owner <- false;
-    if not s.memory.(id) then Cache.Sarray.remove s.lines.(id) addr
+    if not s.memory.(id) then remove_line s id addr
   end
 
 (* ------------------------------------------------------------------ *)
@@ -227,7 +283,7 @@ let alloc_line s id addr =
         ~dirty:(v.dirty && v.owner) ~writeback:true
     | None -> ());
     let l = fresh_line () in
-    Cache.Sarray.insert s.lines.(id) addr l;
+    insert_line s id addr l;
     l
 
 let receive s id addr ~count ~owner ~data ~dirty ~epoch =
@@ -266,7 +322,7 @@ let receive s id addr ~count ~owner ~data ~dirty ~epoch =
 let crash s id =
   let addrs = ref [] in
   Cache.Sarray.iter (fun a _ -> addrs := a :: !addrs) s.lines.(id);
-  List.iter (fun a -> Cache.Sarray.remove s.lines.(id) a) !addrs
+  List.iter (fun a -> remove_line s id a) !addrs
 
 (* ------------------------------------------------------------------ *)
 (* Token recreation. Lost tokens starve a persistent request forever
@@ -420,6 +476,27 @@ let check s =
       Cache.Sarray.iter check_line lines;
       Hashtbl.iter check_line s.mem_lines.(id))
     s.lines;
+  (* The holder set against the L1 tag arrays it mirrors. *)
+  let tags = Blocks.create 64 in
+  Array.iteri
+    (fun id lines ->
+      if s.l1.(id) then Cache.Sarray.iter (fun addr _ -> add_bit s tags id addr) lines)
+    s.lines;
+  let ids w =
+    List.init (s.nwords * DS.word_bits) Fun.id
+    |> List.filter (fun id -> w.(id / DS.word_bits) land (1 lsl (id mod DS.word_bits)) <> 0)
+    |> List.map string_of_int |> String.concat ","
+  in
+  let compare_holders addr =
+    let held = l1_holders s addr
+    and tagged = try Blocks.find tags addr with Not_found -> s.no_holders in
+    if held <> tagged then
+      add
+        (Mcmp.Violation.make ~kind:"l1-holders" ~addr ~time
+           (Printf.sprintf "holder set {%s}, L1 tag arrays {%s}" (ids held) (ids tagged)))
+  in
+  Blocks.iter (fun addr _ -> compare_holders addr) tags;
+  Blocks.iter (fun addr _ -> if not (Blocks.mem tags addr) then compare_holders addr) s.holders;
   List.rev !vs
 
 let recreations s = s.recreations

@@ -36,7 +36,15 @@ val set_hold_until : line -> Sim.Time.t -> unit
 val permits : t -> line -> Msg.rw -> bool
 
 val touch : t -> int -> Cache.Addr.t -> unit
-val cached : t -> int -> Cache.Addr.t -> bool
+
+(** The destset words of the L1s whose tag array holds a line for the
+    block: bit [i mod Destset.word_bits] of word [i / Destset.word_bits]
+    stands for node [i], and there is one word per word of the layout's
+    node count. The substrate keeps them beside the tag arrays' only
+    insert and remove, so they equal the set of L1s {!find} answers
+    [Some] for. The array is the substrate's own and changes in place
+    as lines come and go; callers only read it. *)
+val l1_holders : t -> Cache.Addr.t -> int array
 
 (** Take tokens out of a line and send them to [dst] in one message,
     waking request copies parked there. A cache line left empty is
@@ -76,7 +84,8 @@ val ack : t -> int -> Cache.Addr.t -> src:int -> epoch:int -> bool
 
 val recreating : t -> bool
 
-(** The token half of the invariant probe. *)
+(** The token half of the invariant probe, which also reports a block
+    whose {!l1_holders} differ from the L1 tag arrays ([l1-holders]). *)
 val check : t -> Mcmp.Violation.t list
 
 (** Reads; none stores memory's implicit line. *)

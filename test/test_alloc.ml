@@ -90,7 +90,8 @@ let test_fabric_park_wake () =
   let n = Interconnect.Layout.node_count l in
   let handled = Array.make n 0 in
   Interconnect.Fabric.set_handler fabric (fun ~dst () -> handled.(dst) <- handled.(dst) + 1);
-  Interconnect.Fabric.set_parkable fabric (fun dst _ -> Interconnect.Layout.is_l1 l dst);
+  let l1s = Interconnect.Destset.unsafe_words (Interconnect.Layout.all_l1s_set l) in
+  Interconnect.Fabric.set_parkable fabric (fun _ -> l1s);
   let all_caches = Interconnect.Layout.all_caches_set l in
   let woken = Interconnect.Layout.l1d l ~cmp:2 ~proc:1 in
   let sends count =

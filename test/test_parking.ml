@@ -6,7 +6,9 @@
    token policy, run with parking and again with a pass-through fault
    injector (once a fault injector or reliable transport was ever
    armed, nothing parks, and every copy is scheduled as it always
-   was), must give the same simulated results, with no more events. *)
+   was), must give the same simulated results, with no more events,
+   and leave the invariant probe, whose token half compares the L1
+   holder set that decides parking with the tag arrays, silent. *)
 
 module F = Interconnect.Fabric
 module L = Interconnect.Layout
@@ -24,7 +26,8 @@ let rig () =
   let fabric = F.create engine l params (Interconnect.Traffic.create ()) (Sim.Rng.create 1) in
   let log = ref [] in
   F.set_handler fabric (fun ~dst tag -> log := (tag, dst, Sim.Engine.now engine) :: !log);
-  F.set_parkable fabric (fun dst _ -> L.is_l1 l dst);
+  let l1s = Interconnect.Destset.unsafe_words (L.all_l1s_set l) in
+  F.set_parkable fabric (fun _ -> l1s);
   let src = L.l1d l ~cmp:0 ~proc:0 and dst = L.l1d l ~cmp:0 ~proc:1 in
   let arrival = F.min_cache_latency params ~bytes:8 in
   let send ?(dsts = Interconnect.Destset.singleton dst) key =
@@ -135,7 +138,8 @@ let test_wide_record () =
   in
   let log = ref [] in
   F.set_handler fabric (fun ~dst () -> log := dst :: !log);
-  F.set_parkable fabric (fun dst _ -> L.is_l1 l dst);
+  let l1s = Interconnect.Destset.unsafe_words (L.all_l1s_set l) in
+  F.set_parkable fabric (fun _ -> l1s);
   let dsts = L.all_caches_set l in
   Alcotest.(check int) "three destset words" 3 (Interconnect.Destset.nwords dsts);
   let src = L.l1d l ~cmp:0 ~proc:0 and woken = L.l1i l ~cmp:7 ~proc:5 in
@@ -208,15 +212,19 @@ let test_injector_stops_parking () =
 (* ------------------------------------------------------------------ *)
 (* Protocol exactness                                                  *)
 
-(* The token builder, keeping the engine and fabric for the checks. *)
+(* The token builder, keeping the engine, fabric and invariant probe
+   for the checks. *)
 let builder ~pass_through policy captured : Mcmp.Protocol.builder =
  fun engine config traffic rng counters ->
   let i = Token.Protocol.create_instrumented policy engine config traffic rng counters in
   let fabric = i.Token.Protocol.i_fabric in
   if pass_through then
     F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ -> F.Pass);
-  captured := Some (engine, fabric);
+  captured := Some (engine, fabric, i.Token.Protocol.i_probe);
   i.Token.Protocol.i_handle
+
+let violations (probe : Mcmp.Probe.t) =
+  List.map Mcmp.Violation.to_string (probe.Mcmp.Probe.check ())
 
 (* Runs one configuration both ways and compares. [programs] builds a
    fresh set of programs per run (some close over shared state). *)
@@ -229,9 +237,11 @@ let check_exact ~name ~config ~programs ~seed policy =
     in
     (r, Option.get !captured)
   in
-  let ref_r, (ref_engine, ref_fabric) = run true in
-  let r, (engine, fabric) = run false in
+  let ref_r, (ref_engine, ref_fabric, ref_probe) = run true in
+  let r, (engine, fabric, probe) = run false in
   let label s = Printf.sprintf "%s %s seed %d: %s" policy.Token.Policy.name name seed s in
+  Alcotest.(check (list string)) (label "no violation without parking") [] (violations ref_probe);
+  Alcotest.(check (list string)) (label "no violation with parking") [] (violations probe);
   let bytes (r : Mcmp.Runner.result) =
     Interconnect.Traffic.(intra_total r.Mcmp.Runner.traffic, inter_total r.traffic)
   in
@@ -290,6 +300,32 @@ let test_locks policy () =
   check_exact ~name:"16-core 4-lock" ~config ~programs:(locking ~config ~nlocks:4 ~seed:1)
     ~seed:1 policy
 
+(* The benchmark's [wide_token] machine: 8 CMPs x 6 cores, 128 caches
+   and 136 nodes, so every parking word and holder set spans three
+   destset words. OLTP's shared footprints are scaled with the
+   processor count (x2), as the benchmark scales them. *)
+let test_wide policy () =
+  let config =
+    { Mcmp.Config.default with
+      Mcmp.Config.ncmp = 8; procs_per_cmp = 6; l2_banks = 4; tokens = 4 * 8 * ((2 * 6) + 4) }
+  in
+  let layout = Mcmp.Config.layout config in
+  Alcotest.(check int) "three destset words" 3
+    (Interconnect.Destset.nwords (L.all_nodes_set layout));
+  let f = (Mcmp.Config.nprocs config + 31) / 32 in
+  let o = Workload.Commercial.oltp in
+  let profile =
+    { o with
+      Workload.Commercial.warmup_ops = 10; ops = 30;
+      shared_blocks = f * o.Workload.Commercial.shared_blocks;
+      hot_blocks = f * o.Workload.Commercial.hot_blocks;
+      migratory_blocks = f * o.Workload.Commercial.migratory_blocks;
+      nlocks = f * o.Workload.Commercial.nlocks }
+  in
+  check_exact ~name:"136-node OLTP" ~config
+    ~programs:(fun () ~proc -> Workload.Commercial.program profile ~seed:1 ~proc)
+    ~seed:1 policy
+
 (* Random straight-line programs on 16 shared blocks, instruction
    fetches included (so L1is hold tokens too): every token policy, with
    and without parking, must agree on everything but the event count. *)
@@ -305,18 +341,20 @@ let prop_random_programs =
             ~programs:(fun ~proc:_ -> Test_random.random_program ops)
             ~seed
         in
-        let _, fabric = Option.get !captured in
+        let _, fabric, probe = Option.get !captured in
         let tr = r.Mcmp.Runner.traffic in
         ( ( r.Mcmp.Runner.runtime, r.Mcmp.Runner.total_runtime, r.Mcmp.Runner.ops,
             r.Mcmp.Runner.completed ),
           ( r.Mcmp.Runner.counters,
             Interconnect.Traffic.(intra_total tr, inter_total tr),
             F.delivered fabric ),
-          r.Mcmp.Runner.events )
+          r.Mcmp.Runner.events,
+          violations probe )
       in
-      let ref_sim, ref_stats, ref_events = run true in
-      let sim, stats, events = run false in
-      sim = ref_sim && stats = ref_stats && events <= ref_events)
+      let ref_sim, ref_stats, ref_events, ref_violations = run true in
+      let sim, stats, events, violations = run false in
+      sim = ref_sim && stats = ref_stats && events <= ref_events && ref_violations = []
+      && violations = [])
 
 let tests =
   [
@@ -344,6 +382,8 @@ let tests =
             (test_oltp p);
           Alcotest.test_case ("exact: " ^ p.Token.Policy.name ^ " 16-core 4-lock") `Quick
             (test_locks p);
+          Alcotest.test_case ("exact: " ^ p.Token.Policy.name ^ " 136-node OLTP") `Quick
+            (test_wide p);
         ])
       policies
   @ [ QCheck_alcotest.to_alcotest prop_random_programs ]

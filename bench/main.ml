@@ -1122,7 +1122,7 @@ let perf_tables () =
     in
     Interconnect.Fabric.set_handler fabric (fun ~dst:_ (_ : int ref) -> ());
     let l1_words = DS.unsafe_words (L.all_l1s_set l) in
-    Interconnect.Fabric.set_parkable fabric (fun _ -> l1_words);
+    Interconnect.Fabric.set_parkable fabric (fun _ _ -> l1_words);
     let ncmp = l.L.ncmp in
     let banks = List.length (L.l2s_of_cmp l 0) in
     let l1s = Array.of_list (List.filter (L.is_l1 l) (L.all_caches l)) in

@@ -60,6 +60,7 @@ type 'msg parked_send = {
   mutable r_msg : 'msg;
   mutable r_last : Sim.Time.t;  (* latest arrival of its copies *)
   mutable r_first : int;
+  mutable r_filed : bool;  (* a copy never woken is filed, not dropped *)
 }
 
 type 'msg t = {
@@ -88,7 +89,7 @@ type 'msg t = {
      park (see [send_set_parkable]). [park_key] is the key of the
      [send_set_parkable] in progress; [park_open] is set once it opened
      its record. *)
-  mutable parkable : int -> int array;
+  mutable parkable : int -> 'msg -> int array;
   mutable park_key : int;
   mutable park_open : bool;
   mutable recs : 'msg parked_send array;
@@ -98,6 +99,18 @@ type 'msg t = {
   mutable copy_head : int;  (* first copy of the oldest live record *)
   mutable copy_tail : int;
   mutable parked : int;  (* copies parked and never woken, retired ones included *)
+  (* Filed copies (see [set_filer]): [files] picks the sends whose
+     copies are filed, [filer] applies one. Per node, [filed] holds a
+     (copy position, record position) pair for each of its filed copies
+     neither woken nor applied yet, [nfiled] counts them, and both stay
+     empty until the first filed copy parks. [file_buf] sorts one
+     node's passed copies, four ints each. *)
+  mutable files : 'msg -> bool;
+  mutable filer : dst:int -> 'msg -> unit;
+  mutable filed : int array array;
+  mutable nfiled : int array;
+  mutable file_buf : int array;
+  mutable send_last : Sim.Time.t;  (* latest arrival of the last send's copies *)
   mutable handler : dst:int -> 'msg -> unit;
   port_busy : Sim.Time.t array; (* per node, on-chip egress port *)
   link_busy : Sim.Time.t array; (* per ordered site pair *)
@@ -193,7 +206,7 @@ let create engine layout params traffic rng =
       site_words;
       cells = [||];
       free_cell = -1;
-      parkable = (fun _ -> [||]);
+      parkable = (fun _ _ -> [||]);
       park_key = -1;
       park_open = false;
       recs = [||];
@@ -203,6 +216,12 @@ let create engine layout params traffic rng =
       copy_head = 0;
       copy_tail = 0;
       parked = 0;
+      files = (fun _ -> false);
+      filer = (fun ~dst:_ _ -> ());
+      filed = [||];
+      nfiled = [||];
+      file_buf = [||];
+      send_last = Sim.Time.zero;
       handler = (fun ~dst:_ _ -> failwith "Fabric: handler not set");
       port_busy = Array.make (Layout.node_count layout) Sim.Time.zero;
       link_busy = Array.make (layout.Layout.ncmp * layout.Layout.ncmp) Sim.Time.zero;
@@ -233,6 +252,12 @@ let release_cell t c =
   t.free_cell <- c.c_idx
 
 let set_parkable t f = t.parkable <- f
+
+let set_filer t ~files filer =
+  t.files <- files;
+  t.filer <- filer
+
+let last_arrival t = t.send_last
 
 let set_fault_injector t i = t.injector <- Some i
 
@@ -342,7 +367,8 @@ let schedule_delivery t ~src ~cls time dst msg =
    first copy a send parks opens the send's record, which holds what
    all its copies share. Opening a record first retires, oldest first,
    the records the engine has left behind, so the live records start
-   at the oldest one with a copy still in flight. *)
+   at the oldest one with a copy still in flight. A filed copy is also
+   indexed under its destination until it is woken or applied. *)
 
 let grow_records t =
   let old = t.recs in
@@ -350,7 +376,7 @@ let grow_records t =
   let recs =
     Array.init cap (fun _ ->
         { r_key = -1; r_src = 0; r_cls = Msg_class.Request; r_msg = Obj.magic (); r_last = 0;
-          r_first = 0 })
+          r_first = 0; r_filed = false })
   in
   for p = t.rec_head to t.rec_tail - 1 do
     recs.(p land (cap - 1)) <- old.(p land (Array.length old - 1))
@@ -366,13 +392,85 @@ let grow_copies t =
   done;
   t.copies <- copies
 
+let index_filed t dst p rp =
+  if Array.length t.nfiled = 0 then begin
+    let n = Array.length t.port_busy in
+    t.nfiled <- Array.make n 0;
+    t.filed <- Array.make n [||]
+  end;
+  let n = t.nfiled.(dst) and v = t.filed.(dst) in
+  let v =
+    if 2 * n < Array.length v then v
+    else begin
+      let v' = Array.make (max 8 (4 * n)) 0 in
+      Array.blit v 0 v' 0 (2 * n);
+      t.filed.(dst) <- v';
+      v'
+    end
+  in
+  v.(2 * n) <- p;
+  v.(2 * n + 1) <- rp;
+  t.nfiled.(dst) <- n + 1
+
+(* Apply [dst]'s filed copies whose place the engine has passed, in
+   (arrival, seq) order, the order they would have run in. Each is
+   marked, so nothing wakes it and [delivered] counts it once; the
+   others stay indexed. The filer only writes state, so nothing it
+   does reaches the fabric. *)
+let file_node t dst =
+  let v = t.filed.(dst) and n = t.nfiled.(dst) in
+  if Array.length t.file_buf < 4 * n then t.file_buf <- Array.make (max 64 (8 * n)) 0;
+  let buf = t.file_buf in
+  let kept = ref 0 and found = ref 0 in
+  for k = 0 to n - 1 do
+    let p = v.(2 * k) and rp = v.(2 * k + 1) in
+    let i = slot t p in
+    let time = t.copies.(i + 1) and seq = t.copies.(i + 2) in
+    if Sim.Engine.passed t.engine time ~seq then begin
+      let j = ref !found in
+      while
+        !j > 0
+        && (buf.(4 * (!j - 1)) > time || (buf.(4 * (!j - 1)) = time && buf.((4 * !j) - 3) > seq))
+      do
+        Array.blit buf (4 * (!j - 1)) buf (4 * !j) 4;
+        decr j
+      done;
+      buf.(4 * !j) <- time;
+      buf.((4 * !j) + 1) <- seq;
+      buf.((4 * !j) + 2) <- p;
+      buf.((4 * !j) + 3) <- rp;
+      incr found
+    end
+    else begin
+      v.(2 * !kept) <- p;
+      v.((2 * !kept) + 1) <- rp;
+      incr kept
+    end
+  done;
+  t.nfiled.(dst) <- !kept;
+  for j = 0 to !found - 1 do
+    t.copies.(slot t buf.((4 * j) + 2)) <- -1;
+    t.filer ~dst (record t buf.((4 * j) + 3)).r_msg
+  done
+
+let[@inline] file t ~dst =
+  if Array.length t.nfiled > 0 && Array.unsafe_get t.nfiled dst > 0 then file_node t dst
+
 (* A record retires once every copy of it arrived before now: none can
-   be woken, and [delivered] counts them all. The unit stand-in keeps a
-   retired record from pinning its message. *)
+   be woken, and [delivered] counts them all. A filed record's copies
+   are applied first, with every other passed copy at their
+   destinations. The unit stand-in keeps a retired record from pinning
+   its message. *)
 let open_record t ~src ~cls msg =
   let now = Sim.Engine.now t.engine in
   while t.rec_head < t.rec_tail && (record t t.rec_head).r_last < now do
-    (record t t.rec_head).r_msg <- Obj.magic ();
+    let r = record t t.rec_head in
+    if r.r_filed then
+      for q = r.r_first to copies_end t t.rec_head - 1 do
+        let d = t.copies.(slot t q) in
+        if d >= 0 then file_node t d
+      done;
+    r.r_msg <- Obj.magic ();
     t.rec_head <- t.rec_head + 1
   done;
   t.copy_head <- (if t.rec_head < t.rec_tail then (record t t.rec_head).r_first else t.copy_tail);
@@ -384,6 +482,7 @@ let open_record t ~src ~cls msg =
   r.r_msg <- msg;
   r.r_last <- 0;
   r.r_first <- t.copy_tail;
+  r.r_filed <- t.files msg;
   t.rec_tail <- t.rec_tail + 1;
   t.park_open <- true
 
@@ -394,34 +493,65 @@ let park t ~src ~cls time dst msg =
   t.copies.(i) <- dst;
   t.copies.(i + 1) <- time;
   t.copies.(i + 2) <- Sim.Engine.reserve t.engine;
-  t.copy_tail <- t.copy_tail + 1;
   let r = record t (t.rec_tail - 1) in
+  if r.r_filed then index_filed t dst t.copy_tail (t.rec_tail - 1);
+  t.copy_tail <- t.copy_tail + 1;
   if time > r.r_last then r.r_last <- time;
   t.parked <- t.parked + 1
 
-(* Schedule [dst]'s copies with key [key] whose arrival is after now,
-   each at its original arrival and sequence number in a fresh cell,
-   where it would have been had it never parked. Its delivery counts
-   it, so it leaves [parked], and it is marked, so no later wake
-   schedules it again. Every other copy stays parked. One that arrives
-   this very instant, after the running event, needs no waking:
-   whatever the running event sends lands after that copy's lookup. *)
+(* Schedule the copy at ring index [i] of record [r] at its original
+   arrival and sequence number in a fresh cell, where it would have
+   been had it never parked. Its delivery counts it, so it leaves
+   [parked], and it is marked, so nothing schedules or files it
+   again. *)
+let reschedule t r ~dst i =
+  t.copies.(i) <- -1;
+  t.parked <- t.parked - 1;
+  let c = acquire_cell t ~src:r.r_src ~dst ~cls:r.r_cls r.r_msg in
+  Sim.Engine.schedule_reserved t.engine t.copies.(i + 1) ~seq:t.copies.(i + 2) c.c_thunk
+
+(* Schedule [dst]'s dropped-kind copies with key [key] whose arrival
+   is after now. Every other copy stays parked. One that arrives this
+   very instant, after the running event, needs no waking: whatever
+   the running event sends lands after that copy's lookup. *)
 let wake t ~dst ~key =
   let now = Sim.Engine.now t.engine in
   for p = t.rec_head to t.rec_tail - 1 do
     let r = record t p in
-    if r.r_key = key && r.r_last > now then
+    if r.r_key = key && r.r_last > now && not r.r_filed then
       for q = r.r_first to copies_end t p - 1 do
         let i = slot t q in
-        if t.copies.(i) = dst && t.copies.(i + 1) > now then begin
-          t.copies.(i) <- -1;
-          t.parked <- t.parked - 1;
-          let c = acquire_cell t ~src:r.r_src ~dst ~cls:r.r_cls r.r_msg in
-          Sim.Engine.schedule_reserved t.engine t.copies.(i + 1) ~seq:t.copies.(i + 2)
-            c.c_thunk
-        end
+        if t.copies.(i) = dst && t.copies.(i + 1) > now then reschedule t r ~dst i
       done
   done
+
+(* Schedule [dst]'s filed copies whose place the engine has not passed,
+   whose key is [key] (any key, when negative) and whose message
+   [pick] accepts, this instant's later ones included. *)
+let wake_filed_if t ~dst ~key pick =
+  if Array.length t.nfiled > 0 && t.nfiled.(dst) > 0 then begin
+    let v = t.filed.(dst) and n = t.nfiled.(dst) in
+    let kept = ref 0 in
+    for k = 0 to n - 1 do
+      let p = v.(2 * k) and rp = v.(2 * k + 1) in
+      let r = record t rp and i = slot t p in
+      if
+        (key < 0 || r.r_key = key)
+        && (not (Sim.Engine.passed t.engine t.copies.(i + 1) ~seq:t.copies.(i + 2)))
+        && pick r.r_msg
+      then reschedule t r ~dst i
+      else begin
+        v.(2 * !kept) <- p;
+        v.((2 * !kept) + 1) <- rp;
+        incr kept
+      end
+    done;
+    t.nfiled.(dst) <- !kept
+  end
+
+let any _ = true
+let wake_filed t ~dst ~key = wake_filed_if t ~dst ~key any
+let wake_filed_where t ~dst pick = wake_filed_if t ~dst ~key:(-1) pick
 
 (* One offer of a copy to the injector, which may delay, drop or
    duplicate it; [arrive] is its fault-free arrival. Faults are emitted
@@ -463,6 +593,7 @@ let deliver_at t ~src ~cls ~bytes ~queue ~parks time dst msg =
            queue_ns = Sim.Time.to_ns queue; flight_ns = Sim.Time.to_ns flight;
            arrive = time })
   end;
+  if time > t.send_last then t.send_last <- time;
   if parks then park t ~src ~cls time dst msg
   else
     match t.injector with
@@ -544,8 +675,9 @@ let remote_copy t ~src ~cls ~bytes ~queue ~parks arrive d msg =
    copy. *)
 let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
   t.park_key <- park;
+  t.send_last <- Sim.Time.zero;
   let pw =
-    match t.injector with None when park >= 0 -> t.parkable park | None | Some _ -> [||]
+    match t.injector with None when park >= 0 -> t.parkable park msg | None | Some _ -> [||]
   in
   let npw = Array.length pw in
   let now = Sim.Engine.now t.engine in
@@ -618,6 +750,7 @@ let send_one t ~src ~dst ~cls ~bytes msg =
   if dst = src then
     invalid_arg (Printf.sprintf "Fabric.send_one: node %d sending to itself" src);
   let now = Sim.Engine.now t.engine in
+  t.send_last <- Sim.Time.zero;
   let src_site = t.cmp_arr.(src) and dst_site = t.cmp_arr.(dst) in
   if dst_site = src_site then local_copy t ~src ~cls ~bytes ~parks:false now dst msg
   else begin

@@ -134,35 +134,70 @@ val send_one :
 (** {2 Parked copies}
 
     A protocol can tell the fabric that a copy would do nothing at its
-    destination unless something the protocol sends later wakes it.
+    destination unless something the protocol does later wakes it.
     Such a copy is {e parked}: it takes its engine sequence number at
-    send time but is not scheduled. {!wake} puts it back on the queue
+    send time but is not scheduled. A wake puts it back on the queue
     at its original (arrival, sequence number). A send that parks
     copies keeps one record of what they share, and each copy is three
     ints in it; the record is freed, oldest first, when a later send
     parks and every copy of it arrived before then. The events that
     still run keep their order; only the parked copies' own events go.
     A copy never woken emits no [Msg_deliver] trace event; [Msg_send]
-    and [Net_hop] are emitted at send as always. *)
+    and [Net_hop] are emitted at send as always.
 
-(** [set_parkable t f] installs the per-send test: [f key] gives the
-    destset words of the nodes at which the copies of a
-    [send_set_parkable ~park:key] park (bit [i mod Destset.word_bits]
-    of word [i / Destset.word_bits] for node [i]; words past the end of
-    the array are zero). The fabric calls [f] once per such send, when
-    it has no fault injector, and reads the array only until the send
-    returns, so [f] may fill and return one buffer every time. No
-    handler runs during a send, so the words hold for all of its
-    copies. Installed once, at construction; without it nothing
-    parks. *)
-val set_parkable : 'msg t -> (int -> int array) -> unit
+    A parked copy is of one of two kinds, fixed per send by
+    {!set_filer}'s [files]. A {e dropped} copy that is never woken did
+    nothing, and is forgotten. A {e filed} copy that is never woken
+    still changes its destination's state, which the filer writes
+    without running the handler: the protocol calls {!file} before it
+    reads or writes that state, and a record retires only after its
+    filed copies are applied. *)
 
-(** [wake t ~dst ~key] schedules [dst]'s parked copies with key [key]
+(** [set_parkable t f] installs the per-send test: [f key msg] gives
+    the destset words of the nodes at which the copies of a
+    [send_set_parkable ~park:key] of [msg] park (bit
+    [i mod Destset.word_bits] of word [i / Destset.word_bits] for node
+    [i]; words past the end of the array are zero). The fabric calls
+    [f] once per such send, when it has no fault injector, and reads
+    the array only until the send returns, so [f] may fill and return
+    one buffer every time. No handler runs during a send, so the words
+    hold for all of its copies. Installed once, at construction;
+    without it nothing parks. *)
+val set_parkable : 'msg t -> (int -> 'msg -> int array) -> unit
+
+(** [set_filer t ~files filer]: the copies a send of a message [files]
+    accepts park as filed copies, and [filer ~dst msg] applies one of
+    them at [dst]. The filer must only write protocol state: it runs
+    inside {!file}, inside a send that retires records, or inside a
+    wake, and must not send, file or wake. [files] is asked once per
+    parking send. Installed once, at construction. *)
+val set_filer : 'msg t -> files:('msg -> bool) -> (dst:int -> 'msg -> unit) -> unit
+
+(** [file t ~dst] applies [dst]'s filed copies whose place the engine
+    has passed and that were not woken, in (arrival, sequence number)
+    order, the order their deliveries would have run in. With none
+    parked at [dst] it is one counter test. *)
+val file : 'msg t -> dst:int -> unit
+
+(** [wake t ~dst ~key] schedules [dst]'s dropped copies with key [key]
     whose arrival is after now, each once. Other copies stay parked; a
     copy the engine has run past is freed with its record, by a later
     parking send, not here. Allocates nothing once the fabric's buffers
     have grown. *)
 val wake : 'msg t -> dst:int -> key:int -> unit
+
+(** [wake_filed t ~dst ~key] schedules [dst]'s filed copies with key
+    [key] whose place the engine has not passed, those later in the
+    running instant included ({!Sim.Engine.schedule_reserved}). The
+    passed ones stay, for {!file}. *)
+val wake_filed : 'msg t -> dst:int -> key:int -> unit
+
+(** [wake_filed_where t ~dst pick] is {!wake_filed} over every key,
+    for the copies whose message [pick] accepts. *)
+val wake_filed_where : 'msg t -> dst:int -> ('msg -> bool) -> unit
+
+(** The latest fault-free arrival among the copies of the last send. *)
+val last_arrival : 'msg t -> Sim.Time.t
 
 (** The least time from a send to the delivery of a [bytes]-byte copy
     at a cache node, over every source and route. *)

@@ -46,7 +46,7 @@ let reserve t =
   t.seq
 
 let schedule_reserved t time ~seq f =
-  assert (time > t.now);
+  assert (time > t.now || (time = t.now && seq > t.at_seq));
   Heap.push t.queue ~key:time ~seq f
 
 let schedule_at t time f =

@@ -41,9 +41,11 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 val reserve : t -> int
 
 (** [schedule_reserved t time ~seq f] runs [f] at [time] with a
-    sequence number from {!reserve}. [time] must be strictly after
-    [now t]: an event at the current instant could otherwise need to
-    run before one that has already run. *)
+    sequence number from {!reserve}. The place [(time, seq)] must be
+    after the running event's: [time] after [now t], or [time = now t]
+    with [seq] after the running event's, so the event runs later in
+    this instant. An earlier place would need to run before an event
+    that has already run. *)
 val schedule_reserved : t -> Time.t -> seq:int -> (unit -> unit) -> unit
 
 (** [passed t time ~seq] is true when the engine has run past the place

@@ -67,13 +67,12 @@ module Histogram = struct
     counts : int array;
     mutable n : int;
     mutable total : int;
-    mutable overflow : int;
-    mutable vmax : int;
+    mutable overflow : int;  (* samples clamped into the last bucket *)
   }
 
   let create ~bucket ~buckets =
     assert (bucket > 0 && buckets > 0);
-    { bucket; counts = Array.make buckets 0; n = 0; total = 0; overflow = 0; vmax = 0 }
+    { bucket; counts = Array.make buckets 0; n = 0; total = 0; overflow = 0 }
 
   let add t v =
     let v = max 0 v in
@@ -84,14 +83,11 @@ module Histogram = struct
       t.counts.(last) <- t.counts.(last) + 1
     end
     else t.counts.(i) <- t.counts.(i) + 1;
-    if v > t.vmax then t.vmax <- v;
     t.n <- t.n + 1;
     t.total <- t.total + v
 
   let count t = t.n
   let total t = t.total
-  let overflow t = t.overflow
-  let max_value t = t.vmax
   let bucket_counts t = Array.copy t.counts
   let mean t = if t.n = 0 then 0. else float_of_int t.total /. float_of_int t.n
 
@@ -126,6 +122,5 @@ module Histogram = struct
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
     into.n <- into.n + src.n;
     into.total <- into.total + src.total;
-    into.overflow <- into.overflow + src.overflow;
-    if src.vmax > into.vmax then into.vmax <- src.vmax
+    into.overflow <- into.overflow + src.overflow
 end

@@ -55,23 +55,15 @@ module Histogram : sig
   val count : t -> int
   val total : t -> int
 
-  (** Number of samples that exceeded the last bucket and were clamped
-      into it. Percentiles over a clamped tail report the last bucket's
-      bound, not the true value — see {!percentile_clamped}. *)
-  val overflow : t -> int
-
-  (** Largest value ever added (exact, even when clamped). *)
-  val max_value : t -> int
-
   val bucket_counts : t -> int array
   val mean : t -> float
 
   (** Upper bound of the last bucket; values at or above are clamped. *)
   val limit : t -> int
 
-  (** Whether [percentile t p] is clamped: overflow occurred and the
-      percentile lands in the last bucket, so the reported bound
-      understates the true value (the true max is {!max_value}). *)
+  (** Whether [percentile t p] is clamped: some sample exceeded the
+      last bucket and was clamped into it, and the percentile lands in
+      that bucket, so the reported bound understates the true value. *)
   val percentile_clamped : t -> float -> bool
 
   (** [percentile t p] with [p] in [0,100]: upper bound of the bucket

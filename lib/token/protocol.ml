@@ -93,6 +93,12 @@ type t = {
   l1_sets : DS.t array;  (* per cmp: its L1 nodes *)
   l1_minus_self : DS.t array;  (* per node: own chip's L1s minus itself *)
   caches_minus_self : DS.t array;  (* per node: all caches minus itself *)
+  (* Persistent parking (DESIGN.md, "Parked request copies"), both
+     empty until first needed: per proc, the latest arrival of its last
+     activation's copies; the destset words of the L1s whose MSHR waits
+     to go persistent. *)
+  mutable act_last : Sim.Time.t array;
+  mutable pending : int array;
   (* --- recovery state (all idle when not [recovery]) --- *)
   recovery : bool;
   mutable tick_on : bool;  (* recovery refresh tick currently armed *)
@@ -117,6 +123,12 @@ let local_l1_bit t id =
   | L.L2 _ | L.Mem _ -> 0
 
 let recovery_on t = t.recovery
+
+let nwords layout = ((L.node_count layout - 1) / DS.word_bits) + 1
+
+(* Apply the persistent copies filed at [node] whose arrival has
+   passed; every reader and writer of its table calls this first. *)
+let[@inline] file t node = F.file t.fabric ~dst:node.id
 
 let find_or_add table addr make =
   match Hashtbl.find_opt table addr with
@@ -157,6 +169,7 @@ let active_persistent t node addr =
 (* Forward tokens held at [node] to the active persistent requester
    ({!S.forward}), once the response-delay window has closed. *)
 let rec persistent_check t node addr =
+  file t node;
   if not node.down then
     match active_persistent t node addr with
     | Some (_, l1, rw) when l1 <> node.id -> (
@@ -263,12 +276,29 @@ let rec marked_from t ptable addr proc =
   | Some e when e.pe_addr = addr && e.pe_marked && not (pe_expired t e) -> true
   | Some _ | None -> marked_from t ptable addr (proc + 1)
 
-let has_marked_for t node addr = marked_from t node.ptable addr 0
+let has_marked_for t node addr =
+  file t node;
+  marked_from t node.ptable addr 0
 
-(* A persistent-request message to every other node. *)
-let broadcast_persistent t node msg =
-  F.send_set t.fabric ~src:node.id ~dsts:t.persistent_sets.(node.id) ~cls:MC.Persistent
-    ~bytes:t.cfg.ctrl_bytes msg
+(* [m]'s waiting-to-go-persistent flag, mirrored in [t.pending]. *)
+let set_pending t node m pending =
+  if m.m_pending_persistent <> pending then begin
+    m.m_pending_persistent <- pending;
+    if Array.length t.pending = 0 then t.pending <- Array.make (nwords t.layout) 0;
+    let w = node.id / DS.word_bits and b = 1 lsl (node.id mod DS.word_bits) in
+    t.pending.(w) <- (if pending then t.pending.(w) lor b else t.pending.(w) land lnot b)
+  end
+
+let is_deactivation = function Msg.P_deactivate _ -> true | _ -> false
+
+(* A persistent-request message to every other node. Distributed
+   activations and deactivations may park; the arbiter's never do. *)
+let broadcast_persistent t node ~addr msg =
+  let park =
+    match t.policy.Policy.activation with Policy.Distributed -> addr | Policy.Arbiter -> -1
+  in
+  F.send_set_parkable t.fabric ~park ~src:node.id ~dsts:t.persistent_sets.(node.id)
+    ~cls:MC.Persistent ~bytes:t.cfg.ctrl_bytes msg
 
 let to_home t node addr msg =
   F.send_one t.fabric ~src:node.id ~dst:(S.home_mem t.sub addr) ~cls:MC.Persistent
@@ -342,6 +372,7 @@ and on_timeout t node m =
   | Some _ | None -> ()
 
 and start_persistent t node m =
+  file t node;
   ensure_tick t;
   if not m.m_counted then begin
     m.m_counted <- true;
@@ -356,10 +387,14 @@ and start_persistent t node m =
              action = "escalate" })
   end;
   let distributed = t.policy.Policy.activation = Policy.Distributed in
-  if distributed && has_marked_for t node m.m_addr then m.m_pending_persistent <- true
+  if distributed && has_marked_for t node m.m_addr then begin
+    set_pending t node m true;
+    (* Each deactivation arriving from now on may restart it. *)
+    F.wake_filed_where t.fabric ~dst:node.id is_deactivation
+  end
   else begin
     m.m_persistent <- true;
-    m.m_pending_persistent <- false;
+    set_pending t node m false;
     arm_rec_timer t node m;
     let proc = proc_of_node t node in
     let seq = t.pseq.(proc) in
@@ -371,7 +406,9 @@ and start_persistent t node m =
       node.peer_seq.(proc) <- seq;
       node.ptable.(proc) <-
         Some { pe_addr = addr; pe_rw = rw; pe_l1 = node.id; pe_marked = false; pe_expires = 0 };
-      broadcast_persistent t node (Msg.P_activate { addr; proc; l1 = node.id; rw; seq })
+      broadcast_persistent t node ~addr (Msg.P_activate { addr; proc; l1 = node.id; rw; seq });
+      if Array.length t.act_last = 0 then t.act_last <- Array.make (L.nprocs t.layout) 0;
+      t.act_last.(proc) <- F.last_arrival t.fabric
     end
   end
 
@@ -380,6 +417,7 @@ and complete t node m =
   m.m_timer <- None;
   (match m.m_rec_timer with Some timer -> E.cancel timer | None -> ());
   m.m_rec_timer <- None;
+  set_pending t node m false;
   node.mshr <- None;
   let line =
     match S.find t.sub node.id m.m_addr with
@@ -437,6 +475,7 @@ and complete t node m =
   m.m_commit ()
 
 and deactivate t node m =
+  file t node;
   let proc = proc_of_node t node in
   if E.tracing t.engine then
     E.emit t.engine
@@ -452,7 +491,7 @@ and deactivate t node m =
     Array.iter
       (function Some e when e.pe_addr = m.m_addr -> e.pe_marked <- true | Some _ | None -> ())
       node.ptable;
-    broadcast_persistent t node (Msg.P_deactivate { addr = m.m_addr; proc; seq });
+    broadcast_persistent t node ~addr:m.m_addr (Msg.P_deactivate { addr = m.m_addr; proc; seq });
     persistent_check t node m.m_addr
 
 (* Recovery tick: periodically re-broadcast still-active persistent
@@ -500,7 +539,7 @@ and recovery_tick t =
           (fun addr (proc, l1, rw) ->
             live := true;
             let seq = try Hashtbl.find node.parb_epoch addr with Not_found -> 0 in
-            broadcast_persistent t node (Msg.P_activate { addr; proc; l1; rw; seq }))
+            broadcast_persistent t node ~addr (Msg.P_activate { addr; proc; l1; rw; seq }))
           node.parb_active)
     t.nodes;
   if !live then
@@ -513,7 +552,7 @@ and refresh_activation t node m =
     (* Per-processor transactions are serial, so the outstanding
        activation's sequence number is always the last one issued. *)
     let proc = proc_of_node t node in
-    broadcast_persistent t node
+    broadcast_persistent t node ~addr:m.m_addr
       (Msg.P_activate
          { addr = m.m_addr; proc; l1 = node.id; rw = m.m_rw; seq = t.pseq.(proc) - 1 })
   | Policy.Arbiter -> ()
@@ -688,7 +727,7 @@ let arb_activate t node addr (proc, l1, rw, rid) =
   Hashtbl.replace node.parb_epoch addr epoch;
   Hashtbl.replace node.parb_active addr (proc, l1, rw);
   Hashtbl.replace node.arb_active_rid addr rid;
-  broadcast_persistent t node (Msg.P_activate { addr; proc; l1; rw; seq = epoch });
+  broadcast_persistent t node ~addr (Msg.P_activate { addr; proc; l1; rw; seq = epoch });
   persistent_check t node addr
 
 (* Pop the next queue entry whose request id has not already completed
@@ -731,35 +770,75 @@ let handle_arb_done t node ~addr ~proc ~rid =
         Hashtbl.remove node.parb_active addr;
         Hashtbl.remove node.arb_active_rid addr;
         let epoch = try Hashtbl.find node.parb_epoch addr with Not_found -> 0 in
-        broadcast_persistent t node (Msg.P_deactivate { addr; proc; seq = epoch });
+        broadcast_persistent t node ~addr (Msg.P_deactivate { addr; proc; seq = epoch });
         (match arb_pop_fresh node (arb_queue node addr) with
         | Some next -> arb_activate t node addr next
         | None -> ())
       | _ -> ())
 
+(* A distributed activation's table write; true unless it is stale.
+   Recovery also re-accepts [seq = peer_seq]: the periodic refresh
+   rebroadcast of a still-active request, which re-populates a
+   restarted node's wiped table and extends the lease at everyone
+   else. Wave marks survive a refresh of the same activation. *)
+let write_activate t node ~addr ~proc ~l1 ~rw ~seq =
+  let refresh = recovery_on t && seq = node.peer_seq.(proc) in
+  (seq > node.peer_seq.(proc) || refresh)
+  && begin
+    node.peer_seq.(proc) <- seq;
+    let marked =
+      refresh
+      && (match node.ptable.(proc) with
+         | Some e -> e.pe_addr = addr && e.pe_marked
+         | None -> false)
+    in
+    let expires = if t.recovery then now t + Recovery.lease else 0 in
+    node.ptable.(proc) <-
+      Some { pe_addr = addr; pe_rw = rw; pe_l1 = l1; pe_marked = marked; pe_expires = expires };
+    true
+  end
+
+(* A distributed deactivation's table write: unless it is stale, clear
+   the slot, and return what the slot held. Per-processor transactions
+   are serial, so a deactivation numbered [seq] proves every activation
+   numbered <= [seq] is over. The slot is cleared even if it names a
+   different block: that entry's own deactivation was overtaken by
+   this one and would otherwise be ignored, orphaning the entry
+   forever. *)
+let write_deactivate node ~proc ~seq =
+  if seq >= node.peer_seq.(proc) then begin
+    let old = node.ptable.(proc) in
+    node.peer_seq.(proc) <- seq;
+    node.ptable.(proc) <- None;
+    old
+  end
+  else None
+
+(* The filer: a persistent copy parked at [node] and never woken is
+   applied as its table write only. Its handler would have done
+   nothing more (DESIGN.md, "Parked request copies"): [node] held no
+   token of the block from the send to the arrival, and a filed
+   deactivation found no entry of another block to displace, since its
+   activation had arrived everywhere before it was sent. *)
+let file_copy t node msg =
+  match msg with
+  | Msg.P_activate { addr; proc; l1; rw; seq } ->
+    ignore (write_activate t node ~addr ~proc ~l1 ~rw ~seq)
+  | Msg.P_deactivate { addr; proc; seq } -> (
+    match write_deactivate node ~proc ~seq with
+    | Some e when e.pe_addr <> addr ->
+      Mcmp.Violation.raise_it ~kind:"filed-displacing-deactivation" ~addr ~node:node.id
+        ~time:(now t) "a filed deactivation cleared another block's entry"
+    | Some _ | None -> ())
+  | _ -> ()
+
 let handle_p_activate t node ~addr ~proc ~l1 ~rw ~seq =
+  file t node;
   if E.tracing t.engine then
     E.emit t.engine (Obs.Event.Persistent { node = node.id; proc; addr; action = "activate" });
   match t.policy.Policy.activation with
   | Policy.Distributed ->
-    (* Recovery also re-accepts [seq = peer_seq]: the periodic refresh
-       rebroadcast of a still-active request, which re-populates a
-       restarted node's wiped table and extends the lease at everyone
-       else. Wave marks survive a refresh of the same activation. *)
-    let refresh = recovery_on t && seq = node.peer_seq.(proc) in
-    if seq > node.peer_seq.(proc) || refresh then begin
-      node.peer_seq.(proc) <- seq;
-      let marked =
-        refresh
-        && (match node.ptable.(proc) with
-           | Some e -> e.pe_addr = addr && e.pe_marked
-           | None -> false)
-      in
-      let expires = if t.recovery then now t + Recovery.lease else 0 in
-      node.ptable.(proc) <-
-        Some { pe_addr = addr; pe_rw = rw; pe_l1 = l1; pe_marked = marked; pe_expires = expires };
-      persistent_check t node addr
-    end
+    if write_activate t node ~addr ~proc ~l1 ~rw ~seq then persistent_check t node addr
   | Policy.Arbiter ->
     let cur = try Hashtbl.find node.parb_epoch addr with Not_found -> 0 in
     if seq > cur then begin
@@ -773,21 +852,12 @@ let handle_p_activate t node ~addr ~proc ~l1 ~rw ~seq =
     end
 
 let handle_p_deactivate t node ~addr ~proc ~seq =
+  file t node;
   (match t.policy.Policy.activation with
-  | Policy.Distributed ->
-    if seq >= node.peer_seq.(proc) then begin
-      node.peer_seq.(proc) <- seq;
-      (* Per-processor transactions are serial, so a deactivation
-         numbered [seq] proves every activation numbered <= [seq] is
-         over. Clear the slot even if it names a different block: that
-         entry's own deactivation was overtaken by this one and would
-         otherwise be ignored, orphaning the entry forever. *)
-      match node.ptable.(proc) with
-      | Some e when e.pe_addr <> addr ->
-        node.ptable.(proc) <- None;
-        persistent_check t node e.pe_addr
-      | Some _ | None -> node.ptable.(proc) <- None
-    end
+  | Policy.Distributed -> (
+    match write_deactivate node ~proc ~seq with
+    | Some e when e.pe_addr <> addr -> persistent_check t node e.pe_addr
+    | Some _ | None -> ())
   | Policy.Arbiter ->
     let cur = try Hashtbl.find node.parb_epoch addr with Not_found -> 0 in
     if seq >= cur then begin
@@ -949,6 +1019,7 @@ let crash_node t id =
     | Some m ->
       (match m.m_timer with Some ti -> E.cancel ti | None -> ());
       (match m.m_rec_timer with Some ti -> E.cancel ti | None -> ());
+      set_pending t node m false;
       node.pending_restart <- Some (m.m_addr, m.m_rw, m.m_commit, m.m_tid);
       node.mshr <- None
     | None -> ());
@@ -978,24 +1049,58 @@ let restart_node t id =
 (* Construction                                                        *)
 
 (* The parking test (DESIGN.md, "Parked request copies"), run once per
-   transient send: the destset words of the nodes where the send's
-   copies for [addr] park. While a token of the block is in flight,
-   none; else every L1 without a line for it, the layout's L1s minus
-   the substrate's holders. One buffer serves every send. *)
-let park_words t =
-  let l1s = L.all_l1s_set t.layout in
-  let nwords = ((L.node_count t.layout - 1) / DS.word_bits) + 1 in
-  let l1_words = Array.init nwords (fun w -> if w < DS.nwords l1s then DS.word l1s w else 0) in
+   parkable send: the destset words of the nodes where the send's
+   copies for [addr] park. One buffer serves every send.
+   - A transient request ([transient] permitting): while a token of the
+     block is in flight, none; else every L1 without a line for it, the
+     layout's L1s minus the substrate's holders.
+   - A distributed activation or deactivation: every node holding no
+     token of the block. Those are the L1s minus the holders, the L2
+     banks and controllers other than the block's home ones, and the
+     home ones whose line is empty. A deactivation skips the L1s whose
+     MSHR waits to go persistent, and parks nowhere while a copy of its
+     processor's activation is in flight. *)
+let park_words t ~transient =
+  let nwords = nwords t.layout in
+  let words set = Array.init nwords (fun w -> if w < DS.nwords set then DS.word set w else 0) in
+  let l1_words = words (L.all_l1s_set t.layout) in
+  let all_words = words (L.all_nodes_set t.layout) in
   let buf = Array.make nwords 0 in
-  fun addr ->
-    if S.inflight t.sub addr > 0 then [||]
-    else begin
-      let held = S.l1_holders t.sub addr in
-      for w = 0 to nwords - 1 do
-        buf.(w) <- l1_words.(w) land lnot held.(w)
-      done;
-      buf
-    end
+  let unpark id =
+    let w = id / DS.word_bits in
+    buf.(w) <- buf.(w) land lnot (1 lsl (id mod DS.word_bits))
+  in
+  let persistent addr ~deactivation =
+    let held = S.l1_holders t.sub addr in
+    for w = 0 to nwords - 1 do
+      let pending = if deactivation && Array.length t.pending > 0 then t.pending.(w) else 0 in
+      buf.(w) <- all_words.(w) land lnot (held.(w) lor pending)
+    done;
+    for cmp = 0 to t.layout.L.ncmp - 1 do
+      let l2 = S.home_l2 t.sub ~cmp addr in
+      if S.node_tokens t.sub l2 addr > 0 then unpark l2
+    done;
+    let mem = S.home_mem t.sub addr in
+    if S.node_tokens t.sub mem addr > 0 then unpark mem;
+    buf
+  in
+  fun addr msg ->
+    match msg with
+    | Msg.Transient _ ->
+      if (not transient) || S.inflight t.sub addr > 0 then [||]
+      else begin
+        let held = S.l1_holders t.sub addr in
+        for w = 0 to nwords - 1 do
+          buf.(w) <- l1_words.(w) land lnot held.(w)
+        done;
+        buf
+      end
+    | Msg.P_activate _ -> persistent addr ~deactivation:false
+    | Msg.P_deactivate { proc; _ } ->
+      if t.act_last.(proc) > now t then [||] else persistent addr ~deactivation:true
+    | Msg.Tokens _ | Msg.P_arb_request _ | Msg.P_arb_done _ | Msg.Recreate_req _
+    | Msg.Epoch_bump _ | Msg.Epoch_ack _ ->
+      [||]
 
 type debug = {
   token_count : Cache.Addr.t -> int;
@@ -1061,21 +1166,30 @@ let create ~recovery policy engine cfg traffic rng counters =
       l1_minus_self =
         Array.init nnodes (fun id -> DS.remove id l1_sets.(L.cmp_of layout id));
       caches_minus_self = Array.init nnodes (fun id -> DS.remove id all_caches_set);
+      act_last = [||];
+      pending = [||];
       recovery;
       tick_on = false;
       crashes = 0;
     }
   in
-  (* A transient request copy to an L1 with no line for the block parks
-     until tokens for the block are sent there (DESIGN.md, "Parked
-     request copies"). That is exact only while every token message
-     takes longer than the L1 lookup, and without the recovery stack's
-     crashes and epoch changes. *)
-  if
-    (not recovery)
-    && F.min_cache_latency cfg.fabric ~bytes:(min cfg.ctrl_bytes cfg.data_bytes)
-       > cfg.l1_latency
-  then F.set_parkable fabric (park_words t);
+  (* Request copies that could only be ignored or filed park
+     (DESIGN.md, "Parked request copies"): a transient copy to an L1
+     with no line for the block, until tokens are sent there; a
+     distributed persistent copy to a node with no token of the block,
+     until tokens arrive there or, for a deactivation, the node's MSHR
+     starts waiting to go persistent. None is exact under the recovery
+     stack's crashes and epoch changes. The transient rule also needs
+     every token message to take longer than the L1 lookup. *)
+  if not recovery then begin
+    let transient =
+      F.min_cache_latency cfg.fabric ~bytes:(min cfg.ctrl_bytes cfg.data_bytes) > cfg.l1_latency
+    in
+    F.set_parkable fabric (park_words t ~transient);
+    F.set_filer fabric
+      ~files:(function Msg.P_activate _ | Msg.P_deactivate _ -> true | _ -> false)
+      (fun ~dst msg -> file_copy t t.nodes.(dst) msg)
+  end;
   F.set_handler fabric (fun ~dst msg -> handle t ~dst msg);
   (match Obs.Registry.of_engine engine with
   | Some reg ->
@@ -1102,6 +1216,7 @@ let debug_of t =
     node_owner = S.node_owner t.sub;
     persistent_entries =
       (fun () ->
+        Array.iter (file t) t.nodes;
         Array.fold_left
           (fun acc node ->
             let dist =
@@ -1114,6 +1229,7 @@ let debug_of t =
 (* Diagnostic dump of all in-flight protocol state. *)
 let dump t fmt () =
   let lay = t.layout in
+  Array.iter (file t) t.nodes;
   Array.iter
     (fun node ->
       (match node.mshr with
@@ -1156,6 +1272,7 @@ type recovery_stats = {
 
 (* The substrate's token checks, then the persistent-request tables'. *)
 let check_invariants t =
+  Array.iter (file t) t.nodes;
   let time = now t in
   let vs = ref [] in
   let add v = vs := v :: !vs in

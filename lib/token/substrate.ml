@@ -316,6 +316,9 @@ let receive s id addr ~count ~owner ~data ~dirty ~epoch =
         (Obs.Event.Fsm
            { node = id; addr; fsm = "token"; from_state; to_state = state_name line });
     if not mem then Cache.Sarray.touch s.lines.(id) addr;
+    (* Persistent copies for [addr] parked at [id] that arrive from now
+       on may find tokens here. *)
+    F.wake_filed s.fabric ~dst:id ~key:addr;
     true
   end
 
@@ -408,27 +411,48 @@ let recreating s = Hashtbl.length s.recreating > 0
 let node_tokens s id addr = match peek s id addr with Some l -> l.tokens | None -> 0
 let node_owner s id addr = match peek s id addr with Some l -> l.owner | None -> false
 
-let count_nodes s f =
+let held s addr =
   let n = ref 0 in
   for id = 0 to Array.length s.lines - 1 do
-    n := !n + f id
+    n := !n + node_tokens s id addr
   done;
   !n
 
-let held s addr = count_nodes s (fun id -> node_tokens s id addr)
+(* Tokens and owner tokens held, per block. *)
+type tally = { mutable t_held : int; mutable t_owners : int }
 
-(* Every block any node or message has ever mentioned. *)
-let touched_addrs s =
-  let set = Hashtbl.create 256 in
-  let mark a = Hashtbl.replace set a () in
+(* Every block any node or message has ever mentioned, in one walk over
+   the tag arrays, memory's stored lines and the in-flight accounts,
+   with what the nodes hold of it. A block its home controller never
+   stored still holds memory's implicit line there. *)
+let tallies s =
+  let blocks = Hashtbl.create 256 in
+  let tally a =
+    match Hashtbl.find blocks a with
+    | t -> t
+    | exception Not_found ->
+      let t = { t_held = 0; t_owners = 0 } in
+      Hashtbl.add blocks a t;
+      t
+  in
+  let add t l =
+    t.t_held <- t.t_held + l.tokens;
+    if l.owner then t.t_owners <- t.t_owners + 1
+  in
+  let count a l = add (tally a) l in
   Array.iteri
     (fun id lines ->
-      Cache.Sarray.iter (fun a _ -> mark a) lines;
-      Hashtbl.iter (fun a _ -> mark a) s.mem_lines.(id))
+      Cache.Sarray.iter count lines;
+      Hashtbl.iter count s.mem_lines.(id))
     s.lines;
-  Hashtbl.iter (fun a _ -> mark a) s.inflight;
-  Hashtbl.iter (fun a _ -> mark a) s.inflight_owner;
-  Hashtbl.fold (fun a () acc -> a :: acc) set []
+  Hashtbl.iter (fun a _ -> ignore (tally a)) s.inflight;
+  Hashtbl.iter (fun a _ -> ignore (tally a)) s.inflight_owner;
+  Hashtbl.iter
+    (fun a t ->
+      let home = home_mem s a in
+      if not (Hashtbl.mem s.mem_lines.(home) a) then add t (implicit_line s home a))
+    blocks;
+  Hashtbl.fold (fun a t acc -> (a, t) :: acc) blocks []
 
 (* Snapshot check of the safety substrate. Sound at event boundaries:
    every handler runs atomically, so the monitor (its own event) never
@@ -439,11 +463,9 @@ let check s =
   let add v = vs := v :: !vs in
   let total = s.cfg.tokens in
   List.iter
-    (fun addr ->
-      let held = held s addr and inflight = inflight s addr in
-      let owners =
-        count_nodes s (fun id -> if node_owner s id addr then 1 else 0) + inflight_owner s addr
-      in
+    (fun (addr, t) ->
+      let held = t.t_held and inflight = inflight s addr in
+      let owners = t.t_owners + inflight_owner s addr in
       (* Crashes and recreation make *deficits* legal — lost tokens are
          healed by a future mint — but excess stays fatal: extra
          current-epoch tokens could hand out overlapping write
@@ -460,7 +482,7 @@ let check s =
         add
           (Mcmp.Violation.make ~kind:"owner-count" ~addr ~time
              (Printf.sprintf "%d owner tokens exist (%s)" owners rule)))
-    (touched_addrs s);
+    (tallies s);
   Array.iteri
     (fun id lines ->
       let check_line addr line =

@@ -59,7 +59,9 @@ val give :
 val forward : t -> int -> Cache.Addr.t -> line -> l1:int -> rw:Msg.rw -> unit
 
 (** [false]: a superseded epoch, destroyed. [true]: merged into the node's
-    line, which a cache allocates, writing back its LRU victim. *)
+    line, which a cache allocates, writing back its LRU victim, and the
+    persistent copies filed at the node for the block that arrive from
+    now on are woken. *)
 val receive :
   t -> int -> Cache.Addr.t -> count:int -> owner:bool -> data:bool -> dirty:bool -> epoch:int ->
   bool

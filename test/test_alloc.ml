@@ -91,7 +91,7 @@ let test_fabric_park_wake () =
   let handled = Array.make n 0 in
   Interconnect.Fabric.set_handler fabric (fun ~dst () -> handled.(dst) <- handled.(dst) + 1);
   let l1s = Interconnect.Destset.unsafe_words (Interconnect.Layout.all_l1s_set l) in
-  Interconnect.Fabric.set_parkable fabric (fun _ -> l1s);
+  Interconnect.Fabric.set_parkable fabric (fun _ _ -> l1s);
   let all_caches = Interconnect.Layout.all_caches_set l in
   let woken = Interconnect.Layout.l1d l ~cmp:2 ~proc:1 in
   let sends count =

@@ -27,7 +27,7 @@ let rig () =
   let log = ref [] in
   F.set_handler fabric (fun ~dst tag -> log := (tag, dst, Sim.Engine.now engine) :: !log);
   let l1s = Interconnect.Destset.unsafe_words (L.all_l1s_set l) in
-  F.set_parkable fabric (fun _ -> l1s);
+  F.set_parkable fabric (fun _ _ -> l1s);
   let src = L.l1d l ~cmp:0 ~proc:0 and dst = L.l1d l ~cmp:0 ~proc:1 in
   let arrival = F.min_cache_latency params ~bytes:8 in
   let send ?(dsts = Interconnect.Destset.singleton dst) key =
@@ -139,7 +139,7 @@ let test_wide_record () =
   let log = ref [] in
   F.set_handler fabric (fun ~dst () -> log := dst :: !log);
   let l1s = Interconnect.Destset.unsafe_words (L.all_l1s_set l) in
-  F.set_parkable fabric (fun _ -> l1s);
+  F.set_parkable fabric (fun _ _ -> l1s);
   let dsts = L.all_caches_set l in
   Alcotest.(check int) "three destset words" 3 (Interconnect.Destset.nwords dsts);
   let src = L.l1d l ~cmp:0 ~proc:0 and woken = L.l1i l ~cmp:7 ~proc:5 in
@@ -209,6 +209,30 @@ let test_injector_stops_parking () =
   Alcotest.(check (list (triple string int int)))
     "delivered without a wake" [ ("copy", dst, arrival) ] (List.rev !log)
 
+(* A filed copy (a kind {!F.set_filer} picks) that nothing wakes is
+   applied by the filer once the engine has run past its place. A wake
+   later in the copy's own arrival instant, but ahead of its place,
+   schedules it there, so the handler runs it. *)
+let test_filed_woken_in_its_instant () =
+  let _, engine, fabric, log, send, dst, arrival = rig () in
+  let filed = ref [] in
+  F.set_filer fabric ~files:(fun _ -> true) (fun ~dst tag -> filed := (tag, dst) :: !filed);
+  (* Scheduled before the sends, so it runs ahead of both copies. *)
+  Sim.Engine.schedule_at engine arrival (fun () -> F.wake_filed fabric ~dst ~key:5);
+  send 5;
+  send 6;
+  Sim.Engine.run engine;
+  Sim.Engine.schedule_in engine (Sim.Time.ns 10) ignore;
+  Sim.Engine.run engine;
+  Alcotest.(check (list (pair string int))) "nothing filed while the engine runs" [] !filed;
+  F.file fabric ~dst;
+  Alcotest.(check (list (triple string int int)))
+    "the woken copy runs at its arrival" [ ("copy", dst, arrival) ] (List.rev !log);
+  Alcotest.(check (list (pair string int))) "the other is filed" [ ("copy", dst) ] !filed;
+  F.file fabric ~dst;
+  Alcotest.(check int) "and filed once" 1 (List.length !filed);
+  Alcotest.(check int) "both counted" 2 (F.delivered fabric)
+
 (* ------------------------------------------------------------------ *)
 (* Protocol exactness                                                  *)
 
@@ -227,8 +251,9 @@ let violations (probe : Mcmp.Probe.t) =
   List.map Mcmp.Violation.to_string (probe.Mcmp.Probe.check ())
 
 (* Runs one configuration both ways and compares. [programs] builds a
-   fresh set of programs per run (some close over shared state). *)
-let check_exact ~name ~config ~programs ~seed policy =
+   fresh set of programs per run (some close over shared state). With
+   [halves], parking must also take fewer than half the events. *)
+let check_exact ?(halves = false) ~name ~config ~programs ~seed policy =
   let run pass_through =
     let captured = ref None in
     let r =
@@ -261,16 +286,195 @@ let check_exact ~name ~config ~programs ~seed policy =
     (label (Printf.sprintf "events %d <= %d" r.Mcmp.Runner.events ref_r.Mcmp.Runner.events))
     true
     (r.Mcmp.Runner.events <= ref_r.Mcmp.Runner.events);
+  if halves then
+    Alcotest.(check bool)
+      (label
+         (Printf.sprintf "events %d < half of %d" r.Mcmp.Runner.events ref_r.Mcmp.Runner.events))
+      true
+      (2 * r.Mcmp.Runner.events < ref_r.Mcmp.Runner.events);
   Alcotest.(check int) (label "delivered at the finish") (F.delivered ref_fabric)
     (F.delivered fabric);
-  (* And once every copy still in flight has arrived. *)
+  (* And once every copy still in flight has arrived. A parked copy is
+     not an event, so a drained engine can stop short of the last ones
+     (a final deactivation's): both runs are taken to one instant past
+     every arrival. *)
   let drain engine =
     Sim.Engine.run ~max_events:(Sim.Engine.events_processed engine + 10_000_000) engine
   in
   drain ref_engine;
   drain engine;
+  let past = Sim.Time.us 1 + max (Sim.Engine.now ref_engine) (Sim.Engine.now engine) in
+  List.iter
+    (fun e ->
+      Sim.Engine.schedule_at e past ignore;
+      drain e)
+    [ ref_engine; engine ];
   Alcotest.(check int) (label "delivered after draining") (F.delivered ref_fabric)
     (F.delivered fabric)
+
+(* Scripted runs for the persistent rules (DESIGN.md, "Parked request
+   copies"): TokenCMP-dst0 on the tiny machine (2 CMPs x 2 cores)
+   without jitter, so every arrival is fixed. Each processor runs its
+   list of ops on block 9, whose home is chip 1's controller (node 13).
+   Node 0 is processor 0's L1d, node 1 processor 1's, node 7
+   processor 2's (chip 1). Each script runs traced with parking and
+   with a pass-through injector, must give the same results both ways,
+   and returns both traces, drained past every arrival. *)
+let block = 9
+
+let scripted ops =
+  let config =
+    { Mcmp.Config.tiny with Mcmp.Config.fabric = { F.default_params with F.jitter = 0 } }
+  in
+  let run pass_through =
+    let trace = ref [] and captured = ref None in
+    let builder engine config traffic rng counters =
+      let i =
+        Token.Protocol.create_instrumented Token.Policy.dst0 engine config traffic rng counters
+      in
+      let fabric = i.Token.Protocol.i_fabric in
+      if pass_through then
+        F.set_fault_injector fabric (fun ~now:_ ~src:_ ~dst:_ ~cls:_ ~arrive:_ _ -> F.Pass);
+      F.set_msg_label fabric Token.Msg.label;
+      Sim.Engine.set_sink engine (fun time ev -> trace := (time, ev) :: !trace);
+      captured := Some (engine, i.Token.Protocol.i_probe);
+      i.Token.Protocol.i_handle
+    in
+    let r =
+      Mcmp.Runner.run ~config builder
+        ~programs:(fun ~proc -> Test_random.random_program (ops proc))
+        ~seed:1
+    in
+    let engine, probe = Option.get !captured in
+    Sim.Engine.schedule_in engine (Sim.Time.us 1) ignore;
+    Sim.Engine.run engine;
+    Alcotest.(check (list string)) "no violation" [] (violations probe);
+    (r, List.rev !trace)
+  in
+  let ref_r, ref_trace = run true in
+  let r, trace = run false in
+  Alcotest.(check bool) "completed" true r.Mcmp.Runner.completed;
+  Alcotest.(check int) "runtime" ref_r.Mcmp.Runner.runtime r.Mcmp.Runner.runtime;
+  Alcotest.(check bool) "every counter" true (ref_r.Mcmp.Runner.counters = r.Mcmp.Runner.counters);
+  Alcotest.(check bool) "fewer events" true (r.Mcmp.Runner.events < ref_r.Mcmp.Runner.events);
+  (ref_trace, trace)
+
+let store = Workload.Program.Store (Workload.Program.block_loc block, 1)
+let load = Workload.Program.Load (Workload.Program.block_loc block)
+let think ns = Workload.Program.Think (Sim.Time.ns ns)
+let activation proc = Printf.sprintf "P_activate(0x240,p%d,#0)" proc
+let deactivation proc = Printf.sprintf "P_deactivate(0x240,p%d,#0)" proc
+
+(* When [label] was sent, and the instants it was delivered at [dst]
+   (any node when [dst] is negative). *)
+let sent_at trace label =
+  match
+    List.find_map
+      (function
+        | time, Obs.Event.Msg_send { label = l; _ } when l = label -> Some time | _ -> None)
+      trace
+  with
+  | Some time -> time
+  | None -> Alcotest.failf "%s never sent" label
+
+let deliveries ?(dst = -1) trace label =
+  List.filter_map
+    (function
+      | time, Obs.Event.Msg_deliver { dst = d; label = l; _ }
+        when l = label && (dst < 0 || d = dst) ->
+        Some time
+      | _ -> None)
+    trace
+
+let delivered_at trace ~dst label =
+  match deliveries ~dst trace label with
+  | [ time ] -> time
+  | l -> Alcotest.failf "%s delivered %d times at node %d" label (List.length l) dst
+
+(* The instants node [node] received tokens, and went persistent. *)
+let token_arrivals trace node =
+  List.filter_map
+    (function
+      | time, Obs.Event.Fsm { node = n; fsm = "token"; _ } when n = node -> Some time | _ -> None)
+    trace
+
+let escalations trace node =
+  List.filter_map
+    (function
+      | time, Obs.Event.Persistent { node = n; action = "escalate"; _ } when n = node -> Some time
+      | _ -> None)
+    trace
+
+(* Processor 2 writes the block and gets it from memory; processor 0's
+   write goes persistent while node 7 holds nothing yet, so its
+   activation parks there, and memory's tokens reach node 7 before the
+   activation does. The activation must run at node 7: it is what
+   sends the tokens on to processor 0. *)
+let test_tokens_wake_activation () =
+  let ref_trace, trace =
+    scripted (function 2 -> [ store ] | 0 -> [ think 30; store ] | _ -> [])
+  in
+  let send = sent_at ref_trace (activation 0)
+  and arrive = delivered_at ref_trace ~dst:7 (activation 0) in
+  (match token_arrivals ref_trace 7 with
+  | first :: _ ->
+    Alcotest.(check bool) "tokens reach node 7 after the send, before the copy" true
+      (send < first && first < arrive)
+  | [] -> Alcotest.fail "node 7 never received tokens");
+  Alcotest.(check int) "the copy at node 7 is woken and runs at its arrival" arrive
+    (delivered_at trace ~dst:7 (activation 0));
+  Alcotest.(check (list int)) "memory's copy stays filed" []
+    (deliveries ~dst:13 trace (activation 0))
+
+(* Processor 2 writes the block first; processor 0's activation reaches
+   node 7 before the tokens do, so node 7's deactivation marks it, and
+   node 7 hands the tokens on. Node 7 then reads the block: while
+   processor 0's entry is marked, its MSHR waits to go persistent until
+   processor 0's deactivation arrives. With that read after the
+   deactivation is sent, the waiting MSHR wakes the parked copy; with
+   it before, the copy never parks at node 7. Either way the copy must
+   run there, or the MSHR waits forever. *)
+let test_pending_mshr_deactivation () =
+  List.iter
+    (fun (gap, after_send) ->
+      let ref_trace, trace =
+        scripted (function 2 -> [ store; think gap; load ] | 0 -> [ think 5; store ] | _ -> [])
+      in
+      let send = sent_at ref_trace (deactivation 0)
+      and arrive = delivered_at ref_trace ~dst:7 (deactivation 0) in
+      (match escalations ref_trace 7 with
+      | [ _; pending ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "read %d ns later: node 7 waits %s the send" gap
+             (if after_send then "after" else "before"))
+          true
+          (pending < arrive && if after_send then send < pending else pending < send)
+      | l -> Alcotest.failf "node 7 escalated %d times" (List.length l));
+      Alcotest.(check int) "the copy at node 7 runs at its arrival" arrive
+        (delivered_at trace ~dst:7 (deactivation 0));
+      Alcotest.(check (list int)) "memory's copy stays filed" []
+        (deliveries ~dst:13 trace (deactivation 0)))
+    [ (50, true); (30, false) ]
+
+(* Processor 1 takes the block from memory; processor 0, on the same
+   chip, takes it from processor 1 and deactivates while its
+   activation's copies to chip 1 are still in flight. Such a
+   deactivation could overtake its activation and clear an older entry
+   of another block, so none of its copies parks. Processor 1's own
+   deactivation, sent once its activation had arrived everywhere,
+   parks at every node without a token. *)
+let test_deactivation_behind_activation () =
+  let ref_trace, trace = scripted (function 1 -> [ store ] | 0 -> [ think 500; store ] | _ -> []) in
+  let last = List.fold_left max 0 (deliveries ref_trace (activation 0)) in
+  Alcotest.(check bool) "sent while the activation is in flight" true
+    (sent_at ref_trace (deactivation 0) < last);
+  let copies = L.node_count (Mcmp.Config.layout Mcmp.Config.tiny) - 1 in
+  Alcotest.(check int) "every copy runs" copies (List.length (deliveries trace (deactivation 0)));
+  Alcotest.(check bool) "sent after its activation arrived everywhere" true
+    (List.fold_left max 0 (deliveries ref_trace (activation 1))
+    < sent_at ref_trace (deactivation 1));
+  Alcotest.(check (list int)) "the earlier deactivation parks at every node" []
+    (deliveries trace (deactivation 1))
 
 (* Every token policy of the golden suite. *)
 let policies = Token.Policy.all @ [ Token.Policy.dst1_flat; Token.Policy.dst1_mcast ]
@@ -295,10 +499,13 @@ let test_oltp policy () =
     ~programs:(fun () ~proc -> Workload.Commercial.program profile ~seed:1 ~proc)
     ~seed:1 policy
 
+(* Every miss of TokenCMP-dst0 goes persistent, so nearly all of its
+   events were persistent copies that a node only files. *)
 let test_locks policy () =
   let config = Mcmp.Config.default in
-  check_exact ~name:"16-core 4-lock" ~config ~programs:(locking ~config ~nlocks:4 ~seed:1)
-    ~seed:1 policy
+  check_exact
+    ~halves:(policy == Token.Policy.dst0)
+    ~name:"16-core 4-lock" ~config ~programs:(locking ~config ~nlocks:4 ~seed:1) ~seed:1 policy
 
 (* The benchmark's [wide_token] machine: 8 CMPs x 6 cores, 128 caches
    and 136 nodes, so every parking word and holder set spans three
@@ -372,6 +579,14 @@ let tests =
     Alcotest.test_case "a three-word send parks as one record" `Quick test_wide_record;
     Alcotest.test_case "a remote copy in flight keeps its record" `Quick
       test_remote_copy_keeps_record;
+    Alcotest.test_case "a filed copy woken in its own instant runs" `Quick
+      test_filed_woken_in_its_instant;
+    Alcotest.test_case "tokens received wake a parked activation" `Quick
+      test_tokens_wake_activation;
+    Alcotest.test_case "a pending MSHR wakes or keeps a deactivation" `Quick
+      test_pending_mshr_deactivation;
+    Alcotest.test_case "a deactivation behind its activation parks nothing" `Quick
+      test_deactivation_behind_activation;
   ]
   @ List.concat_map
       (fun (p : Token.Policy.t) ->
@@ -387,3 +602,4 @@ let tests =
         ])
       policies
   @ [ QCheck_alcotest.to_alcotest prop_random_programs ]
+

@@ -157,7 +157,7 @@ let guard_cases =
         receive ~count:1 ~owner:true );
   ]
 
-let test_guard (kind, trip) () =
+let substrate () =
   let engine = Sim.Engine.create () in
   let layout = Mcmp.Config.layout tiny in
   let fabric =
@@ -166,7 +166,10 @@ let test_guard (kind, trip) () =
       (Sim.Rng.create 5)
   in
   Interconnect.Fabric.set_handler fabric (fun ~dst:_ _ -> ());
-  let s = S.create ~recovery:false tiny fabric (Mcmp.Counters.create ()) in
+  (S.create ~recovery:false tiny fabric (Mcmp.Counters.create ()), layout)
+
+let test_guard (kind, trip) () =
+  let s, layout = substrate () in
   let home = S.home_mem s block and l1 = Interconnect.Layout.l1d_of_proc layout 0 in
   let give ~count ~owner ~data =
     match S.find s home block with
@@ -181,6 +184,36 @@ let test_guard (kind, trip) () =
   | exception Mcmp.Violation.Invariant_violation v ->
     Alcotest.(check string) "violation kind" kind v.Mcmp.Violation.kind
   | () -> Alcotest.failf "%s: no violation raised" kind
+
+(* The audit counts, per block, every node's tokens in one walk, and a
+   block whose home controller never stored its line still holds
+   memory's implicit full line there. Every protocol path stores the
+   home line before tokens leave it, so only a transfer charged to
+   another block's line reaches that state: one token of [other] goes
+   in flight out of [block]'s home line. [other] then holds T at its
+   home and one in flight, one too many, with its one owner token at
+   home; [block]'s home is one short. *)
+let test_audit_counts_implicit_line () =
+  let s, layout = substrate () in
+  let other = block + 1 in
+  let home = S.home_mem s block and l1 = Interconnect.Layout.l1d_of_proc layout 0 in
+  Alcotest.(check bool) "another home" true (S.home_mem s other <> home);
+  (match S.find s home block with
+  | Some line ->
+    S.give s ~src:home ~dst:l1 other line ~count:1 ~owner:false ~data:true ~dirty:false
+      ~writeback:false
+  | None -> Alcotest.fail "no home line");
+  let all = tiny.Mcmp.Config.tokens in
+  Alcotest.(check (list (pair string string)))
+    "one violation per block, the implicit line counted"
+    [
+      ("token-conservation", Printf.sprintf "held %d + in-flight 0 <> T = %d" (all - 1) all);
+      ("token-conservation", Printf.sprintf "held %d + in-flight 1 <> T = %d" all all);
+    ]
+    (List.sort compare
+       (List.map
+          (fun v -> (v.Mcmp.Violation.kind, v.Mcmp.Violation.detail))
+          (S.check s)))
 
 let tests =
   List.map
@@ -199,4 +232,6 @@ let tests =
     Alcotest.test_case "persistent-only write (dst0)" `Quick test_persistent_only_write;
     Alcotest.test_case "arbiter persistent handoff" `Quick test_arbiter_persistent_write;
     Alcotest.test_case "eviction writes tokens back" `Quick test_eviction_returns_tokens;
+    Alcotest.test_case "audit counts memory's implicit line" `Quick
+      test_audit_counts_implicit_line;
   ]

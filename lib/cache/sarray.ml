@@ -127,10 +127,13 @@ let remove t a =
     t.population <- t.population - 1
   end
 
+(* Groups never inserted into hold nothing and are skipped, so a walk
+   costs the sets a run touched, in set order. *)
 let iter f t =
   Array.iter
     (fun g ->
-      for i = 0 to Array.length g.states - 1 do
-        match g.states.(i) with None -> () | Some st -> f g.addrs.(i) st
-      done)
+      if g != t.untouched then
+        for i = 0 to Array.length g.states - 1 do
+          match g.states.(i) with None -> () | Some st -> f g.addrs.(i) st
+        done)
     t.groups

@@ -21,17 +21,20 @@ let msb m =
   let m = m lor (m lsr 32) in
   m - (m lsr 1)
 
-(* Binary-search the position of an isolated bit. *)
-let bit_index b =
-  let n = ref 0 in
-  let b = ref b in
-  if !b land 0xFFFFFFFF = 0 then begin n := !n + 32; b := !b lsr 32 end;
-  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
-  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
-  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
-  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
-  if !b land 0x1 = 0 then incr n;
-  !n
+(* The position of an isolated bit, without a branch: multiplying
+   [1 lsl i] by a de Bruijn constant shifts it left by [i] (mod 2^63),
+   and the top six bits of the product differ for every [i] in 0..62,
+   so they index a table of positions. *)
+let debruijn = 0x03F7_9D71_B4CB_0A89
+
+let positions =
+  let a = Array.make 64 0 in
+  for i = 0 to word_bits - 1 do
+    a.(((1 lsl i) * debruijn) lsr 57) <- i
+  done;
+  a
+
+let[@inline] bit_index b = Array.unsafe_get positions ((b * debruijn) lsr 57)
 
 let iter_bits_asc f m =
   let m = ref m in

@@ -69,6 +69,10 @@ type 'msg t = {
   params : params;
   traffic : Traffic.t;
   rng : Sim.Rng.t;
+  (* The jitter draw's span, [jitter + 1] (0: no jitter), and its
+     rejection bound, fixed at creation so a draw divides only once. *)
+  jitter_span : int;
+  jitter_limit : int;
   (* Per-node layout lookups and per-site node masks, precomputed at
      creation so the send hot path never recomputes divisions or
      allocates. Site masks are multi-word {!Destset} words ([nwords]
@@ -88,14 +92,16 @@ type 'msg t = {
      gives the destset words of a parking send's destinations that may
      park (see [send_set_parkable]). [park_key] is the key of the
      [send_set_parkable] in progress; [park_open] is set once it opened
-     its record. *)
+     its record, which [cur] then holds (a stand-in before the first). *)
   mutable parkable : int -> 'msg -> int array;
   mutable park_key : int;
   mutable park_open : bool;
+  mutable cur : 'msg parked_send;
   mutable recs : 'msg parked_send array;
   mutable rec_head : int;  (* oldest live record *)
   mutable rec_tail : int;  (* next record's position *)
   mutable copies : int array;
+  mutable copy_mask : int;  (* the copy ring's capacity - 1 *)
   mutable copy_head : int;  (* first copy of the oldest live record *)
   mutable copy_tail : int;
   mutable parked : int;  (* copies parked and never woken, retired ones included *)
@@ -120,16 +126,10 @@ type 'msg t = {
   mutable msg_label : 'msg -> string;
   mutable port_busy_total : Sim.Time.t; (* serialization time ever claimed on ports *)
   mutable link_busy_total : Sim.Time.t; (* ... on inter-site links *)
-  (* Scratch: contention wait of the most recent port/link claim, read
-     back by the send paths to decompose each copy's latency into
-     queueing vs flight for Net_hop events. Pure observation. *)
-  mutable last_port_wait : Sim.Time.t;
-  mutable last_link_wait : Sim.Time.t;
 }
 
-(* The copy ring's slot mask, and the first int of position [p]. *)
-let copy_mask t = (Array.length t.copies / 3) - 1
-let[@inline] slot t p = 3 * (p land copy_mask t)
+(* The first int of copy position [p]. *)
+let[@inline] slot t p = 3 * (p land t.copy_mask)
 let record t p = t.recs.(p land (Array.length t.recs - 1))
 
 (* One past the last copy position of the record at position [p]. *)
@@ -181,6 +181,12 @@ let register registry t =
   R.register_float registry "fabric.port_backlog_ns" (fun () -> backlog t.port_busy);
   R.register_float registry "fabric.link_backlog_ns" (fun () -> backlog t.link_busy)
 
+(* A record that holds nothing: [cur] before the first parking send,
+   and every spare slot of the record ring. *)
+let stand_in () =
+  { r_key = -1; r_src = 0; r_cls = Msg_class.Request; r_msg = Obj.magic (); r_last = 0;
+    r_first = 0; r_filed = false }
+
 let create engine layout params traffic rng =
   let nnodes = Layout.node_count layout in
   let cmp_arr = Array.init nnodes (fun i -> Layout.cmp_of layout i) in
@@ -200,6 +206,8 @@ let create engine layout params traffic rng =
       params;
       traffic;
       rng;
+      jitter_span = (if params.jitter = 0 then 0 else params.jitter + 1);
+      jitter_limit = (if params.jitter = 0 then 0 else Sim.Rng.limit (params.jitter + 1));
       cmp_arr;
       is_cache_arr;
       nwords;
@@ -209,10 +217,12 @@ let create engine layout params traffic rng =
       parkable = (fun _ _ -> [||]);
       park_key = -1;
       park_open = false;
+      cur = stand_in ();
       recs = [||];
       rec_head = 0;
       rec_tail = 0;
       copies = [||];
+      copy_mask = -1;
       copy_head = 0;
       copy_tail = 0;
       parked = 0;
@@ -231,8 +241,6 @@ let create engine layout params traffic rng =
       msg_label = (fun _ -> "");
       port_busy_total = Sim.Time.zero;
       link_busy_total = Sim.Time.zero;
-      last_port_wait = Sim.Time.zero;
-      last_link_wait = Sim.Time.zero;
     }
   in
   (* Self-register occupancy/utilization samplers when the engine
@@ -275,31 +283,31 @@ let serialization bytes_per_ns bytes =
 let min_cache_latency p ~bytes =
   min (serialization p.intra_bytes_per_ns bytes + p.intra_latency) p.mem_link_latency
 
-let jitter t = if t.params.jitter = 0 then 0 else Sim.Rng.int t.rng (t.params.jitter + 1)
+let[@inline] jitter t =
+  if t.jitter_span = 0 then 0 else Sim.Rng.int_limited t.rng t.jitter_span ~limit:t.jitter_limit
 
-(* Claim the on-chip egress port of [node]: returns departure time. *)
-let claim_port t node ser =
-  let now = Sim.Engine.now t.engine in
-  let start = max now t.port_busy.(node) in
-  t.port_busy.(node) <- start + ser;
+(* Claim the on-chip egress port of [node] for [ser] at [now]: returns
+   when the claim starts, so the copy departs [ser] later. *)
+let[@inline] claim_port t node now ser =
+  let start = max now (Array.unsafe_get t.port_busy node) in
+  Array.unsafe_set t.port_busy node (start + ser);
   t.port_busy_total <- t.port_busy_total + ser;
-  t.last_port_wait <- start - now;
-  start + ser
+  start
 
 (* Claim the global link between two sites: [ready] is when the message
-   reaches the link; returns when the last byte is on the wire. *)
+   reaches the link; returns when the claim starts, so the last byte is
+   on the wire [ser] later. *)
 let claim_link t ~src_site ~dst_site ~cls ~bytes ready ser =
   let i = (src_site * t.layout.Layout.ncmp) + dst_site in
   let start = max ready t.link_busy.(i) in
   t.link_busy.(i) <- start + ser;
   t.link_busy_total <- t.link_busy_total + ser;
-  t.last_link_wait <- start - ready;
   if Sim.Engine.tracing t.engine then
     Sim.Engine.emit t.engine
       (Obs.Event.Link_xfer
          { src_site; dst_site; cls = Msg_class.to_string cls; bytes; start;
            finish = start + ser });
-  start + ser
+  start
 
 let fault t ~src ~dst ~cls action =
   if Sim.Engine.tracing t.engine then
@@ -373,24 +381,21 @@ let schedule_delivery t ~src ~cls time dst msg =
 let grow_records t =
   let old = t.recs in
   let cap = max 16 (2 * Array.length old) in
-  let recs =
-    Array.init cap (fun _ ->
-        { r_key = -1; r_src = 0; r_cls = Msg_class.Request; r_msg = Obj.magic (); r_last = 0;
-          r_first = 0; r_filed = false })
-  in
+  let recs = Array.init cap (fun _ -> stand_in ()) in
   for p = t.rec_head to t.rec_tail - 1 do
     recs.(p land (cap - 1)) <- old.(p land (Array.length old - 1))
   done;
   t.recs <- recs
 
 let grow_copies t =
-  let old = t.copies and old_mask = copy_mask t in
+  let old = t.copies and old_mask = t.copy_mask in
   let cap = max 64 (2 * (old_mask + 1)) in
   let copies = Array.make (3 * cap) 0 in
   for p = t.copy_head to t.copy_tail - 1 do
     Array.blit old (3 * (p land old_mask)) copies (3 * (p land (cap - 1))) 3
   done;
-  t.copies <- copies
+  t.copies <- copies;
+  t.copy_mask <- cap - 1
 
 let index_filed t dst p rp =
   if Array.length t.nfiled = 0 then begin
@@ -460,7 +465,8 @@ let[@inline] file t ~dst =
    be woken, and [delivered] counts them all. A filed record's copies
    are applied first, with every other passed copy at their
    destinations. The unit stand-in keeps a retired record from pinning
-   its message. *)
+   its message. The new record is the send's until it returns, which
+   writes its latest arrival. *)
 let open_record t ~src ~cls msg =
   let now = Sim.Engine.now t.engine in
   while t.rec_head < t.rec_tail && (record t t.rec_head).r_last < now do
@@ -484,20 +490,20 @@ let open_record t ~src ~cls msg =
   r.r_first <- t.copy_tail;
   r.r_filed <- t.files msg;
   t.rec_tail <- t.rec_tail + 1;
+  t.cur <- r;
   t.park_open <- true
 
-let park t ~src ~cls time dst msg =
+(* A parked copy costs its ring slot and its sequence number; the send
+   counts it and keeps its record's latest arrival. *)
+let[@inline] park t ~src ~cls time dst msg =
   if not t.park_open then open_record t ~src ~cls msg;
-  if t.copy_tail - t.copy_head = copy_mask t + 1 then grow_copies t;
-  let i = slot t t.copy_tail in
-  t.copies.(i) <- dst;
-  t.copies.(i + 1) <- time;
-  t.copies.(i + 2) <- Sim.Engine.reserve t.engine;
-  let r = record t (t.rec_tail - 1) in
-  if r.r_filed then index_filed t dst t.copy_tail (t.rec_tail - 1);
-  t.copy_tail <- t.copy_tail + 1;
-  if time > r.r_last then r.r_last <- time;
-  t.parked <- t.parked + 1
+  if t.copy_tail - t.copy_head > t.copy_mask then grow_copies t;
+  let i = slot t t.copy_tail and c = t.copies in
+  Array.unsafe_set c i dst;
+  Array.unsafe_set c (i + 1) time;
+  Array.unsafe_set c (i + 2) (Sim.Engine.reserve t.engine);
+  if t.cur.r_filed then index_filed t dst t.copy_tail (t.rec_tail - 1);
+  t.copy_tail <- t.copy_tail + 1
 
 (* Schedule the copy at ring index [i] of record [r] at its original
    arrival and sequence number in a fresh cell, where it would have
@@ -576,94 +582,54 @@ let offer t ~src ~dst ~cls ~arrive msg =
   | None -> schedule_delivery t ~src ~cls arrive dst msg
   | Some inject -> apply t inject ~src ~dst ~cls ~arrive msg
 
-(* Every copy of every message passes through here once its fault-free
-   arrival time is known: it parks ([parks], decided by the send), is
-   scheduled, or is offered to the injector. [queue] is the contention
+(* The trace of one copy, emitted at send. [queue] is the contention
    wait (busy port + busy link) already baked into [time]; the rest of
    [time - now] is flight/serialization. *)
-let deliver_at t ~src ~cls ~bytes ~queue ~parks time dst msg =
-  if Sim.Engine.tracing t.engine then begin
-    Sim.Engine.emit t.engine
-      (Obs.Event.Msg_send
-         { src; dst; cls = Msg_class.to_string cls; bytes; label = t.msg_label msg });
-    let flight = time - Sim.Engine.now t.engine - queue in
-    Sim.Engine.emit t.engine
-      (Obs.Event.Net_hop
-         { src; dst; cls = Msg_class.to_string cls;
-           queue_ns = Sim.Time.to_ns queue; flight_ns = Sim.Time.to_ns flight;
-           arrive = time })
-  end;
-  if time > t.send_last then t.send_last <- time;
+let trace_copy t ~src ~cls ~bytes ~queue time dst msg =
+  Sim.Engine.emit t.engine
+    (Obs.Event.Msg_send
+       { src; dst; cls = Msg_class.to_string cls; bytes; label = t.msg_label msg });
+  let flight = time - Sim.Engine.now t.engine - queue in
+  Sim.Engine.emit t.engine
+    (Obs.Event.Net_hop
+       { src; dst; cls = Msg_class.to_string cls;
+         queue_ns = Sim.Time.to_ns queue; flight_ns = Sim.Time.to_ns flight;
+         arrive = time })
+
+(* Every copy of every message passes through here once its fault-free
+   arrival time is known: it parks ([parks], decided by the send), is
+   scheduled, or is offered to the injector. *)
+let[@inline] place t ~tracing ~src ~cls ~bytes ~queue ~parks time dst msg =
+  if tracing then trace_copy t ~src ~cls ~bytes ~queue time dst msg;
   if parks then park t ~src ~cls time dst msg
   else
     match t.injector with
     | None -> schedule_delivery t ~src ~cls time dst msg
     | Some inject -> apply t inject ~src ~dst ~cls ~arrive:time msg
 
-(* Per-copy charging shared by [send_set] and [send_one]. A copy to a
-   node on the sender's own site takes one hop: across the on-chip
-   crossbar, from the memory controller back on chip, or from a cache
-   out to its local controller over the off-chip pins. A broadcast is
-   charged per copy, reflecting the per-cache lookup bandwidth the
-   paper highlights for broadcast protocols. *)
-let local_copy t ~src ~cls ~bytes ~parks now d msg =
+(* What a copy pays on its own. A copy to a node on the sender's own
+   site takes one hop: across the on-chip crossbar, from the memory
+   controller back on chip, or from a cache out to its local
+   controller over the off-chip pins. A cache sender claims its port
+   for [ser] per such copy ([ser] is 0 from a controller, which has no
+   port): a broadcast is charged per copy, reflecting the per-cache
+   lookup bandwidth the paper highlights for broadcast protocols. A
+   copy to another site takes the entry hop from the site's link.
+   Each draws its jitter and returns its arrival; everything its send's
+   copies share is charged by the send (see [send_set_parkable]). *)
+let[@inline] local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks now ~to_cache d msg =
   let p = t.params in
-  let src_onchip = t.is_cache_arr.(src) in
-  if t.is_cache_arr.(d) then begin
-    Traffic.add_intra t.traffic cls bytes;
-    if src_onchip then begin
-      let dep = claim_port t src (serialization p.intra_bytes_per_ns bytes) in
-      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait ~parks
-        (dep + p.intra_latency + jitter t) d msg
-    end
-    else
-      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero ~parks
-        (now + p.mem_link_latency + jitter t) d msg
-  end
-  else begin
-    Traffic.add_inter t.traffic cls bytes;
-    if src_onchip then begin
-      let dep = claim_port t src (serialization p.inter_bytes_per_ns bytes) in
-      deliver_at t ~src ~cls ~bytes ~queue:t.last_port_wait ~parks
-        (dep + p.mem_link_latency + jitter t) d msg
-    end
-    else
-      deliver_at t ~src ~cls ~bytes ~queue:Sim.Time.zero ~parks
-        (now + p.mem_link_latency + jitter t) d msg
-  end
+  let start = if src_onchip then claim_port t src now ser else now in
+  let hop = if src_onchip && to_cache then p.intra_latency else p.mem_link_latency in
+  let time = start + ser + hop + jitter t in
+  place t ~tracing ~src ~cls ~bytes ~queue:(start - now) ~parks time d msg;
+  time
 
-(* The exit hop toward other sites, charged once per send: returns when
-   the message reaches the global links, leaving its port wait in
-   [t.last_port_wait] (zero for a memory controller, which has no
-   port). *)
-let exit_hop t ~src ~cls ~bytes now =
+let[@inline] remote_copy t ~tracing ~src ~cls ~bytes ~queue ~parks arrive ~to_cache d msg =
   let p = t.params in
-  if t.is_cache_arr.(src) then begin
-    Traffic.add_intra t.traffic cls bytes;
-    claim_port t src (serialization p.intra_bytes_per_ns bytes) + p.intra_latency
-  end
-  else begin
-    t.last_port_wait <- Sim.Time.zero;
-    now + p.mem_link_latency
-  end
-
-(* One global-link crossing, charged once per destination site:
-   returns the arrival time at [dst_site]. *)
-let cross_link t ~src_site ~dst_site ~cls ~bytes ready =
-  Traffic.add_inter t.traffic cls bytes;
-  let ser = serialization t.params.inter_bytes_per_ns bytes in
-  claim_link t ~src_site ~dst_site ~cls ~bytes ready ser + t.params.inter_latency
-
-(* Fan-out on the destination site: the last hop of one remote copy. *)
-let remote_copy t ~src ~cls ~bytes ~queue ~parks arrive d msg =
-  let entry =
-    if t.is_cache_arr.(d) then begin
-      Traffic.add_intra t.traffic cls bytes;
-      t.params.intra_latency
-    end
-    else t.params.mem_link_latency
-  in
-  deliver_at t ~src ~cls ~bytes ~queue ~parks (arrive + entry + jitter t) d msg
+  let time = arrive + (if to_cache then p.intra_latency else p.mem_link_latency) + jitter t in
+  place t ~tracing ~src ~cls ~bytes ~queue ~parks time d msg;
+  time
 
 (* Bitset multicast: dedup, self-exclusion and the local/remote split
    are bit operations over the destset's words against the precomputed
@@ -672,16 +638,27 @@ let remote_copy t ~src ~cls ~bytes ~queue ~parks arrive d msg =
    destinations ascending, then remote sites ascending, each site's
    destinations descending. Which copies park is decided once, here:
    the protocol's words for the key, read a word at a time, one bit per
-   copy. *)
+   copy.
+
+   What the copies share is charged once per send: the two
+   serialization times, the exit hop, one link crossing per
+   destination site, the traffic (hops counted per counter, times
+   [bytes]), the latest arrival of all copies ([last_arrival]) and of
+   the parked ones (the record's), and the count of parked copies. *)
 let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
   t.park_key <- park;
-  t.send_last <- Sim.Time.zero;
   let pw =
     match t.injector with None when park >= 0 -> t.parkable park msg | None | Some _ -> [||]
   in
   let npw = Array.length pw in
-  let now = Sim.Engine.now t.engine in
-  let src_site = t.cmp_arr.(src) in
+  let p = t.params in
+  let now = Sim.Engine.now t.engine and tracing = Sim.Engine.tracing t.engine in
+  let src_site = t.cmp_arr.(src) and src_onchip = t.is_cache_arr.(src) in
+  let ser_intra = serialization p.intra_bytes_per_ns bytes
+  and ser_inter = serialization p.inter_bytes_per_ns bytes in
+  let first_copy = t.copy_tail in
+  let last = ref Sim.Time.zero and parked_last = ref Sim.Time.zero in
+  let intra = ref 0 and inter = ref 0 in
   let wb = Destset.word_bits in
   let mwords = Destset.unsafe_words dsts in
   (* The destset may span fewer words than the layout (trailing zeros
@@ -696,7 +673,14 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
     while !lm <> 0 do
       let b = Destset.lsb !lm in
       lm := !lm lxor b;
-      local_copy t ~src ~cls ~bytes ~parks:(pm land b <> 0) now (base + Destset.bit_index b) msg
+      let d = base + Destset.bit_index b in
+      let to_cache = Array.unsafe_get t.is_cache_arr d in
+      if to_cache then incr intra else incr inter;
+      let ser = if not src_onchip then 0 else if to_cache then ser_intra else ser_inter in
+      let parks = pm land b <> 0 in
+      let time = local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks now ~to_cache d msg in
+      if time > !last then last := time;
+      if parks && time > !parked_last then parked_last := time
     done
   done;
   (* Any remote destination at all? One word-skip pass. *)
@@ -708,8 +692,14 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
     then has_remote := true
   done;
   if !has_remote then begin
-    let ready = exit_hop t ~src ~cls ~bytes now in
-    let exit_wait = t.last_port_wait in
+    (* The exit hop toward other sites: a cache claims its port and
+       crosses the chip, a memory controller goes over its pins. The
+       message reaches the global links at [ready]. *)
+    let exit = if src_onchip then claim_port t src now ser_intra else now in
+    if src_onchip then incr intra;
+    let ready =
+      if src_onchip then exit + ser_intra + p.intra_latency else now + p.mem_link_latency
+    in
     for site = 0 to t.layout.Layout.ncmp - 1 do
       if site <> src_site then begin
         let tbase = site * t.nwords in
@@ -719,8 +709,10 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
           then nonempty := true
         done;
         if !nonempty then begin
-          let arrive = cross_link t ~src_site ~dst_site:site ~cls ~bytes ready in
-          let queue = exit_wait + t.last_link_wait in
+          incr inter;
+          let start = claim_link t ~src_site ~dst_site:site ~cls ~bytes ready ser_inter in
+          let arrive = start + ser_inter + p.inter_latency in
+          let queue = exit - now + (start - ready) in
           for w = top downto 0 do
             let rm =
               ref
@@ -731,31 +723,66 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
             while !rm <> 0 do
               let b = Destset.msb !rm in
               rm := !rm lxor b;
-              remote_copy t ~src ~cls ~bytes ~queue ~parks:(pm land b <> 0) arrive
-                (base + Destset.bit_index b) msg
+              let d = base + Destset.bit_index b in
+              let to_cache = Array.unsafe_get t.is_cache_arr d in
+              if to_cache then incr intra;
+              let parks = pm land b <> 0 in
+              let time =
+                remote_copy t ~tracing ~src ~cls ~bytes ~queue ~parks arrive ~to_cache d msg
+              in
+              if time > !last then last := time;
+              if parks && time > !parked_last then parked_last := time
             done
           done
         end
       end
     done
   end;
-  t.park_open <- false
+  Traffic.add_intra t.traffic cls (!intra * bytes);
+  Traffic.add_inter t.traffic cls (!inter * bytes);
+  t.send_last <- !last;
+  if t.park_open then begin
+    t.cur.r_last <- !parked_last;
+    t.parked <- t.parked + (t.copy_tail - first_copy);
+    t.park_open <- false
+  end
 
 let[@inline] send_set t ~src ~dsts ~cls ~bytes msg =
   send_set_parkable t ~park:(-1) ~src ~dsts ~cls ~bytes msg
 
 (* The scalar path: exactly the charges [send_set] makes for a
-   one-node destination set, without the word scans. *)
+   one-node destination set, without the word scans, computing only
+   the serialization times its route needs. *)
 let send_one t ~src ~dst ~cls ~bytes msg =
   if dst = src then
     invalid_arg (Printf.sprintf "Fabric.send_one: node %d sending to itself" src);
-  let now = Sim.Engine.now t.engine in
-  t.send_last <- Sim.Time.zero;
+  let p = t.params in
+  let now = Sim.Engine.now t.engine and tracing = Sim.Engine.tracing t.engine in
   let src_site = t.cmp_arr.(src) and dst_site = t.cmp_arr.(dst) in
-  if dst_site = src_site then local_copy t ~src ~cls ~bytes ~parks:false now dst msg
+  let src_onchip = t.is_cache_arr.(src) and to_cache = t.is_cache_arr.(dst) in
+  if dst_site = src_site then begin
+    if to_cache then Traffic.add_intra t.traffic cls bytes
+    else Traffic.add_inter t.traffic cls bytes;
+    let ser =
+      if not src_onchip then 0
+      else serialization (if to_cache then p.intra_bytes_per_ns else p.inter_bytes_per_ns) bytes
+    in
+    t.send_last <-
+      local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks:false now ~to_cache dst msg
+  end
   else begin
-    let ready = exit_hop t ~src ~cls ~bytes now in
-    let arrive = cross_link t ~src_site ~dst_site ~cls ~bytes ready in
-    let queue = t.last_port_wait + t.last_link_wait in
-    remote_copy t ~src ~cls ~bytes ~queue ~parks:false arrive dst msg
+    let ser_intra = if src_onchip then serialization p.intra_bytes_per_ns bytes else 0 in
+    let ser_inter = serialization p.inter_bytes_per_ns bytes in
+    let exit = if src_onchip then claim_port t src now ser_intra else now in
+    let ready =
+      if src_onchip then exit + ser_intra + p.intra_latency else now + p.mem_link_latency
+    in
+    let start = claim_link t ~src_site ~dst_site ~cls ~bytes ready ser_inter in
+    let arrive = start + ser_inter + p.inter_latency in
+    Traffic.add_intra t.traffic cls
+      (((if src_onchip then 1 else 0) + if to_cache then 1 else 0) * bytes);
+    Traffic.add_inter t.traffic cls bytes;
+    t.send_last <-
+      remote_copy t ~tracing ~src ~cls ~bytes ~queue:(exit - now + (start - ready))
+        ~parks:false arrive ~to_cache dst msg
   end

@@ -28,16 +28,21 @@ let[@inline] next t =
 
 let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
-let int t n =
+(* Rejection sampling avoids modulo bias: a 62-bit value at or above
+   [limit n] is drawn again. *)
+let limit n =
   assert (n > 0);
-  (* Rejection sampling avoids modulo bias. *)
   let bound = 0x3FFF_FFFF_FFFF_FFFF in
-  let limit = bound - (bound mod n) in
+  bound - (bound mod n)
+
+let[@inline] int_limited t n ~limit =
   let v = ref (bits62 t) in
   while !v >= limit do
     v := bits62 t
   done;
   !v mod n
+
+let int t n = int_limited t n ~limit:(limit n)
 
 let int_in t lo hi =
   assert (hi >= lo);

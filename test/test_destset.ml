@@ -58,6 +58,19 @@ let test_bit_iteration () =
   Alcotest.(check int) "msb" 0b100000 (DS.msb 0b101010);
   Alcotest.(check int) "bit_index" 5 (DS.bit_index 0b100000)
 
+(* Every position of a word, the sign bit (62) included, isolated and
+   among other bits: what the send loops and the iterators read. *)
+let test_bit_index_all_positions () =
+  for i = 0 to DS.word_bits - 1 do
+    let b = 1 lsl i in
+    Alcotest.(check int) (Printf.sprintf "bit_index (1 lsl %d)" i) i (DS.bit_index b);
+    Alcotest.(check int) (Printf.sprintf "lsb at %d" i) i (DS.bit_index (DS.lsb (b lor (1 lsl 62))));
+    Alcotest.(check int) (Printf.sprintf "msb at %d" i) i (DS.bit_index (DS.msb (b lor 1)))
+  done;
+  let desc = ref [] in
+  DS.iter_bits_desc (fun i -> desc := i :: !desc) ((1 lsl 62) lor 1);
+  Alcotest.(check (list int)) "sign bit iterates" [ 0; 62 ] !desc
+
 (* ---- Differential model suite: Destset vs sorted-unique int lists ----
 
    The reference model is the representation the pre-multi-word Destset
@@ -339,6 +352,75 @@ let prop_send_one_is_send_set =
       in
       run_fabric l via_one sends = run_fabric l via_set sends)
 
+(* Parked copies against the reference: every copy of every send
+   parks (the parking test answers every key with all nodes), and at
+   one instant after the last send and before the first arrival each
+   node is woken for the key, so every copy is rescheduled at its
+   arrival and runs. The arrivals, the traffic and busy-time charges
+   and the jitter stream must be the reference's, which schedules
+   every copy. Sends are issued in the first 2 ns; no copy arrives
+   sooner than [min_cache_latency] (2.125 ns) after its send. Without
+   the wake no copy runs at all, so every copy did park. *)
+let wake_at = 2_000
+
+let run_parked ~wake layout sends =
+  let engine = Sim.Engine.create () in
+  let registry = Obs.Registry.create () in
+  Obs.Registry.attach registry engine;
+  let traffic = Interconnect.Traffic.create () in
+  let rng = Sim.Rng.create 1 in
+  let fabric = Interconnect.Fabric.create engine layout params traffic rng in
+  let n = Interconnect.Layout.node_count layout in
+  let all = DS.unsafe_words (DS.of_list (List.init n Fun.id)) in
+  Interconnect.Fabric.set_parkable fabric (fun _ _ -> all);
+  let log = ref [] in
+  Interconnect.Fabric.set_handler fabric (fun ~dst msg ->
+      log := (msg, dst, Sim.Engine.now engine) :: !log);
+  List.iteri
+    (fun i (time, src, dsts) ->
+      Sim.Engine.schedule_at engine time (fun () ->
+          Interconnect.Fabric.send_set_parkable fabric ~park:7 ~src ~dsts:(DS.of_list dsts)
+            ~cls:Interconnect.Msg_class.Request ~bytes:8 i))
+    sends;
+  if wake then
+    Sim.Engine.schedule_at engine wake_at (fun () ->
+        for dst = 0 to n - 1 do
+          Interconnect.Fabric.wake fabric ~dst ~key:7
+        done);
+  Sim.Engine.run engine;
+  let gauge name = List.assoc name (Obs.Registry.gauges registry) in
+  {
+    copies = List.sort compare !log;
+    intra = Interconnect.Traffic.intra_total traffic;
+    inter = Interconnect.Traffic.inter_total traffic;
+    port_busy = ps_of_ns (gauge "fabric.port_busy_ns");
+    link_busy = ps_of_ns (gauge "fabric.link_busy_ns");
+    next_draw = next_draw rng;
+  }
+
+(* The 52-node machine (one destset word) and the 136-node one of 8
+   CMPs x 6 cores (three words). *)
+let parked_layouts =
+  [| layout4 (); Interconnect.Layout.create ~ncmp:8 ~procs_per_cmp:6 ~banks_per_cmp:4 |]
+
+let prop_parked_ref =
+  QCheck.Test.make
+    ~name:"parked send_set_parkable, all woken at once = reference (52 and 136 nodes)"
+    ~count:100
+    QCheck.(
+      pair (int_range 0 1)
+        (list_of_size (Gen.int_range 1 15)
+           (triple (int_range 0 wake_at) (int_range 0 135)
+              (list_of_size (Gen.int_range 0 40) (int_range 0 135)))))
+    (fun (li, raw) ->
+      let l = parked_layouts.(li) in
+      let n = Interconnect.Layout.node_count l in
+      let sends =
+        List.map (fun (time, s, ds) -> (time, s mod n, List.map (fun d -> d mod n) ds)) raw
+      in
+      run_parked ~wake:true l sends = run_ref l sends
+      && (run_parked ~wake:false l sends).copies = [])
+
 let tests =
   [
     Alcotest.test_case "of_list dedups and sorts" `Quick test_of_list_dedup;
@@ -346,6 +428,7 @@ let tests =
     Alcotest.test_case "add/remove/union" `Quick test_add_remove_union;
     Alcotest.test_case "of_bitfield" `Quick test_of_bitfield;
     Alcotest.test_case "bit iteration helpers" `Quick test_bit_iteration;
+    Alcotest.test_case "bit_index on all 63 positions" `Quick test_bit_index_all_positions;
     QCheck_alcotest.to_alcotest prop_model_of_list;
     QCheck_alcotest.to_alcotest prop_model_add_remove;
     QCheck_alcotest.to_alcotest prop_model_union;
@@ -358,4 +441,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_send_set_ref;
     QCheck_alcotest.to_alcotest prop_send_set_ref_multiword;
     QCheck_alcotest.to_alcotest prop_send_one_is_send_set;
+    QCheck_alcotest.to_alcotest prop_parked_ref;
   ]

@@ -104,6 +104,27 @@ let prop_stream_matches_boxed =
             true)
         draws)
 
+(* The draw with a precomputed rejection bound must be [int] itself:
+   the same values and, after them, the same generator state, both as
+   [Sim.Rng.int] and as the boxed reference draws them. A bound just
+   above 2^61 rejects nearly half of all 62-bit values, so the
+   rejection loop runs on most draws there. *)
+let test_int_limited () =
+  List.iter
+    (fun n ->
+      let a = Sim.Rng.create 5 and b = Sim.Rng.create 5 and c = Boxed.create 5 in
+      let limit = Sim.Rng.limit n in
+      for _ = 1 to 2_000 do
+        let v = Sim.Rng.int_limited b n ~limit in
+        Alcotest.(check int) (Printf.sprintf "int, bound %d" n) (Sim.Rng.int a n) v;
+        Alcotest.(check int) (Printf.sprintf "reference, bound %d" n) (Boxed.int c n) v
+      done;
+      let next = Sim.Rng.int b 1_000_000_007 in
+      Alcotest.(check int) (Printf.sprintf "state after bound %d" n) (Sim.Rng.int a 1_000_000_007) next;
+      Alcotest.(check int) (Printf.sprintf "reference state after bound %d" n)
+        (Boxed.int c 1_000_000_007) next)
+    [ 1; 501; max_int; (1 lsl 61) + 1 ]
+
 let tests =
   [
     Alcotest.test_case "deterministic from seed" `Quick test_determinism;
@@ -115,4 +136,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_int_in_range;
     QCheck_alcotest.to_alcotest prop_float_range;
     QCheck_alcotest.to_alcotest prop_stream_matches_boxed;
+    Alcotest.test_case "int_limited draws what int draws" `Quick test_int_limited;
   ]

@@ -69,10 +69,9 @@ type 'msg t = {
   params : params;
   traffic : Traffic.t;
   rng : Sim.Rng.t;
-  (* The jitter draw's span, [jitter + 1] (0: no jitter), and its
-     rejection bound, fixed at creation so a draw divides only once. *)
-  jitter_span : int;
-  jitter_limit : int;
+  (* The jitter draw's range, [0, jitter], with its rejection bound
+     fixed at creation, so a draw does not divide. *)
+  jitter_span : Sim.Rng.span;
   (* Per-node layout lookups and per-site node masks, precomputed at
      creation so the send hot path never recomputes divisions or
      allocates. Site masks are multi-word {!Destset} words ([nwords]
@@ -126,6 +125,12 @@ type 'msg t = {
   mutable msg_label : 'msg -> string;
   mutable port_busy_total : Sim.Time.t; (* serialization time ever claimed on ports *)
   mutable link_busy_total : Sim.Time.t; (* ... on inter-site links *)
+  (* Scratch: the contention wait of the last exit hop and of the last
+     link crossing, read back by the send paths to split each remote
+     copy's latency into queueing and flight for the trace. Written
+     once per send and once per destination site. Pure observation. *)
+  mutable exit_wait : Sim.Time.t;
+  mutable link_wait : Sim.Time.t;
 }
 
 (* The first int of copy position [p]. *)
@@ -206,8 +211,7 @@ let create engine layout params traffic rng =
       params;
       traffic;
       rng;
-      jitter_span = (if params.jitter = 0 then 0 else params.jitter + 1);
-      jitter_limit = (if params.jitter = 0 then 0 else Sim.Rng.limit (params.jitter + 1));
+      jitter_span = Sim.Rng.span (params.jitter + 1);
       cmp_arr;
       is_cache_arr;
       nwords;
@@ -241,6 +245,8 @@ let create engine layout params traffic rng =
       msg_label = (fun _ -> "");
       port_busy_total = Sim.Time.zero;
       link_busy_total = Sim.Time.zero;
+      exit_wait = Sim.Time.zero;
+      link_wait = Sim.Time.zero;
     }
   in
   (* Self-register occupancy/utilization samplers when the engine
@@ -284,7 +290,7 @@ let min_cache_latency p ~bytes =
   min (serialization p.intra_bytes_per_ns bytes + p.intra_latency) p.mem_link_latency
 
 let[@inline] jitter t =
-  if t.jitter_span = 0 then 0 else Sim.Rng.int_limited t.rng t.jitter_span ~limit:t.jitter_limit
+  if t.params.jitter = 0 then 0 else Sim.Rng.int_span t.rng t.jitter_span
 
 (* Claim the on-chip egress port of [node] for [ser] at [now]: returns
    when the claim starts, so the copy departs [ser] later. *)
@@ -294,20 +300,36 @@ let[@inline] claim_port t node now ser =
   t.port_busy_total <- t.port_busy_total + ser;
   start
 
-(* Claim the global link between two sites: [ready] is when the message
-   reaches the link; returns when the claim starts, so the last byte is
-   on the wire [ser] later. *)
-let claim_link t ~src_site ~dst_site ~cls ~bytes ready ser =
+(* The exit hop toward other sites, charged once per send: a cache
+   claims its port for [ser] and crosses the chip, a memory controller
+   (no port) goes over its pins. Returns when the message reaches the
+   global links, leaving its port wait in [t.exit_wait]. *)
+let[@inline] exit_hop t ~src ~src_onchip ~ser now =
+  if src_onchip then begin
+    let start = claim_port t src now ser in
+    t.exit_wait <- start - now;
+    start + ser + t.params.intra_latency
+  end
+  else begin
+    t.exit_wait <- Sim.Time.zero;
+    now + t.params.mem_link_latency
+  end
+
+(* One global-link crossing, charged once per destination site: the
+   message reaches the link at [ready] and claims it for [ser]. Returns
+   its arrival at [dst_site], leaving its link wait in [t.link_wait]. *)
+let cross_link t ~src_site ~dst_site ~cls ~bytes ~ser ready =
   let i = (src_site * t.layout.Layout.ncmp) + dst_site in
   let start = max ready t.link_busy.(i) in
   t.link_busy.(i) <- start + ser;
   t.link_busy_total <- t.link_busy_total + ser;
+  t.link_wait <- start - ready;
   if Sim.Engine.tracing t.engine then
     Sim.Engine.emit t.engine
       (Obs.Event.Link_xfer
          { src_site; dst_site; cls = Msg_class.to_string cls; bytes; start;
            finish = start + ser });
-  start
+  start + ser + t.params.inter_latency
 
 let fault t ~src ~dst ~cls action =
   if Sim.Engine.tracing t.engine then
@@ -611,14 +633,17 @@ let[@inline] place t ~tracing ~src ~cls ~bytes ~queue ~parks time dst msg =
    site takes one hop: across the on-chip crossbar, from the memory
    controller back on chip, or from a cache out to its local
    controller over the off-chip pins. A cache sender claims its port
-   for [ser] per such copy ([ser] is 0 from a controller, which has no
-   port): a broadcast is charged per copy, reflecting the per-cache
-   lookup bandwidth the paper highlights for broadcast protocols. A
-   copy to another site takes the entry hop from the site's link.
-   Each draws its jitter and returns its arrival; everything its send's
-   copies share is charged by the send (see [send_set_parkable]). *)
-let[@inline] local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks now ~to_cache d msg =
+   per such copy, for the hop's serialization ([ser_intra] on chip,
+   [ser_inter] over the pins; a controller has no port): a broadcast is
+   charged per copy, reflecting the per-cache lookup bandwidth the
+   paper highlights for broadcast protocols. A copy to another site
+   takes the entry hop from the site's link. Each draws its jitter and
+   returns its arrival; everything its send's copies share is charged
+   by the send (see [send_set_parkable]). *)
+let[@inline] local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser_intra ~ser_inter ~parks now
+    ~to_cache d msg =
   let p = t.params in
+  let ser = if not src_onchip then 0 else if to_cache then ser_intra else ser_inter in
   let start = if src_onchip then claim_port t src now ser else now in
   let hop = if src_onchip && to_cache then p.intra_latency else p.mem_link_latency in
   let time = start + ser + hop + jitter t in
@@ -676,9 +701,11 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
       let d = base + Destset.bit_index b in
       let to_cache = Array.unsafe_get t.is_cache_arr d in
       if to_cache then incr intra else incr inter;
-      let ser = if not src_onchip then 0 else if to_cache then ser_intra else ser_inter in
       let parks = pm land b <> 0 in
-      let time = local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks now ~to_cache d msg in
+      let time =
+        local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser_intra ~ser_inter ~parks now
+          ~to_cache d msg
+      in
       if time > !last then last := time;
       if parks && time > !parked_last then parked_last := time
     done
@@ -692,14 +719,9 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
     then has_remote := true
   done;
   if !has_remote then begin
-    (* The exit hop toward other sites: a cache claims its port and
-       crosses the chip, a memory controller goes over its pins. The
-       message reaches the global links at [ready]. *)
-    let exit = if src_onchip then claim_port t src now ser_intra else now in
+    let ready = exit_hop t ~src ~src_onchip ~ser:ser_intra now in
+    let exit_wait = t.exit_wait in
     if src_onchip then incr intra;
-    let ready =
-      if src_onchip then exit + ser_intra + p.intra_latency else now + p.mem_link_latency
-    in
     for site = 0 to t.layout.Layout.ncmp - 1 do
       if site <> src_site then begin
         let tbase = site * t.nwords in
@@ -710,9 +732,8 @@ let send_set_parkable t ~park ~src ~dsts ~cls ~bytes msg =
         done;
         if !nonempty then begin
           incr inter;
-          let start = claim_link t ~src_site ~dst_site:site ~cls ~bytes ready ser_inter in
-          let arrive = start + ser_inter + p.inter_latency in
-          let queue = exit - now + (start - ready) in
+          let arrive = cross_link t ~src_site ~dst_site:site ~cls ~bytes ~ser:ser_inter ready in
+          let queue = exit_wait + t.link_wait in
           for w = top downto 0 do
             let rm =
               ref
@@ -751,8 +772,7 @@ let[@inline] send_set t ~src ~dsts ~cls ~bytes msg =
   send_set_parkable t ~park:(-1) ~src ~dsts ~cls ~bytes msg
 
 (* The scalar path: exactly the charges [send_set] makes for a
-   one-node destination set, without the word scans, computing only
-   the serialization times its route needs. *)
+   one-node destination set, without the word scans. *)
 let send_one t ~src ~dst ~cls ~bytes msg =
   if dst = src then
     invalid_arg (Printf.sprintf "Fabric.send_one: node %d sending to itself" src);
@@ -760,29 +780,22 @@ let send_one t ~src ~dst ~cls ~bytes msg =
   let now = Sim.Engine.now t.engine and tracing = Sim.Engine.tracing t.engine in
   let src_site = t.cmp_arr.(src) and dst_site = t.cmp_arr.(dst) in
   let src_onchip = t.is_cache_arr.(src) and to_cache = t.is_cache_arr.(dst) in
+  let ser_intra = serialization p.intra_bytes_per_ns bytes
+  and ser_inter = serialization p.inter_bytes_per_ns bytes in
   if dst_site = src_site then begin
     if to_cache then Traffic.add_intra t.traffic cls bytes
     else Traffic.add_inter t.traffic cls bytes;
-    let ser =
-      if not src_onchip then 0
-      else serialization (if to_cache then p.intra_bytes_per_ns else p.inter_bytes_per_ns) bytes
-    in
     t.send_last <-
-      local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser ~parks:false now ~to_cache dst msg
+      local_copy t ~tracing ~src ~src_onchip ~cls ~bytes ~ser_intra ~ser_inter ~parks:false now
+        ~to_cache dst msg
   end
   else begin
-    let ser_intra = if src_onchip then serialization p.intra_bytes_per_ns bytes else 0 in
-    let ser_inter = serialization p.inter_bytes_per_ns bytes in
-    let exit = if src_onchip then claim_port t src now ser_intra else now in
-    let ready =
-      if src_onchip then exit + ser_intra + p.intra_latency else now + p.mem_link_latency
-    in
-    let start = claim_link t ~src_site ~dst_site ~cls ~bytes ready ser_inter in
-    let arrive = start + ser_inter + p.inter_latency in
-    Traffic.add_intra t.traffic cls
-      (((if src_onchip then 1 else 0) + if to_cache then 1 else 0) * bytes);
+    let ready = exit_hop t ~src ~src_onchip ~ser:ser_intra now in
+    let arrive = cross_link t ~src_site ~dst_site ~cls ~bytes ~ser:ser_inter ready in
+    if src_onchip then Traffic.add_intra t.traffic cls bytes;
     Traffic.add_inter t.traffic cls bytes;
+    if to_cache then Traffic.add_intra t.traffic cls bytes;
     t.send_last <-
-      remote_copy t ~tracing ~src ~cls ~bytes ~queue:(exit - now + (start - ready))
-        ~parks:false arrive ~to_cache dst msg
+      remote_copy t ~tracing ~src ~cls ~bytes ~queue:(t.exit_wait + t.link_wait) ~parks:false
+        arrive ~to_cache dst msg
   end

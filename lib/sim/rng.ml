@@ -29,20 +29,27 @@ let[@inline] next t =
 let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 (* Rejection sampling avoids modulo bias: a 62-bit value at or above
-   [limit n] is drawn again. *)
-let limit n =
-  assert (n > 0);
-  let bound = 0x3FFF_FFFF_FFFF_FFFF in
-  bound - (bound mod n)
-
-let[@inline] int_limited t n ~limit =
+   [limit], the largest multiple of [n] not above 2^62 - 1, is drawn
+   again. *)
+let[@inline] draw t n limit =
   let v = ref (bits62 t) in
   while !v >= limit do
     v := bits62 t
   done;
   !v mod n
 
-let int t n = int_limited t n ~limit:(limit n)
+let limit n =
+  assert (n > 0);
+  let bound = 0x3FFF_FFFF_FFFF_FFFF in
+  bound - (bound mod n)
+
+type span = { n : int; limit : int }
+
+let span n = { n; limit = limit n }
+let[@inline] int_span t s = draw t s.n s.limit
+
+(* The same draw, building no span, so it allocates nothing. *)
+let int t n = draw t n (limit n)
 
 let int_in t lo hi =
   assert (hi >= lo);

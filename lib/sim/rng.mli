@@ -12,14 +12,17 @@ val create : int -> t
 (** [int t n] returns a uniform integer in [0, n). [n] must be positive. *)
 val int : t -> int -> int
 
-(** [limit n] is the rejection bound [int t n] computes on every draw
-    (a 64-bit division). [n] must be positive. *)
-val limit : int -> int
+(** A draw's range with its rejection bound, which [int t n] computes
+    (a 64-bit division) on every draw. *)
+type span
 
-(** [int_limited t n ~limit:(limit n)] is [int t n] for a caller that
-    computed the bound once: the same value and the same generator
-    state afterwards, draw for draw. *)
-val int_limited : t -> int -> limit:int -> int
+(** [span n] is the range [0, n). [n] must be positive. *)
+val span : int -> span
+
+(** [int_span t (span n)] is [int t n]: the same value and the same
+    generator state afterwards, draw for draw, without recomputing the
+    bound. *)
+val int_span : t -> span -> int
 
 (** [int_in t lo hi] returns a uniform integer in [lo, hi] inclusive. *)
 val int_in : t -> int -> int -> int

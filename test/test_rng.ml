@@ -104,18 +104,18 @@ let prop_stream_matches_boxed =
             true)
         draws)
 
-(* The draw with a precomputed rejection bound must be [int] itself:
-   the same values and, after them, the same generator state, both as
+(* The draw over a precomputed span must be [int] itself: the same
+   values and, after them, the same generator state, both as
    [Sim.Rng.int] and as the boxed reference draws them. A bound just
    above 2^61 rejects nearly half of all 62-bit values, so the
    rejection loop runs on most draws there. *)
-let test_int_limited () =
+let test_int_span () =
   List.iter
     (fun n ->
       let a = Sim.Rng.create 5 and b = Sim.Rng.create 5 and c = Boxed.create 5 in
-      let limit = Sim.Rng.limit n in
+      let span = Sim.Rng.span n in
       for _ = 1 to 2_000 do
-        let v = Sim.Rng.int_limited b n ~limit in
+        let v = Sim.Rng.int_span b span in
         Alcotest.(check int) (Printf.sprintf "int, bound %d" n) (Sim.Rng.int a n) v;
         Alcotest.(check int) (Printf.sprintf "reference, bound %d" n) (Boxed.int c n) v
       done;
@@ -136,5 +136,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_int_in_range;
     QCheck_alcotest.to_alcotest prop_float_range;
     QCheck_alcotest.to_alcotest prop_stream_matches_boxed;
-    Alcotest.test_case "int_limited draws what int draws" `Quick test_int_limited;
+    Alcotest.test_case "int_span draws what int draws" `Quick test_int_span;
   ]
